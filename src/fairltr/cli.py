@@ -147,17 +147,12 @@ SUMMARY_HEADER = ["lambda", "seed", "split", "ndcg", "err", "disparity",
                   "delta_lambda"]
 
 
-def dataset_err_metric(dataset: data.Dataset) -> metrics.UtilityMetric:
-    top = max(float(q.relevances.max()) for q in dataset)
-    return metrics.UtilityMetric("err", err_max_grade=max(4.0, top))
-
-
 def fit_metric_to_dataset(metric: metrics.UtilityMetric,
-                          dataset: data.Dataset) -> metrics.UtilityMetric:
-    """Raise the ERR grade ceiling to cover the dataset when needed."""
+                          *datasets: data.Dataset) -> metrics.UtilityMetric:
+    """Raise the ERR grade ceiling to cover every dataset when needed."""
     if metric.kind != "err":
         return metric
-    top = max(float(q.relevances.max()) for q in dataset)
+    top = max(float(q.relevances.max()) for ds in datasets for q in ds)
     if top > metric.err_max_grade:
         return metrics.UtilityMetric("err", metric.cutoff, max(4.0, top))
     return metric
@@ -326,7 +321,7 @@ _MODEL_DEFAULT_LR = {"linear": 0.001, "mlp1": 5e-5}
 
 
 def _build_train_config(opts: dict, train_set: data.Dataset,
-                        lam: float | None = None,
+                        val_set: data.Dataset, lam: float | None = None,
                         seed: int | None = None) -> trainer.TrainConfig:
     lam = opts["lam"] if lam is None else lam
     disparity = parse_disparity(opts["disparity"], opts["merit"])
@@ -340,7 +335,7 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
     lr = opts["lr"] if opts["lr"] is not None else _MODEL_DEFAULT_LR[opts["model"]]
     try:
         metric = fit_metric_to_dataset(
-            metrics.UtilityMetric.parse(opts["metric"]), train_set)
+            metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     return trainer.TrainConfig(
@@ -391,7 +386,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     full_train = load_dataset_auto(args.train)
     opts["val"] = args.val
     train_set, val_set = _train_val_split(full_train, opts)
-    config = _build_train_config(opts, train_set)
+    config = _build_train_config(opts, train_set, val_set)
     out = prepare_out_dir(args.out, args.force)
     try:
         record = trainer.train(train_set, val_set, config)
@@ -436,8 +431,9 @@ def _summary_rows(record: trainer.RunRecord, model, splits: list[tuple[str, data
         ndcg_metric = fit_metric_to_dataset(ndcg_metric_like(config.metric), dataset)
         summary = trainer.evaluate(model, dataset, ndcg_metric, config.disparity,
                                    config.eval_samples, seed=seed)
-        err_summary = trainer.evaluate(model, dataset, dataset_err_metric(dataset),
-                                       None, config.eval_samples, seed=seed)
+        err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
+        err_summary = trainer.evaluate(model, dataset, err_metric, None,
+                                       config.eval_samples, seed=seed)
         rows.append([
             lam, seed, split_name, summary.mean_metric, err_summary.mean_metric,
             summary.mean_disparity,
@@ -451,8 +447,8 @@ def _sweep_worker(payload: dict) -> dict:
         opts = payload["opts"]
         full_train = load_dataset_auto(payload["train"])
         train_set, val_set = _train_val_split(full_train, opts)
-        config = _build_train_config(opts, train_set, lam=payload["lam"],
-                                     seed=payload["seed"])
+        config = _build_train_config(opts, train_set, val_set,
+                                     lam=payload["lam"], seed=payload["seed"])
         record = trainer.train(train_set, val_set, config)
         run_dir = Path(payload["run_dir"])
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -641,7 +637,7 @@ def _run_top1_baseline(train_set, splits, lambdas, merit, lr, epochs, seed):
         stats = {}
         for split_name, dataset in splits:
             ndcg_vals, err_vals, disp_vals = [], [], []
-            err_metric = dataset_err_metric(dataset)
+            err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
             for query in dataset:
                 scores = model.scores(query.feature_matrix)
                 order = policy.argmax_ranking(scores)
@@ -697,8 +693,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     summary = trainer.evaluate(model, dataset, metric, disparity,
                                opts["eval_samples"], seed=opts["seed"])
-    err_summary = trainer.evaluate(model, dataset, dataset_err_metric(dataset),
-                                   None, opts["eval_samples"], seed=opts["seed"])
+    err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
+    err_summary = trainer.evaluate(model, dataset, err_metric, None,
+                                   opts["eval_samples"], seed=opts["seed"])
     rows = []
     for i, query in enumerate(dataset):
         rows.append([query.qid, summary.metric_values[i],

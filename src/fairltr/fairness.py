@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import position_bias_vector
-from .ranking import ENUMERATION_LIMIT, Ranking, all_rankings, as_ranking
+from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
 from . import policy
 
 
@@ -72,8 +72,8 @@ def exposure_of_ranking(order: Ranking) -> np.ndarray:
 class ExposureVector:
     """Per-document expected exposure plus how it was estimated.
 
-    ``mode`` is ``"exact"`` (enumeration) or ``"mc"``; ``num_samples`` is
-    set for Monte-Carlo estimates only.
+    ``mode`` is ``"exact"`` (position marginals from the placed-subset DP)
+    or ``"mc"``; ``num_samples`` is set for Monte-Carlo estimates only.
     """
 
     values: np.ndarray
@@ -86,10 +86,12 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
                        rng: np.random.Generator | None = None) -> ExposureVector:
     """Expected exposure under the Plackett-Luce policy at ``scores``.
 
-    ``mode="exact"`` enumerates all rankings (refused above
-    ``ENUMERATION_LIMIT`` documents), ``mode="mc"`` averages over sampled
-    rankings, and ``mode="auto"`` picks enumeration exactly when it is
-    affordable.
+    ``mode="exact"`` computes ``M @ position_bias_vector(n)`` from the
+    position marginals ``M`` of ``policy.position_marginals``, a DP over
+    placed subsets in O(2^n n) that draws no random numbers; it is refused
+    above ``ENUMERATION_LIMIT`` documents.  ``mode="mc"`` averages over
+    sampled rankings, and ``mode="auto"`` picks exact mode exactly when
+    ``n <= ENUMERATION_LIMIT``.
     """
     s = np.asarray(scores, dtype=float)
     n = s.shape[0]
@@ -99,11 +101,7 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
         if n > ENUMERATION_LIMIT:
             raise ValueError(
                 f"exact exposure limited to {ENUMERATION_LIMIT} docs, got {n}")
-        bias = position_bias_vector(n)
-        values = np.zeros(n)
-        for order in all_rankings(n):
-            prob = np.exp(policy.ranking_logprob(s, order))
-            values[order] += prob * bias
+        values = policy.position_marginals(s) @ position_bias_vector(n)
         return ExposureVector(values=values, mode="exact")
     if mode != "mc":
         raise ValueError(f"unknown exposure mode {mode!r}")

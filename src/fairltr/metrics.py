@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranking import ENUMERATION_LIMIT, Ranking, all_rankings, as_ranking
+from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
 from . import policy
 
 
@@ -72,6 +72,15 @@ def ndcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> f
     return dcg(order, relevances, cutoff) / ideal
 
 
+def _stop_probabilities(rels: np.ndarray, max_grade: float) -> np.ndarray:
+    if np.any(rels < 0):
+        raise ValueError("err requires non-negative relevances")
+    if rels.size and max_grade < rels.max():
+        raise ValueError(
+            f"max_grade {max_grade} is below the largest relevance {rels.max()}")
+    return (np.exp2(rels) - 1.0) / (2.0 ** max_grade)
+
+
 def err(order: Ranking, relevances: np.ndarray, max_grade: float = 4.0) -> float:
     """Expected reciprocal rank under the cascade user model.
 
@@ -82,12 +91,7 @@ def err(order: Ranking, relevances: np.ndarray, max_grade: float = 4.0) -> float
             relevance present.
     """
     order, rels = _checked(order, relevances)
-    if np.any(rels < 0):
-        raise ValueError("err requires non-negative relevances")
-    if rels.size and max_grade < rels.max():
-        raise ValueError(
-            f"max_grade {max_grade} is below the largest relevance {rels.max()}")
-    stop = (np.exp2(rels) - 1.0) / (2.0 ** max_grade)
+    stop = _stop_probabilities(rels, max_grade)
     total = 0.0
     not_stopped = 1.0
     for j, d in enumerate(order, start=1):
@@ -178,9 +182,13 @@ def expected_utility(scores: np.ndarray, relevances: np.ndarray,
                      exact: bool = False) -> float:
     """Expected metric value of the Plackett-Luce policy at ``scores``.
 
-    With ``exact=True`` the expectation is an exact sum over all n!
-    rankings, refused above ``ENUMERATION_LIMIT`` candidates.  Otherwise it
-    is a Monte-Carlo mean over ``num_samples`` sampled rankings.
+    With ``exact=True`` the expectation is exact and draws no random numbers.
+    It comes from the DP over placed subsets (``policy.placement_flows``) in
+    O(2^n n): dcg and ndcg as ``gains @ M @ discounts`` and avgrank as
+    ``rels @ M @ positions / rels.sum()`` over the position marginals ``M``,
+    and ERR from the flows themselves.  Exact mode is still refused above
+    ``ENUMERATION_LIMIT`` candidates.  Otherwise the expectation is a
+    Monte-Carlo mean over ``num_samples`` sampled rankings.
     """
     rels = np.asarray(relevances, dtype=float)
     n = rels.shape[0]
@@ -188,12 +196,31 @@ def expected_utility(scores: np.ndarray, relevances: np.ndarray,
         if n > ENUMERATION_LIMIT:
             raise ValueError(
                 f"exact expectation limited to {ENUMERATION_LIMIT} docs, got {n}")
-        total = 0.0
-        for order in all_rankings(n):
-            prob = np.exp(policy.ranking_logprob(scores, order))
-            total += prob * metric.value(order, rels)
-        return float(total)
+        if metric.kind == "err":
+            return _expected_err(scores, rels, metric.err_max_grade)
+        marginals = policy.position_marginals(scores)
+        if metric.kind == "avgrank":
+            total = rels.sum()
+            if total == 0.0:
+                raise ValueError("avg_rank is undefined for all-zero relevances")
+            return float(rels @ marginals @ np.arange(1.0, n + 1) / total)
+        k = _effective_cutoff(metric.cutoff, n)
+        value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
+        if metric.kind == "ndcg":
+            ideal = ideal_dcg(rels, metric.cutoff)
+            return value / ideal if ideal > 0.0 else 0.0
+        return value
     if rng is None:
         rng = np.random.default_rng(0)
     orders = policy.sample_rankings(scores, num_samples, rng)
     return float(metric.batch_values(orders, rels).mean())
+
+
+def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> float:
+    """Exact ERR of the policy: the cascade reaches slot ``|S| + 1`` with
+    probability ``prod_{d in S} (1 - R_d)``, whatever the order of ``S``."""
+    stop = _stop_probabilities(rels, max_grade)
+    placed, flows = policy.placement_flows(scores)
+    reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
+    slot = placed.sum(axis=1) + 1.0
+    return float(np.sum(reach * (flows @ stop) / slot))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranking import Ranking, as_ranking, positions_of
+from .ranking import Ranking, as_ranking
 
 SCORE_CLAMP = 50.0
 
@@ -80,7 +80,8 @@ def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> 
     for stage in range(n):
         cum = np.cumsum(weights, axis=1)
         u = rng.random(size) * cum[:, -1]
-        chosen = np.minimum((cum < u[:, None]).sum(axis=1), n - 1)
+        # "<=" skips the zero-weight placed documents even when u == 0.
+        chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
         orders[:, stage] = chosen
         weights[rows, chosen] = 0.0
     return orders
@@ -166,6 +167,60 @@ def draw_policy_sample(scores: np.ndarray, size: int, rng: np.random.Generator) 
     orders = sample_rankings(scores, size, rng)
     grads = logprob_grads_scores(scores, orders)
     return PolicySample(rankings=orders, logprob_grads=grads)
+
+
+# ---------------------------------------------------------------------------
+# Exact expectations
+# ---------------------------------------------------------------------------
+
+
+def placement_flows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plackett-Luce probability flow through the sets of placed documents.
+
+    Returns ``(placed, flows)``, both of shape ``(2**n, n)`` and indexed by
+    subset ``S`` (bit ``d`` of the row index set iff document ``d`` is in
+    ``S``).  ``placed[S, d]`` tells whether ``d`` is in ``S``, and
+    ``flows[S, d]`` is the probability that the first ``|S|`` positions hold
+    exactly the documents of ``S``, in any order, and that ``d`` takes
+    position ``|S| + 1``.  Sampling forgets the order of the placed
+    documents, so a DP over subsets of increasing size gives every flow in
+    O(2^n n) time and memory, where enumerating rankings costs O(n! n).
+    """
+    s = clip_scores(scores)
+    n = s.shape[0]
+    subsets = np.arange(1 << n)
+    bits = 1 << np.arange(n)
+    placed = (subsets[:, None] & bits) != 0
+    unplaced_weights = np.where(placed, 0.0, np.exp(s - s.max()))
+    # Sum over the unplaced documents, not total minus placed: at scores of
+    # +-SCORE_CLAMP that difference cancels to zero.
+    remaining = unplaced_weights.sum(axis=1)
+    remaining[-1] = 1.0  # nothing left to place after the full set
+    pick = unplaced_weights / remaining[:, None]
+
+    sizes = placed.sum(axis=1)
+    parents = subsets[:, None] ^ bits
+    docs = np.arange(n)
+    flows = np.zeros((1 << n, n))
+    flows[0] = pick[0]
+    for size in range(1, n + 1):
+        layer = np.flatnonzero(sizes == size)
+        # Flow into S comes from S - {d} placing d; for d outside S the
+        # "parent" is S + {d}, whose flow to d is zero.
+        reach = flows[parents[layer], docs].sum(axis=1)
+        flows[layer] = reach[:, None] * pick[layer]
+    return placed, flows
+
+
+def position_marginals(scores: np.ndarray) -> np.ndarray:
+    """``M[d, j]``: probability that document ``d`` lands at 0-based position
+    ``j`` under the policy at ``scores``; every row and column sums to 1.
+
+    Exact, from ``placement_flows`` in O(2^n n).
+    """
+    placed, flows = placement_flows(scores)
+    n = placed.shape[1]
+    return flows.T @ (placed.sum(axis=1)[:, None] == np.arange(n))
 
 
 # ---------------------------------------------------------------------------

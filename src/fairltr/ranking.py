@@ -13,8 +13,9 @@ import numpy as np
 
 Ranking = np.ndarray
 
-# Largest candidate count for which exact enumeration over all n! rankings
-# is attempted by default.
+# Largest candidate count for exact policy expectations (exposure, expected
+# utility) and for enumerating all n! rankings; auto exposure mode uses
+# Monte-Carlo above it.
 ENUMERATION_LIMIT = 7
 
 
@@ -44,10 +45,6 @@ def as_ranking(order: Iterable[int], num_docs: int) -> Ranking:
     return arr
 
 
-def identity_ranking(num_docs: int) -> Ranking:
-    return np.arange(num_docs, dtype=np.intp)
-
-
 def all_rankings(num_docs: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Ranking]:
     """Yield every permutation of ``0..num_docs-1``.
 
@@ -59,10 +56,3 @@ def all_rankings(num_docs: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Rank
     for perm in itertools.permutations(range(num_docs)):
         yield np.array(perm, dtype=np.intp)
 
-
-def positions_of(order: Ranking) -> np.ndarray:
-    """Inverse permutation: ``positions_of(order)[d]`` is the 0-based position
-    of document ``d`` in the ranking."""
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.shape[0], dtype=order.dtype)
-    return pos

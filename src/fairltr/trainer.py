@@ -303,6 +303,20 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     )
 
 
+def _check_err_grade(metric: UtilityMetric,
+                     splits: Sequence[tuple[str, Dataset]]) -> None:
+    """Refuse up front a split with a relevance above ``metric.err_max_grade``,
+    which ``metrics.err`` would otherwise reject mid-run."""
+    if metric.kind != "err":
+        return
+    for name, dataset in splits:
+        top = max(float(q.relevances.max()) for q in dataset)
+        if top > metric.err_max_grade:
+            raise ValueError(
+                f"{name} split has relevance {top:g}, above err_max_grade "
+                f"{metric.err_max_grade:g}; raise err_max_grade to at least {top:g}")
+
+
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
              disparity: DisparityConfig | None = None, eval_samples: int = 32,
              seed: int = 0) -> EvalSummary:
@@ -310,7 +324,10 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
 
     Disparity uses exact exposures for small candidate sets and seeded
     Monte-Carlo exposures (``eval_samples`` rankings per query) otherwise.
+    Raises ``ValueError`` before any work if an ERR metric's grade ceiling is
+    below the dataset's top relevance.
     """
+    _check_err_grade(metric, [("evaluation", dataset)])
     return _evaluate(model, dataset, metric, disparity, eval_samples,
                      np.random.default_rng(seed))
 
@@ -380,8 +397,10 @@ def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecor
 
     Deterministic: identical datasets, config, and seed reproduce the run
     bit for bit.  Raises ``TrainingError`` if a non-finite gradient shows
-    up, naming the offending query.
+    up, naming the offending query, and ``ValueError`` before epoch 1 if an
+    ERR metric's grade ceiling is below the top relevance of either split.
     """
+    _check_err_grade(config.metric, [("train", train_set), ("val", val_set)])
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
     model = init_model(config.model, train_set.feature_dim,

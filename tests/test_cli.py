@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairltr import cli
+from fairltr import cli, data
 
 
 def run(argv):
@@ -181,6 +181,26 @@ def test_eval_reports(tmp_path, dataset_dir):
     rows = read_rows(out / "report.csv")
     assert rows[0] == ["qid", "ndcg@10", "err", "disparity"]
     assert len(rows) == 15
+
+
+def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir):
+    full = data.load_dataset(dataset_dir / "data.letor")
+    capped = data.Dataset(
+        [data.Query(q.qid, [data.Document(d.features, min(d.relevance, 4.0))
+                            for d in q.docs]) for q in full],
+        full.feature_dim)
+    train_file = tmp_path / "capped.letor"
+    data.save_dataset(capped, train_file)
+    val_dir = tmp_path / "val"
+    assert run(["generate", "simulated", "--out", val_dir, "--queries", 10,
+                "--docs", 5, "--seed", 0]) == 0
+    val_file = val_dir / "data.letor"
+    assert max(q.relevances.max() for q in data.load_dataset(val_file)) == 5.0
+    common = ["--train", train_file, "--val", val_file, "--metric", "err",
+              "--gamma", 0, "--epochs", 1, "--samples", 4]
+    assert run(["train", *common, "--out", tmp_path / "run"]) == 0
+    assert run(["sweep", *common, "--disparity", "none", "--lambdas", "0",
+                "--out", tmp_path / "sweep"]) == 0
 
 
 def test_eval_rejects_dimension_mismatch(tmp_path, dataset_dir, capsys):

@@ -72,6 +72,24 @@ def test_sample_rankings_are_valid_permutations():
         assert sorted(row) == [0, 1, 2, 3]
 
 
+class ConstantDraws:
+    """Stub generator whose every uniform draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
+def test_sampler_edge_draws_yield_permutations(draw):
+    scores = np.array([60.0, -60.0, 0.0, 60.0, -60.0, 1.5])
+    draws = policy.sample_rankings(scores, 3, ConstantDraws(draw))
+    for row in draws:
+        assert sorted(row) == list(range(6))
+
+
 def test_sampler_frequencies_match_exact_probabilities():
     rng = np.random.default_rng(4)
     scores = np.array([0.9, -0.3, 0.4])

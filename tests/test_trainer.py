@@ -270,3 +270,24 @@ def test_sgd_and_adam_both_improve_utility():
         rec = trainer.train(tr, va, base_config(optimizer=opt, epochs=10,
                                                 learning_rate=lr))
         assert rec.train_metric[rec.best_epoch - 1] >= rec.train_metric[0] - 0.02
+
+
+def test_err_grade_below_top_relevance_fails_before_epoch_one(monkeypatch):
+    ds = small_dataset(seed=0, queries=10, docs=5)
+    top = max(q.relevances.max() for q in ds)
+    assert top > 4.0
+    train_set, val_set = data.split_dataset(ds, 0.8, seed=0)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    train_top = max(q.relevances.max() for q in train_set)
+    cfg = base_config(metric=metrics.UtilityMetric("err"))
+    with pytest.raises(ValueError, match=f"train split has relevance {train_top:g},"):
+        trainer.train(train_set, val_set, cfg)
+    model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"evaluation split has relevance {top:g}"):
+        trainer.evaluate(model, ds, metrics.UtilityMetric("err"))
+    fitted = metrics.UtilityMetric("err", err_max_grade=float(top))
+    assert trainer.evaluate(model, ds, fitted).mean_metric > 0.0
