@@ -3,14 +3,17 @@
 ``enumerate_policy_expectations`` is the ground-truth companion of the
 Monte-Carlo trainer: for small candidate sets it computes expected utility,
 exposures, disparities, and their exact score-space gradients by summing
-over every permutation.
+over every permutation.  Both disparities come from the hinge rows of
+``fairness.individual_rows`` and ``fairness.group_rows``, with the hinge
+indicators taken from the exact exposures.
 
 The LP baseline estimates relevance with a pooled linear regression, then
 solves, per query, a linear program over doubly stochastic matrices that
 trades expected DCG against a slack on the between-group per-merit exposure
-gap.  The top-1 baseline trains a linear scorer whose softmax matches the
-normalized relevance profile, with a squared penalty on the between-group
-mean top-1 probability gap.
+gap, whose constraint is the ``group_rows`` row scaled to shares.  The
+top-1 baseline trains a linear scorer whose softmax matches the normalized
+relevance profile, with a squared penalty on the between-group mean top-1
+probability gap.
 """
 from __future__ import annotations
 
@@ -20,12 +23,11 @@ import numpy as np
 from scipy import optimize
 
 from .data import Dataset
-from .fairness import MeritFunction, group_disparity, merit_pairs
+from .fairness import MeritFunction, group_disparity, group_rows, hinge_mean, \
+    individual_rows
 from .metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel, logprob_grads_scores, ranking_logprobs
 from .ranking import ENUMERATION_LIMIT, all_rankings
-
-RegressionModel = LinearModel
 
 
 # ---------------------------------------------------------------------------
@@ -85,42 +87,30 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
         exposures=probs @ ranking_exposures,
     )
 
+    hinge = (stats.exposures, ranking_exposures, probs, glogs)
     if merits is not None:
-        m = np.asarray(merits, dtype=float)
-        ii, jj = merit_pairs(m)
-        if ii.size == 0:
-            stats.individual_disparity = 0.0
-            stats.individual_grad = np.zeros(n)
-        else:
-            pdiff = stats.exposures[ii] / m[ii] - stats.exposures[jj] / m[jj]
-            stats.individual_disparity = float(np.maximum(pdiff, 0.0).mean())
-            active = pdiff > 0.0
-            weights = np.zeros(n)
-            np.add.at(weights, ii[active], 1.0 / m[ii[active]])
-            np.add.at(weights, jj[active], -1.0 / m[jj[active]])
-            per_ranking = ranking_exposures @ weights
-            stats.individual_grad = (probs * per_ranking) @ glogs / ii.size
-
+        stats.individual_disparity, stats.individual_grad = _exact_hinge(
+            individual_rows(merits), *hinge)
     if groups is not None:
         if merits is None:
             raise ValueError("group disparity needs merits")
-        m = np.asarray(merits, dtype=float)
-        g = np.asarray(groups)
-        stats.group_disparity = group_disparity(stats.exposures, m, g)
-        stats.group_grad = np.zeros(n)
-        n0, n1 = int((g == 0).sum()), int((g == 1).sum())
-        if n0 and n1:
-            m0 = float(m[g == 0].sum())
-            m1 = float(m[g == 1].sum())
-            if m0 > 0.0 and m1 > 0.0:
-                direction = float(np.sign(m0 / n0 - m1 / n1))
-                diff = (float(stats.exposures[g == 0].sum()) / m0
-                        - float(stats.exposures[g == 1].sum()) / m1)
-                if direction != 0.0 and direction * diff > 0.0:
-                    doc_weights = np.where(g == 0, 1.0 / m0, -1.0 / m1)
-                    per_ranking = ranking_exposures @ doc_weights
-                    stats.group_grad = direction * (probs * per_ranking) @ glogs
+        stats.group_disparity, stats.group_grad = _exact_hinge(
+            group_rows(merits, groups), *hinge)
     return stats
+
+
+def _exact_hinge(rows: np.ndarray, exposures: np.ndarray,
+                 ranking_exposures: np.ndarray, probs: np.ndarray,
+                 glogs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact ``hinge_mean(rows, exposures)`` and its score gradient, summed
+    over the enumerated rankings with hinge indicators from the exact
+    exposures."""
+    grad = np.zeros(exposures.shape[0])
+    if len(rows):
+        active = rows @ exposures > 0.0
+        weights = rows[active].sum(axis=0) / len(rows)
+        grad = (probs * (ranking_exposures @ weights)) @ glogs
+    return hinge_mean(rows, exposures), grad
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +119,7 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
 
 
 def fit_linear_regression(dataset: Dataset, ridge: float = 1e-6,
-                          use_bias: bool = True) -> RegressionModel:
+                          use_bias: bool = True) -> LinearModel:
     """Pooled least-squares fit of relevance on features.
 
     A fixed tiny ridge term on the weights (never the bias) keeps the
@@ -228,29 +218,20 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
 
     A_ub = None
     b_ub = None
-    constrained = False
     if groups is not None and lam > 0.0:
         g = np.asarray(groups)
         merits = merit(np.maximum(r_hat, 0.0))
-        n0, n1 = int((g == 0).sum()), int((g == 1).sum())
-        if n0 and n1:
-            m0 = float(merits[g == 0].sum())
-            m1 = float(merits[g == 1].sum())
-            if m0 > 0.0 and m1 > 0.0:
-                direction = float(np.sign(m0 / n0 - m1 / n1))
-                if direction != 0.0:
-                    # Dimensionless form: each group's share of the total
-                    # exposure budget divided by its share of total merit.
-                    # (share ratio of higher-merit group) - (other) <= xi
-                    share = (m0 + m1) / float(v.sum())
-                    doc_coef = share * direction * np.where(
-                        g == 0, 1.0 / m0, -1.0 / m1)
-                    row = np.zeros(num_vars)
-                    row[:n * n] = np.outer(doc_coef, v).ravel()
-                    row[-1] = -1.0
-                    A_ub = row[None, :]
-                    b_ub = np.zeros(1)
-                    constrained = True
+        rows = group_rows(merits, g)
+        if len(rows):
+            # Dimensionless form: each group's share of the total exposure
+            # budget divided by its share of total merit.
+            # (share ratio of higher-merit group) - (other) <= xi
+            share = (float(merits[g == 0].sum())
+                     + float(merits[g == 1].sum())) / float(v.sum())
+            A_ub = np.zeros((1, num_vars))
+            A_ub[0, :n * n] = np.outer(share * rows[0], v).ravel()
+            A_ub[0, -1] = -1.0
+            b_ub = np.zeros(1)
 
     bounds = [(0.0, 1.0)] * (n * n) + [(0.0, None)]
     res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
@@ -258,7 +239,7 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
     P = DoublyStochasticMatrix(res.x[:n * n].reshape(n, n))
-    xi = float(res.x[-1]) if constrained else 0.0
+    xi = float(res.x[-1]) if A_ub is not None else 0.0
     return FairLPResult(matrix=P, xi=xi, objective=float(-res.fun))
 
 

@@ -327,13 +327,12 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
     disparity = parse_disparity(opts["disparity"], opts["merit"])
     if lam != 0.0 and disparity is None:
         raise CliError("--lambda requires --disparity individual or group")
-    if disparity is not None and disparity.kind == "group" \
-            and not train_set.has_groups:
-        raise CliError("group disparity requires a dataset with group labels")
     if opts["model"] not in _MODEL_DEFAULT_LR:
         raise CliError(f"unknown model {opts['model']!r}")
     lr = opts["lr"] if opts["lr"] is not None else _MODEL_DEFAULT_LR[opts["model"]]
     try:
+        trainer.require_group_labels(disparity, [("train", train_set),
+                                                 ("val", val_set)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
     except ValueError as exc:
@@ -357,6 +356,12 @@ def _train_val_split(dataset: data.Dataset, opts: dict
                                   seed=opts["split_seed"])
     except data.DataError as exc:
         raise CliError(f"validation split failed: {exc}") from None
+
+
+def _run_echo(config: trainer.TrainConfig, opts: dict, train_path: str) -> dict:
+    return {**config.echo(), "train": train_path, "val": opts["val"] or "",
+            "val_fraction": opts["val_fraction"],
+            "split_seed": opts["split_seed"]}
 
 
 def _write_run_outputs(out: Path, record: trainer.RunRecord,
@@ -392,10 +397,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         record = trainer.train(train_set, val_set, config)
     except trainer.TrainingError as exc:
         raise CliError(f"training failed: {exc}") from None
-    echo = {**config.echo(), "train": args.train, "val": args.val or "",
-            "val_fraction": opts["val_fraction"],
-            "split_seed": opts["split_seed"]}
-    _write_run_outputs(out, record, echo)
+    _write_run_outputs(out, record, _run_echo(config, opts, args.train))
     disp = ("" if record.delta_lambda is None
             else f", delta_lambda {record.delta_lambda:.5f}")
     print(f"best epoch {record.best_epoch}/{record.epochs_run}, "
@@ -424,50 +426,39 @@ def _parse_number_list(text: str, kind, what: str) -> list:
         raise CliError(f"cannot parse {what} list {text!r}") from None
 
 
-def _summary_rows(record: trainer.RunRecord, model, splits: list[tuple[str, data.Dataset]],
-                  config: trainer.TrainConfig, lam: float, seed: int) -> list[list]:
+def _summary_rows(record: trainer.RunRecord, splits: list[tuple[str, data.Dataset]],
+                  config: trainer.TrainConfig) -> list[list]:
     rows = []
     for split_name, dataset in splits:
         ndcg_metric = fit_metric_to_dataset(ndcg_metric_like(config.metric), dataset)
-        summary = trainer.evaluate(model, dataset, ndcg_metric, config.disparity,
-                                   config.eval_samples, seed=seed)
+        summary = trainer.evaluate(record.model, dataset, ndcg_metric,
+                                   config.disparity, config.eval_samples,
+                                   seed=config.seed)
         err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-        err_summary = trainer.evaluate(model, dataset, err_metric, None,
-                                       config.eval_samples, seed=seed)
+        err_summary = trainer.evaluate(record.model, dataset, err_metric, None,
+                                       config.eval_samples, seed=config.seed)
         rows.append([
-            lam, seed, split_name, summary.mean_metric, err_summary.mean_metric,
-            summary.mean_disparity,
+            config.lam, config.seed, split_name, summary.mean_metric,
+            err_summary.mean_metric, summary.mean_disparity,
             record.delta_lambda if split_name == "train" else None,
         ])
     return rows
 
 
 def _sweep_worker(payload: dict) -> dict:
+    config = payload["config"]
     try:
-        opts = payload["opts"]
-        full_train = load_dataset_auto(payload["train"])
-        train_set, val_set = _train_val_split(full_train, opts)
-        config = _build_train_config(opts, train_set, val_set,
-                                     lam=payload["lam"], seed=payload["seed"])
-        record = trainer.train(train_set, val_set, config)
-        run_dir = Path(payload["run_dir"])
-        run_dir.mkdir(parents=True, exist_ok=True)
-        echo = {**config.echo(), "train": payload["train"],
-                "val": opts.get("val") or "",
-                "val_fraction": opts["val_fraction"],
-                "split_seed": opts["split_seed"]}
-        _write_run_outputs(run_dir, record, echo)
-        splits = [("train", train_set)]
-        if payload["test"]:
-            splits.append(("test", load_dataset_auto(payload["test"])))
-        rows = _summary_rows(record, record.model, splits, config,
-                             payload["lam"], payload["seed"])
-        return {"ok": True, "rows": rows}
-    except (CliError, trainer.TrainingError, data.DataError) as exc:
+        record = trainer.train(payload["train_set"], payload["val_set"], config)
+    except trainer.TrainingError as exc:
         return {"ok": False, "error": str(exc)}
+    run_dir = Path(payload["run_dir"])
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_run_outputs(run_dir, record, payload["echo"])
+    return {"ok": True, "rows": _summary_rows(record, payload["splits"], config)}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Train every lambda x seed run on input files parsed once up front."""
     opts = resolve_options(args, _SWEEP_SCHEMA)
     if not args.train:
         raise CliError("sweep requires --train DATA.letor")
@@ -476,15 +467,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not lambdas or not seeds:
         raise CliError("need at least one lambda and one seed")
     opts["val"] = args.val
+    train_set, val_set = _train_val_split(load_dataset_auto(args.train), opts)
+    splits = [("train", train_set)]
+    if args.test:
+        splits.append(("test", load_dataset_auto(args.test)))
+    configs = [_build_train_config(opts, train_set, val_set, lam=lam, seed=seed)
+               for lam in lambdas for seed in seeds]
+    try:
+        trainer.require_group_labels(configs[0].disparity, splits)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
-
-    payloads = []
-    for lam in lambdas:
-        for seed in seeds:
-            run_dir = out / f"run-lam{lam:g}-seed{seed}"
-            payloads.append({"opts": opts, "train": args.train,
-                             "test": args.test, "lam": lam, "seed": seed,
-                             "run_dir": str(run_dir)})
+    payloads = [{"config": config, "train_set": train_set, "val_set": val_set,
+                 "splits": splits, "echo": _run_echo(config, opts, args.train),
+                 "run_dir": str(out / f"run-lam{config.lam:g}-seed{config.seed}")}
+                for config in configs]
 
     if opts["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
@@ -498,14 +495,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if result["ok"]:
             rows.extend(result["rows"])
         else:
-            failures.append((payload["lam"], payload["seed"], result["error"]))
+            failures.append((payload["config"], result["error"]))
     write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
     _write_sweep_stats(out / "summary_stats.csv", rows)
     write_kv(out / "config.txt",
              {**{k: v for k, v in opts.items() if k != "lr" or v is not None},
               "train": args.train, "test": args.test or "", "val": args.val or ""})
-    for lam, seed, message in failures:
-        print(f"run lambda={lam:g} seed={seed} failed: {message}",
+    for config, message in failures:
+        print(f"run lambda={config.lam:g} seed={config.seed} failed: {message}",
               file=sys.stderr)
     print(f"{len(rows)} summary rows ({len(payloads) - len(failures)}/"
           f"{len(payloads)} runs) in {out / 'summary.csv'}")
@@ -565,11 +562,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         raise CliError(f"unknown baseline method {opts['method']!r} "
                        f"(expected lp or top1)")
     train_set = load_dataset_auto(args.train)
-    if not train_set.has_groups:
-        raise CliError("baselines need a dataset with group labels")
     splits = [("train", train_set)]
     if args.test:
         splits.append(("test", load_dataset_auto(args.test)))
+    for name, dataset in splits:
+        if not dataset.has_groups:
+            raise CliError(f"baselines need group labels, and the {name} "
+                           "split has none")
     merit = fairness.MeritFunction.parse(opts["merit"])
     out = prepare_out_dir(args.out, args.force)
 
@@ -681,10 +680,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"checkpoint expects {model.feature_dim} features but "
                        f"{args.data} has {dataset.feature_dim}")
     disparity = parse_disparity(opts["disparity"], opts["merit"])
-    if disparity is not None and disparity.kind == "group" \
-            and not dataset.has_groups:
-        raise CliError("group disparity requires a dataset with group labels")
     try:
+        trainer.require_group_labels(disparity, [("evaluation", dataset)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), dataset)
     except ValueError as exc:

@@ -3,17 +3,24 @@
 Exposure of a document under a stochastic ranking policy is the expected
 attention its position receives, using the same logarithmic position-bias
 curve as the ranking metrics.  Fairness asks exposure to be proportional to
-merit, a non-negative monotone transform of relevance.  Two violation
-measures are defined:
+merit, a non-negative monotone transform of relevance.
 
-* individual: average hinge violation over ordered pairs where the first
-  document has at least the merit of the second (and the second has
-  positive merit),
-* group: hinge violation of per-merit exposure between two groups, charged
-  only when the higher-merit group is over-exposed.
+Each disparity is defined once, as a matrix of hinge rows: linear functions
+of the expected exposure vector whose positive parts are the violations.
+The disparity is ``hinge_mean(rows, exposures)``, the mean of
+``max(0, rows @ exposures)``, and zero when there are no rows.
 
-Both apply the hinge after the expectation over rankings, so a stochastic
-policy can be exactly fair even though every single ranking is unfair.
+* individual (``individual_rows``): one row per ordered pair where the
+  first document has at least the merit of the second and the second has
+  positive merit, holding the pair's per-merit exposure gap,
+* group (``group_rows``): one row holding the per-merit exposure gap of
+  groups 0 and 1, oriented so only over-exposure of the higher-merit group
+  is charged, and no row for a degenerate query.
+
+The trainer's Monte-Carlo gradient, the exact enumeration oracle and the LP
+baseline's constraint all derive from the same rows.  The hinge applies
+after the expectation over rankings, so a stochastic policy can be exactly
+fair even though every single ranking is unfair.
 """
 from __future__ import annotations
 
@@ -133,78 +140,61 @@ def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(mask)
 
 
-def individual_disparity(exposures: np.ndarray, merits: np.ndarray) -> float:
-    """Mean hinge violation of per-merit exposure over the merit pairs.
+def individual_rows(merits: np.ndarray) -> np.ndarray:
+    """Hinge rows of individual disparity, one per ``merit_pairs`` pair.
 
-    Zero when no pair qualifies.
+    Row (i, j) holds ``1/m_i`` at i and ``-1/m_j`` at j, so its product with
+    an exposure vector is the per-merit exposure gap of the pair.  Shape
+    (0, n) when no pair qualifies.
     """
     m = np.asarray(merits, dtype=float)
-    v = np.asarray(exposures, dtype=float)
     ii, jj = merit_pairs(m)
-    if ii.size == 0:
-        return 0.0
-    gaps = v[ii] / m[ii] - v[jj] / m[jj]
-    return float(np.maximum(gaps, 0.0).mean())
+    rows = np.zeros((ii.size, m.shape[0]))
+    pair = np.arange(ii.size)
+    rows[pair, ii] = 1.0 / m[ii]
+    rows[pair, jj] = -1.0 / m[jj]
+    return rows
 
 
-def _group_sums(values: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
+def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Hinge row of group disparity between groups 0 and 1.
+
+    The row is ``1/m0`` on group 0 and ``-1/m1`` on group 1 (``m_g`` the
+    group's total merit), oriented by the sign of the mean-merit gap so
+    that only over-exposure of the higher-merit group is charged.  Shape
+    (0, n), no rows, when a group is absent, a group's total merit is not
+    positive, or the mean merits tie.
+    """
+    m = np.asarray(merits, dtype=float)
     g = np.asarray(groups)
-    return float(values[g == 0].sum()), float(values[g == 1].sum())
+    in0, in1 = g == 0, g == 1
+    n0, n1 = int(in0.sum()), int(in1.sum())
+    m0, m1 = float(m[in0].sum()), float(m[in1].sum())
+    if n0 == 0 or n1 == 0 or m0 <= 0.0 or m1 <= 0.0:
+        return np.zeros((0, m.shape[0]))
+    direction = float(np.sign(m0 / n0 - m1 / n1))
+    if direction == 0.0:
+        return np.zeros((0, m.shape[0]))
+    return direction * (in0 / m0 - in1 / m1)[None, :]
+
+
+def hinge_mean(rows: np.ndarray, exposures: np.ndarray) -> float:
+    """Disparity of an exposure vector: mean of ``max(0, rows @ exposures)``,
+    zero when there are no rows."""
+    if len(rows) == 0:
+        return 0.0
+    return float(np.maximum(rows @ np.asarray(exposures, dtype=float), 0.0).mean())
+
+
+def individual_disparity(exposures: np.ndarray, merits: np.ndarray) -> float:
+    """Mean hinge violation of per-merit exposure over the merit pairs."""
+    return hinge_mean(individual_rows(merits), exposures)
 
 
 def group_disparity(exposures: np.ndarray, merits: np.ndarray,
                     groups: np.ndarray) -> float:
-    """Hinge violation of per-merit exposure between groups 0 and 1.
-
-    Per-merit exposure of a group is its mean exposure over its mean merit.
-    Only over-exposure of the higher-merit group is charged; at an exact
-    merit tie, and whenever a group is absent or has zero total merit, the
-    disparity is zero.
-    """
-    v = np.asarray(exposures, dtype=float)
-    m = np.asarray(merits, dtype=float)
-    g = np.asarray(groups)
-    n0 = int((g == 0).sum())
-    n1 = int((g == 1).sum())
-    if n0 == 0 or n1 == 0:
-        return 0.0
-    m0, m1 = _group_sums(m, g)
-    if m0 <= 0.0 or m1 <= 0.0:
-        return 0.0
-    v0, v1 = _group_sums(v, g)
-    direction = np.sign(m0 / n0 - m1 / n1)
-    if direction == 0.0:
-        return 0.0
-    return float(max(0.0, direction * (v0 / m0 - v1 / m1)))
-
-
-def ranking_pair_term(order: Ranking, merits: np.ndarray, i: int, j: int) -> float:
-    """Per-merit exposure gap of documents ``i`` and ``j`` in one ranking.
-
-    This is the inner quantity whose expectation the individual disparity
-    hinges on; it can be negative for a single ranking.
-    """
-    m = np.asarray(merits, dtype=float)
-    if m[i] <= 0.0 or m[j] <= 0.0:
-        raise ValueError("pair term requires positive merits for both documents")
-    v = exposure_of_ranking(order)
-    return float(v[i] / m[i] - v[j] / m[j])
-
-
-def ranking_group_term(order: Ranking, merits: np.ndarray,
-                       groups: np.ndarray) -> float:
-    """Group per-merit exposure difference (group 0 minus group 1) for one
-    ranking, using total exposure over total merit per group."""
-    m = np.asarray(merits, dtype=float)
-    g = np.asarray(groups)
-    if not ((g == 0).any() and (g == 1).any()):
-        raise ValueError("group term requires both groups present")
-    m0, m1 = _group_sums(m, g)
-    if m0 <= 0.0 or m1 <= 0.0:
-        raise ValueError("group term requires positive total merit per group")
-    v = exposure_of_ranking(order)
-    v0, v1 = _group_sums(v, g)
-    return v0 / m0 - v1 / m1
+    """Hinge violation of per-merit exposure between groups 0 and 1."""
+    return hinge_mean(group_rows(merits, groups), exposures)
 
 
 @dataclass(frozen=True)
@@ -222,16 +212,17 @@ class DisparityConfig:
     def parse(cls, kind: str, merit: str = "identity") -> "DisparityConfig":
         return cls(kind=kind.strip().lower(), merit=MeritFunction.parse(merit))
 
-    def from_exposures(self, exposures: np.ndarray, relevances: np.ndarray,
-                       groups: np.ndarray | None) -> float:
-        """Disparity of an exposure vector for one query.
-
-        Group disparity of a query without group labels, with a single
-        group, or with zero group merit counts as zero.
-        """
+    def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> np.ndarray:
+        """Hinge rows of this disparity for one query; a query without group
+        labels has no group rows."""
         merits = self.merit(relevances)
         if self.kind == "individual":
-            return individual_disparity(exposures, merits)
+            return individual_rows(merits)
         if groups is None:
-            return 0.0
-        return group_disparity(exposures, merits, groups)
+            return np.zeros((0, merits.shape[0]))
+        return group_rows(merits, groups)
+
+    def from_exposures(self, exposures: np.ndarray, relevances: np.ndarray,
+                       groups: np.ndarray | None) -> float:
+        """Disparity of an exposure vector for one query."""
+        return hinge_mean(self.rows(relevances, groups), exposures)

@@ -87,11 +87,6 @@ def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> 
     return orders
 
 
-def sample_ranking(scores: np.ndarray, rng: np.random.Generator) -> Ranking:
-    """Draw a single ranking from the policy at ``scores``."""
-    return sample_rankings(scores, 1, rng)[0]
-
-
 def argmax_ranking(scores: np.ndarray) -> Ranking:
     """Deterministic ranking: descending score, ties broken by lower index.
 

@@ -9,10 +9,11 @@ per-merit exposure term), averages, and backpropagates through the scoring
 model.  One optimizer step is taken per query; an epoch is one shuffled
 pass over the training queries.
 
-The disparity estimators follow the hinge structure of the measures: the
-hinge indicator is estimated from the same Monte-Carlo sample as the
-expectation (its bias vanishes as the sample grows), and only the smooth
-inner expectation contributes gradient.
+Both disparities reach the trainer as the hinge rows of
+``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
+them: the hinge indicator of each row is estimated from the same
+Monte-Carlo sample as the expectation (its bias vanishes as the sample
+grows), and only the smooth inner expectation contributes gradient.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Query
-from .fairness import DisparityConfig, MeritFunction, exposure_of_policy, \
-    mc_exposure, merit_pairs
+from .fairness import DisparityConfig, exposure_of_policy, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
 from .policy import PolicySample, ScoringModel, draw_policy_sample, init_model, \
     softmax_entropy
@@ -156,111 +156,28 @@ def utility_score_grad(sample: PolicySample, rewards: np.ndarray,
     return (rewards - baseline) @ sample.logprob_grads / sample.size
 
 
-def individual_score_grad(sample: PolicySample, merits: np.ndarray) -> np.ndarray:
-    """Estimate of the individual-disparity gradient wrt scores.
+def hinge_score_grad(sample: PolicySample, rows: np.ndarray) -> np.ndarray:
+    """Estimate of the gradient wrt scores of ``hinge_mean(rows, exposure)``.
 
     Exposures estimated from the sample pick the active (positively
-    violated) merit pairs; each active pair contributes the sampled
-    per-merit exposure gap times the log-probability gradient, averaged
-    over the full pair set.
+    violated) rows; each sampled ranking's exposure under the summed active
+    rows, averaged over the full row set, weights its log-probability
+    gradient.  A query without rows contributes nothing.
     """
     size, n = sample.rankings.shape
-    m = np.asarray(merits, dtype=float)
-    ii, jj = merit_pairs(m)
-    if ii.size == 0:
+    if len(rows) == 0:
         return np.zeros(n)
-    v_hat = mc_exposure(sample.rankings, n)
-    active = (v_hat[ii] / m[ii] - v_hat[jj] / m[jj]) > 0.0
+    active = rows @ mc_exposure(sample.rankings, n) > 0.0
     if not active.any():
         return np.zeros(n)
-    pair_weights = np.zeros(n)
-    np.add.at(pair_weights, ii[active], 1.0 / m[ii[active]])
-    np.add.at(pair_weights, jj[active], -1.0 / m[jj[active]])
-    per_sample = pair_weights[sample.rankings] @ position_bias_vector(n)
-    return per_sample @ sample.logprob_grads / (size * ii.size)
-
-
-def group_score_grad(sample: PolicySample, merits: np.ndarray,
-                     groups: np.ndarray) -> np.ndarray:
-    """Estimate of the group-disparity gradient wrt scores.
-
-    The orientation is the sign of the mean-merit difference (zero at an
-    exact tie, so tied groups get no gradient), and the hinge indicator
-    comes from the sampled exposures.  Degenerate queries (one group, or a
-    group with zero merit) contribute nothing.
-    """
-    size, n = sample.rankings.shape
-    m = np.asarray(merits, dtype=float)
-    g = np.asarray(groups)
-    n0 = int((g == 0).sum())
-    n1 = int((g == 1).sum())
-    if n0 == 0 or n1 == 0:
-        return np.zeros(n)
-    m0 = float(m[g == 0].sum())
-    m1 = float(m[g == 1].sum())
-    if m0 <= 0.0 or m1 <= 0.0:
-        return np.zeros(n)
-    direction = float(np.sign(m0 / n0 - m1 / n1))
-    if direction == 0.0:
-        return np.zeros(n)
-    v_hat = mc_exposure(sample.rankings, n)
-    diff = float(v_hat[g == 0].sum()) / m0 - float(v_hat[g == 1].sum()) / m1
-    if direction * diff <= 0.0:
-        return np.zeros(n)
-    doc_weights = np.where(g == 0, 1.0 / m0, -1.0 / m1)
-    per_sample = doc_weights[sample.rankings] @ position_bias_vector(n)
-    return direction * (per_sample @ sample.logprob_grads) / size
+    weights = rows[active].sum(axis=0) / len(rows)
+    per_sample = weights[sample.rankings] @ position_bias_vector(n)
+    return per_sample @ sample.logprob_grads / size
 
 
 def disparity_score_grad(sample: PolicySample, query: Query,
                          disparity: DisparityConfig) -> np.ndarray:
-    merits = disparity.merit(query.relevances)
-    if disparity.kind == "individual":
-        return individual_score_grad(sample, merits)
-    if query.groups is None:
-        return np.zeros(query.num_docs)
-    return group_score_grad(sample, merits, query.groups)
-
-
-# ---------------------------------------------------------------------------
-# Public per-query gradient estimators (parameter space)
-# ---------------------------------------------------------------------------
-
-
-def utility_gradient(model: ScoringModel, query: Query, metric: UtilityMetric,
-                     sample_size: int, rng: np.random.Generator,
-                     use_baseline: bool = True) -> list[np.ndarray]:
-    """Monte-Carlo estimate of the utility gradient wrt model parameters."""
-    scores = model.scores(query.feature_matrix)
-    sample = draw_policy_sample(scores, sample_size, rng)
-    rewards = metric.batch_rewards(sample.rankings, query.relevances)
-    return model.backprop(query.feature_matrix,
-                          utility_score_grad(sample, rewards, use_baseline))
-
-
-def individual_disparity_gradient(model: ScoringModel, query: Query,
-                                  merit: MeritFunction, sample_size: int,
-                                  rng: np.random.Generator) -> list[np.ndarray]:
-    scores = model.scores(query.feature_matrix)
-    sample = draw_policy_sample(scores, sample_size, rng)
-    merits = merit(query.relevances)
-    return model.backprop(query.feature_matrix,
-                          individual_score_grad(sample, merits))
-
-
-def group_disparity_gradient(model: ScoringModel, query: Query,
-                             merit: MeritFunction, sample_size: int,
-                             rng: np.random.Generator,
-                             groups: np.ndarray | None = None) -> list[np.ndarray]:
-    if groups is None:
-        groups = query.groups
-    if groups is None:
-        raise ValueError(f"query {query.qid!r} has no group labels")
-    scores = model.scores(query.feature_matrix)
-    sample = draw_policy_sample(scores, sample_size, rng)
-    merits = merit(query.relevances)
-    return model.backprop(query.feature_matrix,
-                          group_score_grad(sample, merits, groups))
+    return hinge_score_grad(sample, disparity.rows(query.relevances, query.groups))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +234,18 @@ def _check_err_grade(metric: UtilityMetric,
                 f"{metric.err_max_grade:g}; raise err_max_grade to at least {top:g}")
 
 
+def require_group_labels(disparity: DisparityConfig | None,
+                         splits: Sequence[tuple[str, Dataset]]) -> None:
+    """Refuse group disparity on a split without group labels, whose
+    disparity would otherwise silently count as zero."""
+    if disparity is None or disparity.kind != "group":
+        return
+    for name, dataset in splits:
+        if not dataset.has_groups:
+            raise ValueError(f"{name} split has no group labels, which group "
+                             "disparity requires")
+
+
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
              disparity: DisparityConfig | None = None, eval_samples: int = 32,
              seed: int = 0) -> EvalSummary:
@@ -325,9 +254,11 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     Disparity uses exact exposures for small candidate sets and seeded
     Monte-Carlo exposures (``eval_samples`` rankings per query) otherwise.
     Raises ``ValueError`` before any work if an ERR metric's grade ceiling is
-    below the dataset's top relevance.
+    below the dataset's top relevance, or if group disparity is asked of a
+    dataset without group labels.
     """
     _check_err_grade(metric, [("evaluation", dataset)])
+    require_group_labels(disparity, [("evaluation", dataset)])
     return _evaluate(model, dataset, metric, disparity, eval_samples,
                      np.random.default_rng(seed))
 
@@ -398,9 +329,12 @@ def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecor
     Deterministic: identical datasets, config, and seed reproduce the run
     bit for bit.  Raises ``TrainingError`` if a non-finite gradient shows
     up, naming the offending query, and ``ValueError`` before epoch 1 if an
-    ERR metric's grade ceiling is below the top relevance of either split.
+    ERR metric's grade ceiling is below the top relevance of either split,
+    or if group disparity is configured and either split lacks group labels.
     """
-    _check_err_grade(config.metric, [("train", train_set), ("val", val_set)])
+    splits = [("train", train_set), ("val", val_set)]
+    _check_err_grade(config.metric, splits)
+    require_group_labels(config.disparity, splits)
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
     model = init_model(config.model, train_set.feature_dim,

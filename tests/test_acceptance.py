@@ -33,12 +33,12 @@ def sim_split():
 def sweep_outcome(sim_split):
     """Fixed-length policy-gradient ascent at each trade-off weight.
 
-    Uses the public per-query gradient operators directly with a fixed
-    epoch budget so the reported weights are the converged ones; the
-    checkpoint-selection path of the trainer is covered elsewhere.
+    Uses the score-space gradient estimators and ``backprop`` directly with
+    a fixed epoch budget so the reported weights are the converged ones;
+    the checkpoint-selection path of the trainer is covered elsewhere.  The
+    utility and the penalty each draw their own sample, in that order.
     """
     train_set, _ = sim_split
-    merit = fairness.MeritFunction.parse("identity")
     metric = metrics.UtilityMetric.parse("ndcg@10")
     grp = fairness.DisparityConfig.parse("group")
     started = time.monotonic()
@@ -52,11 +52,15 @@ def sweep_outcome(sim_split):
         for _ in range(60):
             for qi in train_rng.permutation(len(train_set)):
                 query = train_set.queries[qi]
-                grads = trainer.utility_gradient(model, query, metric,
-                                                 sample_size=50, rng=train_rng)
+                X = query.feature_matrix
+                scores = model.scores(X)
+                sample = policy.draw_policy_sample(scores, 50, train_rng)
+                rewards = metric.batch_rewards(sample.rankings, query.relevances)
+                grads = model.backprop(X, trainer.utility_score_grad(sample, rewards))
                 if lam:
-                    pen = trainer.group_disparity_gradient(
-                        model, query, merit, sample_size=50, rng=train_rng)
+                    sample = policy.draw_policy_sample(scores, 50, train_rng)
+                    pen = model.backprop(X, trainer.disparity_score_grad(
+                        sample, query, grp))
                     grads = [g - lam * p for g, p in zip(grads, pen)]
                 optimizer.step(model.param_arrays(), grads)
         summary = trainer.evaluate(model, train_set, metric, grp,
@@ -183,7 +187,8 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
         z_u = np.abs(est_u - exact.utility_grad) / np.maximum(se_u, 1e-12)
         worst_z = max(worst_z, z_u.max())
 
-        est_g = trainer.group_score_grad(sample, merit(rels), groups)
+        est_g = trainer.hinge_score_grad(
+            sample, fairness.group_rows(merit(rels), groups))
         merits = merit(rels)
         direction = np.sign(merits[groups == 0].mean()
                             - merits[groups == 1].mean())

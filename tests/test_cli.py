@@ -258,3 +258,44 @@ def test_unknown_metric_is_a_clean_error(tmp_path, dataset_dir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_group_disparity_refuses_an_unlabeled_split_before_any_run(
+        tmp_path, dataset_dir, capsys):
+    letor = dataset_dir / "data.letor"
+    bare = tmp_path / "bare.letor"
+    bare.write_bytes(letor.read_bytes())     # no bare.groups sidecar
+    common = ["--disparity", "group", "--lambda", 5, "--gamma", 0,
+              "--epochs", 1, "--samples", 4]
+    cases = [
+        ("val", ["train", "--train", letor, "--val", bare, *common]),
+        ("val", ["sweep", "--train", letor, "--val", bare, *common]),
+        ("test", ["sweep", "--train", letor, "--test", bare, *common]),
+    ]
+    for split, argv in cases:
+        out = tmp_path / f"out-{split}-{argv[0]}"
+        assert run([*argv, "--out", out]) == 1
+        assert f"{split} split has no group labels" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "out-baseline"
+    assert run(["baseline", "--method", "lp", "--train", letor, "--test", bare,
+                "--out", out]) == 1
+    assert "the test split has none" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_parses_each_input_file_once(tmp_path, dataset_dir, monkeypatch):
+    calls = []
+    load = data.load_dataset
+
+    def counting_load(*args, **kwargs):
+        calls.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(data, "load_dataset", counting_load)
+    letor = dataset_dir / "data.letor"
+    assert run(["sweep", "--train", letor, "--test", letor, "--lambdas", "0,5",
+                "--seeds", "0,1", "--gamma", 0, "--epochs", 1, "--samples", 4,
+                "--out", tmp_path / "sw"]) == 0
+    assert len(calls) == 2
+    assert len(read_rows(tmp_path / "sw" / "summary.csv")) == 1 + 4 * 2

@@ -124,31 +124,107 @@ def test_disparity_hinges_after_averaging_not_per_ranking():
     expo = fairness.exposure_of_policy(scores, mode="exact")
     assert fairness.individual_disparity(expo.values, merits) == \
         pytest.approx(0.0, abs=1e-12)
-    per_ranking = []
-    for order in all_rankings(3):
-        term = max(0.0, fairness.ranking_pair_term(order, merits, 0, 1))
-        per_ranking.append(term)
+    per_ranking = [fairness.individual_disparity(
+        fairness.exposure_of_ranking(order), merits) for order in all_rankings(3)]
     assert np.mean(per_ranking) > 0.05
 
 
 def test_ranking_pair_term_hand_value():
-    got = fairness.ranking_pair_term(np.array([0, 1]), np.array([2.0, 1.0]), 0, 1)
-    assert got == pytest.approx(0.5 - V2, abs=1e-12)
-    with pytest.raises(ValueError):
-        fairness.ranking_pair_term(np.array([0, 1]), np.array([2.0, 0.0]), 0, 1)
+    ranked = fairness.exposure_of_ranking(np.array([0, 1]))
+    pair = fairness.individual_rows(np.array([2.0, 1.0]))
+    np.testing.assert_array_equal(pair, [[0.5, -1.0]])
+    assert (pair @ ranked)[0] == pytest.approx(0.5 - V2, abs=1e-12)
+    # a zero-merit partner forms no pair, so there is no row to hinge
+    assert fairness.individual_rows(np.array([2.0, 0.0])).shape == (0, 2)
+    assert fairness.hinge_mean(np.zeros((0, 2)), ranked) == 0.0
 
 
 def test_ranking_group_term_signs_and_errors():
-    order = np.array([0, 1])
+    ranked = fairness.exposure_of_ranking(np.array([0, 1]))
     merits = np.array([2.0, 1.0])
-    groups = np.array([0, 1])
-    got = fairness.ranking_group_term(order, merits, groups)
-    assert got == pytest.approx(1.0 / 2.0 - V2 / 1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        fairness.ranking_group_term(order, merits, np.array([0, 0]))
-    with pytest.raises(ValueError):
-        fairness.ranking_group_term(order, np.array([0.0, 1.0]),
-                                    np.array([0, 1]))
+    # group 0 has the higher mean merit, so its over-exposure is charged
+    grp = fairness.group_rows(merits, np.array([0, 1]))
+    np.testing.assert_array_equal(grp, [[0.5, -1.0]])
+    assert (grp @ ranked)[0] == pytest.approx(1.0 / 2.0 - V2 / 1.0, abs=1e-12)
+    # orientation follows merit, not the label: swapping labels keeps the row
+    np.testing.assert_array_equal(
+        fairness.group_rows(merits, np.array([1, 0])), [[0.5, -1.0]])
+    assert fairness.hinge_mean(grp, ranked) == 0.0
+    assert fairness.hinge_mean(grp, np.array([2.0, 0.0])) == 1.0
+    # the mean runs over every row, inactive ones included
+    both = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert fairness.hinge_mean(both, np.array([2.0, 1.0])) == 0.5
+    # a single group or a zero-merit group gives no row
+    assert fairness.group_rows(merits, np.array([0, 0])).shape == (0, 2)
+    assert fairness.group_rows(np.array([0.0, 1.0]), np.array([0, 1])).shape == (0, 2)
+
+
+def _literal_individual(exposures, merits):
+    """Mean over ordered pairs i != j with m_i >= m_j > 0 of the hinge on
+    v_i / m_i - v_j / m_j, restated as a loop."""
+    terms = []
+    for i in range(len(merits)):
+        for j in range(len(merits)):
+            if i != j and merits[i] >= merits[j] > 0.0:
+                terms.append(max(0.0, exposures[i] / merits[i]
+                                 - exposures[j] / merits[j]))
+    return float(np.mean(terms)) if terms else 0.0
+
+
+def _literal_group(exposures, merits, groups):
+    """Hinge on the per-merit exposure gap of the group with the higher
+    mean merit over the other, restated from group totals."""
+    members = [[d for d in range(len(groups)) if groups[d] == k] for k in (0, 1)]
+    if not all(members):
+        return 0.0
+    total_merit = [sum(merits[d] for d in docs) for docs in members]
+    if min(total_merit) <= 0.0:
+        return 0.0
+    mean_merit = [total_merit[k] / len(members[k]) for k in (0, 1)]
+    if mean_merit[0] == mean_merit[1]:
+        return 0.0
+    high, low = (0, 1) if mean_merit[0] > mean_merit[1] else (1, 0)
+    per_merit = [sum(exposures[d] for d in members[k]) / total_merit[k]
+                 for k in (0, 1)]
+    return max(0.0, per_merit[high] - per_merit[low])
+
+
+def test_disparities_match_literal_definitions():
+    rng = np.random.default_rng(9)
+    cases = []
+    for n in range(1, 8):
+        for _ in range(20):
+            merits = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n) \
+                * rng.uniform(0.5, 1.5, size=n) ** rng.integers(0, 2)
+            cases.append((rng.uniform(0.0, 1.0, size=n), merits,
+                          rng.integers(0, 2, size=n)))
+    cases += [
+        (np.array([0.7]), np.array([2.0]), np.array([0])),                # n=1
+        (np.array([1.0, V2, 0.5]), np.zeros(3), np.array([0, 1, 0])),    # all zero
+        (np.array([1.0, V2, 0.5]), np.array([3.0, 1.0, 2.0]),
+         np.array([1, 1, 1])),                                            # one group
+        (np.array([1.0, V2, 0.5]), np.array([3.0, 0.0, 0.0]),
+         np.array([0, 1, 1])),                                            # zero-merit group
+        (np.array([1.0, V2, 0.5, 0.4]), np.array([2.0, 1.0, 1.5, 1.5]),
+         np.array([0, 0, 1, 1])),                                         # tied means
+        (np.array([1.0, V2]), np.array([1.0, 1.0]), np.array([0, 1])),   # equal merits
+    ]
+    for exposures, merits, groups in cases:
+        assert fairness.individual_disparity(exposures, merits) == pytest.approx(
+            _literal_individual(exposures, merits), abs=1e-12)
+        assert fairness.group_disparity(exposures, merits, groups) == pytest.approx(
+            _literal_group(exposures, merits, groups), abs=1e-12)
+    # equal positive merits give the pair in both orders; degenerate shapes
+    assert fairness.individual_rows(np.array([1.0, 1.0])).shape == (2, 2)
+    assert fairness.individual_rows(np.array([2.0])).shape == (0, 1)
+    assert fairness.individual_rows(np.zeros(3)).shape == (0, 3)
+    for merits, groups in [(np.array([2.0]), np.array([0])),
+                           (np.zeros(3), np.array([0, 1, 0])),
+                           (np.array([3.0, 1.0, 2.0]), np.array([1, 1, 1])),
+                           (np.array([3.0, 0.0, 0.0]), np.array([0, 1, 1])),
+                           (np.array([2.0, 1.0, 1.5, 1.5]), np.array([0, 0, 1, 1]))]:
+        assert fairness.group_rows(merits, groups).shape == (0, len(merits))
+    assert fairness.group_rows(np.array([2.0, 1.0]), np.array([0, 1])).shape == (1, 2)
 
 
 def test_merit_pairs_mask():
@@ -166,6 +242,9 @@ def test_disparity_config_parse_and_dispatch():
     assert val == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     grp = fairness.DisparityConfig.parse("group")
     assert grp.from_exposures(expo, rels, None) == 0.0    # no labels
+    assert grp.rows(rels, None).shape == (0, 2)
+    np.testing.assert_array_equal(cfg.rows(rels, None),
+                                  fairness.individual_rows(np.ones(2)))
     with pytest.raises(ValueError):
         fairness.DisparityConfig.parse("pairwise")
 

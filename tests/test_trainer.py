@@ -87,7 +87,7 @@ def test_group_disparity_gradient_is_unbiased():
     rng = np.random.default_rng(2)
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
-    est = trainer.group_score_grad(sample, merit(rels), groups)
+    est = trainer.hinge_score_grad(sample, fairness.group_rows(merit(rels), groups))
     assert np.all(np.abs(est - exact.group_grad) <= 0.02)
 
 
@@ -100,26 +100,8 @@ def test_individual_disparity_gradient_is_unbiased():
     assert exact.individual_disparity > 0.0
     rng = np.random.default_rng(3)
     sample = policy.draw_policy_sample(scores, 50000, rng)
-    est = trainer.individual_score_grad(sample, merit(rels))
+    est = trainer.hinge_score_grad(sample, fairness.individual_rows(merit(rels)))
     assert np.all(np.abs(est - exact.individual_grad) <= 0.02)
-
-
-def test_gradient_ops_map_to_model_parameters():
-    ds = small_dataset()
-    q = ds.queries[0]
-    rng = np.random.default_rng(4)
-    model = policy.init_model("linear", ds.feature_dim, rng)
-    grads = trainer.utility_gradient(model, q, metrics.UtilityMetric("ndcg", 10),
-                                     sample_size=64, rng=rng)
-    assert [g.shape for g in grads] == [p.shape for p in model.param_arrays()]
-    merit = fairness.MeritFunction()
-    g2 = trainer.group_disparity_gradient(model, q, merit, sample_size=64,
-                                          rng=rng)
-    assert [g.shape for g in g2] == [p.shape for p in model.param_arrays()]
-    with pytest.raises(ValueError):
-        bare = data.parse_letor("1 qid:1 1:1\n0 qid:1 1:0\n")
-        trainer.group_disparity_gradient(model, bare.queries[0], merit,
-                                         sample_size=8, rng=rng)
 
 
 def test_train_is_deterministic_per_seed():
@@ -137,15 +119,17 @@ def test_train_is_deterministic_per_seed():
     assert rec3.to_json() != rec1.to_json()
 
 
+def without_groups(ds):
+    return data.Dataset([data.Query(q.qid, [data.Document(d.features, d.relevance)
+                                            for d in q.docs]) for q in ds],
+                        ds.feature_dim)
+
+
 def test_unpenalized_training_ignores_group_labels():
     """With lam = 0 the updates never look at groups, so stripping the
     labels leaves the learned model bit-identical."""
     ds = small_dataset(seed=5)
-    stripped_queries = []
-    for q in ds:
-        docs = [data.Document(d.features, d.relevance) for d in q.docs]
-        stripped_queries.append(data.Query(q.qid, docs))
-    bare = data.Dataset(stripped_queries, ds.feature_dim)
+    bare = without_groups(ds)
     cfg = base_config(lam=0.0, gamma=0.0,
                       disparity=fairness.DisparityConfig.parse("individual"))
     tr1, va1 = data.split_dataset(ds, 0.8, seed=0)
@@ -291,3 +275,23 @@ def test_err_grade_below_top_relevance_fails_before_epoch_one(monkeypatch):
         trainer.evaluate(model, ds, metrics.UtilityMetric("err"))
     fitted = metrics.UtilityMetric("err", err_max_grade=float(top))
     assert trainer.evaluate(model, ds, fitted).mean_metric > 0.0
+
+
+def test_group_disparity_without_labels_fails_before_epoch_one(monkeypatch):
+    labeled = small_dataset(seed=0, queries=10, docs=5)
+    bare = without_groups(labeled)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    cfg = base_config(lam=5.0, disparity=fairness.DisparityConfig.parse("group"))
+    with pytest.raises(ValueError, match="train split has no group labels"):
+        trainer.train(bare, bare, cfg)
+    with pytest.raises(ValueError, match="val split has no group labels"):
+        trainer.train(labeled, bare, cfg)
+    model = policy.init_model("linear", bare.feature_dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="evaluation split has no group labels"):
+        trainer.evaluate(model, bare, cfg.metric, cfg.disparity)
+    individual = fairness.DisparityConfig.parse("individual")
+    assert trainer.evaluate(model, bare, cfg.metric, individual).mean_disparity >= 0.0
