@@ -24,7 +24,7 @@ from scipy import optimize
 
 from .data import Dataset
 from .fairness import MeritFunction, group_disparity, group_rows, hinge_mean, \
-    individual_rows
+    individual_rows, ranking_exposures
 from .metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel, logprob_grads_scores, ranking_logprobs
 from .ranking import ENUMERATION_LIMIT, all_rankings
@@ -75,19 +75,16 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
     orders = np.stack(list(all_rankings(n)))
     probs = np.exp(ranking_logprobs(s, orders))
     glogs = logprob_grads_scores(s, orders)
-    bias = position_bias_vector(n)
-    ranking_exposures = np.empty_like(glogs)
-    np.put_along_axis(ranking_exposures, orders,
-                      np.broadcast_to(bias, orders.shape), axis=1)
+    per_ranking = ranking_exposures(orders)
 
     deltas = metric.batch_values(orders, rels)
     stats = ExactPolicyStats(
         utility=float(probs @ deltas),
         utility_grad=(probs * deltas) @ glogs,
-        exposures=probs @ ranking_exposures,
+        exposures=probs @ per_ranking,
     )
 
-    hinge = (stats.exposures, ranking_exposures, probs, glogs)
+    hinge = (stats.exposures, per_ranking, probs, glogs)
     if merits is not None:
         stats.individual_disparity, stats.individual_grad = _exact_hinge(
             individual_rows(merits), *hinge)
@@ -100,7 +97,7 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
 
 
 def _exact_hinge(rows: np.ndarray, exposures: np.ndarray,
-                 ranking_exposures: np.ndarray, probs: np.ndarray,
+                 per_ranking: np.ndarray, probs: np.ndarray,
                  glogs: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact ``hinge_mean(rows, exposures)`` and its score gradient, summed
     over the enumerated rankings with hinge indicators from the exact
@@ -109,7 +106,7 @@ def _exact_hinge(rows: np.ndarray, exposures: np.ndarray,
     if len(rows):
         active = rows @ exposures > 0.0
         weights = rows[active].sum(axis=0) / len(rows)
-        grad = (probs * (ranking_exposures @ weights)) @ glogs
+        grad = (probs * (per_ranking @ weights)) @ glogs
     return hinge_mean(rows, exposures), grad
 
 

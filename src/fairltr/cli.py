@@ -335,16 +335,16 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
                                                  ("val", val_set)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
+        return trainer.TrainConfig(
+            lam=lam, gamma=opts["gamma"], sample_size=opts["samples"],
+            learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
+            metric=metric, disparity=disparity, model=opts["model"],
+            hidden_units=opts["hidden"], use_bias=opts["bias"],
+            use_baseline=not opts["no_baseline"],
+            seed=opts["seed"] if seed is None else seed,
+            patience=opts["patience"], eval_samples=opts["eval_samples"])
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return trainer.TrainConfig(
-        lam=lam, gamma=opts["gamma"], sample_size=opts["samples"],
-        learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
-        metric=metric, disparity=disparity, model=opts["model"],
-        hidden_units=opts["hidden"], use_bias=opts["bias"],
-        use_baseline=not opts["no_baseline"],
-        seed=opts["seed"] if seed is None else seed,
-        patience=opts["patience"], eval_samples=opts["eval_samples"])
 
 
 def _train_val_split(dataset: data.Dataset, opts: dict
@@ -561,6 +561,15 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if method not in ("lp", "top1"):
         raise CliError(f"unknown baseline method {opts['method']!r} "
                        f"(expected lp or top1)")
+    try:
+        merit = fairness.MeritFunction.parse(opts["merit"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    grid = baselines.lp_lambda_grid if method == "lp" else baselines.top1_lambda_grid
+    lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
+               if opts["lambdas"] else grid())
+    if any(lam < 0.0 for lam in lambdas):
+        raise CliError(f"penalty weights must be >= 0, got {opts['lambdas']}")
     train_set = load_dataset_auto(args.train)
     splits = [("train", train_set)]
     if args.test:
@@ -569,16 +578,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         if not dataset.has_groups:
             raise CliError(f"baselines need group labels, and the {name} "
                            "split has none")
-    merit = fairness.MeritFunction.parse(opts["merit"])
     out = prepare_out_dir(args.out, args.force)
 
     if method == "lp":
-        lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
-                   if opts["lambdas"] else baselines.lp_lambda_grid())
         rows, detail = _run_lp_baseline(train_set, splits, lambdas, merit)
     else:
-        lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
-                   if opts["lambdas"] else baselines.top1_lambda_grid())
         rows, detail = _run_top1_baseline(train_set, splits, lambdas, merit,
                                           opts["lr"], opts["epochs"],
                                           opts["seed"])
@@ -671,6 +675,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = resolve_options(args, _EVAL_SCHEMA)
     if not args.checkpoint or not args.data:
         raise CliError("eval requires --checkpoint and --data")
+    if opts["eval_samples"] < 1:
+        raise CliError("eval_samples must be >= 1")
     try:
         model = policy.load_model(args.checkpoint)
     except (OSError, policy.CheckpointError) as exc:

@@ -5,6 +5,11 @@ attention its position receives, using the same logarithmic position-bias
 curve as the ranking metrics.  Fairness asks exposure to be proportional to
 merit, a non-negative monotone transform of relevance.
 
+The exposure of rankings is defined once, over an ``(S, n)`` block, by
+``ranking_exposures``; ``exposure_of_ranking`` validates one ranking and
+returns its block of one, and the Monte-Carlo estimate ``mc_exposure`` is
+the block's mean row.
+
 Each disparity is defined once, as a matrix of hinge rows: linear functions
 of the expected exposure vector whose positive parts are the violations.
 The disparity is ``hinge_mean(rows, exposures)``, the mean of
@@ -66,13 +71,21 @@ class MeritFunction:
         return rels.copy()
 
 
+def ranking_exposures(orders: np.ndarray) -> np.ndarray:
+    """Attention each document receives from each row of an ``(S, n)`` block
+    of rankings; the one definition of a ranking's exposure.  Rows are not
+    validated."""
+    orders = np.asarray(orders, dtype=np.intp)
+    size, n = orders.shape
+    values = np.empty((size, n))
+    values[np.arange(size)[:, None], orders] = position_bias_vector(n)
+    return values
+
+
 def exposure_of_ranking(order: Ranking) -> np.ndarray:
     """Attention each document receives from one fixed ranking."""
     order = as_ranking(order, np.asarray(order).shape[0])
-    n = order.shape[0]
-    values = np.empty(n)
-    values[order] = position_bias_vector(n)
-    return values
+    return ranking_exposures(order[None])[0]
 
 
 @dataclass
@@ -120,12 +133,9 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
 
 
 def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
-    """Mean per-document exposure over a batch of sampled rankings."""
-    orders = np.asarray(orders, dtype=np.intp)
-    bias = position_bias_vector(num_docs)
-    values = np.zeros(num_docs)
-    np.add.at(values, orders.ravel(), np.broadcast_to(bias, orders.shape).ravel())
-    return values / orders.shape[0]
+    """Mean per-document exposure over an ``(S, num_docs)`` batch of sampled
+    rankings."""
+    return ranking_exposures(orders).sum(axis=0) / len(orders)
 
 
 def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,11 @@ Positions are 1-based in the formulas below.  The attention a ranking gives
 to position j is ``1 / log2(1 + j)``, so position 1 receives weight 1 and
 the discount matches the DCG convention with exponential gains
 ``2**rel - 1``.
+
+Each metric is defined once, over an ``(S, n)`` block of rankings, by
+``UtilityMetric.batch_values``.  A call on one ranking (``value`` and the
+``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
+ranking and returns its block of one.
 """
 from __future__ import annotations
 
@@ -31,34 +36,24 @@ def gains(relevances: np.ndarray) -> np.ndarray:
     return np.exp2(np.asarray(relevances, dtype=float)) - 1.0
 
 
-def _checked(order: Ranking, relevances: np.ndarray) -> tuple[Ranking, np.ndarray]:
-    rels = np.asarray(relevances, dtype=float)
-    return as_ranking(order, rels.shape[0]), rels
-
-
 def dcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> float:
     """Discounted cumulative gain of a ranking, optionally truncated."""
-    order, rels = _checked(order, relevances)
-    k = _effective_cutoff(cutoff, rels.shape[0])
-    discounts = position_bias_vector(k)
-    return float(gains(rels)[order[:k]] @ discounts)
+    return UtilityMetric("dcg", cutoff).value(order, relevances)
 
 
 def ideal_dcg(relevances: np.ndarray, cutoff: int | None = None) -> float:
     rels = np.asarray(relevances, dtype=float)
     k = _effective_cutoff(cutoff, rels.shape[0])
-    # Contiguous copy so the dot product follows the exact code path of
-    # dcg(); an ideally ordered ranking then scores exactly 1.0 under ndcg.
+    # Contiguous copy so the dot product gives the same bits as the one-row
+    # product of batch_values(); an ideally ordered ranking then scores
+    # exactly 1.0 under ndcg.
     top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
     return float(top @ position_bias_vector(k))
 
 
 def _effective_cutoff(cutoff: int | None, num_docs: int) -> int:
-    if cutoff is None:
-        return num_docs
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    return min(cutoff, num_docs)
+    """Positions a metric counts; ``UtilityMetric`` has checked ``cutoff >= 1``."""
+    return num_docs if cutoff is None else min(cutoff, num_docs)
 
 
 def ndcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> float:
@@ -66,10 +61,7 @@ def ndcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> f
 
     Defined as 0 when every relevance is zero (the ideal DCG vanishes).
     """
-    ideal = ideal_dcg(relevances, cutoff)
-    if ideal == 0.0:
-        return 0.0
-    return dcg(order, relevances, cutoff) / ideal
+    return UtilityMetric("ndcg", cutoff).value(order, relevances)
 
 
 def _stop_probabilities(rels: np.ndarray, max_grade: float) -> np.ndarray:
@@ -90,14 +82,7 @@ def err(order: Ranking, relevances: np.ndarray, max_grade: float = 4.0) -> float
         ValueError: negative relevance, or ``max_grade`` below the maximum
             relevance present.
     """
-    order, rels = _checked(order, relevances)
-    stop = _stop_probabilities(rels, max_grade)
-    total = 0.0
-    not_stopped = 1.0
-    for j, d in enumerate(order, start=1):
-        total += not_stopped * stop[d] / j
-        not_stopped *= 1.0 - stop[d]
-    return float(total)
+    return UtilityMetric("err", err_max_grade=max_grade).value(order, relevances)
 
 
 def avg_rank(order: Ranking, relevances: np.ndarray) -> float:
@@ -105,13 +90,7 @@ def avg_rank(order: Ranking, relevances: np.ndarray) -> float:
 
     Lower is better.  Raises ``ValueError`` when all relevances are zero.
     """
-    order, rels = _checked(order, relevances)
-    total = rels.sum()
-    if total == 0.0:
-        raise ValueError("avg_rank is undefined for all-zero relevances")
-    positions = np.empty(rels.shape[0])
-    positions[order] = np.arange(1, rels.shape[0] + 1, dtype=float)
-    return float((rels @ positions) / total)
+    return UtilityMetric("avgrank").value(order, relevances)
 
 
 @dataclass(frozen=True)
@@ -120,8 +99,8 @@ class UtilityMetric:
 
     ``kind`` is one of ``dcg``, ``ndcg``, ``err``, ``avgrank``.  The cutoff
     applies to dcg/ndcg only.  ``err_max_grade`` feeds the cascade stop
-    probabilities.  ``reward`` negates avgrank so that bigger is always
-    better for a learner.
+    probabilities.  ``sign`` is -1 for avgrank and +1 otherwise, so that
+    ``sign * value`` is always bigger-is-better for a learner.
     """
 
     kind: str = "ndcg"
@@ -144,36 +123,48 @@ class UtilityMetric:
     def __str__(self) -> str:
         return self.kind if self.cutoff is None else f"{self.kind}@{self.cutoff}"
 
+    @property
+    def sign(self) -> float:
+        return -1.0 if self.kind == "avgrank" else 1.0
+
     def value(self, order: Ranking, relevances: np.ndarray) -> float:
-        if self.kind == "dcg":
-            return dcg(order, relevances, self.cutoff)
-        if self.kind == "ndcg":
-            return ndcg(order, relevances, self.cutoff)
-        if self.kind == "err":
-            return err(order, relevances, self.err_max_grade)
-        return avg_rank(order, relevances)
+        """Metric value of one ranking, validated as a permutation."""
+        order = as_ranking(order, len(relevances))
+        return float(self.batch_values(order[None], relevances)[0])
 
     def batch_values(self, orders: np.ndarray, relevances: np.ndarray) -> np.ndarray:
-        """Metric value per row of ``orders``; dcg/ndcg are vectorized."""
-        orders = np.asarray(orders, dtype=np.intp)
-        if self.kind in ("dcg", "ndcg"):
-            rels = np.asarray(relevances, dtype=float)
-            k = _effective_cutoff(self.cutoff, rels.shape[0])
-            discounts = position_bias_vector(k)
-            values = gains(rels)[orders[:, :k]] @ discounts
-            if self.kind == "ndcg":
-                ideal = ideal_dcg(rels, self.cutoff)
-                values = values / ideal if ideal > 0.0 else np.zeros_like(values)
-            return values
-        return np.array([self.value(row, relevances) for row in orders])
+        """Metric value of each row of an ``(S, n)`` block of rankings.
 
-    def reward(self, order: Ranking, relevances: np.ndarray) -> float:
-        v = self.value(order, relevances)
-        return -v if self.kind == "avgrank" else v
+        Rows are not validated.  avgrank scatters positions 1..n into each
+        row.  ERR reaches position j with ``prod_{i<j} (1 - R_{order[i]})``,
+        a cumulative product shifted by one position, and adds its terms with
+        a running sum so they accumulate in cascade order.
+        """
+        orders = np.asarray(orders, dtype=np.intp)
+        rels = np.asarray(relevances, dtype=float)
+        n = rels.shape[0]
+        if self.kind == "avgrank":
+            total = rels.sum()
+            if total == 0.0:
+                raise ValueError("avg_rank is undefined for all-zero relevances")
+            positions = np.empty(orders.shape)
+            positions[np.arange(len(orders))[:, None], orders] = np.arange(1.0, n + 1)
+            return positions @ rels / total
+        if self.kind == "err":
+            stop = _stop_probabilities(rels, self.err_max_grade)[orders]
+            reach = np.ones(orders.shape)
+            reach[:, 1:] = np.cumprod(1.0 - stop[:, :-1], axis=1)
+            return np.cumsum(reach * stop / np.arange(1.0, n + 1), axis=1)[:, -1]
+        k = _effective_cutoff(self.cutoff, n)
+        values = gains(rels)[orders[:, :k]] @ position_bias_vector(k)
+        if self.kind == "ndcg":
+            ideal = ideal_dcg(rels, self.cutoff)
+            values = values / ideal if ideal > 0.0 else np.zeros_like(values)
+        return values
 
     def batch_rewards(self, orders: np.ndarray, relevances: np.ndarray) -> np.ndarray:
         values = self.batch_values(orders, relevances)
-        return -values if self.kind == "avgrank" else values
+        return values if self.sign > 0.0 else -values
 
 
 def expected_utility(scores: np.ndarray, relevances: np.ndarray,

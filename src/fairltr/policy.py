@@ -46,15 +46,13 @@ def _suffix_logsumexp(permuted: np.ndarray) -> np.ndarray:
 
 def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
     """Log-probability of drawing ``order`` from the policy at ``scores``."""
-    s = clip_scores(scores)
-    order = as_ranking(order, s.shape[0])
-    permuted = s[order]
-    denom = _suffix_logsumexp(permuted)
-    return float(np.sum(permuted - denom))
+    order = as_ranking(order, np.asarray(scores).shape[0])
+    return float(ranking_logprobs(scores, order[None])[0])
 
 
 def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Log-probability of each ranking in a batch of shape ``(size, n)``."""
+    """Log-probability of each ranking in a batch of shape ``(size, n)``;
+    rows are not validated."""
     s = clip_scores(scores)
     orders = np.asarray(orders, dtype=np.intp)
     permuted = s[orders]
@@ -99,8 +97,8 @@ def argmax_ranking(scores: np.ndarray) -> Ranking:
 def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Gradient of ``ranking_logprob`` wrt scores for a batch of rankings.
 
-    ``orders`` has shape ``(size, n)``; the result matches it.  For the
-    document placed at position k the gradient is
+    ``orders`` has shape ``(size, n)``; the result matches it, and rows are
+    not validated.  For the document placed at position k the gradient is
 
         1 - exp(s_d) * sum_{i <= k} exp(-L_i),
 
@@ -109,23 +107,13 @@ def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """
     s = clip_scores(scores)
     orders = np.asarray(orders, dtype=np.intp)
-    squeeze = orders.ndim == 1
-    if squeeze:
-        orders = orders[None, :]
     permuted = s[orders]
     denom = _suffix_logsumexp(permuted)
     inv_cum = np.cumsum(np.exp(-denom), axis=1)
     by_position = 1.0 - np.exp(permuted) * inv_cum
     grads = np.empty_like(by_position)
     np.put_along_axis(grads, orders, by_position, axis=1)
-    return grads[0] if squeeze else grads
-
-
-def logprob_grad_scores(scores: np.ndarray, order: Ranking) -> np.ndarray:
-    """Gradient of the log-probability of one ranking wrt the scores."""
-    s = np.asarray(scores, dtype=float)
-    order = as_ranking(order, s.shape[0])
-    return logprob_grads_scores(s, order)
+    return grads
 
 
 def softmax_entropy(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -378,31 +366,34 @@ class CheckpointError(ValueError):
 
 
 def load_model(path: str) -> ScoringModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Read a ``save_model`` file; any malformed file raises ``CheckpointError``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        lines = []
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a recognized model file")
 
     fields: dict[str, str] = {}
-    vectors: list[tuple[str, np.ndarray]] = []
+    named: dict[str, list[np.ndarray]] = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key in ("kind",):
+        if key in ("kind", "feature_dim", "bias", "hidden"):
             fields[key] = rest.strip()
-        elif key in ("feature_dim", "bias", "hidden"):
-            fields[key] = rest.strip()
-        else:
-            vectors.append((key, np.array([float(tok) for tok in rest.split()])))
+            continue
+        try:
+            vec = np.array([float(tok) for tok in rest.split()])
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: non-numeric value in {key!r} line") from None
+        named.setdefault(key, []).append(vec)
 
     kind = fields.get("kind")
     try:
         feature_dim = int(fields["feature_dim"])
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad or missing feature_dim") from exc
-
-    named = {}
-    for key, vec in vectors:
-        named.setdefault(key, []).append(vec)
 
     if kind == "linear":
         if "w" not in named:
@@ -412,11 +403,10 @@ def load_model(path: str) -> ScoringModel:
             raise CheckpointError(f"{path}: weight length {w.shape[0]} != "
                                   f"feature_dim {feature_dim}")
         has_bias = fields.get("bias") == "1"
-        b = named["b"][0] if has_bias else None
         if has_bias and "b" not in named:
             raise CheckpointError(f"{path}: bias declared but missing")
-        return LinearModel(w, b)
-    if kind == "mlp1":
+        build, params = LinearModel, (w, named["b"][0] if has_bias else None)
+    elif kind == "mlp1":
         try:
             hidden = int(fields["hidden"])
             W = np.vstack(named["W"])
@@ -426,8 +416,13 @@ def load_model(path: str) -> ScoringModel:
         if W.shape != (feature_dim, hidden):
             raise CheckpointError(f"{path}: hidden weight shape {W.shape} != "
                                   f"({feature_dim}, {hidden})")
-        return MLP1Model(W, b_h, w_out, b_out)
-    raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+        build, params = MLP1Model, (W, b_h, w_out, b_out)
+    else:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    try:
+        return build(*params)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def models_equal(a: ScoringModel, b: ScoringModel) -> bool:

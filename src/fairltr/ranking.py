@@ -35,13 +35,13 @@ def as_ranking(order: Iterable[int], num_docs: int) -> Ranking:
     if arr.ndim != 1 or arr.shape[0] != num_docs:
         raise InvalidRankingError(
             f"ranking has length {arr.shape}, expected ({num_docs},)")
-    seen = np.zeros(num_docs, dtype=bool)
-    for idx in arr:
+    seen = set()
+    for idx in arr.tolist():  # Python ints compare faster than numpy scalars
         if idx < 0 or idx >= num_docs:
             raise InvalidRankingError(f"index {idx} out of range for {num_docs} docs")
-        if seen[idx]:
+        if idx in seen:
             raise InvalidRankingError(f"index {idx} repeated in ranking")
-        seen[idx] = True
+        seen.add(idx)
     return arr
 
 

@@ -61,10 +61,9 @@ class TrainConfig:
     eval_samples: int = 32
 
     def __post_init__(self):
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("sample_size", "epochs", "hidden_units", "eval_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:
@@ -253,10 +252,12 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
 
     Disparity uses exact exposures for small candidate sets and seeded
     Monte-Carlo exposures (``eval_samples`` rankings per query) otherwise.
-    Raises ``ValueError`` before any work if an ERR metric's grade ceiling is
-    below the dataset's top relevance, or if group disparity is asked of a
-    dataset without group labels.
+    Raises ``ValueError`` before any work if ``eval_samples`` is below 1, if
+    an ERR metric's grade ceiling is below the dataset's top relevance, or if
+    group disparity is asked of a dataset without group labels.
     """
+    if eval_samples < 1:
+        raise ValueError("eval_samples must be >= 1")
     _check_err_grade(metric, [("evaluation", dataset)])
     require_group_labels(disparity, [("evaluation", dataset)])
     return _evaluate(model, dataset, metric, disparity, eval_samples,
@@ -319,10 +320,6 @@ class RunRecord:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _reward_sign(metric: UtilityMetric) -> float:
-    return -1.0 if metric.kind == "avgrank" else 1.0
-
-
 def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecord:
     """Run the policy-gradient loop and return the selected model + curves.
 
@@ -344,7 +341,6 @@ def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecor
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     train_rng = np.random.default_rng(ss_train)
     eval_seeds = ss_eval.spawn(config.epochs)
-    sign = _reward_sign(config.metric)
 
     curves: dict[str, list[float]] = {k: [] for k in
                                       ("train_metric", "val_metric", "val_objective",
@@ -367,7 +363,7 @@ def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecor
         curves["train_metric"].append(on_train.mean_metric)
         curves["val_metric"].append(on_val.mean_metric)
         val_disp = on_val.mean_disparity if config.disparity is not None else 0.0
-        objective = sign * on_val.mean_metric - config.lam * val_disp
+        objective = config.metric.sign * on_val.mean_metric - config.lam * val_disp
         curves["val_objective"].append(objective)
         if config.disparity is not None:
             curves["train_disparity"].append(on_train.mean_disparity)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairltr import cli, data
+from fairltr import cli, data, policy
 
 
 def run(argv):
@@ -97,6 +97,58 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
                 "--out", tmp_path / "x", "--lambda", 2])
     assert code == 1
     assert "disparity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--samples", 0],
+    ["sweep", "--samples", 0],
+    ["train", "--epochs", 0],
+    ["sweep", "--epochs", 0],
+    ["train", "--config", "RMSPROP"],
+    ["sweep", "--config", "RMSPROP"],
+    ["train", "--disparity", "group", "--eval-samples", 0],
+    ["train", "--model", "mlp1", "--hidden", 0],
+    ["baseline", "--merit", "cube"],
+    ["baseline", "--lambdas=-1"],
+    ["baseline", "--method", "top1", "--lambdas=0,-1"],
+    ["eval", "--eval-samples", 0],
+], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
+def test_bad_configuration_is_a_clean_error_before_any_work(
+        tmp_path, dataset_dir, capsys, argv):
+    letor = dataset_dir / "data.letor"
+    config = tmp_path / "rmsprop.cfg"
+    config.write_text("optimizer = rmsprop\n")
+    checkpoint = tmp_path / "model.txt"
+    checkpoint.write_text("fairltr-model 1\nkind linear\nfeature_dim 2\n"
+                          "bias 0\nw 0.1 0.2\n")
+    inputs = (["--checkpoint", checkpoint, "--data", letor]
+              if argv[0] == "eval" else ["--train", letor])
+    out = tmp_path / "out"
+    argv = [config if a == "RMSPROP" else a for a in argv]
+    assert run([*argv, *inputs, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "kind linear\nfeature_dim 2\nbias 1\nw 0.1 0.2\n",
+    "kind linear\nfeature_dim 2\nbias 0\nw 0.1 zz\n",
+    "kind mlp1\nfeature_dim 2\nhidden 2\nW 0.1 0.2\nW 0.3 0.4\n"
+    "b_hidden 0.1\nw_out 0.5 0.6\nb_out 0\n",
+    "kind linear\nfeature_dim 2\nbias 0\nw 0.1 \u00e9\n",
+], ids=["bias-line-missing", "non-numeric", "short-hidden-bias", "not-ascii"])
+def test_malformed_checkpoint_is_a_clean_error(tmp_path, dataset_dir, capsys,
+                                                text):
+    checkpoint = tmp_path / "model.txt"
+    checkpoint.write_text("fairltr-model 1\n" + text, encoding="utf-8")
+    with pytest.raises(policy.CheckpointError):
+        policy.load_model(checkpoint)
+    out = tmp_path / "ev"
+    assert run(["eval", "--checkpoint", checkpoint, "--data",
+                dataset_dir / "data.letor", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+    assert not out.exists()
 
 
 def test_sweep_summary_schema_and_parallel_determinism(tmp_path, dataset_dir):

@@ -1,11 +1,12 @@
 """Ranking utility metrics against hand-computed values and invariants."""
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from fairltr import metrics
-from fairltr.ranking import all_rankings
+from fairltr import fairness, metrics, policy
+from fairltr.ranking import InvalidRankingError, all_rankings
 
 
 def test_position_bias_values():
@@ -120,18 +121,84 @@ def test_utility_metric_reward_negates_avg_rank():
     m = metrics.UtilityMetric("avgrank")
     order = np.array([0, 1])
     rels = np.array([1.0, 0.0])
-    assert m.reward(order, rels) == -m.value(order, rels) == -1.0
+    assert m.batch_rewards(order[None], rels)[0] == -m.value(order, rels) == -1.0
 
 
-def test_batch_values_matches_scalar_path():
+def literal_value(kind, order, rels, cutoff=None, max_grade=4.0):
+    """Each metric of one ranking, restated as a loop over its positions."""
+    n = len(rels)
+    if kind == "err":
+        stop = (np.exp2(rels) - 1.0) / 2.0 ** max_grade
+        total = 0.0
+        not_stopped = 1.0
+        for j, d in enumerate(order, start=1):
+            total += not_stopped * stop[d] / j
+            not_stopped *= 1.0 - stop[d]
+        return total
+    if kind == "avgrank":
+        return sum(rels[d] * j for j, d in enumerate(order, start=1)) / sum(rels)
+    k = n if cutoff is None else min(cutoff, n)
+
+    def dcg_of(ranked):
+        return sum((2.0 ** rels[d] - 1.0) / math.log2(1.0 + j)
+                   for j, d in enumerate(ranked[:k], start=1))
+
+    value = dcg_of(order)
+    if kind == "ndcg":
+        ideal = dcg_of(sorted(range(n), key=lambda d: -rels[d]))
+        return value / ideal if ideal > 0.0 else 0.0
+    return value
+
+
+def test_batch_values_match_literal_definitions():
     rng = np.random.default_rng(3)
-    rels = rng.integers(0, 4, size=6).astype(float)
-    orders = np.stack([rng.permutation(6) for _ in range(20)])
-    for spec in ("dcg", "ndcg@3", "err", "avgrank"):
-        m = metrics.UtilityMetric.parse(spec)
-        batch = m.batch_values(orders, rels)
-        singles = np.array([m.value(o, rels) for o in orders])
-        np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    cases = []
+    for n in (1, 2, 5, 10, 30):
+        cases.append(rng.uniform(0.0, 4.0, size=n))
+        cases.append(rng.integers(0, 3, size=n).astype(float))  # many ties
+        cases.append(np.zeros(n))
+    specs = [("dcg", None), ("dcg", 3), ("ndcg", None), ("ndcg", 3), ("ndcg", 50),
+             ("err", None), ("avgrank", None)]
+    for rels in cases:
+        n = len(rels)
+        orders = np.stack([rng.permutation(n) for _ in range(20)])
+        for kind, cutoff in specs:
+            m = metrics.UtilityMetric(kind, cutoff)
+            if kind == "avgrank" and not rels.any():
+                with pytest.raises(ValueError):
+                    m.batch_values(orders, rels)
+                continue
+            batch = m.batch_values(orders, rels)
+            loop = np.array([literal_value(kind, o, rels, cutoff) for o in orders])
+            assert batch.shape == (20,)
+            if kind == "err":
+                # Same arithmetic in the same order: equal to the last bit.
+                assert np.array_equal(batch, loop), (rels, kind)
+            else:
+                np.testing.assert_allclose(batch, loop, rtol=1e-12, atol=0.0)
+            if kind == "ndcg" and not rels.any():
+                assert np.all(batch == 0.0)
+    rels = np.array([0.5, 4.5, 2.0])
+    m = metrics.UtilityMetric("err", err_max_grade=5.0)
+    orders = np.stack(list(all_rankings(3)))
+    assert np.array_equal(m.batch_values(orders, rels), np.array(
+        [literal_value("err", o, rels, max_grade=5.0) for o in orders]))
+
+
+@pytest.mark.parametrize("bad", [[0, 1], [0, 1, 2, 3], [0, 1, 3], [0, -1, 2],
+                                 [0, 1, 1]])
+def test_scalar_entry_points_refuse_an_invalid_ranking(bad):
+    """A single ranking is validated before it becomes a block of one:
+    wrong length, out-of-range index (negative included), repeated index.
+    ``exposure_of_ranking`` takes its length from the ranking itself."""
+    order = np.array(bad)
+    with pytest.raises(InvalidRankingError):
+        metrics.UtilityMetric("ndcg").value(order, np.array([1.0, 2.0, 0.0]))
+    with pytest.raises(InvalidRankingError):
+        policy.ranking_logprob(np.zeros(3), order)
+    if len(bad) == 3:
+        with pytest.raises(InvalidRankingError):
+            fairness.exposure_of_ranking(order)
 
 
 def test_expected_utility_uniform_two_docs():

@@ -116,7 +116,7 @@ def test_argmax_ranking_is_modal_and_stable():
 
 
 def test_logprob_grad_hand_value():
-    got = policy.logprob_grad_scores(np.zeros(2), np.array([0, 1]))
+    got = policy.logprob_grads_scores(np.zeros(2), np.array([[0, 1]]))[0]
     np.testing.assert_allclose(got, [0.5, -0.5], atol=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_logprob_grad_matches_finite_differences():
     for _ in range(10):
         scores = rng.normal(size=5)
         order = rng.permutation(5)
-        grad = policy.logprob_grad_scores(scores, order)
+        grad = policy.logprob_grads_scores(scores, order[None])[0]
         for d in range(5):
             e = np.zeros(5)
             e[d] = step
@@ -142,7 +142,7 @@ def test_logprob_grads_sum_to_zero_rowwise():
     grads = policy.logprob_grads_scores(scores, orders)
     assert grads.shape == (50, 6)
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-10)
-    single = policy.logprob_grad_scores(scores, orders[17])
+    single = policy.logprob_grads_scores(scores, orders[17:18])[0]
     np.testing.assert_allclose(grads[17], single, atol=1e-12)
 
 

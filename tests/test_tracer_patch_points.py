@@ -9,7 +9,7 @@ and writes no files.
 import importlib.util
 from pathlib import Path
 
-from fairltr import fairness, trainer
+from fairltr import fairness, metrics, policy, trainer
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -25,7 +25,10 @@ def test_tracer_install_and_remove_restore_every_patch_point():
     tracer = load_tracer_module().Tracer()
     named = [(trainer, "disparity_score_grad"), (trainer, "mc_exposure"),
              (trainer, "exposure_of_policy"), (trainer, "_evaluate"),
-             (fairness.DisparityConfig, "from_exposures")]
+             (fairness.DisparityConfig, "from_exposures"),
+             (fairness, "mc_exposure"), (metrics.UtilityMetric, "value"),
+             (metrics.UtilityMetric, "batch_rewards"),
+             (policy, "logprob_grads_scores")]
     before = {(owner, attr): getattr(owner, attr) for owner, attr in named}
     try:
         tracer.install()
