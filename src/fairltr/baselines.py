@@ -10,17 +10,19 @@ indicators taken from the exact exposures.
 The LP baseline estimates relevance with a pooled linear regression, then
 solves, per query, a linear program over doubly stochastic matrices that
 trades expected DCG against a slack on the between-group per-merit exposure
-gap, whose constraint is the ``group_rows`` row scaled to shares.  The
-top-1 baseline trains a linear scorer whose softmax matches the normalized
-relevance profile, with a squared penalty on the between-group mean top-1
-probability gap.
+gap, whose constraint is the ``group_rows`` row scaled to shares.  Its
+objective has rank one and it has a single side constraint, so it is solved
+in closed form by sorting: the optimum is one ranking or a mixture of two,
+and ``FairLPResult`` holds them with their weights and expected exposures
+instead of a matrix.  The top-1 baseline trains a linear scorer whose
+softmax matches the normalized relevance profile, with a squared penalty on
+the between-group mean top-1 probability gap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .data import Dataset
 from .fairness import MeritFunction, group_disparity, group_rows, hinge_mean, \
@@ -136,44 +138,23 @@ def fit_linear_regression(dataset: Dataset, ridge: float = 1e-6,
 
 
 # ---------------------------------------------------------------------------
-# LP post-processing over doubly stochastic matrices
+# LP post-processing, solved in closed form
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class DoublyStochasticMatrix:
-    """A square matrix with unit row and column sums, entries in [0, 1].
+class FairLPResult:
+    """Optimum of the fair LP as a mixture of at most two rankings.
 
-    ``values[i, j]`` is the probability that document i sits at position
-    j + 1.  Construction validates the marginals to 1e-6.
+    ``orders[k]`` is played with probability ``weights[k]``;
+    ``exposures`` is the mixture's expected exposure per document.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.values, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {P.shape}")
-        if P.min() < -1e-6 or P.max() > 1.0 + 1e-6:
-            raise ValueError("matrix entries must lie in [0, 1]")
-        if (np.abs(P.sum(axis=1) - 1.0).max() > 1e-6
-                or np.abs(P.sum(axis=0) - 1.0).max() > 1e-6):
-            raise ValueError("row and column sums must equal 1")
-        self.values = np.clip(P, 0.0, 1.0)
-
-    @property
-    def num_docs(self) -> int:
-        return self.values.shape[0]
-
-    def exposures(self) -> np.ndarray:
-        return self.values @ position_bias_vector(self.num_docs)
-
-
-@dataclass
-class FairLPResult:
-    matrix: DoublyStochasticMatrix
+    orders: np.ndarray
+    weights: np.ndarray
     xi: float
     objective: float
+    exposures: np.ndarray
 
 
 def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
@@ -187,34 +168,33 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     the other group's.  Both objective terms are dimensionless, so the same
     ``lam`` grid is meaningful across queries.  With ``lam = 0`` or no
     usable groups the optimum is the permutation sorting by estimated
-    relevance.  Exact (vertex) solutions are expected up to about 20
-    documents.
+    relevance.
+
+    The LP is solved exactly, without an LP solver.  With ``w`` the
+    normalized gains and ``a`` the ``group_rows`` row scaled to shares, it
+    maximizes ``w @ P @ v - lam * xi`` subject to ``a @ P @ v <= xi``.  For
+    a multiplier ``mu`` in ``[0, lam]`` the inner maximum over doubly
+    stochastic ``P`` is, by the rearrangement inequality, a descending sort
+    of ``w - mu * a``, so the dual is convex and piecewise linear in ``mu``
+    with knots where two entries swap.  Each segment between knots takes
+    its ordering from its midpoint.  The optimum is the first segment's
+    ordering when it meets the constraint, the last segment's with a
+    positive slack when none does, and otherwise the mixture of the two
+    orderings next to the sign change of the constraint that meets it
+    exactly.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lam must be finite and >= 0")
     r_hat = np.asarray(estimated_relevances, dtype=float)
+    if not np.isfinite(r_hat).all():
+        raise ValueError("estimated relevances must be finite")
     n = r_hat.shape[0]
     merit = merit or MeritFunction()
 
-    u = gains(r_hat)
     v = position_bias_vector(n)
     scale = ideal_dcg(r_hat)
-    if scale <= 0.0:
-        scale = 1.0
-
-    num_vars = n * n + 1  # P row-major, then xi
-    c = np.zeros(num_vars)
-    c[:n * n] = -np.outer(u / scale, v).ravel()
-    c[-1] = lam
-
-    A_eq = np.zeros((2 * n, num_vars))
-    for i in range(n):
-        A_eq[i, i * n:(i + 1) * n] = 1.0          # row sums
-        A_eq[n + i, i::n][:n] = 1.0               # column sums
-    b_eq = np.ones(2 * n)
-
-    A_ub = None
-    b_ub = None
+    w = gains(r_hat) / (scale if scale > 0.0 else 1.0)
+    a = np.zeros(n)
     if groups is not None and lam > 0.0:
         g = np.asarray(groups)
         merits = merit(np.maximum(r_hat, 0.0))
@@ -222,46 +202,50 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
         if len(rows):
             # Dimensionless form: each group's share of the total exposure
             # budget divided by its share of total merit.
-            # (share ratio of higher-merit group) - (other) <= xi
             share = (float(merits[g == 0].sum())
                      + float(merits[g == 1].sum())) / float(v.sum())
-            A_ub = np.zeros((1, num_vars))
-            A_ub[0, :n * n] = np.outer(share * rows[0], v).ravel()
-            A_ub[0, -1] = -1.0
-            b_ub = np.zeros(1)
+            a = share * rows[0]
 
-    bounds = [(0.0, 1.0)] * (n * n) + [(0.0, None)]
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                           bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    P = DoublyStochasticMatrix(res.x[:n * n].reshape(n, n))
-    xi = float(res.x[-1]) if A_ub is not None else 0.0
-    return FairLPResult(matrix=P, xi=xi, objective=float(-res.fun))
+    i, j = np.triu_indices(n, 1)
+    cross = a[i] != a[j]
+    knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
+    inside = np.unique(knots[(knots > 0.0) & (knots < lam)])
+    bounds = np.concatenate(([0.0], inside, [lam]))
+    mids = (bounds[:-1] + bounds[1:]) / 2.0
+    orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")
+    per_order = ranking_exposures(orders)
+    utility = per_order @ w
+    gap = per_order @ a
+
+    fair = np.flatnonzero(gap <= 0.0)
+    if len(fair) == 0:
+        pick, weights, xi = [-1], [1.0], float(gap[-1])
+    elif fair[0] == 0 or gap[fair[0]] == 0.0:
+        pick, weights, xi = [fair[0]], [1.0], 0.0
+    else:
+        k = fair[0]
+        theta = gap[k] / (gap[k] - gap[k - 1])
+        pick, weights, xi = [k - 1, k], [theta, 1.0 - theta], 0.0
+    weights = np.array(weights)
+    return FairLPResult(orders=orders[pick], weights=weights, xi=xi,
+                        objective=float(weights @ utility[pick]) - lam * xi,
+                        exposures=weights @ per_order[pick])
 
 
-@dataclass
-class MatrixEval:
-    ndcg: float
-    disparity: float
-
-
-def evaluate_stochastic_matrix(matrix: DoublyStochasticMatrix,
-                               relevances: np.ndarray,
-                               groups: np.ndarray | None,
-                               merit: MeritFunction | None = None) -> MatrixEval:
-    """Expected NDCG and group disparity of a stochastic placement under the
-    true relevances."""
+def evaluate_exposures(exposures: np.ndarray, relevances: np.ndarray,
+                       groups: np.ndarray | None,
+                       merit: MeritFunction | None = None
+                       ) -> tuple[float, float]:
+    """Expected NDCG and group disparity of an expected exposure vector
+    under the true relevances."""
     merit = merit or MeritFunction()
     rels = np.asarray(relevances, dtype=float)
-    exposures = matrix.exposures()
     ideal = ideal_dcg(rels)
-    expected_dcg = float(gains(rels) @ exposures)
-    score = expected_dcg / ideal if ideal > 0.0 else 0.0
+    score = float(gains(rels) @ exposures) / ideal if ideal > 0.0 else 0.0
     disp = 0.0
     if groups is not None:
         disp = group_disparity(exposures, merit(rels), np.asarray(groups))
-    return MatrixEval(ndcg=score, disparity=disp)
+    return score, disp
 
 
 # ---------------------------------------------------------------------------

@@ -568,8 +568,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     grid = baselines.lp_lambda_grid if method == "lp" else baselines.top1_lambda_grid
     lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
                if opts["lambdas"] else grid())
-    if any(lam < 0.0 for lam in lambdas):
-        raise CliError(f"penalty weights must be >= 0, got {opts['lambdas']}")
+    if not all(0.0 <= lam < np.inf for lam in lambdas):
+        raise CliError(f"penalty weights must be finite and >= 0, "
+                       f"got {opts['lambdas']}")
     train_set = load_dataset_auto(args.train)
     splits = [("train", train_set)]
     if args.test:
@@ -611,16 +612,12 @@ def _run_lp_baseline(train_set, splits, lambdas, merit):
             per_ndcg, per_disp = [], []
             for query in dataset:
                 estimates = regression.scores(query.feature_matrix)
-                try:
-                    result = baselines.solve_fair_lp(estimates, query.groups,
-                                                     lam, merit)
-                except RuntimeError as exc:
-                    raise CliError(f"LP failed on query {query.qid!r}: {exc}"
-                                   ) from None
-                ev = baselines.evaluate_stochastic_matrix(
-                    result.matrix, query.relevances, query.groups, merit)
-                per_ndcg.append(ev.ndcg)
-                per_disp.append(ev.disparity)
+                result = baselines.solve_fair_lp(estimates, query.groups,
+                                                 lam, merit)
+                ndcg, disparity = baselines.evaluate_exposures(
+                    result.exposures, query.relevances, query.groups, merit)
+                per_ndcg.append(ndcg)
+                per_disp.append(disparity)
                 if split_name == "train":
                     xis.append(result.xi)
             rows.append([lam, None, split_name, float(np.mean(per_ndcg)),

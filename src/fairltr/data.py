@@ -4,16 +4,17 @@ The on-disk format is LETOR-style text: one document per line,
 
     <relevance> qid:<qid> <fid>:<value> ... [# comment]
 
-with 1-based feature ids.  Group membership (binary, 0 or 1) lives in a
-sidecar file holding one 0/1 token per document in dataset order.  Floats
-are written with 17 significant digits so that parse -> write -> parse is
-bit exact.
+with 1-based feature ids; relevances and feature values must be finite.
+Group membership (binary, 0 or 1) lives in a sidecar file holding one 0/1
+token per document in dataset order.  Floats are written with 17
+significant digits so that parse -> write -> parse is bit exact.
 
 Datasets are immutable after construction; every transformation returns a
 new dataset.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -132,7 +133,9 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
         try:
             rel = float(tokens[0])
         except ValueError:
-            raise ParseError(f"line {lineno}: bad relevance {tokens[0]!r}") from None
+            rel = math.nan
+        if not math.isfinite(rel):
+            raise ParseError(f"line {lineno}: bad relevance {tokens[0]!r}")
         if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
             raise ParseError(f"line {lineno}: expected qid:<id>, got {tokens[1]!r}")
         qid = tokens[1][4:]
@@ -147,7 +150,9 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
                 fid = int(fid_s)
                 val = float(val_s)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad feature {tok!r}") from None
+                val = math.nan
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: bad feature {tok!r}")
             if fid < 1:
                 raise ParseError(f"line {lineno}: feature ids are 1-based, got {fid}")
             if fid in feats:
@@ -309,6 +314,8 @@ def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
         if group not in (0, 1, None):
             raise DataError(f"record {idx}: group must be 0, 1, or None")
         feats.append(np.asarray(f, dtype=float))
+        if not np.isfinite(feats[-1]).all():
+            raise DataError(f"record {idx}: feature values must be finite")
         labels.append(int(label))
         groups.append(group)
     if not feats:

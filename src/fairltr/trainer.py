@@ -64,6 +64,9 @@ class TrainConfig:
         for name in ("sample_size", "epochs", "hidden_units", "eval_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lam", "gamma", "learning_rate"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:

@@ -384,9 +384,9 @@ def test_lp_baseline_slack_and_disparity_floor(capsys, sim_split, sweep_outcome)
         for query in train_set:
             estimates = regression.scores(query.feature_matrix)
             result = baselines.solve_fair_lp(estimates, query.groups, lam, merit)
-            ev = baselines.evaluate_stochastic_matrix(
-                result.matrix, query.relevances, query.groups, merit)
-            per_query.append(ev.disparity)
+            _, disparity = baselines.evaluate_exposures(
+                result.exposures, query.relevances, query.groups, merit)
+            per_query.append(disparity)
         grid_disparity.append(float(np.mean(per_query)))
     lp_floor = min(grid_disparity)
     sweep_best = min(sweep_outcome[l]["disparity"]

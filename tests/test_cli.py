@@ -108,6 +108,10 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["sweep", "--config", "RMSPROP"],
     ["train", "--disparity", "group", "--eval-samples", 0],
     ["train", "--model", "mlp1", "--hidden", 0],
+    ["train", "--disparity", "group", "--lambda=-5"],
+    ["train", "--gamma=-3"],
+    ["train", "--lr=-1"],
+    ["sweep", "--disparity", "group", "--lambdas=0,-5"],
     ["baseline", "--merit", "cube"],
     ["baseline", "--lambdas=-1"],
     ["baseline", "--method", "top1", "--lambdas=0,-1"],
@@ -128,6 +132,28 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     assert run([*argv, *inputs, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("bad", ["relevance", "feature"])
+def test_non_finite_input_is_a_clean_error(tmp_path, dataset_dir, capsys,
+                                           command, bad):
+    lines = (dataset_dir / "data.letor").read_text().splitlines()
+    rel, qid, first, *rest = lines[2].split()
+    if bad == "relevance":
+        lines[2] = " ".join(["nan", qid, first, *rest])
+    else:
+        lines[2] = " ".join([rel, qid, first.split(":")[0] + ":inf", *rest])
+    letor = tmp_path / "bad.letor"
+    letor.write_text("\n".join(lines) + "\n")
+    (tmp_path / "bad.groups").write_bytes(
+        (dataset_dir / "data.groups").read_bytes())
+    out = tmp_path / "out"
+    assert run([command, "--train", letor, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {letor}: line 3: bad {bad}")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

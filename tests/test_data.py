@@ -53,6 +53,10 @@ def test_parse_letor_accepts_file_objects():
     "1 qid:1 1:1.0 1:2.0\n",        # duplicate feature id
     "x qid:1 1:1.0\n",              # bad relevance
     "1 1:1.0\n",                    # missing qid
+    "nan qid:1 1:1.0\n",            # non-finite relevance
+    "-inf qid:1 1:1.0\n",
+    "1 qid:1 1:inf\n",              # non-finite feature
+    "1 qid:1 1:1.0 2:NaN\n",
 ])
 def test_parse_letor_rejects_malformed(text):
     with pytest.raises(data.ParseError):
@@ -166,6 +170,14 @@ def test_convert_binary_table_needs_both_classes():
 def test_convert_binary_table_rejects_bad_labels():
     records = [(np.zeros(2), 2, 0)] + [(np.zeros(2), 0, 0)] * 20
     with pytest.raises(data.DataError):
+        data.convert_binary_table(records, num_queries=1, candidate_size=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convert_binary_table_rejects_non_finite_features(bad):
+    records = [(np.zeros(2), 1, 0)] * 5 + [(np.zeros(2), 0, 1)] * 20
+    records[3] = (np.array([1.0, bad]), 1, 0)
+    with pytest.raises(data.DataError, match="record 3"):
         data.convert_binary_table(records, num_queries=1, candidate_size=4)
 
 

@@ -28,6 +28,14 @@ def test_config_requires_disparity_when_penalized():
     base_config(lam=1.0, disparity=fairness.DisparityConfig.parse("group"))
 
 
+@pytest.mark.parametrize("field", ["lam", "gamma", "learning_rate"])
+def test_config_refuses_a_negative_weight_or_rate(field):
+    group = fairness.DisparityConfig.parse("group")
+    with pytest.raises(ValueError, match=field):
+        base_config(disparity=group, **{field: -1.0})
+    base_config(disparity=group, **{field: 0.0})
+
+
 def test_config_echo_round_trips_core_fields():
     cfg = base_config(lam=2.0, disparity=fairness.DisparityConfig.parse("group", "sqrt"))
     echo = cfg.echo()
