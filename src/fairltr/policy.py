@@ -1,19 +1,23 @@
 """Plackett-Luce ranking policies over document scores.
 
-A score vector ``s`` induces a distribution over rankings that is sampled
-position by position: the document at the next position is drawn from a
-softmax over the scores of the documents not yet placed.  The probability of
-a full ranking ``r`` is the product of those stage probabilities,
+A score vector ``s`` induces a distribution over rankings in which the
+document at each next position is drawn from a softmax over the scores of
+the documents not yet placed.  The probability of a full ranking ``r`` is
+the product of those stage probabilities,
 
     pi(r | s) = prod_i exp(s[r_i]) / sum_{k >= i} exp(s[r_k]).
+
+Rankings are sampled by Gumbel-top-k: sorting ``s + G``, with ``G`` i.i.d.
+standard Gumbel noise, in descending order draws ``r`` with exactly this
+probability (Yellott 1977; Kool et al., ICML 2019, arXiv 1903.06059).
 
 Everything here works in score space.  The scoring models at the bottom of
 the module map features to scores and backpropagate score-space gradients to
 their parameters, which is all a policy-gradient trainer needs.
 
-Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax so
-that exp() stays comfortably inside float64 range; at trained scales the
-clamp is inactive.
+Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax or
+sampling so that exp() stays comfortably inside float64 range; at trained
+scales the clamp is inactive.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ SCORE_CLAMP = 50.0
 
 
 def clip_scores(scores: np.ndarray) -> np.ndarray:
-    """Safety clamp applied before every softmax stage."""
+    """Safety clamp applied before every softmax and Gumbel-top-k draw."""
     return np.clip(np.asarray(scores, dtype=float), -SCORE_CLAMP, SCORE_CLAMP)
 
 
@@ -61,28 +65,20 @@ def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` rankings by sequential softmax sampling.
+    """Draw ``size`` rankings, shape ``(size, n)``, by Gumbel-top-k.
 
-    Returns an integer array of shape ``(size, n)``.  At each stage one
-    uniform variate per sample selects a document from the softmax over the
-    not-yet-placed documents; placed documents get weight zero so indices
-    stay absolute.
+    For uniform ``u`` the ascending sort key ``log(-log u) - s`` is
+    ``-(s + G)`` with ``G`` standard Gumbel, written with one log fewer.  A
+    draw of exactly 0 gives the key +inf and puts that document last, which
+    is right to within 2**-53.
     """
     s = clip_scores(scores)
-    n = s.shape[0]
     if size < 1:
         raise ValueError("size must be >= 1")
-    weights = np.broadcast_to(np.exp(s - s.max()), (size, n)).copy()
-    orders = np.empty((size, n), dtype=np.intp)
-    rows = np.arange(size)
-    for stage in range(n):
-        cum = np.cumsum(weights, axis=1)
-        u = rng.random(size) * cum[:, -1]
-        # "<=" skips the zero-weight placed documents even when u == 0.
-        chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
-        orders[:, stage] = chosen
-        weights[rows, chosen] = 0.0
-    return orders
+    u = rng.random((size, s.shape[0]))
+    with np.errstate(divide="ignore"):
+        keys = np.log(-np.log(u)) - s
+    return np.argsort(keys, axis=1)
 
 
 def argmax_ranking(scores: np.ndarray) -> Ranking:
@@ -387,6 +383,8 @@ def load_model(path: str) -> ScoringModel:
         except ValueError:
             raise CheckpointError(
                 f"{path}: non-numeric value in {key!r} line") from None
+        if not np.isfinite(vec).all():
+            raise CheckpointError(f"{path}: non-finite value in {key!r} line")
         named.setdefault(key, []).append(vec)
 
     kind = fields.get("kind")

@@ -163,7 +163,11 @@ def test_non_finite_input_is_a_clean_error(tmp_path, dataset_dir, capsys,
     "kind mlp1\nfeature_dim 2\nhidden 2\nW 0.1 0.2\nW 0.3 0.4\n"
     "b_hidden 0.1\nw_out 0.5 0.6\nb_out 0\n",
     "kind linear\nfeature_dim 2\nbias 0\nw 0.1 \u00e9\n",
-], ids=["bias-line-missing", "non-numeric", "short-hidden-bias", "not-ascii"])
+    "kind linear\nfeature_dim 2\nbias 0\nw nan 1\n",
+    "kind mlp1\nfeature_dim 1\nhidden 1\nW 0.1\nb_hidden 0.1\nw_out 0.5\n"
+    "b_out -inf\n",
+], ids=["bias-line-missing", "non-numeric", "short-hidden-bias", "not-ascii",
+        "nan-weight", "infinite-bias"])
 def test_malformed_checkpoint_is_a_clean_error(tmp_path, dataset_dir, capsys,
                                                 text):
     checkpoint = tmp_path / "model.txt"
@@ -173,7 +177,9 @@ def test_malformed_checkpoint_is_a_clean_error(tmp_path, dataset_dir, capsys,
     out = tmp_path / "ev"
     assert run(["eval", "--checkpoint", checkpoint, "--data",
                 dataset_dir / "data.letor", "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Plackett-Luce policy: probabilities, sampling, gradients, models."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +87,10 @@ class ConstantDraws:
 @pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
 def test_sampler_edge_draws_yield_permutations(draw):
     scores = np.array([60.0, -60.0, 0.0, 60.0, -60.0, 1.5])
-    draws = policy.sample_rankings(scores, 3, ConstantDraws(draw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = policy.sample_rankings(scores, 3, ConstantDraws(draw))
+    assert draws.shape == (3, 6)
     for row in draws:
         assert sorted(row) == list(range(6))
 
@@ -102,6 +107,25 @@ def test_sampler_frequencies_match_exact_probabilities():
         freq = np.mean(keys == key)
         se = math.sqrt(p * (1.0 - p) / size)
         assert abs(freq - p) < 4.0 * se + 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["random", "tied", "clamped"])
+def test_sampled_position_marginals_match_subset_dp(n, kind):
+    rng = np.random.default_rng(10 * n + len(kind))
+    scores = {
+        "random": rng.normal(scale=1.5, size=n),
+        "tied": np.round(rng.normal(size=n)),
+        "clamped": np.array([60.0, -60.0, 0.0, 60.0, -60.0, 1.5])[:n],
+    }[kind]
+    size = 200_000
+    draws = policy.sample_rankings(scores, size, rng)
+    sampled = np.zeros((n, n))
+    np.add.at(sampled, (draws, np.broadcast_to(np.arange(n), draws.shape)), 1.0)
+    sampled /= size
+    exact = policy.position_marginals(scores)
+    se = np.sqrt(exact * (1.0 - exact) / size)
+    assert np.all(np.abs(sampled - exact) <= 4.0 * se + 1e-12)
 
 
 def test_argmax_ranking_is_modal_and_stable():
@@ -246,6 +270,17 @@ def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a checkpoint\n")
     with pytest.raises(policy.CheckpointError):
+        policy.load_model(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_model_names_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "model.txt"
+    path.write_text(f"fairltr-model 1\nkind linear\nfeature_dim 2\nbias 1\n"
+                    f"w 0.1 0.2\nb {value}\n")
+    with pytest.raises(policy.CheckpointError,
+                       match=f"^{re.escape(str(path))}: non-finite value "
+                             f"in 'b' line$"):
         policy.load_model(path)
 
 
