@@ -264,26 +264,25 @@ def train_top1_baseline(dataset: Dataset, lam: float,
     softmax probability.  Plain SGD, one step per query, shuffled passes.
     Per-step gradients are norm-clipped so the largest penalty weights
     (up to 10**6 on the sweep grid) descend stably instead of oscillating.
+    Each query's target profile and group weights are computed once,
+    before the first pass.
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
+    targets = [_top1_target(query.relevances) for query in dataset]
+    pickers = [_group_picker(query.groups) if lam > 0.0 else None
+               for query in dataset]
     rng = np.random.default_rng(seed)
     model = LinearModel(np.zeros(dataset.feature_dim), np.zeros(1))
     for _ in range(epochs):
         for qi in rng.permutation(len(dataset)):
-            query = dataset.queries[qi]
-            X = query.feature_matrix
+            X = dataset.queries[qi].feature_matrix
             scores = model.scores(X)
             z = np.exp(scores - scores.max())
             p = z / z.sum()
-            total = query.relevances.sum()
-            target = (query.relevances / total if total > 0.0
-                      else np.full(query.num_docs, 1.0 / query.num_docs))
-            score_grad = p - target
-            g = query.groups
-            if lam > 0.0 and g is not None and (g == 0).any() and (g == 1).any():
-                picker = np.where(g == 0, 1.0 / (g == 0).sum(),
-                                  -1.0 / (g == 1).sum())
+            score_grad = p - targets[qi]
+            picker = pickers[qi]
+            if picker is not None:
                 gap = float(picker @ p)
                 score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
             grads = model.backprop(X, score_grad)
@@ -293,6 +292,24 @@ def train_top1_baseline(dataset: Dataset, lam: float,
             model.weights -= learning_rate * grads[0]
             model.bias -= learning_rate * grads[1]
     return model
+
+
+def _top1_target(relevances: np.ndarray) -> np.ndarray:
+    """Normalized relevance profile, uniform when every relevance is zero."""
+    total = relevances.sum()
+    if total > 0.0:
+        return relevances / total
+    return np.full(relevances.shape[0], 1.0 / relevances.shape[0])
+
+
+def _group_picker(groups: np.ndarray | None) -> np.ndarray | None:
+    """Weights whose product with top-1 probabilities is the mean
+    probability of group 0 minus that of group 1; None unless both groups
+    are present."""
+    if groups is None or not ((groups == 0).any() and (groups == 1).any()):
+        return None
+    return np.where(groups == 0, 1.0 / (groups == 0).sum(),
+                    -1.0 / (groups == 1).sum())
 
 
 def top1_lambda_grid() -> list[float]:

@@ -431,15 +431,13 @@ def _summary_rows(record: trainer.RunRecord, splits: list[tuple[str, data.Datase
     rows = []
     for split_name, dataset in splits:
         ndcg_metric = fit_metric_to_dataset(ndcg_metric_like(config.metric), dataset)
+        err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
         summary = trainer.evaluate(record.model, dataset, ndcg_metric,
                                    config.disparity, config.eval_samples,
-                                   seed=config.seed)
-        err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-        err_summary = trainer.evaluate(record.model, dataset, err_metric, None,
-                                       config.eval_samples, seed=config.seed)
+                                   seed=config.seed, extra_metrics=[err_metric])
         rows.append([
             config.lam, config.seed, split_name, summary.mean_metric,
-            err_summary.mean_metric, summary.mean_disparity,
+            summary.extra_means[0], summary.mean_disparity,
             record.delta_lambda if split_name == "train" else None,
         ])
     return rows
@@ -691,22 +689,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
 
-    summary = trainer.evaluate(model, dataset, metric, disparity,
-                               opts["eval_samples"], seed=opts["seed"])
     err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-    err_summary = trainer.evaluate(model, dataset, err_metric, None,
-                                   opts["eval_samples"], seed=opts["seed"])
+    summary = trainer.evaluate(model, dataset, metric, disparity,
+                               opts["eval_samples"], seed=opts["seed"],
+                               extra_metrics=[err_metric])
+    mean_err = summary.extra_means[0]
     rows = []
     for i, query in enumerate(dataset):
         rows.append([query.qid, summary.metric_values[i],
-                     err_summary.metric_values[i],
+                     summary.extra_values[0][i],
                      summary.disparity_values[i] if disparity else None])
     write_csv(out / "report.csv", ["qid", str(metric), "err", "disparity"], rows)
     payload = {
         "checkpoint": args.checkpoint, "data": args.data,
         "metric": str(metric), "num_queries": len(dataset),
         "mean_metric": summary.mean_metric,
-        "mean_err": err_summary.mean_metric,
+        "mean_err": mean_err,
     }
     if disparity is not None:
         payload["disparity"] = disparity.kind
@@ -716,7 +714,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     disp = ("" if summary.mean_disparity is None
             else f", mean disparity {summary.mean_disparity:.5f}")
     print(f"mean {metric} {summary.mean_metric:.5f}, "
-          f"mean err {err_summary.mean_metric:.5f}{disp}; report in {out}")
+          f"mean err {mean_err:.5f}{disp}; report in {out}")
     return 0
 
 

@@ -5,10 +5,11 @@ attention its position receives, using the same logarithmic position-bias
 curve as the ranking metrics.  Fairness asks exposure to be proportional to
 merit, a non-negative monotone transform of relevance.
 
-The exposure of rankings is defined once, over an ``(S, n)`` block, by
-``ranking_exposures``; ``exposure_of_ranking`` validates one ranking and
-returns its block of one, and the Monte-Carlo estimate ``mc_exposure`` is
-the block's mean row.
+The exposure of rankings is defined once, over an ``(S, n)`` block or a
+``(Q, S, n)`` block of Q such batches, by ``ranking_exposures``;
+``exposure_of_ranking`` validates one ranking and returns its block of one,
+and the Monte-Carlo estimate ``mc_exposure`` is the mean row of each
+``(S, n)`` batch.
 
 Each disparity is defined once, as a matrix of hinge rows: linear functions
 of the expected exposure vector whose positive parts are the violations.
@@ -23,17 +24,20 @@ The disparity is ``hinge_mean(rows, exposures)``, the mean of
   is charged, and no row for a degenerate query.
 
 The trainer's Monte-Carlo gradient, the exact enumeration oracle and the LP
-baseline's constraint all derive from the same rows.  The hinge applies
+baseline's constraint all derive from the same rows.  ``DisparityConfig``
+builds a query's group row once and shares it read-only; individual rows
+(pairs x n, dense) are built per use.  The hinge applies
 after the expectation over rankings, so a stochastic policy can be exactly
 fair even though every single ranking is unfair.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import position_bias_vector
+from .metrics import QUERY_CACHE_SIZE, position_bias_vector
 from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
 from . import policy
 
@@ -72,14 +76,14 @@ class MeritFunction:
 
 
 def ranking_exposures(orders: np.ndarray) -> np.ndarray:
-    """Attention each document receives from each row of an ``(S, n)`` block
-    of rankings; the one definition of a ranking's exposure.  Rows are not
-    validated."""
+    """Attention each document receives from each ranking of a block of
+    shape ``(..., n)``, such as ``(S, n)`` or ``(Q, S, n)``; the one
+    definition of a ranking's exposure.  Rows are not validated."""
     orders = np.asarray(orders, dtype=np.intp)
-    size, n = orders.shape
-    values = np.empty((size, n))
-    values[np.arange(size)[:, None], orders] = position_bias_vector(n)
-    return values
+    flat = orders.reshape(-1, orders.shape[-1])
+    values = np.empty(flat.shape)
+    values[np.arange(len(flat))[:, None], flat] = position_bias_vector(flat.shape[1])
+    return values.reshape(orders.shape)
 
 
 def exposure_of_ranking(order: Ranking) -> np.ndarray:
@@ -134,8 +138,11 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
 
 def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
     """Mean per-document exposure over an ``(S, num_docs)`` batch of sampled
-    rankings."""
-    return ranking_exposures(orders).sum(axis=0) / len(orders)
+    rankings, or over each ``(S, num_docs)`` batch of a ``(Q, S, num_docs)``
+    block, giving ``(Q, num_docs)``; a block's rows are the means of its
+    batches taken one at a time, bit for bit."""
+    orders = np.asarray(orders)
+    return ranking_exposures(orders).sum(axis=-2) / orders.shape[-2]
 
 
 def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +214,15 @@ def group_disparity(exposures: np.ndarray, merits: np.ndarray,
     return hinge_mean(group_rows(merits, groups), exposures)
 
 
+@functools.lru_cache(maxsize=QUERY_CACHE_SIZE)
+def _query_group_rows(merit: MeritFunction, relevances: bytes, groups: bytes,
+                      group_dtype: str) -> np.ndarray:
+    rows = group_rows(merit(np.frombuffer(relevances)),
+                      np.frombuffer(groups, dtype=group_dtype))
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class DisparityConfig:
     """Which disparity to control and the merit transform feeding it."""
@@ -224,13 +240,18 @@ class DisparityConfig:
 
     def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> np.ndarray:
         """Hinge rows of this disparity for one query; a query without group
-        labels has no group rows."""
-        merits = self.merit(relevances)
+        labels has no group rows.
+
+        A query's group row is built once and then shared, read-only, by
+        every training step and evaluation of it.  Individual rows, one per
+        merit pair, are dense and built per use instead.
+        """
         if self.kind == "individual":
-            return individual_rows(merits)
+            return individual_rows(self.merit(relevances))
         if groups is None:
-            return np.zeros((0, merits.shape[0]))
-        return group_rows(merits, groups)
+            return np.zeros((0, self.merit(relevances).shape[0]))
+        rels, g = np.asarray(relevances, dtype=float), np.asarray(groups)
+        return _query_group_rows(self.merit, rels.tobytes(), g.tobytes(), g.dtype.str)
 
     def from_exposures(self, exposures: np.ndarray, relevances: np.ndarray,
                        groups: np.ndarray | None) -> float:

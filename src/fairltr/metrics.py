@@ -9,9 +9,15 @@ Each metric is defined once, over an ``(S, n)`` block of rankings, by
 ``UtilityMetric.batch_values``.  A call on one ranking (``value`` and the
 ``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
 ranking and returns its block of one.
+
+``position_bias_vector`` builds the vector of each length once and returns
+it read-only, and ``ideal_dcg`` computes a relevance vector's ideal DCG
+once per cutoff, so the training steps and evaluations of a query share
+both.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +34,18 @@ def position_bias(j: int) -> float:
     return float(1.0 / np.log2(1.0 + j))
 
 
+# Bound on the per-query constants (ideal DCG, group hinge rows) kept by
+# content; a split larger than this still evaluates right, only uncached.
+QUERY_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=None)
 def position_bias_vector(num_positions: int) -> np.ndarray:
-    return 1.0 / np.log2(1.0 + np.arange(1, num_positions + 1, dtype=float))
+    """``position_bias(j)`` for j = 1..num_positions, built once per length
+    and shared by every caller, so the array is read-only."""
+    bias = 1.0 / np.log2(1.0 + np.arange(1, num_positions + 1, dtype=float))
+    bias.flags.writeable = False
+    return bias
 
 
 def gains(relevances: np.ndarray) -> np.ndarray:
@@ -42,12 +58,19 @@ def dcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> fl
 
 
 def ideal_dcg(relevances: np.ndarray, cutoff: int | None = None) -> float:
+    """DCG of the best ranking at the cutoff, computed once per relevance
+    vector and cutoff: every training step and evaluation of a query
+    normalizes by the same value."""
     rels = np.asarray(relevances, dtype=float)
-    k = _effective_cutoff(cutoff, rels.shape[0])
+    return _ideal_dcg(rels.tobytes(), _effective_cutoff(cutoff, rels.shape[0]))
+
+
+@functools.lru_cache(maxsize=QUERY_CACHE_SIZE)
+def _ideal_dcg(relevances: bytes, k: int) -> float:
     # Contiguous copy so the dot product gives the same bits as the one-row
     # product of batch_values(); an ideally ordered ranking then scores
     # exactly 1.0 under ndcg.
-    top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
+    top = np.ascontiguousarray(np.sort(gains(np.frombuffer(relevances)))[::-1][:k])
     return float(top @ position_bias_vector(k))
 
 

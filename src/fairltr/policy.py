@@ -65,20 +65,30 @@ def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` rankings, shape ``(size, n)``, by Gumbel-top-k.
+    """Draw ``size`` rankings by Gumbel-top-k, shape ``(size, n)``.
+
+    ``scores`` may also be a ``(Q, n)`` block of Q score vectors: the result
+    is then ``(Q * size, n)``, the ``size`` rankings of each row in turn,
+    and equals Q calls on the rows one after another, drawn from ``rng`` in
+    the same order.
 
     For uniform ``u`` the ascending sort key ``log(-log u) - s`` is
-    ``-(s + G)`` with ``G`` standard Gumbel, written with one log fewer.  A
-    draw of exactly 0 gives the key +inf and puts that document last, which
-    is right to within 2**-53.
+    ``-(s + G)`` with ``G`` standard Gumbel, written with one log fewer and
+    computed in the buffer of the draws.  A draw of exactly 0 gives the key
+    +inf and puts that document last, which is right to within 2**-53.
     """
     s = clip_scores(scores)
     if size < 1:
         raise ValueError("size must be >= 1")
-    u = rng.random((size, s.shape[0]))
+    n = s.shape[-1]
+    blocks = s.reshape(-1, 1, n)
+    keys = rng.random((len(blocks), size, n))
     with np.errstate(divide="ignore"):
-        keys = np.log(-np.log(u)) - s
-    return np.argsort(keys, axis=1)
+        np.log(keys, out=keys)
+    np.negative(keys, out=keys)
+    np.log(keys, out=keys)
+    keys -= blocks
+    return np.argsort(keys.reshape(-1, n), axis=1)
 
 
 def argmax_ranking(scores: np.ndarray) -> Ranking:

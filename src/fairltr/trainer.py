@@ -14,20 +14,34 @@ Both disparities reach the trainer as the hinge rows of
 them: the hinge indicator of each row is estimated from the same
 Monte-Carlo sample as the expectation (its bias vanishes as the sample
 grows), and only the smooth inner expectation contributes gradient.
+
+Evaluation, after every epoch and for the selected model, is one pass per
+split (``_evaluate``).  Each query is scored once and its argmax ranking
+valued by every metric asked for.  Policy exposures are exact for small
+queries; each run of consecutive larger queries of equal size draws one
+Monte-Carlo block through ``policy.sample_rankings`` and reduces it with
+one ``mc_exposure`` call, with the same draws in the same order as one
+query at a time, so results are bit-identical to a per-query loop.  The
+per-query constants the pass and the training steps read (the position
+bias vector, ideal DCG, group hinge rows) are built once and shared
+read-only by ``metrics`` and ``fairness``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import policy
 from .data import Dataset, Query
 from .fairness import DisparityConfig, exposure_of_policy, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
 from .policy import PolicySample, ScoringModel, draw_policy_sample, init_model, \
     softmax_entropy
+from .ranking import ENUMERATION_LIMIT
 
 
 class TrainingError(RuntimeError):
@@ -190,36 +204,68 @@ def disparity_score_grad(sample: PolicySample, query: Query,
 @dataclass
 class EvalSummary:
     """Dataset-level evaluation of a model's deterministic ranking quality
-    and (optionally) its stochastic policy's disparity."""
+    and (optionally) its stochastic policy's disparity.
+
+    ``extra_values`` and ``extra_means`` hold one per-query list and one
+    mean per extra metric, in the order the metrics were given.
+    """
 
     metric_values: list[float]
     disparity_values: list[float] | None
     mean_metric: float
     mean_disparity: float | None
+    extra_values: list[list[float]] = field(default_factory=list)
+    extra_means: list[float] = field(default_factory=list)
 
 
 def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
               disparity: DisparityConfig | None, eval_samples: int,
-              rng: np.random.Generator | None) -> EvalSummary:
-    from .policy import argmax_ranking
-
-    metric_values = []
-    disparity_values = [] if disparity is not None else None
-    for query in dataset:
-        scores = model.scores(query.feature_matrix)
-        metric_values.append(metric.value(argmax_ranking(scores), query.relevances))
-        if disparity is not None:
-            exposures = exposure_of_policy(scores, mode="auto",
-                                           num_samples=eval_samples, rng=rng)
-            disparity_values.append(disparity.from_exposures(
-                exposures.values, query.relevances, query.groups))
+              rng: np.random.Generator,
+              extra_metrics: Sequence[UtilityMetric] = ()) -> EvalSummary:
+    """One pass over a split: each query is scored once, its argmax ranking
+    valued by every metric, and, with a disparity, the policy's exposures
+    come from ``_policy_exposures``."""
+    queries = dataset.queries
+    scores = [model.scores(q.feature_matrix) for q in queries]
+    orders = [policy.argmax_ranking(s) for s in scores]
+    columns = [[m.value(order, q.relevances) for order, q in zip(orders, queries)]
+               for m in (metric, *extra_metrics)]
+    disparity_values = None
+    if disparity is not None:
+        disparity_values = [
+            disparity.from_exposures(e, q.relevances, q.groups)
+            for e, q in zip(_policy_exposures(scores, eval_samples, rng), queries)]
+    means = [float(np.mean(values)) for values in columns]
     return EvalSummary(
-        metric_values=metric_values,
+        metric_values=columns[0],
         disparity_values=disparity_values,
-        mean_metric=float(np.mean(metric_values)),
+        mean_metric=means[0],
         mean_disparity=(None if disparity_values is None
                         else float(np.mean(disparity_values))),
+        extra_values=columns[1:],
+        extra_means=means[1:],
     )
+
+
+def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+    """Expected exposures of the policy at each score vector, in order.
+
+    Queries of at most ``ENUMERATION_LIMIT`` documents get exact exposures,
+    which draw nothing.  Each run of consecutive larger queries of equal
+    size takes one Monte-Carlo block of ``eval_samples`` rankings per query,
+    drawn in query order, so the estimates and the generator's state after
+    the pass equal those of one ``exposure_of_policy`` call per query.
+    """
+    exposures = []
+    for n, run in itertools.groupby(scores, key=len):
+        run = list(run)
+        if n <= ENUMERATION_LIMIT:
+            exposures.extend(exposure_of_policy(s, mode="exact").values for s in run)
+        else:
+            orders = policy.sample_rankings(np.stack(run), eval_samples, rng)
+            exposures.extend(mc_exposure(orders.reshape(len(run), eval_samples, n), n))
+    return exposures
 
 
 def _check_err_grade(metric: UtilityMetric,
@@ -250,21 +296,26 @@ def require_group_labels(disparity: DisparityConfig | None,
 
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
              disparity: DisparityConfig | None = None, eval_samples: int = 32,
-             seed: int = 0) -> EvalSummary:
+             seed: int = 0,
+             extra_metrics: Sequence[UtilityMetric] = ()) -> EvalSummary:
     """Mean metric over argmax rankings, plus mean policy disparity.
 
-    Disparity uses exact exposures for small candidate sets and seeded
-    Monte-Carlo exposures (``eval_samples`` rankings per query) otherwise.
-    Raises ``ValueError`` before any work if ``eval_samples`` is below 1, if
-    an ERR metric's grade ceiling is below the dataset's top relevance, or if
-    group disparity is asked of a dataset without group labels.
+    One pass scores each query once: ``metric`` and every one of
+    ``extra_metrics`` value the same argmax rankings.  Disparity uses exact
+    exposures for small candidate sets and seeded Monte-Carlo exposures
+    (``eval_samples`` rankings per query, drawn in blocks of consecutive
+    equal-size queries) otherwise.  Raises ``ValueError`` before any work if
+    ``eval_samples`` is below 1, if an ERR metric's grade ceiling is below
+    the dataset's top relevance, or if group disparity is asked of a dataset
+    without group labels.
     """
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
-    _check_err_grade(metric, [("evaluation", dataset)])
+    for each in (metric, *extra_metrics):
+        _check_err_grade(each, [("evaluation", dataset)])
     require_group_labels(disparity, [("evaluation", dataset)])
     return _evaluate(model, dataset, metric, disparity, eval_samples,
-                     np.random.default_rng(seed))
+                     np.random.default_rng(seed), extra_metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,21 @@ def test_disparity_config_parse_and_dispatch():
         fairness.DisparityConfig.parse("pairwise")
 
 
+def test_group_rows_are_built_once_per_query_and_read_only():
+    rels, groups = np.array([3.0, 1.0, 2.0]), np.array([0, 1, 1])
+    for merit in ("identity", "square"):
+        cfg = fairness.DisparityConfig.parse("group", merit)
+        rows = cfg.rows(rels, groups)
+        np.testing.assert_array_equal(
+            rows, fairness.group_rows(cfg.merit(rels), groups))
+        assert cfg.rows(rels.copy(), groups.copy()) is rows
+        assert not rows.flags.writeable
+    swapped = fairness.DisparityConfig.parse("group").rows(rels, 1 - groups)
+    np.testing.assert_array_equal(swapped, fairness.group_rows(rels, 1 - groups))
+    with pytest.raises(ValueError, match="non-negative"):
+        fairness.DisparityConfig.parse("group").rows(-rels, groups)
+
+
 def test_mc_exposure_counts_positions():
     orders = np.array([[0, 1], [1, 0], [0, 1], [0, 1]])
     got = fairness.mc_exposure(orders, 2)

@@ -287,3 +287,15 @@ def test_load_model_names_a_non_finite_value(tmp_path, value):
 def test_init_model_rejects_unknown_kind():
     with pytest.raises(ValueError):
         policy.init_model("forest", 3, np.random.default_rng(0))
+
+
+def test_sampling_a_score_block_equals_one_call_per_row():
+    """A ``(Q, n)`` block draws the rankings of its rows in turn, exactly as
+    Q calls would, and leaves the generator in the same state."""
+    scores = np.random.default_rng(5).normal(scale=2.0, size=(4, 7))
+    block_rng, row_rng = np.random.default_rng(6), np.random.default_rng(6)
+    block = policy.sample_rankings(scores, 9, block_rng)
+    rows = np.concatenate([policy.sample_rankings(s, 9, row_rng) for s in scores])
+    assert block.shape == (36, 7)
+    np.testing.assert_array_equal(block, rows)
+    assert block_rng.random() == row_rng.random()

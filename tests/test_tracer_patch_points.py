@@ -4,12 +4,16 @@
 rename in the package breaks only traced benchmark runs, so this test
 installs the tracer, checks the wrappers are in place, removes it, and
 checks every attribute is its original object again.  It runs no benchmark
-and writes no files.
+and writes no files.  The tracer's counters are checked against one
+evaluation pass, whose layers the benchmark reports.
 """
 import importlib.util
 from pathlib import Path
 
-from fairltr import fairness, metrics, policy, trainer
+import numpy as np
+import pytest
+
+from fairltr import data, fairness, metrics, policy, trainer
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,3 +48,30 @@ def test_tracer_install_and_remove_restore_every_patch_point():
         assert getattr(owner, attr) is original
     for (owner, attr), original in before.items():
         assert getattr(owner, attr) is original
+
+
+def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
+    """One evaluation is one ``trainer.evaluate`` call, and its Monte-Carlo
+    block of ``Q * S`` rankings counts as ``Q * S`` sampled rankings."""
+    queries, samples = 6, 12
+    dataset = data.generate_simulated(num_queries=queries, docs_per_query=10, seed=2)
+    model = policy.init_model("linear", dataset.feature_dim, np.random.default_rng(0))
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        trainer.evaluate(model, dataset, metrics.UtilityMetric.parse("ndcg@10"),
+                         fairness.DisparityConfig.parse("group"), samples)
+    finally:
+        tracer.remove()
+    counts = tracer.snapshot()
+    assert counts["trainer.evaluate.calls"] == 1
+    assert counts["policy.sample_rankings.rankings"] == queries * samples
+    assert counts["fairness.from_exposures.calls"] == queries
+
+
+def test_cached_position_bias_vector_is_read_only():
+    bias = metrics.position_bias_vector(10)
+    assert bias is metrics.position_bias_vector(10)
+    with pytest.raises(ValueError):
+        bias[0] = 2.0
+    assert bias[0] == 1.0

@@ -225,6 +225,85 @@ def test_evaluate_summarizes_per_query():
     assert np.array_equal(out.disparity_values, again.disparity_values)
 
 
+def ragged_split(sizes=(1, 5, 10, 10, 3, 12, 10, 8), seed=21):
+    """Queries of mixed sizes in a fixed order, group 0 holding each query's
+    most relevant documents; the second query is one-group and the sixth
+    has all-zero relevance."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for qi, n in enumerate(sizes):
+        rels = rng.integers(2, 5, size=n).astype(float)
+        groups = (rels < rels.max()).astype(int)
+        if qi == 1:
+            groups[:] = 0
+        if qi == 5:
+            rels[:] = 0.0
+        # Scores that favour group 0 and relevance make the policy unfair.
+        docs = [data.Document(np.array([g == 0, rel, 0.0]) + rng.normal(size=3),
+                              rel, int(g)) for rel, g in zip(rels, groups)]
+        queries.append(data.Query(f"q{qi}", docs))
+    return data.Dataset(queries, feature_dim=3)
+
+
+def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
+    """Reference: the evaluation loop before the block pass, one query at a
+    time, each with its own exposure estimate."""
+    metric_values, disparity_values = [], []
+    for query in dataset:
+        scores = model.scores(query.feature_matrix)
+        metric_values.append(metric.value(policy.argmax_ranking(scores),
+                                          query.relevances))
+        exposures = fairness.exposure_of_policy(scores, mode="auto",
+                                                num_samples=eval_samples, rng=rng)
+        disparity_values.append(disparity.from_exposures(
+            exposures.values, query.relevances, query.groups))
+    return metric_values, disparity_values
+
+
+@pytest.mark.parametrize("kind", ["group", "individual"])
+def test_block_evaluation_matches_per_query_reference_on_a_ragged_split(kind):
+    """Runs of consecutive equal-size queries share one Monte-Carlo block;
+    every value and the generator's state after the pass are those of the
+    per-query loop, bit for bit."""
+    ds = ragged_split()
+    model = policy.LinearModel(np.array([2.0, 1.0, 0.3]))
+    disparity = fairness.DisparityConfig.parse(kind)
+    ndcg5, err = metrics.UtilityMetric.parse("ndcg@5"), metrics.UtilityMetric("err")
+    block_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = trainer._evaluate(model, ds, ndcg5, disparity, 16, block_rng,
+                            extra_metrics=[err])
+    want_ndcg, want_disparity = per_query_evaluation(model, ds, ndcg5, disparity,
+                                                     16, reference_rng)
+    want_err = [err.value(policy.argmax_ranking(model.scores(q.feature_matrix)),
+                          q.relevances) for q in ds]
+    assert got.metric_values == want_ndcg
+    assert got.extra_values == [want_err]
+    assert got.disparity_values == want_disparity
+    assert block_rng.random() == reference_rng.random()
+    assert got.mean_metric == float(np.mean(want_ndcg))
+    assert got.extra_means == [float(np.mean(want_err))]
+    assert got.mean_disparity == float(np.mean(want_disparity))
+    assert got.metric_values[5] == got.extra_values[0][5] == 0.0
+    assert min(got.disparity_values) >= 0.0 and max(got.disparity_values) > 0.0
+
+
+def test_extra_metrics_equal_separate_evaluations():
+    ds = small_dataset(seed=8, docs=9)
+    model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
+    group = fairness.DisparityConfig.parse("group")
+    ndcg = metrics.UtilityMetric("ndcg")
+    err = metrics.UtilityMetric("err", err_max_grade=5.0)
+    both = trainer.evaluate(model, ds, ndcg, group, 8, seed=4, extra_metrics=[err])
+    alone = trainer.evaluate(model, ds, ndcg, group, 8, seed=4)
+    err_only = trainer.evaluate(model, ds, err, None, 8, seed=4)
+    assert both.metric_values == alone.metric_values
+    assert both.disparity_values == alone.disparity_values
+    assert both.extra_values == [err_only.metric_values]
+    assert both.extra_means == [err_only.mean_metric]
+    with pytest.raises(ValueError, match="err_max_grade"):
+        trainer.evaluate(model, ds, ndcg, extra_metrics=[metrics.UtilityMetric("err")])
+
+
 def test_early_stopping_respects_patience():
     ds = small_dataset(seed=9)
     tr, va = data.split_dataset(ds, 0.8, seed=0)
