@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class Query:
 
     Feature matrix, relevance vector, and group vector are materialized at
     construction and shared by reference afterwards; treat them as
-    read-only.
+    read-only.  Arrays derived from them, such as a disparity's hinge rows,
+    are kept with the query by ``derived``.
     """
 
     def __init__(self, qid: str, docs: Sequence[Document]):
@@ -59,6 +60,17 @@ class Query:
             raise DataError(f"query {qid!r} mixes grouped and ungrouped documents")
         self.groups = (np.array([d.group for d in self.docs], dtype=np.intp)
                        if all(with_group) else None)
+        self._derived: dict[Hashable, np.ndarray] = {}
+
+    def derived(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The array ``build()`` made on the first call with ``key``, kept
+        with this query and returned read-only on every later call."""
+        value = self._derived.get(key)
+        if value is None:
+            value = build()
+            value.flags.writeable = False
+            self._derived[key] = value
+        return value
 
     @property
     def num_docs(self) -> int:

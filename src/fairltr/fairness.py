@@ -25,19 +25,19 @@ The disparity is ``hinge_mean(rows, exposures)``, the mean of
 
 The trainer's Monte-Carlo gradient, the exact enumeration oracle and the LP
 baseline's constraint all derive from the same rows.  ``DisparityConfig``
-builds a query's group row once and shares it read-only; individual rows
-(pairs x n, dense) are built per use.  The hinge applies
-after the expectation over rankings, so a stochastic policy can be exactly
-fair even though every single ranking is unfair.
+builds a dataset query's group row once and keeps it with the query,
+read-only; individual rows (pairs x n, dense) are built per use.  The hinge
+applies after the expectation over rankings, so a stochastic policy can be
+exactly fair even though every single ranking is unfair.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import QUERY_CACHE_SIZE, position_bias_vector
+from .data import Query
+from .metrics import position_bias_vector
 from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
 from . import policy
 
@@ -98,6 +98,8 @@ class ExposureVector:
 
     ``mode`` is ``"exact"`` (position marginals from the placed-subset DP)
     or ``"mc"``; ``num_samples`` is set for Monte-Carlo estimates only.
+    ``values`` is ``(n,)``, or ``(Q, n)`` for a Monte-Carlo block of Q score
+    vectors.
     """
 
     values: np.ndarray
@@ -116,15 +118,23 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
     above ``ENUMERATION_LIMIT`` documents.  ``mode="mc"`` averages over
     sampled rankings, and ``mode="auto"`` picks exact mode exactly when
     ``n <= ENUMERATION_LIMIT``.
+
+    In Monte-Carlo mode ``scores`` may also be a ``(Q, n)`` block of Q score
+    vectors: ``values`` is then ``(Q, n)``, drawn by one
+    ``policy.sample_rankings`` call and reduced by one ``mc_exposure`` call,
+    and equals Q calls on the rows one after another with the same ``rng``,
+    bit for bit.  Exact mode takes one score vector.
     """
     s = np.asarray(scores, dtype=float)
-    n = s.shape[0]
+    n = s.shape[-1]
     if mode == "auto":
         mode = "exact" if n <= ENUMERATION_LIMIT else "mc"
     if mode == "exact":
         if n > ENUMERATION_LIMIT:
             raise ValueError(
                 f"exact exposure limited to {ENUMERATION_LIMIT} docs, got {n}")
+        if s.ndim != 1:
+            raise ValueError("exact exposure takes one score vector")
         values = policy.position_marginals(s) @ position_bias_vector(n)
         return ExposureVector(values=values, mode="exact")
     if mode != "mc":
@@ -132,8 +142,8 @@ def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
     if rng is None:
         rng = np.random.default_rng(0)
     orders = policy.sample_rankings(s, num_samples, rng)
-    return ExposureVector(values=mc_exposure(orders, n), mode="mc",
-                          num_samples=num_samples)
+    values = mc_exposure(orders.reshape(*s.shape[:-1], num_samples, n), n)
+    return ExposureVector(values=values, mode="mc", num_samples=num_samples)
 
 
 def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
@@ -214,15 +224,6 @@ def group_disparity(exposures: np.ndarray, merits: np.ndarray,
     return hinge_mean(group_rows(merits, groups), exposures)
 
 
-@functools.lru_cache(maxsize=QUERY_CACHE_SIZE)
-def _query_group_rows(merit: MeritFunction, relevances: bytes, groups: bytes,
-                      group_dtype: str) -> np.ndarray:
-    rows = group_rows(merit(np.frombuffer(relevances)),
-                      np.frombuffer(groups, dtype=group_dtype))
-    rows.flags.writeable = False
-    return rows
-
-
 @dataclass(frozen=True)
 class DisparityConfig:
     """Which disparity to control and the merit transform feeding it."""
@@ -240,20 +241,24 @@ class DisparityConfig:
 
     def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> np.ndarray:
         """Hinge rows of this disparity for one query; a query without group
-        labels has no group rows.
-
-        A query's group row is built once and then shared, read-only, by
-        every training step and evaluation of it.  Individual rows, one per
-        merit pair, are dense and built per use instead.
-        """
+        labels has no group rows."""
+        merits = self.merit(relevances)
         if self.kind == "individual":
-            return individual_rows(self.merit(relevances))
+            return individual_rows(merits)
         if groups is None:
-            return np.zeros((0, self.merit(relevances).shape[0]))
-        rels, g = np.asarray(relevances, dtype=float), np.asarray(groups)
-        return _query_group_rows(self.merit, rels.tobytes(), g.tobytes(), g.dtype.str)
+            return np.zeros((0, merits.shape[0]))
+        return group_rows(merits, groups)
 
-    def from_exposures(self, exposures: np.ndarray, relevances: np.ndarray,
-                       groups: np.ndarray | None) -> float:
+    def query_rows(self, query: Query) -> np.ndarray:
+        """``rows`` of a dataset query.  Its group row is built on first use
+        and kept with the query, read-only, for every later training step
+        and evaluation; individual rows, one per merit pair, are dense and
+        built per use instead."""
+        if self.kind == "individual":
+            return self.rows(query.relevances, query.groups)
+        return query.derived(("rows", self),
+                             lambda: self.rows(query.relevances, query.groups))
+
+    def from_exposures(self, exposures: np.ndarray, query: Query) -> float:
         """Disparity of an exposure vector for one query."""
-        return hinge_mean(self.rows(relevances, groups), exposures)
+        return hinge_mean(self.query_rows(query), exposures)

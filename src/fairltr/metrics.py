@@ -11,9 +11,7 @@ Each metric is defined once, over an ``(S, n)`` block of rankings, by
 ranking and returns its block of one.
 
 ``position_bias_vector`` builds the vector of each length once and returns
-it read-only, and ``ideal_dcg`` computes a relevance vector's ideal DCG
-once per cutoff, so the training steps and evaluations of a query share
-both.
+it read-only, so every ranking of that length shares it.
 """
 from __future__ import annotations
 
@@ -32,11 +30,6 @@ def position_bias(j: int) -> float:
     if j < 1:
         raise ValueError(f"position must be >= 1, got {j}")
     return float(1.0 / np.log2(1.0 + j))
-
-
-# Bound on the per-query constants (ideal DCG, group hinge rows) kept by
-# content; a split larger than this still evaluates right, only uncached.
-QUERY_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,19 +51,12 @@ def dcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> fl
 
 
 def ideal_dcg(relevances: np.ndarray, cutoff: int | None = None) -> float:
-    """DCG of the best ranking at the cutoff, computed once per relevance
-    vector and cutoff: every training step and evaluation of a query
-    normalizes by the same value."""
     rels = np.asarray(relevances, dtype=float)
-    return _ideal_dcg(rels.tobytes(), _effective_cutoff(cutoff, rels.shape[0]))
-
-
-@functools.lru_cache(maxsize=QUERY_CACHE_SIZE)
-def _ideal_dcg(relevances: bytes, k: int) -> float:
+    k = _effective_cutoff(cutoff, rels.shape[0])
     # Contiguous copy so the dot product gives the same bits as the one-row
     # product of batch_values(); an ideally ordered ranking then scores
     # exactly 1.0 under ndcg.
-    top = np.ascontiguousarray(np.sort(gains(np.frombuffer(relevances)))[::-1][:k])
+    top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
     return float(top @ position_bias_vector(k))
 
 

@@ -17,14 +17,15 @@ grows), and only the smooth inner expectation contributes gradient.
 
 Evaluation, after every epoch and for the selected model, is one pass per
 split (``_evaluate``).  Each query is scored once and its argmax ranking
-valued by every metric asked for.  Policy exposures are exact for small
-queries; each run of consecutive larger queries of equal size draws one
-Monte-Carlo block through ``policy.sample_rankings`` and reduces it with
-one ``mc_exposure`` call, with the same draws in the same order as one
-query at a time, so results are bit-identical to a per-query loop.  The
-per-query constants the pass and the training steps read (the position
-bias vector, ideal DCG, group hinge rows) are built once and shared
-read-only by ``metrics`` and ``fairness``.
+valued by every metric asked for.  Policy exposures come from
+``exposure_of_policy``: exact, one query at a time, for small queries;
+for each run of consecutive larger queries of equal size, one Monte-Carlo
+call per block of the run, which draws through ``policy.sample_rankings``
+and reduces with ``mc_exposure``.  The draws come in the same order as one
+query at a time, so results are bit-identical to a per-query loop, and a
+block holds at most ``EVAL_BLOCK_DRAWS`` draws, so memory does not grow
+with the split.  The position bias vector of each length and each query's
+group hinge row are built once and shared read-only.
 """
 from __future__ import annotations
 
@@ -193,7 +194,7 @@ def hinge_score_grad(sample: PolicySample, rows: np.ndarray) -> np.ndarray:
 
 def disparity_score_grad(sample: PolicySample, query: Query,
                          disparity: DisparityConfig) -> np.ndarray:
-    return hinge_score_grad(sample, disparity.rows(query.relevances, query.groups))
+    return hinge_score_grad(sample, disparity.query_rows(query))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     disparity_values = None
     if disparity is not None:
         disparity_values = [
-            disparity.from_exposures(e, q.relevances, q.groups)
+            disparity.from_exposures(e, q)
             for e, q in zip(_policy_exposures(scores, eval_samples, rng), queries)]
     means = [float(np.mean(values)) for values in columns]
     return EvalSummary(
@@ -247,24 +248,34 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     )
 
 
+# Most uniform draws one Monte-Carlo evaluation block takes at once: its
+# draws, its rankings and their exposures are about 1 MB each, however long
+# the run of equal-size queries.
+EVAL_BLOCK_DRAWS = 1 << 17
+
+
 def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
                       rng: np.random.Generator) -> list[np.ndarray]:
-    """Expected exposures of the policy at each score vector, in order.
+    """``exposure_of_policy`` in auto mode at each score vector, in order.
 
-    Queries of at most ``ENUMERATION_LIMIT`` documents get exact exposures,
-    which draw nothing.  Each run of consecutive larger queries of equal
-    size takes one Monte-Carlo block of ``eval_samples`` rankings per query,
-    drawn in query order, so the estimates and the generator's state after
-    the pass equal those of one ``exposure_of_policy`` call per query.
+    Exact exposures draw nothing and take one query per call.  Each run of
+    consecutive equal-size queries above ``ENUMERATION_LIMIT`` documents is
+    cut into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` draws hold
+    (at least one), and each block is one Monte-Carlo call of
+    ``eval_samples`` rankings per query, drawn in query order: the
+    estimates and the generator's state after the pass equal those of one
+    call per query.
     """
     exposures = []
     for n, run in itertools.groupby(scores, key=len):
         run = list(run)
-        if n <= ENUMERATION_LIMIT:
-            exposures.extend(exposure_of_policy(s, mode="exact").values for s in run)
-        else:
-            orders = policy.sample_rankings(np.stack(run), eval_samples, rng)
-            exposures.extend(mc_exposure(orders.reshape(len(run), eval_samples, n), n))
+        per_call = (1 if n <= ENUMERATION_LIMIT
+                    else max(1, EVAL_BLOCK_DRAWS // (eval_samples * n)))
+        for start in range(0, len(run), per_call):
+            block = run[start] if per_call == 1 else np.stack(run[start:start + per_call])
+            result = exposure_of_policy(block, mode="auto",
+                                        num_samples=eval_samples, rng=rng)
+            exposures.extend(np.atleast_2d(result.values))
     return exposures
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fairltr import fairness, metrics, policy
+from fairltr import data, fairness, metrics, policy
 from fairltr.ranking import all_rankings
 
 V2 = 0.6309297535714574    # position bias at rank 2
@@ -238,10 +238,11 @@ def test_disparity_config_parse_and_dispatch():
     assert cfg.kind == "individual" and cfg.merit.kind == "sqrt"
     expo = np.array([1.0, V2])
     rels = np.array([1.0, 1.0])
-    val = cfg.from_exposures(expo, rels, None)
+    query = data.Query("q", [data.Document(np.zeros(1), r) for r in rels])
+    val = cfg.from_exposures(expo, query)
     assert val == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     grp = fairness.DisparityConfig.parse("group")
-    assert grp.from_exposures(expo, rels, None) == 0.0    # no labels
+    assert grp.from_exposures(expo, query) == 0.0    # no labels
     assert grp.rows(rels, None).shape == (0, 2)
     np.testing.assert_array_equal(cfg.rows(rels, None),
                                   fairness.individual_rows(np.ones(2)))
@@ -249,19 +250,46 @@ def test_disparity_config_parse_and_dispatch():
         fairness.DisparityConfig.parse("pairwise")
 
 
-def test_group_rows_are_built_once_per_query_and_read_only():
+def test_group_rows_are_kept_with_each_query_and_read_only():
     rels, groups = np.array([3.0, 1.0, 2.0]), np.array([0, 1, 1])
+
+    def make_query():
+        return data.Query("q", [data.Document(np.zeros(1), r, int(g))
+                                for r, g in zip(rels, groups)])
+
+    query = make_query()
     for merit in ("identity", "square"):
         cfg = fairness.DisparityConfig.parse("group", merit)
-        rows = cfg.rows(rels, groups)
+        rows = cfg.query_rows(query)
+        np.testing.assert_array_equal(rows, cfg.rows(rels, groups))
         np.testing.assert_array_equal(
             rows, fairness.group_rows(cfg.merit(rels), groups))
-        assert cfg.rows(rels.copy(), groups.copy()) is rows
+        assert cfg.query_rows(query) is rows
         assert not rows.flags.writeable
+    twin = make_query()
+    assert cfg.query_rows(twin) is not cfg.query_rows(query)
+    individual = fairness.DisparityConfig.parse("individual")
+    assert individual.query_rows(query) is not individual.query_rows(query)
     swapped = fairness.DisparityConfig.parse("group").rows(rels, 1 - groups)
     np.testing.assert_array_equal(swapped, fairness.group_rows(rels, 1 - groups))
     with pytest.raises(ValueError, match="non-negative"):
         fairness.DisparityConfig.parse("group").rows(-rels, groups)
+
+
+def test_exposure_of_a_score_block_equals_one_call_per_row():
+    """A ``(Q, n)`` block in Monte-Carlo mode is one sampler call whose
+    estimates and generator state are those of Q calls on the rows."""
+    scores = np.random.default_rng(4).normal(size=(5, 9))
+    block_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+    block = fairness.exposure_of_policy(scores, mode="auto", num_samples=11,
+                                        rng=block_rng)
+    rows = [fairness.exposure_of_policy(s, mode="auto", num_samples=11,
+                                        rng=row_rng).values for s in scores]
+    assert block.mode == "mc" and block.values.shape == (5, 9)
+    np.testing.assert_array_equal(block.values, np.array(rows))
+    assert block_rng.random() == row_rng.random()
+    with pytest.raises(ValueError, match="one score vector"):
+        fairness.exposure_of_policy(scores[:, :4], mode="auto")
 
 
 def test_mc_exposure_counts_positions():

@@ -65,6 +65,8 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
         tracer.remove()
     counts = tracer.snapshot()
     assert counts["trainer.evaluate.calls"] == 1
+    assert counts["fairness.exposure_mc.calls"] == 1
+    assert counts["policy.sample_rankings.calls"] == 1
     assert counts["policy.sample_rankings.rankings"] == queries * samples
     assert counts["fairness.from_exposures.calls"] == queries
 

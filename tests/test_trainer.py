@@ -255,8 +255,7 @@ def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
                                           query.relevances))
         exposures = fairness.exposure_of_policy(scores, mode="auto",
                                                 num_samples=eval_samples, rng=rng)
-        disparity_values.append(disparity.from_exposures(
-            exposures.values, query.relevances, query.groups))
+        disparity_values.append(disparity.from_exposures(exposures.values, query))
     return metric_values, disparity_values
 
 
@@ -285,6 +284,32 @@ def test_block_evaluation_matches_per_query_reference_on_a_ragged_split(kind):
     assert got.mean_disparity == float(np.mean(want_disparity))
     assert got.metric_values[5] == got.extra_values[0][5] == 0.0
     assert min(got.disparity_values) >= 0.0 and max(got.disparity_values) > 0.0
+
+
+def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
+    """With blocks of at most two queries' draws, a run of five equal-size
+    queries takes three Monte-Carlo calls, and the pass still equals the
+    per-query loop bit for bit."""
+    calls = []
+
+    def counted(scores, *args, **kwargs):
+        calls.append(np.shape(scores))
+        return fairness.exposure_of_policy(scores, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "EVAL_BLOCK_DRAWS", 2 * 16 * 10)
+    monkeypatch.setattr(trainer, "exposure_of_policy", counted)
+    ds = ragged_split(sizes=(10, 10, 10, 10, 10, 9, 3))
+    model = policy.LinearModel(np.array([2.0, 1.0, 0.3]))
+    disparity = fairness.DisparityConfig.parse("group")
+    metric = metrics.UtilityMetric("ndcg")
+    block_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = trainer._evaluate(model, ds, metric, disparity, 16, block_rng)
+    want_metric, want_disparity = per_query_evaluation(model, ds, metric, disparity,
+                                                       16, reference_rng)
+    assert calls == [(2, 10), (2, 10), (1, 10), (1, 9), (3,)]
+    assert got.metric_values == want_metric
+    assert got.disparity_values == want_disparity
+    assert block_rng.random() == reference_rng.random()
 
 
 def test_extra_metrics_equal_separate_evaluations():
