@@ -20,13 +20,14 @@ the between-group mean top-1 probability gap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .fairness import MeritFunction, group_disparity, group_rows, hinge_mean, \
-    individual_rows, ranking_exposures
+from .data import Dataset, Query
+from .fairness import DisparityConfig, HingeRows, MeritFunction, group_rows, \
+    hinge_gaps, hinge_mean, hinge_weights, individual_rows, ranking_exposures
 from .metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel, logprob_grads_scores, ranking_logprobs
 from .ranking import ENUMERATION_LIMIT, all_rankings
@@ -98,7 +99,7 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
     return stats
 
 
-def _exact_hinge(rows: np.ndarray, exposures: np.ndarray,
+def _exact_hinge(rows: HingeRows, exposures: np.ndarray,
                  per_ranking: np.ndarray, probs: np.ndarray,
                  glogs: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact ``hinge_mean(rows, exposures)`` and its score gradient, summed
@@ -106,8 +107,7 @@ def _exact_hinge(rows: np.ndarray, exposures: np.ndarray,
     exposures."""
     grad = np.zeros(exposures.shape[0])
     if len(rows):
-        active = rows @ exposures > 0.0
-        weights = rows[active].sum(axis=0) / len(rows)
+        weights = hinge_weights(rows, hinge_gaps(rows, exposures) > 0.0)
         grad = (probs * (per_ranking @ weights)) @ glogs
     return hinge_mean(rows, exposures), grad
 
@@ -232,19 +232,18 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                         exposures=weights @ per_order[pick])
 
 
-def evaluate_exposures(exposures: np.ndarray, relevances: np.ndarray,
-                       groups: np.ndarray | None,
+def evaluate_exposures(exposures: np.ndarray, query: Query,
                        merit: MeritFunction | None = None
                        ) -> tuple[float, float]:
     """Expected NDCG and group disparity of an expected exposure vector
-    under the true relevances."""
-    merit = merit or MeritFunction()
-    rels = np.asarray(relevances, dtype=float)
-    ideal = ideal_dcg(rels)
-    score = float(gains(rels) @ exposures) / ideal if ideal > 0.0 else 0.0
+    under the query's true relevances.  The gains, the ideal DCG and the
+    group row are the ones kept with the query."""
+    ideal = ideal_dcg(query)
+    score = float(gains(query) @ exposures) / ideal if ideal > 0.0 else 0.0
     disp = 0.0
-    if groups is not None:
-        disp = group_disparity(exposures, merit(rels), np.asarray(groups))
+    if query.groups is not None:
+        group = DisparityConfig("group", merit or MeritFunction())
+        disp = hinge_mean(group.query_rows(query), exposures)
     return score, disp
 
 
@@ -285,12 +284,14 @@ def train_top1_baseline(dataset: Dataset, lam: float,
             if picker is not None:
                 gap = float(picker @ p)
                 score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
-            grads = model.backprop(X, score_grad)
-            norm = np.sqrt(sum(float(np.sum(np.square(a))) for a in grads))
+            grad_w, grad_b = model.backprop(X, score_grad)
+            norm = math.sqrt(float(np.square(grad_w).sum())
+                             + float(np.square(grad_b).sum()))
             if norm > max_grad_norm:
-                grads = [a * (max_grad_norm / norm) for a in grads]
-            model.weights -= learning_rate * grads[0]
-            model.bias -= learning_rate * grads[1]
+                grad_w = grad_w * (max_grad_norm / norm)
+                grad_b = grad_b * (max_grad_norm / norm)
+            model.weights -= learning_rate * grad_w
+            model.bias -= learning_rate * grad_b
     return model
 
 

@@ -601,19 +601,22 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _run_lp_baseline(train_set, splits, lambdas, merit):
+    """Solve and evaluate the LP per (penalty weight, split, query).  The
+    estimates are scored once per query, and each query keeps its gains,
+    ideal DCG and group row across the penalty weights."""
     regression = baselines.fit_linear_regression(train_set)
+    estimates = {name: [regression.scores(q.feature_matrix) for q in dataset]
+                 for name, dataset in splits}
     rows, detail = [], []
     for lam in lambdas:
         stats = {}
         xis = []
         for split_name, dataset in splits:
             per_ndcg, per_disp = [], []
-            for query in dataset:
-                estimates = regression.scores(query.feature_matrix)
-                result = baselines.solve_fair_lp(estimates, query.groups,
-                                                 lam, merit)
+            for query, estimate in zip(dataset, estimates[split_name]):
+                result = baselines.solve_fair_lp(estimate, query.groups, lam, merit)
                 ndcg, disparity = baselines.evaluate_exposures(
-                    result.exposures, query.relevances, query.groups, merit)
+                    result.exposures, query, merit)
                 per_ndcg.append(ndcg)
                 per_disp.append(disparity)
                 if split_name == "train":
@@ -628,6 +631,12 @@ def _run_lp_baseline(train_set, splits, lambdas, merit):
 
 
 def _run_top1_baseline(train_set, splits, lambdas, merit, lr, epochs, seed):
+    """Train and evaluate the top-1 baseline per penalty weight; each query
+    keeps its metric constants and group row across the penalty weights."""
+    ndcg_metric = metrics.UtilityMetric("ndcg")
+    err_metrics = {name: fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
+                   for name, dataset in splits}
+    group = fairness.DisparityConfig("group", merit)
     rows, detail = [], []
     for lam in lambdas:
         model = baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
@@ -635,15 +644,14 @@ def _run_top1_baseline(train_set, splits, lambdas, merit, lr, epochs, seed):
         stats = {}
         for split_name, dataset in splits:
             ndcg_vals, err_vals, disp_vals = [], [], []
-            err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
             for query in dataset:
-                scores = model.scores(query.feature_matrix)
-                order = policy.argmax_ranking(scores)
-                ndcg_vals.append(metrics.ndcg(order, query.relevances))
-                err_vals.append(err_metric.value(order, query.relevances))
-                exposures = fairness.exposure_of_ranking(order)
-                disp_vals.append(fairness.group_disparity(
-                    exposures, merit(query.relevances), query.groups))
+                order = policy.argmax_ranking(model.scores(query.feature_matrix))
+                ndcg_vals.append(ndcg_metric.value(order, query))
+                err_vals.append(err_metrics[split_name].value(order, query))
+                # A fixed ranking's disparity, from the row kept with the
+                # query; from_exposures is left to policy evaluations.
+                disp_vals.append(fairness.hinge_mean(
+                    group.query_rows(query), fairness.exposure_of_ranking(order)))
             rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
                          float(np.mean(err_vals)), float(np.mean(disp_vals)),
                          None])

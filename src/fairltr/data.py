@@ -9,16 +9,22 @@ Group membership (binary, 0 or 1) lives in a sidecar file holding one 0/1
 token per document in dataset order.  Floats are written with 17
 significant digits so that parse -> write -> parse is bit exact.
 
-Datasets are immutable after construction; every transformation returns a
-new dataset.
+A query holds its documents as arrays: a feature matrix, a relevance
+vector and, when labelled, a group vector.  The parser fills them directly,
+and a group file attaches its labels to them, so no per-document object is
+built while loading.  Datasets are immutable after construction: a query's
+arrays are read-only, so what is derived from them can be kept with the
+query (``Query.derived``), and every transformation returns a new dataset.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 class DataError(ValueError):
@@ -37,47 +43,75 @@ class Document:
 
 
 class Query:
-    """One query: a non-empty list of candidate documents.
+    """One query: its candidate documents as arrays.
 
-    Feature matrix, relevance vector, and group vector are materialized at
-    construction and shared by reference afterwards; treat them as
-    read-only.  Arrays derived from them, such as a disparity's hinge rows,
-    are kept with the query by ``derived``.
+    ``feature_matrix`` is ``(n, d)``, ``relevances`` ``(n,)`` and ``groups``
+    ``(n,)`` or None.  ``Query(qid, docs)`` builds them from ``Document``s
+    and ``Query.from_arrays`` takes them directly; both make read-only
+    copies through the same checks.  Because the arrays cannot change,
+    anything derived from them, such as a metric's ideal DCG or a
+    disparity's hinge rows, is built once and kept with the query by
+    ``derived``.
     """
 
     def __init__(self, qid: str, docs: Sequence[Document]):
-        if len(docs) == 0:
-            raise DataError(f"query {qid!r} has no documents")
-        self.qid = str(qid)
-        self.docs = tuple(docs)
-        dims = {d.features.shape for d in self.docs}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
+        docs = tuple(docs)
+        if len({d.features.shape for d in docs}) > 1:
             raise DataError(f"query {qid!r} has inconsistent feature shapes")
-        self.feature_matrix = np.stack([d.features for d in self.docs]).astype(float)
-        self.relevances = np.array([d.relevance for d in self.docs], dtype=float)
-        with_group = [d.group is not None for d in self.docs]
+        with_group = [d.group is not None for d in docs]
         if any(with_group) and not all(with_group):
             raise DataError(f"query {qid!r} mixes grouped and ungrouped documents")
-        self.groups = (np.array([d.group for d in self.docs], dtype=np.intp)
-                       if all(with_group) else None)
-        self._derived: dict[Hashable, np.ndarray] = {}
+        self._set_arrays(qid, [d.features for d in docs],
+                         [d.relevance for d in docs],
+                         [d.group for d in docs] if docs and all(with_group) else None)
 
-    def derived(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The array ``build()`` made on the first call with ``key``, kept
-        with this query and returned read-only on every later call."""
+    @classmethod
+    def from_arrays(cls, qid: str, feature_matrix, relevances,
+                    groups=None) -> "Query":
+        """A query from its ``(n, d)`` features, ``(n,)`` relevances and
+        optional ``(n,)`` group labels."""
+        query = cls.__new__(cls)
+        query._set_arrays(qid, feature_matrix, relevances, groups)
+        return query
+
+    def _set_arrays(self, qid, feature_matrix, relevances, groups) -> None:
+        self.qid = str(qid)
+        self.relevances = np.array(relevances, dtype=float)
+        n = self.relevances.shape[0] if self.relevances.ndim == 1 else -1
+        if n == 0:
+            raise DataError(f"query {qid!r} has no documents")
+        self.feature_matrix = np.array(feature_matrix, dtype=float)
+        if n < 0 or self.feature_matrix.ndim != 2 or len(self.feature_matrix) != n:
+            raise DataError(f"query {qid!r} has inconsistent feature shapes")
+        self.groups = None
+        if groups is not None:
+            self.groups = np.array(groups, dtype=np.intp)
+            if self.groups.shape != (n,):
+                raise DataError(f"query {qid!r} has {self.groups.size} group "
+                                f"labels for {n} documents")
+            self.groups.flags.writeable = False
+        self.feature_matrix.flags.writeable = False
+        self.relevances.flags.writeable = False
+        self._derived: dict[Hashable, object] = {}
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value ``build()`` made on the first call with ``key``, kept
+        with this query and returned on every later call.  An array value is
+        made read-only; any other value must not change."""
         value = self._derived.get(key)
         if value is None:
             value = build()
-            value.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             self._derived[key] = value
         return value
 
     @property
     def num_docs(self) -> int:
-        return len(self.docs)
+        return len(self.relevances)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.relevances)
 
     def __repr__(self) -> str:
         return f"Query(qid={self.qid!r}, num_docs={self.num_docs})"
@@ -131,9 +165,14 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
     Documents sharing a qid belong to the same query regardless of
     adjacency; query order follows first appearance.  Features are
     densified to ``max(feature_dim or 0, largest feature id seen)`` with
-    missing ids as 0.
+    missing ids as 0: every value lands in one matrix of all documents by
+    one scatter, and each query takes its rows.
     """
-    parsed: list[tuple[str, float, dict[int, float]]] = []
+    docs_of: dict[str, list[int]] = {}
+    relevances: list[float] = []
+    owners: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
     max_fid = feature_dim or 0
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -150,10 +189,10 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
             raise ParseError(f"line {lineno}: bad relevance {tokens[0]!r}")
         if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
             raise ParseError(f"line {lineno}: expected qid:<id>, got {tokens[1]!r}")
-        qid = tokens[1][4:]
         if len(tokens) < 3:
             raise ParseError(f"line {lineno}: document has no features")
-        feats: dict[int, float] = {}
+        doc = len(relevances)
+        seen: set[int] = set()
         for tok in tokens[2:]:
             fid_s, sep, val_s = tok.partition(":")
             if not sep:
@@ -167,22 +206,24 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
                 raise ParseError(f"line {lineno}: bad feature {tok!r}")
             if fid < 1:
                 raise ParseError(f"line {lineno}: feature ids are 1-based, got {fid}")
-            if fid in feats:
+            if fid in seen:
                 raise ParseError(f"line {lineno}: feature id {fid} repeated")
-            feats[fid] = val
-            max_fid = max(max_fid, fid)
-        parsed.append((qid, rel, feats))
+            seen.add(fid)
+            owners.append(doc)
+            columns.append(fid - 1)
+            values.append(val)
+        max_fid = max(max_fid, *seen)
+        relevances.append(rel)
+        docs_of.setdefault(tokens[1][4:], []).append(doc)
 
-    if not parsed:
+    if not relevances:
         raise ParseError("no document lines found")
 
-    by_qid: dict[str, list[Document]] = {}
-    for qid, rel, feats in parsed:
-        vec = np.zeros(max_fid)
-        for fid, val in feats.items():
-            vec[fid - 1] = val
-        by_qid.setdefault(qid, []).append(Document(features=vec, relevance=rel))
-    queries = [Query(qid, docs) for qid, docs in by_qid.items()]
+    features = np.zeros((len(relevances), max_fid))
+    features[owners, columns] = values
+    rels = np.array(relevances)
+    queries = [Query.from_arrays(qid, features[docs], rels[docs])
+               for qid, docs in docs_of.items()]
     return Dataset(queries, feature_dim=max_fid)
 
 
@@ -195,40 +236,40 @@ def format_letor(dataset: Dataset) -> str:
     digits)."""
     lines = []
     for q in dataset:
-        for d in q.docs:
-            feats = " ".join(f"{fid}:{_f17(v)}"
-                             for fid, v in enumerate(d.features, start=1))
-            lines.append(f"{_f17(d.relevance)} qid:{q.qid} {feats}".rstrip())
+        for rel, row in zip(q.relevances.tolist(), q.feature_matrix.tolist()):
+            feats = " ".join(f"{fid}:{_f17(v)}" for fid, v in enumerate(row, start=1))
+            lines.append(f"{_f17(rel)} qid:{q.qid} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def format_group_file(dataset: Dataset) -> str:
     if not dataset.has_groups:
         raise DataError("dataset has no group labels to serialize")
-    tokens = [str(d.group) for q in dataset for d in q.docs]
+    tokens = [str(g) for q in dataset for g in q.groups.tolist()]
     return "\n".join(tokens) + "\n"
 
 
 def parse_group_file(source, dataset: Dataset) -> Dataset:
     """Attach binary group labels to a dataset, one 0/1 token per document
-    in dataset order; returns a new dataset with ``has_groups`` true."""
+    in dataset order; returns a new dataset with ``has_groups`` true whose
+    queries take their slice of the labels next to their own arrays."""
     tokens: list[str] = []
     for line in _iter_lines(source):
         tokens.extend(line.split("#", 1)[0].split())
     if len(tokens) != dataset.num_docs:
         raise ParseError(
             f"group file has {len(tokens)} labels for {dataset.num_docs} documents")
-    labels: list[int] = []
     for tok in tokens:
         if tok not in ("0", "1"):
             raise ParseError(f"group labels must be 0 or 1, got {tok!r}")
-        labels.append(int(tok))
-    it = iter(labels)
+    labels = np.array([tok == "1" for tok in tokens], dtype=np.intp)
     queries = []
+    start = 0
     for q in dataset:
-        docs = [Document(features=d.features, relevance=d.relevance, group=next(it))
-                for d in q.docs]
-        queries.append(Query(q.qid, docs))
+        stop = start + q.num_docs
+        queries.append(Query.from_arrays(q.qid, q.feature_matrix, q.relevances,
+                                         labels[start:stop]))
+        start = stop
     return Dataset(queries, feature_dim=dataset.feature_dim)
 
 
@@ -285,15 +326,15 @@ def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
     rng = np.random.default_rng(seed)
     queries = []
     for qi in range(num_queries):
-        docs = []
+        features, relevances, groups = [], [], []
         for _ in range(docs_per_query):
             group = 1 if rng.random() < minority_prob else 0
             x1 = rng.uniform(0.0, 3.0)
             x2 = rng.uniform(0.0, 3.0)
-            rel = float(np.clip(x1 + x2, 0.0, 5.0))
-            stored = np.array([x1, 0.0 if group == 1 else x2])
-            docs.append(Document(features=stored, relevance=rel, group=group))
-        queries.append(Query(str(qi + 1), docs))
+            relevances.append(float(np.clip(x1 + x2, 0.0, 5.0)))
+            features.append((x1, 0.0 if group == 1 else x2))
+            groups.append(group)
+        queries.append(Query.from_arrays(str(qi + 1), features, relevances, groups))
     return Dataset(queries, feature_dim=2)
 
 
@@ -360,9 +401,9 @@ def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
         if num_pos:
             chosen.extend(rng.choice(pos_pool, size=num_pos, replace=False))
         chosen = [chosen[k] for k in rng.permutation(len(chosen))]
-        docs = [Document(features=feats[i], relevance=float(labels[i]),
-                         group=groups[i]) for i in chosen]
-        queries.append(Query(str(qi + 1), docs))
+        queries.append(Query.from_arrays(
+            str(qi + 1), [feats[i] for i in chosen], [labels[i] for i in chosen],
+            [groups[i] for i in chosen] if grouped[0] else None))
     return Dataset(queries, feature_dim=feats[0].shape[0])
 
 

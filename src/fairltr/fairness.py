@@ -11,24 +11,28 @@ The exposure of rankings is defined once, over an ``(S, n)`` block or a
 and the Monte-Carlo estimate ``mc_exposure`` is the mean row of each
 ``(S, n)`` batch.
 
-Each disparity is defined once, as a matrix of hinge rows: linear functions
-of the expected exposure vector whose positive parts are the violations.
-The disparity is ``hinge_mean(rows, exposures)``, the mean of
-``max(0, rows @ exposures)``, and zero when there are no rows.
+Each disparity is defined once, as hinge rows: linear functions of the
+expected exposure vector whose positive parts are the violations.  The
+disparity is ``hinge_mean(rows, exposures)``, the mean of the positive
+parts of ``hinge_gaps(rows, exposures)``, and zero when there are no rows;
+``hinge_weights`` gives its gradient wrt the exposures.
 
 * individual (``individual_rows``): one row per ordered pair where the
   first document has at least the merit of the second and the second has
-  positive merit, holding the pair's per-merit exposure gap,
-* group (``group_rows``): one row holding the per-merit exposure gap of
-  groups 0 and 1, oriented so only over-exposure of the higher-merit group
-  is charged, and no row for a degenerate query.
+  positive merit, holding the pair's per-merit exposure gap.  The rows are
+  kept in pair form (``PairRows``): the pair indices and ``1/merit``, so
+  they grow with the number of pairs, and a gap is ``x_i - x_j`` with
+  ``x = exposures / merit``, exactly 0 for equal merits and exposures,
+* group (``group_rows``): one dense row holding the per-merit exposure gap
+  of groups 0 and 1, oriented so only over-exposure of the higher-merit
+  group is charged, and no row for a degenerate query.
 
 The trainer's Monte-Carlo gradient, the exact enumeration oracle and the LP
 baseline's constraint all derive from the same rows.  ``DisparityConfig``
-builds a dataset query's group row once and keeps it with the query,
-read-only; individual rows (pairs x n, dense) are built per use.  The hinge
-applies after the expectation over rankings, so a stochastic policy can be
-exactly fair even though every single ranking is unfair.
+builds a dataset query's rows of either kind once and keeps them with the
+query, read-only.  The hinge applies after the expectation over rankings,
+so a stochastic policy can be exactly fair even though every single
+ranking is unfair.
 """
 from __future__ import annotations
 
@@ -167,20 +171,41 @@ def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(mask)
 
 
-def individual_rows(merits: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class PairRows:
+    """Hinge rows of individual disparity in pair form.
+
+    Row k belongs to the pair ``(first[k], second[k])``; its gap at an
+    exposure vector ``e`` is ``x[first[k]] - x[second[k]]`` with
+    ``x = e * inv_merit``.  ``inv_merit`` is ``1/m``, and 0 for a zero merit,
+    which is in no pair.  The arrays are read-only.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    inv_merit: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.first, self.second, self.inv_merit):
+            values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+
+HingeRows = np.ndarray | PairRows
+
+
+def individual_rows(merits: np.ndarray) -> PairRows:
     """Hinge rows of individual disparity, one per ``merit_pairs`` pair.
 
-    Row (i, j) holds ``1/m_i`` at i and ``-1/m_j`` at j, so its product with
-    an exposure vector is the per-merit exposure gap of the pair.  Shape
-    (0, n) when no pair qualifies.
+    Row (i, j) is the per-merit exposure gap ``e_i/m_i - e_j/m_j`` of the
+    pair, in pair form; no rows when no pair qualifies.
     """
     m = np.asarray(merits, dtype=float)
-    ii, jj = merit_pairs(m)
-    rows = np.zeros((ii.size, m.shape[0]))
-    pair = np.arange(ii.size)
-    rows[pair, ii] = 1.0 / m[ii]
-    rows[pair, jj] = -1.0 / m[jj]
-    return rows
+    first, second = merit_pairs(m)
+    inv_merit = np.divide(1.0, m, out=np.zeros(m.shape), where=m > 0.0)
+    return PairRows(first, second, inv_merit)
 
 
 def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -205,12 +230,35 @@ def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return direction * (in0 / m0 - in1 / m1)[None, :]
 
 
-def hinge_mean(rows: np.ndarray, exposures: np.ndarray) -> float:
-    """Disparity of an exposure vector: mean of ``max(0, rows @ exposures)``,
-    zero when there are no rows."""
+def hinge_gaps(rows: HingeRows, exposures: np.ndarray) -> np.ndarray:
+    """Each row's gap at an exposure vector: ``rows @ exposures`` for a dense
+    row matrix, ``x_i - x_j`` with ``x = exposures * inv_merit`` for
+    ``PairRows``."""
+    e = np.asarray(exposures, dtype=float)
+    if isinstance(rows, PairRows):
+        x = e * rows.inv_merit
+        return x[rows.first] - x[rows.second]
+    return rows @ e
+
+
+def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
+    """Gradient of ``hinge_mean`` wrt the exposures where the rows marked in
+    ``active`` are the violated ones (a positive ``hinge_gaps`` entry): the
+    sum of the active rows over the number of rows."""
+    if isinstance(rows, PairRows):
+        n = len(rows.inv_merit)
+        counts = (np.bincount(rows.first[active], minlength=n)
+                  - np.bincount(rows.second[active], minlength=n))
+        return rows.inv_merit * counts / len(rows)
+    return rows[active].sum(axis=0) / len(rows)
+
+
+def hinge_mean(rows: HingeRows, exposures: np.ndarray) -> float:
+    """Disparity of an exposure vector: mean of ``max(0, gap)`` over the
+    rows' ``hinge_gaps``, zero when there are no rows."""
     if len(rows) == 0:
         return 0.0
-    return float(np.maximum(rows @ np.asarray(exposures, dtype=float), 0.0).mean())
+    return float(np.maximum(hinge_gaps(rows, exposures), 0.0).mean())
 
 
 def individual_disparity(exposures: np.ndarray, merits: np.ndarray) -> float:
@@ -239,7 +287,7 @@ class DisparityConfig:
     def parse(cls, kind: str, merit: str = "identity") -> "DisparityConfig":
         return cls(kind=kind.strip().lower(), merit=MeritFunction.parse(merit))
 
-    def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> np.ndarray:
+    def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> HingeRows:
         """Hinge rows of this disparity for one query; a query without group
         labels has no group rows."""
         merits = self.merit(relevances)
@@ -249,13 +297,9 @@ class DisparityConfig:
             return np.zeros((0, merits.shape[0]))
         return group_rows(merits, groups)
 
-    def query_rows(self, query: Query) -> np.ndarray:
-        """``rows`` of a dataset query.  Its group row is built on first use
-        and kept with the query, read-only, for every later training step
-        and evaluation; individual rows, one per merit pair, are dense and
-        built per use instead."""
-        if self.kind == "individual":
-            return self.rows(query.relevances, query.groups)
+    def query_rows(self, query: Query) -> HingeRows:
+        """``rows`` of a dataset query, built on first use and kept with the
+        query, read-only, for every later training step and evaluation."""
         return query.derived(("rows", self),
                              lambda: self.rows(query.relevances, query.groups))
 

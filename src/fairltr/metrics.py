@@ -10,6 +10,11 @@ Each metric is defined once, over an ``(S, n)`` block of rankings, by
 ``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
 ranking and returns its block of one.
 
+Every metric takes the relevances as an array or as a ``data.Query``.  A
+query's constants, its gains, its ideal DCG at each cutoff and its ERR stop
+probabilities at each grade ceiling, are built on first use and kept with
+the query (``Query.derived``), so training steps and evaluations reuse
+them; an array's are built per call.  Both give the same bits.
 ``position_bias_vector`` builds the vector of each length once and returns
 it read-only, so every ranking of that length shares it.
 """
@@ -20,8 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Query
 from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
 from . import policy
+
+Relevances = np.ndarray | Query
 
 
 def position_bias(j: int) -> float:
@@ -41,23 +49,42 @@ def position_bias_vector(num_positions: int) -> np.ndarray:
     return bias
 
 
-def gains(relevances: np.ndarray) -> np.ndarray:
-    return np.exp2(np.asarray(relevances, dtype=float)) - 1.0
+def _relevances(source: Relevances) -> np.ndarray:
+    if isinstance(source, Query):
+        return source.relevances
+    return np.asarray(source, dtype=float)
 
 
-def dcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> float:
+def _per_query(source: Relevances, key, build):
+    """``build(relevances)``: built once and kept with a query, or built
+    afresh for a relevance array."""
+    if isinstance(source, Query):
+        return source.derived(key, lambda: build(source.relevances))
+    return build(_relevances(source))
+
+
+def gains(relevances: Relevances) -> np.ndarray:
+    """Exponential gains ``2**rel - 1``; read-only for a query."""
+    return _per_query(relevances, "gains", lambda rels: np.exp2(rels) - 1.0)
+
+
+def dcg(order: Ranking, relevances: Relevances, cutoff: int | None = None) -> float:
     """Discounted cumulative gain of a ranking, optionally truncated."""
     return UtilityMetric("dcg", cutoff).value(order, relevances)
 
 
-def ideal_dcg(relevances: np.ndarray, cutoff: int | None = None) -> float:
-    rels = np.asarray(relevances, dtype=float)
-    k = _effective_cutoff(cutoff, rels.shape[0])
-    # Contiguous copy so the dot product gives the same bits as the one-row
-    # product of batch_values(); an ideally ordered ranking then scores
-    # exactly 1.0 under ndcg.
-    top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
-    return float(top @ position_bias_vector(k))
+def ideal_dcg(relevances: Relevances, cutoff: int | None = None) -> float:
+    """DCG of the best ranking at ``cutoff``, kept with a query per cutoff."""
+    k = _effective_cutoff(cutoff, len(relevances))
+
+    def build(rels: np.ndarray) -> float:
+        # Contiguous copy so the dot product gives the same bits as the
+        # one-row product of batch_values(); an ideally ordered ranking then
+        # scores exactly 1.0 under ndcg.
+        top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
+        return float(top @ position_bias_vector(k))
+
+    return _per_query(relevances, ("ideal_dcg", k), build)
 
 
 def _effective_cutoff(cutoff: int | None, num_docs: int) -> int:
@@ -65,7 +92,7 @@ def _effective_cutoff(cutoff: int | None, num_docs: int) -> int:
     return num_docs if cutoff is None else min(cutoff, num_docs)
 
 
-def ndcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> float:
+def ndcg(order: Ranking, relevances: Relevances, cutoff: int | None = None) -> float:
     """DCG normalized by the best achievable DCG at the same cutoff.
 
     Defined as 0 when every relevance is zero (the ideal DCG vanishes).
@@ -73,16 +100,21 @@ def ndcg(order: Ranking, relevances: np.ndarray, cutoff: int | None = None) -> f
     return UtilityMetric("ndcg", cutoff).value(order, relevances)
 
 
-def _stop_probabilities(rels: np.ndarray, max_grade: float) -> np.ndarray:
-    if np.any(rels < 0):
-        raise ValueError("err requires non-negative relevances")
-    if rels.size and max_grade < rels.max():
-        raise ValueError(
-            f"max_grade {max_grade} is below the largest relevance {rels.max()}")
-    return (np.exp2(rels) - 1.0) / (2.0 ** max_grade)
+def _stop_probabilities(relevances: Relevances, max_grade: float) -> np.ndarray:
+    """Cascade stop probability of each document, kept with a query per
+    grade ceiling."""
+    def build(rels: np.ndarray) -> np.ndarray:
+        if np.any(rels < 0):
+            raise ValueError("err requires non-negative relevances")
+        if rels.size and max_grade < rels.max():
+            raise ValueError(
+                f"max_grade {max_grade} is below the largest relevance {rels.max()}")
+        return (np.exp2(rels) - 1.0) / (2.0 ** max_grade)
+
+    return _per_query(relevances, ("err_stop", max_grade), build)
 
 
-def err(order: Ranking, relevances: np.ndarray, max_grade: float = 4.0) -> float:
+def err(order: Ranking, relevances: Relevances, max_grade: float = 4.0) -> float:
     """Expected reciprocal rank under the cascade user model.
 
     Per-document stop probability ``R_d = (2**rel_d - 1) / 2**max_grade``.
@@ -94,7 +126,7 @@ def err(order: Ranking, relevances: np.ndarray, max_grade: float = 4.0) -> float
     return UtilityMetric("err", err_max_grade=max_grade).value(order, relevances)
 
 
-def avg_rank(order: Ranking, relevances: np.ndarray) -> float:
+def avg_rank(order: Ranking, relevances: Relevances) -> float:
     """Relevance-weighted mean position, ``sum_d rel_d pos(d) / sum_d rel_d``.
 
     Lower is better.  Raises ``ValueError`` when all relevances are zero.
@@ -136,23 +168,25 @@ class UtilityMetric:
     def sign(self) -> float:
         return -1.0 if self.kind == "avgrank" else 1.0
 
-    def value(self, order: Ranking, relevances: np.ndarray) -> float:
+    def value(self, order: Ranking, relevances: Relevances) -> float:
         """Metric value of one ranking, validated as a permutation."""
         order = as_ranking(order, len(relevances))
         return float(self.batch_values(order[None], relevances)[0])
 
-    def batch_values(self, orders: np.ndarray, relevances: np.ndarray) -> np.ndarray:
+    def batch_values(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
         """Metric value of each row of an ``(S, n)`` block of rankings.
 
-        Rows are not validated.  avgrank scatters positions 1..n into each
-        row.  ERR reaches position j with ``prod_{i<j} (1 - R_{order[i]})``,
-        a cumulative product shifted by one position, and adds its terms with
-        a running sum so they accumulate in cascade order.
+        Rows are not validated.  ``relevances`` is an array or a query,
+        whose gains, ideal DCG and stop probabilities are kept with it.
+        avgrank scatters positions 1..n into each row.  ERR reaches position
+        j with ``prod_{i<j} (1 - R_{order[i]})``, a cumulative product
+        shifted by one position, and adds its terms with a running sum so
+        they accumulate in cascade order.
         """
         orders = np.asarray(orders, dtype=np.intp)
-        rels = np.asarray(relevances, dtype=float)
-        n = rels.shape[0]
+        n = len(relevances)
         if self.kind == "avgrank":
+            rels = _relevances(relevances)
             total = rels.sum()
             if total == 0.0:
                 raise ValueError("avg_rank is undefined for all-zero relevances")
@@ -160,18 +194,18 @@ class UtilityMetric:
             positions[np.arange(len(orders))[:, None], orders] = np.arange(1.0, n + 1)
             return positions @ rels / total
         if self.kind == "err":
-            stop = _stop_probabilities(rels, self.err_max_grade)[orders]
+            stop = _stop_probabilities(relevances, self.err_max_grade)[orders]
             reach = np.ones(orders.shape)
             reach[:, 1:] = np.cumprod(1.0 - stop[:, :-1], axis=1)
             return np.cumsum(reach * stop / np.arange(1.0, n + 1), axis=1)[:, -1]
         k = _effective_cutoff(self.cutoff, n)
-        values = gains(rels)[orders[:, :k]] @ position_bias_vector(k)
+        values = gains(relevances)[orders[:, :k]] @ position_bias_vector(k)
         if self.kind == "ndcg":
-            ideal = ideal_dcg(rels, self.cutoff)
+            ideal = ideal_dcg(relevances, self.cutoff)
             values = values / ideal if ideal > 0.0 else np.zeros_like(values)
         return values
 
-    def batch_rewards(self, orders: np.ndarray, relevances: np.ndarray) -> np.ndarray:
+    def batch_rewards(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
         values = self.batch_values(orders, relevances)
         return values if self.sign > 0.0 else -values
 

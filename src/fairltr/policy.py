@@ -118,7 +118,7 @@ def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     inv_cum = np.cumsum(np.exp(-denom), axis=1)
     by_position = 1.0 - np.exp(permuted) * inv_cum
     grads = np.empty_like(by_position)
-    np.put_along_axis(grads, orders, by_position, axis=1)
+    grads[np.arange(len(orders))[:, None], orders] = by_position
     return grads
 
 

@@ -24,8 +24,10 @@ call per block of the run, which draws through ``policy.sample_rankings``
 and reduces with ``mc_exposure``.  The draws come in the same order as one
 query at a time, so results are bit-identical to a per-query loop, and a
 block holds at most ``EVAL_BLOCK_DRAWS`` draws, so memory does not grow
-with the split.  The position bias vector of each length and each query's
-group hinge row are built once and shared read-only.
+with the split.  The position bias vector of each length is built once and
+shared read-only, and each query keeps its metric constants (gains, ideal
+DCG, ERR stop probabilities) and its hinge rows, so training steps and
+evaluations pass the query itself to the metric and the disparity.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ import numpy as np
 
 from . import policy
 from .data import Dataset, Query
-from .fairness import DisparityConfig, exposure_of_policy, mc_exposure
+from .fairness import DisparityConfig, HingeRows, exposure_of_policy, hinge_gaps, \
+    hinge_weights, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
 from .policy import PolicySample, ScoringModel, draw_policy_sample, init_model, \
     softmax_entropy
@@ -173,21 +176,22 @@ def utility_score_grad(sample: PolicySample, rewards: np.ndarray,
     return (rewards - baseline) @ sample.logprob_grads / sample.size
 
 
-def hinge_score_grad(sample: PolicySample, rows: np.ndarray) -> np.ndarray:
+def hinge_score_grad(sample: PolicySample, rows: HingeRows) -> np.ndarray:
     """Estimate of the gradient wrt scores of ``hinge_mean(rows, exposure)``.
 
     Exposures estimated from the sample pick the active (positively
-    violated) rows; each sampled ranking's exposure under the summed active
-    rows, averaged over the full row set, weights its log-probability
-    gradient.  A query without rows contributes nothing.
+    violated) rows, and ``hinge_weights`` turns them into exposure weights;
+    each sampled ranking's exposure under those weights weights its
+    log-probability gradient.  A query without rows, or without an active
+    one, contributes nothing.
     """
     size, n = sample.rankings.shape
     if len(rows) == 0:
         return np.zeros(n)
-    active = rows @ mc_exposure(sample.rankings, n) > 0.0
+    active = hinge_gaps(rows, mc_exposure(sample.rankings, n)) > 0.0
     if not active.any():
         return np.zeros(n)
-    weights = rows[active].sum(axis=0) / len(rows)
+    weights = hinge_weights(rows, active)
     per_sample = weights[sample.rankings] @ position_bias_vector(n)
     return per_sample @ sample.logprob_grads / size
 
@@ -229,7 +233,7 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     queries = dataset.queries
     scores = [model.scores(q.feature_matrix) for q in queries]
     orders = [policy.argmax_ranking(s) for s in scores]
-    columns = [[m.value(order, q.relevances) for order, q in zip(orders, queries)]
+    columns = [[m.value(order, q) for order, q in zip(orders, queries)]
                for m in (metric, *extra_metrics)]
     disparity_values = None
     if disparity is not None:
@@ -467,7 +471,7 @@ def _train_step(model: ScoringModel, query: Query, config: TrainConfig,
                 optimizer, rng: np.random.Generator) -> None:
     scores = model.scores(query.feature_matrix)
     sample = draw_policy_sample(scores, config.sample_size, rng)
-    rewards = config.metric.batch_rewards(sample.rankings, query.relevances)
+    rewards = config.metric.batch_rewards(sample.rankings, query)
     score_grad = utility_score_grad(sample, rewards, config.use_baseline)
     if config.lam != 0.0 and config.disparity is not None:
         score_grad = score_grad - config.lam * disparity_score_grad(

@@ -200,8 +200,9 @@ def test_lp_refuses_non_finite_input():
 def test_evaluate_exposures_on_identity():
     rels = np.array([3.0, 1.0])
     expo = fairness.exposure_of_ranking(np.arange(2))
+    query = data.Query.from_arrays("q", np.zeros((2, 1)), rels, [0, 1])
     ndcg, disparity = baselines.evaluate_exposures(
-        expo, rels, np.array([0, 1]), fairness.MeritFunction())
+        expo, query, fairness.MeritFunction())
     assert ndcg == pytest.approx(1.0)
     assert disparity == pytest.approx(
         fairness.group_disparity(expo, rels, np.array([0, 1])))
@@ -263,3 +264,45 @@ def test_top1_baseline_is_deterministic():
     a = baselines.train_top1_baseline(ds, lam=1.0, epochs=5, seed=3)
     b = baselines.train_top1_baseline(ds, lam=1.0, epochs=5, seed=3)
     assert policy.models_equal(a, b)
+
+
+def _top1_reference(dataset, lam, learning_rate=0.01, epochs=50, seed=0,
+                    max_grad_norm=10.0):
+    """The top-1 baseline's loop with its clip norm written as a generator
+    of numpy reductions, the reference of ``train_top1_baseline``; returns
+    the model and the number of clipped steps."""
+    targets = [baselines._top1_target(q.relevances) for q in dataset]
+    pickers = [baselines._group_picker(q.groups) if lam > 0.0 else None
+               for q in dataset]
+    rng = np.random.default_rng(seed)
+    model = policy.LinearModel(np.zeros(dataset.feature_dim), np.zeros(1))
+    clipped = 0
+    for _ in range(epochs):
+        for qi in rng.permutation(len(dataset)):
+            X = dataset.queries[qi].feature_matrix
+            scores = model.scores(X)
+            z = np.exp(scores - scores.max())
+            p = z / z.sum()
+            score_grad = p - targets[qi]
+            picker = pickers[qi]
+            if picker is not None:
+                gap = float(picker @ p)
+                score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
+            grads = model.backprop(X, score_grad)
+            norm = np.sqrt(sum(float(np.sum(np.square(a))) for a in grads))
+            if norm > max_grad_norm:
+                clipped += 1
+                grads = [a * (max_grad_norm / norm) for a in grads]
+            model.weights -= learning_rate * grads[0]
+            model.bias -= learning_rate * grads[1]
+    return model, clipped
+
+
+@pytest.mark.parametrize("lam", [0.0, 10.0, 10 ** 4])
+def test_top1_baseline_equals_the_reference_loop(lam):
+    ds = data.generate_simulated(num_queries=20, docs_per_query=10, seed=6)
+    got = baselines.train_top1_baseline(ds, lam, epochs=5, seed=2)
+    want, clipped = _top1_reference(ds, lam, epochs=5, seed=2)
+    assert got.weights.tolist() == want.weights.tolist()
+    assert got.bias.tolist() == want.bias.tolist()
+    assert (clipped > 0) == (lam == 10 ** 4)

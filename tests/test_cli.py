@@ -270,8 +270,8 @@ def test_eval_reports(tmp_path, dataset_dir):
 def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir):
     full = data.load_dataset(dataset_dir / "data.letor")
     capped = data.Dataset(
-        [data.Query(q.qid, [data.Document(d.features, min(d.relevance, 4.0))
-                            for d in q.docs]) for q in full],
+        [data.Query.from_arrays(q.qid, q.feature_matrix,
+                                np.minimum(q.relevances, 4.0)) for q in full],
         full.feature_dim)
     train_file = tmp_path / "capped.letor"
     data.save_dataset(capped, train_file)

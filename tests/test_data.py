@@ -116,6 +116,40 @@ def test_query_rejects_inconsistent_feature_dims():
         data.Query("1", docs)
 
 
+def test_query_arrays_are_read_only_copies():
+    feats = np.arange(6.0).reshape(2, 3)
+    rels, groups = np.array([1.0, 0.0]), np.array([0, 1])
+    docs = [data.Document(feats[i], rels[i], int(groups[i])) for i in range(2)]
+    for query in (data.Query.from_arrays("q", feats, rels, groups),
+                  data.Query("q", docs)):
+        for values in (query.feature_matrix, query.relevances, query.groups):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 7
+        np.testing.assert_array_equal(query.feature_matrix, feats)
+        np.testing.assert_array_equal(query.relevances, rels)
+        np.testing.assert_array_equal(query.groups, groups)
+    feats[0, 0] = 9.0
+    assert query.feature_matrix[0, 0] == 0.0 and feats.flags.writeable
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: data.Query("q", []), "no documents"),
+    (lambda: data.Query.from_arrays("q", np.zeros((0, 2)), []), "no documents"),
+    (lambda: data.Query.from_arrays("q", np.zeros((3, 2)), [1.0, 0.0]),
+     "inconsistent feature shapes"),
+    (lambda: data.Query.from_arrays("q", np.zeros(2), [1.0, 0.0]),
+     "inconsistent feature shapes"),
+    (lambda: data.Query.from_arrays("q", np.zeros((2, 1)), [[1.0, 0.0]]),
+     "inconsistent feature shapes"),
+    (lambda: data.Query.from_arrays("q", np.zeros((2, 1)), [1.0, 0.0], [0]),
+     "1 group labels for 2 documents"),
+])
+def test_query_from_arrays_is_checked_like_documents(build, message):
+    with pytest.raises(data.DataError, match=message):
+        build()
+
+
 def test_generate_simulated_shape_and_determinism():
     a = data.generate_simulated(num_queries=6, docs_per_query=7, seed=3)
     b = data.generate_simulated(num_queries=6, docs_per_query=7, seed=3)

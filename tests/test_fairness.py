@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fairltr import data, fairness, metrics, policy
+from fairltr import data, fairness, metrics, policy, trainer
 from fairltr.ranking import all_rankings
 
 V2 = 0.6309297535714574    # position bias at rank 2
@@ -132,11 +132,85 @@ def test_disparity_hinges_after_averaging_not_per_ranking():
 def test_ranking_pair_term_hand_value():
     ranked = fairness.exposure_of_ranking(np.array([0, 1]))
     pair = fairness.individual_rows(np.array([2.0, 1.0]))
-    np.testing.assert_array_equal(pair, [[0.5, -1.0]])
-    assert (pair @ ranked)[0] == pytest.approx(0.5 - V2, abs=1e-12)
+    assert (pair.first.tolist(), pair.second.tolist()) == ([0], [1])
+    np.testing.assert_array_equal(pair.inv_merit, [0.5, 1.0])
+    np.testing.assert_array_equal(_dense_individual_rows(pair), [[0.5, -1.0]])
+    assert fairness.hinge_gaps(pair, ranked)[0] == pytest.approx(0.5 - V2, abs=1e-12)
     # a zero-merit partner forms no pair, so there is no row to hinge
-    assert fairness.individual_rows(np.array([2.0, 0.0])).shape == (0, 2)
+    assert len(fairness.individual_rows(np.array([2.0, 0.0]))) == 0
     assert fairness.hinge_mean(np.zeros((0, 2)), ranked) == 0.0
+
+
+def _dense_individual_rows(rows):
+    """Pair-form rows as the dense (pairs x n) matrix they stand for: row
+    (i, j) holds ``1/m_i`` at i and ``-1/m_j`` at j."""
+    dense = np.zeros((len(rows), len(rows.inv_merit)))
+    pair = np.arange(len(rows))
+    dense[pair, rows.first] = rows.inv_merit[rows.first]
+    dense[pair, rows.second] = -rows.inv_merit[rows.second]
+    return dense
+
+
+def test_pair_form_matches_dense_rows():
+    """Value and gradient weights of the pair form equal those of the dense
+    rows up to rounding, on random inputs and degenerate merits."""
+    rng = np.random.default_rng(12)
+    cases = [(rng.uniform(0.0, 1.0, size=n),
+              rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=n)
+              * rng.uniform(0.5, 1.5, size=n))
+             for n in (2, 3, 5, 10, 30) for _ in range(20)]
+    cases += [
+        (np.array([0.7]), np.array([2.0])),                                # n=1
+        (rng.uniform(0.0, 1.0, size=6), np.zeros(6)),                      # no pairs
+        (rng.uniform(0.0, 1.0, size=6), np.array([0.0, 2.0, 0.0, 1.0, 0.0, 3.0])),
+        (rng.uniform(0.0, 1.0, size=8), np.full(8, 1.5)),                  # all equal
+    ]
+    for exposures, merits in cases:
+        rows = fairness.individual_rows(merits)
+        dense = _dense_individual_rows(rows)
+        assert dense.shape == (len(rows), len(merits))
+        want = float(np.maximum(dense @ exposures, 0.0).mean()) if len(rows) else 0.0
+        assert fairness.individual_disparity(exposures, merits) == pytest.approx(
+            want, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(fairness.hinge_gaps(rows, exposures),
+                                   dense @ exposures, rtol=1e-12, atol=1e-15)
+        if len(rows):
+            active = dense @ exposures > 0.0
+            np.testing.assert_array_equal(fairness.hinge_gaps(rows, exposures) > 0.0,
+                                          active)
+            np.testing.assert_allclose(fairness.hinge_weights(rows, active),
+                                       dense[active].sum(axis=0) / len(rows),
+                                       rtol=1e-12, atol=1e-15)
+        assert np.isfinite(rows.inv_merit).all()
+        np.testing.assert_array_equal(rows.inv_merit[merits == 0.0], 0.0)
+
+
+def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
+    """A pair with equal merits and equal exposures is not violated: its gap
+    is exactly 0, so the Monte-Carlo gradient gives it no weight."""
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        n = int(rng.integers(2, 31))
+        merits = rng.choice([0.0, 1.0, 3.0, 7.0], size=n)
+        exposures = rng.choice([1.0, V2, 0.5, 0.1], size=n) / 3.0
+        rows = fairness.individual_rows(merits)
+        tied = ((merits[rows.first] == merits[rows.second])
+                & (exposures[rows.first] == exposures[rows.second]))
+        assert np.all(fairness.hinge_gaps(rows, exposures)[tied] == 0.0)
+    # documents 0 and 1 share merit 3 and, over these two rankings, exposure;
+    # every other pair is satisfied, so no row is active
+    scores = np.array([0.3, -0.2, 0.1])
+    rankings = np.array([[0, 1, 2], [1, 0, 2]])
+    sample = policy.PolicySample(rankings,
+                                 policy.logprob_grads_scores(scores, rankings))
+    rows = fairness.individual_rows(np.array([3.0, 3.0, 1.0]))
+    exposures = fairness.mc_exposure(rankings, 3)
+    assert exposures[0] == exposures[1]
+    tied = (rows.first < 2) & (rows.second < 2)
+    assert fairness.hinge_gaps(rows, exposures)[tied].tolist() == [0.0, 0.0]
+    assert fairness.hinge_mean(rows, exposures) == 0.0
+    assert not (fairness.hinge_gaps(rows, exposures) > 0.0).any()
+    assert not trainer.hinge_score_grad(sample, rows).any()
 
 
 def test_ranking_group_term_signs_and_errors():
@@ -215,9 +289,9 @@ def test_disparities_match_literal_definitions():
         assert fairness.group_disparity(exposures, merits, groups) == pytest.approx(
             _literal_group(exposures, merits, groups), abs=1e-12)
     # equal positive merits give the pair in both orders; degenerate shapes
-    assert fairness.individual_rows(np.array([1.0, 1.0])).shape == (2, 2)
-    assert fairness.individual_rows(np.array([2.0])).shape == (0, 1)
-    assert fairness.individual_rows(np.zeros(3)).shape == (0, 3)
+    assert len(fairness.individual_rows(np.array([1.0, 1.0]))) == 2
+    assert len(fairness.individual_rows(np.array([2.0]))) == 0
+    assert len(fairness.individual_rows(np.zeros(3))) == 0
     for merits, groups in [(np.array([2.0]), np.array([0])),
                            (np.zeros(3), np.array([0, 1, 0])),
                            (np.array([3.0, 1.0, 2.0]), np.array([1, 1, 1])),
@@ -244,8 +318,9 @@ def test_disparity_config_parse_and_dispatch():
     grp = fairness.DisparityConfig.parse("group")
     assert grp.from_exposures(expo, query) == 0.0    # no labels
     assert grp.rows(rels, None).shape == (0, 2)
-    np.testing.assert_array_equal(cfg.rows(rels, None),
-                                  fairness.individual_rows(np.ones(2)))
+    np.testing.assert_array_equal(
+        _dense_individual_rows(cfg.rows(rels, None)),
+        _dense_individual_rows(fairness.individual_rows(np.ones(2))))
     with pytest.raises(ValueError):
         fairness.DisparityConfig.parse("pairwise")
 
@@ -269,7 +344,13 @@ def test_group_rows_are_kept_with_each_query_and_read_only():
     twin = make_query()
     assert cfg.query_rows(twin) is not cfg.query_rows(query)
     individual = fairness.DisparityConfig.parse("individual")
-    assert individual.query_rows(query) is not individual.query_rows(query)
+    pairs = individual.query_rows(query)
+    assert individual.query_rows(query) is pairs
+    assert (pairs.first.tolist(), pairs.second.tolist()) == ([0, 0, 2], [1, 2, 1])
+    for values in (pairs.first, pairs.second, pairs.inv_merit):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0
     swapped = fairness.DisparityConfig.parse("group").rows(rels, 1 - groups)
     np.testing.assert_array_equal(swapped, fairness.group_rows(rels, 1 - groups))
     with pytest.raises(ValueError, match="non-negative"):

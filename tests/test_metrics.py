@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fairltr import fairness, metrics, policy
+from fairltr import data, fairness, metrics, policy
 from fairltr.ranking import InvalidRankingError, all_rankings
 
 
@@ -199,6 +199,44 @@ def test_scalar_entry_points_refuse_an_invalid_ranking(bad):
     if len(bad) == 3:
         with pytest.raises(InvalidRankingError):
             fairness.exposure_of_ranking(order)
+
+
+@pytest.mark.parametrize("text", ["dcg", "dcg@3", "ndcg", "ndcg@3", "err", "avgrank"])
+def test_query_constants_give_the_bits_of_an_array_call(text):
+    """On a query, value and batch_rewards read the gains, ideal DCG and
+    stop probabilities kept with it, and equal the array call bit for bit,
+    on the first call and on later ones."""
+    metric = metrics.UtilityMetric.parse(text)
+    rng = np.random.default_rng(21)
+    for rels in (rng.integers(0, 5, size=7) + rng.uniform(0.0, 0.9, size=7),
+                 np.array([2.0, 2.0, 1.0, 1.0, 0.0, 2.0]),            # ties
+                 np.zeros(5),                                          # all zero
+                 np.array([3.0])):                                     # n=1
+        n = len(rels)
+        query = data.Query.from_arrays("q", np.zeros((n, 1)), rels)
+        orders = np.stack([rng.permutation(n) for _ in range(16)])
+        if metric.kind == "avgrank" and not rels.any():
+            for source in (query, rels):
+                with pytest.raises(ValueError, match="all-zero"):
+                    metric.batch_rewards(orders, source)
+            continue
+        for _ in range(2):
+            for order in orders[:4]:
+                assert metric.value(order, query) == metric.value(order, rels)
+            np.testing.assert_array_equal(metric.batch_rewards(orders, query),
+                                          metric.batch_rewards(orders, rels))
+    gains = metrics.gains(query)
+    assert metrics.gains(query) is gains and not gains.flags.writeable
+    assert metrics.ideal_dcg(query, 3) == metrics.ideal_dcg(rels, 3)
+
+
+def test_err_on_a_query_refuses_a_grade_below_its_top_relevance():
+    query = data.Query.from_arrays("q", np.zeros((2, 1)), [5.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="max_grade"):
+            metrics.UtilityMetric("err").value(np.arange(2), query)
+    assert metrics.UtilityMetric("err", err_max_grade=5.0).value(np.arange(2), query) \
+        == metrics.err(np.arange(2), np.array([5.0, 1.0]), max_grade=5.0)
 
 
 def test_expected_utility_uniform_two_docs():

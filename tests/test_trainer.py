@@ -128,9 +128,8 @@ def test_train_is_deterministic_per_seed():
 
 
 def without_groups(ds):
-    return data.Dataset([data.Query(q.qid, [data.Document(d.features, d.relevance)
-                                            for d in q.docs]) for q in ds],
-                        ds.feature_dim)
+    return data.Dataset([data.Query.from_arrays(q.qid, q.feature_matrix, q.relevances)
+                         for q in ds], ds.feature_dim)
 
 
 def test_unpenalized_training_ignores_group_labels():
