@@ -284,14 +284,14 @@ def train_top1_baseline(dataset: Dataset, lam: float,
             if picker is not None:
                 gap = float(picker @ p)
                 score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
-            grad_w, grad_b = model.backprop(X, score_grad)
-            norm = math.sqrt(float(np.square(grad_w).sum())
-                             + float(np.square(grad_b).sum()))
+            grad = model.backprop(X, score_grad)
+            # Two sums, the weights' squares then the bias's: one sum over
+            # the whole vector rounds differently and moves clipped steps.
+            norm = math.sqrt(float(np.square(grad[:-1]).sum())
+                             + float(np.square(grad[-1:]).sum()))
             if norm > max_grad_norm:
-                grad_w = grad_w * (max_grad_norm / norm)
-                grad_b = grad_b * (max_grad_norm / norm)
-            model.weights -= learning_rate * grad_w
-            model.bias -= learning_rate * grad_b
+                grad = grad * (max_grad_norm / norm)
+            model.params -= learning_rate * grad
     return model
 
 

@@ -335,6 +335,8 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
                                                  ("val", val_set)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
+        trainer.require_defined_metric(metric, [("train", train_set),
+                                                ("val", val_set)])
         return trainer.TrainConfig(
             lam=lam, gamma=opts["gamma"], sample_size=opts["samples"],
             learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
@@ -693,6 +695,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         trainer.require_group_labels(disparity, [("evaluation", dataset)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), dataset)
+        trainer.require_defined_metric(metric, [("evaluation", dataset)])
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)

@@ -11,9 +11,15 @@ Rankings are sampled by Gumbel-top-k: sorting ``s + G``, with ``G`` i.i.d.
 standard Gumbel noise, in descending order draws ``r`` with exactly this
 probability (Yellott 1977; Kool et al., ICML 2019, arXiv 1903.06059).
 
-Everything here works in score space.  The scoring models at the bottom of
-the module map features to scores and backpropagate score-space gradients to
-their parameters, which is all a policy-gradient trainer needs.
+Everything here works in score space.  Log-probabilities and their
+gradients are computed in probability space, from the weights
+``exp(s - max s)`` and the stage denominators summed over the documents not
+yet placed (``_stage_weights``).  The scoring models at the bottom of the
+module map features to scores and backpropagate score-space gradients to
+their parameters, which is all a policy-gradient trainer needs.  Each model
+keeps its parameters in one contiguous vector, ``params``, of which its
+named arrays are views, and ``backprop`` returns one gradient vector in the
+same layout, so an optimizer step is a few operations on one vector.
 
 Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax or
 sampling so that exp() stays comfortably inside float64 range; at trained
@@ -41,11 +47,20 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def _suffix_logsumexp(permuted: np.ndarray) -> np.ndarray:
-    """``out[i] = log sum_{j >= i} exp(permuted[j])`` along the last axis."""
-    rev = permuted[..., ::-1]
-    acc = np.logaddexp.accumulate(rev, axis=-1)
-    return acc[..., ::-1]
+def _stage_weights(scores: np.ndarray, orders: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, remaining)`` for rankings ``orders`` at ``scores``.
+
+    ``w[..., i] = exp(s - max s)`` of the document at position ``i``, and
+    ``remaining[..., i] = sum_{k >= i} w[..., k]``, the stage-i softmax
+    denominator over the documents not yet placed.  It is summed from the
+    back, not taken as the total minus the placed weights, so nothing
+    cancels at scores of +-SCORE_CLAMP; the smallest weight, exp(-100), is
+    far from underflow.
+    """
+    s = clip_scores(scores)
+    w = np.exp(s - s.max())[np.asarray(orders, dtype=np.intp)]
+    return w, np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
 
 
 def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
@@ -57,11 +72,8 @@ def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
 def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Log-probability of each ranking in a batch of shape ``(size, n)``;
     rows are not validated."""
-    s = clip_scores(scores)
-    orders = np.asarray(orders, dtype=np.intp)
-    permuted = s[orders]
-    denom = _suffix_logsumexp(permuted)
-    return np.sum(permuted - denom, axis=-1)
+    w, remaining = _stage_weights(scores, orders)
+    return np.log(w / remaining).sum(axis=-1)
 
 
 def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,20 +118,21 @@ def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     ``orders`` has shape ``(size, n)``; the result matches it, and rows are
     not validated.  For the document placed at position k the gradient is
 
-        1 - exp(s_d) * sum_{i <= k} exp(-L_i),
+        1 - w_k * sum_{i <= k} 1 / remaining_i,
 
-    where ``L_i`` is the log of the stage-i softmax denominator.  Each row
-    sums to zero exactly in expectation and to float precision in practice.
+    in probability space (``_stage_weights``): ``w_k`` is its weight
+    ``exp(s - max s)`` and ``remaining_i`` the stage-i denominator.  The
+    document placed last gets ``1 - w * sum(...) <= 0``; at n = 1 the
+    gradient is exactly 0.  Each row sums to zero exactly in expectation and
+    to float precision in practice.
     """
-    s = clip_scores(scores)
     orders = np.asarray(orders, dtype=np.intp)
-    permuted = s[orders]
-    denom = _suffix_logsumexp(permuted)
-    inv_cum = np.cumsum(np.exp(-denom), axis=1)
-    by_position = 1.0 - np.exp(permuted) * inv_cum
-    grads = np.empty_like(by_position)
-    grads[np.arange(len(orders))[:, None], orders] = by_position
-    return grads
+    w, remaining = _stage_weights(scores, orders)
+    size, n = orders.shape
+    by_position = 1.0 - w * np.cumsum(1.0 / remaining, axis=1)
+    grads = np.empty(size * n)
+    grads[(orders + n * np.arange(size)[:, None]).ravel()] = by_position.ravel()
+    return grads.reshape(size, n)
 
 
 def softmax_entropy(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -219,15 +232,26 @@ def position_marginals(scores: np.ndarray) -> np.ndarray:
 
 class LinearModel:
     """Linear scoring function ``s = X w (+ b)``; the bias is optional and
-    off by default."""
+    off by default.
+
+    The parameters live in one vector, ``params = [w, b]``; ``weights`` and
+    ``bias`` are views into it, and ``backprop`` returns its gradient in the
+    same layout.
+    """
 
     kind = "linear"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray | None = None):
-        self.weights = np.asarray(weights, dtype=float)
-        self.bias = None if bias is None else np.asarray(bias, dtype=float).reshape(1)
-        if self.weights.ndim != 1:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
             raise ValueError("weights must be a vector")
+        parts = [weights]
+        if bias is not None:
+            parts.append(np.asarray(bias, dtype=float).reshape(1))
+        self.params = np.concatenate(parts)
+        d = weights.shape[0]
+        self.weights = self.params[:d]
+        self.bias = None if bias is None else self.params[d:]
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -247,42 +271,47 @@ class LinearModel:
         return out
 
     def param_arrays(self) -> list[np.ndarray]:
-        params = [self.weights]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weights] if self.bias is None else [self.weights, self.bias]
 
-    def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> list[np.ndarray]:
-        """Map a gradient wrt the per-document scores to parameter space."""
+    def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
+        """Map a gradient wrt the per-document scores to ``params`` space."""
         X = np.asarray(features, dtype=float)
         g = np.asarray(score_grads, dtype=float)
-        grads = [X.T @ g]
-        if self.bias is not None:
-            grads.append(np.array([g.sum()]))
-        return grads
+        grad = X.T @ g
+        if self.bias is None:
+            return grad
+        return np.concatenate((grad, g.sum(keepdims=True)))
 
     def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(),
-                           None if self.bias is None else self.bias.copy())
+        """An independent model: the constructor copies into a new vector."""
+        return LinearModel(self.weights, self.bias)
 
 
 class MLP1Model:
     """One-hidden-layer scorer: ``s = relu(X W + b_h) w_out + b_out``.
 
-    The ReLU subgradient at zero is taken to be zero.
+    The ReLU subgradient at zero is taken to be zero.  The parameters live
+    in one vector, ``params = [W (row-major), b_h, w_out, b_out]``; the four
+    named arrays are views into it, and ``backprop`` returns its gradient in
+    the same layout.
     """
 
     kind = "mlp1"
 
     def __init__(self, hidden_weights: np.ndarray, hidden_bias: np.ndarray,
                  out_weights: np.ndarray, out_bias: np.ndarray):
-        self.hidden_weights = np.asarray(hidden_weights, dtype=float)
-        self.hidden_bias = np.asarray(hidden_bias, dtype=float)
-        self.out_weights = np.asarray(out_weights, dtype=float)
-        self.out_bias = np.asarray(out_bias, dtype=float).reshape(1)
-        d, h = self.hidden_weights.shape
-        if self.hidden_bias.shape != (h,) or self.out_weights.shape != (h,):
+        W = np.asarray(hidden_weights, dtype=float)
+        d, h = W.shape
+        b_h = np.asarray(hidden_bias, dtype=float)
+        w_out = np.asarray(out_weights, dtype=float)
+        if b_h.shape != (h,) or w_out.shape != (h,):
             raise ValueError("inconsistent hidden layer shapes")
+        self.params = np.concatenate(
+            [W.ravel(), b_h, w_out, np.asarray(out_bias, dtype=float).reshape(1)])
+        self.hidden_weights = self.params[:d * h].reshape(d, h)
+        self.hidden_bias = self.params[d * h:d * h + h]
+        self.out_weights = self.params[d * h + h:d * h + 2 * h]
+        self.out_bias = self.params[d * h + 2 * h:]
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -311,17 +340,18 @@ class MLP1Model:
         return [self.hidden_weights, self.hidden_bias,
                 self.out_weights, self.out_bias]
 
-    def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> list[np.ndarray]:
+    def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=float)
         g = np.asarray(score_grads, dtype=float)
         pre = X @ self.hidden_weights + self.hidden_bias
         act = np.maximum(pre, 0.0)
         d_pre = (g[:, None] * self.out_weights[None, :]) * (pre > 0.0)
-        return [X.T @ d_pre, d_pre.sum(axis=0), act.T @ g, np.array([g.sum()])]
+        return np.concatenate(((X.T @ d_pre).ravel(), d_pre.sum(axis=0),
+                               act.T @ g, g.sum(keepdims=True)))
 
     def copy(self) -> "MLP1Model":
-        return MLP1Model(self.hidden_weights.copy(), self.hidden_bias.copy(),
-                         self.out_weights.copy(), self.out_bias.copy())
+        """An independent model: the constructor copies into a new vector."""
+        return MLP1Model(*self.param_arrays())
 
 
 ScoringModel = LinearModel | MLP1Model

@@ -7,7 +7,10 @@ each query the policy samples a small batch of rankings, weights each
 ranking's log-probability gradient by a scalar (reward minus baseline, or a
 per-merit exposure term), averages, and backpropagates through the scoring
 model.  One optimizer step is taken per query; an epoch is one shuffled
-pass over the training queries.
+pass over the training queries.  The optimizers act in place on the
+model's one parameter vector, ``model.params``, with the one gradient
+vector ``backprop`` returns, and a step checks that gradient for
+non-finite values with one call.
 
 Both disparities reach the trainer as the hinge rows of
 ``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
@@ -113,7 +116,9 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (ascent direction: parameters move along +gradient)
+# Optimizers (ascent direction: parameters move along +gradient).  Each acts
+# in place on a model's one parameter vector, ``model.params``, with a
+# gradient in the same layout.
 # ---------------------------------------------------------------------------
 
 
@@ -121,9 +126,8 @@ class SGD:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p += self.learning_rate * g
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        params += self.learning_rate * grad
 
 
 class Adam:
@@ -132,22 +136,22 @@ class Adam:
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p += self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        params += self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def make_optimizer(name: str, learning_rate: float):
@@ -283,18 +287,26 @@ def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
     return exposures
 
 
-def _check_err_grade(metric: UtilityMetric,
-                     splits: Sequence[tuple[str, Dataset]]) -> None:
-    """Refuse up front a split with a relevance above ``metric.err_max_grade``,
-    which ``metrics.err`` would otherwise reject mid-run."""
-    if metric.kind != "err":
-        return
+def require_defined_metric(metric: UtilityMetric,
+                           splits: Sequence[tuple[str, Dataset]]) -> None:
+    """Refuse up front a split on which ``metric`` is undefined, which
+    ``metrics`` would otherwise reject mid-run: for ERR, a relevance above
+    ``metric.err_max_grade``; for avgrank, a query whose relevances are all
+    zero."""
     for name, dataset in splits:
-        top = max(float(q.relevances.max()) for q in dataset)
-        if top > metric.err_max_grade:
-            raise ValueError(
-                f"{name} split has relevance {top:g}, above err_max_grade "
-                f"{metric.err_max_grade:g}; raise err_max_grade to at least {top:g}")
+        if metric.kind == "err":
+            top = max(float(q.relevances.max()) for q in dataset)
+            if top > metric.err_max_grade:
+                raise ValueError(
+                    f"{name} split has relevance {top:g}, above err_max_grade "
+                    f"{metric.err_max_grade:g}; raise err_max_grade to at least "
+                    f"{top:g}")
+        elif metric.kind == "avgrank":
+            for q in dataset:
+                if q.relevances.sum() == 0.0:
+                    raise ValueError(
+                        f"{name} split query {q.qid!r} has only zero "
+                        "relevances, for which avgrank is undefined")
 
 
 def require_group_labels(disparity: DisparityConfig | None,
@@ -320,14 +332,14 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     exposures for small candidate sets and seeded Monte-Carlo exposures
     (``eval_samples`` rankings per query, drawn in blocks of consecutive
     equal-size queries) otherwise.  Raises ``ValueError`` before any work if
-    ``eval_samples`` is below 1, if an ERR metric's grade ceiling is below
-    the dataset's top relevance, or if group disparity is asked of a dataset
-    without group labels.
+    ``eval_samples`` is below 1, if a metric is undefined on the dataset
+    (``require_defined_metric``), or if group disparity is asked of a
+    dataset without group labels.
     """
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     for each in (metric, *extra_metrics):
-        _check_err_grade(each, [("evaluation", dataset)])
+        require_defined_metric(each, [("evaluation", dataset)])
     require_group_labels(disparity, [("evaluation", dataset)])
     return _evaluate(model, dataset, metric, disparity, eval_samples,
                      np.random.default_rng(seed), extra_metrics)
@@ -394,12 +406,12 @@ def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecor
 
     Deterministic: identical datasets, config, and seed reproduce the run
     bit for bit.  Raises ``TrainingError`` if a non-finite gradient shows
-    up, naming the offending query, and ``ValueError`` before epoch 1 if an
-    ERR metric's grade ceiling is below the top relevance of either split,
+    up, naming the offending query, and ``ValueError`` before epoch 1 if
+    the metric is undefined on either split (``require_defined_metric``),
     or if group disparity is configured and either split lacks group labels.
     """
     splits = [("train", train_set), ("val", val_set)]
-    _check_err_grade(config.metric, splits)
+    require_defined_metric(config.metric, splits)
     require_group_labels(config.disparity, splits)
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
@@ -479,9 +491,9 @@ def _train_step(model: ScoringModel, query: Query, config: TrainConfig,
     if config.gamma != 0.0:
         _, entropy_grad = softmax_entropy(scores)
         score_grad = score_grad + config.gamma * entropy_grad
-    param_grads = model.backprop(query.feature_matrix, score_grad)
-    if not all(np.all(np.isfinite(g)) for g in param_grads):
+    param_grad = model.backprop(query.feature_matrix, score_grad)
+    if not np.isfinite(param_grad).all():
         raise TrainingError(
             f"non-finite gradient on query {query.qid!r}; "
             f"scores ranged [{scores.min():.3g}, {scores.max():.3g}]")
-    optimizer.step(model.param_arrays(), param_grads)
+    optimizer.step(model.params, param_grad)

@@ -61,8 +61,8 @@ def sweep_outcome(sim_split):
                     sample = policy.draw_policy_sample(scores, 50, train_rng)
                     pen = model.backprop(X, trainer.disparity_score_grad(
                         sample, query, grp))
-                    grads = [g - lam * p for g, p in zip(grads, pen)]
-                optimizer.step(model.param_arrays(), grads)
+                    grads = grads - lam * pen
+                optimizer.step(model.params, grads)
         summary = trainer.evaluate(model, train_set, metric, grp,
                                    eval_samples=2000, seed=123)
         weights = model.weights

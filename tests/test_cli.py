@@ -58,21 +58,23 @@ def test_refuses_to_overwrite_without_force(tmp_path, capsys):
 
 def test_train_outputs_and_rerun_determinism(tmp_path, dataset_dir):
     letor = dataset_dir / "data.letor"
-    out = tmp_path / "run"
-    argv = ["train", "--train", letor, "--out", out, "--lambda", 1,
-            "--disparity", "group", "--gamma", 0, "--epochs", 2,
-            "--samples", 5, "--seed", 0]
-    assert run(argv) == 0
-    for name in ("record.json", "checkpoint.txt", "curves.csv", "config.txt"):
-        assert (out / name).exists(), name
-    record = json.loads((out / "record.json").read_text())
-    assert record["method"] == "pg-rank"
-    assert record["config"]["lambda"] == 1.0
-    first = {n: (out / n).read_bytes()
-             for n in ("record.json", "checkpoint.txt", "curves.csv")}
-    assert run(argv + ["--force"]) == 0
-    for name, blob in first.items():
-        assert (out / name).read_bytes() == blob, name
+    for model in ("linear", "mlp1"):
+        out = tmp_path / model
+        argv = ["train", "--train", letor, "--out", out, "--lambda", 1,
+                "--disparity", "group", "--gamma", 0, "--epochs", 2,
+                "--samples", 5, "--seed", 0, "--model", model]
+        assert run(argv) == 0
+        for name in ("record.json", "checkpoint.txt", "curves.csv", "config.txt"):
+            assert (out / name).exists(), name
+        record = json.loads((out / "record.json").read_text())
+        assert record["method"] == "pg-rank"
+        assert record["config"]["lambda"] == 1.0
+        assert record["config"]["model"] == model
+        first = {n: (out / n).read_bytes()
+                 for n in ("record.json", "checkpoint.txt", "curves.csv")}
+        assert run(argv + ["--force"]) == 0
+        for name, blob in first.items():
+            assert (out / name).read_bytes() == blob, name
 
 
 def test_train_config_file_with_flag_override(tmp_path, dataset_dir):
@@ -285,6 +287,34 @@ def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir)
     assert run(["train", *common, "--out", tmp_path / "run"]) == 0
     assert run(["sweep", *common, "--disparity", "none", "--lambdas", "0",
                 "--out", tmp_path / "sweep"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+def test_avgrank_refuses_an_all_zero_query_before_any_work(
+        tmp_path, dataset_dir, capsys, command):
+    full = data.load_dataset(dataset_dir / "data.letor")
+    queries = list(full)
+    q = queries[3]
+    queries[3] = data.Query.from_arrays(q.qid, q.feature_matrix,
+                                        np.zeros(len(q)), q.groups)
+    letor = tmp_path / "zero.letor"
+    data.save_dataset(data.Dataset(queries, full.feature_dim), letor)
+    checkpoint = tmp_path / "model.txt"
+    policy.save_model(policy.LinearModel(np.zeros(full.feature_dim)), checkpoint)
+    out = tmp_path / "out"
+    common = ["--metric", "avgrank", "--out", out]
+    argv = {
+        "train": ["train", "--train", letor, "--val", letor, "--epochs", 1],
+        "sweep": ["sweep", "--train", letor, "--val", letor, "--epochs", 1,
+                  "--disparity", "none", "--lambdas", "0"],
+        "eval": ["eval", "--checkpoint", checkpoint, "--data", letor],
+    }[command]
+    assert run([*argv, *common]) == 1
+    err = capsys.readouterr().err
+    split = "evaluation" if command == "eval" else "train"
+    assert err.startswith(f"error: {split} split query {q.qid!r} has only zero")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_rejects_dimension_mismatch(tmp_path, dataset_dir, capsys):

@@ -170,6 +170,44 @@ def test_logprob_grads_sum_to_zero_rowwise():
     np.testing.assert_allclose(grads[17], single, atol=1e-12)
 
 
+def stagewise_logprob_grad(scores, order):
+    """Reference: the gradient of one ranking's log-probability written
+    stage by stage in ``np.longdouble``.  Stage i adds ``e_{r_i}`` and
+    subtracts the softmax over the documents not yet placed."""
+    s = np.clip(np.asarray(scores, dtype=np.longdouble),
+                -policy.SCORE_CLAMP, policy.SCORE_CLAMP)
+    grad = np.zeros(len(s), dtype=np.longdouble)
+    for i, doc in enumerate(order):
+        rest = np.asarray(order[i:])
+        weights = np.exp(s[rest] - s[rest].max())
+        grad[doc] += 1
+        grad[rest] -= weights / weights.sum()
+    return grad
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 30])
+@pytest.mark.parametrize("kind", ["random", "tied", "clamped"])
+def test_logprob_grads_match_a_long_double_stagewise_reference(n, kind):
+    rng = np.random.default_rng(40 + n)
+    if kind == "random":
+        scores = rng.normal(scale=3.0, size=n)
+    elif kind == "tied":
+        scores = rng.integers(0, 2, size=n).astype(float)
+    else:
+        scores = rng.choice([-60.0, 60.0, 0.0], size=n)
+    orders = policy.sample_rankings(scores, 20, rng)
+    grads = policy.logprob_grads_scores(scores, orders)
+    for order, got in zip(orders, grads):
+        want = stagewise_logprob_grad(scores, order)
+        np.testing.assert_allclose(got, want.astype(float), rtol=0, atol=1e-13)
+
+
+def test_logprob_grad_of_one_document_is_exactly_zero():
+    for score in (0.0, 3.7, -60.0, 60.0):
+        grads = policy.logprob_grads_scores(np.array([score]), np.zeros((4, 1), int))
+        assert grads.tolist() == [[0.0]] * 4
+
+
 def test_softmax_entropy_value_and_gradient():
     value, grad = policy.softmax_entropy(np.zeros(4))
     assert value == pytest.approx(math.log(4.0), abs=1e-12)
@@ -208,8 +246,9 @@ def test_linear_model_scores_and_backprop():
     np.testing.assert_allclose(model.scores(X), [1.5, -2.5])
     up = np.array([1.0, -2.0])
     grads = model.backprop(X, up)
-    np.testing.assert_allclose(grads[0], X.T @ up)
-    np.testing.assert_allclose(grads[1], [up.sum()])
+    assert grads.shape == model.params.shape
+    np.testing.assert_allclose(grads[:2], X.T @ up)
+    np.testing.assert_allclose(grads[2:], [up.sum()])
 
 
 def test_mlp_backprop_matches_finite_differences():
@@ -218,20 +257,17 @@ def test_mlp_backprop_matches_finite_differences():
     X = rng.normal(size=(5, 3))
     up = rng.normal(size=5)
     grads = model.backprop(X, up)
-    params = model.param_arrays()
-    assert len(grads) == len(params)
+    flat = model.params
+    assert grads.shape == flat.shape
     step = 1e-6
-    for p, g in zip(params, grads):
-        flat = p.ravel()
-        gflat = np.asarray(g).ravel()
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + step
-            hi = float(model.scores(X) @ up)
-            flat[idx] = keep - step
-            lo = float(model.scores(X) @ up)
-            flat[idx] = keep
-            assert gflat[idx] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
+    for idx in range(flat.size):
+        keep = flat[idx]
+        flat[idx] = keep + step
+        hi = float(model.scores(X) @ up)
+        flat[idx] = keep - step
+        lo = float(model.scores(X) @ up)
+        flat[idx] = keep
+        assert grads[idx] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
 
 
 def test_init_model_is_deterministic_per_seed():
@@ -242,11 +278,39 @@ def test_init_model_is_deterministic_per_seed():
     assert not policy.models_equal(a, c)
 
 
+MODEL_KINDS = [("linear", False), ("linear", True), ("mlp1", False)]
+
+
+@pytest.mark.parametrize("kind,bias", MODEL_KINDS)
+def test_named_arrays_are_views_of_the_parameter_vector(kind, bias):
+    model = policy.init_model(kind, 3, np.random.default_rng(14),
+                              hidden_units=4, use_bias=bias)
+    arrays = model.param_arrays()
+    assert model.params.ndim == 1 and model.params.flags.c_contiguous
+    assert model.params.size == sum(a.size for a in arrays)
+    for a in arrays:
+        assert np.shares_memory(a, model.params)
+    np.testing.assert_array_equal(
+        model.params, np.concatenate([a.ravel() for a in arrays]))
+    model.params += 1.0      # a write to the vector shows in every array
+    np.testing.assert_array_equal(
+        model.params, np.concatenate([a.ravel() for a in arrays]))
+
+
 def test_model_copy_is_independent():
-    model = policy.init_model("linear", 2, np.random.default_rng(0))
-    clone = model.copy()
-    clone.weights[0] += 1.0
-    assert not policy.models_equal(model, clone)
+    """A copy owns its vector: ``train`` keeps its best model as a copy,
+    which must not track the live model."""
+    for kind, bias in MODEL_KINDS:
+        model = policy.init_model(kind, 2, np.random.default_rng(0),
+                                  hidden_units=3, use_bias=bias)
+        clone = model.copy()
+        assert policy.models_equal(model, clone)
+        assert not np.shares_memory(clone.params, model.params)
+        clone.param_arrays()[0][0] += 1.0
+        assert not policy.models_equal(model, clone)
+        clone = model.copy()
+        model.params *= 2.0
+        assert not policy.models_equal(model, clone)
 
 
 @pytest.mark.parametrize("kind,bias", [("linear", False), ("linear", True),

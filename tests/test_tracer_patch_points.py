@@ -5,7 +5,8 @@ rename in the package breaks only traced benchmark runs, so this test
 installs the tracer, checks the wrappers are in place, removes it, and
 checks every attribute is its original object again.  It runs no benchmark
 and writes no files.  The tracer's counters are checked against one
-evaluation pass, whose layers the benchmark reports.
+evaluation pass and one short training run, whose layers the benchmark
+reports.
 """
 import importlib.util
 from pathlib import Path
@@ -69,6 +70,32 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
     assert counts["policy.sample_rankings.calls"] == 1
     assert counts["policy.sample_rankings.rankings"] == queries * samples
     assert counts["fairness.from_exposures.calls"] == queries
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp1"])
+def test_tracer_counts_one_call_per_training_step(model):
+    """``bench/run.py`` fails a round whose ``trainer.optimizer_step.calls``
+    is not the workload's step count, so every per-step layer must count
+    exactly one call per training step."""
+    dataset = data.generate_simulated(num_queries=8, docs_per_query=6, seed=4)
+    train_set, val_set = data.split_dataset(dataset, 0.75, seed=0)
+    config = trainer.TrainConfig(
+        lam=5.0, gamma=0.5, sample_size=6, epochs=2, patience=0,
+        disparity=fairness.DisparityConfig.parse("group"), model=model,
+        hidden_units=4, eval_samples=8)
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        record = trainer.train(train_set, val_set, config)
+    finally:
+        tracer.remove()
+    steps = record.epochs_run * len(train_set)
+    assert steps > 0
+    counts = tracer.snapshot()
+    for layer in ("trainer.optimizer_step", "policy.backprop",
+                  "policy.logprob_grads_scores", "trainer.disparity_score_grad"):
+        assert counts[f"{layer}.calls"] == steps, layer
+    assert counts["trainer.train.calls"] == 1
 
 
 def test_cached_position_bias_vector_is_read_only():

@@ -406,3 +406,89 @@ def test_group_disparity_without_labels_fails_before_epoch_one(monkeypatch):
         trainer.evaluate(model, bare, cfg.metric, cfg.disparity)
     individual = fairness.DisparityConfig.parse("individual")
     assert trainer.evaluate(model, bare, cfg.metric, individual).mean_disparity >= 0.0
+
+
+def with_zero_relevance_query(dataset, index):
+    """The dataset with query ``index``'s relevances all set to zero."""
+    queries = list(dataset)
+    q = queries[index]
+    queries[index] = data.Query.from_arrays(q.qid, q.feature_matrix,
+                                            np.zeros(len(q)), q.groups)
+    return data.Dataset(queries, dataset.feature_dim)
+
+
+def test_avgrank_on_an_all_zero_query_fails_before_epoch_one(monkeypatch):
+    ds = small_dataset(seed=0, queries=10, docs=5)
+    train_set, val_set = data.split_dataset(ds, 0.8, seed=0)
+    bad_val = with_zero_relevance_query(val_set, 1)
+    qid = bad_val.queries[1].qid
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    cfg = base_config(metric=metrics.UtilityMetric("avgrank"))
+    with pytest.raises(ValueError, match=f"val split query {qid!r} has only zero"):
+        trainer.train(train_set, bad_val, cfg)
+    model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"evaluation split query {qid!r}"):
+        trainer.evaluate(model, bad_val, metrics.UtilityMetric("ndcg"),
+                         extra_metrics=[metrics.UtilityMetric("avgrank")])
+    summary = trainer.evaluate(model, bad_val, metrics.UtilityMetric("ndcg"))
+    assert summary.mean_metric >= 0.0
+
+
+def per_array_sgd_step(arrays, grads, learning_rate):
+    """Reference: the SGD step applied to each named array in turn."""
+    for p, g in zip(arrays, grads):
+        p += learning_rate * g
+
+
+def per_array_adam_steps(arrays, grad_steps, learning_rate, beta1=0.9,
+                         beta2=0.999, eps=1e-8):
+    """Reference: Adam with one ``m`` and ``v`` per named array."""
+    m = [np.zeros_like(p) for p in arrays]
+    v = [np.zeros_like(p) for p in arrays]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for p, g, mp, vp in zip(arrays, grads, m, v):
+            mp *= beta1
+            mp += (1.0 - beta1) * g
+            vp *= beta2
+            vp += (1.0 - beta2) * g * g
+            p += learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + eps)
+
+
+def split_like(flat, arrays):
+    """``flat`` cut into fresh arrays of the shapes of ``arrays``."""
+    out, start = [], 0
+    for a in arrays:
+        out.append(flat[start:start + a.size].reshape(a.shape).copy())
+        start += a.size
+    return out
+
+
+@pytest.mark.parametrize("kind,bias", [("linear", False), ("linear", True),
+                                       ("mlp1", False)])
+def test_flat_optimizer_steps_equal_the_per_array_reference(kind, bias):
+    rng = np.random.default_rng(31)
+    model = policy.init_model(kind, 4, rng, hidden_units=5, use_bias=bias)
+    X = rng.normal(size=(6, 4))
+    grad_steps = [model.backprop(X, rng.normal(size=6)) for _ in range(3)]
+
+    sgd_model = model.copy()
+    trainer.SGD(0.05).step(sgd_model.params, grad_steps[0])
+    want = [a.copy() for a in model.param_arrays()]
+    per_array_sgd_step(want, split_like(grad_steps[0], want), 0.05)
+    for got, ref in zip(sgd_model.param_arrays(), want):
+        assert got.tobytes() == ref.tobytes()
+
+    adam_model = model.copy()
+    adam = trainer.Adam(0.01)
+    for grad in grad_steps:
+        adam.step(adam_model.params, grad)
+    want = [a.copy() for a in model.param_arrays()]
+    per_array_adam_steps(want, [split_like(g, want) for g in grad_steps], 0.01)
+    for got, ref in zip(adam_model.param_arrays(), want):
+        assert got.tobytes() == ref.tobytes()
