@@ -445,57 +445,99 @@ def _summary_rows(record: trainer.RunRecord, splits: list[tuple[str, data.Datase
     return rows
 
 
-def _sweep_worker(payload: dict) -> dict:
-    config = payload["config"]
-    try:
-        record = trainer.train(payload["train_set"], payload["val_set"], config)
-    except trainer.TrainingError as exc:
-        return {"ok": False, "error": str(exc)}
-    run_dir = Path(payload["run_dir"])
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_outputs(run_dir, record, payload["echo"])
-    return {"ok": True, "rows": _summary_rows(record, payload["splits"], config)}
+def _sweep_worker(payload: dict) -> list[dict]:
+    """Train one seed's chunk of the lambda grid as one lockstep block and
+    write each run's outputs; one result per run, in order."""
+    outcomes = trainer.train(payload["train_set"], payload["val_set"],
+                             payload["configs"])
+    results = []
+    for config, echo, run_dir, outcome in zip(payload["configs"], payload["echos"],
+                                              payload["run_dirs"], outcomes):
+        if isinstance(outcome, trainer.TrainingError):
+            results.append({"ok": False, "error": str(outcome)})
+            continue
+        Path(run_dir).mkdir(parents=True, exist_ok=True)
+        _write_run_outputs(Path(run_dir), outcome, echo)
+        results.append({"ok": True,
+                        "rows": _summary_rows(outcome, payload["splits"], config)})
+    return results
+
+
+def _run_dir_name(lam: float, seed: int) -> str:
+    return f"run-lam{lam:g}-seed{seed}"
+
+
+def _lambda_chunks(num_lambdas: int, num_seeds: int, jobs: int) -> list[range]:
+    """Contiguous pieces of a seed's lambda indices: the whole grid, or, when
+    ``jobs`` exceeds the seed count, enough pieces for every job to have
+    one."""
+    pieces = min(num_lambdas, -(-jobs // num_seeds)) if jobs > num_seeds else 1
+    bounds = [num_lambdas * i // pieces for i in range(pieces + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train every lambda x seed run on input files parsed once up front."""
+    """Train every lambda x seed run on input files parsed once up front.
+
+    Each seed's lambdas train in lockstep as one ``trainer.train`` grid,
+    or as a few contiguous chunks of it when ``--jobs`` exceeds the seed
+    count; the blocks run in parallel worker processes.  Every run's files
+    and both summaries are the same whatever ``--jobs`` is.
+    """
     opts = resolve_options(args, _SWEEP_SCHEMA)
+    if opts["jobs"] < 1:
+        raise CliError(f"--jobs must be >= 1, got {opts['jobs']}")
     if not args.train:
         raise CliError("sweep requires --train DATA.letor")
     lambdas = _parse_number_list(opts["lambdas"], float, "lambda")
     seeds = _parse_number_list(opts["seeds"], int, "seed")
     if not lambdas or not seeds:
         raise CliError("need at least one lambda and one seed")
+    names = [_run_dir_name(lam, seed) for lam in lambdas for seed in seeds]
+    for name in names:
+        if names.count(name) > 1:
+            raise CliError(
+                f"{names.count(name)} runs would share the directory {name}: "
+                "lambdas and seeds must be distinct, and lambdas must differ "
+                "when printed with %g")
     opts["val"] = args.val
     train_set, val_set = _train_val_split(load_dataset_auto(args.train), opts)
     splits = [("train", train_set)]
     if args.test:
         splits.append(("test", load_dataset_auto(args.test)))
-    configs = [_build_train_config(opts, train_set, val_set, lam=lam, seed=seed)
-               for lam in lambdas for seed in seeds]
+    configs = {(li, si): _build_train_config(opts, train_set, val_set, lam=lam, seed=seed)
+               for li, lam in enumerate(lambdas) for si, seed in enumerate(seeds)}
+    first = next(iter(configs.values()))
     try:
-        trainer.require_group_labels(configs[0].disparity, splits)
+        trainer.require_group_labels(first.disparity, splits)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
-    payloads = [{"config": config, "train_set": train_set, "val_set": val_set,
-                 "splits": splits, "echo": _run_echo(config, opts, args.train),
-                 "run_dir": str(out / f"run-lam{config.lam:g}-seed{config.seed}")}
-                for config in configs]
+    units = [[(li, si) for li in chunk] for si in range(len(seeds))
+             for chunk in _lambda_chunks(len(lambdas), len(seeds), opts["jobs"])]
+    payloads = [{"configs": [configs[key] for key in unit],
+                 "echos": [_run_echo(configs[key], opts, args.train) for key in unit],
+                 "run_dirs": [str(out / _run_dir_name(configs[key].lam, configs[key].seed))
+                              for key in unit],
+                 "train_set": train_set, "val_set": val_set, "splits": splits}
+                for unit in units]
 
-    if opts["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=opts["jobs"]) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+    workers = min(opts["jobs"], len(payloads))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            unit_results = list(pool.map(_sweep_worker, payloads))
     else:
-        results = [_sweep_worker(p) for p in payloads]
+        unit_results = [_sweep_worker(p) for p in payloads]
+    results = {key: result for unit, batch in zip(units, unit_results)
+               for key, result in zip(unit, batch)}
 
     rows = []
     failures = []
-    for payload, result in zip(payloads, results):
-        if result["ok"]:
-            rows.extend(result["rows"])
+    for key, config in configs.items():
+        if results[key]["ok"]:
+            rows.extend(results[key]["rows"])
         else:
-            failures.append((payload["config"], result["error"]))
+            failures.append((config, results[key]["error"]))
     write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
     _write_sweep_stats(out / "summary_stats.csv", rows)
     write_kv(out / "config.txt",
@@ -504,8 +546,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for config, message in failures:
         print(f"run lambda={config.lam:g} seed={config.seed} failed: {message}",
               file=sys.stderr)
-    print(f"{len(rows)} summary rows ({len(payloads) - len(failures)}/"
-          f"{len(payloads)} runs) in {out / 'summary.csv'}")
+    print(f"{len(rows)} summary rows ({len(configs) - len(failures)}/"
+          f"{len(configs)} runs) in {out / 'summary.csv'}")
     return 1 if failures else 0
 
 
@@ -806,7 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--test", help="held-out dataset for summary rows")
     sw.add_argument("--lambdas", help="comma-separated lambda values")
     sw.add_argument("--seeds", help="comma-separated seeds")
-    sw.add_argument("--jobs", type=int, help="parallel worker processes")
+    sw.add_argument("--jobs", type=int,
+                    help="parallel worker processes, each training one seed's "
+                         "lambdas in lockstep (or a contiguous chunk of them)")
     _add_common(sw)
     sw.set_defaults(func=cmd_sweep)
 

@@ -233,20 +233,28 @@ def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
 def hinge_gaps(rows: HingeRows, exposures: np.ndarray) -> np.ndarray:
     """Each row's gap at an exposure vector: ``rows @ exposures`` for a dense
     row matrix, ``x_i - x_j`` with ``x = exposures * inv_merit`` for
-    ``PairRows``."""
+    ``PairRows``.  A ``(K, n)`` block of exposure vectors gives ``(K, rows)``
+    gaps, each vector's with the bits of its own call."""
     e = np.asarray(exposures, dtype=float)
     if isinstance(rows, PairRows):
         x = e * rows.inv_merit
-        return x[rows.first] - x[rows.second]
-    return rows @ e
+        return x.take(rows.first, axis=-1) - x.take(rows.second, axis=-1)
+    return (rows @ e[..., None])[..., 0]
 
 
 def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
     """Gradient of ``hinge_mean`` wrt the exposures where the rows marked in
     ``active`` are the violated ones (a positive ``hinge_gaps`` entry): the
-    sum of the active rows over the number of rows."""
+    sum of the active rows over the number of rows.  A ``(K, rows)`` block
+    of masks gives ``(K, n)`` weights, one mask at a time."""
+    active = np.asarray(active, dtype=bool)
+    n = len(rows.inv_merit) if isinstance(rows, PairRows) else rows.shape[1]
+    if active.ndim == 2:
+        weights = np.empty((len(active), n))
+        for k, mask in enumerate(active):
+            weights[k] = hinge_weights(rows, mask)
+        return weights
     if isinstance(rows, PairRows):
-        n = len(rows.inv_merit)
         counts = (np.bincount(rows.first[active], minlength=n)
                   - np.bincount(rows.second[active], minlength=n))
         return rows.inv_merit * counts / len(rows)

@@ -5,7 +5,8 @@ to position j is ``1 / log2(1 + j)``, so position 1 receives weight 1 and
 the discount matches the DCG convention with exponential gains
 ``2**rel - 1``.
 
-Each metric is defined once, over an ``(S, n)`` block of rankings, by
+Each metric is defined once, over an ``(S, n)`` block of rankings or a
+``(K, S, n)`` block of K members' batches, by
 ``UtilityMetric.batch_values``.  A call on one ranking (``value`` and the
 ``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
 ranking and returns its block of one.
@@ -174,10 +175,13 @@ class UtilityMetric:
         return float(self.batch_values(order[None], relevances)[0])
 
     def batch_values(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
-        """Metric value of each row of an ``(S, n)`` block of rankings.
+        """Metric value of each row of an ``(S, n)`` block of rankings, or
+        ``(K, S)`` values of a ``(K, S, n)`` block.
 
-        Rows are not validated.  ``relevances`` is an array or a query,
-        whose gains, ideal DCG and stop probabilities are kept with it.
+        Rows are not validated.  Products are stacked, ``(K, S, k) @ (k,)``,
+        so each member's values have the bits of its batch valued alone.
+        ``relevances`` is an array or a query, whose gains, ideal DCG and
+        stop probabilities are kept with it.
         avgrank scatters positions 1..n into each row.  ERR reaches position
         j with ``prod_{i<j} (1 - R_{order[i]})``, a cumulative product
         shifted by one position, and adds its terms with a running sum so
@@ -190,16 +194,17 @@ class UtilityMetric:
             total = rels.sum()
             if total == 0.0:
                 raise ValueError("avg_rank is undefined for all-zero relevances")
-            positions = np.empty(orders.shape)
-            positions[np.arange(len(orders))[:, None], orders] = np.arange(1.0, n + 1)
-            return positions @ rels / total
+            rows = orders.reshape(-1, n)
+            positions = np.empty(rows.shape)
+            positions[np.arange(len(rows))[:, None], rows] = np.arange(1.0, n + 1)
+            return positions.reshape(orders.shape) @ rels / total
         if self.kind == "err":
             stop = _stop_probabilities(relevances, self.err_max_grade)[orders]
             reach = np.ones(orders.shape)
-            reach[:, 1:] = np.cumprod(1.0 - stop[:, :-1], axis=1)
-            return np.cumsum(reach * stop / np.arange(1.0, n + 1), axis=1)[:, -1]
+            reach[..., 1:] = np.cumprod(1.0 - stop[..., :-1], axis=-1)
+            return np.cumsum(reach * stop / np.arange(1.0, n + 1), axis=-1)[..., -1]
         k = _effective_cutoff(self.cutoff, n)
-        values = gains(relevances)[orders[:, :k]] @ position_bias_vector(k)
+        values = gains(relevances)[orders[..., :k]] @ position_bias_vector(k)
         if self.kind == "ndcg":
             ideal = ideal_dcg(relevances, self.cutoff)
             values = values / ideal if ideal > 0.0 else np.zeros_like(values)

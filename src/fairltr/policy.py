@@ -21,12 +21,20 @@ keeps its parameters in one contiguous vector, ``params``, of which its
 named arrays are views, and ``backprop`` returns one gradient vector in the
 same layout, so an optimizer step is a few operations on one vector.
 
+Scores, models and samples may carry a leading member axis: a ``(K, n)``
+block of score vectors, one per member of a grid of runs trained in
+lockstep (``trainer.train`` on a grid).  Members share one random draw, and every
+product is a stacked one, ``(K, a, b) @ (K, b, c)``, which gives each member
+the bits of the same product taken on that member alone; a flat product
+over all members would not.
+
 Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax or
 sampling so that exp() stays comfortably inside float64 range; at trained
 scales the clamp is inactive.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +45,57 @@ SCORE_CLAMP = 50.0
 
 
 def clip_scores(scores: np.ndarray) -> np.ndarray:
-    """Safety clamp applied before every softmax and Gumbel-top-k draw."""
-    return np.clip(np.asarray(scores, dtype=float), -SCORE_CLAMP, SCORE_CLAMP)
+    """Safety clamp applied before every softmax and Gumbel-top-k draw; the
+    bits of ``np.clip`` in two plain ufunc calls."""
+    return np.minimum(np.maximum(np.asarray(scores, dtype=float), -SCORE_CLAMP),
+                      SCORE_CLAMP)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, of one score vector or of each row of a
+    member block."""
     s = clip_scores(scores)
-    z = np.exp(s - s.max())
-    return z / z.sum()
+    z = np.exp(s - s.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def _stage_weights(scores: np.ndarray, orders: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``(w, remaining)`` for rankings ``orders`` at ``scores``.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, remaining, index)`` for rankings ``orders`` at ``scores``.
 
-    ``w[..., i] = exp(s - max s)`` of the document at position ``i``, and
-    ``remaining[..., i] = sum_{k >= i} w[..., k]``, the stage-i softmax
-    denominator over the documents not yet placed.  It is summed from the
-    back, not taken as the total minus the placed weights, so nothing
-    cancels at scores of +-SCORE_CLAMP; the smallest weight, exp(-100), is
-    far from underflow.
+    The R rankings of ``orders`` are taken as the rows of an ``(R, n)``
+    array, and the results are position-major, ``(n, R)``, so that the sums
+    over positions run along the outer axis, over all rankings at once.
+    ``w[i, r] = exp(s - max s)`` of the document at position ``i`` of
+    ranking ``r``, and ``remaining[i, r] = sum_{k >= i} w[k, r]``, the stage-i
+    softmax denominator over the documents not yet placed.  It is summed
+    from the back, not taken as the total minus the placed weights, so
+    nothing cancels at scores of +-SCORE_CLAMP; the smallest weight,
+    exp(-100), is far from underflow.  ``index[i, r]`` is where that
+    document's entry of ranking r lies in a flat ``(R, n)`` array, for
+    scattering back to document order.  A ``(K, n)`` member block of scores
+    takes a ``(K, S, n)`` block of rankings, each member's rankings at its
+    own scores.
     """
     s = clip_scores(scores)
-    w = np.exp(s - s.max())[np.asarray(orders, dtype=np.intp)]
-    return w, np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    e = np.exp(s - s.max(axis=-1, keepdims=True)).reshape(-1)
+    n = s.shape[-1]
+    docs = np.asarray(orders, dtype=np.intp).reshape(-1, n).T
+    index = docs + _row_offsets(docs.shape[1], 1, n)
+    if len(e) > n:
+        docs = docs + _row_offsets(len(e) // n, docs.shape[1] * n // len(e), n)
+    w = e[docs]
+    return w, np.cumsum(w[::-1], axis=0)[::-1], index
+
+
+@functools.lru_cache(maxsize=64)
+def _row_offsets(groups: int, size: int, n: int) -> np.ndarray:
+    """``n * g`` for each of ``groups * size`` rows taken ``size`` at a time
+    (g the group of the row), the offset of its group's entries in a flat
+    array of ``n`` per group; read-only, built once per shape."""
+    offsets = n * np.repeat(np.arange(groups), size)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
@@ -72,17 +107,21 @@ def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
 def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Log-probability of each ranking in a batch of shape ``(size, n)``;
     rows are not validated."""
-    w, remaining = _stage_weights(scores, orders)
-    return np.log(w / remaining).sum(axis=-1)
+    w, remaining, _ = _stage_weights(scores, orders)
+    return np.log(w / remaining).sum(axis=0).reshape(np.shape(orders)[:-1])
 
 
-def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator,
+                    shared: bool = False) -> np.ndarray:
     """Draw ``size`` rankings by Gumbel-top-k, shape ``(size, n)``.
 
     ``scores`` may also be a ``(Q, n)`` block of Q score vectors: the result
-    is then ``(Q * size, n)``, the ``size`` rankings of each row in turn,
-    and equals Q calls on the rows one after another, drawn from ``rng`` in
-    the same order.
+    is then ``(Q * size, n)``, the ``size`` rankings of each row in turn.
+    By default each row takes its own draws, and the block equals Q calls
+    on the rows one after another, drawn from ``rng`` in the same order.
+    With ``shared=True`` every row takes the same ``(size, n)`` draw: row
+    q's rankings equal those of a call on row q alone with ``rng`` in the
+    same state, which is how the members of a grid sample in lockstep.
 
     For uniform ``u`` the ascending sort key ``log(-log u) - s`` is
     ``-(s + G)`` with ``G`` standard Gumbel, written with one log fewer and
@@ -94,12 +133,12 @@ def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator) -> 
         raise ValueError("size must be >= 1")
     n = s.shape[-1]
     blocks = s.reshape(-1, 1, n)
-    keys = rng.random((len(blocks), size, n))
+    keys = rng.random((1 if shared else len(blocks), size, n))
     with np.errstate(divide="ignore"):
         np.log(keys, out=keys)
     np.negative(keys, out=keys)
     np.log(keys, out=keys)
-    keys -= blocks
+    keys = np.subtract(keys, blocks, out=keys if len(keys) == len(blocks) else None)
     return np.argsort(keys.reshape(-1, n), axis=1)
 
 
@@ -115,8 +154,9 @@ def argmax_ranking(scores: np.ndarray) -> Ranking:
 def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Gradient of ``ranking_logprob`` wrt scores for a batch of rankings.
 
-    ``orders`` has shape ``(size, n)``; the result matches it, and rows are
-    not validated.  For the document placed at position k the gradient is
+    ``orders`` has shape ``(size, n)``, or ``(K, size, n)`` for a ``(K, n)``
+    member block of scores; the result matches it, and rows are not
+    validated.  For the document placed at position k the gradient is
 
         1 - w_k * sum_{i <= k} 1 / remaining_i,
 
@@ -126,35 +166,34 @@ def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     gradient is exactly 0.  Each row sums to zero exactly in expectation and
     to float precision in practice.
     """
-    orders = np.asarray(orders, dtype=np.intp)
-    w, remaining = _stage_weights(scores, orders)
-    size, n = orders.shape
-    by_position = 1.0 - w * np.cumsum(1.0 / remaining, axis=1)
-    grads = np.empty(size * n)
-    grads[(orders + n * np.arange(size)[:, None]).ravel()] = by_position.ravel()
-    return grads.reshape(size, n)
+    w, remaining, index = _stage_weights(scores, orders)
+    grads = np.empty(np.shape(orders))
+    grads.reshape(-1)[index] = 1.0 - w * np.cumsum(1.0 / remaining, axis=0)
+    return grads
 
 
 def softmax_entropy(scores: np.ndarray) -> tuple[float, np.ndarray]:
     """Entropy of Softmax(scores) in nats and its gradient wrt the scores.
 
     The gradient of ``H = -sum_d p_d log p_d`` is ``-p_d (log p_d + H)``,
-    which sums to zero.
+    which sums to zero.  A ``(K, n)`` member block gives ``(K,)`` entropies
+    and a ``(K, n)`` gradient.
     """
     p = softmax(scores)
     logp = np.log(p)
-    entropy = float(-np.sum(p * logp))
+    entropy = -np.sum(p * logp, axis=-1, keepdims=True)
     grad = -p * (logp + entropy)
-    return entropy, grad
+    entropy = entropy[..., 0]
+    return (float(entropy) if entropy.ndim == 0 else entropy), grad
 
 
 @dataclass
 class PolicySample:
     """Monte-Carlo draw from a policy: rankings plus their score gradients.
 
-    ``rankings`` has shape ``(size, n)`` and ``logprob_grads`` matches it;
-    row ``i`` of ``logprob_grads`` is the gradient of the log-probability of
-    ranking ``i`` wrt the scores.
+    ``rankings`` has shape ``(size, n)``, or ``(K, size, n)`` for a member
+    block, and ``logprob_grads`` matches it; row ``i`` of ``logprob_grads``
+    is the gradient of the log-probability of ranking ``i`` wrt the scores.
     """
 
     rankings: np.ndarray
@@ -162,12 +201,23 @@ class PolicySample:
 
     @property
     def size(self) -> int:
-        return self.rankings.shape[0]
+        return self.rankings.shape[-2]
+
+    def select(self, members: np.ndarray) -> "PolicySample":
+        """The sample of the members at ``members`` of a member block."""
+        return PolicySample(self.rankings[members], self.logprob_grads[members])
 
 
 def draw_policy_sample(scores: np.ndarray, size: int, rng: np.random.Generator) -> PolicySample:
-    orders = sample_rankings(scores, size, rng)
-    grads = logprob_grads_scores(scores, orders)
+    """``size`` rankings at ``scores`` and their log-probability gradients.
+
+    A ``(K, n)`` member block of scores shares one draw: member k's sample
+    equals a draw at ``scores[k]`` alone with ``rng`` in the same state.
+    """
+    s = np.asarray(scores)
+    orders = sample_rankings(s, size, rng, shared=True).reshape(
+        *s.shape[:-1], size, s.shape[-1])
+    grads = logprob_grads_scores(s, orders)
     return PolicySample(rankings=orders, logprob_grads=grads)
 
 
@@ -230,28 +280,36 @@ def position_marginals(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _times_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a vector ``v``; for a ``(K, m)`` block of vectors, the
+    stacked ``a @ v[k]`` of each, which has the bits of that product alone.
+    A vector takes the plain product, the cheaper call."""
+    return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
+
+
 class LinearModel:
     """Linear scoring function ``s = X w (+ b)``; the bias is optional and
     off by default.
 
     The parameters live in one vector, ``params = [w, b]``; ``weights`` and
     ``bias`` are views into it, and ``backprop`` returns its gradient in the
-    same layout.
+    same layout.  With a leading member axis, ``params`` is a ``(K, P)``
+    block of K models that score and backpropagate together.
     """
 
     kind = "linear"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray | None = None):
         weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a vector")
+        if weights.ndim not in (1, 2):
+            raise ValueError("weights must be a vector, or a block of vectors")
         parts = [weights]
         if bias is not None:
-            parts.append(np.asarray(bias, dtype=float).reshape(1))
-        self.params = np.concatenate(parts)
-        d = weights.shape[0]
-        self.weights = self.params[:d]
-        self.bias = None if bias is None else self.params[d:]
+            parts.append(np.asarray(bias, dtype=float).reshape(*weights.shape[:-1], 1))
+        self.params = np.concatenate(parts, axis=-1)
+        d = weights.shape[-1]
+        self.weights = self.params[..., :d]
+        self.bias = None if bias is None else self.params[..., d:]
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -262,29 +320,38 @@ class LinearModel:
 
     @property
     def feature_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        out = np.asarray(features, dtype=float) @ self.weights
+        """Scores of the rows of ``features``: ``(n,)``, or ``(K, n)`` for a
+        member block."""
+        out = _times_vector(np.asarray(features, dtype=float), self.weights)
         if self.bias is not None:
-            out = out + self.bias[0]
+            out = out + self.bias
         return out
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.weights] if self.bias is None else [self.weights, self.bias]
 
     def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
-        """Map a gradient wrt the per-document scores to ``params`` space."""
+        """Map a gradient wrt the per-document scores to ``params`` space;
+        a member block maps a ``(K, n)`` gradient to ``(K, P)``."""
         X = np.asarray(features, dtype=float)
         g = np.asarray(score_grads, dtype=float)
-        grad = X.T @ g
+        grad = _times_vector(X.T, g)
         if self.bias is None:
             return grad
-        return np.concatenate((grad, g.sum(keepdims=True)))
+        return np.concatenate((grad, g.sum(axis=-1, keepdims=True)), axis=-1)
+
+    def with_params(self, params: np.ndarray) -> "LinearModel":
+        """A model of this shape holding a copy of ``params``: a ``(P,)``
+        vector gives one model, a ``(K, P)`` block a block of K."""
+        d = self.feature_dim
+        return LinearModel(params[..., :d], None if self.bias is None else params[..., d:])
 
     def copy(self) -> "LinearModel":
         """An independent model: the constructor copies into a new vector."""
-        return LinearModel(self.weights, self.bias)
+        return self.with_params(self.params)
 
 
 class MLP1Model:
@@ -293,7 +360,8 @@ class MLP1Model:
     The ReLU subgradient at zero is taken to be zero.  The parameters live
     in one vector, ``params = [W (row-major), b_h, w_out, b_out]``; the four
     named arrays are views into it, and ``backprop`` returns its gradient in
-    the same layout.
+    the same layout.  With a leading member axis, ``params`` is a
+    ``(K, P)`` block of K models that score and backpropagate together.
     """
 
     kind = "mlp1"
@@ -301,17 +369,20 @@ class MLP1Model:
     def __init__(self, hidden_weights: np.ndarray, hidden_bias: np.ndarray,
                  out_weights: np.ndarray, out_bias: np.ndarray):
         W = np.asarray(hidden_weights, dtype=float)
-        d, h = W.shape
+        if W.ndim not in (2, 3):
+            raise ValueError("hidden weights must be a matrix, or a block of matrices")
+        *lead, d, h = W.shape
         b_h = np.asarray(hidden_bias, dtype=float)
         w_out = np.asarray(out_weights, dtype=float)
-        if b_h.shape != (h,) or w_out.shape != (h,):
+        if b_h.shape != (*lead, h) or w_out.shape != (*lead, h):
             raise ValueError("inconsistent hidden layer shapes")
         self.params = np.concatenate(
-            [W.ravel(), b_h, w_out, np.asarray(out_bias, dtype=float).reshape(1)])
-        self.hidden_weights = self.params[:d * h].reshape(d, h)
-        self.hidden_bias = self.params[d * h:d * h + h]
-        self.out_weights = self.params[d * h + h:d * h + 2 * h]
-        self.out_bias = self.params[d * h + 2 * h:]
+            [W.reshape(*lead, d * h), b_h, w_out,
+             np.asarray(out_bias, dtype=float).reshape(*lead, 1)], axis=-1)
+        self.hidden_weights = self.params[..., :d * h].reshape(*lead, d, h)
+        self.hidden_bias = self.params[..., d * h:d * h + h]
+        self.out_weights = self.params[..., d * h + h:d * h + 2 * h]
+        self.out_bias = self.params[..., d * h + 2 * h:]
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -325,16 +396,20 @@ class MLP1Model:
 
     @property
     def feature_dim(self) -> int:
-        return self.hidden_weights.shape[0]
+        return self.hidden_weights.shape[-2]
 
     @property
     def hidden_units(self) -> int:
-        return self.hidden_weights.shape[1]
+        return self.hidden_weights.shape[-1]
+
+    def _hidden(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.hidden_weights + self.hidden_bias[..., None, :]
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        X = np.asarray(features, dtype=float)
-        hidden = np.maximum(X @ self.hidden_weights + self.hidden_bias, 0.0)
-        return hidden @ self.out_weights + self.out_bias[0]
+        """Scores of the rows of ``features``: ``(n,)``, or ``(K, n)`` for a
+        member block."""
+        hidden = np.maximum(self._hidden(np.asarray(features, dtype=float)), 0.0)
+        return _times_vector(hidden, self.out_weights) + self.out_bias
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.hidden_weights, self.hidden_bias,
@@ -343,15 +418,26 @@ class MLP1Model:
     def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=float)
         g = np.asarray(score_grads, dtype=float)
-        pre = X @ self.hidden_weights + self.hidden_bias
+        pre = self._hidden(X)
         act = np.maximum(pre, 0.0)
-        d_pre = (g[:, None] * self.out_weights[None, :]) * (pre > 0.0)
-        return np.concatenate(((X.T @ d_pre).ravel(), d_pre.sum(axis=0),
-                               act.T @ g, g.sum(keepdims=True)))
+        d_pre = (g[..., :, None] * self.out_weights[..., None, :]) * (pre > 0.0)
+        return np.concatenate(((X.T @ d_pre).reshape(*g.shape[:-1], -1),
+                               d_pre.sum(axis=-2),
+                               _times_vector(act.swapaxes(-1, -2), g),
+                               g.sum(axis=-1, keepdims=True)), axis=-1)
+
+    def with_params(self, params: np.ndarray) -> "MLP1Model":
+        """A model of this shape holding a copy of ``params``: a ``(P,)``
+        vector gives one model, a ``(K, P)`` block a block of K."""
+        d, h = self.feature_dim, self.hidden_units
+        return MLP1Model(params[..., :d * h].reshape(*params.shape[:-1], d, h),
+                         params[..., d * h:d * h + h],
+                         params[..., d * h + h:d * h + 2 * h],
+                         params[..., d * h + 2 * h:])
 
     def copy(self) -> "MLP1Model":
         """An independent model: the constructor copies into a new vector."""
-        return MLP1Model(*self.param_arrays())
+        return self.with_params(self.params)
 
 
 ScoringModel = LinearModel | MLP1Model
@@ -378,7 +464,10 @@ def _fmt(values: np.ndarray) -> str:
 
 
 def save_model(model: ScoringModel, path: str) -> None:
-    """Write a model as decimal text; round trips are bit exact."""
+    """Write a model as decimal text; round trips are bit exact.  A member
+    block is refused: save each member, ``model.with_params(model.params[k])``."""
+    if model.params.ndim != 1:
+        raise ValueError("save_model takes one model, not a member block")
     lines = [_CHECKPOINT_MAGIC, f"kind {model.kind}",
              f"feature_dim {model.feature_dim}"]
     if isinstance(model, LinearModel):

@@ -9,8 +9,21 @@ per-merit exposure term), averages, and backpropagates through the scoring
 model.  One optimizer step is taken per query; an epoch is one shuffled
 pass over the training queries.  The optimizers act in place on the
 model's one parameter vector, ``model.params``, with the one gradient
-vector ``backprop`` returns, and a step checks that gradient for
-non-finite values with one call.
+vector ``backprop`` returns.  A step checks every gradient with one call
+against its optimizer's ``max_gradient``, which a non-finite entry fails
+too, before any parameter moves.
+
+Runs that differ only in ``lam`` consume the same random stream: each
+epoch draws one permutation of the training queries and each step one
+``(S, n)`` block of uniforms, whatever the model.  ``train``, given such a
+grid of configs, therefore trains it as one block of K members in lockstep.  The parameters
+form a ``(K, P)`` block (``model.params`` with a leading member axis);
+each step scores, samples, values and backpropagates all members at once,
+with stacked products that give every member the bits of its own run, and
+then takes one optimizer step per member.  Each member keeps its own
+optimizer state, evaluation, early stopping, best model and
+``TrainingError``; a member that stops or fails leaves the block and the
+others carry on.  A single run is the grid of one.
 
 Both disparities reach the trainer as the hinge rows of
 ``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
@@ -34,6 +47,7 @@ evaluations pass the query itself to the metric and the disparity.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -52,7 +66,8 @@ from .ranking import ENUMERATION_LIMIT
 
 
 class TrainingError(RuntimeError):
-    """Raised when training encounters a non-finite gradient."""
+    """Raised when training meets a non-finite gradient, or one too large
+    for the optimizer to take (``max_gradient``)."""
 
 
 @dataclass(frozen=True)
@@ -118,11 +133,14 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # Optimizers (ascent direction: parameters move along +gradient).  Each acts
 # in place on a model's one parameter vector, ``model.params``, with a
-# gradient in the same layout.
+# gradient in the same layout; a grid keeps one optimizer per member.
 # ---------------------------------------------------------------------------
 
 
 class SGD:
+    # The largest gradient entry a step takes; only finiteness bounds SGD.
+    max_gradient = np.inf
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
@@ -131,6 +149,11 @@ class SGD:
 
 
 class Adam:
+    # The largest gradient entry a step takes: the square of a larger one
+    # can overflow the second-moment estimate, after which every step
+    # would be 0.  The trainer refuses such a gradient before the step.
+    max_gradient = 1e154
+
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
@@ -173,11 +196,15 @@ def utility_score_grad(sample: PolicySample, rewards: np.ndarray,
 
     The baseline is the mean reward over the sample, a control variate that
     leaves the expectation unchanged (log-probability gradients have zero
-    mean) while cutting variance.
+    mean) while cutting variance.  A member block's ``(K, S)`` rewards give
+    ``(K, n)`` gradients, one stacked product.
     """
     rewards = np.asarray(rewards, dtype=float)
-    baseline = rewards.mean() if use_baseline else 0.0
-    return (rewards - baseline) @ sample.logprob_grads / sample.size
+    # The bits of rewards.mean(), without its Python-level wrapper.
+    baseline = (rewards.sum(axis=-1, keepdims=True) / rewards.shape[-1]
+                if use_baseline else 0.0)
+    centered = (rewards - baseline)[..., None, :]
+    return (centered @ sample.logprob_grads)[..., 0, :] / sample.size
 
 
 def hinge_score_grad(sample: PolicySample, rows: HingeRows) -> np.ndarray:
@@ -187,17 +214,27 @@ def hinge_score_grad(sample: PolicySample, rows: HingeRows) -> np.ndarray:
     violated) rows, and ``hinge_weights`` turns them into exposure weights;
     each sampled ranking's exposure under those weights weights its
     log-probability gradient.  A query without rows, or without an active
-    one, contributes nothing.
+    one, contributes exactly zero.  A member block's sample gives ``(K, n)``
+    gradients, each member's with the bits of its own call.
     """
-    size, n = sample.rankings.shape
+    *lead, size, n = sample.rankings.shape
     if len(rows) == 0:
-        return np.zeros(n)
-    active = hinge_gaps(rows, mc_exposure(sample.rankings, n)) > 0.0
-    if not active.any():
-        return np.zeros(n)
+        return np.zeros((*lead, n))
+    rankings = sample.rankings.reshape(-1, size, n)
+    active = hinge_gaps(rows, mc_exposure(rankings, n)) > 0.0
+    engaged = active.any(axis=-1)
+    num_engaged = np.count_nonzero(engaged)
+    if num_engaged == 0:
+        return np.zeros((*lead, n))
     weights = hinge_weights(rows, active)
-    per_sample = weights[sample.rankings] @ position_bias_vector(n)
-    return per_sample @ sample.logprob_grads / size
+    offsets = n * np.arange(len(weights))[:, None, None]
+    per_sample = weights.ravel()[rankings + offsets] @ position_bias_vector(n)
+    grads = (per_sample[:, None, :]
+             @ sample.logprob_grads.reshape(-1, size, n))[:, 0, :] / size
+    if num_engaged < len(engaged):
+        # A member without an active row gets exact zeros, +0.0.
+        grads = np.where(engaged[:, None], grads, 0.0)
+    return grads.reshape(*lead, n)
 
 
 def disparity_score_grad(sample: PolicySample, query: Query,
@@ -401,99 +438,209 @@ class RunRecord:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def train(train_set: Dataset, val_set: Dataset, config: TrainConfig) -> RunRecord:
+def train(train_set: Dataset, val_set: Dataset,
+          config: TrainConfig | Sequence[TrainConfig]
+          ) -> RunRecord | list[RunRecord | TrainingError]:
     """Run the policy-gradient loop and return the selected model + curves.
 
     Deterministic: identical datasets, config, and seed reproduce the run
-    bit for bit.  Raises ``TrainingError`` if a non-finite gradient shows
-    up, naming the offending query, and ``ValueError`` before epoch 1 if
-    the metric is undefined on either split (``require_defined_metric``),
-    or if group disparity is configured and either split lacks group labels.
+    bit for bit.  Raises ``TrainingError`` if a gradient is non-finite or
+    above the optimizer's ``max_gradient``, naming the offending query, and
+    ``ValueError`` before epoch 1 if the metric is undefined on either split
+    (``require_defined_metric``), or if group disparity is configured and
+    either split lacks group labels.
+
+    ``config`` may also be a grid: a sequence of configs that differ only
+    in ``lam``, trained in lockstep as one block.  The result is then a
+    list with, for each config in order, the ``RunRecord`` it gets trained
+    alone, bit for bit, or the ``TrainingError`` it raises alone; a member
+    that fails leaves the block and the others carry on.  An empty grid, or
+    configs that differ in anything but ``lam``, raise ``ValueError``.
     """
+    if not isinstance(config, TrainConfig):
+        return _train_grid(train_set, val_set, config)
+    (outcome,) = _train_grid(train_set, val_set, [config])
+    if isinstance(outcome, TrainingError):
+        raise outcome
+    return outcome
+
+
+@dataclass
+class _Member:
+    """One run of a grid: its config, optimizer and what it has produced."""
+
+    config: TrainConfig
+    optimizer: SGD | Adam
+    best_model: ScoringModel
+    curves: dict[str, list[float]] = field(default_factory=lambda: {
+        k: [] for k in ("train_metric", "val_metric", "val_objective",
+                        "train_disparity", "val_disparity")})
+    best_objective: float = -np.inf
+    best_epoch: int = 0
+    epochs_run: int = 0
+    error: TrainingError | None = None
+
+    def record(self, delta_lambda: float | None) -> RunRecord:
+        has_disp = self.config.disparity is not None
+        return RunRecord(
+            config=self.config.echo(),
+            model=self.best_model,
+            epochs_run=self.epochs_run,
+            best_epoch=self.best_epoch,
+            train_metric=self.curves["train_metric"],
+            val_metric=self.curves["val_metric"],
+            val_objective=self.curves["val_objective"],
+            train_disparity=self.curves["train_disparity"] if has_disp else None,
+            val_disparity=self.curves["val_disparity"] if has_disp else None,
+            delta_lambda=delta_lambda,
+        )
+
+
+def _train_grid(train_set: Dataset, val_set: Dataset,
+                configs: Sequence[TrainConfig]) -> list[RunRecord | TrainingError]:
+    """``train`` on a grid.  Members share one permutation per epoch and one
+    draw per step, so a member's results do not depend on the other
+    members.  A member that stops early or fails leaves the block."""
+    if not configs:
+        raise ValueError("a grid needs at least one config")
+    first = configs[0]
+    shared = dataclasses.replace(first, lam=0.0)
+    if any(dataclasses.replace(c, lam=0.0) != shared for c in configs[1:]):
+        raise ValueError("the configs of a grid may differ only in lam")
     splits = [("train", train_set), ("val", val_set)]
-    require_defined_metric(config.metric, splits)
-    require_group_labels(config.disparity, splits)
-    root = np.random.SeedSequence(config.seed)
+    require_defined_metric(first.metric, splits)
+    require_group_labels(first.disparity, splits)
+    root = np.random.SeedSequence(first.seed)
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
-    model = init_model(config.model, train_set.feature_dim,
+    model = init_model(first.model, train_set.feature_dim,
                        np.random.default_rng(ss_init),
-                       hidden_units=config.hidden_units,
-                       use_bias=config.use_bias)
-    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+                       hidden_units=first.hidden_units,
+                       use_bias=first.use_bias)
+    members = [_Member(config, make_optimizer(config.optimizer, config.learning_rate),
+                       model.copy()) for config in configs]
+    block = _Block(model.with_params(np.tile(model.params, (len(members), 1))),
+                   members)
     train_rng = np.random.default_rng(ss_train)
-    eval_seeds = ss_eval.spawn(config.epochs)
+    eval_seeds = ss_eval.spawn(first.epochs)
 
-    curves: dict[str, list[float]] = {k: [] for k in
-                                      ("train_metric", "val_metric", "val_objective",
-                                       "train_disparity", "val_disparity")}
-    best_objective = -np.inf
-    best_epoch = 0
-    best_model = model.copy()
-    epochs_run = 0
-
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, first.epochs + 1):
         for qi in train_rng.permutation(len(train_set)):
-            _train_step(model, train_set.queries[qi], config, optimizer, train_rng)
-        epochs_run = epoch
-
-        eval_rng = np.random.default_rng(eval_seeds[epoch - 1])
-        on_train = _evaluate(model, train_set, config.metric, config.disparity,
-                             config.eval_samples, eval_rng)
-        on_val = _evaluate(model, val_set, config.metric, config.disparity,
-                           config.eval_samples, eval_rng)
-        curves["train_metric"].append(on_train.mean_metric)
-        curves["val_metric"].append(on_val.mean_metric)
-        val_disp = on_val.mean_disparity if config.disparity is not None else 0.0
-        objective = config.metric.sign * on_val.mean_metric - config.lam * val_disp
-        curves["val_objective"].append(objective)
-        if config.disparity is not None:
-            curves["train_disparity"].append(on_train.mean_disparity)
-            curves["val_disparity"].append(on_val.mean_disparity)
-
-        if objective > best_objective:
-            best_objective = objective
-            best_epoch = epoch
-            best_model = model.copy()
-        elif config.patience > 0 and epoch - best_epoch >= config.patience:
+            failed = _train_step(block, train_set.queries[qi], first, train_rng)
+            if failed:
+                for row, error in failed.items():
+                    block.members[row].error = error
+                block = block.without(failed)
+                if not block.members:
+                    break
+        stopped = [row for row, member in enumerate(block.members)
+                   if _end_epoch(member, block.member_model(row), epoch,
+                                 train_set, val_set, eval_seeds[epoch - 1])]
+        if stopped:
+            block = block.without(stopped)
+        if not block.members:
             break
 
-    delta_lambda = None
+    outcomes = []
+    for member in members:
+        if member.error is not None:
+            outcomes.append(member.error)
+            continue
+        delta_lambda = None
+        if member.config.disparity is not None:
+            delta_lambda = _evaluate(member.best_model, train_set, first.metric,
+                                     first.disparity, first.eval_samples,
+                                     np.random.default_rng(ss_delta)).mean_disparity
+        outcomes.append(member.record(delta_lambda))
+    return outcomes
+
+
+class _Block:
+    """The members still training: row k of the model block ``model``
+    belongs to ``members[k]``.  The rows with a disparity penalty and their
+    weights are found once per block, as a slice when the rows are
+    contiguous, so that a step takes them without a copy."""
+
+    def __init__(self, model: ScoringModel, members: list[_Member]):
+        self.model = model
+        self.members = members
+        lams = np.array([member.config.lam for member in members])
+        rows = np.flatnonzero(lams)
+        contiguous = len(rows) and rows[-1] - rows[0] == len(rows) - 1
+        self.penalized = slice(rows[0], rows[-1] + 1) if contiguous else rows
+        self.penalties = lams[rows, None]
+
+    def member_model(self, row: int) -> ScoringModel:
+        """A copy of the model of the member at ``row``."""
+        return self.model.with_params(self.model.params[row])
+
+    def without(self, rows) -> "_Block":
+        """The block less the members at ``rows``."""
+        keep = [row for row in range(len(self.members)) if row not in rows]
+        return _Block(self.model.with_params(self.model.params[keep]),
+                      [self.members[row] for row in keep])
+
+
+def _end_epoch(member: _Member, model: ScoringModel, epoch: int,
+               train_set: Dataset, val_set: Dataset,
+               eval_seed: np.random.SeedSequence) -> bool:
+    """Evaluate a member after an epoch, keep its best model, and tell
+    whether its early stopping ends its run."""
+    config = member.config
+    member.epochs_run = epoch
+    eval_rng = np.random.default_rng(eval_seed)
+    on_train = _evaluate(model, train_set, config.metric, config.disparity,
+                         config.eval_samples, eval_rng)
+    on_val = _evaluate(model, val_set, config.metric, config.disparity,
+                       config.eval_samples, eval_rng)
+    curves = member.curves
+    curves["train_metric"].append(on_train.mean_metric)
+    curves["val_metric"].append(on_val.mean_metric)
+    val_disp = on_val.mean_disparity if config.disparity is not None else 0.0
+    objective = config.metric.sign * on_val.mean_metric - config.lam * val_disp
+    curves["val_objective"].append(objective)
     if config.disparity is not None:
-        delta_rng = np.random.default_rng(ss_delta)
-        delta_lambda = _evaluate(best_model, train_set, config.metric,
-                                 config.disparity, config.eval_samples,
-                                 delta_rng).mean_disparity
+        curves["train_disparity"].append(on_train.mean_disparity)
+        curves["val_disparity"].append(on_val.mean_disparity)
 
-    has_disp = config.disparity is not None
-    return RunRecord(
-        config=config.echo(),
-        model=best_model,
-        epochs_run=epochs_run,
-        best_epoch=best_epoch,
-        train_metric=curves["train_metric"],
-        val_metric=curves["val_metric"],
-        val_objective=curves["val_objective"],
-        train_disparity=curves["train_disparity"] if has_disp else None,
-        val_disparity=curves["val_disparity"] if has_disp else None,
-        delta_lambda=delta_lambda,
-    )
+    if objective > member.best_objective:
+        member.best_objective = objective
+        member.best_epoch = epoch
+        member.best_model = model
+        return False
+    return config.patience > 0 and epoch - member.best_epoch >= config.patience
 
 
-def _train_step(model: ScoringModel, query: Query, config: TrainConfig,
-                optimizer, rng: np.random.Generator) -> None:
+def _train_step(block: _Block, query: Query, config: TrainConfig,
+                rng: np.random.Generator) -> dict[int, TrainingError]:
+    """One step of every member of ``block`` on ``query``, each with its own
+    trade-off weight and optimizer; ``config`` holds what they share.
+    Returns, by block row, the errors of the members whose gradient is not
+    finite or is above their optimizer's ``max_gradient``; their parameters
+    do not move."""
+    model = block.model
     scores = model.scores(query.feature_matrix)
     sample = draw_policy_sample(scores, config.sample_size, rng)
     rewards = config.metric.batch_rewards(sample.rankings, query)
     score_grad = utility_score_grad(sample, rewards, config.use_baseline)
-    if config.lam != 0.0 and config.disparity is not None:
-        score_grad = score_grad - config.lam * disparity_score_grad(
-            sample, query, config.disparity)
+    if len(block.penalties):
+        score_grad[block.penalized] -= block.penalties * disparity_score_grad(
+            sample.select(block.penalized), query, config.disparity)
     if config.gamma != 0.0:
         _, entropy_grad = softmax_entropy(scores)
         score_grad = score_grad + config.gamma * entropy_grad
     param_grad = model.backprop(query.feature_matrix, score_grad)
-    if not np.isfinite(param_grad).all():
-        raise TrainingError(
-            f"non-finite gradient on query {query.qid!r}; "
-            f"scores ranged [{scores.min():.3g}, {scores.max():.3g}]")
-    optimizer.step(model.params, param_grad)
+    # NaN propagates through max, so a non-finite entry fails the test too.
+    peaks = np.abs(param_grad).max(axis=-1)
+    failed = {}
+    for k, member in enumerate(block.members):
+        limit = member.optimizer.max_gradient
+        if peaks[k] < limit:
+            member.optimizer.step(model.params[k], param_grad[k])
+            continue
+        what = ("non-finite gradient" if not np.isfinite(peaks[k]) else
+                f"gradient entry {peaks[k]:.3g} above {limit:g}, which "
+                f"{member.config.optimizer} cannot take,")
+        failed[k] = TrainingError(
+            f"{what} on query {query.qid!r}; "
+            f"scores ranged [{scores[k].min():.3g}, {scores[k].max():.3g}]")
+    return failed

@@ -413,3 +413,99 @@ def test_sweep_parses_each_input_file_once(tmp_path, dataset_dir, monkeypatch):
                 "--out", tmp_path / "sw"]) == 0
     assert len(calls) == 2
     assert len(read_rows(tmp_path / "sw" / "summary.csv")) == 1 + 4 * 2
+
+
+# ---------------------------------------------------------------------------
+# Sweeps train each seed's lambdas as one lockstep grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """Nine documents per query: evaluation draws Monte-Carlo exposures."""
+    out = tmp_path_factory.mktemp("data") / "wide"
+    assert run(["generate", "simulated", "--out", out, "--queries", 10,
+                "--docs", 9, "--seed", 5]) == 0
+    return out
+
+
+RUN_FILES = ("checkpoint.txt", "config.txt", "curves.csv", "record.json")
+
+
+def same_run_files(a, b):
+    return all((a / name).read_bytes() == (b / name).read_bytes()
+               for name in RUN_FILES)
+
+
+@pytest.mark.parametrize("lambdas,seeds,name", [
+    ("1.0000001,1.0000002", "0", "run-lam1-seed0"),
+    ("0,5,0", "0", "run-lam0-seed0"),
+    ("5", "2,3,2", "run-lam5-seed2"),
+])
+def test_sweep_refuses_runs_that_share_a_directory(tmp_path, dataset_dir, capsys,
+                                                   lambdas, seeds, name):
+    out = tmp_path / "sw"
+    assert run(["sweep", "--train", dataset_dir / "data.letor", "--lambdas", lambdas,
+                "--seeds", seeds, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2 runs would share the directory " + name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_fewer_than_one_job_before_any_work(tmp_path, capsys, jobs):
+    out = tmp_path / "sw"
+    assert run(["sweep", "--train", tmp_path / "missing.letor", f"--jobs={jobs}",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp1"])
+def test_sweep_member_bytes_do_not_depend_on_the_other_members(tmp_path, wide_dir,
+                                                                model):
+    letor = wide_dir / "data.letor"
+    common = ["--train", letor, "--disparity", "group", "--epochs", 4,
+              "--samples", 6, "--patience", 1, "--lr", 0.05, "--model", model,
+              "--hidden", 4]
+    assert run(["sweep", *common, "--lambdas", "0,5,25", "--out", tmp_path / "grid"]) == 0
+    assert run(["sweep", *common, "--lambdas", "5", "--out", tmp_path / "one"]) == 0
+    assert run(["train", *common, "--lambda", 5, "--out", tmp_path / "train"]) == 0
+    member = tmp_path / "grid" / "run-lam5-seed0"
+    assert same_run_files(member, tmp_path / "one" / "run-lam5-seed0")
+    assert same_run_files(member, tmp_path / "train")
+
+
+def test_sweep_splits_one_seeds_grid_across_jobs_with_the_same_bytes(tmp_path, wide_dir):
+    assert cli._lambda_chunks(3, 1, 3) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert cli._lambda_chunks(5, 2, 3) == [range(0, 2), range(2, 5)]
+    assert cli._lambda_chunks(2, 1, 8) == [range(0, 1), range(1, 2)]
+    assert cli._lambda_chunks(4, 3, 3) == [range(0, 4)]
+    common = ["sweep", "--train", wide_dir / "data.letor", "--test",
+              wide_dir / "data.letor", "--lambdas", "0,5,25", "--epochs", 2,
+              "--samples", 5]
+    assert run([*common, "--jobs", 1, "--out", tmp_path / "one"]) == 0
+    assert run([*common, "--jobs", 3, "--out", tmp_path / "three"]) == 0
+    for name in ("summary.csv", "summary_stats.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "three" / name).read_bytes()
+    for lam in ("0", "5", "25"):
+        assert same_run_files(tmp_path / "one" / f"run-lam{lam}-seed0",
+                              tmp_path / "three" / f"run-lam{lam}-seed0")
+
+
+def test_sweep_reports_a_failing_member_and_keeps_the_others(tmp_path, wide_dir,
+                                                             capsys):
+    """A lambda of 1e308 makes a gradient Adam cannot square: that run fails
+    without a warning, the sweep exits 1, and the lambda-0 run in the same
+    block keeps the bytes it has alone."""
+    common = ["--train", wide_dir / "data.letor", "--disparity", "group",
+              "--epochs", 2, "--samples", 6]
+    assert run(["sweep", *common, "--lambdas", "0,1e308", "--out", tmp_path / "sw"]) == 1
+    err = capsys.readouterr().err
+    assert "run lambda=1e+308 seed=0 failed: gradient entry" in err
+    assert "adam cannot take, on query" in err
+    assert run(["train", *common, "--lambda", 0, "--out", tmp_path / "train"]) == 0
+    assert same_run_files(tmp_path / "sw" / "run-lam0-seed0", tmp_path / "train")
+    assert not (tmp_path / "sw" / "run-lam1e+308-seed0").exists()
+    assert [r[0] for r in read_rows(tmp_path / "sw" / "summary.csv")[1:]] == ["0.0"]

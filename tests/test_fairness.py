@@ -389,3 +389,25 @@ def test_policy_exposure_matches_sampled_ranking_average():
     by_hand /= len(draws)
     exact = fairness.exposure_of_policy(scores, mode="exact").values
     np.testing.assert_allclose(by_hand, exact, atol=0.02)
+
+
+@pytest.mark.parametrize("kind", ["individual", "group"])
+def test_hinge_rows_on_a_block_of_exposures_equal_each_row(kind):
+    """A ``(K, n)`` block of exposure vectors gives each vector's gaps and
+    weights with the bits of its own call."""
+    rng = np.random.default_rng(8)
+    for n in (2, 5, 12):
+        merits = rng.choice([0.0, 1.0, 2.5], size=n)
+        groups = np.arange(n) % 2
+        rows = fairness.DisparityConfig(kind).rows(merits, groups)
+        if not len(rows):
+            continue
+        exposures = rng.uniform(0.0, 1.0, size=(4, n))
+        gaps = fairness.hinge_gaps(rows, exposures)
+        active = gaps > 0.0
+        weights = fairness.hinge_weights(rows, active)
+        assert gaps.shape == (4, len(rows)) and weights.shape == (4, n)
+        for k in range(4):
+            assert gaps[k].tobytes() == fairness.hinge_gaps(rows, exposures[k]).tobytes()
+            assert weights[k].tobytes() == \
+                fairness.hinge_weights(rows, active[k]).tobytes()

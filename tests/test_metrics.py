@@ -260,3 +260,19 @@ def test_expected_utility_exact_needs_small_query():
     with pytest.raises(ValueError):
         metrics.expected_utility(np.zeros(9), np.zeros(9),
                                  metrics.UtilityMetric("ndcg"), exact=True)
+
+
+@pytest.mark.parametrize("text", ["dcg", "dcg@3", "ndcg@4", "err", "avgrank"])
+def test_a_member_block_of_rankings_gets_each_members_bits(text):
+    """``(K, S, n)`` orders give ``(K, S)`` values, member k's equal to its
+    ``(S, n)`` batch valued alone."""
+    rng = np.random.default_rng(12)
+    metric = metrics.UtilityMetric.parse(text)
+    for n in (1, 4, 10, 30):
+        query = data.Query.from_arrays("q", rng.normal(size=(n, 2)),
+                                       rng.integers(0, 4, size=n).astype(float) + 1.0)
+        orders = np.argsort(rng.random((3, 17, n)), axis=-1)
+        block = metric.batch_rewards(orders, query)
+        assert block.shape == (3, 17)
+        for k in range(3):
+            assert block[k].tobytes() == metric.batch_rewards(orders[k], query).tobytes()

@@ -363,3 +363,82 @@ def test_sampling_a_score_block_equals_one_call_per_row():
     assert block.shape == (36, 7)
     np.testing.assert_array_equal(block, rows)
     assert block_rng.random() == row_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Member blocks: K models, or K score vectors, in one array
+# ---------------------------------------------------------------------------
+
+
+def member_block(kind, bias, members=3, seed=20):
+    """A block of ``members`` different models and the models alone."""
+    rng = np.random.default_rng(seed)
+    model = policy.init_model(kind, 4, rng, hidden_units=5, use_bias=bias)
+    block = model.with_params(model.params + rng.normal(size=(members, model.params.size)))
+    return block, [block.with_params(block.params[k]) for k in range(members)]
+
+
+@pytest.mark.parametrize("kind,bias", MODEL_KINDS)
+def test_a_member_block_scores_and_backprops_with_each_members_bits(kind, bias):
+    """Stacked products give each member the bits of its own model; a flat
+    product over the members would not."""
+    block, alone = member_block(kind, bias)
+    rng = np.random.default_rng(21)
+    for n in (1, 6, 13):
+        X = rng.normal(size=(n, 4))
+        g = rng.normal(size=(len(alone), n))
+        scores, grads = block.scores(X), block.backprop(X, g)
+        assert scores.shape == (len(alone), n)
+        assert grads.shape == block.params.shape
+        for k, model in enumerate(alone):
+            assert scores[k].tobytes() == model.scores(X).tobytes()
+            assert grads[k].tobytes() == model.backprop(X, g[k]).tobytes()
+
+
+@pytest.mark.parametrize("kind,bias", MODEL_KINDS)
+def test_with_params_copies_into_a_model_of_the_same_shape(kind, bias):
+    block, alone = member_block(kind, bias)
+    assert block.params.shape == (3, alone[0].params.size)
+    for k, model in enumerate(alone):
+        assert model.kind == block.kind and model.params.ndim == 1
+        assert not np.shares_memory(model.params, block.params)
+        np.testing.assert_array_equal(model.params, block.params[k])
+        for a in block.param_arrays():
+            assert np.shares_memory(a, block.params)
+
+
+def test_save_model_refuses_a_member_block(tmp_path):
+    block, _ = member_block("linear", False)
+    with pytest.raises(ValueError, match="member block"):
+        policy.save_model(block, tmp_path / "block.txt")
+    assert not (tmp_path / "block.txt").exists()
+
+
+def test_members_share_one_draw_and_get_their_own_log_prob_gradients():
+    """A ``(K, n)`` block samples with one draw that every member shares:
+    member k's rankings and gradients equal a draw at its scores alone with
+    the generator in the same state, and the generator moves as for one."""
+    scores = np.random.default_rng(22).normal(scale=3.0, size=(4, 9))
+    scores[2, :3] = 60.0     # clamped scores
+    block_rng = np.random.default_rng(23)
+    sample = policy.draw_policy_sample(scores, 11, block_rng)
+    assert sample.rankings.shape == sample.logprob_grads.shape == (4, 11, 9)
+    assert sample.size == 11
+    for k, s in enumerate(scores):
+        rng = np.random.default_rng(23)
+        alone = policy.draw_policy_sample(s, 11, rng)
+        np.testing.assert_array_equal(sample.rankings[k], alone.rankings)
+        assert sample.logprob_grads[k].tobytes() == alone.logprob_grads.tobytes()
+    assert block_rng.random() == rng.random()
+    shared = policy.sample_rankings(scores, 11, np.random.default_rng(23), shared=True)
+    np.testing.assert_array_equal(shared, sample.rankings.reshape(-1, 9))
+
+
+def test_softmax_entropy_of_a_member_block_equals_each_member():
+    scores = np.random.default_rng(24).normal(size=(3, 6))
+    entropies, grads = policy.softmax_entropy(scores)
+    assert entropies.shape == (3,) and grads.shape == (3, 6)
+    for k, s in enumerate(scores):
+        value, grad = policy.softmax_entropy(s)
+        assert entropies[k] == value
+        assert grads[k].tobytes() == grad.tobytes()

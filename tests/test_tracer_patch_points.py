@@ -104,3 +104,34 @@ def test_cached_position_bias_vector_is_read_only():
     with pytest.raises(ValueError):
         bias[0] = 2.0
     assert bias[0] == 1.0
+
+
+@pytest.mark.parametrize("model", ["linear", "mlp1"])
+def test_tracer_counts_one_optimizer_step_per_member_step_of_a_grid(model):
+    """A grid of K members is one ``train`` call that takes one block step
+    per query, through the traced layers of a single run, and one
+    optimizer step per member, so
+    ``trainer.optimizer_step.calls`` stays the number of member-steps that
+    ``bench/run.py`` checks."""
+    dataset = data.generate_simulated(num_queries=8, docs_per_query=9, seed=4)
+    train_set, val_set = data.split_dataset(dataset, 0.75, seed=0)
+    configs = [trainer.TrainConfig(
+        lam=lam, gamma=0.5, sample_size=6, epochs=2, patience=0,
+        disparity=fairness.DisparityConfig.parse("group"), model=model,
+        hidden_units=4, eval_samples=8) for lam in (0.0, 5.0, 25.0)]
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        records = trainer.train(train_set, val_set, configs)
+    finally:
+        tracer.remove()
+    steps = len(train_set) * configs[0].epochs
+    assert [r.epochs_run for r in records] == [configs[0].epochs] * len(configs)
+    counts = tracer.snapshot()
+    assert counts["trainer.train.calls"] == 1
+    assert counts["trainer.optimizer_step.calls"] == len(configs) * steps
+    for layer in ("policy.logprob_grads_scores", "policy.backprop",
+                  "metrics.batch_rewards", "trainer.disparity_score_grad"):
+        assert counts[f"{layer}.calls"] == steps, layer
+    # Evaluation stays per member: two splits an epoch, and delta_lambda.
+    assert counts["trainer.evaluate.calls"] == len(configs) * (2 * configs[0].epochs + 1)

@@ -492,3 +492,99 @@ def test_flat_optimizer_steps_equal_the_per_array_reference(kind, bias):
     per_array_adam_steps(want, [split_like(g, want) for g in grad_steps], 0.01)
     for got, ref in zip(adam_model.param_arrays(), want):
         assert got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Lambda grids trained in lockstep
+# ---------------------------------------------------------------------------
+
+
+def grid_configs(lams, **overrides):
+    return [base_config(lam=lam, **overrides) for lam in lams]
+
+
+@pytest.mark.parametrize("model,kind", [("linear", "group"), ("mlp1", "individual")])
+def test_grid_members_equal_runs_alone(model, kind):
+    """Each member of a grid gives the bits ``train`` gives it alone, though
+    members stop early at different epochs and leave the block, and the
+    penalized members are not contiguous rows."""
+    ds = small_dataset(seed=5, queries=12, docs=9)
+    tr, va = data.split_dataset(ds, 0.75, seed=0)
+    configs = grid_configs((5.0, 0.0, 25.0, 2.0), model=model, hidden_units=4,
+                           disparity=fairness.DisparityConfig.parse(kind),
+                           gamma=0.5, epochs=6, patience=1, learning_rate=0.05)
+    outcomes = trainer.train(tr, va, configs)
+    assert len(outcomes) == len(configs)
+    for config, record in zip(configs, outcomes):
+        alone = trainer.train(tr, va, config)
+        assert record.to_json() == alone.to_json()
+        assert record.model.params.tobytes() == alone.model.params.tobytes()
+    assert len({r.epochs_run for r in outcomes}) > 1
+
+
+def test_grid_refuses_configs_that_differ_beyond_lambda():
+    ds = small_dataset()
+    tr, va = data.split_dataset(ds, 0.8, seed=0)
+    grp = fairness.DisparityConfig.parse("group")
+    with pytest.raises(ValueError, match="differ only in lam"):
+        trainer.train(tr, va, [base_config(lam=1.0, disparity=grp),
+                                    base_config(lam=2.0, disparity=grp, seed=1)])
+    with pytest.raises(ValueError, match="at least one"):
+        trainer.train(tr, va, [])
+
+
+def test_a_failing_member_leaves_the_block_and_the_others_carry_on():
+    ds = small_dataset(seed=2, queries=10, docs=9)
+    tr, va = data.split_dataset(ds, 0.8, seed=0)
+    configs = grid_configs((0.0, 1e300, 5.0),
+                           disparity=fairness.DisparityConfig.parse("group"))
+    first, failed, last = trainer.train(tr, va, configs)
+    assert isinstance(failed, trainer.TrainingError)
+    assert "cannot take" in str(failed) and "on query" in str(failed)
+    for config, record in ((configs[0], first), (configs[2], last)):
+        assert record.to_json() == trainer.train(tr, va, config).to_json()
+    with pytest.raises(trainer.TrainingError, match="on query"):
+        trainer.train(tr, va, configs[1])
+
+
+def test_a_gradient_adam_cannot_square_fails_before_the_parameters_move():
+    """A finite gradient entry above ``Adam.max_gradient`` would overflow
+    the second moment and freeze the run; the step refuses it, with no
+    warning, naming the query, and leaves that member's parameters alone."""
+    ds = small_dataset(seed=2, queries=8, docs=9)
+    configs = grid_configs((0.0, 1e300),
+                           disparity=fairness.DisparityConfig.parse("group"))
+    model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
+    members = [trainer._Member(c, trainer.Adam(0.01), model) for c in configs]
+    block = trainer._Block(model.with_params(np.tile(model.params, (2, 1))), members)
+    rng = np.random.default_rng(1)
+    for query in ds.queries:    # until the hinge is active and the step huge
+        before = block.model.params.copy()
+        failed = trainer._train_step(block, query, configs[0], rng)
+        if failed:
+            break
+    assert list(failed) == [1]
+    assert f"above 1e+154, which adam cannot take, on query {query.qid!r}" \
+        in str(failed[1])
+    assert block.model.params[1].tobytes() == before[1].tobytes()
+    assert block.model.params[0].tobytes() != before[0].tobytes()
+
+
+def test_hinge_gradient_of_a_member_block_equals_each_member():
+    """Members with an active row get their own bits, and one without gets
+    exact zeros, as a call on its sample alone would."""
+    rng = np.random.default_rng(9)
+    for kind in ("group", "individual"):
+        disparity = fairness.DisparityConfig.parse(kind)
+        for n in (3, 9):
+            query = small_dataset(seed=n, queries=1, docs=n).queries[0]
+            rows = disparity.query_rows(query)
+            scores = rng.normal(scale=2.0, size=(5, n))
+            sample = policy.draw_policy_sample(scores, 7, rng)
+            block = trainer.hinge_score_grad(sample, rows)
+            assert block.shape == (5, n)
+            for k in range(5):
+                alone = trainer.hinge_score_grad(
+                    policy.PolicySample(sample.rankings[k], sample.logprob_grads[k]),
+                    rows)
+                assert block[k].tobytes() == alone.tobytes()
