@@ -8,7 +8,6 @@ post-processing baseline and a top-1 softmax baseline.
 """
 from .data import (
     Dataset,
-    Document,
     Query,
     convert_binary_table,
     generate_simulated,
@@ -37,17 +36,12 @@ from .policy import (
     save_model,
 )
 from .trainer import EvalSummary, RunRecord, TrainConfig, evaluate, train
-from .baselines import (
-    enumerate_policy_expectations,
-    fit_linear_regression,
-    solve_fair_lp,
-    train_top1_baseline,
-)
+from .baselines import fit_linear_regression, solve_fair_lp, train_top1_baseline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "Document", "Query", "convert_binary_table",
+    "Dataset", "Query", "convert_binary_table",
     "generate_simulated", "load_dataset", "parse_letor", "save_dataset",
     "split_dataset",
     "DisparityConfig", "MeritFunction", "exposure_of_policy",
@@ -56,7 +50,6 @@ __all__ = [
     "LinearModel", "MLP1Model", "argmax_ranking", "init_model", "load_model",
     "ranking_logprob", "sample_rankings", "save_model",
     "EvalSummary", "RunRecord", "TrainConfig", "evaluate", "train",
-    "enumerate_policy_expectations", "fit_linear_regression", "solve_fair_lp",
-    "train_top1_baseline",
+    "fit_linear_regression", "solve_fair_lp", "train_top1_baseline",
     "__version__",
 ]

@@ -1,11 +1,4 @@
-"""Reference methods: exact enumeration, LP post-processing, top-1 softmax.
-
-``enumerate_policy_expectations`` is the ground-truth companion of the
-Monte-Carlo trainer: for small candidate sets it computes expected utility,
-exposures, disparities, and their exact score-space gradients by summing
-over every permutation.  Both disparities come from the hinge rows of
-``fairness.individual_rows`` and ``fairness.group_rows``, with the hinge
-indicators taken from the exact exposures.
+"""Reference methods: LP post-processing and top-1 softmax.
 
 The LP baseline estimates relevance with a pooled linear regression, then
 solves, per query, a linear program over doubly stochastic matrices that
@@ -26,90 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Query
-from .fairness import DisparityConfig, HingeRows, MeritFunction, group_rows, \
-    hinge_gaps, hinge_mean, hinge_weights, individual_rows, ranking_exposures
-from .metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
-from .policy import LinearModel, logprob_grads_scores, ranking_logprobs
-from .ranking import ENUMERATION_LIMIT, all_rankings
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExactPolicyStats:
-    """Exact expectations of the ranking policy at one score vector.
-
-    Gradients are wrt the scores.  Disparity fields are None when merits
-    (individual) or groups (group) were not supplied.
-    """
-
-    utility: float
-    utility_grad: np.ndarray
-    exposures: np.ndarray
-    individual_disparity: float | None = None
-    individual_grad: np.ndarray | None = None
-    group_disparity: float | None = None
-    group_grad: np.ndarray | None = None
-
-
-def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
-                                  merits: np.ndarray | None = None,
-                                  groups: np.ndarray | None = None,
-                                  metric: UtilityMetric | None = None
-                                  ) -> ExactPolicyStats:
-    """Sum over all n! rankings; refuse above ``ENUMERATION_LIMIT`` docs.
-
-    Hinge indicators for the disparity gradients come from the exact
-    exposures, so away from the hinge kink the returned gradients are the
-    true gradients of the disparity values.
-    """
-    s = np.asarray(scores, dtype=float)
-    rels = np.asarray(relevances, dtype=float)
-    n = s.shape[0]
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"exact enumeration limited to {ENUMERATION_LIMIT} docs, got {n}")
-    if metric is None:
-        metric = UtilityMetric("ndcg")
-
-    orders = np.stack(list(all_rankings(n)))
-    probs = np.exp(ranking_logprobs(s, orders))
-    glogs = logprob_grads_scores(s, orders)
-    per_ranking = ranking_exposures(orders)
-
-    deltas = metric.batch_values(orders, rels)
-    stats = ExactPolicyStats(
-        utility=float(probs @ deltas),
-        utility_grad=(probs * deltas) @ glogs,
-        exposures=probs @ per_ranking,
-    )
-
-    hinge = (stats.exposures, per_ranking, probs, glogs)
-    if merits is not None:
-        stats.individual_disparity, stats.individual_grad = _exact_hinge(
-            individual_rows(merits), *hinge)
-    if groups is not None:
-        if merits is None:
-            raise ValueError("group disparity needs merits")
-        stats.group_disparity, stats.group_grad = _exact_hinge(
-            group_rows(merits, groups), *hinge)
-    return stats
-
-
-def _exact_hinge(rows: HingeRows, exposures: np.ndarray,
-                 per_ranking: np.ndarray, probs: np.ndarray,
-                 glogs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact ``hinge_mean(rows, exposures)`` and its score gradient, summed
-    over the enumerated rankings with hinge indicators from the exact
-    exposures."""
-    grad = np.zeros(exposures.shape[0])
-    if len(rows):
-        weights = hinge_weights(rows, hinge_gaps(rows, exposures) > 0.0)
-        grad = (probs * (per_ranking @ weights)) @ glogs
-    return hinge_mean(rows, exposures), grad
+from .fairness import DisparityConfig, MeritFunction, group_rows, hinge_mean, \
+    ranking_exposures
+from .metrics import gains, ideal_dcg, position_bias_vector
+from .policy import LinearModel
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +181,7 @@ def train_top1_baseline(dataset: Dataset, lam: float,
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
+    require_top1_settings(learning_rate, epochs)
     targets = [_top1_target(query.relevances) for query in dataset]
     pickers = [_group_picker(query.groups) if lam > 0.0 else None
                for query in dataset]
@@ -293,6 +207,16 @@ def train_top1_baseline(dataset: Dataset, lam: float,
                 grad = grad * (max_grad_norm / norm)
             model.params -= learning_rate * grad
     return model
+
+
+def require_top1_settings(learning_rate: float, epochs: int) -> None:
+    """Refuse a learning rate that is negative or not finite, and fewer than
+    one epoch."""
+    if not 0.0 <= learning_rate < np.inf:
+        raise ValueError(
+            f"learning rate must be finite and >= 0, got {learning_rate:g}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
 
 
 def _top1_target(relevances: np.ndarray) -> np.ndarray:

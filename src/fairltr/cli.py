@@ -37,8 +37,10 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+def load_config_file(path: str, keys) -> dict[str, str]:
+    """Flat ``key = value`` lines; blank lines and # comments ignored.  A key
+    outside ``keys``, the command's option names, is refused with its line,
+    since it would otherwise be silently ignored."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -51,7 +53,11 @@ def load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"{path} line {lineno}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise CliError(f"{path} line {lineno}: unknown key {key!r}; "
+                           f"the keys are {', '.join(sorted(keys))}")
+        values[key] = value.strip()
     return values
 
 
@@ -73,7 +79,8 @@ def resolve_options(args: argparse.Namespace,
                     schema: dict[str, tuple[type, object]]) -> dict:
     """Merge flag > config-file > default, per the schema
     ``{key: (type, default)}``."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = (load_config_file(args.config, schema)
+                   if getattr(args, "config", None) else {})
     out = {}
     for key, (kind, default) in schema.items():
         flag_value = getattr(args, key, None)
@@ -200,10 +207,13 @@ _GENERATE_TABLE_SCHEMA = {
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.source == "simulated":
         opts = resolve_options(args, _GENERATE_SIM_SCHEMA)
+        try:
+            dataset = data.generate_simulated(
+                num_queries=opts["queries"], docs_per_query=opts["docs"],
+                minority_prob=opts["minority_prob"], seed=opts["seed"])
+        except data.DataError as exc:
+            raise CliError(str(exc)) from None
         out = prepare_out_dir(args.out, args.force)
-        dataset = data.generate_simulated(
-            num_queries=opts["queries"], docs_per_query=opts["docs"],
-            minority_prob=opts["minority_prob"], seed=opts["seed"])
         data.save_dataset(dataset, out / "data.letor", out / "data.groups")
         write_kv(out / "manifest.txt", {"command": "generate simulated", **opts})
         print(f"wrote {len(dataset)} queries ({dataset.num_docs} documents) "
@@ -213,11 +223,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     opts = resolve_options(args, _GENERATE_TABLE_SCHEMA)
     if not args.input:
         raise CliError("generate from-table requires --input")
+    if opts["train_queries"] < 1:
+        raise CliError("train_queries must be >= 1")
+    if opts["test_queries"] < 0:
+        raise CliError("test_queries must be >= 0")
     records = _read_table(args.input, opts["label_col"], opts["group_col"],
                           opts["preprocess"])
     total = opts["train_queries"] + opts["test_queries"]
-    if opts["train_queries"] < 1:
-        raise CliError("train_queries must be >= 1")
     try:
         dataset = data.convert_binary_table(
             records, num_queries=total, candidate_size=opts["candidate_size"],
@@ -613,6 +625,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if not all(0.0 <= lam < np.inf for lam in lambdas):
         raise CliError(f"penalty weights must be finite and >= 0, "
                        f"got {opts['lambdas']}")
+    if method == "top1":
+        try:
+            baselines.require_top1_settings(opts["lr"], opts["epochs"])
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
     train_set = load_dataset_auto(args.train)
     splits = [("train", train_set)]
     if args.test:

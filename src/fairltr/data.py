@@ -11,15 +11,14 @@ significant digits so that parse -> write -> parse is bit exact.
 
 A query holds its documents as arrays: a feature matrix, a relevance
 vector and, when labelled, a group vector.  The parser fills them directly,
-and a group file attaches its labels to them, so no per-document object is
-built while loading.  Datasets are immutable after construction: a query's
-arrays are read-only, so what is derived from them can be kept with the
-query (``Query.derived``), and every transformation returns a new dataset.
+and a group file attaches its labels to them.  Datasets are immutable
+after construction: a query's arrays are read-only, so what is derived
+from them can be kept with the query (``Query.derived``), and every
+transformation returns a new dataset.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -35,46 +34,17 @@ class ParseError(DataError):
     """Raised for malformed input text; message carries the line number."""
 
 
-@dataclass(frozen=True, eq=False)
-class Document:
-    features: np.ndarray
-    relevance: float
-    group: int | None = None
-
-
 class Query:
     """One query: its candidate documents as arrays.
 
     ``feature_matrix`` is ``(n, d)``, ``relevances`` ``(n,)`` and ``groups``
-    ``(n,)`` or None.  ``Query(qid, docs)`` builds them from ``Document``s
-    and ``Query.from_arrays`` takes them directly; both make read-only
-    copies through the same checks.  Because the arrays cannot change,
-    anything derived from them, such as a metric's ideal DCG or a
-    disparity's hinge rows, is built once and kept with the query by
-    ``derived``.
+    ``(n,)`` or None; the query keeps read-only copies of them.  Because
+    the arrays cannot change, anything derived from them, such as a
+    metric's ideal DCG or a disparity's hinge rows, is built once and kept
+    with the query by ``derived``.
     """
 
-    def __init__(self, qid: str, docs: Sequence[Document]):
-        docs = tuple(docs)
-        if len({d.features.shape for d in docs}) > 1:
-            raise DataError(f"query {qid!r} has inconsistent feature shapes")
-        with_group = [d.group is not None for d in docs]
-        if any(with_group) and not all(with_group):
-            raise DataError(f"query {qid!r} mixes grouped and ungrouped documents")
-        self._set_arrays(qid, [d.features for d in docs],
-                         [d.relevance for d in docs],
-                         [d.group for d in docs] if docs and all(with_group) else None)
-
-    @classmethod
-    def from_arrays(cls, qid: str, feature_matrix, relevances,
-                    groups=None) -> "Query":
-        """A query from its ``(n, d)`` features, ``(n,)`` relevances and
-        optional ``(n,)`` group labels."""
-        query = cls.__new__(cls)
-        query._set_arrays(qid, feature_matrix, relevances, groups)
-        return query
-
-    def _set_arrays(self, qid, feature_matrix, relevances, groups) -> None:
+    def __init__(self, qid: str, feature_matrix, relevances, groups=None):
         self.qid = str(qid)
         self.relevances = np.array(relevances, dtype=float)
         n = self.relevances.shape[0] if self.relevances.ndim == 1 else -1
@@ -222,7 +192,7 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
     features = np.zeros((len(relevances), max_fid))
     features[owners, columns] = values
     rels = np.array(relevances)
-    queries = [Query.from_arrays(qid, features[docs], rels[docs])
+    queries = [Query(qid, features[docs], rels[docs])
                for qid, docs in docs_of.items()]
     return Dataset(queries, feature_dim=max_fid)
 
@@ -267,8 +237,8 @@ def parse_group_file(source, dataset: Dataset) -> Dataset:
     start = 0
     for q in dataset:
         stop = start + q.num_docs
-        queries.append(Query.from_arrays(q.qid, q.feature_matrix, q.relevances,
-                                         labels[start:stop]))
+        queries.append(Query(q.qid, q.feature_matrix, q.relevances,
+                             labels[start:stop]))
         start = stop
     return Dataset(queries, feature_dim=dataset.feature_dim)
 
@@ -334,7 +304,7 @@ def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
             relevances.append(float(np.clip(x1 + x2, 0.0, 5.0)))
             features.append((x1, 0.0 if group == 1 else x2))
             groups.append(group)
-        queries.append(Query.from_arrays(str(qi + 1), features, relevances, groups))
+        queries.append(Query(str(qi + 1), features, relevances, groups))
     return Dataset(queries, feature_dim=2)
 
 
@@ -401,7 +371,7 @@ def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
         if num_pos:
             chosen.extend(rng.choice(pos_pool, size=num_pos, replace=False))
         chosen = [chosen[k] for k in rng.permutation(len(chosen))]
-        queries.append(Query.from_arrays(
+        queries.append(Query(
             str(qi + 1), [feats[i] for i in chosen], [labels[i] for i in chosen],
             [groups[i] for i in chosen] if grouped[0] else None))
     return Dataset(queries, feature_dim=feats[0].shape[0])

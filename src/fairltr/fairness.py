@@ -27,12 +27,12 @@ parts of ``hinge_gaps(rows, exposures)``, and zero when there are no rows;
   of groups 0 and 1, oriented so only over-exposure of the higher-merit
   group is charged, and no row for a degenerate query.
 
-The trainer's Monte-Carlo gradient, the exact enumeration oracle and the LP
-baseline's constraint all derive from the same rows.  ``DisparityConfig``
-builds a dataset query's rows of either kind once and keeps them with the
-query, read-only.  The hinge applies after the expectation over rankings,
-so a stochastic policy can be exactly fair even though every single
-ranking is unfair.
+The trainer's Monte-Carlo gradient, the tests' exact enumeration oracle
+and the LP baseline's constraint all derive from the same rows.
+``DisparityConfig`` builds a dataset query's rows of either kind once and
+keeps them with the query, read-only.  The hinge applies after the
+expectation over rankings, so a stochastic policy can be exactly fair even
+though every single ranking is unfair.
 """
 from __future__ import annotations
 
@@ -101,53 +101,42 @@ class ExposureVector:
     """Per-document expected exposure plus how it was estimated.
 
     ``mode`` is ``"exact"`` (position marginals from the placed-subset DP)
-    or ``"mc"``; ``num_samples`` is set for Monte-Carlo estimates only.
-    ``values`` is ``(n,)``, or ``(Q, n)`` for a Monte-Carlo block of Q score
-    vectors.
+    or ``"mc"``.  ``values`` is ``(n,)``, or ``(Q, n)`` for a Monte-Carlo
+    block of Q score vectors.
     """
 
     values: np.ndarray
     mode: str
-    num_samples: int | None = None
 
 
-def exposure_of_policy(scores: np.ndarray, mode: str = "auto",
-                       num_samples: int = 32,
+def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
                        rng: np.random.Generator | None = None) -> ExposureVector:
     """Expected exposure under the Plackett-Luce policy at ``scores``.
 
-    ``mode="exact"`` computes ``M @ position_bias_vector(n)`` from the
-    position marginals ``M`` of ``policy.position_marginals``, a DP over
-    placed subsets in O(2^n n) that draws no random numbers; it is refused
-    above ``ENUMERATION_LIMIT`` documents.  ``mode="mc"`` averages over
-    sampled rankings, and ``mode="auto"`` picks exact mode exactly when
-    ``n <= ENUMERATION_LIMIT``.
+    Up to ``ENUMERATION_LIMIT`` documents it is exact: ``M @
+    position_bias_vector(n)`` from the position marginals ``M`` of
+    ``policy.position_marginals``, a DP over placed subsets in O(2^n n)
+    that draws no random numbers and takes one score vector.  Above it, it
+    is the mean over ``num_samples`` sampled rankings.
 
-    In Monte-Carlo mode ``scores`` may also be a ``(Q, n)`` block of Q score
+    A Monte-Carlo ``scores`` may also be a ``(Q, n)`` block of Q score
     vectors: ``values`` is then ``(Q, n)``, drawn by one
     ``policy.sample_rankings`` call and reduced by one ``mc_exposure`` call,
     and equals Q calls on the rows one after another with the same ``rng``,
-    bit for bit.  Exact mode takes one score vector.
+    bit for bit.
     """
     s = np.asarray(scores, dtype=float)
     n = s.shape[-1]
-    if mode == "auto":
-        mode = "exact" if n <= ENUMERATION_LIMIT else "mc"
-    if mode == "exact":
-        if n > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"exact exposure limited to {ENUMERATION_LIMIT} docs, got {n}")
+    if n <= ENUMERATION_LIMIT:
         if s.ndim != 1:
             raise ValueError("exact exposure takes one score vector")
         values = policy.position_marginals(s) @ position_bias_vector(n)
         return ExposureVector(values=values, mode="exact")
-    if mode != "mc":
-        raise ValueError(f"unknown exposure mode {mode!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     orders = policy.sample_rankings(s, num_samples, rng)
     values = mc_exposure(orders.reshape(*s.shape[:-1], num_samples, n), n)
-    return ExposureVector(values=values, mode="mc", num_samples=num_samples)
+    return ExposureVector(values=values, mode="mc")
 
 
 def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:

@@ -216,43 +216,35 @@ class UtilityMetric:
 
 
 def expected_utility(scores: np.ndarray, relevances: np.ndarray,
-                     metric: UtilityMetric, num_samples: int = 1000,
-                     rng: np.random.Generator | None = None,
-                     exact: bool = False) -> float:
-    """Expected metric value of the Plackett-Luce policy at ``scores``.
+                     metric: UtilityMetric) -> float:
+    """Exact expected metric value of the Plackett-Luce policy at ``scores``.
 
-    With ``exact=True`` the expectation is exact and draws no random numbers.
-    It comes from the DP over placed subsets (``policy.placement_flows``) in
-    O(2^n n): dcg and ndcg as ``gains @ M @ discounts`` and avgrank as
+    It draws no random numbers.  It comes from the DP over placed subsets
+    (``policy.placement_flows``) in O(2^n n): dcg and ndcg as
+    ``gains @ M @ discounts`` and avgrank as
     ``rels @ M @ positions / rels.sum()`` over the position marginals ``M``,
-    and ERR from the flows themselves.  Exact mode is still refused above
-    ``ENUMERATION_LIMIT`` candidates.  Otherwise the expectation is a
-    Monte-Carlo mean over ``num_samples`` sampled rankings.
+    and ERR from the flows themselves.  It is refused above
+    ``ENUMERATION_LIMIT`` candidates.
     """
     rels = np.asarray(relevances, dtype=float)
     n = rels.shape[0]
-    if exact:
-        if n > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"exact expectation limited to {ENUMERATION_LIMIT} docs, got {n}")
-        if metric.kind == "err":
-            return _expected_err(scores, rels, metric.err_max_grade)
-        marginals = policy.position_marginals(scores)
-        if metric.kind == "avgrank":
-            total = rels.sum()
-            if total == 0.0:
-                raise ValueError("avg_rank is undefined for all-zero relevances")
-            return float(rels @ marginals @ np.arange(1.0, n + 1) / total)
-        k = _effective_cutoff(metric.cutoff, n)
-        value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
-        if metric.kind == "ndcg":
-            ideal = ideal_dcg(rels, metric.cutoff)
-            return value / ideal if ideal > 0.0 else 0.0
-        return value
-    if rng is None:
-        rng = np.random.default_rng(0)
-    orders = policy.sample_rankings(scores, num_samples, rng)
-    return float(metric.batch_values(orders, rels).mean())
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"exact expectation limited to {ENUMERATION_LIMIT} docs, got {n}")
+    if metric.kind == "err":
+        return _expected_err(scores, rels, metric.err_max_grade)
+    marginals = policy.position_marginals(scores)
+    if metric.kind == "avgrank":
+        total = rels.sum()
+        if total == 0.0:
+            raise ValueError("avg_rank is undefined for all-zero relevances")
+        return float(rels @ marginals @ np.arange(1.0, n + 1) / total)
+    k = _effective_cutoff(metric.cutoff, n)
+    value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
+    if metric.kind == "ndcg":
+        ideal = ideal_dcg(rels, metric.cutoff)
+        return value / ideal if ideal > 0.0 else 0.0
+    return value
 
 
 def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> float:

@@ -6,16 +6,15 @@ the document placed at position ``j + 1``.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 Ranking = np.ndarray
 
-# Largest candidate count for exact policy expectations (exposure, expected
-# utility) and for enumerating all n! rankings; auto exposure mode uses
-# Monte-Carlo above it.
+# Largest candidate count for exact policy expectations: exposure is exact
+# up to it and Monte-Carlo above it, and exact expected utility is refused
+# above it, since the subset DP takes O(2^n n) memory.
 ENUMERATION_LIMIT = 7
 
 
@@ -43,16 +42,4 @@ def as_ranking(order: Iterable[int], num_docs: int) -> Ranking:
             raise InvalidRankingError(f"index {idx} repeated in ranking")
         seen.add(idx)
     return arr
-
-
-def all_rankings(num_docs: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Ranking]:
-    """Yield every permutation of ``0..num_docs-1``.
-
-    Refuses to enumerate above ``limit`` candidates (n! blowup).
-    """
-    if num_docs > limit:
-        raise ValueError(
-            f"refusing to enumerate {num_docs}! rankings (limit {limit})")
-    for perm in itertools.permutations(range(num_docs)):
-        yield np.array(perm, dtype=np.intp)
 

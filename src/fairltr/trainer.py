@@ -103,6 +103,8 @@ class TrainConfig:
         for name in ("lam", "gamma", "learning_rate"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:
@@ -301,7 +303,7 @@ EVAL_BLOCK_DRAWS = 1 << 17
 
 def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
                       rng: np.random.Generator) -> list[np.ndarray]:
-    """``exposure_of_policy`` in auto mode at each score vector, in order.
+    """``exposure_of_policy`` at each score vector, in order.
 
     Exact exposures draw nothing and take one query per call.  Each run of
     consecutive equal-size queries above ``ENUMERATION_LIMIT`` documents is
@@ -318,8 +320,7 @@ def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
                     else max(1, EVAL_BLOCK_DRAWS // (eval_samples * n)))
         for start in range(0, len(run), per_call):
             block = run[start] if per_call == 1 else np.stack(run[start:start + per_call])
-            result = exposure_of_policy(block, mode="auto",
-                                        num_samples=eval_samples, rng=rng)
+            result = exposure_of_policy(block, num_samples=eval_samples, rng=rng)
             exposures.extend(np.atleast_2d(result.values))
     return exposures
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairltr import baselines, cli, data, fairness, metrics, policy, trainer
-from fairltr.ranking import all_rankings
+import oracle
 
 
 def report(capsys, ok: bool, line: str) -> None:
@@ -104,7 +104,7 @@ def test_gradient_matches_finite_differences(capsys):
                 continue
             scores = X @ w
             term = fairness.group_disparity(
-                fairness.exposure_of_policy(scores, mode="exact").values,
+                fairness.exposure_of_policy(scores).values,
                 merits, groups)
             hinge_gap = term if term > 0 else _signed_group_gap(
                 scores, merits, groups)
@@ -114,7 +114,7 @@ def test_gradient_matches_finite_differences(capsys):
 
     def objective(X, w, rels, groups):
         scores = X @ w
-        ex = baselines.enumerate_policy_expectations(
+        ex = oracle.enumerate_policy_expectations(
             scores, rels, merits=merit(rels), groups=groups, metric=metric)
         entropy, _ = policy.softmax_entropy(scores)
         return ex.utility - lam * ex.group_disparity + gamma * entropy
@@ -124,7 +124,7 @@ def test_gradient_matches_finite_differences(capsys):
     for _ in range(20):
         X, w, rels, groups = instance()
         scores = X @ w
-        ex = baselines.enumerate_policy_expectations(
+        ex = oracle.enumerate_policy_expectations(
             scores, rels, merits=merit(rels), groups=groups, metric=metric)
         _, ent_grad = policy.softmax_entropy(scores)
         score_grad = ex.utility_grad - lam * ex.group_grad + gamma * ent_grad
@@ -146,7 +146,7 @@ def test_gradient_matches_finite_differences(capsys):
 
 
 def _signed_group_gap(scores, merits, groups):
-    expo = fairness.exposure_of_policy(scores, mode="exact").values
+    expo = fairness.exposure_of_policy(scores).values
     m0 = merits[groups == 0]
     m1 = merits[groups == 1]
     direction = np.sign(m0.mean() - m1.mean())
@@ -175,7 +175,7 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
             rng.shuffle(groups)
             if len(np.unique(rels)) < 2:
                 continue
-            exact = baselines.enumerate_policy_expectations(
+            exact = oracle.enumerate_policy_expectations(
                 scores, rels, merits=merit(rels), groups=groups, metric=metric)
             if exact.group_disparity > 0.01:    # indicator clearly active
                 break
@@ -221,7 +221,7 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
     for n in range(2, 7):
         for _ in range(10):
             scores = rng.normal(scale=1.5, size=n)
-            orders = np.stack(list(all_rankings(n)))
+            orders = np.stack(list(oracle.all_rankings(n)))
             total = np.exp(policy.ranking_logprobs(scores, orders)).sum()
             worst_gap = max(worst_gap, abs(total - 1.0))
 
@@ -229,7 +229,7 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
     size = 50000
     sample = policy.sample_rankings(scores, size, np.random.default_rng(34))
     keys = sample @ np.array([9, 3, 1])
-    orders = np.stack(list(all_rankings(3)))
+    orders = np.stack(list(oracle.all_rankings(3)))
     probs = np.exp(policy.ranking_logprobs(scores, orders))
     worst_z = 0.0
     for key, p in zip(orders @ np.array([9, 3, 1]), probs):
@@ -259,7 +259,7 @@ def test_metric_oracle_values(capsys):
 
     equal = np.full(4, 2.0)
     invariant = all(metrics.ndcg(order, equal) == 1.0
-                    for order in all_rankings(4))
+                    for order in oracle.all_rankings(4))
 
     hand = metrics.dcg(np.array([0, 1, 2]), np.array([3.0, 1.0, 0.0]))
     hand_ok = abs(hand - 7.63093) < 1e-5
@@ -331,11 +331,10 @@ def test_learns_separable_dataset_to_perfect_ndcg(capsys):
     rng = np.random.default_rng(42)
     queries = []
     for qi in range(30):
-        docs = []
-        for _ in range(8):
-            x = rng.integers(0, 4, size=2).astype(float)
-            docs.append(data.Document(x, float(np.clip(x[0] + x[1], 0.0, 5.0))))
-        queries.append(data.Query(str(qi + 1), docs))
+        features = np.array([rng.integers(0, 4, size=2) for _ in range(8)],
+                            dtype=float)
+        relevances = np.clip(features[:, 0] + features[:, 1], 0.0, 5.0)
+        queries.append(data.Query(str(qi + 1), features, relevances))
     ds = data.Dataset(queries, 2)
     metric = metrics.UtilityMetric.parse("ndcg@10")
 

@@ -118,22 +118,57 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["baseline", "--lambdas=-1"],
     ["baseline", "--method", "top1", "--lambdas=0,-1"],
     ["eval", "--eval-samples", 0],
+    ["train", "--config", "TYPO"],
+    ["train", "--config", "LAMBDA"],
+    ["sweep", "--config", "TYPO"],
+    ["baseline", "--config", "TYPO"],
+    ["eval", "--config", "TYPO"],
+    ["generate", "simulated", "--config", "TYPO"],
+    ["train", "--patience=-2"],
+    ["sweep", "--patience=-2"],
+    ["baseline", "--method", "top1", "--lr=-1"],
+    ["baseline", "--method", "top1", "--lr", "nan"],
+    ["baseline", "--method", "top1", "--epochs", 0],
+    ["baseline", "--method", "top1", "--epochs=-3"],
+    ["generate", "from-table", "--train-queries", 10, "--test-queries=-4"],
+    ["generate", "simulated", "--queries", 0],
+    ["generate", "simulated", "--docs", 0],
+    ["generate", "simulated", "--minority-prob", 1.5],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
 def test_bad_configuration_is_a_clean_error_before_any_work(
         tmp_path, dataset_dir, capsys, argv):
     letor = dataset_dir / "data.letor"
-    config = tmp_path / "rmsprop.cfg"
-    config.write_text("optimizer = rmsprop\n")
+    # Config files by placeholder: a bad value, misspelt keys, and the
+    # record's "lambda" in place of the option name "lam".  A key the
+    # command does not take is named with its file and line.
+    configs = {"RMSPROP": "optimizer = rmsprop\n",
+               "TYPO": "seed = 1\nlamda = 5\nsampels = 3\n",
+               "LAMBDA": "lambda = 5\n"}
+    unknown = {"TYPO": "line 2: unknown key 'lamda'",
+               "LAMBDA": "line 1: unknown key 'lambda'"}
     checkpoint = tmp_path / "model.txt"
     checkpoint.write_text("fairltr-model 1\nkind linear\nfeature_dim 2\n"
                           "bias 0\nw 0.1 0.2\n")
-    inputs = (["--checkpoint", checkpoint, "--data", letor]
-              if argv[0] == "eval" else ["--train", letor])
+    table = tmp_path / "rows.csv"
+    table.write_text("f,label,grp\n" + "".join(
+        f"{i},{int(i < 10)},{i % 2}\n" for i in range(30)))
+    if argv[0] == "eval":
+        inputs = ["--checkpoint", checkpoint, "--data", letor]
+    elif argv[0] == "generate":
+        inputs = ["--input", table] if argv[1] == "from-table" else []
+    else:
+        inputs = ["--train", letor]
     out = tmp_path / "out"
-    argv = [config if a == "RMSPROP" else a for a in argv]
+    placeholder = next((a for a in argv if a in configs), None)
+    if placeholder is not None:
+        config = tmp_path / f"{placeholder.lower()}.cfg"
+        config.write_text(configs[placeholder])
+        argv = [config if a == placeholder else a for a in argv]
     assert run([*argv, *inputs, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if placeholder in unknown:
+        assert f"{config} {unknown[placeholder]}" in err
     assert not out.exists()
 
 
@@ -272,7 +307,7 @@ def test_eval_reports(tmp_path, dataset_dir):
 def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir):
     full = data.load_dataset(dataset_dir / "data.letor")
     capped = data.Dataset(
-        [data.Query.from_arrays(q.qid, q.feature_matrix,
+        [data.Query(q.qid, q.feature_matrix,
                                 np.minimum(q.relevances, 4.0)) for q in full],
         full.feature_dim)
     train_file = tmp_path / "capped.letor"
@@ -295,7 +330,7 @@ def test_avgrank_refuses_an_all_zero_query_before_any_work(
     full = data.load_dataset(dataset_dir / "data.letor")
     queries = list(full)
     q = queries[3]
-    queries[3] = data.Query.from_arrays(q.qid, q.feature_matrix,
+    queries[3] = data.Query(q.qid, q.feature_matrix,
                                         np.zeros(len(q)), q.groups)
     letor = tmp_path / "zero.letor"
     data.save_dataset(data.Dataset(queries, full.feature_dim), letor)

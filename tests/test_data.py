@@ -70,15 +70,14 @@ def test_parse_error_reports_line_number():
 
 def test_letor_round_trip_is_bit_exact():
     rng = np.random.default_rng(5)
-    docs = []
-    for qid in ("1", "2", "3"):
-        for _ in range(4):
-            scale = 10.0 ** float(rng.integers(-8, 8))
-            docs.append((qid, data.Document(rng.normal(size=3) * scale,
-                                            float(rng.integers(0, 5)))))
     queries = []
     for qid in ("1", "2", "3"):
-        queries.append(data.Query(qid, [d for q, d in docs if q == qid]))
+        features, relevances = [], []
+        for _ in range(4):
+            scale = 10.0 ** float(rng.integers(-8, 8))
+            features.append(rng.normal(size=3) * scale)
+            relevances.append(float(rng.integers(0, 5)))
+        queries.append(data.Query(qid, features, relevances))
     ds = data.Dataset(queries, 3)
     text = data.format_letor(ds)
     again = data.parse_letor(text)
@@ -104,48 +103,41 @@ def test_group_file_must_match_shape():
 
 
 def test_dataset_rejects_mixed_group_presence():
-    with_g = data.Query("1", [data.Document(np.zeros(1), 1.0, 0)])
-    without = data.Query("2", [data.Document(np.zeros(1), 1.0)])
+    with_g = data.Query("1", np.zeros((1, 1)), [1.0], [0])
+    without = data.Query("2", np.zeros((1, 1)), [1.0])
     with pytest.raises(data.DataError):
         data.Dataset([with_g, without], 1)
-
-
-def test_query_rejects_inconsistent_feature_dims():
-    docs = [data.Document(np.zeros(2), 1.0), data.Document(np.zeros(3), 0.0)]
-    with pytest.raises(data.DataError):
-        data.Query("1", docs)
 
 
 def test_query_arrays_are_read_only_copies():
     feats = np.arange(6.0).reshape(2, 3)
     rels, groups = np.array([1.0, 0.0]), np.array([0, 1])
-    docs = [data.Document(feats[i], rels[i], int(groups[i])) for i in range(2)]
-    for query in (data.Query.from_arrays("q", feats, rels, groups),
-                  data.Query("q", docs)):
-        for values in (query.feature_matrix, query.relevances, query.groups):
-            assert not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0] = 7
-        np.testing.assert_array_equal(query.feature_matrix, feats)
-        np.testing.assert_array_equal(query.relevances, rels)
-        np.testing.assert_array_equal(query.groups, groups)
+    query = data.Query("q", feats, rels, groups)
+    for values in (query.feature_matrix, query.relevances, query.groups):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 7
+    np.testing.assert_array_equal(query.feature_matrix, feats)
+    np.testing.assert_array_equal(query.relevances, rels)
+    np.testing.assert_array_equal(query.groups, groups)
     feats[0, 0] = 9.0
     assert query.feature_matrix[0, 0] == 0.0 and feats.flags.writeable
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: data.Query("q", []), "no documents"),
-    (lambda: data.Query.from_arrays("q", np.zeros((0, 2)), []), "no documents"),
-    (lambda: data.Query.from_arrays("q", np.zeros((3, 2)), [1.0, 0.0]),
+    (lambda: data.Query("q", [], []), "no documents"),
+    (lambda: data.Query("q", np.zeros((0, 2)), []), "no documents"),
+    (lambda: data.Query("q", np.zeros((3, 2)), [1.0, 0.0]),
      "inconsistent feature shapes"),
-    (lambda: data.Query.from_arrays("q", np.zeros(2), [1.0, 0.0]),
+    (lambda: data.Query("q", np.zeros(2), [1.0, 0.0]),
      "inconsistent feature shapes"),
-    (lambda: data.Query.from_arrays("q", np.zeros((2, 1)), [[1.0, 0.0]]),
+    (lambda: data.Query("q", np.zeros((2, 1)), [[1.0, 0.0]]),
      "inconsistent feature shapes"),
-    (lambda: data.Query.from_arrays("q", np.zeros((2, 1)), [1.0, 0.0], [0]),
+    (lambda: data.Query("q", np.zeros((2, 1)), [1.0, 0.0], [0]),
      "1 group labels for 2 documents"),
 ])
 def test_query_from_arrays_is_checked_like_documents(build, message):
+    """The constructor refuses arrays that do not describe n >= 1 documents."""
     with pytest.raises(data.DataError, match=message):
         build()
 

@@ -3,8 +3,8 @@ checked against enumeration of every ranking."""
 import numpy as np
 import pytest
 
-from fairltr import baselines, fairness, metrics, policy, ranking
-from fairltr.ranking import all_rankings
+from fairltr import fairness, metrics, policy
+import oracle
 
 
 def score_cases(n, rng):
@@ -25,7 +25,7 @@ CASES = [(n, kind) for n in range(1, 8)
 def enumerated_marginals(scores):
     n = scores.shape[0]
     marginals = np.zeros((n, n))
-    for order in all_rankings(n):
+    for order in oracle.all_rankings(n):
         marginals[order, np.arange(n)] += np.exp(policy.ranking_logprob(scores, order))
     return marginals
 
@@ -51,9 +51,9 @@ def test_exact_expected_utility_matches_enumeration(n, kind):
     rels = rng.integers(0, 5, size=n).astype(float)
     rels[rng.integers(n)] = 3.0  # avgrank needs a relevant document
     for metric in METRICS:
-        want = baselines.enumerate_policy_expectations(
+        want = oracle.enumerate_policy_expectations(
             scores, rels, metric=metric).utility
-        got = metrics.expected_utility(scores, rels, metric, exact=True)
+        got = metrics.expected_utility(scores, rels, metric)
         # dcg reaches ~40 here, so the bound scales with the value.
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (str(metric), got, want)
 
@@ -61,27 +61,29 @@ def test_exact_expected_utility_matches_enumeration(n, kind):
 def test_exact_err_keeps_the_grade_and_relevance_checks():
     with pytest.raises(ValueError, match="max_grade"):
         metrics.expected_utility(np.zeros(3), np.array([5.0, 0.0, 1.0]),
-                                 metrics.UtilityMetric("err"), exact=True)
+                                 metrics.UtilityMetric("err"))
     with pytest.raises(ValueError, match="non-negative"):
         metrics.expected_utility(np.zeros(3), np.array([-1.0, 0.0, 1.0]),
-                                 metrics.UtilityMetric("err"), exact=True)
+                                 metrics.UtilityMetric("err"))
     with pytest.raises(ValueError, match="all-zero"):
         metrics.expected_utility(np.zeros(3), np.zeros(3),
-                                 metrics.UtilityMetric("avgrank"), exact=True)
+                                 metrics.UtilityMetric("avgrank"))
 
 
 def test_exact_paths_never_enumerate(monkeypatch):
+    """The exact paths neither call the enumeration oracle nor value a
+    ranking's probability, and draw no ranking."""
     def refuse(*args, **kwargs):
-        raise AssertionError("exact mode enumerated rankings")
+        raise AssertionError("an exact path enumerated or sampled rankings")
 
-    for module in (ranking, fairness, metrics):
-        monkeypatch.setattr(module, "all_rankings", refuse, raising=False)
-    monkeypatch.setattr(policy, "ranking_logprob", refuse)
-    monkeypatch.setattr(policy, "ranking_logprobs", refuse)
+    for name in ("all_rankings", "enumerate_policy_expectations"):
+        monkeypatch.setattr(oracle, name, refuse)
+    for name in ("ranking_logprob", "ranking_logprobs", "sample_rankings"):
+        monkeypatch.setattr(policy, name, refuse)
     scores = np.linspace(-1.0, 1.0, 7)
     rels = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.0, 0.0])
-    expo = fairness.exposure_of_policy(scores, mode="exact")
+    expo = fairness.exposure_of_policy(scores)
     assert expo.mode == "exact"
     assert expo.values.sum() == pytest.approx(metrics.position_bias_vector(7).sum())
     for metric in METRICS:
-        assert np.isfinite(metrics.expected_utility(scores, rels, metric, exact=True))
+        assert np.isfinite(metrics.expected_utility(scores, rels, metric))

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from fairltr import data, fairness, metrics, policy, trainer
-from fairltr.ranking import all_rankings
+from fairltr.ranking import ENUMERATION_LIMIT
+import oracle
 
 V2 = 0.6309297535714574    # position bias at rank 2
 
@@ -28,7 +29,7 @@ def test_exposure_of_ranking_is_position_bias_at_doc_positions():
 
 
 def test_exposure_of_policy_exact_uniform():
-    expo = fairness.exposure_of_policy(np.zeros(3), mode="exact")
+    expo = fairness.exposure_of_policy(np.zeros(3))
     np.testing.assert_allclose(expo.values, np.full(3, (1.0 + V2 + 0.5) / 3.0),
                                atol=1e-12)
     assert expo.mode == "exact"
@@ -40,23 +41,23 @@ def test_exposure_total_is_conserved():
     budget = 1.0 + V2 + 0.5 + metrics.position_bias(4)
     for _ in range(5):
         scores = rng.normal(scale=2.0, size=4)
-        expo = fairness.exposure_of_policy(scores, mode="exact")
+        expo = fairness.exposure_of_policy(scores)
         assert expo.values.sum() == pytest.approx(budget, abs=1e-10)
 
 
 def test_exposure_mc_converges_to_exact():
     rng = np.random.default_rng(1)
     scores = np.array([0.5, -0.5, 1.0, 0.0])
-    exact = fairness.exposure_of_policy(scores, mode="exact").values
-    mc = fairness.exposure_of_policy(scores, mode="mc", num_samples=40000,
-                                     rng=rng).values
+    exact = fairness.exposure_of_policy(scores).values
+    mc = fairness.mc_exposure(policy.sample_rankings(scores, 40000, rng), 4)
     np.testing.assert_allclose(mc, exact, atol=0.02)
 
 
 def test_exposure_auto_switches_on_query_size():
+    """Exact up to ``ENUMERATION_LIMIT`` documents, Monte-Carlo above."""
     rng = np.random.default_rng(2)
-    small = fairness.exposure_of_policy(np.zeros(5), rng=rng)
-    large = fairness.exposure_of_policy(np.zeros(8), rng=rng)
+    small = fairness.exposure_of_policy(np.zeros(ENUMERATION_LIMIT), rng=rng)
+    large = fairness.exposure_of_policy(np.zeros(ENUMERATION_LIMIT + 1), rng=rng)
     assert small.mode == "exact" and large.mode == "mc"
 
 
@@ -121,11 +122,11 @@ def test_disparity_hinges_after_averaging_not_per_ranking():
     every single ranking is unfair on its own."""
     scores = np.zeros(3)
     merits = np.ones(3)
-    expo = fairness.exposure_of_policy(scores, mode="exact")
+    expo = fairness.exposure_of_policy(scores)
     assert fairness.individual_disparity(expo.values, merits) == \
         pytest.approx(0.0, abs=1e-12)
     per_ranking = [fairness.individual_disparity(
-        fairness.exposure_of_ranking(order), merits) for order in all_rankings(3)]
+        fairness.exposure_of_ranking(order), merits) for order in oracle.all_rankings(3)]
     assert np.mean(per_ranking) > 0.05
 
 
@@ -312,7 +313,7 @@ def test_disparity_config_parse_and_dispatch():
     assert cfg.kind == "individual" and cfg.merit.kind == "sqrt"
     expo = np.array([1.0, V2])
     rels = np.array([1.0, 1.0])
-    query = data.Query("q", [data.Document(np.zeros(1), r) for r in rels])
+    query = data.Query("q", np.zeros((2, 1)), rels)
     val = cfg.from_exposures(expo, query)
     assert val == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     grp = fairness.DisparityConfig.parse("group")
@@ -329,8 +330,7 @@ def test_group_rows_are_kept_with_each_query_and_read_only():
     rels, groups = np.array([3.0, 1.0, 2.0]), np.array([0, 1, 1])
 
     def make_query():
-        return data.Query("q", [data.Document(np.zeros(1), r, int(g))
-                                for r, g in zip(rels, groups)])
+        return data.Query("q", np.zeros((3, 1)), rels, groups)
 
     query = make_query()
     for merit in ("identity", "square"):
@@ -358,19 +358,18 @@ def test_group_rows_are_kept_with_each_query_and_read_only():
 
 
 def test_exposure_of_a_score_block_equals_one_call_per_row():
-    """A ``(Q, n)`` block in Monte-Carlo mode is one sampler call whose
+    """A Monte-Carlo ``(Q, n)`` block is one sampler call whose
     estimates and generator state are those of Q calls on the rows."""
     scores = np.random.default_rng(4).normal(size=(5, 9))
     block_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
-    block = fairness.exposure_of_policy(scores, mode="auto", num_samples=11,
-                                        rng=block_rng)
-    rows = [fairness.exposure_of_policy(s, mode="auto", num_samples=11,
-                                        rng=row_rng).values for s in scores]
+    block = fairness.exposure_of_policy(scores, num_samples=11, rng=block_rng)
+    rows = [fairness.exposure_of_policy(s, num_samples=11, rng=row_rng).values
+            for s in scores]
     assert block.mode == "mc" and block.values.shape == (5, 9)
     np.testing.assert_array_equal(block.values, np.array(rows))
     assert block_rng.random() == row_rng.random()
     with pytest.raises(ValueError, match="one score vector"):
-        fairness.exposure_of_policy(scores[:, :4], mode="auto")
+        fairness.exposure_of_policy(scores[:, :4])
 
 
 def test_mc_exposure_counts_positions():
@@ -387,7 +386,7 @@ def test_policy_exposure_matches_sampled_ranking_average():
     for row in draws:
         by_hand += fairness.exposure_of_ranking(row)
     by_hand /= len(draws)
-    exact = fairness.exposure_of_policy(scores, mode="exact").values
+    exact = fairness.exposure_of_policy(scores).values
     np.testing.assert_allclose(by_hand, exact, atol=0.02)
 
 

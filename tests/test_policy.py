@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from fairltr import policy
-from fairltr.ranking import all_rankings
+import oracle
 
 
 def exact_distribution(scores):
     n = len(scores)
-    orders = np.stack(list(all_rankings(n)))
+    orders = np.stack(list(oracle.all_rankings(n)))
     probs = np.exp(policy.ranking_logprobs(scores, orders))
     return orders, probs
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fairltr import data, fairness, metrics, policy, trainer
+from fairltr.ranking import ENUMERATION_LIMIT
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -52,24 +53,35 @@ def test_tracer_install_and_remove_restore_every_patch_point():
 
 
 def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
-    """One evaluation is one ``trainer.evaluate`` call, and its Monte-Carlo
-    block of ``Q * S`` rankings counts as ``Q * S`` sampled rankings."""
+    """One evaluation is one ``trainer.evaluate`` call.  Above
+    ``ENUMERATION_LIMIT`` documents its Monte-Carlo block of ``Q * S``
+    rankings counts as ``Q * S`` sampled rankings; at the limit every
+    query's exposure counts under the exact layer, and nothing is sampled."""
     queries, samples = 6, 12
-    dataset = data.generate_simulated(num_queries=queries, docs_per_query=10, seed=2)
-    model = policy.init_model("linear", dataset.feature_dim, np.random.default_rng(0))
-    tracer = load_tracer_module().Tracer()
-    try:
-        tracer.install()
-        trainer.evaluate(model, dataset, metrics.UtilityMetric.parse("ndcg@10"),
-                         fairness.DisparityConfig.parse("group"), samples)
-    finally:
-        tracer.remove()
-    counts = tracer.snapshot()
-    assert counts["trainer.evaluate.calls"] == 1
-    assert counts["fairness.exposure_mc.calls"] == 1
-    assert counts["policy.sample_rankings.calls"] == 1
-    assert counts["policy.sample_rankings.rankings"] == queries * samples
-    assert counts["fairness.from_exposures.calls"] == queries
+    for docs in (ENUMERATION_LIMIT + 3, ENUMERATION_LIMIT):
+        dataset = data.generate_simulated(num_queries=queries, docs_per_query=docs,
+                                          seed=2)
+        model = policy.init_model("linear", dataset.feature_dim,
+                                  np.random.default_rng(0))
+        tracer = load_tracer_module().Tracer()
+        try:
+            tracer.install()
+            trainer.evaluate(model, dataset, metrics.UtilityMetric.parse("ndcg@10"),
+                             fairness.DisparityConfig.parse("group"), samples)
+        finally:
+            tracer.remove()
+        counts = tracer.snapshot()
+        assert counts["trainer.evaluate.calls"] == 1
+        assert counts["fairness.from_exposures.calls"] == queries
+        if docs > ENUMERATION_LIMIT:
+            assert "fairness.exposure_exact.calls" not in counts
+            assert counts["fairness.exposure_mc.calls"] == 1
+            assert counts["policy.sample_rankings.calls"] == 1
+            assert counts["policy.sample_rankings.rankings"] == queries * samples
+        else:
+            assert "fairness.exposure_mc.calls" not in counts
+            assert "policy.sample_rankings.calls" not in counts
+            assert counts["fairness.exposure_exact.calls"] == queries
 
 
 @pytest.mark.parametrize("model", ["linear", "mlp1"])

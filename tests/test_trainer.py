@@ -4,7 +4,8 @@ import copy
 import numpy as np
 import pytest
 
-from fairltr import baselines, data, fairness, metrics, policy, trainer
+from fairltr import data, fairness, metrics, policy, trainer
+import oracle
 
 
 def small_dataset(seed=0, queries=12, docs=5):
@@ -56,8 +57,7 @@ def test_utility_gradient_is_unbiased_against_enumeration():
         rels = rng.integers(0, 4, size=4).astype(float)
         if rels.max() == 0:
             rels[0] = 1.0
-        exact = baselines.enumerate_policy_expectations(scores, rels,
-                                                        metric=metric)
+        exact = oracle.enumerate_policy_expectations(scores, rels, metric=metric)
         draws = 40000
         sample = policy.draw_policy_sample(scores, draws, rng)
         rewards = metric.batch_rewards(sample.rankings, rels)
@@ -72,7 +72,7 @@ def test_baseline_subtraction_preserves_expectation():
     scores = np.array([0.4, -0.2, 0.9])
     rels = np.array([2.0, 0.0, 1.0])
     metric = metrics.UtilityMetric("dcg")
-    exact = baselines.enumerate_policy_expectations(scores, rels, metric=metric)
+    exact = oracle.enumerate_policy_expectations(scores, rels, metric=metric)
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
     rewards = metric.batch_rewards(sample.rankings, rels)
@@ -89,7 +89,7 @@ def test_group_disparity_gradient_is_unbiased():
     rels = np.array([1.61, 1.47, 1.741])
     groups = np.array([0, 1, 1])
     merit = fairness.MeritFunction()
-    exact = baselines.enumerate_policy_expectations(
+    exact = oracle.enumerate_policy_expectations(
         scores, rels, merits=merit(rels), groups=groups)
     assert exact.group_disparity > 0.0     # indicator active at this point
     rng = np.random.default_rng(2)
@@ -103,8 +103,7 @@ def test_individual_disparity_gradient_is_unbiased():
     scores = np.array([0.2, -0.1, 0.5])
     rels = np.array([2.0, 1.0, 2.0])
     merit = fairness.MeritFunction()
-    exact = baselines.enumerate_policy_expectations(scores, rels,
-                                                    merits=merit(rels))
+    exact = oracle.enumerate_policy_expectations(scores, rels, merits=merit(rels))
     assert exact.individual_disparity > 0.0
     rng = np.random.default_rng(3)
     sample = policy.draw_policy_sample(scores, 50000, rng)
@@ -128,7 +127,7 @@ def test_train_is_deterministic_per_seed():
 
 
 def without_groups(ds):
-    return data.Dataset([data.Query.from_arrays(q.qid, q.feature_matrix, q.relevances)
+    return data.Dataset([data.Query(q.qid, q.feature_matrix, q.relevances)
                          for q in ds], ds.feature_dim)
 
 
@@ -199,9 +198,7 @@ def test_penalty_reduces_disparity_on_training_split():
 
 
 def test_training_error_on_nonfinite_scores():
-    docs = [data.Document(np.array([np.nan]), 1.0),
-            data.Document(np.array([0.0]), 0.0)]
-    bad = data.Dataset([data.Query("broken", docs)], 1)
+    bad = data.Dataset([data.Query("broken", [[np.nan], [0.0]], [1.0, 0.0])], 1)
     with np.errstate(invalid="ignore"):
         with pytest.raises(trainer.TrainingError, match="broken"):
             trainer.train(bad, bad, base_config(epochs=1))
@@ -238,9 +235,9 @@ def ragged_split(sizes=(1, 5, 10, 10, 3, 12, 10, 8), seed=21):
         if qi == 5:
             rels[:] = 0.0
         # Scores that favour group 0 and relevance make the policy unfair.
-        docs = [data.Document(np.array([g == 0, rel, 0.0]) + rng.normal(size=3),
-                              rel, int(g)) for rel, g in zip(rels, groups)]
-        queries.append(data.Query(f"q{qi}", docs))
+        features = [np.array([g == 0, rel, 0.0]) + rng.normal(size=3)
+                    for rel, g in zip(rels, groups)]
+        queries.append(data.Query(f"q{qi}", features, rels, groups))
     return data.Dataset(queries, feature_dim=3)
 
 
@@ -252,8 +249,8 @@ def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
         scores = model.scores(query.feature_matrix)
         metric_values.append(metric.value(policy.argmax_ranking(scores),
                                           query.relevances))
-        exposures = fairness.exposure_of_policy(scores, mode="auto",
-                                                num_samples=eval_samples, rng=rng)
+        exposures = fairness.exposure_of_policy(scores, num_samples=eval_samples,
+                                                rng=rng)
         disparity_values.append(disparity.from_exposures(exposures.values, query))
     return metric_values, disparity_values
 
@@ -412,7 +409,7 @@ def with_zero_relevance_query(dataset, index):
     """The dataset with query ``index``'s relevances all set to zero."""
     queries = list(dataset)
     q = queries[index]
-    queries[index] = data.Query.from_arrays(q.qid, q.feature_matrix,
+    queries[index] = data.Query(q.qid, q.feature_matrix,
                                             np.zeros(len(q)), q.groups)
     return data.Dataset(queries, dataset.feature_dim)
 
