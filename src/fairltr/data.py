@@ -11,7 +11,9 @@ significant digits so that parse -> write -> parse is bit exact.
 
 A query holds its documents as arrays: a feature matrix, a relevance
 vector and, when labelled, a group vector.  The parser fills them directly,
-and a group file attaches its labels to them.  Datasets are immutable
+and a group file attaches its labels to them.  The constructor refuses what
+the parsers refuse, a non-finite value or a group label other than 0/1,
+naming the query rather than a line.  Datasets are immutable
 after construction: a query's arrays are read-only, so what is derived
 from them can be kept with the query (``Query.derived``), and every
 transformation returns a new dataset.
@@ -37,8 +39,9 @@ class ParseError(DataError):
 class Query:
     """One query: its candidate documents as arrays.
 
-    ``feature_matrix`` is ``(n, d)``, ``relevances`` ``(n,)`` and ``groups``
-    ``(n,)`` or None; the query keeps read-only copies of them.  Because
+    ``feature_matrix`` is ``(n, d)`` and ``relevances`` ``(n,)``, all
+    finite; ``groups`` is ``(n,)`` 0/1 labels or None.  The query keeps
+    read-only copies of them.  Because
     the arrays cannot change, anything derived from them, such as a
     metric's ideal DCG or a disparity's hinge rows, is built once and kept
     with the query by ``derived``.
@@ -53,12 +56,20 @@ class Query:
         self.feature_matrix = np.array(feature_matrix, dtype=float)
         if n < 0 or self.feature_matrix.ndim != 2 or len(self.feature_matrix) != n:
             raise DataError(f"query {qid!r} has inconsistent feature shapes")
+        for name, values in (("relevance", self.relevances),
+                             ("feature", self.feature_matrix)):
+            if not np.isfinite(values).all():
+                raise DataError(f"query {qid!r} has a non-finite {name} value")
         self.groups = None
         if groups is not None:
-            self.groups = np.array(groups, dtype=np.intp)
-            if self.groups.shape != (n,):
-                raise DataError(f"query {qid!r} has {self.groups.size} group "
+            labels = np.asarray(groups)
+            if labels.shape != (n,):
+                raise DataError(f"query {qid!r} has {labels.size} group "
                                 f"labels for {n} documents")
+            if not ((labels == 0) | (labels == 1)).all():
+                raise DataError(f"query {qid!r} has group labels other than "
+                                "0 and 1")
+            self.groups = labels.astype(np.intp)
             self.groups.flags.writeable = False
         self.feature_matrix.flags.writeable = False
         self.relevances.flags.writeable = False

@@ -108,7 +108,7 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:
-            raise ValueError("lam != 0 requires a disparity config")
+            raise ValueError("lam != 0 requires a disparity, individual or group")
 
     def echo(self) -> dict:
         """Flat, JSON-ready record of every hyperparameter."""

@@ -134,18 +134,28 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["generate", "simulated", "--queries", 0],
     ["generate", "simulated", "--docs", 0],
     ["generate", "simulated", "--minority-prob", 1.5],
+    ["sweep", "--config", "LAM"],
+    ["baseline", "--method", "lp", "--lr", 7],
+    ["baseline", "--epochs", 9],
+    ["baseline", "--seed", 4],
+    ["baseline", "--config", "TOP1"],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
 def test_bad_configuration_is_a_clean_error_before_any_work(
         tmp_path, dataset_dir, capsys, argv):
     letor = dataset_dir / "data.letor"
-    # Config files by placeholder: a bad value, misspelt keys, and the
-    # record's "lambda" in place of the option name "lam".  A key the
-    # command does not take is named with its file and line.
+    # Config files by placeholder: a bad value, misspelt keys, the
+    # record's "lambda" in place of the option name "lam", train's "lam"
+    # given to a sweep, and a top-1 option given to the LP baseline.  A key
+    # the command does not take is named with its file and line.
+    first = "seeds = 1" if argv[0] == "sweep" else "seed = 1"
     configs = {"RMSPROP": "optimizer = rmsprop\n",
-               "TYPO": "seed = 1\nlamda = 5\nsampels = 3\n",
-               "LAMBDA": "lambda = 5\n"}
+               "TYPO": f"{first}\nlamda = 5\nsampels = 3\n",
+               "LAMBDA": "lambda = 5\n",
+               "LAM": "lam = 5\n",
+               "TOP1": "method = lp\nlr = 7\n"}
     unknown = {"TYPO": "line 2: unknown key 'lamda'",
-               "LAMBDA": "line 1: unknown key 'lambda'"}
+               "LAMBDA": "line 1: unknown key 'lambda'",
+               "LAM": "line 1: unknown key 'lam'"}
     checkpoint = tmp_path / "model.txt"
     checkpoint.write_text("fairltr-model 1\nkind linear\nfeature_dim 2\n"
                           "bias 0\nw 0.1 0.2\n")
@@ -170,6 +180,58 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     if placeholder in unknown:
         assert f"{config} {unknown[placeholder]}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", 5],
+    ["sweep", "--seed", 3],
+    ["generate", "simulated", "--candidate-size", 5],
+    ["generate", "from-table", "--queries", 5],
+], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
+def test_a_flag_the_command_does_not_take_is_refused_before_any_work(
+        tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run([*argv, "--out", out])
+    assert exit_info.value.code == 2
+    flag, value = argv[-2:]
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "simulated"], ["generate", "from-table"], ["train"], ["sweep"],
+    ["baseline"], ["eval"],
+], ids=" ".join)
+def test_config_file_keys_are_the_parser_option_dests(monkeypatch, command):
+    keys = []
+    monkeypatch.setattr(cli, "load_config_file",
+                        lambda path, accepted: keys.append(set(accepted)) or {})
+    args = cli.build_parser().parse_args([*command, "--config", "c", "--out", "o"])
+    cli.resolve_options(args, args.options)
+    common = {"command", "source", "func", "options", "config", "out", "force"}
+    assert keys == [set(vars(args)) - common]
+
+
+def test_config_txt_records_only_the_options_the_command_reads(tmp_path,
+                                                               dataset_dir):
+    letor = dataset_dir / "data.letor"
+
+    def keys(name):
+        text = (tmp_path / name / "config.txt").read_text()
+        return [line.split(" = ")[0] for line in text.splitlines()]
+
+    baseline = ["baseline", "--train", letor, "--lambdas", "0,0.1"]
+    assert run([*baseline, "--method", "lp", "--out", tmp_path / "lp"]) == 0
+    assert keys("lp") == ["lambdas", "merit", "method", "test", "train"]
+    assert run([*baseline, "--method", "top1", "--epochs", 2,
+                "--out", tmp_path / "top1"]) == 0
+    assert keys("top1") == ["epochs", "lambdas", "lr", "merit", "method",
+                            "seed", "test", "train"]
+    assert run(["sweep", "--train", letor, "--lambdas", "0", "--epochs", 1,
+                "--samples", 4, "--out", tmp_path / "sweep"]) == 0
+    assert "lam" not in keys("sweep") and "seed" not in keys("sweep")
+    assert {"lambdas", "seeds", "jobs", "test"} <= set(keys("sweep"))
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])
@@ -414,10 +476,10 @@ def test_group_disparity_refuses_an_unlabeled_split_before_any_run(
     letor = dataset_dir / "data.letor"
     bare = tmp_path / "bare.letor"
     bare.write_bytes(letor.read_bytes())     # no bare.groups sidecar
-    common = ["--disparity", "group", "--lambda", 5, "--gamma", 0,
-              "--epochs", 1, "--samples", 4]
+    common = ["--disparity", "group", "--gamma", 0, "--epochs", 1,
+              "--samples", 4]
     cases = [
-        ("val", ["train", "--train", letor, "--val", bare, *common]),
+        ("val", ["train", "--train", letor, "--val", bare, "--lambda", 5, *common]),
         ("val", ["sweep", "--train", letor, "--val", bare, *common]),
         ("test", ["sweep", "--train", letor, "--test", bare, *common]),
     ]

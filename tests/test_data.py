@@ -135,9 +135,24 @@ def test_query_arrays_are_read_only_copies():
      "inconsistent feature shapes"),
     (lambda: data.Query("q", np.zeros((2, 1)), [1.0, 0.0], [0]),
      "1 group labels for 2 documents"),
+    # What the LETOR and group-file parsers refuse by line, the constructor
+    # refuses by query.
+    (lambda: data.Query("q", np.zeros((3, 1)), [3, 1, 2], [0, 7, 1]),
+     "query 'q' has group labels other than 0 and 1"),
+    (lambda: data.Query("q", np.zeros((2, 1)), [1.0, 0.0], [0.5, 1]),
+     "query 'q' has group labels other than 0 and 1"),
+    (lambda: data.Query("q", [[np.nan], [1.0]], [np.inf, 1.0]),
+     "query 'q' has a non-finite relevance value"),
+    (lambda: data.Query("q", np.zeros((2, 1)), [-np.inf, 0.0]),
+     "query 'q' has a non-finite relevance value"),
+    (lambda: data.Query("q", [[np.nan], [1.0]], [1.0, 0.0]),
+     "query 'q' has a non-finite feature value"),
+    (lambda: data.Query("q", [[0.0, 1.0], [2.0, np.inf]], [1.0, 0.0], [0, 1]),
+     "query 'q' has a non-finite feature value"),
 ])
 def test_query_from_arrays_is_checked_like_documents(build, message):
-    """The constructor refuses arrays that do not describe n >= 1 documents."""
+    """The constructor refuses arrays that do not describe n >= 1 documents,
+    a non-finite value and a group label other than 0 or 1."""
     with pytest.raises(data.DataError, match=message):
         build()
 

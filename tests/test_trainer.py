@@ -198,7 +198,11 @@ def test_penalty_reduces_disparity_on_training_split():
 
 
 def test_training_error_on_nonfinite_scores():
-    bad = data.Dataset([data.Query("broken", [[np.nan], [0.0]], [1.0, 0.0])], 1)
+    query = data.Query("broken", [[1.0], [0.0]], [1.0, 0.0])
+    # The constructor refuses a NaN feature; one set afterwards stands for
+    # features whose scores overflow.
+    query.feature_matrix = np.array([[np.nan], [0.0]])
+    bad = data.Dataset([query], 1)
     with np.errstate(invalid="ignore"):
         with pytest.raises(trainer.TrainingError, match="broken"):
             trainer.train(bad, bad, base_config(epochs=1))
