@@ -500,39 +500,46 @@ def _parse_number_list(text: str, kind, what: str) -> list:
         raise CliError(f"cannot parse {what} list {text!r}") from None
 
 
-def _summary_rows(record: trainer.RunRecord, splits: list[tuple[str, data.Dataset]],
-                  config: trainer.TrainConfig) -> list[list]:
-    rows = []
+def _summary_rows(records: list[trainer.RunRecord],
+                  configs: list[trainer.TrainConfig],
+                  splits: list[tuple[str, data.Dataset]]) -> list[list[list]]:
+    """Each run's summary rows, for runs of one seed that differ only in
+    lambda: their selected models are evaluated together, one pass per
+    split."""
+    config = configs[0]
+    models = records[0].model.with_params(np.stack([r.model.params for r in records]))
+    per_split = []
     for split_name, dataset in splits:
         ndcg_metric = fit_metric_to_dataset(ndcg_metric_like(config.metric), dataset)
         err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-        summary = trainer.evaluate(record.model, dataset, ndcg_metric,
-                                   config.disparity, config.eval_samples,
-                                   seed=config.seed, extra_metrics=[err_metric])
-        rows.append([
-            config.lam, config.seed, split_name, summary.mean_metric,
-            summary.extra_means[0], summary.mean_disparity,
-            record.delta_lambda if split_name == "train" else None,
-        ])
-    return rows
+        per_split.append((split_name, trainer.evaluate(
+            models, dataset, ndcg_metric, config.disparity, config.eval_samples,
+            seed=config.seed, extra_metrics=[err_metric])))
+    return [[[run_config.lam, run_config.seed, split_name, summaries[k].mean_metric,
+              summaries[k].extra_means[0], summaries[k].mean_disparity,
+              record.delta_lambda if split_name == "train" else None]
+             for split_name, summaries in per_split]
+            for k, (record, run_config) in enumerate(zip(records, configs))]
 
 
 def _sweep_worker(payload: dict) -> list[dict]:
-    """Train one seed's chunk of the lambda grid as one lockstep block and
-    write each run's outputs; one result per run, in order."""
+    """Train one seed's chunk of the lambda grid as one lockstep block,
+    write each run's outputs and evaluate the finished runs together; one
+    result per run, in order."""
     outcomes = trainer.train(payload["train_set"], payload["val_set"],
                              payload["configs"])
-    results = []
-    for config, echo, run_dir, outcome in zip(payload["configs"], payload["echos"],
-                                              payload["run_dirs"], outcomes):
-        if isinstance(outcome, trainer.TrainingError):
-            results.append({"ok": False, "error": str(outcome)})
-            continue
-        Path(run_dir).mkdir(parents=True, exist_ok=True)
-        _write_run_outputs(Path(run_dir), outcome, echo)
-        results.append({"ok": True,
-                        "rows": _summary_rows(outcome, payload["splits"], config)})
-    return results
+    done = [k for k, outcome in enumerate(outcomes)
+            if not isinstance(outcome, trainer.TrainingError)]
+    for k in done:
+        run_dir = Path(payload["run_dirs"][k])
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_run_outputs(run_dir, outcomes[k], payload["echos"][k])
+    rows = dict(zip(done, _summary_rows([outcomes[k] for k in done],
+                                        [payload["configs"][k] for k in done],
+                                        payload["splits"]))) if done else {}
+    return [{"ok": True, "rows": rows[k]} if k in rows
+            else {"ok": False, "error": str(outcome)}
+            for k, outcome in enumerate(outcomes)]
 
 
 def _run_dir_name(lam: float, seed: int) -> str:

@@ -11,9 +11,10 @@ significant digits so that parse -> write -> parse is bit exact.
 
 A query holds its documents as arrays: a feature matrix, a relevance
 vector and, when labelled, a group vector.  The parser fills them directly,
-and a group file attaches its labels to them.  The constructor refuses what
-the parsers refuse, a non-finite value or a group label other than 0/1,
-naming the query rather than a line.  Datasets are immutable
+and a group file attaches its labels to them; ``load_dataset`` reads both
+files before it builds each query once, with its labels.  The constructor
+refuses what the parsers refuse, a non-finite value or a group label other
+than 0/1, naming the query rather than a line.  Datasets are immutable
 after construction: a query's arrays are read-only, so what is derived
 from them can be kept with the query (``Query.derived``), and every
 transformation returns a new dataset.
@@ -149,6 +150,14 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
     missing ids as 0: every value lands in one matrix of all documents by
     one scatter, and each query takes its rows.
     """
+    return _build_dataset(*_read_letor(source, feature_dim))
+
+
+def _read_letor(source, feature_dim: int | None
+                ) -> tuple[dict[str, list[int]], np.ndarray, np.ndarray, int]:
+    """The documents of each qid in first-appearance order, the feature
+    matrix and relevances of all documents in line order, and the feature
+    dimension, of LETOR text."""
     docs_of: dict[str, list[int]] = {}
     relevances: list[float] = []
     owners: list[int] = []
@@ -202,10 +211,22 @@ def parse_letor(source, feature_dim: int | None = None) -> Dataset:
 
     features = np.zeros((len(relevances), max_fid))
     features[owners, columns] = values
-    rels = np.array(relevances)
-    queries = [Query(qid, features[docs], rels[docs])
-               for qid, docs in docs_of.items()]
-    return Dataset(queries, feature_dim=max_fid)
+    return docs_of, features, np.array(relevances), max_fid
+
+
+def _build_dataset(docs_of: dict[str, list[int]], features: np.ndarray,
+                   relevances: np.ndarray, feature_dim: int,
+                   labels: np.ndarray | None = None) -> Dataset:
+    """Each query built once from its rows, and its slice of ``labels``
+    (in dataset order) when given."""
+    queries = []
+    start = 0
+    for qid, docs in docs_of.items():
+        stop = start + len(docs)
+        queries.append(Query(qid, features[docs], relevances[docs],
+                             None if labels is None else labels[start:stop]))
+        start = stop
+    return Dataset(queries, feature_dim=feature_dim)
 
 
 def _f17(x: float) -> str:
@@ -230,20 +251,25 @@ def format_group_file(dataset: Dataset) -> str:
     return "\n".join(tokens) + "\n"
 
 
+def _group_labels(source, num_docs: int) -> np.ndarray:
+    """The 0/1 tokens of group-file text, one per document."""
+    tokens: list[str] = []
+    for line in _iter_lines(source):
+        tokens.extend(line.split("#", 1)[0].split())
+    if len(tokens) != num_docs:
+        raise ParseError(
+            f"group file has {len(tokens)} labels for {num_docs} documents")
+    for tok in tokens:
+        if tok not in ("0", "1"):
+            raise ParseError(f"group labels must be 0 or 1, got {tok!r}")
+    return np.array([tok == "1" for tok in tokens], dtype=np.intp)
+
+
 def parse_group_file(source, dataset: Dataset) -> Dataset:
     """Attach binary group labels to a dataset, one 0/1 token per document
     in dataset order; returns a new dataset with ``has_groups`` true whose
     queries take their slice of the labels next to their own arrays."""
-    tokens: list[str] = []
-    for line in _iter_lines(source):
-        tokens.extend(line.split("#", 1)[0].split())
-    if len(tokens) != dataset.num_docs:
-        raise ParseError(
-            f"group file has {len(tokens)} labels for {dataset.num_docs} documents")
-    for tok in tokens:
-        if tok not in ("0", "1"):
-            raise ParseError(f"group labels must be 0 or 1, got {tok!r}")
-    labels = np.array([tok == "1" for tok in tokens], dtype=np.intp)
+    labels = _group_labels(source, dataset.num_docs)
     queries = []
     start = 0
     for q in dataset:
@@ -263,12 +289,16 @@ def save_dataset(dataset: Dataset, letor_path, groups_path=None) -> None:
 
 
 def load_dataset(letor_path, groups_path=None, feature_dim: int | None = None) -> Dataset:
+    """``parse_letor`` of a file and, with ``groups_path``,
+    ``parse_group_file`` of its group file, read after it; each query is
+    built once, with its labels."""
     with open(letor_path, "r", encoding="ascii") as fh:
-        dataset = parse_letor(fh, feature_dim=feature_dim)
+        parsed = _read_letor(fh, feature_dim)
+    labels = None
     if groups_path is not None:
         with open(groups_path, "r", encoding="ascii") as fh:
-            dataset = parse_group_file(fh, dataset)
-    return dataset
+            labels = _group_labels(fh, len(parsed[2]))
+    return _build_dataset(*parsed, labels)
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

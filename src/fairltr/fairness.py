@@ -36,6 +36,7 @@ though every single ranking is unfair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,10 +121,14 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
     is the mean over ``num_samples`` sampled rankings.
 
     A Monte-Carlo ``scores`` may also be a ``(Q, n)`` block of Q score
-    vectors: ``values`` is then ``(Q, n)``, drawn by one
-    ``policy.sample_rankings`` call and reduced by one ``mc_exposure`` call,
-    and equals Q calls on the rows one after another with the same ``rng``,
-    bit for bit.
+    vectors: ``values`` is then ``(Q, n)``, and equals Q calls on the rows
+    one after another with the same ``rng``, bit for bit.  It may be a
+    ``(K, Q, n)`` block of K members' score blocks too: ``values`` is then
+    ``(K, Q, n)``, and member k's equal a call on ``scores[k]`` alone with
+    ``rng`` in the same state.  The one ``(Q, num_samples, n)`` draw is made
+    once (``policy.gumbel_noise``); each member ranks by it
+    (``policy.sample_rankings``) and reduces (``mc_exposure``) in turn, so
+    no member block of rankings is built.
     """
     s = np.asarray(scores, dtype=float)
     n = s.shape[-1]
@@ -134,9 +139,14 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
         return ExposureVector(values=values, mode="exact")
     if rng is None:
         rng = np.random.default_rng(0)
-    orders = policy.sample_rankings(s, num_samples, rng)
-    values = mc_exposure(orders.reshape(*s.shape[:-1], num_samples, n), n)
-    return ExposureVector(values=values, mode="mc")
+    members = s if s.ndim == 3 else s[None]
+    shape = (*members.shape[1:-1], num_samples, n)
+    noise = policy.gumbel_noise(rng, shape)
+    values = np.array([
+        mc_exposure(policy.sample_rankings(member, num_samples, None, noise=noise)
+                    .reshape(shape), n)
+        for member in members])
+    return ExposureVector(values=values if s.ndim == 3 else values[0], mode="mc")
 
 
 def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
@@ -235,27 +245,34 @@ def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
     """Gradient of ``hinge_mean`` wrt the exposures where the rows marked in
     ``active`` are the violated ones (a positive ``hinge_gaps`` entry): the
     sum of the active rows over the number of rows.  A ``(K, rows)`` block
-    of masks gives ``(K, n)`` weights, one mask at a time."""
+    of masks gives ``(K, n)`` weights, each with the bits of its own call.
+
+    Pair rows count each document's active pairs by one ``bincount`` over
+    all masks, each mask's documents offset by ``n``.  Dense rows are
+    summed in row order, an inactive row as zeros.
+    """
     active = np.asarray(active, dtype=bool)
-    n = len(rows.inv_merit) if isinstance(rows, PairRows) else rows.shape[1]
-    if active.ndim == 2:
-        weights = np.empty((len(active), n))
-        for k, mask in enumerate(active):
-            weights[k] = hinge_weights(rows, mask)
-        return weights
+    lead = active.shape[:-1]
     if isinstance(rows, PairRows):
-        counts = (np.bincount(rows.first[active], minlength=n)
-                  - np.bincount(rows.second[active], minlength=n))
-        return rows.inv_merit * counts / len(rows)
-    return rows[active].sum(axis=0) / len(rows)
+        n, masks = len(rows.inv_merit), math.prod(lead)
+        mask, row = np.nonzero(active.reshape(masks, len(rows)))
+        offset = n * mask
+        counts = np.bincount(rows.first[row] + offset, minlength=n * masks)
+        counts -= np.bincount(rows.second[row] + offset, minlength=n * masks)
+        return rows.inv_merit * counts.reshape(*lead, n) / len(rows)
+    return np.where(active[..., None], rows, 0.0).sum(axis=-2) / len(rows)
 
 
-def hinge_mean(rows: HingeRows, exposures: np.ndarray) -> float:
+def hinge_mean(rows: HingeRows, exposures: np.ndarray) -> float | np.ndarray:
     """Disparity of an exposure vector: mean of ``max(0, gap)`` over the
-    rows' ``hinge_gaps``, zero when there are no rows."""
+    rows' ``hinge_gaps``, zero when there are no rows.  A ``(K, n)`` block
+    of exposure vectors gives ``(K,)`` disparities, each with the bits of
+    its own call."""
+    e = np.asarray(exposures, dtype=float)
     if len(rows) == 0:
-        return 0.0
-    return float(np.maximum(hinge_gaps(rows, exposures), 0.0).mean())
+        return 0.0 if e.ndim == 1 else np.zeros(e.shape[:-1])
+    means = np.maximum(hinge_gaps(rows, e), 0.0).mean(axis=-1)
+    return float(means) if e.ndim == 1 else means
 
 
 def individual_disparity(exposures: np.ndarray, merits: np.ndarray) -> float:
@@ -300,6 +317,8 @@ class DisparityConfig:
         return query.derived(("rows", self),
                              lambda: self.rows(query.relevances, query.groups))
 
-    def from_exposures(self, exposures: np.ndarray, query: Query) -> float:
-        """Disparity of an exposure vector for one query."""
+    def from_exposures(self, exposures: np.ndarray,
+                       query: Query) -> float | np.ndarray:
+        """Disparity of an exposure vector for one query, or ``(K,)``
+        disparities of a ``(K, n)`` block of K members' vectors."""
         return hinge_mean(self.query_rows(query), exposures)

@@ -11,11 +11,13 @@ Each metric is defined once, over an ``(S, n)`` block of rankings or a
 ``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
 ranking and returns its block of one.
 
-Every metric takes the relevances as an array or as a ``data.Query``.  A
-query's constants, its gains, its ideal DCG at each cutoff and its ERR stop
-probabilities at each grade ceiling, are built on first use and kept with
-the query (``Query.derived``), so training steps and evaluations reuse
-them; an array's are built per call.  Both give the same bits.
+Every metric takes the relevances as an array or as a ``data.Query``, and
+``batch_values`` also a run of Q queries of equal size, with one batch of
+rankings per query.  A query's constants, its gains, its ideal DCG at each
+cutoff and its ERR stop probabilities at each grade ceiling, are built on
+first use and kept with the query (``Query.derived``), so training steps
+and evaluations reuse them; an array's are built per call, and a run's are
+its queries' stacked.  All give the same bits.
 ``position_bias_vector`` builds the vector of each length once and returns
 it read-only, so every ranking of that length shares it.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,18 +53,43 @@ def position_bias_vector(num_positions: int) -> np.ndarray:
     return bias
 
 
+def _is_run(source) -> bool:
+    """Whether ``source`` is a run of queries, a list or tuple of them."""
+    return isinstance(source, (list, tuple)) and bool(source) \
+        and isinstance(source[0], Query)
+
+
 def _relevances(source: Relevances) -> np.ndarray:
     if isinstance(source, Query):
         return source.relevances
+    if _is_run(source):
+        return np.array([q.relevances for q in source])
     return np.asarray(source, dtype=float)
 
 
+def _num_docs(source: Relevances) -> int:
+    return len(source[0]) if _is_run(source) else len(source)
+
+
 def _per_query(source: Relevances, key, build):
-    """``build(relevances)``: built once and kept with a query, or built
-    afresh for a relevance array."""
+    """``build(relevances)``: built once and kept with a query, built
+    afresh for a relevance array, and for a run of queries each query's,
+    stacked."""
     if isinstance(source, Query):
         return source.derived(key, lambda: build(source.relevances))
+    if _is_run(source):
+        return np.array([q.derived(key, lambda q=q: build(q.relevances))
+                         for q in source])
     return build(_relevances(source))
+
+
+def _take(constants: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """``constants[orders]``: one query's ``(n,)`` constants at rankings of
+    any shape, or a run's ``(Q, n)`` constants at ``(..., Q, S, n)``
+    rankings, row q at the rankings of query q."""
+    if constants.ndim == 1:
+        return constants[orders]
+    return constants[np.arange(len(constants))[:, None, None], orders]
 
 
 def gains(relevances: Relevances) -> np.ndarray:
@@ -74,9 +102,11 @@ def dcg(order: Ranking, relevances: Relevances, cutoff: int | None = None) -> fl
     return UtilityMetric("dcg", cutoff).value(order, relevances)
 
 
-def ideal_dcg(relevances: Relevances, cutoff: int | None = None) -> float:
-    """DCG of the best ranking at ``cutoff``, kept with a query per cutoff."""
-    k = _effective_cutoff(cutoff, len(relevances))
+def ideal_dcg(relevances: Relevances | Sequence[Query],
+              cutoff: int | None = None) -> float | np.ndarray:
+    """DCG of the best ranking at ``cutoff``, kept with a query per cutoff;
+    a run of queries gives each query's, ``(Q,)``."""
+    k = _effective_cutoff(cutoff, _num_docs(relevances))
 
     def build(rels: np.ndarray) -> float:
         # Contiguous copy so the dot product gives the same bits as the
@@ -174,40 +204,50 @@ class UtilityMetric:
         order = as_ranking(order, len(relevances))
         return float(self.batch_values(order[None], relevances)[0])
 
-    def batch_values(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
+    def batch_values(self, orders: np.ndarray,
+                     relevances: Relevances | Sequence[Query]) -> np.ndarray:
         """Metric value of each row of an ``(S, n)`` block of rankings, or
         ``(K, S)`` values of a ``(K, S, n)`` block.
 
-        Rows are not validated.  Products are stacked, ``(K, S, k) @ (k,)``,
-        so each member's values have the bits of its batch valued alone.
         ``relevances`` is an array or a query, whose gains, ideal DCG and
-        stop probabilities are kept with it.
+        stop probabilities are kept with it, or a run of Q queries of n
+        documents each, a list or tuple; their constants are then stacked
+        once, and ``(..., Q, S, n)`` rankings, query q's at index q, give
+        ``(..., Q, S)`` values.  Rows are not validated.  Products are
+        stacked, ``(..., S, k) @ (k,)``, so each batch's values have the
+        bits of that batch valued alone.
         avgrank scatters positions 1..n into each row.  ERR reaches position
         j with ``prod_{i<j} (1 - R_{order[i]})``, a cumulative product
         shifted by one position, and adds its terms with a running sum so
         they accumulate in cascade order.
         """
         orders = np.asarray(orders, dtype=np.intp)
-        n = len(relevances)
+        n = orders.shape[-1]
         if self.kind == "avgrank":
             rels = _relevances(relevances)
-            total = rels.sum()
-            if total == 0.0:
+            total = rels.sum(axis=-1, keepdims=True)
+            if np.any(total == 0.0):
                 raise ValueError("avg_rank is undefined for all-zero relevances")
             rows = orders.reshape(-1, n)
             positions = np.empty(rows.shape)
             positions[np.arange(len(rows))[:, None], rows] = np.arange(1.0, n + 1)
-            return positions.reshape(orders.shape) @ rels / total
+            return (positions.reshape(orders.shape) @ rels[..., None])[..., 0] / total
         if self.kind == "err":
-            stop = _stop_probabilities(relevances, self.err_max_grade)[orders]
+            stop = _take(_stop_probabilities(relevances, self.err_max_grade), orders)
             reach = np.ones(orders.shape)
             reach[..., 1:] = np.cumprod(1.0 - stop[..., :-1], axis=-1)
             return np.cumsum(reach * stop / np.arange(1.0, n + 1), axis=-1)[..., -1]
         k = _effective_cutoff(self.cutoff, n)
-        values = gains(relevances)[orders[..., :k]] @ position_bias_vector(k)
+        values = _take(gains(relevances), orders[..., :k]) @ position_bias_vector(k)
         if self.kind == "ndcg":
             ideal = ideal_dcg(relevances, self.cutoff)
-            values = values / ideal if ideal > 0.0 else np.zeros_like(values)
+            if _is_run(relevances):
+                # Each query's values over its own ideal, or 0 where it is 0.
+                ideal = ideal[:, None]
+                values = np.divide(values, ideal, out=np.zeros_like(values),
+                                   where=ideal > 0.0)
+            else:
+                values = values / ideal if ideal > 0.0 else np.zeros_like(values)
         return values
 
     def batch_rewards(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:

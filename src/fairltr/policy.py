@@ -23,10 +23,11 @@ same layout, so an optimizer step is a few operations on one vector.
 
 Scores, models and samples may carry a leading member axis: a ``(K, n)``
 block of score vectors, one per member of a grid of runs trained in
-lockstep (``trainer.train`` on a grid).  Members share one random draw, and every
-product is a stacked one, ``(K, a, b) @ (K, b, c)``, which gives each member
-the bits of the same product taken on that member alone; a flat product
-over all members would not.
+lockstep (``trainer.train`` on a grid).  Members share one random draw,
+a ``gumbel_noise`` draw that every member ranks by, and every product is a
+stacked one, ``(K, a, b) @ (K, b, c)``, which gives each member the bits
+of the same product taken on that member alone; a flat product over all
+members would not.
 
 Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax or
 sampling so that exp() stays comfortably inside float64 range; at trained
@@ -111,41 +112,58 @@ def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.log(w / remaining).sum(axis=0).reshape(np.shape(orders)[:-1])
 
 
-def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator,
-                    shared: bool = False) -> np.ndarray:
+def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """``log(-log u)`` for uniform draws ``u`` of ``shape`` from ``rng``:
+    minus standard Gumbel noise, written with one log fewer and computed in
+    the buffer of the draws.  A draw of exactly 0 gives +inf."""
+    noise = rng.random(shape)
+    with np.errstate(divide="ignore"):
+        np.log(noise, out=noise)
+    np.negative(noise, out=noise)
+    np.log(noise, out=noise)
+    return noise
+
+
+def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator | None,
+                    noise: np.ndarray | None = None) -> np.ndarray:
     """Draw ``size`` rankings by Gumbel-top-k, shape ``(size, n)``.
 
     ``scores`` may also be a ``(Q, n)`` block of Q score vectors: the result
     is then ``(Q * size, n)``, the ``size`` rankings of each row in turn.
-    By default each row takes its own draws, and the block equals Q calls
-    on the rows one after another, drawn from ``rng`` in the same order.
-    With ``shared=True`` every row takes the same ``(size, n)`` draw: row
-    q's rankings equal those of a call on row q alone with ``rng`` in the
-    same state, which is how the members of a grid sample in lockstep.
+    Each row takes its own draws from ``rng``, and the block equals Q calls
+    on the rows one after another, drawn in the same order.
+
+    ``noise``, a ``gumbel_noise`` draw made before, stands in for the draws
+    from ``rng``, which is then not touched; the noise is not changed.  A
+    ``(size, n)`` draw is shared by every row: row q's rankings equal those
+    of a call on row q alone with ``rng`` in the state the draw was made
+    from, which is how the members of a grid sample in lockstep.  A
+    ``(Q, size, n)`` draw gives each row of a ``(Q, n)`` block its own, so
+    the members of a grid can each rank a block of queries by one draw.
 
     For uniform ``u`` the ascending sort key ``log(-log u) - s`` is
-    ``-(s + G)`` with ``G`` standard Gumbel, written with one log fewer and
-    computed in the buffer of the draws.  A draw of exactly 0 gives the key
-    +inf and puts that document last, which is right to within 2**-53.
+    ``-(s + G)`` with ``G`` standard Gumbel.  A draw of exactly 0 gives the
+    key +inf and puts that document last, which is right to within 2**-53.
     """
     s = clip_scores(scores)
     if size < 1:
         raise ValueError("size must be >= 1")
     n = s.shape[-1]
     blocks = s.reshape(-1, 1, n)
-    keys = rng.random((1 if shared else len(blocks), size, n))
-    with np.errstate(divide="ignore"):
-        np.log(keys, out=keys)
-    np.negative(keys, out=keys)
-    np.log(keys, out=keys)
-    keys = np.subtract(keys, blocks, out=keys if len(keys) == len(blocks) else None)
+    if noise is None:
+        keys = gumbel_noise(rng, (len(blocks), size, n))
+        keys -= blocks
+    else:
+        keys = noise - blocks
     return np.argsort(keys.reshape(-1, n), axis=1)
 
 
 def argmax_ranking(scores: np.ndarray) -> Ranking:
     """Deterministic ranking: descending score, ties broken by lower index.
 
-    This is a mode of the Plackett-Luce distribution at ``scores``.
+    This is a mode of the Plackett-Luce distribution at ``scores``.  A
+    block of score vectors, such as ``(K, Q, n)``, gives the ranking of
+    each; a stable sort has only one result, so each equals its own call.
     """
     s = np.asarray(scores, dtype=float)
     return np.argsort(-s, kind="stable").astype(np.intp)
@@ -215,7 +233,8 @@ def draw_policy_sample(scores: np.ndarray, size: int, rng: np.random.Generator) 
     equals a draw at ``scores[k]`` alone with ``rng`` in the same state.
     """
     s = np.asarray(scores)
-    orders = sample_rankings(s, size, rng, shared=True).reshape(
+    noise = gumbel_noise(rng, (size, s.shape[-1]))
+    orders = sample_rankings(s, size, None, noise=noise).reshape(
         *s.shape[:-1], size, s.shape[-1])
     grads = logprob_grads_scores(s, orders)
     return PolicySample(rankings=orders, logprob_grads=grads)

@@ -21,9 +21,11 @@ form a ``(K, P)`` block (``model.params`` with a leading member axis);
 each step scores, samples, values and backpropagates all members at once,
 with stacked products that give every member the bits of its own run, and
 then takes one optimizer step per member.  Each member keeps its own
-optimizer state, evaluation, early stopping, best model and
-``TrainingError``; a member that stops or fails leaves the block and the
-others carry on.  A single run is the grid of one.
+optimizer state, early stopping, best model and ``TrainingError``; a
+member that stops or fails leaves the block and the others carry on.  The
+members still in the block are evaluated together after each epoch, and
+the selected models of the members that did not fail together for
+``delta_lambda``.  A single run is the grid of one.
 
 Both disparities reach the trainer as the hinge rows of
 ``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
@@ -31,16 +33,19 @@ them: the hinge indicator of each row is estimated from the same
 Monte-Carlo sample as the expectation (its bias vanishes as the sample
 grows), and only the smooth inner expectation contributes gradient.
 
-Evaluation, after every epoch and for the selected model, is one pass per
-split (``_evaluate``).  Each query is scored once and its argmax ranking
-valued by every metric asked for.  Policy exposures come from
-``exposure_of_policy``: exact, one query at a time, for small queries;
-for each run of consecutive larger queries of equal size, one Monte-Carlo
-call per block of the run, which draws through ``policy.sample_rankings``
-and reduces with ``mc_exposure``.  The draws come in the same order as one
-query at a time, so results are bit-identical to a per-query loop, and a
-block holds at most ``EVAL_BLOCK_DRAWS`` draws, so memory does not grow
-with the split.  The position bias vector of each length is built once and
+Evaluation, after every epoch and for the selected models, is one pass
+per split for a model or a member block (``_evaluate``).  Each run of
+consecutive equal-size queries is cut into blocks of at most
+``EVAL_BLOCK_DRAWS`` draws, so memory does not grow with the split.  A
+block's features are stacked and scored by each member, all members'
+argmax rankings come from one stable ``argsort``, and each metric values
+them in one ``batch_values`` call.  Policy exposures come from
+``exposure_of_policy``: exact, one score vector at a time, for small
+queries; for larger ones, one Monte-Carlo call per block for all members,
+which makes one draw that every member ranks by
+(``policy.sample_rankings``) and reduces (``mc_exposure``) on its own.
+Each member evaluated alone would draw the same numbers in the same
+order, so every member gets the bits of its own pass.  The position bias vector of each length is built once and
 shared read-only, and each query keeps its metric constants (gains, ideal
 DCG, ERR stop probabilities) and its hinge rows, so training steps and
 evaluations pass the query itself to the metric and the disparity.
@@ -269,60 +274,78 @@ class EvalSummary:
 def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
               disparity: DisparityConfig | None, eval_samples: int,
               rng: np.random.Generator,
-              extra_metrics: Sequence[UtilityMetric] = ()) -> EvalSummary:
-    """One pass over a split: each query is scored once, its argmax ranking
-    valued by every metric, and, with a disparity, the policy's exposures
-    come from ``_policy_exposures``."""
+              extra_metrics: Sequence[UtilityMetric] = ()) -> list[EvalSummary]:
+    """One pass over a split for a model, or for each member of a ``(K, P)``
+    member block; one summary per member, a single model being a block of
+    one.
+
+    Each run of consecutive equal-size queries is cut into blocks of as
+    many queries as ``EVAL_BLOCK_DRAWS`` draws hold (at least one).  A
+    block's features are stacked once and scored by each member with
+    stacked products, all members' argmax rankings come from one stable
+    ``argsort``, and each metric values them in one ``batch_values`` call.
+    With a disparity, ``_policy_exposures`` gives the policy exposures of
+    every member, and ``from_exposures`` the disparities of all members at
+    once, per query.  Every member's values have the bits of its own pass.
+    """
+    members = ([model] if model.params.ndim == 1
+               else [model.with_params(params) for params in model.params])
     queries = dataset.queries
-    scores = [model.scores(q.feature_matrix) for q in queries]
-    orders = [policy.argmax_ranking(s) for s in scores]
-    columns = [[m.value(order, q) for order, q in zip(orders, queries)]
-               for m in (metric, *extra_metrics)]
-    disparity_values = None
+    scored = (metric, *extra_metrics)
+    columns = np.empty((len(scored), len(members), len(queries)))
+    disparities = np.empty((len(members), len(queries)))
+    start = 0
+    for n, run in itertools.groupby(queries, key=len):
+        run = tuple(run)
+        per_block = max(1, EVAL_BLOCK_DRAWS // (eval_samples * n))
+        for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
+            stop = start + len(block)
+            features = np.array([q.feature_matrix for q in block])
+            scores = np.array([member.scores(features) for member in members])
+            orders = policy.argmax_ranking(scores)[..., None, :]
+            for column, each in zip(columns, scored):
+                column[:, start:stop] = each.batch_values(orders, block)[..., 0]
+            if disparity is not None:
+                exposures = _policy_exposures(scores, eval_samples, rng)
+                for index, query in enumerate(block):
+                    disparities[:, start + index] = disparity.from_exposures(
+                        exposures[:, index], query)
+            start = stop
+    # Each row's mean has the bits of np.mean on that row alone.
+    means = columns.mean(axis=-1).T.tolist()
     if disparity is not None:
-        disparity_values = [
-            disparity.from_exposures(e, q)
-            for e, q in zip(_policy_exposures(scores, eval_samples, rng), queries)]
-    means = [float(np.mean(values)) for values in columns]
-    return EvalSummary(
-        metric_values=columns[0],
-        disparity_values=disparity_values,
-        mean_metric=means[0],
-        mean_disparity=(None if disparity_values is None
-                        else float(np.mean(disparity_values))),
-        extra_values=columns[1:],
-        extra_means=means[1:],
-    )
+        mean_disparities = disparities.mean(axis=-1).tolist()
+    return [EvalSummary(
+        metric_values=columns[0, k].tolist(),
+        disparity_values=None if disparity is None else disparities[k].tolist(),
+        mean_metric=means[k][0],
+        mean_disparity=None if disparity is None else mean_disparities[k],
+        extra_values=[column[k].tolist() for column in columns[1:]],
+        extra_means=means[k][1:],
+    ) for k in range(len(members))]
 
 
 # Most uniform draws one Monte-Carlo evaluation block takes at once: its
-# draws, its rankings and their exposures are about 1 MB each, however long
-# the run of equal-size queries.
+# draws, and each member's rankings and their exposures, are about 1 MB
+# each, however long the run of equal-size queries.
 EVAL_BLOCK_DRAWS = 1 << 17
 
 
-def _policy_exposures(scores: list[np.ndarray], eval_samples: int,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-    """``exposure_of_policy`` at each score vector, in order.
+def _policy_exposures(scores: np.ndarray, eval_samples: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``exposure_of_policy`` at a ``(K, Q, n)`` block of K members' scores
+    of Q equal-size queries, ``(K, Q, n)``.
 
-    Exact exposures draw nothing and take one query per call.  Each run of
-    consecutive equal-size queries above ``ENUMERATION_LIMIT`` documents is
-    cut into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` draws hold
-    (at least one), and each block is one Monte-Carlo call of
-    ``eval_samples`` rankings per query, drawn in query order: the
-    estimates and the generator's state after the pass equal those of one
-    call per query.
+    Exact exposures draw nothing and take one score vector per call.  Above
+    ``ENUMERATION_LIMIT`` documents the block is one Monte-Carlo call of
+    ``eval_samples`` rankings per query, drawn in query order and shared by
+    the members: each member's estimates, and the generator's state after
+    the pass, equal those of one call per query for that member alone.
     """
-    exposures = []
-    for n, run in itertools.groupby(scores, key=len):
-        run = list(run)
-        per_call = (1 if n <= ENUMERATION_LIMIT
-                    else max(1, EVAL_BLOCK_DRAWS // (eval_samples * n)))
-        for start in range(0, len(run), per_call):
-            block = run[start] if per_call == 1 else np.stack(run[start:start + per_call])
-            result = exposure_of_policy(block, num_samples=eval_samples, rng=rng)
-            exposures.extend(np.atleast_2d(result.values))
-    return exposures
+    if scores.shape[-1] <= ENUMERATION_LIMIT:
+        return np.array([[exposure_of_policy(s).values for s in member]
+                         for member in scores])
+    return exposure_of_policy(scores, num_samples=eval_samples, rng=rng).values
 
 
 def require_defined_metric(metric: UtilityMetric,
@@ -361,15 +384,17 @@ def require_group_labels(disparity: DisparityConfig | None,
 
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
              disparity: DisparityConfig | None = None, eval_samples: int = 32,
-             seed: int = 0,
-             extra_metrics: Sequence[UtilityMetric] = ()) -> EvalSummary:
+             seed: int = 0, extra_metrics: Sequence[UtilityMetric] = ()
+             ) -> EvalSummary | list[EvalSummary]:
     """Mean metric over argmax rankings, plus mean policy disparity.
 
     One pass scores each query once: ``metric`` and every one of
     ``extra_metrics`` value the same argmax rankings.  Disparity uses exact
     exposures for small candidate sets and seeded Monte-Carlo exposures
     (``eval_samples`` rankings per query, drawn in blocks of consecutive
-    equal-size queries) otherwise.  Raises ``ValueError`` before any work if
+    equal-size queries) otherwise.  A ``(K, P)`` member block gives a list
+    of K summaries, member k's equal to evaluating it alone: the members
+    share every draw.  Raises ``ValueError`` before any work if
     ``eval_samples`` is below 1, if a metric is undefined on the dataset
     (``require_defined_metric``), or if group disparity is asked of a
     dataset without group labels.
@@ -379,8 +404,9 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     for each in (metric, *extra_metrics):
         require_defined_metric(each, [("evaluation", dataset)])
     require_group_labels(disparity, [("evaluation", dataset)])
-    return _evaluate(model, dataset, metric, disparity, eval_samples,
-                     np.random.default_rng(seed), extra_metrics)
+    summaries = _evaluate(model, dataset, metric, disparity, eval_samples,
+                          np.random.default_rng(seed), extra_metrics)
+    return summaries if model.params.ndim == 2 else summaries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +505,10 @@ class _Member:
     best_objective: float = -np.inf
     best_epoch: int = 0
     epochs_run: int = 0
+    delta_lambda: float | None = None
     error: TrainingError | None = None
 
-    def record(self, delta_lambda: float | None) -> RunRecord:
+    def record(self) -> RunRecord:
         has_disp = self.config.disparity is not None
         return RunRecord(
             config=self.config.echo(),
@@ -493,7 +520,7 @@ class _Member:
             val_objective=self.curves["val_objective"],
             train_disparity=self.curves["train_disparity"] if has_disp else None,
             val_disparity=self.curves["val_disparity"] if has_disp else None,
-            delta_lambda=delta_lambda,
+            delta_lambda=self.delta_lambda,
         )
 
 
@@ -533,26 +560,31 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
                 block = block.without(failed)
                 if not block.members:
                     break
+        if not block.members:
+            break
+        # Both splits draw from the epoch's one generator, train first.
+        eval_rng = np.random.default_rng(eval_seeds[epoch - 1])
+        on_train = _evaluate(block.model, train_set, first.metric, first.disparity,
+                             first.eval_samples, eval_rng)
+        on_val = _evaluate(block.model, val_set, first.metric, first.disparity,
+                           first.eval_samples, eval_rng)
         stopped = [row for row, member in enumerate(block.members)
                    if _end_epoch(member, block.member_model(row), epoch,
-                                 train_set, val_set, eval_seeds[epoch - 1])]
+                                 on_train[row], on_val[row])]
         if stopped:
             block = block.without(stopped)
         if not block.members:
             break
 
-    outcomes = []
-    for member in members:
-        if member.error is not None:
-            outcomes.append(member.error)
-            continue
-        delta_lambda = None
-        if member.config.disparity is not None:
-            delta_lambda = _evaluate(member.best_model, train_set, first.metric,
-                                     first.disparity, first.eval_samples,
-                                     np.random.default_rng(ss_delta)).mean_disparity
-        outcomes.append(member.record(delta_lambda))
-    return outcomes
+    finished = [member for member in members if member.error is None]
+    if finished and first.disparity is not None:
+        best = model.with_params(np.stack([m.best_model.params for m in finished]))
+        for member, summary in zip(finished, _evaluate(
+                best, train_set, first.metric, first.disparity,
+                first.eval_samples, np.random.default_rng(ss_delta))):
+            member.delta_lambda = summary.mean_disparity
+    return [member.error if member.error is not None else member.record()
+            for member in members]
 
 
 class _Block:
@@ -582,17 +614,11 @@ class _Block:
 
 
 def _end_epoch(member: _Member, model: ScoringModel, epoch: int,
-               train_set: Dataset, val_set: Dataset,
-               eval_seed: np.random.SeedSequence) -> bool:
-    """Evaluate a member after an epoch, keep its best model, and tell
-    whether its early stopping ends its run."""
+               on_train: EvalSummary, on_val: EvalSummary) -> bool:
+    """Record a member's evaluations after an epoch, keep its best model,
+    and tell whether its early stopping ends its run."""
     config = member.config
     member.epochs_run = epoch
-    eval_rng = np.random.default_rng(eval_seed)
-    on_train = _evaluate(model, train_set, config.metric, config.disparity,
-                         config.eval_samples, eval_rng)
-    on_val = _evaluate(model, val_set, config.metric, config.disparity,
-                       config.eval_samples, eval_rng)
     curves = member.curves
     curves["train_metric"].append(on_train.mean_metric)
     curves["val_metric"].append(on_val.mean_metric)

@@ -96,6 +96,35 @@ def test_group_file_round_trip(tmp_path):
     assert not bare.has_groups
 
 
+def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
+    """Loading with a group file builds each query once, with its labels,
+    into the dataset that attaching the labels afterwards gives, and a bad
+    label still fails with the group file's message."""
+    letor, groups = tmp_path / "d.letor", tmp_path / "d.groups"
+    # Query a's documents are not adjacent: labels follow dataset order.
+    letor.write_text("2 qid:a 1:1\n0 qid:b 1:2\n1 qid:a 1:3\n3 qid:c 1:4\n")
+    groups.write_text("1\n0\n0\n1\n")
+    want = data.parse_group_file(groups.read_text(), data.parse_letor(letor.read_text()))
+    built = []
+    init = data.Query.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(data.Query, "__init__", counted)
+    got = data.load_dataset(letor, groups)
+    assert built == ["a", "b", "c"] and len(got) == 3
+    assert data.datasets_equal(got, want)
+    assert got.queries[0].groups.tolist() == [1, 0]
+    groups.write_text("1\n0\n2\n1\n")
+    with pytest.raises(data.ParseError, match="must be 0 or 1, got '2'"):
+        data.load_dataset(letor, groups)
+    groups.write_text("1\n0\n")
+    with pytest.raises(data.ParseError, match="2 labels for 4 documents"):
+        data.load_dataset(letor, groups)
+
+
 def test_group_file_must_match_shape():
     ds = data.parse_letor("1 qid:1 1:1\n0 qid:1 1:2\n")
     with pytest.raises(data.DataError):

@@ -359,7 +359,8 @@ def test_group_rows_are_kept_with_each_query_and_read_only():
 
 def test_exposure_of_a_score_block_equals_one_call_per_row():
     """A Monte-Carlo ``(Q, n)`` block is one sampler call whose
-    estimates and generator state are those of Q calls on the rows."""
+    estimates and generator state are those of Q calls on the rows, and a
+    ``(K, Q, n)`` block of members gives each member's block."""
     scores = np.random.default_rng(4).normal(size=(5, 9))
     block_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
     block = fairness.exposure_of_policy(scores, num_samples=11, rng=block_rng)
@@ -368,6 +369,18 @@ def test_exposure_of_a_score_block_equals_one_call_per_row():
     assert block.mode == "mc" and block.values.shape == (5, 9)
     np.testing.assert_array_equal(block.values, np.array(rows))
     assert block_rng.random() == row_rng.random()
+    # A (K, Q, n) block of members shares one draw: member k's values are
+    # its (Q, n) block's with the generator in the same state.
+    members = np.stack([scores, -scores, 2.0 * scores])
+    member_rng = np.random.default_rng(8)
+    shared = fairness.exposure_of_policy(members, num_samples=11, rng=member_rng)
+    assert shared.values.shape == (3, 5, 9)
+    for k, member in enumerate(members):
+        alone_rng = np.random.default_rng(8)
+        alone = fairness.exposure_of_policy(member, num_samples=11, rng=alone_rng)
+        assert shared.values[k].tobytes() == alone.values.tobytes()
+        assert member_rng.bit_generator.state == alone_rng.bit_generator.state
+    np.testing.assert_array_equal(shared.values[0], block.values)
     with pytest.raises(ValueError, match="one score vector"):
         fairness.exposure_of_policy(scores[:, :4])
 
@@ -410,3 +423,34 @@ def test_hinge_rows_on_a_block_of_exposures_equal_each_row(kind):
             assert gaps[k].tobytes() == fairness.hinge_gaps(rows, exposures[k]).tobytes()
             assert weights[k].tobytes() == \
                 fairness.hinge_weights(rows, active[k]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["individual", "group"])
+def test_hinge_weights_of_a_mask_block_equal_per_mask_calls(kind):
+    """Weights of a ``(K, rows)`` mask block, taken without a loop over the
+    masks, equal one call per mask, and each call equals the sum of its
+    active rows over the number of rows; so do a block's disparities."""
+    rng = np.random.default_rng(31)
+    for n in (2, 6, 13):
+        merits = rng.choice([0.0, 1.0, 2.5, 4.0], size=n)
+        rows = fairness.DisparityConfig(kind).rows(merits, np.arange(n) % 2)
+        if not len(rows):
+            continue
+        active = rng.random((5, len(rows))) < 0.5
+        active[0], active[1] = False, True
+        weights = fairness.hinge_weights(rows, active)
+        assert weights.shape == (5, n)
+        dense = _dense_individual_rows(rows) if kind == "individual" else rows
+        for k, mask in enumerate(active):
+            alone = fairness.hinge_weights(rows, mask)
+            assert np.array_equal(weights[k], alone)
+            if kind == "individual":
+                counts = (np.bincount(rows.first[mask], minlength=n)
+                          - np.bincount(rows.second[mask], minlength=n))
+                assert np.array_equal(alone, rows.inv_merit * counts / len(rows))
+            else:
+                assert np.array_equal(alone, dense[mask].sum(axis=0) / len(rows))
+        exposures = rng.uniform(0.0, 1.0, size=(5, n))
+        means = fairness.hinge_mean(rows, exposures)
+        assert means.shape == (5,)
+        assert means.tolist() == [fairness.hinge_mean(rows, e) for e in exposures]

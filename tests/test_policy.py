@@ -430,7 +430,8 @@ def test_members_share_one_draw_and_get_their_own_log_prob_gradients():
         np.testing.assert_array_equal(sample.rankings[k], alone.rankings)
         assert sample.logprob_grads[k].tobytes() == alone.logprob_grads.tobytes()
     assert block_rng.random() == rng.random()
-    shared = policy.sample_rankings(scores, 11, np.random.default_rng(23), shared=True)
+    noise = policy.gumbel_noise(np.random.default_rng(23), (11, 9))
+    shared = policy.sample_rankings(scores, 11, None, noise=noise)
     np.testing.assert_array_equal(shared, sample.rankings.reshape(-1, 9))
 
 

@@ -9,6 +9,8 @@ evaluation pass and one short training run, whose layers the benchmark
 reports.
 """
 import importlib.util
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +55,24 @@ def test_tracer_install_and_remove_restore_every_patch_point():
 
 
 def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
-    """One evaluation is one ``trainer.evaluate`` call.  Above
-    ``ENUMERATION_LIMIT`` documents its Monte-Carlo block of ``Q * S``
-    rankings counts as ``Q * S`` sampled rankings; at the limit every
-    query's exposure counts under the exact layer, and nothing is sampled."""
+    """One evaluation of a model, or of a block of K members, is one
+    ``trainer.evaluate`` call.  Above ``ENUMERATION_LIMIT`` documents its
+    Monte-Carlo block is one ``exposure_of_policy`` call whose one draw the
+    members share, and one sampler call of ``Q * S`` rankings per member;
+    at the limit every member's exposure of every query is one exact call
+    of one vector, and nothing is sampled.  Each metric values the block
+    in one call, so ``metrics.value`` is not called, and each query's
+    disparities of all members are one ``from_exposures`` call."""
     queries, samples = 6, 12
-    for docs in (ENUMERATION_LIMIT + 3, ENUMERATION_LIMIT):
+    for members, docs in itertools.product((1, 3), (ENUMERATION_LIMIT + 3,
+                                                    ENUMERATION_LIMIT)):
         dataset = data.generate_simulated(num_queries=queries, docs_per_query=docs,
                                           seed=2)
         model = policy.init_model("linear", dataset.feature_dim,
                                   np.random.default_rng(0))
+        if members > 1:
+            model = model.with_params(np.random.default_rng(1).normal(
+                size=(members, model.params.size)))
         tracer = load_tracer_module().Tracer()
         try:
             tracer.install()
@@ -73,15 +83,22 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
         counts = tracer.snapshot()
         assert counts["trainer.evaluate.calls"] == 1
         assert counts["fairness.from_exposures.calls"] == queries
+        assert "metrics.value.calls" not in counts
         if docs > ENUMERATION_LIMIT:
+            assert queries * samples * docs <= trainer.EVAL_BLOCK_DRAWS
             assert "fairness.exposure_exact.calls" not in counts
             assert counts["fairness.exposure_mc.calls"] == 1
-            assert counts["policy.sample_rankings.calls"] == 1
-            assert counts["policy.sample_rankings.rankings"] == queries * samples
+            assert counts["fairness.mc_exposure.calls"] == members
+            assert counts["policy.sample_rankings.calls"] == members
+            assert counts["policy.sample_rankings.rankings"] == \
+                members * queries * samples
         else:
             assert "fairness.exposure_mc.calls" not in counts
             assert "policy.sample_rankings.calls" not in counts
-            assert counts["fairness.exposure_exact.calls"] == queries
+            assert counts["fairness.exposure_exact.calls"] == members * queries
+            # The tracer counts len(values)! rankings per exact call.
+            assert counts["fairness.exposure_exact.rankings_enumerated"] == \
+                members * queries * math.factorial(docs)
 
 
 @pytest.mark.parametrize("model", ["linear", "mlp1"])
@@ -145,5 +162,9 @@ def test_tracer_counts_one_optimizer_step_per_member_step_of_a_grid(model):
     for layer in ("policy.logprob_grads_scores", "policy.backprop",
                   "metrics.batch_rewards", "trainer.disparity_score_grad"):
         assert counts[f"{layer}.calls"] == steps, layer
-    # Evaluation stays per member: two splits an epoch, and delta_lambda.
-    assert counts["trainer.evaluate.calls"] == len(configs) * (2 * configs[0].epochs + 1)
+    # Evaluation is one block pass: two splits an epoch, and delta_lambda;
+    # each member samples its exposures on its own from the shared draws.
+    assert counts["trainer.evaluate.calls"] == 2 * configs[0].epochs + 1
+    assert counts["fairness.exposure_mc.calls"] == 2 * configs[0].epochs + 1
+    evaluation_samples = counts["policy.sample_rankings.calls"] - steps
+    assert evaluation_samples == len(configs) * (2 * configs[0].epochs + 1)

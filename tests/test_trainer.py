@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fairltr import data, fairness, metrics, policy, trainer
+from fairltr.ranking import ENUMERATION_LIMIT
 import oracle
 
 
@@ -269,8 +270,8 @@ def test_block_evaluation_matches_per_query_reference_on_a_ragged_split(kind):
     disparity = fairness.DisparityConfig.parse(kind)
     ndcg5, err = metrics.UtilityMetric.parse("ndcg@5"), metrics.UtilityMetric("err")
     block_rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = trainer._evaluate(model, ds, ndcg5, disparity, 16, block_rng,
-                            extra_metrics=[err])
+    (got,) = trainer._evaluate(model, ds, ndcg5, disparity, 16, block_rng,
+                               extra_metrics=[err])
     want_ndcg, want_disparity = per_query_evaluation(model, ds, ndcg5, disparity,
                                                      16, reference_rng)
     want_err = [err.value(policy.argmax_ranking(model.scores(q.feature_matrix)),
@@ -288,8 +289,8 @@ def test_block_evaluation_matches_per_query_reference_on_a_ragged_split(kind):
 
 def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
     """With blocks of at most two queries' draws, a run of five equal-size
-    queries takes three Monte-Carlo calls, and the pass still equals the
-    per-query loop bit for bit."""
+    queries takes three Monte-Carlo calls, each for both members of a block,
+    and the pass still equals each member's per-query loop bit for bit."""
     calls = []
 
     def counted(scores, *args, **kwargs):
@@ -299,17 +300,65 @@ def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
     monkeypatch.setattr(trainer, "EVAL_BLOCK_DRAWS", 2 * 16 * 10)
     monkeypatch.setattr(trainer, "exposure_of_policy", counted)
     ds = ragged_split(sizes=(10, 10, 10, 10, 10, 9, 3))
-    model = policy.LinearModel(np.array([2.0, 1.0, 0.3]))
+    block = policy.LinearModel(np.array([[2.0, 1.0, 0.3], [-1.0, 0.5, 2.0]]))
     disparity = fairness.DisparityConfig.parse("group")
     metric = metrics.UtilityMetric("ndcg")
-    block_rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = trainer._evaluate(model, ds, metric, disparity, 16, block_rng)
-    want_metric, want_disparity = per_query_evaluation(model, ds, metric, disparity,
-                                                       16, reference_rng)
-    assert calls == [(2, 10), (2, 10), (1, 10), (1, 9), (3,)]
-    assert got.metric_values == want_metric
-    assert got.disparity_values == want_disparity
+    block_rng = np.random.default_rng(5)
+    got = trainer._evaluate(block, ds, metric, disparity, 16, block_rng)
+    assert calls == [(2, 2, 10), (2, 2, 10), (2, 1, 10), (2, 1, 9), (3,), (3,)]
+    assert all(np.prod(shape[1:]) * 16 <= trainer.EVAL_BLOCK_DRAWS
+               for shape in calls if len(shape) == 3)
+    for k, summary in enumerate(got):
+        reference_rng = np.random.default_rng(5)
+        want_metric, want_disparity = per_query_evaluation(
+            block.with_params(block.params[k]), ds, metric, disparity, 16,
+            reference_rng)
+        assert summary.metric_values == want_metric
+        assert summary.disparity_values == want_disparity
     assert block_rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("model,kind", [("linear", "group"), ("linear", "individual"),
+                                        ("mlp1", "group"), ("mlp1", "individual")])
+def test_block_evaluation_of_a_grid_equals_each_member_per_query(model, kind):
+    """A ``(K, P)`` block of K = 3 members is one pass: every member's values
+    equal its own per-query loop with ``==``, on a split with queries of at
+    most ``ENUMERATION_LIMIT`` documents (exact, one vector per call), a
+    query without a group row and an all-zero-relevance query (NDCG 0), and
+    the generator ends where each member's loop ends."""
+    ds = ragged_split()
+    rng = np.random.default_rng(40)
+    single = policy.init_model(model, ds.feature_dim, rng, hidden_units=5)
+    block = single.with_params(single.params
+                               + rng.normal(size=(3, single.params.size)))
+    disparity = fairness.DisparityConfig.parse(kind)
+    ndcg5, err = metrics.UtilityMetric.parse("ndcg@5"), metrics.UtilityMetric("err")
+    assert min(map(len, ds)) <= ENUMERATION_LIMIT < max(map(len, ds))
+    assert not len(disparity.query_rows(ds.queries[1 if kind == "group" else 5]))
+    block_rng = np.random.default_rng(3)
+    got = trainer._evaluate(block, ds, ndcg5, disparity, 16, block_rng,
+                            extra_metrics=[err])
+    assert len(got) == 3
+    for k, summary in enumerate(got):
+        member = block.with_params(block.params[k])
+        reference_rng = np.random.default_rng(3)
+        want_ndcg, want_disparity = per_query_evaluation(member, ds, ndcg5, disparity,
+                                                         16, reference_rng)
+        want_err = [err.value(policy.argmax_ranking(member.scores(q.feature_matrix)),
+                              q.relevances) for q in ds]
+        assert summary.metric_values == want_ndcg
+        assert summary.extra_values == [want_err]
+        assert summary.disparity_values == want_disparity
+        assert summary.mean_metric == float(np.mean(want_ndcg))
+        assert summary.extra_means == [float(np.mean(want_err))]
+        assert summary.mean_disparity == float(np.mean(want_disparity))
+        assert summary.metric_values[5] == 0.0
+        assert block_rng.bit_generator.state == reference_rng.bit_generator.state
+    assert len({tuple(s.metric_values + s.disparity_values) for s in got}) == 3
+    (alone,) = trainer._evaluate(block.with_params(block.params[1]), ds, ndcg5,
+                                 disparity, 16, np.random.default_rng(3),
+                                 extra_metrics=[err])
+    assert alone == got[1]
 
 
 def test_extra_metrics_equal_separate_evaluations():
