@@ -17,6 +17,8 @@ baseline's no top-1 option.  Outputs are plain text
 (LETOR data, JSON records, CSV tables) written deterministically: rerunning
 a command with the same inputs and seed reproduces every byte.  Existing
 non-empty output directories are refused unless ``--force`` is given.
+Every refusal, a usage error of the parser included, is one ``error:``
+line on standard error and exit code 1; ``--help`` exits 0.
 
 A sweep's ``summary.csv`` train row holds two Monte-Carlo estimates of the
 selected model's train-split disparity, drawn with different seeds:
@@ -49,6 +51,14 @@ class CliError(Exception):
     """User-facing failure; printed to stderr with exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``CliError``s, like every other
+    refusal; ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Options, config files and option resolution
 # ---------------------------------------------------------------------------
@@ -58,7 +68,8 @@ class Option(NamedTuple):
     """One option of a command: the flag ``--dest`` with ``-`` for ``_``
     (or ``flag``) and the config-file key ``dest``.  A flag beats the config file, which beats
     ``default``.  ``only = (key, value)`` marks an option read only when
-    option ``key`` is ``value``: it is refused when set otherwise."""
+    option ``key`` is ``value``: it is refused when set otherwise.  A value
+    below ``minimum`` is refused."""
     dest: str
     kind: type
     default: object
@@ -66,6 +77,7 @@ class Option(NamedTuple):
     choices: tuple[str, ...] = ()
     flag: str = ""
     only: tuple[str, str] | None = None
+    minimum: int | None = None
 
     @property
     def name(self) -> str:
@@ -132,6 +144,8 @@ def resolve_options(args: argparse.Namespace, options: Sequence[Option]) -> dict
                                f"{o.only[1]} only, and {o.only[0]} is "
                                f"{out[o.only[0]]}")
             continue
+        if value is not None and o.minimum is not None and value < o.minimum:
+            raise CliError(f"{o.name} must be >= {o.minimum}, got {value}")
         out[o.dest] = o.default if value is None else value
     return out
 
@@ -231,8 +245,9 @@ _METRIC = Option("metric", str, "ndcg@10", "ndcg[@k], dcg[@k], err or avgrank")
 _DISPARITY = Option("disparity", str, "none", "none, individual or group")
 _MERIT = Option("merit", str, "identity", "identity, square or sqrt")
 _EVAL_SAMPLES = Option("eval_samples", int, 32,
-                       "Monte-Carlo rankings per query for disparity eval")
-_SEED = Option("seed", int, 0, "random seed")
+                       "Monte-Carlo rankings per query for disparity eval",
+                       minimum=1)
+_SEED = Option("seed", int, 0, "random seed", minimum=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +269,9 @@ _GENERATE_FROM_TABLE = (
                                  "without it the queries have no groups"),
     Option("preprocess", bool, False,
            "one-hot encode and standardize table columns"),
-    Option("train_queries", int, 100, "queries in train.letor"),
-    Option("test_queries", int, 50, "queries in test.letor; 0 writes none"),
+    Option("train_queries", int, 100, "queries in train.letor", minimum=1),
+    Option("test_queries", int, 50, "queries in test.letor; 0 writes none",
+           minimum=0),
     Option("candidate_size", int, 10, "documents per query"),
     Option("relevant_fraction", float, 0.2, "share of label-1 documents per query"),
     _SEED,
@@ -280,10 +296,6 @@ def cmd_generate_simulated(args: argparse.Namespace, opts: dict) -> int:
 def cmd_generate_from_table(args: argparse.Namespace, opts: dict) -> int:
     if not opts["input"]:
         raise CliError("generate from-table requires --input")
-    if opts["train_queries"] < 1:
-        raise CliError("train_queries must be >= 1")
-    if opts["test_queries"] < 0:
-        raise CliError("test_queries must be >= 0")
     records = _read_table(opts["input"], opts["label_col"], opts["group_col"],
                           opts["preprocess"])
     total = opts["train_queries"] + opts["test_queries"]
@@ -389,7 +401,7 @@ _TRAINING = (
     Option("patience", int, 5, "early-stop patience in epochs; 0 disables"),
     _EVAL_SAMPLES,
     Option("val_fraction", float, 0.2, "validation fraction when --val is absent"),
-    Option("split_seed", int, 0, "seed for the validation split"),
+    Option("split_seed", int, 0, "seed for the validation split", minimum=0),
 )
 
 _TRAIN = (
@@ -443,19 +455,10 @@ def _write_run_outputs(out: Path, record: trainer.RunRecord,
                        config_echo: dict) -> None:
     write_json(out / "record.json", record.to_json_dict())
     policy.save_model(record.model, out / "checkpoint.txt")
-    header = ["epoch", "train_metric", "train_disparity", "val_metric",
-              "val_disparity", "val_objective"]
-    rows = []
-    for e in range(record.epochs_run):
-        rows.append([
-            e + 1,
-            record.train_metric[e],
-            record.train_disparity[e] if record.train_disparity else None,
-            record.val_metric[e],
-            record.val_disparity[e] if record.val_disparity else None,
-            record.val_objective[e],
-        ])
-    write_csv(out / "curves.csv", header, rows)
+    curves = [record.curves.get(name) for name in trainer.CURVES]
+    write_csv(out / "curves.csv", ["epoch", *trainer.CURVES],
+              [[e + 1, *(None if curve is None else curve[e] for curve in curves)]
+               for e in range(record.epochs_run)])
     write_kv(out / "config.txt", config_echo)
 
 
@@ -473,7 +476,7 @@ def cmd_train(args: argparse.Namespace, opts: dict) -> int:
     disp = ("" if record.delta_lambda is None
             else f", delta_lambda {record.delta_lambda:.5f}")
     print(f"best epoch {record.best_epoch}/{record.epochs_run}, "
-          f"val {config.metric} {record.val_metric[record.best_epoch - 1]:.5f}"
+          f"val {config.metric} {record.curves['val_metric'][record.best_epoch - 1]:.5f}"
           f"{disp}; outputs in {out}")
     return 0
 
@@ -489,15 +492,19 @@ _SWEEP = (
     Option("seeds", str, "0", "comma-separated seeds"),
     Option("jobs", int, 1, "parallel worker processes, each training one "
                            "seed's lambdas in lockstep (or a contiguous chunk "
-                           "of them)"),
+                           "of them)", minimum=1),
 )
 
 
 def _parse_number_list(text: str, kind, what: str) -> list:
+    """The comma-separated numbers of ``text``; an empty list is refused."""
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
         raise CliError(f"cannot parse {what} list {text!r}") from None
+    if not values:
+        raise CliError(f"need at least one {what}, got {text!r}")
+    return values
 
 
 def _summary_rows(records: list[trainer.RunRecord],
@@ -565,14 +572,12 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
     processes.  Every run's files and both summaries are the same whatever
     ``--jobs`` is.
     """
-    if opts["jobs"] < 1:
-        raise CliError(f"--jobs must be >= 1, got {opts['jobs']}")
     if not opts["train"]:
         raise CliError("sweep requires --train DATA.letor")
     lambdas = _parse_number_list(opts["lambdas"], float, "lambda")
     seeds = _parse_number_list(opts["seeds"], int, "seed")
-    if not lambdas or not seeds:
-        raise CliError("need at least one lambda and one seed")
+    if min(seeds) < 0:
+        raise CliError(f"seeds must be >= 0, got {opts['seeds']}")
     names = [_run_dir_name(lam, seed) for lam in lambdas for seed in seeds]
     for name in names:
         if names.count(name) > 1:
@@ -631,32 +636,23 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
 
 
 def _write_sweep_stats(path: Path, rows: list[list]) -> None:
-    header = ["lambda", "split", "ndcg_mean", "ndcg_std", "err_mean", "err_std",
-              "disparity_mean", "disparity_std", "delta_lambda_mean",
-              "delta_lambda_std"]
+    """The mean and standard deviation over seeds of each value column of
+    the summary rows, per lambda and split, in order of appearance."""
+    lam, _, split, *values = range(len(SUMMARY_HEADER))
     grouped: dict[tuple, list[list]] = {}
-    order = []
     for row in rows:
-        key = (row[0], row[2])
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(row)
+        grouped.setdefault((row[lam], row[split]), []).append(row)
     out_rows = []
-    for key in order:
-        bunch = grouped[key]
-
-        def ms(idx):
-            vals = [r[idx] for r in bunch if r[idx] is not None]
-            if not vals:
-                return None, None
-            return float(np.mean(vals)), float(np.std(vals))
-
-        nm, ns = ms(3)
-        em, es = ms(4)
-        dm, ds = ms(5)
-        lm, ls = ms(6)
-        out_rows.append([key[0], key[1], nm, ns, em, es, dm, ds, lm, ls])
+    for key, bunch in grouped.items():
+        cells = list(key)
+        for column in values:
+            found = [r[column] for r in bunch if r[column] is not None]
+            cells += ([float(np.mean(found)), float(np.std(found))] if found
+                      else [None, None])
+        out_rows.append(cells)
+    header = [SUMMARY_HEADER[lam], SUMMARY_HEADER[split],
+              *(f"{SUMMARY_HEADER[column]}_{stat}" for column in values
+                for stat in ("mean", "std"))]
     write_csv(path, header, out_rows)
 
 
@@ -806,8 +802,6 @@ _EVAL = (
 def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
     if not opts["checkpoint"] or not opts["data"]:
         raise CliError("eval requires --checkpoint and --data")
-    if opts["eval_samples"] < 1:
-        raise CliError("eval_samples must be >= 1")
     try:
         model = policy.load_model(opts["checkpoint"])
     except (OSError, policy.CheckpointError) as exc:
@@ -876,7 +870,7 @@ _COMMANDS = (  # (command words, help, options, handler)
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: building its
     ~90 arguments takes about 2.5 ms, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairltr",
         description="Fairness-constrained learning to rank experiments")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -901,8 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, resolve_options(args, args.options))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,15 @@ gradients are computed in probability space, from the weights
 yet placed (``_stage_weights``).  The scoring models at the bottom of the
 module map features to scores and backpropagate score-space gradients to
 their parameters, which is all a policy-gradient trainer needs.  Each model
-keeps its parameters in one contiguous vector, ``params``, of which its
-named arrays are views, and ``backprop`` returns one gradient vector in the
-same layout, so an optimizer step is a few operations on one vector.
+class states its parameter layout once, as a table of parts (attribute,
+checkpoint key, shape) computed from its header: ``feature_dim`` and
+``bias`` for the linear model, ``feature_dim`` and ``hidden`` for the MLP.
+The model keeps its parameters in one contiguous vector, ``params``, of
+which the named arrays are views, and ``backprop`` returns one gradient
+vector in the same layout, so an optimizer step is a few operations on one
+vector.  Copies (``with_params``), equality and the checkpoint text format,
+written and read by ``save_model`` and ``load_model``, follow from the same
+table.
 
 Scores, models and samples may carry a leading member axis: a ``(K, n)``
 block of score vectors, one per member of a grid of runs trained in
@@ -36,7 +42,9 @@ scales the clamp is inactive.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -306,29 +314,95 @@ def _times_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
 
 
-class LinearModel:
+class _Model:
+    """The parameter layout of a scoring model.
+
+    A model class states its parts once, in ``parts(*header)``: the
+    ``(attribute, checkpoint key, shape)`` of each named array, from the
+    integers of its header, named by ``header_fields`` (``feature_dim``
+    first).  The parameters live in one vector, ``params``, the parts in
+    order and a matrix row-major, and each named array is a view into it.
+    ``layout`` adds each part's slice of the vector; it is found once, by
+    the constructor, and shared by every model ``with_params`` makes.  With
+    a leading member axis, ``params`` is a ``(K, P)`` block of K models
+    that score and backpropagate together.
+    """
+
+    kind: str
+    header_fields: tuple[str, ...]
+
+    def _lay_out(self, header: tuple[int, ...], arrays: Sequence[np.ndarray]) -> None:
+        """Copy ``arrays``, one per part, into a new parameter vector; a
+        leading member axis on the first makes a block."""
+        parts = self.parts(*header)
+        first = np.asarray(arrays[0])
+        lead = first.shape[:first.ndim - len(parts[0][2])]
+        layout, pieces, start = [], [], 0
+        for (attr, key, shape), array in zip(parts, arrays, strict=True):
+            array = np.asarray(array, dtype=float)
+            if array.shape != (*lead, *shape):
+                raise ValueError(f"{attr} has shape {array.shape}, "
+                                 f"expected {(*lead, *shape)}")
+            pieces.append(array.reshape(*lead, -1))
+            layout.append((attr, key, shape, slice(start, start + math.prod(shape))))
+            start += math.prod(shape)
+        self._bind(np.concatenate(pieces, axis=-1), header, tuple(layout))
+
+    def _bind(self, params: np.ndarray, header: tuple[int, ...], layout: tuple) -> None:
+        self.params, self.header, self.layout = params, header, layout
+        lead = params.shape[:-1]
+        for attr, _, shape, where in layout:
+            setattr(self, attr, params[..., where].reshape(*lead, *shape))
+
+    @property
+    def feature_dim(self) -> int:
+        return self.header[0]
+
+    def param_arrays(self) -> list[np.ndarray]:
+        return [getattr(self, attr) for attr, *_ in self.layout]
+
+    def with_params(self, params: np.ndarray):
+        """A model of this layout holding a copy of ``params``: a ``(P,)``
+        vector gives one model, a ``(K, P)`` block a block of K."""
+        params = np.array(params, dtype=float, order="C")
+        if params.shape[-1] != self.params.shape[-1]:
+            raise ValueError(f"{params.shape[-1]} parameters, expected "
+                             f"{self.params.shape[-1]}")
+        model = object.__new__(type(self))
+        model._bind(params, self.header, self.layout)
+        return model
+
+    def copy(self):
+        """An independent model on a copy of the vector."""
+        return self.with_params(self.params)
+
+
+class LinearModel(_Model):
     """Linear scoring function ``s = X w (+ b)``; the bias is optional and
     off by default.
 
-    The parameters live in one vector, ``params = [w, b]``; ``weights`` and
-    ``bias`` are views into it, and ``backprop`` returns its gradient in the
-    same layout.  With a leading member axis, ``params`` is a ``(K, P)``
-    block of K models that score and backpropagate together.
+    ``params = [w, b]``, of which ``weights`` and ``bias`` are views, and
+    ``backprop`` returns its gradient in the same layout.
     """
 
     kind = "linear"
+    header_fields = ("feature_dim", "bias")
+    bias = None
+
+    @staticmethod
+    def parts(feature_dim: int, bias: int):
+        if bias not in (0, 1):
+            raise ValueError(f"bias must be 0 or 1, got {bias}")
+        return (("weights", "w", (feature_dim,)),) + (("bias", "b", (1,)),) * bias
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray | None = None):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim not in (1, 2):
             raise ValueError("weights must be a vector, or a block of vectors")
-        parts = [weights]
+        arrays = [weights]
         if bias is not None:
-            parts.append(np.asarray(bias, dtype=float).reshape(*weights.shape[:-1], 1))
-        self.params = np.concatenate(parts, axis=-1)
-        d = weights.shape[-1]
-        self.weights = self.params[..., :d]
-        self.bias = None if bias is None else self.params[..., d:]
+            arrays.append(np.asarray(bias, dtype=float).reshape(*weights.shape[:-1], 1))
+        self._lay_out((weights.shape[-1], len(arrays) - 1), arrays)
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -337,10 +411,6 @@ class LinearModel:
         b = rng.uniform(-scale, scale, size=1) if use_bias else None
         return cls(w, b)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[-1]
-
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Scores of the rows of ``features``: ``(n,)``, or ``(K, n)`` for a
         member block."""
@@ -348,9 +418,6 @@ class LinearModel:
         if self.bias is not None:
             out = out + self.bias
         return out
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [self.weights] if self.bias is None else [self.weights, self.bias]
 
     def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
         """Map a gradient wrt the per-document scores to ``params`` space;
@@ -362,28 +429,24 @@ class LinearModel:
             return grad
         return np.concatenate((grad, g.sum(axis=-1, keepdims=True)), axis=-1)
 
-    def with_params(self, params: np.ndarray) -> "LinearModel":
-        """A model of this shape holding a copy of ``params``: a ``(P,)``
-        vector gives one model, a ``(K, P)`` block a block of K."""
-        d = self.feature_dim
-        return LinearModel(params[..., :d], None if self.bias is None else params[..., d:])
 
-    def copy(self) -> "LinearModel":
-        """An independent model: the constructor copies into a new vector."""
-        return self.with_params(self.params)
-
-
-class MLP1Model:
+class MLP1Model(_Model):
     """One-hidden-layer scorer: ``s = relu(X W + b_h) w_out + b_out``.
 
-    The ReLU subgradient at zero is taken to be zero.  The parameters live
-    in one vector, ``params = [W (row-major), b_h, w_out, b_out]``; the four
-    named arrays are views into it, and ``backprop`` returns its gradient in
-    the same layout.  With a leading member axis, ``params`` is a
-    ``(K, P)`` block of K models that score and backpropagate together.
+    The ReLU subgradient at zero is taken to be zero.  ``params = [W
+    (row-major), b_h, w_out, b_out]``, of which the four named arrays are
+    views, and ``backprop`` returns its gradient in the same layout.
     """
 
     kind = "mlp1"
+    header_fields = ("feature_dim", "hidden")
+
+    @staticmethod
+    def parts(feature_dim: int, hidden: int):
+        return (("hidden_weights", "W", (feature_dim, hidden)),
+                ("hidden_bias", "b_hidden", (hidden,)),
+                ("out_weights", "w_out", (hidden,)),
+                ("out_bias", "b_out", (1,)))
 
     def __init__(self, hidden_weights: np.ndarray, hidden_bias: np.ndarray,
                  out_weights: np.ndarray, out_bias: np.ndarray):
@@ -391,17 +454,8 @@ class MLP1Model:
         if W.ndim not in (2, 3):
             raise ValueError("hidden weights must be a matrix, or a block of matrices")
         *lead, d, h = W.shape
-        b_h = np.asarray(hidden_bias, dtype=float)
-        w_out = np.asarray(out_weights, dtype=float)
-        if b_h.shape != (*lead, h) or w_out.shape != (*lead, h):
-            raise ValueError("inconsistent hidden layer shapes")
-        self.params = np.concatenate(
-            [W.reshape(*lead, d * h), b_h, w_out,
-             np.asarray(out_bias, dtype=float).reshape(*lead, 1)], axis=-1)
-        self.hidden_weights = self.params[..., :d * h].reshape(*lead, d, h)
-        self.hidden_bias = self.params[..., d * h:d * h + h]
-        self.out_weights = self.params[..., d * h + h:d * h + 2 * h]
-        self.out_bias = self.params[..., d * h + 2 * h:]
+        self._lay_out((d, h), [W, hidden_bias, out_weights,
+                               np.asarray(out_bias, dtype=float).reshape(*lead, 1)])
 
     @classmethod
     def init(cls, feature_dim: int, rng: np.random.Generator,
@@ -414,12 +468,8 @@ class MLP1Model:
         return cls(W, b_h, w_out, b_out)
 
     @property
-    def feature_dim(self) -> int:
-        return self.hidden_weights.shape[-2]
-
-    @property
     def hidden_units(self) -> int:
-        return self.hidden_weights.shape[-1]
+        return self.header[1]
 
     def _hidden(self, X: np.ndarray) -> np.ndarray:
         return X @ self.hidden_weights + self.hidden_bias[..., None, :]
@@ -429,10 +479,6 @@ class MLP1Model:
         member block."""
         hidden = np.maximum(self._hidden(np.asarray(features, dtype=float)), 0.0)
         return _times_vector(hidden, self.out_weights) + self.out_bias
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [self.hidden_weights, self.hidden_bias,
-                self.out_weights, self.out_bias]
 
     def backprop(self, features: np.ndarray, score_grads: np.ndarray) -> np.ndarray:
         X = np.asarray(features, dtype=float)
@@ -445,21 +491,9 @@ class MLP1Model:
                                _times_vector(act.swapaxes(-1, -2), g),
                                g.sum(axis=-1, keepdims=True)), axis=-1)
 
-    def with_params(self, params: np.ndarray) -> "MLP1Model":
-        """A model of this shape holding a copy of ``params``: a ``(P,)``
-        vector gives one model, a ``(K, P)`` block a block of K."""
-        d, h = self.feature_dim, self.hidden_units
-        return MLP1Model(params[..., :d * h].reshape(*params.shape[:-1], d, h),
-                         params[..., d * h:d * h + h],
-                         params[..., d * h + h:d * h + 2 * h],
-                         params[..., d * h + 2 * h:])
-
-    def copy(self) -> "MLP1Model":
-        """An independent model: the constructor copies into a new vector."""
-        return self.with_params(self.params)
-
 
 ScoringModel = LinearModel | MLP1Model
+_MODELS = {cls.kind: cls for cls in (LinearModel, MLP1Model)}
 
 
 def init_model(kind: str, feature_dim: int, rng: np.random.Generator,
@@ -471,8 +505,14 @@ def init_model(kind: str, feature_dim: int, rng: np.random.Generator,
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def models_equal(a: ScoringModel, b: ScoringModel) -> bool:
+    return (a.kind == b.kind and a.header == b.header
+            and np.array_equal(a.params, b.params))
+
+
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: the magic line, ``kind``, a line per header field, then a
+# line per part, or per row of a matrix part, in the model's part order.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = "fairltr-model 1"
@@ -487,20 +527,11 @@ def save_model(model: ScoringModel, path: str) -> None:
     block is refused: save each member, ``model.with_params(model.params[k])``."""
     if model.params.ndim != 1:
         raise ValueError("save_model takes one model, not a member block")
-    lines = [_CHECKPOINT_MAGIC, f"kind {model.kind}",
-             f"feature_dim {model.feature_dim}"]
-    if isinstance(model, LinearModel):
-        lines.append(f"bias {0 if model.bias is None else 1}")
-        lines.append("w " + _fmt(model.weights))
-        if model.bias is not None:
-            lines.append("b " + _fmt(model.bias))
-    else:
-        lines.append(f"hidden {model.hidden_units}")
-        for row in model.hidden_weights:
-            lines.append("W " + _fmt(row))
-        lines.append("b_hidden " + _fmt(model.hidden_bias))
-        lines.append("w_out " + _fmt(model.out_weights))
-        lines.append("b_out " + _fmt(model.out_bias))
+    lines = [_CHECKPOINT_MAGIC, f"kind {model.kind}"]
+    lines += [f"{name} {value}" for name, value in zip(model.header_fields, model.header)]
+    for attr, key, shape, _ in model.layout:
+        rows = getattr(model, attr).reshape(math.prod(shape[:-1]), shape[-1])
+        lines += [f"{key} {_fmt(row)}" for row in rows]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -510,7 +541,9 @@ class CheckpointError(ValueError):
 
 
 def load_model(path: str) -> ScoringModel:
-    """Read a ``save_model`` file; any malformed file raises ``CheckpointError``."""
+    """Read a ``save_model`` file; any malformed file raises ``CheckpointError``,
+    among them one with a line its header does not declare, or a part with
+    too many or too few lines or values."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -518,62 +551,52 @@ def load_model(path: str) -> ScoringModel:
         lines = []
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a recognized model file")
-
-    fields: dict[str, str] = {}
-    named: dict[str, list[np.ndarray]] = {}
+    texts: dict[str, list[str]] = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key in ("kind", "feature_dim", "bias", "hidden"):
-            fields[key] = rest.strip()
-            continue
+        texts.setdefault(key, []).append(rest.strip())
+
+    def rows_of(key: str, count: int) -> list[str]:
+        found = texts.pop(key, [])
+        if len(found) != count:
+            raise CheckpointError(f"{path}: {len(found)} {key!r} lines, expected {count}")
+        return found
+
+    (kind,) = rows_of("kind", 1)
+    if kind not in _MODELS:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    cls = _MODELS[kind]
+    header = []
+    for name in cls.header_fields:
+        (text,) = rows_of(name, 1)
+        if not text.isdigit():
+            raise CheckpointError(f"{path}: {name} must be a non-negative "
+                                  f"integer, got {text!r}")
+        header.append(int(text))
+    try:
+        parts = cls.parts(*header)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    arrays = [_read_part(path, key, shape, rows_of(key, math.prod(shape[:-1])))
+              for _, key, shape in parts]
+    if texts:
+        raise CheckpointError(f"{path}: {next(iter(texts))!r} line not declared "
+                              f"by a {kind} model's header")
+    return cls(*arrays)
+
+
+def _read_part(path: str, key: str, shape: tuple[int, ...], rows: list[str]) -> np.ndarray:
+    values = []
+    for text in rows:
         try:
-            vec = np.array([float(tok) for tok in rest.split()])
+            row = [float(tok) for tok in text.split()]
         except ValueError:
             raise CheckpointError(
                 f"{path}: non-numeric value in {key!r} line") from None
-        if not np.isfinite(vec).all():
+        if len(row) != shape[-1]:
+            raise CheckpointError(f"{path}: {key!r} line has {len(row)} values, "
+                                  f"expected {shape[-1]}")
+        if not np.isfinite(row).all():
             raise CheckpointError(f"{path}: non-finite value in {key!r} line")
-        named.setdefault(key, []).append(vec)
-
-    kind = fields.get("kind")
-    try:
-        feature_dim = int(fields["feature_dim"])
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad or missing feature_dim") from exc
-
-    if kind == "linear":
-        if "w" not in named:
-            raise CheckpointError(f"{path}: missing weight line")
-        w = named["w"][0]
-        if w.shape[0] != feature_dim:
-            raise CheckpointError(f"{path}: weight length {w.shape[0]} != "
-                                  f"feature_dim {feature_dim}")
-        has_bias = fields.get("bias") == "1"
-        if has_bias and "b" not in named:
-            raise CheckpointError(f"{path}: bias declared but missing")
-        build, params = LinearModel, (w, named["b"][0] if has_bias else None)
-    elif kind == "mlp1":
-        try:
-            hidden = int(fields["hidden"])
-            W = np.vstack(named["W"])
-            b_h, w_out, b_out = (named[k][0] for k in ("b_hidden", "w_out", "b_out"))
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"{path}: incomplete mlp1 checkpoint") from exc
-        if W.shape != (feature_dim, hidden):
-            raise CheckpointError(f"{path}: hidden weight shape {W.shape} != "
-                                  f"({feature_dim}, {hidden})")
-        build, params = MLP1Model, (W, b_h, w_out, b_out)
-    else:
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    try:
-        return build(*params)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-
-
-def models_equal(a: ScoringModel, b: ScoringModel) -> bool:
-    if a.kind != b.kind:
-        return False
-    pa, pb = a.param_arrays(), b.param_arrays()
-    return len(pa) == len(pb) and all(
-        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(pa, pb))
+        values.append(row)
+    return np.array(values, dtype=float).reshape(shape)

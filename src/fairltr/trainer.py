@@ -27,6 +27,10 @@ members still in the block are evaluated together after each epoch, and
 the selected models of the members that did not fail together for
 ``delta_lambda``.  A single run is the grid of one.
 
+A run hands on a ``RunRecord``: the selected model and one ``curves``
+dict of per-epoch means keyed by the names of ``CURVES``, the one table
+that ``record.json`` and ``curves.csv`` are both written from.
+
 Both disparities reach the trainer as the hinge rows of
 ``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
 them: the hinge indicator of each row is estimated from the same
@@ -414,27 +418,30 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
 # ---------------------------------------------------------------------------
 
 
+# The per-epoch curves of a run, in curves.csv column order: the mean
+# argmax metric and policy disparity on each split, then the validation
+# objective.  A run without a disparity has no disparity curves.
+CURVES = ("train_metric", "train_disparity", "val_metric", "val_disparity",
+          "val_objective")
+
+
 @dataclass
 class RunRecord:
     """Everything one training run produced, ready for export.
 
-    Per-epoch curves are argmax-metric and policy-disparity means on the
-    train and validation splits; ``best_epoch`` is where the validation
-    objective (reward minus ``lam`` times disparity) peaked and ``model``
-    holds the parameters from that epoch.  ``delta_lambda`` is the realized
-    mean disparity of the selected policy on the training queries (None
-    when no disparity was configured).
+    ``curves`` maps each name of ``CURVES`` the run has to its per-epoch
+    values; ``best_epoch`` is where the validation objective (reward minus
+    ``lam`` times disparity) peaked and ``model`` holds the parameters from
+    that epoch.  ``delta_lambda`` is the realized mean disparity of the
+    selected policy on the training queries (None when no disparity was
+    configured).
     """
 
     config: dict
     model: ScoringModel
     epochs_run: int
     best_epoch: int
-    train_metric: list[float]
-    val_metric: list[float]
-    val_objective: list[float]
-    train_disparity: list[float] | None
-    val_disparity: list[float] | None
+    curves: dict[str, list[float]]
     delta_lambda: float | None
 
     def to_json_dict(self) -> dict:
@@ -443,21 +450,12 @@ class RunRecord:
             "config": self.config,
             "epochs_run": self.epochs_run,
             "best_epoch": self.best_epoch,
-            "curves": {
-                "train_metric": self.train_metric,
-                "val_metric": self.val_metric,
-                "val_objective": self.val_objective,
-            },
-            "final": {
-                "train_metric": self.train_metric[self.best_epoch - 1],
-                "val_metric": self.val_metric[self.best_epoch - 1],
-            },
+            "curves": self.curves,
+            # The evaluation means at the selected epoch, not the objective.
+            "final": {name: self.curves[name][self.best_epoch - 1]
+                      for name in CURVES[:-1] if name in self.curves},
         }
-        if self.train_disparity is not None:
-            out["curves"]["train_disparity"] = self.train_disparity
-            out["curves"]["val_disparity"] = self.val_disparity
-            out["final"]["train_disparity"] = self.train_disparity[self.best_epoch - 1]
-            out["final"]["val_disparity"] = self.val_disparity[self.best_epoch - 1]
+        if self.delta_lambda is not None:
             out["delta_lambda"] = self.delta_lambda
         return out
 
@@ -499,9 +497,7 @@ class _Member:
     config: TrainConfig
     optimizer: SGD | Adam
     best_model: ScoringModel
-    curves: dict[str, list[float]] = field(default_factory=lambda: {
-        k: [] for k in ("train_metric", "val_metric", "val_objective",
-                        "train_disparity", "val_disparity")})
+    curves: dict[str, list[float]] = field(default_factory=dict)
     best_objective: float = -np.inf
     best_epoch: int = 0
     epochs_run: int = 0
@@ -509,19 +505,9 @@ class _Member:
     error: TrainingError | None = None
 
     def record(self) -> RunRecord:
-        has_disp = self.config.disparity is not None
-        return RunRecord(
-            config=self.config.echo(),
-            model=self.best_model,
-            epochs_run=self.epochs_run,
-            best_epoch=self.best_epoch,
-            train_metric=self.curves["train_metric"],
-            val_metric=self.curves["val_metric"],
-            val_objective=self.curves["val_objective"],
-            train_disparity=self.curves["train_disparity"] if has_disp else None,
-            val_disparity=self.curves["val_disparity"] if has_disp else None,
-            delta_lambda=self.delta_lambda,
-        )
+        return RunRecord(config=self.config.echo(), model=self.best_model,
+                         epochs_run=self.epochs_run, best_epoch=self.best_epoch,
+                         curves=self.curves, delta_lambda=self.delta_lambda)
 
 
 def _train_grid(train_set: Dataset, val_set: Dataset,
@@ -619,15 +605,13 @@ def _end_epoch(member: _Member, model: ScoringModel, epoch: int,
     and tell whether its early stopping ends its run."""
     config = member.config
     member.epochs_run = epoch
-    curves = member.curves
-    curves["train_metric"].append(on_train.mean_metric)
-    curves["val_metric"].append(on_val.mean_metric)
     val_disp = on_val.mean_disparity if config.disparity is not None else 0.0
     objective = config.metric.sign * on_val.mean_metric - config.lam * val_disp
-    curves["val_objective"].append(objective)
-    if config.disparity is not None:
-        curves["train_disparity"].append(on_train.mean_disparity)
-        curves["val_disparity"].append(on_val.mean_disparity)
+    values = (on_train.mean_metric, on_train.mean_disparity, on_val.mean_metric,
+              on_val.mean_disparity, objective)
+    for name, value in zip(CURVES, values):
+        if value is not None:
+            member.curves.setdefault(name, []).append(value)
 
     if objective > member.best_objective:
         member.best_objective = objective

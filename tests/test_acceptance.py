@@ -351,7 +351,7 @@ def test_learns_separable_dataset_to_perfect_ndcg(capsys):
         model="linear", seed=0, patience=0, eval_samples=8)
     record = trainer.train(ds, ds, cfg)
     elapsed = time.monotonic() - started
-    first_perfect = next((i + 1 for i, v in enumerate(record.train_metric)
+    first_perfect = next((i + 1 for i, v in enumerate(record.curves["train_metric"])
                           if v == 1.0), None)
     ok = at_init < 1.0 and first_perfect is not None and elapsed < 60.0
     report(capsys, ok, f"learnability: init ndcg {at_init:.4f}, reached 1.0 at "

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior, byte determinism, failure modes."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,19 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["baseline", "--epochs", 9],
     ["baseline", "--seed", 4],
     ["baseline", "--config", "TOP1"],
+    ["generate", "simulated", "--seed=-1"],
+    ["generate", "from-table", "--seed=-1"],
+    ["train", "--seed=-1"],
+    ["train", "--split-seed=-1"],
+    ["sweep", "--seeds=0,-1"],
+    ["sweep", "--split-seed=-1"],
+    ["baseline", "--method", "top1", "--seed=-1"],
+    ["eval", "--seed=-1"],
+    ["sweep", "--lambdas", ","],
+    ["baseline", "--lambdas", ","],
+    ["baseline", "--method", "top1", "--lambdas", ","],
+    ["train", "--optimizer", "rmsprop"],
+    ["train", "--epochs", "many"],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
 def test_bad_configuration_is_a_clean_error_before_any_work(
         tmp_path, dataset_dir, capsys, argv):
@@ -191,12 +207,23 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
 def test_a_flag_the_command_does_not_take_is_refused_before_any_work(
         tmp_path, capsys, argv):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        run([*argv, "--out", out])
-    assert exit_info.value.code == 2
+    assert run([*argv, "--out", out]) == 1
     flag, value = argv[-2:]
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: fairltr: unrecognized arguments: {flag} {value}\n")
     assert not out.exists()
+
+
+def test_usage_errors_exit_1_with_an_error_line_and_help_exits_0(capsys):
+    assert run(["train"]) == 1
+    assert capsys.readouterr().err == (
+        "error: fairltr train: the following arguments are required: --out\n")
+    assert run([]) == 1
+    assert capsys.readouterr().err.startswith("error: fairltr: ")
+    with pytest.raises(SystemExit) as exit_info:
+        run(["train", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fairltr train")
 
 
 @pytest.mark.parametrize("command", [
@@ -606,3 +633,14 @@ def test_sweep_reports_a_failing_member_and_keeps_the_others(tmp_path, wide_dir,
     assert same_run_files(tmp_path / "sw" / "run-lam0-seed0", tmp_path / "train")
     assert not (tmp_path / "sw" / "run-lam1e+308-seed0").exists()
     assert [r[0] for r in read_rows(tmp_path / "sw" / "summary.csv")[1:]] == ["0.0"]
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    """The runtime needs numpy only; scipy is the test-time LP oracle."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, fairltr, fairltr.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "[]\n"

@@ -330,6 +330,54 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, kind, bias):
     assert (tmp_path / "second.txt").read_text() == path.read_text()
 
 
+@pytest.mark.parametrize("model,text", [
+    (policy.LinearModel(np.array([0.5, -0.25])),
+     "kind linear\nfeature_dim 2\nbias 0\nw 0.5 -0.25\n"),
+    (policy.LinearModel(np.array([0.5, -0.25]), np.array([0.1])),
+     "kind linear\nfeature_dim 2\nbias 1\nw 0.5 -0.25\nb 0.10000000000000001\n"),
+    (policy.MLP1Model(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                      np.array([0.5, -0.5]), np.array([2.0, -1.0]), np.array([0.125])),
+     "kind mlp1\nfeature_dim 3\nhidden 2\nW 1 2\nW 3 4\nW 5 6\n"
+     "b_hidden 0.5 -0.5\nw_out 2 -1\nb_out 0.125\n"),
+], ids=["linear", "linear-bias", "mlp1"])
+def test_save_model_writes_the_checkpoint_format(tmp_path, model, text):
+    """A line per header field, then a line per part or matrix row."""
+    path = tmp_path / "model.txt"
+    policy.save_model(model, path)
+    assert path.read_text(encoding="ascii") == "fairltr-model 1\n" + text
+    assert policy.models_equal(policy.load_model(path), model)
+
+
+LINEAR_HEAD = "fairltr-model 1\nkind linear\nfeature_dim 2\n"
+MLP1_HEAD = "fairltr-model 1\nkind mlp1\nfeature_dim 2\nhidden 2\n"
+MLP1_TAIL = "b_hidden 0.1 0.2\nw_out 0.5 0.6\nb_out 0\n"
+
+
+@pytest.mark.parametrize("text,key", [
+    (LINEAR_HEAD + "bias 0\nw 0.1 0.2\nw 0.3 0.4\n", "w"),
+    (MLP1_HEAD + "W 1 2\nW 3 4\n" + MLP1_TAIL + "b_out 1\n", "b_out"),
+    (LINEAR_HEAD + "bias 0\nw 0.1 0.2\nb 0.3\n", "b"),
+    (MLP1_HEAD + "bias 1\nW 1 2\nW 3 4\n" + MLP1_TAIL, "bias"),
+    (LINEAR_HEAD + "bias 1\nw 0.1 0.2\n", "b"),
+    (MLP1_HEAD + "W 1 2\nb_hidden 0.1 0.2\nw_out 0.5 0.6\nb_out 0\n", "W"),
+    (LINEAR_HEAD + "bias 0\n", "w"),
+    (LINEAR_HEAD + "w 0.1 0.2\n", "bias"),
+    (LINEAR_HEAD + "bias 0\nw 0.1 0.2 0.3\n", "w"),
+    (LINEAR_HEAD + "bias 1\nw 0.1 0.2\nb 0.3 0.4\n", "b"),
+    (MLP1_HEAD + "W 1 2 3\nW 3 4 5\n" + MLP1_TAIL, "W"),
+], ids=["duplicate-w", "duplicate-b_out", "b-under-bias-0", "bias-in-mlp1",
+        "missing-b", "missing-W-row", "missing-w", "missing-bias-field",
+        "long-w", "long-b", "long-W-rows"])
+def test_load_model_refuses_a_part_out_of_layout_naming_its_key(tmp_path, text, key):
+    """A duplicate single-row line, a line the header does not declare, a
+    missing part or header field and a part of the wrong length are all
+    refused, with the key named."""
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(policy.CheckpointError, match=f"'{key}'"):
+        policy.load_model(path)
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a checkpoint\n")
@@ -405,6 +453,8 @@ def test_with_params_copies_into_a_model_of_the_same_shape(kind, bias):
         np.testing.assert_array_equal(model.params, block.params[k])
         for a in block.param_arrays():
             assert np.shares_memory(a, block.params)
+    with pytest.raises(ValueError, match="parameters, expected"):
+        block.with_params(block.params[:, 1:])
 
 
 def test_save_model_refuses_a_member_block(tmp_path):

@@ -414,7 +414,8 @@ def test_sgd_and_adam_both_improve_utility():
     for opt, lr in (("sgd", 0.05), ("adam", 0.01)):
         rec = trainer.train(tr, va, base_config(optimizer=opt, epochs=10,
                                                 learning_rate=lr))
-        assert rec.train_metric[rec.best_epoch - 1] >= rec.train_metric[0] - 0.02
+        curve = rec.curves["train_metric"]
+        assert curve[rec.best_epoch - 1] >= curve[0] - 0.02
 
 
 def test_err_grade_below_top_relevance_fails_before_epoch_one(monkeypatch):
