@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Query
+from .data import Dataset, Query, require_seed
 from .fairness import DisparityConfig, MeritFunction, group_rows, hinge_mean, \
     ranking_exposures
 from .metrics import gains, ideal_dcg, position_bias_vector
@@ -182,6 +182,7 @@ def train_top1_baseline(dataset: Dataset, lam: float,
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
     require_top1_settings(learning_rate, epochs)
+    require_seed(seed)
     targets = [_top1_target(query.relevances) for query in dataset]
     pickers = [_group_picker(query.groups) if lam > 0.0 else None
                for query in dataset]

@@ -53,10 +53,18 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are ``CliError``s, like every other
-    refusal; ``--help`` still exits 0."""
+    refusal; ``--help`` still exits 0.  Each parser refuses the arguments it
+    does not know itself, so the error names the command that was given
+    them, not the top-level parser that would collect them."""
 
     def error(self, message: str):
         raise CliError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,13 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
     return True
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a negative seed up front, naming it; numpy would refuse it
+    only where the generator is made, as "expected non-negative integer"."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
                        minority_prob: float = 0.2, seed: int = 0) -> Dataset:
     """Two-feature synthetic data with a biased feature for the minority.
@@ -330,6 +337,7 @@ def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
     documents the stored x2 is replaced by 0, so a scorer that leans on x2
     systematically under-ranks them.
     """
+    require_seed(seed)
     if num_queries < 1 or docs_per_query < 1:
         raise DataError("need at least one query and one document per query")
     if not 0.0 <= minority_prob <= 1.0:
@@ -361,6 +369,7 @@ def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
     remaining label-1 rows, without replacement within the query and with
     replacement across queries, then shuffles the candidate order.
     """
+    require_seed(seed)
     if candidate_size < 2:
         raise DataError("candidate_size must be >= 2")
     if not 0.0 <= relevant_fraction <= 1.0:
@@ -422,6 +431,7 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed: int = 0
                   ) -> tuple[Dataset, Dataset]:
     """Random query-level split; both sides keep dataset query order and at
     least one query each."""
+    require_seed(seed)
     n = len(dataset)
     if n < 2:
         raise DataError("need at least two queries to split")

@@ -102,8 +102,8 @@ class ExposureVector:
     """Per-document expected exposure plus how it was estimated.
 
     ``mode`` is ``"exact"`` (position marginals from the placed-subset DP)
-    or ``"mc"``.  ``values`` is ``(n,)``, or ``(Q, n)`` for a Monte-Carlo
-    block of Q score vectors.
+    or ``"mc"``.  ``values`` has the shape of the scores: ``(n,)``, or
+    ``(Q, n)`` or ``(K, Q, n)`` for a block.
     """
 
     values: np.ndarray
@@ -114,27 +114,27 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
                        rng: np.random.Generator | None = None) -> ExposureVector:
     """Expected exposure under the Plackett-Luce policy at ``scores``.
 
+    ``scores`` is one score vector, a ``(Q, n)`` block of Q score vectors,
+    or a ``(K, Q, n)`` block of K members' score blocks, and ``values`` has
+    the same shape.
+
     Up to ``ENUMERATION_LIMIT`` documents it is exact: ``M @
     position_bias_vector(n)`` from the position marginals ``M`` of
-    ``policy.position_marginals``, a DP over placed subsets in O(2^n n)
-    that draws no random numbers and takes one score vector.  Above it, it
-    is the mean over ``num_samples`` sampled rankings.
+    ``policy.position_marginals``, one DP over placed subsets in O(2^n n)
+    for the whole block, which draws no random numbers.  Every vector's
+    values have the bits of a call on that vector alone.
 
-    A Monte-Carlo ``scores`` may also be a ``(Q, n)`` block of Q score
-    vectors: ``values`` is then ``(Q, n)``, and equals Q calls on the rows
-    one after another with the same ``rng``, bit for bit.  It may be a
-    ``(K, Q, n)`` block of K members' score blocks too: ``values`` is then
-    ``(K, Q, n)``, and member k's equal a call on ``scores[k]`` alone with
-    ``rng`` in the same state.  The one ``(Q, num_samples, n)`` draw is made
-    once (``policy.gumbel_noise``); each member ranks by it
-    (``policy.sample_rankings``) and reduces (``mc_exposure``) in turn, so
-    no member block of rankings is built.
+    Above it, it is the mean over ``num_samples`` sampled rankings.  A
+    ``(Q, n)`` block equals Q calls on the rows one after another with the
+    same ``rng``, bit for bit, and member k of a ``(K, Q, n)`` block equals
+    a call on ``scores[k]`` alone with ``rng`` in the same state.  The one
+    ``(Q, num_samples, n)`` draw is made once (``policy.gumbel_noise``);
+    each member ranks by it (``policy.sample_rankings``) and reduces
+    (``mc_exposure``) in turn, so no member block of rankings is built.
     """
     s = np.asarray(scores, dtype=float)
     n = s.shape[-1]
     if n <= ENUMERATION_LIMIT:
-        if s.ndim != 1:
-            raise ValueError("exact exposure takes one score vector")
         values = policy.position_marginals(s) @ position_bias_vector(n)
         return ExposureVector(values=values, mode="exact")
     if rng is None:

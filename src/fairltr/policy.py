@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,53 +253,102 @@ def draw_policy_sample(scores: np.ndarray, size: int, rng: np.random.Generator) 
 # ---------------------------------------------------------------------------
 
 
-def placement_flows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plackett-Luce probability flow through the sets of placed documents.
+class _SubsetLayout(NamedTuple):
+    """What the subset DP at n documents needs of the subsets alone.
 
-    Returns ``(placed, flows)``, both of shape ``(2**n, n)`` and indexed by
-    subset ``S`` (bit ``d`` of the row index set iff document ``d`` is in
-    ``S``).  ``placed[S, d]`` tells whether ``d`` is in ``S``, and
-    ``flows[S, d]`` is the probability that the first ``|S|`` positions hold
-    exactly the documents of ``S``, in any order, and that ``d`` takes
-    position ``|S| + 1``.  Sampling forgets the order of the placed
-    documents, so a DP over subsets of increasing size gives every flow in
-    O(2^n n) time and memory, where enumerating rankings costs O(n! n).
+    Subset ``S`` is the integer whose bit ``d`` is set iff document ``d``
+    is in ``S``.  The DP works on ``(..., n, 2**n)`` arrays, document-major
+    so that every sum over documents adds whole rows, with the subsets in
+    order of size, so that each size is one slice of columns.
+
+    ``placed[S, d]``: whether ``d`` is in ``S``, ``(2**n, n)``, by ``S``.
+    ``unplaced[d, c]``: 1.0 iff ``d`` is not in the subset of column ``c``.
+    ``layers[k - 1]``: the slice of columns of the subsets of size ``k``.
+    ``parents[k - 1][d, i]``: for the i-th subset ``S`` of size ``k``, the
+    flat index in a document-major ``(n, 2**n)`` array of the flow of
+    ``S - {d}`` to ``d`` (for ``d`` outside ``S``, of ``S + {d}``, whose flow
+    to ``d`` is zero).
+    ``columns[S]``: the column of subset ``S``.
+    ``onehot[S, j]``: 1.0 iff ``|S| == j``.
     """
-    s = clip_scores(scores)
-    n = s.shape[0]
+
+    placed: np.ndarray
+    unplaced: np.ndarray
+    layers: tuple[slice, ...]
+    parents: tuple[np.ndarray, ...]
+    columns: np.ndarray
+    onehot: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_layout(n: int) -> _SubsetLayout:
+    """The ``_SubsetLayout`` of ``n`` documents, built once per ``n`` and
+    shared, so its arrays are read-only."""
     subsets = np.arange(1 << n)
     bits = 1 << np.arange(n)
     placed = (subsets[:, None] & bits) != 0
-    unplaced_weights = np.where(placed, 0.0, np.exp(s - s.max()))
+    sizes = placed.sum(axis=1)
+    by_size = np.argsort(sizes, kind="stable")
+    columns = np.argsort(by_size)
+    starts = np.searchsorted(sizes[by_size], np.arange(n + 2))
+    layers = tuple(slice(starts[k], starts[k + 1]) for k in range(1, n + 1))
+    offsets = (np.arange(n) << n)[:, None]
+    parents = tuple(offsets + columns[by_size[layer] ^ bits[:, None]] for layer in layers)
+    layout = _SubsetLayout(placed, (~placed[by_size].T).astype(float), layers,
+                           parents, columns, (sizes[:, None] == np.arange(n)) * 1.0)
+    for array in (placed, layout.unplaced, *parents, columns, layout.onehot):
+        array.flags.writeable = False
+    return layout
+
+
+def placement_flows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plackett-Luce probability flow through the sets of placed documents.
+
+    Returns ``(placed, flows)``, indexed by subset ``S`` (bit ``d`` of the
+    row index set iff document ``d`` is in ``S``).  ``placed``, ``(2**n,
+    n)``, tells whether ``d`` is in ``S``; it is shared read-only.
+    ``flows[..., S, d]`` is the probability that the first ``|S|`` positions
+    hold exactly the documents of ``S``, in any order, and that ``d`` takes
+    position ``|S| + 1``.  Sampling forgets the order of the placed
+    documents, so a DP over subsets of increasing size gives every flow in
+    O(2^n n) time and memory, where enumerating rankings costs O(n! n).
+
+    ``scores`` is ``(..., n)``: one score vector, or a block such as the
+    ``(K, Q, n)`` scores of K members on Q queries, whose flows are
+    ``(..., 2**n, n)``, one DP for the whole block.  Every vector's flows
+    have the bits of a call on that vector alone.
+    """
+    s = clip_scores(scores)
+    n = s.shape[-1]
+    layout = _subset_layout(n)
+    pick = layout.unplaced * np.exp(s - s.max(axis=-1, keepdims=True))[..., None]
     # Sum over the unplaced documents, not total minus placed: at scores of
     # +-SCORE_CLAMP that difference cancels to zero.
-    remaining = unplaced_weights.sum(axis=1)
-    remaining[-1] = 1.0  # nothing left to place after the full set
-    pick = unplaced_weights / remaining[:, None]
+    remaining = pick.sum(axis=-2)
+    remaining[..., -1] = 1.0  # nothing left to place after the full set
+    pick /= remaining[..., None, :]
 
-    sizes = placed.sum(axis=1)
-    parents = subsets[:, None] ^ bits
-    docs = np.arange(n)
-    flows = np.zeros((1 << n, n))
-    flows[0] = pick[0]
-    for size in range(1, n + 1):
-        layer = np.flatnonzero(sizes == size)
-        # Flow into S comes from S - {d} placing d; for d outside S the
-        # "parent" is S + {d}, whose flow to d is zero.
-        reach = flows[parents[layer], docs].sum(axis=1)
-        flows[layer] = reach[:, None] * pick[layer]
-    return placed, flows
+    flows = np.zeros(pick.shape)
+    flows[..., 0] = pick[..., 0]
+    flat = flows.reshape(*flows.shape[:-2], -1)
+    for layer, parents in zip(layout.layers, layout.parents):
+        # Flow into S comes from S - {d} placing d.
+        reach = flat.take(parents, axis=-1).sum(axis=-2)
+        np.multiply(reach[..., None, :], pick[..., layer], out=flows[..., layer])
+    return layout.placed, flows.swapaxes(-1, -2).take(layout.columns, axis=-2)
 
 
 def position_marginals(scores: np.ndarray) -> np.ndarray:
-    """``M[d, j]``: probability that document ``d`` lands at 0-based position
-    ``j`` under the policy at ``scores``; every row and column sums to 1.
+    """``M[..., d, j]``: probability that document ``d`` lands at 0-based
+    position ``j`` under the policy at ``scores``; every row and column sums
+    to 1.
 
-    Exact, from ``placement_flows`` in O(2^n n).
+    Exact, from ``placement_flows`` in O(2^n n).  A ``(..., n)`` block of
+    score vectors gives ``(..., n, n)``, reduced by one stacked product,
+    each vector's marginals with the bits of its own call.
     """
-    placed, flows = placement_flows(scores)
-    n = placed.shape[1]
-    return flows.T @ (placed.sum(axis=1)[:, None] == np.arange(n))
+    _, flows = placement_flows(scores)
+    return flows.swapaxes(-1, -2) @ _subset_layout(flows.shape[-1]).onehot
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,20 @@ grows), and only the smooth inner expectation contributes gradient.
 Evaluation, after every epoch and for the selected models, is one pass
 per split for a model or a member block (``_evaluate``).  Each run of
 consecutive equal-size queries is cut into blocks of at most
-``EVAL_BLOCK_DRAWS`` draws, so memory does not grow with the split.  A
+``EVAL_BLOCK_DRAWS`` entries, so memory does not grow with the split.  A
 block's features are stacked and scored by each member, all members'
 argmax rankings come from one stable ``argsort``, and each metric values
-them in one ``batch_values`` call.  Policy exposures come from
-``exposure_of_policy``: exact, one score vector at a time, for small
-queries; for larger ones, one Monte-Carlo call per block for all members,
-which makes one draw that every member ranks by
+them in one ``batch_values`` call.  Policy exposures come from one
+``exposure_of_policy`` call per block for all members: exact for small
+queries, one subset DP over the whole block; for larger ones, Monte
+Carlo, with one draw that every member ranks by
 (``policy.sample_rankings``) and reduces (``mc_exposure``) on its own.
 Each member evaluated alone would draw the same numbers in the same
-order, so every member gets the bits of its own pass.  The position bias vector of each length is built once and
-shared read-only, and each query keeps its metric constants (gains, ideal
-DCG, ERR stop probabilities) and its hinge rows, so training steps and
-evaluations pass the query itself to the metric and the disparity.
+order, so every member gets the bits of its own pass.  The position bias
+vector of each length is built once and shared read-only, and each query
+keeps its metric constants (gains, ideal DCG, ERR stop probabilities) and
+its hinge rows, so training steps and evaluations pass the query itself to
+the metric and the disparity.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from . import policy
-from .data import Dataset, Query
+from .data import Dataset, Query, require_seed
 from .fairness import DisparityConfig, HingeRows, exposure_of_policy, hinge_gaps, \
     hinge_weights, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
@@ -114,6 +115,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        require_seed(self.seed)
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:
@@ -284,13 +286,16 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     one.
 
     Each run of consecutive equal-size queries is cut into blocks of as
-    many queries as ``EVAL_BLOCK_DRAWS`` draws hold (at least one).  A
-    block's features are stacked once and scored by each member with
-    stacked products, all members' argmax rankings come from one stable
-    ``argsort``, and each metric values them in one ``batch_values`` call.
-    With a disparity, ``_policy_exposures`` gives the policy exposures of
-    every member, and ``from_exposures`` the disparities of all members at
-    once, per query.  Every member's values have the bits of its own pass.
+    many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at least one): the
+    ``eval_samples * n`` uniform draws of a Monte-Carlo query, or the
+    ``2**n * n`` flows of an exact one.  A block's features are stacked
+    once and scored by each member with stacked products, all members'
+    argmax rankings come from one stable ``argsort``, and each metric
+    values them in one ``batch_values`` call.  With a disparity, one
+    ``exposure_of_policy`` call gives the policy exposures of every member
+    on the block, and ``from_exposures`` the disparities of all members at
+    once, per query.  Every member's values have the bits of its own pass;
+    an exact block draws nothing, so where it is cut changes no bits.
     """
     members = ([model] if model.params.ndim == 1
                else [model.with_params(params) for params in model.params])
@@ -301,7 +306,8 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     start = 0
     for n, run in itertools.groupby(queries, key=len):
         run = tuple(run)
-        per_block = max(1, EVAL_BLOCK_DRAWS // (eval_samples * n))
+        rows = 1 << n if n <= ENUMERATION_LIMIT else eval_samples
+        per_block = max(1, EVAL_BLOCK_DRAWS // (rows * n))
         for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
             stop = start + len(block)
             features = np.array([q.feature_matrix for q in block])
@@ -310,7 +316,8 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
             for column, each in zip(columns, scored):
                 column[:, start:stop] = each.batch_values(orders, block)[..., 0]
             if disparity is not None:
-                exposures = _policy_exposures(scores, eval_samples, rng)
+                exposures = exposure_of_policy(scores, num_samples=eval_samples,
+                                               rng=rng).values
                 for index, query in enumerate(block):
                     disparities[:, start + index] = disparity.from_exposures(
                         exposures[:, index], query)
@@ -329,27 +336,11 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     ) for k in range(len(members))]
 
 
-# Most uniform draws one Monte-Carlo evaluation block takes at once: its
-# draws, and each member's rankings and their exposures, are about 1 MB
-# each, however long the run of equal-size queries.
+# Most entries one evaluation block takes at once: a Monte-Carlo block's
+# uniform draws, and each member's rankings and their exposures, or each
+# member's exact subset flows, are about 1 MB each, however long the run
+# of equal-size queries.
 EVAL_BLOCK_DRAWS = 1 << 17
-
-
-def _policy_exposures(scores: np.ndarray, eval_samples: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """``exposure_of_policy`` at a ``(K, Q, n)`` block of K members' scores
-    of Q equal-size queries, ``(K, Q, n)``.
-
-    Exact exposures draw nothing and take one score vector per call.  Above
-    ``ENUMERATION_LIMIT`` documents the block is one Monte-Carlo call of
-    ``eval_samples`` rankings per query, drawn in query order and shared by
-    the members: each member's estimates, and the generator's state after
-    the pass, equal those of one call per query for that member alone.
-    """
-    if scores.shape[-1] <= ENUMERATION_LIMIT:
-        return np.array([[exposure_of_policy(s).values for s in member]
-                         for member in scores])
-    return exposure_of_policy(scores, num_samples=eval_samples, rng=rng).values
 
 
 def require_defined_metric(metric: UtilityMetric,
@@ -399,12 +390,13 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     equal-size queries) otherwise.  A ``(K, P)`` member block gives a list
     of K summaries, member k's equal to evaluating it alone: the members
     share every draw.  Raises ``ValueError`` before any work if
-    ``eval_samples`` is below 1, if a metric is undefined on the dataset
+    ``eval_samples`` is below 1, if ``seed`` is negative, if a metric is undefined on the dataset
     (``require_defined_metric``), or if group disparity is asked of a
     dataset without group labels.
     """
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
+    require_seed(seed)
     for each in (metric, *extra_metrics):
         require_defined_metric(each, [("evaluation", dataset)])
     require_group_labels(disparity, [("evaluation", dataset)])

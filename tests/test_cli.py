@@ -210,7 +210,8 @@ def test_a_flag_the_command_does_not_take_is_refused_before_any_work(
     assert run([*argv, "--out", out]) == 1
     flag, value = argv[-2:]
     assert capsys.readouterr().err == (
-        f"error: fairltr: unrecognized arguments: {flag} {value}\n")
+        f"error: fairltr {' '.join(argv[:-2])}: unrecognized arguments: "
+        f"{flag} {value}\n")
     assert not out.exists()
 
 

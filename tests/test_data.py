@@ -291,3 +291,13 @@ def test_encode_table_mixes_numeric_and_categorical():
 def test_encode_table_zeroes_constant_columns():
     out = data.encode_table([["2", "a"], ["2", "a"]])
     np.testing.assert_allclose(out, 0.0)
+
+
+def test_a_negative_seed_is_refused_up_front_naming_the_seed():
+    records = [(np.zeros(2), i % 2, None) for i in range(20)]
+    ds = data.generate_simulated(num_queries=4, docs_per_query=3, seed=0)
+    for make in (lambda: data.generate_simulated(num_queries=4, seed=-1),
+                 lambda: data.convert_binary_table(records, seed=-1),
+                 lambda: data.split_dataset(ds, 0.5, seed=-1)):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            make()

@@ -87,3 +87,47 @@ def test_exact_paths_never_enumerate(monkeypatch):
     assert expo.values.sum() == pytest.approx(metrics.position_bias_vector(7).sum())
     for metric in METRICS:
         assert np.isfinite(metrics.expected_utility(scores, rels, metric))
+
+
+def score_block(n, rng):
+    """A ``(K, Q, n)`` block of three members on the ``score_cases`` rows
+    plus scores at +-SCORE_CLAMP, scaled per member so that some random
+    rows hit the clamp."""
+    rows = [*score_cases(n, rng).values(), np.full(n, policy.SCORE_CLAMP),
+            np.full(n, -policy.SCORE_CLAMP), rng.normal(scale=40.0, size=n)]
+    return np.stack([np.array(rows) * scale for scale in (1.0, -1.0, 3.0)])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_score_block_takes_one_dp_with_the_bits_of_each_vector(n):
+    """Flows, position marginals and exposures of a block equal its rows'
+    calls one at a time, byte for byte."""
+    block = score_block(n, np.random.default_rng(200 + n))
+    rows = block.reshape(-1, n)
+    _, flows = policy.placement_flows(block)
+    assert flows.shape == (*block.shape[:-1], 2 ** n, n)
+    want_flows = np.array([policy.placement_flows(s)[1] for s in rows])
+    assert flows.tobytes() == want_flows.tobytes()
+    marginals = policy.position_marginals(block)
+    assert marginals.shape == (*block.shape, n)
+    want_marginals = np.array([policy.position_marginals(s) for s in rows])
+    assert marginals.tobytes() == want_marginals.tobytes()
+    for scores in (block, block[0]):
+        expo = fairness.exposure_of_policy(scores)
+        want = [fairness.exposure_of_policy(s).values for s in scores.reshape(-1, n)]
+        assert expo.mode == "exact" and expo.values.shape == scores.shape
+        assert expo.values.tobytes() == np.array(want).tobytes()
+
+
+def test_the_cached_subset_layout_is_read_only():
+    placed, _ = policy.placement_flows(np.zeros(4))
+    assert placed is policy.placement_flows(np.ones((2, 4)))[0]
+    with pytest.raises(ValueError):
+        placed[0, 0] = True
+    layout = policy._subset_layout(4)
+    assert layout is policy._subset_layout(4)
+    for array in (layout.unplaced, *layout.parents, layout.columns, layout.onehot):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert not placed[0].any()
+    np.testing.assert_array_equal(policy.position_marginals(np.zeros(4)), 0.25)

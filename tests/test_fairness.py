@@ -360,7 +360,9 @@ def test_group_rows_are_kept_with_each_query_and_read_only():
 def test_exposure_of_a_score_block_equals_one_call_per_row():
     """A Monte-Carlo ``(Q, n)`` block is one sampler call whose
     estimates and generator state are those of Q calls on the rows, and a
-    ``(K, Q, n)`` block of members gives each member's block."""
+    ``(K, Q, n)`` block of members gives each member's block.  An exact
+    block of either shape is one subset DP with the bits of a call per
+    row."""
     scores = np.random.default_rng(4).normal(size=(5, 9))
     block_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
     block = fairness.exposure_of_policy(scores, num_samples=11, rng=block_rng)
@@ -381,8 +383,12 @@ def test_exposure_of_a_score_block_equals_one_call_per_row():
         assert shared.values[k].tobytes() == alone.values.tobytes()
         assert member_rng.bit_generator.state == alone_rng.bit_generator.state
     np.testing.assert_array_equal(shared.values[0], block.values)
-    with pytest.raises(ValueError, match="one score vector"):
-        fairness.exposure_of_policy(scores[:, :4])
+    for exact in (scores[:, :4], members[..., :4]):
+        got = fairness.exposure_of_policy(exact)
+        rows = [fairness.exposure_of_policy(s).values
+                for s in exact.reshape(-1, 4)]
+        assert got.mode == "exact" and got.values.shape == exact.shape
+        assert got.values.tobytes() == np.array(rows).tobytes()
 
 
 def test_mc_exposure_counts_positions():

@@ -59,10 +59,10 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
     ``trainer.evaluate`` call.  Above ``ENUMERATION_LIMIT`` documents its
     Monte-Carlo block is one ``exposure_of_policy`` call whose one draw the
     members share, and one sampler call of ``Q * S`` rankings per member;
-    at the limit every member's exposure of every query is one exact call
-    of one vector, and nothing is sampled.  Each metric values the block
-    in one call, so ``metrics.value`` is not called, and each query's
-    disparities of all members are one ``from_exposures`` call."""
+    at the limit the whole ``(K, Q, n)`` block is one exact call, and
+    nothing is sampled.  Each metric values the block in one call, so
+    ``metrics.value`` is not called, and each query's disparities of all
+    members are one ``from_exposures`` call."""
     queries, samples = 6, 12
     for members, docs in itertools.product((1, 3), (ENUMERATION_LIMIT + 3,
                                                     ENUMERATION_LIMIT)):
@@ -95,10 +95,12 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
         else:
             assert "fairness.exposure_mc.calls" not in counts
             assert "policy.sample_rankings.calls" not in counts
-            assert counts["fairness.exposure_exact.calls"] == members * queries
-            # The tracer counts len(values)! rankings per exact call.
+            assert queries * 2 ** docs * docs <= trainer.EVAL_BLOCK_DRAWS
+            assert counts["fairness.exposure_exact.calls"] == 1
+            # The tracer counts len(values)! rankings per exact call, the
+            # factorial of the block's leading (member) axis.
             assert counts["fairness.exposure_exact.rankings_enumerated"] == \
-                members * queries * math.factorial(docs)
+                math.factorial(members)
 
 
 @pytest.mark.parametrize("model", ["linear", "mlp1"])
@@ -168,3 +170,27 @@ def test_tracer_counts_one_optimizer_step_per_member_step_of_a_grid(model):
     assert counts["fairness.exposure_mc.calls"] == 2 * configs[0].epochs + 1
     evaluation_samples = counts["policy.sample_rankings.calls"] - steps
     assert evaluation_samples == len(configs) * (2 * configs[0].epochs + 1)
+
+
+def test_tracer_names_an_exact_member_block_and_counts_it():
+    """The tracer names the exposure layer by ``result.mode`` and counts an
+    exact result by its ``len``; a ``(K, Q, n)`` exact block, which the
+    evaluation passes whole, is named ``fairness.exposure_exact`` and counted
+    without error, directly and through the installed wrapper."""
+    tracer_module = load_tracer_module()
+    scores = np.random.default_rng(6).normal(size=(3, 4, ENUMERATION_LIMIT))
+    result = fairness.exposure_of_policy(scores)
+    assert result.values.shape == scores.shape
+    assert tracer_module._exposure_layer(result) == "fairness.exposure_exact"
+    assert tracer_module._enumerated((scores,), result) == {
+        "rankings_enumerated": math.factorial(3)}
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        traced = trainer.exposure_of_policy(scores)
+    finally:
+        tracer.remove()
+    assert traced.values.tobytes() == result.values.tobytes()
+    counts = tracer.snapshot()
+    assert counts["fairness.exposure_exact.calls"] == 1
+    assert counts["fairness.exposure_exact.rankings_enumerated"] == math.factorial(3)

@@ -4,7 +4,7 @@ import copy
 import numpy as np
 import pytest
 
-from fairltr import data, fairness, metrics, policy, trainer
+from fairltr import baselines, data, fairness, metrics, policy, trainer
 from fairltr.ranking import ENUMERATION_LIMIT
 import oracle
 
@@ -36,6 +36,17 @@ def test_config_refuses_a_negative_weight_or_rate(field):
     with pytest.raises(ValueError, match=field):
         base_config(disparity=group, **{field: -1.0})
     base_config(disparity=group, **{field: 0.0})
+
+
+def test_a_negative_seed_is_refused_before_any_work():
+    ds = data.generate_simulated(num_queries=4, docs_per_query=3, seed=0)
+    model = policy.LinearModel(np.zeros(ds.feature_dim))
+    for start in (lambda: trainer.TrainConfig(seed=-1),
+                  lambda: trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"),
+                                           seed=-1),
+                  lambda: baselines.train_top1_baseline(ds, 0.0, seed=-1)):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            start()
 
 
 def test_config_echo_round_trips_core_fields():
@@ -290,7 +301,8 @@ def test_block_evaluation_matches_per_query_reference_on_a_ragged_split(kind):
 def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
     """With blocks of at most two queries' draws, a run of five equal-size
     queries takes three Monte-Carlo calls, each for both members of a block,
-    and the pass still equals each member's per-query loop bit for bit."""
+    and the pass still equals each member's per-query loop bit for bit.  The
+    exact query of three documents is one call for both members."""
     calls = []
 
     def counted(scores, *args, **kwargs):
@@ -305,7 +317,7 @@ def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
     metric = metrics.UtilityMetric("ndcg")
     block_rng = np.random.default_rng(5)
     got = trainer._evaluate(block, ds, metric, disparity, 16, block_rng)
-    assert calls == [(2, 2, 10), (2, 2, 10), (2, 1, 10), (2, 1, 9), (3,), (3,)]
+    assert calls == [(2, 2, 10), (2, 2, 10), (2, 1, 10), (2, 1, 9), (2, 1, 3)]
     assert all(np.prod(shape[1:]) * 16 <= trainer.EVAL_BLOCK_DRAWS
                for shape in calls if len(shape) == 3)
     for k, summary in enumerate(got):
@@ -316,6 +328,34 @@ def test_long_runs_are_cut_into_blocks_in_query_order(monkeypatch):
         assert summary.metric_values == want_metric
         assert summary.disparity_values == want_disparity
     assert block_rng.random() == reference_rng.random()
+
+
+def test_exact_runs_are_cut_by_their_subset_rows(monkeypatch):
+    """An exact query counts its ``2**n`` subset rows of ``n`` flows where a
+    Monte-Carlo one counts its draws: with room for two five-document
+    queries, a run of five takes three calls.  The pass draws nothing and
+    equals each member's per-query loop bit for bit."""
+    calls = []
+
+    def counted(scores, *args, **kwargs):
+        calls.append(np.shape(scores))
+        return fairness.exposure_of_policy(scores, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "EVAL_BLOCK_DRAWS", 2 * 2 ** 5 * 5 + 1)
+    monkeypatch.setattr(trainer, "exposure_of_policy", counted)
+    ds = ragged_split(sizes=(5, 5, 5, 5, 5, 3))
+    block = policy.LinearModel(np.array([[2.0, 1.0, 0.3], [-1.0, 0.5, 2.0]]))
+    disparity = fairness.DisparityConfig.parse("individual")
+    metric = metrics.UtilityMetric("ndcg")
+    block_rng = np.random.default_rng(5)
+    got = trainer._evaluate(block, ds, metric, disparity, 16, block_rng)
+    assert calls == [(2, 2, 5), (2, 2, 5), (2, 1, 5), (2, 1, 3)]
+    for k, summary in enumerate(got):
+        want_metric, want_disparity = per_query_evaluation(
+            block.with_params(block.params[k]), ds, metric, disparity, 16, None)
+        assert summary.metric_values == want_metric
+        assert summary.disparity_values == want_disparity
+    assert block_rng.random() == np.random.default_rng(5).random()
 
 
 @pytest.mark.parametrize("model,kind", [("linear", "group"), ("linear", "individual"),
