@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Query, require_seed
-from .fairness import DisparityConfig, MeritFunction, group_rows, hinge_mean, \
-    ranking_exposures
+from .data import Dataset, require_seed
+from .fairness import MeritFunction, group_rows, ranking_exposures
 from .metrics import gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel
 
@@ -143,21 +142,6 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     return FairLPResult(orders=orders[pick], weights=weights, xi=xi,
                         objective=float(weights @ utility[pick]) - lam * xi,
                         exposures=weights @ per_order[pick])
-
-
-def evaluate_exposures(exposures: np.ndarray, query: Query,
-                       merit: MeritFunction | None = None
-                       ) -> tuple[float, float]:
-    """Expected NDCG and group disparity of an expected exposure vector
-    under the query's true relevances.  The gains, the ideal DCG and the
-    group row are the ones kept with the query."""
-    ideal = ideal_dcg(query)
-    score = float(gains(query) @ exposures) / ideal if ideal > 0.0 else 0.0
-    disp = 0.0
-    if query.groups is not None:
-        group = DisparityConfig("group", merit or MeritFunction())
-        disp = hinge_mean(group.query_rows(query), exposures)
-    return score, disp
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ non-empty output directories are refused unless ``--force`` is given.
 Every refusal, a usage error of the parser included, is one ``error:``
 line on standard error and exit code 1; ``--help`` exits 0.
 
-A sweep's ``summary.csv`` train row holds two Monte-Carlo estimates of the
-selected model's train-split disparity, drawn with different seeds:
-``disparity`` from the summary's evaluation and ``delta_lambda`` from
-training.  They agree only when no query has more than
-``ranking.ENUMERATION_LIMIT`` documents, where exposure is exact.
+Every method's summary rows come from one evaluation,
+``trainer.value_split``, and one row builder, ``_summary_row``: the policy
+sweep values argmax rankings with policy exposures, the top-1 baseline
+argmax rankings with their own exposures, and the LP each query's optimal
+mixture of rankings with its expected exposures.  A sweep's train row
+takes the run's ``delta_lambda`` as its ``disparity``, one estimate of one
+quantity.
 
 Dataset paths name the LETOR file; a sidecar group file with extension
 ``.groups`` next to it (``data.letor`` -> ``data.groups``) is attached
@@ -178,15 +180,32 @@ def groups_path_for(letor_path: str) -> Path:
         else Path(str(p) + ".groups")
 
 
-def load_dataset_auto(letor_path: str) -> data.Dataset:
+def load_dataset_auto(letor_path: str, like: tuple[str, object] | None = None
+                      ) -> data.Dataset:
+    """The dataset of ``letor_path`` and its sidecar group file.  With
+    ``like``, a path and the dataset or model read from it, a dataset of
+    another feature width is refused: models fitted to one width cannot
+    score the other."""
     p = Path(letor_path)
     if not p.exists():
         raise CliError(f"dataset file {p} does not exist")
     gp = groups_path_for(letor_path)
     try:
-        return data.load_dataset(p, gp if gp.exists() else None)
+        dataset = data.load_dataset(p, gp if gp.exists() else None)
     except data.DataError as exc:
         raise CliError(f"{p}: {exc}") from None
+    if like and dataset.feature_dim != like[1].feature_dim:
+        raise CliError(f"{p} has {dataset.feature_dim} features but {like[0]} "
+                       f"has {like[1].feature_dim}")
+    return dataset
+
+
+def _splits(opts: dict, train_set: data.Dataset) -> list[tuple[str, data.Dataset]]:
+    """The train split and, with ``--test``, the test split."""
+    if not opts["test"]:
+        return [("train", train_set)]
+    return [("train", train_set),
+            ("test", load_dataset_auto(opts["test"], (opts["train"], train_set)))]
 
 
 def write_kv(path: Path, values: dict) -> None:
@@ -219,6 +238,17 @@ SUMMARY_HEADER = ["lambda", "seed", "split", "ndcg", "err", "disparity",
                   "delta_lambda"]
 
 
+def _summary_row(lam: float, seed: int | None, split: str,
+                 summary: trainer.EvalSummary,
+                 delta_lambda: float | None = None) -> list:
+    """A ``summary.csv`` row of one member's evaluation with ``ndcg`` and
+    ``err`` as its metrics.  A sweep's train row is given its run's
+    ``delta_lambda``, which is then its disparity too."""
+    disparity = summary.mean_disparity if delta_lambda is None else delta_lambda
+    return [lam, seed, split, summary.mean_metric, summary.extra_means[0],
+            disparity, delta_lambda]
+
+
 def fit_metric_to_dataset(metric: metrics.UtilityMetric,
                           *datasets: data.Dataset) -> metrics.UtilityMetric:
     """Raise the ERR grade ceiling to cover every dataset when needed."""
@@ -240,10 +270,8 @@ def parse_disparity(kind: str, merit: str) -> fairness.DisparityConfig | None:
         raise CliError(str(exc)) from None
 
 
-def ndcg_metric_like(metric: metrics.UtilityMetric) -> metrics.UtilityMetric:
-    if metric.kind == "ndcg":
-        return metric
-    return metrics.UtilityMetric("ndcg")
+def err_metric_for(dataset: data.Dataset) -> metrics.UtilityMetric:
+    return fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
 
 
 # Options that several commands declare alike.
@@ -445,7 +473,7 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
 def _train_val_split(opts: dict) -> tuple[data.Dataset, data.Dataset]:
     dataset = load_dataset_auto(opts["train"])
     if opts["val"]:
-        return dataset, load_dataset_auto(opts["val"])
+        return dataset, load_dataset_auto(opts["val"], (opts["train"], dataset))
     try:
         return data.split_dataset(dataset, 1.0 - opts["val_fraction"],
                                   seed=opts["split_seed"])
@@ -520,21 +548,25 @@ def _summary_rows(records: list[trainer.RunRecord],
                   splits: list[tuple[str, data.Dataset]]) -> list[list[list]]:
     """Each run's summary rows, for runs of one seed that differ only in
     lambda: their selected models are evaluated together, one pass per
-    split."""
+    split.  The train pass values no disparity: a train row's is the run's
+    ``delta_lambda``."""
     config = configs[0]
     models = records[0].model.with_params(np.stack([r.model.params for r in records]))
-    per_split = []
+    # The ndcg column is the run's metric when that is NDCG (at its cutoff).
+    ndcg = config.metric if config.metric.kind == "ndcg" else metrics.UtilityMetric("ndcg")
+    rows = [[] for _ in records]
     for split_name, dataset in splits:
-        ndcg_metric = fit_metric_to_dataset(ndcg_metric_like(config.metric), dataset)
-        err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-        per_split.append((split_name, trainer.evaluate(
-            models, dataset, ndcg_metric, config.disparity, config.eval_samples,
-            seed=config.seed, extra_metrics=[err_metric])))
-    return [[[run_config.lam, run_config.seed, split_name, summaries[k].mean_metric,
-              summaries[k].extra_means[0], summaries[k].mean_disparity,
-              record.delta_lambda if split_name == "train" else None]
-             for split_name, summaries in per_split]
-            for k, (record, run_config) in enumerate(zip(records, configs))]
+        train = split_name == "train"
+        summaries = trainer.evaluate(
+            models, dataset, ndcg, None if train else config.disparity,
+            config.eval_samples,
+            seed=config.seed, extra_metrics=[err_metric_for(dataset)])
+        for run_rows, record, run_config, summary in zip(rows, records, configs,
+                                                         summaries):
+            run_rows.append(_summary_row(
+                run_config.lam, run_config.seed, split_name, summary,
+                record.delta_lambda if train else None))
+    return rows
 
 
 def _sweep_worker(payload: dict) -> list[dict]:
@@ -594,9 +626,7 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
                 "lambdas and seeds must be distinct, and lambdas must differ "
                 "when printed with %g")
     train_set, val_set = _train_val_split(opts)
-    splits = [("train", train_set)]
-    if opts["test"]:
-        splits.append(("test", load_dataset_auto(opts["test"])))
+    splits = _splits(opts, train_set)
     base = _build_train_config({**opts, "lam": lambdas[0], "seed": seeds[0]},
                                train_set, val_set)
     try:
@@ -705,91 +735,77 @@ def cmd_baseline(args: argparse.Namespace, opts: dict) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from None
     train_set = load_dataset_auto(opts["train"])
-    splits = [("train", train_set)]
-    if opts["test"]:
-        splits.append(("test", load_dataset_auto(opts["test"])))
+    splits = _splits(opts, train_set)
     for name, dataset in splits:
         if not dataset.has_groups:
             raise CliError(f"baselines need group labels, and the {name} "
                            "split has none")
     out = prepare_out_dir(args.out, args.force)
 
-    if lp:
-        rows, detail = _run_lp_baseline(train_set, splits, lambdas, merit)
-    else:
-        rows, detail = _run_top1_baseline(train_set, splits, lambdas, merit,
-                                          **top1)
+    rank, per_lambda = (_lp_ranker(train_set, splits, lambdas, merit) if lp
+                        else _top1_ranker(train_set, lambdas, **top1))
+    group = fairness.DisparityConfig("group", merit)
+    per_split = [(name, trainer.value_split(
+        dataset, rank, metrics.UtilityMetric("ndcg"), group, [err_metric_for(dataset)]))
+        for name, dataset in splits]
+    rows = []
+    for k, (lam, stats) in enumerate(zip(lambdas, per_lambda)):
+        stats["lambda"] = lam
+        for name, summaries in per_split:
+            rows.append(_summary_row(lam, top1.get("seed"), name, summaries[k]))
+            stats[name] = {"ndcg": summaries[k].mean_metric,
+                           "disparity": summaries[k].mean_disparity}
 
     write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
     write_json(out / "record.json", {
         "method": "lp-postprocess" if lp else "top1",
         "config": {"merit": str(merit), "lambdas": lambdas, **top1},
-        "per_lambda": detail,
+        "per_lambda": per_lambda,
     })
     write_kv(out / "config.txt", opts)
     print(f"{len(rows)} summary rows in {out / 'summary.csv'}")
     return 0
 
 
-def _run_lp_baseline(train_set, splits, lambdas, merit):
-    """Solve and evaluate the LP per (penalty weight, split, query).  The
-    estimates are scored once per query, and each query keeps its gains,
-    ideal DCG and group row across the penalty weights."""
+def _lp_ranker(train_set, splits, lambdas, merit):
+    """A ranker of each query's LP optimum at each penalty weight, one
+    member per weight, and each weight's mean and largest slack over the
+    train split.  Every query of the splits is solved once up front, on
+    estimates scored once.  An optimum is played as-is: its rankings, a
+    lone one padded with a weight-0 copy, its weights and its expected
+    exposures."""
     regression = baselines.fit_linear_regression(train_set)
-    estimates = {name: [regression.scores(q.feature_matrix) for q in dataset]
-                 for name, dataset in splits}
-    rows, detail = [], []
-    for lam in lambdas:
-        stats = {}
-        xis = []
-        for split_name, dataset in splits:
-            per_ndcg, per_disp = [], []
-            for query, estimate in zip(dataset, estimates[split_name]):
-                result = baselines.solve_fair_lp(estimate, query.groups, lam, merit)
-                ndcg, disparity = baselines.evaluate_exposures(
-                    result.exposures, query, merit)
-                per_ndcg.append(ndcg)
-                per_disp.append(disparity)
-                if split_name == "train":
-                    xis.append(result.xi)
-            rows.append([lam, None, split_name, float(np.mean(per_ndcg)),
-                         None, float(np.mean(per_disp)), None])
-            stats[split_name] = {"ndcg": float(np.mean(per_ndcg)),
-                                 "disparity": float(np.mean(per_disp))}
-        detail.append({"lambda": lam, "mean_xi": float(np.mean(xis)),
-                       "max_xi": float(np.max(xis)), **stats})
-    return rows, detail
+    solved = {}
+    for _, dataset in splits:
+        for query in dataset:
+            estimate = regression.scores(query.feature_matrix)
+            solved[query] = [baselines.solve_fair_lp(estimate, query.groups, lam, merit)
+                             for lam in lambdas]
+
+    def rank(block):
+        table = list(zip(*(solved[query] for query in block)))
+        return (np.array([[np.resize(r.orders, (2, r.orders.shape[1])) for r in row]
+                          for row in table]),
+                np.array([[np.append(r.weights, 0.0)[:2] for r in row]
+                          for row in table]),
+                np.array([[r.exposures for r in row] for row in table]))
+
+    slack = zip(*([r.xi for r in solved[query]] for query in train_set))
+    return rank, [{"mean_xi": float(np.mean(xis)), "max_xi": float(np.max(xis))}
+                  for xis in slack]
 
 
-def _run_top1_baseline(train_set, splits, lambdas, merit, lr, epochs, seed):
-    """Train and evaluate the top-1 baseline per penalty weight; each query
-    keeps its metric constants and group row across the penalty weights."""
-    ndcg_metric = metrics.UtilityMetric("ndcg")
-    err_metrics = {name: fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
-                   for name, dataset in splits}
-    group = fairness.DisparityConfig("group", merit)
-    rows, detail = [], []
-    for lam in lambdas:
-        model = baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
-                                              epochs=epochs, seed=seed)
-        stats = {}
-        for split_name, dataset in splits:
-            ndcg_vals, err_vals, disp_vals = [], [], []
-            for query in dataset:
-                order = policy.argmax_ranking(model.scores(query.feature_matrix))
-                ndcg_vals.append(ndcg_metric.value(order, query))
-                err_vals.append(err_metrics[split_name].value(order, query))
-                # A fixed ranking's disparity, from the row kept with the
-                # query; from_exposures is left to policy evaluations.
-                disp_vals.append(fairness.hinge_mean(
-                    group.query_rows(query), fairness.exposure_of_ranking(order)))
-            rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
-                         float(np.mean(err_vals)), float(np.mean(disp_vals)),
-                         None])
-            stats[split_name] = {"ndcg": float(np.mean(ndcg_vals)),
-                                 "disparity": float(np.mean(disp_vals))}
-        detail.append({"lambda": lam, **stats})
-    return rows, detail
+def _top1_ranker(train_set, lambdas, lr, epochs, seed):
+    """A ranker of the argmax rankings of the top-1 models, one member per
+    penalty weight, with those fixed rankings' own exposures, and an empty
+    stats dict per weight."""
+    models = [baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
+                                            epochs=epochs, seed=seed)
+              for lam in lambdas]
+    block = models[0].with_params(np.stack([model.params for model in models]))
+    return (trainer.argmax_ranker(
+        block, lambda scores, orders: fairness.ranking_exposures(orders)),
+        [{} for _ in lambdas])
 
 
 # ---------------------------------------------------------------------------
@@ -814,10 +830,7 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
         model = policy.load_model(opts["checkpoint"])
     except (OSError, policy.CheckpointError) as exc:
         raise CliError(str(exc)) from None
-    dataset = load_dataset_auto(opts["data"])
-    if model.feature_dim != dataset.feature_dim:
-        raise CliError(f"checkpoint expects {model.feature_dim} features but "
-                       f"{opts['data']} has {dataset.feature_dim}")
+    dataset = load_dataset_auto(opts["data"], (opts["checkpoint"], model))
     disparity = parse_disparity(opts["disparity"], opts["merit"])
     try:
         trainer.require_group_labels(disparity, [("evaluation", dataset)])
@@ -828,7 +841,7 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
 
-    err_metric = fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
+    err_metric = err_metric_for(dataset)
     summary = trainer.evaluate(model, dataset, metric, disparity,
                                opts["eval_samples"], seed=opts["seed"],
                                extra_metrics=[err_metric])

@@ -37,13 +37,12 @@ them: the hinge indicator of each row is estimated from the same
 Monte-Carlo sample as the expectation (its bias vanishes as the sample
 grows), and only the smooth inner expectation contributes gradient.
 
-Evaluation, after every epoch and for the selected models, is one pass
-per split for a model or a member block (``_evaluate``).  Each run of
-consecutive equal-size queries is cut into blocks of at most
-``EVAL_BLOCK_DRAWS`` entries, so memory does not grow with the split.  A
-block's features are stacked and scored by each member, all members'
-argmax rankings come from one stable ``argsort``, and each metric values
-them in one ``batch_values`` call.  Policy exposures come from one
+Every evaluation, of a policy or of a baseline, is one ``value_split`` pass
+per split over a member block: a ranker gives each block of consecutive
+equal-size queries its rankings, their weights and their exposures, and
+each metric and the disparity value them for all members at once.  Policy
+evaluation (``_evaluate``, after every epoch and for the selected models)
+ranks by argmax and takes the policy exposures of one
 ``exposure_of_policy`` call per block for all members: exact for small
 queries, one subset DP over the whole block; for larger ones, Monte
 Carlo, with one draw that every member ranks by
@@ -61,7 +60,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -262,8 +261,9 @@ def disparity_score_grad(sample: PolicySample, query: Query,
 
 @dataclass
 class EvalSummary:
-    """Dataset-level evaluation of a model's deterministic ranking quality
-    and (optionally) its stochastic policy's disparity.
+    """Dataset-level evaluation of one member's rankings (a model's argmax
+    ranking, or an LP mixture) and (optionally) of its exposures'
+    disparity.
 
     ``extra_values`` and ``extra_means`` hold one per-query list and one
     mean per extra metric, in the order the metrics were given.
@@ -277,54 +277,47 @@ class EvalSummary:
     extra_means: list[float] = field(default_factory=list)
 
 
-def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
-              disparity: DisparityConfig | None, eval_samples: int,
-              rng: np.random.Generator,
-              extra_metrics: Sequence[UtilityMetric] = ()) -> list[EvalSummary]:
-    """One pass over a split for a model, or for each member of a ``(K, P)``
-    member block; one summary per member, a single model being a block of
-    one.
+# A ranker gives, for a block of Q consecutive queries of n documents each,
+# K members' (K, Q, M, n) rankings, their (K, Q, M) weights and their
+# (K, Q, n) exposures, or None for exposures when no disparity is asked.
+Ranker = Callable[[tuple[Query, ...]], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
-    Each run of consecutive equal-size queries is cut into blocks of as
-    many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at least one): the
-    ``eval_samples * n`` uniform draws of a Monte-Carlo query, or the
-    ``2**n * n`` flows of an exact one.  A block's features are stacked
-    once and scored by each member with stacked products, all members'
-    argmax rankings come from one stable ``argsort``, and each metric
-    values them in one ``batch_values`` call.  With a disparity, one
-    ``exposure_of_policy`` call gives the policy exposures of every member
-    on the block, and ``from_exposures`` the disparities of all members at
-    once, per query.  Every member's values have the bits of its own pass;
-    an exact block draws nothing, so where it is cut changes no bits.
+
+def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
+                disparity: DisparityConfig | None,
+                extra_metrics: Sequence[UtilityMetric] = (),
+                rows: Callable[[int], int] = lambda n: 1) -> list[EvalSummary]:
+    """The one evaluation of a split: each member's metric values and
+    disparities of the rankings and exposures that ``rank`` gives, one
+    summary per member.
+
+    A member's value of a query is the weighted sum of its rankings'
+    values, each metric valuing a block in one ``batch_values`` call; an
+    argmax ranking, M = 1 with weight 1, keeps the bits of its value.  Its
+    disparity is ``from_exposures`` of its exposures, one call per query
+    for all members.  Each run of consecutive equal-size queries is cut
+    into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at
+    least one), ``rows(n) * n`` per query of n documents, and ``rank`` is
+    called once per block, in split order.
     """
-    members = ([model] if model.params.ndim == 1
-               else [model.with_params(params) for params in model.params])
-    queries = dataset.queries
     scored = (metric, *extra_metrics)
-    columns = np.empty((len(scored), len(members), len(queries)))
-    disparities = np.empty((len(members), len(queries)))
-    start = 0
-    for n, run in itertools.groupby(queries, key=len):
+    values, disparities = [], []
+    for n, run in itertools.groupby(dataset.queries, key=len):
         run = tuple(run)
-        rows = 1 << n if n <= ENUMERATION_LIMIT else eval_samples
-        per_block = max(1, EVAL_BLOCK_DRAWS // (rows * n))
+        per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
         for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
-            stop = start + len(block)
-            features = np.array([q.feature_matrix for q in block])
-            scores = np.array([member.scores(features) for member in members])
-            orders = policy.argmax_ranking(scores)[..., None, :]
-            for column, each in zip(columns, scored):
-                column[:, start:stop] = each.batch_values(orders, block)[..., 0]
+            orders, weights, exposures = rank(block)
+            values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
+                           for each in scored])
             if disparity is not None:
-                exposures = exposure_of_policy(scores, num_samples=eval_samples,
-                                               rng=rng).values
-                for index, query in enumerate(block):
-                    disparities[:, start + index] = disparity.from_exposures(
-                        exposures[:, index], query)
-            start = stop
-    # Each row's mean has the bits of np.mean on that row alone.
+                disparities.extend(disparity.from_exposures(exposures[:, index], query)
+                                   for index, query in enumerate(block))
+    columns = np.concatenate(values, axis=-1)
+    # Each row's mean has the bits of np.mean on that row alone, a
+    # contiguous row's pairwise sum.
     means = columns.mean(axis=-1).T.tolist()
     if disparity is not None:
+        disparities = np.ascontiguousarray(np.transpose(disparities))
         mean_disparities = disparities.mean(axis=-1).tolist()
     return [EvalSummary(
         metric_values=columns[0, k].tolist(),
@@ -333,7 +326,54 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
         mean_disparity=None if disparity is None else mean_disparities[k],
         extra_values=[column[k].tolist() for column in columns[1:]],
         extra_means=means[k][1:],
-    ) for k in range(len(members))]
+    ) for k in range(columns.shape[1])]
+
+
+def argmax_ranker(model: ScoringModel,
+                  exposures: Callable[[np.ndarray, np.ndarray], np.ndarray | None]
+                  ) -> Ranker:
+    """A ``Ranker`` of the argmax ranking of each member of a model or a
+    ``(K, P)`` member block, with weight 1, and ``exposures(scores,
+    orders)`` of the members' ``(K, Q, n)`` scores and rankings.  A block's
+    features are stacked once and scored by each member, and all members'
+    rankings come from one stable ``argsort``."""
+    members = [model.with_params(params) for params in np.atleast_2d(model.params)]
+
+    def rank(block):
+        features = np.array([q.feature_matrix for q in block])
+        scores = np.array([member.scores(features) for member in members])
+        orders = policy.argmax_ranking(scores)
+        return (orders[..., None, :], np.ones((*orders.shape[:-1], 1)),
+                exposures(scores, orders))
+
+    return rank
+
+
+def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
+              disparity: DisparityConfig | None, eval_samples: int,
+              rng: np.random.Generator,
+              extra_metrics: Sequence[UtilityMetric] = ()) -> list[EvalSummary]:
+    """One pass over a split for a model, or for each member of a ``(K, P)``
+    member block; one summary per member, a single model being a block of
+    one.
+
+    ``value_split`` values the members' argmax rankings and, with a
+    disparity, their policy exposures: one ``exposure_of_policy`` call per
+    block for all members.  A block holds as many queries as
+    ``EVAL_BLOCK_DRAWS`` entries do: the ``eval_samples * n`` uniform draws
+    of a Monte-Carlo query, or the ``2**n * n`` flows of an exact one.
+    Every member's values have the bits of its own pass; an exact block
+    draws nothing, so where it is cut changes no bits.
+    """
+    def policy_exposures(scores, orders):
+        if disparity is None:
+            return None
+        return exposure_of_policy(scores, num_samples=eval_samples, rng=rng).values
+
+    return value_split(
+        dataset, argmax_ranker(model, policy_exposures), metric, disparity,
+        extra_metrics,
+        rows=lambda n: 1 << n if n <= ENUMERATION_LIMIT else eval_samples)
 
 
 # Most entries one evaluation block takes at once: a Monte-Carlo block's
@@ -463,9 +503,9 @@ def train(train_set: Dataset, val_set: Dataset,
     Deterministic: identical datasets, config, and seed reproduce the run
     bit for bit.  Raises ``TrainingError`` if a gradient is non-finite or
     above the optimizer's ``max_gradient``, naming the offending query, and
-    ``ValueError`` before epoch 1 if the metric is undefined on either split
-    (``require_defined_metric``), or if group disparity is configured and
-    either split lacks group labels.
+    ``ValueError`` before epoch 1 if the splits differ in feature width, if
+    the metric is undefined on either split (``require_defined_metric``), or
+    if group disparity is configured and either split lacks group labels.
 
     ``config`` may also be a grid: a sequence of configs that differ only
     in ``lam``, trained in lockstep as one block.  The result is then a
@@ -513,6 +553,9 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
     shared = dataclasses.replace(first, lam=0.0)
     if any(dataclasses.replace(c, lam=0.0) != shared for c in configs[1:]):
         raise ValueError("the configs of a grid may differ only in lam")
+    if val_set.feature_dim != train_set.feature_dim:
+        raise ValueError(f"val split has {val_set.feature_dim} features, train "
+                         f"split has {train_set.feature_dim}")
     splits = [("train", train_set), ("val", val_set)]
     require_defined_metric(first.metric, splits)
     require_group_labels(first.disparity, splits)

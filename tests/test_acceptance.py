@@ -377,14 +377,15 @@ def test_lp_baseline_slack_and_disparity_floor(capsys, sim_split, sweep_outcome)
         result = baselines.solve_fair_lp(estimates, query.groups, 0.2, merit)
         worst_xi = max(worst_xi, result.xi)
 
+    group = fairness.DisparityConfig("group", merit)
     grid_disparity = []
     for lam in baselines.lp_lambda_grid():
         per_query = []
         for query in train_set:
             estimates = regression.scores(query.feature_matrix)
             result = baselines.solve_fair_lp(estimates, query.groups, lam, merit)
-            _, disparity = baselines.evaluate_exposures(result.exposures, query, merit)
-            per_query.append(disparity)
+            per_query.append(fairness.hinge_mean(group.query_rows(query),
+                                                 result.exposures))
         grid_disparity.append(float(np.mean(per_query)))
     lp_floor = min(grid_disparity)
     sweep_best = min(sweep_outcome[l]["disparity"]

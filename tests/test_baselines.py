@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairltr import baselines, data, fairness, metrics, policy
+from fairltr import baselines, cli, data, fairness, metrics, policy, trainer
 import oracle
 
 
@@ -193,15 +193,38 @@ def test_lp_refuses_non_finite_input():
         baselines.solve_fair_lp(r_hat, groups, -0.1)
 
 
-def test_evaluate_exposures_on_identity():
-    rels = np.array([3.0, 1.0])
-    expo = fairness.exposure_of_ranking(np.arange(2))
-    query = data.Query("q", np.zeros((2, 1)), rels, [0, 1])
-    ndcg, disparity = baselines.evaluate_exposures(
-        expo, query, fairness.MeritFunction())
-    assert ndcg == pytest.approx(1.0)
-    assert disparity == pytest.approx(
-        fairness.group_disparity(expo, rels, np.array([0, 1])))
+def test_lp_values_are_those_of_its_optimal_mixtures():
+    """The LP baseline's per-query values, each query's optimum valued by
+    ``trainer.value_split`` with all penalty weights as one block: NDCG is
+    the expected exposure's gain over the ideal DCG (up to the rounding of
+    a weighted sum of two NDCGs), ERR the weighted ERR of the rankings, and
+    the disparity that of the expected exposures, bit for bit."""
+    small = data.generate_simulated(num_queries=8, docs_per_query=6, seed=3)
+    large = data.generate_simulated(num_queries=8, docs_per_query=9, seed=4)
+    dataset = data.Dataset([q for pair in zip(small, large) for q in pair],
+                           small.feature_dim)
+    merit = fairness.MeritFunction()
+    lambdas = baselines.lp_lambda_grid()
+    rank, _ = cli._lp_ranker(dataset, [("train", dataset)], lambdas, merit)
+    ndcg, err = metrics.UtilityMetric("ndcg"), cli.err_metric_for(dataset)
+    group = fairness.DisparityConfig("group", merit)
+    summaries = trainer.value_split(dataset, rank, ndcg, group, [err])
+    regression = baselines.fit_linear_regression(dataset)
+    mixtures = 0
+    for summary, lam in zip(summaries, lambdas, strict=True):
+        for q, query in enumerate(dataset):
+            result = baselines.solve_fair_lp(regression.scores(query.feature_matrix),
+                                             query.groups, lam, merit)
+            mixtures += len(result.orders) == 2
+            ideal = metrics.ideal_dcg(query)
+            expected = metrics.gains(query) @ result.exposures / ideal if ideal else 0.0
+            assert abs(summary.metric_values[q] - expected) <= 1e-12
+            errs = np.array([err.value(order, query) for order in result.orders])
+            # Products, then their sum: a BLAS dot may fuse them.
+            assert summary.extra_values[0][q] == (result.weights * errs).sum()
+            assert summary.disparity_values[q] == fairness.hinge_mean(
+                group.query_rows(query), result.exposures)
+    assert mixtures > 0
 
 
 def test_import_loads_no_scipy():

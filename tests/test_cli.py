@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairltr import cli, data, policy
+from fairltr import baselines, cli, data, fairness, metrics, policy, trainer
 
 
 def run(argv):
@@ -356,8 +356,9 @@ def test_baseline_lp_summary(tmp_path, dataset_dir):
                        "delta_lambda"]
     assert len(rows) == 3
     for row in rows[1:]:
-        assert row[1] == "" and row[4] == "" and row[6] == ""
+        assert row[1] == "" and row[6] == ""
         assert float(row[3]) > 0.5
+        assert 0.0 < float(row[4]) <= 1.0      # LP rows carry their mixture's err
     record = json.loads((out / "record.json").read_text())
     assert record["method"] == "lp-postprocess"
     assert len(record["per_lambda"]) == 2
@@ -375,6 +376,103 @@ def test_baseline_top1_summary(tmp_path, dataset_dir):
         assert row[6] == ""
     record = json.loads((out / "record.json").read_text())
     assert record["method"] == "top1"
+
+
+@pytest.fixture(scope="module")
+def two_size_dir(tmp_path_factory):
+    """Train and test files whose queries have 6 or 9 documents, in runs of
+    two queries of each size."""
+    out = tmp_path_factory.mktemp("data") / "two-size"
+    for name, seed in (("train", 11), ("test", 12)):
+        small = data.generate_simulated(num_queries=6, docs_per_query=6, seed=seed)
+        large = data.generate_simulated(num_queries=6, docs_per_query=9,
+                                        seed=seed + 100)
+        queries = [data.Query(f"{size}{q.qid}", q.feature_matrix, q.relevances,
+                              q.groups)
+                   for i in range(0, 6, 2)
+                   for size, part in (("s", small), ("l", large))
+                   for q in part.queries[i:i + 2]]
+        out.mkdir(parents=True, exist_ok=True)
+        data.save_dataset(data.Dataset(queries, small.feature_dim),
+                          out / f"{name}.letor", out / f"{name}.groups")
+    return out
+
+
+def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
+    """The top-1 baseline's summary rows and ``per_lambda`` stats valued one
+    model and one query at a time, as before the baseline valued its
+    models as one block."""
+    ndcg_metric = metrics.UtilityMetric("ndcg")
+    err_metrics = {name: cli.fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
+                   for name, dataset in splits}
+    group = fairness.DisparityConfig("group", merit)
+    rows, detail = [], []
+    for lam in lambdas:
+        model = baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
+                                              epochs=epochs, seed=seed)
+        stats = {}
+        for split_name, dataset in splits:
+            ndcg_vals, err_vals, disp_vals = [], [], []
+            for query in dataset:
+                order = policy.argmax_ranking(model.scores(query.feature_matrix))
+                ndcg_vals.append(ndcg_metric.value(order, query))
+                err_vals.append(err_metrics[split_name].value(order, query))
+                disp_vals.append(fairness.hinge_mean(
+                    group.query_rows(query), fairness.exposure_of_ranking(order)))
+            rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
+                         float(np.mean(err_vals)), float(np.mean(disp_vals)),
+                         None])
+            stats[split_name] = {"ndcg": float(np.mean(ndcg_vals)),
+                                 "disparity": float(np.mean(disp_vals))}
+        detail.append({"lambda": lam, **stats})
+    return rows, detail
+
+
+def test_top1_summary_equals_its_per_query_reference(tmp_path, two_size_dir):
+    train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
+    out = tmp_path / "t1"
+    assert run(["baseline", "--method", "top1", "--train", train, "--test", test,
+                "--lambdas", "0,100", "--epochs", 3, "--lr", 0.05, "--seed", 2,
+                "--out", out]) == 0
+    splits = [("train", cli.load_dataset_auto(str(train))),
+              ("test", cli.load_dataset_auto(str(test)))]
+    assert {len(q) for _, dataset in splits for q in dataset} == {6, 9}
+    rows, detail = top1_reference(splits[0][1], splits, [0.0, 100.0],
+                                  fairness.MeritFunction(), 0.05, 3, 2)
+    got = read_rows(out / "summary.csv")[1:]
+    assert len(got) == len(rows) == 4
+    for cells, row in zip(got, rows):
+        assert cells[:3] == [repr(row[0]), str(row[1]), row[2]]
+        assert [float(cell) for cell in cells[3:6]] == row[3:6]
+        assert cells[6] == ""
+    assert json.loads((out / "record.json").read_text())["per_lambda"] == detail
+
+
+def test_sweep_train_rows_hold_delta_lambda_and_test_rows_each_checkpoint(
+        tmp_path, two_size_dir):
+    """A train row's disparity is its run's delta_lambda, bit for bit, and a
+    test row is ``trainer.evaluate`` of its run's checkpoint alone."""
+    train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
+    out = tmp_path / "sw"
+    assert run(["sweep", "--train", train, "--test", test, "--lambdas", "0,5",
+                "--seeds", "0,1", "--gamma", 0, "--epochs", 2, "--samples", 5,
+                "--out", out]) == 0
+    test_set = cli.load_dataset_auto(str(test))
+    rows = read_rows(out / "summary.csv")[1:]
+    assert sorted(row[2] for row in rows) == ["test"] * 4 + ["train"] * 4
+    for lam, seed, split, ndcg, err, disparity, delta in rows:
+        if split == "train":
+            assert disparity == delta != ""
+            continue
+        assert delta == ""
+        model = policy.load_model(out / f"run-lam{float(lam):g}-seed{seed}"
+                                  / "checkpoint.txt")
+        summary = trainer.evaluate(
+            model, test_set, metrics.UtilityMetric.parse("ndcg@10"),
+            fairness.DisparityConfig("group"), 32, seed=int(seed),
+            extra_metrics=[cli.err_metric_for(test_set)])
+        assert [float(ndcg), float(err), float(disparity)] == [
+            summary.mean_metric, summary.extra_means[0], summary.mean_disparity]
 
 
 def test_eval_reports(tmp_path, dataset_dir):
@@ -453,6 +551,19 @@ def test_eval_rejects_dimension_mismatch(tmp_path, dataset_dir, capsys):
                 "--data", wide, "--out", tmp_path / "bad"])
     assert code == 1
     assert "features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--val"), ("sweep", "--test"),
+                                          ("baseline", "--test")])
+def test_a_split_of_another_feature_width_is_refused_before_any_output(
+        tmp_path, dataset_dir, capsys, command, flag):
+    letor = dataset_dir / "data.letor"
+    wide = tmp_path / "wide.letor"
+    wide.write_text("1 qid:1 1:1 2:0 3:2\n0 qid:1 1:0 2:1 3:0\n")
+    out = tmp_path / "out"
+    assert run([command, "--train", letor, flag, wide, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {wide} has 3 features but {letor} has 2\n"
+    assert not out.exists()
 
 
 def test_generate_from_table_roundtrip(tmp_path):

@@ -679,3 +679,17 @@ def test_hinge_gradient_of_a_member_block_equals_each_member():
                     policy.PolicySample(sample.rankings[k], sample.logprob_grads[k]),
                     rows)
                 assert block[k].tobytes() == alone.tobytes()
+
+
+def test_train_refuses_splits_of_different_feature_widths_before_epoch_1(monkeypatch):
+    train_set = data.generate_simulated(num_queries=4, docs_per_query=4, seed=1)
+    wide = data.Dataset([data.Query(q.qid, np.hstack([q.feature_matrix, np.ones((len(q), 1))]),
+                                    q.relevances, q.groups) for q in train_set],
+                        train_set.feature_dim + 1)
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    with pytest.raises(ValueError, match="val split has 3 features, train split has 2"):
+        trainer.train(train_set, wide, trainer.TrainConfig(epochs=1))
