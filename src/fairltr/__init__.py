@@ -36,7 +36,13 @@ from .policy import (
     save_model,
 )
 from .trainer import EvalSummary, RunRecord, TrainConfig, evaluate, train
-from .baselines import fit_linear_regression, solve_fair_lp, train_top1_baseline
+from .baselines import (
+    fit_linear_regression,
+    solve_fair_lp,
+    solve_fair_lp_grid,
+    train_top1_baseline,
+    train_top1_grid,
+)
 
 __version__ = "0.1.0"
 
@@ -50,6 +56,7 @@ __all__ = [
     "LinearModel", "MLP1Model", "argmax_ranking", "init_model", "load_model",
     "ranking_logprob", "sample_rankings", "save_model",
     "EvalSummary", "RunRecord", "TrainConfig", "evaluate", "train",
-    "fit_linear_regression", "solve_fair_lp", "train_top1_baseline",
+    "fit_linear_regression", "solve_fair_lp", "solve_fair_lp_grid",
+    "train_top1_baseline", "train_top1_grid",
     "__version__",
 ]

@@ -10,10 +10,18 @@ and ``FairLPResult`` holds them with their weights and expected exposures
 instead of a matrix.  The top-1 baseline trains a linear scorer whose
 softmax matches the normalized relevance profile, with a squared penalty on
 the between-group mean top-1 probability gap.
+
+Both take a penalty-weight grid as their unit of work.
+``solve_fair_lp_grid`` solves a query at every weight from the segments of
+the largest one, and ``train_top1_grid`` trains a block of one model per
+weight in lockstep.  ``solve_fair_lp`` and ``train_top1_baseline`` are
+their calls at one weight, and each weight's result has the bits of that
+call.
 """
 from __future__ import annotations
 
-import math
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +80,8 @@ class FairLPResult:
 def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                   lam: float,
                   merit: MeritFunction | None = None) -> FairLPResult:
-    """Best doubly stochastic ranking under a group-exposure slack penalty.
+    """Best doubly stochastic ranking under a group-exposure slack penalty:
+    ``solve_fair_lp_grid`` at the one penalty weight ``lam``.
 
     Maximizes expected DCG of the estimated relevances (normalized by the
     ideal DCG) minus ``lam`` times a slack ``xi >= 0`` bounding how far the
@@ -81,6 +90,15 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     ``lam`` grid is meaningful across queries.  With ``lam = 0`` or no
     usable groups the optimum is the permutation sorting by estimated
     relevance.
+    """
+    return solve_fair_lp_grid(estimated_relevances, groups, [lam], merit)[0]
+
+
+def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | None,
+                       lambdas: Sequence[float],
+                       merit: MeritFunction | None = None) -> list[FairLPResult]:
+    """The fair LP of one query at each penalty weight of ``lambdas``, in
+    their order; the weights may be unsorted or repeated.
 
     The LP is solved exactly, without an LP solver.  With ``w`` the
     normalized gains and ``a`` the ``group_rows`` row scaled to shares, it
@@ -94,41 +112,79 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     positive slack when none does, and otherwise the mixture of the two
     orderings next to the sign change of the constraint that meets it
     exactly.
+
+    The segments of a weight are the first ones of the largest weight's,
+    so the knots, orderings and ranking exposures are found once, for the
+    largest weight, and each ``lam > 0`` reads the first ``k`` of them,
+    ``k - 1`` being the number of knots below ``lam``.  ``lam = 0``, and
+    every weight of a query without a usable group row, take the sort by
+    ``w`` alone.  Raises ``ValueError`` before any solve for a weight that
+    is negative or not finite, an empty grid, or non-finite estimates.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("lam must be finite and >= 0")
+    lambdas = require_lambda_grid(lambdas)
     r_hat = np.asarray(estimated_relevances, dtype=float)
     if not np.isfinite(r_hat).all():
         raise ValueError("estimated relevances must be finite")
     n = r_hat.shape[0]
-    merit = merit or MeritFunction()
-
     v = position_bias_vector(n)
     scale = ideal_dcg(r_hat)
     w = gains(r_hat) / (scale if scale > 0.0 else 1.0)
-    a = np.zeros(n)
-    if groups is not None and lam > 0.0:
-        g = np.asarray(groups)
-        merits = merit(np.maximum(r_hat, 0.0))
-        rows = group_rows(merits, g)
-        if len(rows):
-            # Dimensionless form: each group's share of the total exposure
-            # budget divided by its share of total merit.
-            share = (float(merits[g == 0].sum())
-                     + float(merits[g == 1].sum())) / float(v.sum())
-            a = share * rows[0]
+    a = _lp_constraint_row(r_hat, groups, merit or MeritFunction(), v)
+    top = max(lambdas)
+    solved = {}
+    if 0.0 in lambdas or a is None:
+        # The sort by w is the one segment of a zero constraint row.
+        orders = np.argsort(0.0 - w, kind="stable")[None]
+        solved[0.0] = _lp_optimum(orders, ranking_exposures(orders), w,
+                                  np.zeros(n), 0.0)
+    if a is not None and top > 0.0:
+        i, j = _pair_indices(n)
+        cross = a[i] != a[j]
+        knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
+        inside = np.unique(knots[(knots > 0.0) & (knots < top)])
+        bounds = np.concatenate(([0.0], inside, [top]))
+        mids = (bounds[:-1] + bounds[1:]) / 2.0
+        orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")
+        per_order = ranking_exposures(orders)
+        for lam in set(lambdas) - {0.0}:
+            k = int(np.searchsorted(inside, lam)) + 1
+            solved[lam] = _lp_optimum(orders[:k], per_order[:k], w, a, lam)
+    return [solved[lam if a is not None else 0.0] for lam in lambdas]
 
-    i, j = np.triu_indices(n, 1)
-    cross = a[i] != a[j]
-    knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
-    inside = np.unique(knots[(knots > 0.0) & (knots < lam)])
-    bounds = np.concatenate(([0.0], inside, [lam]))
-    mids = (bounds[:-1] + bounds[1:]) / 2.0
-    orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")
-    per_order = ranking_exposures(orders)
+
+def _lp_constraint_row(r_hat: np.ndarray, groups: np.ndarray | None,
+                       merit: MeritFunction, v: np.ndarray) -> np.ndarray | None:
+    """The LP's group row scaled to shares, or None without a usable one."""
+    if groups is None:
+        return None
+    g = np.asarray(groups)
+    merits = merit(np.maximum(r_hat, 0.0))
+    rows = group_rows(merits, g)
+    if not len(rows):
+        return None
+    # Dimensionless form: each group's share of the total exposure budget
+    # divided by its share of total merit.
+    share = (float(merits[g == 0].sum())
+             + float(merits[g == 1].sum())) / float(v.sum())
+    return share * rows[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per length and read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _lp_optimum(orders: np.ndarray, per_order: np.ndarray, w: np.ndarray,
+                a: np.ndarray, lam: float) -> FairLPResult:
+    """The optimum from the orderings of the segments of ``[0, lam]`` and
+    their ranking exposures: the first fair ordering, the last one with a
+    slack when none is fair, or the mixture meeting the constraint."""
     utility = per_order @ w
     gap = per_order @ a
-
     fair = np.flatnonzero(gap <= 0.0)
     if len(fair) == 0:
         pick, weights, xi = [-1], [1.0], float(gap[-1])
@@ -144,6 +200,18 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                         exposures=weights @ per_order[pick])
 
 
+def require_lambda_grid(lambdas: Sequence[float]) -> list[float]:
+    """The penalty weights as floats; refuses an empty grid and names the
+    first weight that is negative or not finite."""
+    lambdas = [float(lam) for lam in lambdas]
+    if not lambdas:
+        raise ValueError("the penalty weight grid is empty")
+    for lam in lambdas:
+        if not 0.0 <= lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam:g}")
+    return lambdas
+
+
 # ---------------------------------------------------------------------------
 # Top-1 softmax baseline
 # ---------------------------------------------------------------------------
@@ -152,7 +220,18 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
 def train_top1_baseline(dataset: Dataset, lam: float,
                         learning_rate: float = 0.01, epochs: int = 50,
                         seed: int = 0, max_grad_norm: float = 10.0) -> LinearModel:
-    """Linear scorer trained so Softmax(scores) matches normalized relevance.
+    """Linear scorer trained so Softmax(scores) matches normalized relevance:
+    ``train_top1_grid`` at the one penalty weight ``lam``."""
+    block = train_top1_grid(dataset, [lam], learning_rate, epochs, seed,
+                            max_grad_norm)
+    return block.with_params(block.params[0])
+
+
+def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
+                    learning_rate: float = 0.01, epochs: int = 50,
+                    seed: int = 0, max_grad_norm: float = 10.0) -> LinearModel:
+    """A ``(K, d + 1)`` block of linear scorers with a bias, member k
+    trained with the penalty weight ``lambdas[k]``.
 
     Minimizes, per query, cross-entropy between the normalized relevance
     profile (uniform when all relevances are zero) and the softmax of the
@@ -160,38 +239,70 @@ def train_top1_baseline(dataset: Dataset, lam: float,
     softmax probability.  Plain SGD, one step per query, shuffled passes.
     Per-step gradients are norm-clipped so the largest penalty weights
     (up to 10**6 on the sweep grid) descend stably instead of oscillating.
-    Each query's target profile and group weights are computed once,
-    before the first pass.
+
+    The members step together: the per-epoch permutation, the generator's
+    only draw, is shared, and each step is one set of stacked products on
+    the block.  Each stacked product is the one-member product of each
+    member (a ``(K, 1, n) @ (n, 1)`` gap is the dot of each row, a
+    ``(n, d) @ (K, d, 1)`` score the matrix-vector product of each), so
+    member k's bits are those of training it alone.  Each query's
+    features, target profile and group weights are found once.  Raises
+    ``ValueError`` before any step for a bad grid (``require_lambda_grid``)
+    or bad settings.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
+    two_lams = 2.0 * np.array(require_lambda_grid(lambdas))[:, None]
     require_top1_settings(learning_rate, epochs)
     require_seed(seed)
-    targets = [_top1_target(query.relevances) for query in dataset]
-    pickers = [_group_picker(query.groups) if lam > 0.0 else None
-               for query in dataset]
+    K, d = len(two_lams), dataset.feature_dim
+    params = np.zeros((K, d + 1))
+    weights, bias = params[:, :d, None], params[:, d:]
+    grad, squares = np.empty_like(params), np.empty_like(params)
+    grad_weights, grad_bias = grad[:, :d, None], grad[:, d]
+    # Probabilities and score gradients of the block, one pair of buffers
+    # per query size, each with the views its products write through.
+    buffers = {}
+    for n in {len(query) for query in dataset}:
+        probs, score_grad = np.empty((K, n)), np.empty((K, n))
+        buffers[n] = (probs, probs[..., None], probs[:, None, :],
+                      score_grad, score_grad[..., None])
+    steps = []
+    for query in dataset:
+        picker = _group_picker(query.groups)
+        steps.append((query.feature_matrix, query.feature_matrix.T,
+                      _top1_target(query.relevances), picker,
+                      None if picker is None else picker[:, None],
+                      buffers[len(query)]))
     rng = np.random.default_rng(seed)
-    model = LinearModel(np.zeros(dataset.feature_dim), np.zeros(1))
     for _ in range(epochs):
         for qi in rng.permutation(len(dataset)):
-            X = dataset.queries[qi].feature_matrix
-            scores = model.scores(X)
-            z = np.exp(scores - scores.max())
-            p = z / z.sum()
-            score_grad = p - targets[qi]
-            picker = pickers[qi]
+            X, XT, target, picker, picker_column, views = steps[qi]
+            p, p_column, p_row, score_grad, score_grad_column = views
+            np.matmul(X, weights, out=p_column)
+            p += bias
+            p -= np.maximum.reduce(p, axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
+            np.subtract(p, target, out=score_grad)
             if picker is not None:
-                gap = float(picker @ p)
-                score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
-            grad = model.backprop(X, score_grad)
+                gap = np.matmul(p_row, picker_column)[:, 0]
+                # A zero weight adds zeros: p - target is never -0.0.
+                penalty = two_lams * gap * p
+                penalty *= picker - gap
+                score_grad += penalty
+            np.matmul(XT, score_grad_column, out=grad_weights)
+            np.add.reduce(score_grad, axis=1, out=grad_bias)
             # Two sums, the weights' squares then the bias's: one sum over
             # the whole vector rounds differently and moves clipped steps.
-            norm = math.sqrt(float(np.square(grad[:-1]).sum())
-                             + float(np.square(grad[-1:]).sum()))
-            if norm > max_grad_norm:
-                grad = grad * (max_grad_norm / norm)
-            model.params -= learning_rate * grad
-    return model
+            np.square(grad, out=squares)
+            norm = np.add.reduce(squares[:, :d], axis=1)
+            norm += squares[:, d]
+            np.sqrt(norm, out=norm)
+            if np.maximum.reduce(norm) > max_grad_norm:
+                clipped = norm > max_grad_norm
+                grad[clipped] *= (max_grad_norm / norm[clipped])[:, None]
+            grad *= learning_rate
+            params -= grad
+    return LinearModel(params[:, :d], bias)
 
 
 def require_top1_settings(learning_rate: float, epochs: int) -> None:
@@ -228,4 +339,6 @@ def top1_lambda_grid() -> list[float]:
 
 
 def lp_lambda_grid(points: int = 11, upper: float = 0.2) -> list[float]:
+    """``points`` evenly spaced penalty weights from 0 to ``upper``: the LP's
+    slack weights, in units of normalized DCG per unit of slack."""
     return [upper * k / (points - 1) for k in range(points)]

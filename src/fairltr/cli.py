@@ -725,15 +725,13 @@ def cmd_baseline(args: argparse.Namespace, opts: dict) -> int:
     grid = baselines.lp_lambda_grid if lp else baselines.top1_lambda_grid
     lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
                if opts["lambdas"] else grid())
-    if not all(0.0 <= lam < np.inf for lam in lambdas):
-        raise CliError(f"penalty weights must be finite and >= 0, "
-                       f"got {opts['lambdas']}")
     top1 = {key: opts[key] for key in ("lr", "epochs", "seed") if key in opts}
-    if not lp:
-        try:
+    try:
+        baselines.require_lambda_grid(lambdas)
+        if not lp:
             baselines.require_top1_settings(top1["lr"], top1["epochs"])
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     train_set = load_dataset_auto(opts["train"])
     splits = _splits(opts, train_set)
     for name, dataset in splits:
@@ -775,12 +773,9 @@ def _lp_ranker(train_set, splits, lambdas, merit):
     lone one padded with a weight-0 copy, its weights and its expected
     exposures."""
     regression = baselines.fit_linear_regression(train_set)
-    solved = {}
-    for _, dataset in splits:
-        for query in dataset:
-            estimate = regression.scores(query.feature_matrix)
-            solved[query] = [baselines.solve_fair_lp(estimate, query.groups, lam, merit)
-                             for lam in lambdas]
+    solved = {query: baselines.solve_fair_lp_grid(
+                  regression.scores(query.feature_matrix), query.groups, lambdas, merit)
+              for _, dataset in splits for query in dataset}
 
     def rank(block):
         table = list(zip(*(solved[query] for query in block)))
@@ -799,10 +794,8 @@ def _top1_ranker(train_set, lambdas, lr, epochs, seed):
     """A ranker of the argmax rankings of the top-1 models, one member per
     penalty weight, with those fixed rankings' own exposures, and an empty
     stats dict per weight."""
-    models = [baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
-                                            epochs=epochs, seed=seed)
-              for lam in lambdas]
-    block = models[0].with_params(np.stack([model.params for model in models]))
+    block = baselines.train_top1_grid(train_set, lambdas, learning_rate=lr,
+                                      epochs=epochs, seed=seed)
     return (trainer.argmax_ranker(
         block, lambda scores, orders: fairness.ranking_exposures(orders)),
         [{} for _ in lambdas])

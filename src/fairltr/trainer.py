@@ -429,11 +429,15 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     (``eval_samples`` rankings per query, drawn in blocks of consecutive
     equal-size queries) otherwise.  A ``(K, P)`` member block gives a list
     of K summaries, member k's equal to evaluating it alone: the members
-    share every draw.  Raises ``ValueError`` before any work if
-    ``eval_samples`` is below 1, if ``seed`` is negative, if a metric is undefined on the dataset
+    share every draw.  Raises ``ValueError`` before any work if the model's
+    feature width is not the dataset's, if ``eval_samples`` is below 1, if
+    ``seed`` is negative, if a metric is undefined on the dataset
     (``require_defined_metric``), or if group disparity is asked of a
     dataset without group labels.
     """
+    if model.feature_dim != dataset.feature_dim:
+        raise ValueError(f"model has {model.feature_dim} features, evaluation "
+                         f"split has {dataset.feature_dim}")
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     require_seed(seed)

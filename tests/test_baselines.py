@@ -193,6 +193,75 @@ def test_lp_refuses_non_finite_input():
         baselines.solve_fair_lp(r_hat, groups, -0.1)
 
 
+@pytest.mark.parametrize("bad", [-0.1, -np.inf, np.inf, np.nan])
+def test_grids_refuse_a_bad_weight_anywhere_before_any_work(bad, monkeypatch):
+    """A weight that is negative or not finite, first, last or inside an
+    unsorted grid, is named before any LP solve or SGD step."""
+    def no_work(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(baselines, "gains", no_work)
+    monkeypatch.setattr(baselines, "_top1_target", no_work)
+    ds = data.generate_simulated(num_queries=3, docs_per_query=4, seed=0)
+    r_hat, groups = np.array([1.0, 2.0, 0.5]), np.array([0, 1, 0])
+    message = rf"^lam must be finite and >= 0, got {bad:g}$"
+    for grid in ([bad], [0.0, 0.2, bad], [0.2, bad, 0.0, 0.1]):
+        with pytest.raises(ValueError, match=message):
+            baselines.solve_fair_lp_grid(r_hat, groups, grid)
+        with pytest.raises(ValueError, match=message):
+            baselines.train_top1_grid(ds, grid, epochs=1)
+    for start in (lambda: baselines.solve_fair_lp(r_hat, groups, bad),
+                  lambda: baselines.train_top1_baseline(ds, bad, epochs=1)):
+        with pytest.raises(ValueError, match=message):
+            start()
+    for start in (lambda: baselines.solve_fair_lp_grid(r_hat, groups, []),
+                  lambda: baselines.train_top1_grid(ds, [], epochs=1)):
+        with pytest.raises(ValueError, match="grid is empty"):
+            start()
+
+
+def assert_same_lp_result(got, want):
+    """Every field of two ``FairLPResult`` equal, bit for bit."""
+    for field in ("orders", "weights", "exposures"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.xi, got.objective) == (want.xi, want.objective)
+
+
+def lp_grid_instances():
+    """Estimates and groups: random, tied, one group, no groups, a group of
+    zero merit, and one and two documents."""
+    rng = np.random.default_rng(11)
+    for n in (4, 8, 12):
+        for _ in range(8):
+            yield rng.uniform(0.0, 3.0, n), rng.integers(0, 2, n)
+            yield rng.integers(0, 3, n).astype(float), rng.integers(0, 2, n)
+    yield np.array([2.0, 2.0, 1.0, 1.0, 0.0, 2.0]), np.array([0, 1, 0, 1, 1, 0])
+    yield rng.uniform(0.0, 3.0, 5), np.zeros(5, dtype=int)
+    yield rng.uniform(0.0, 3.0, 5), None
+    yield np.array([0.0, -0.5, 1.5, 2.0]), np.array([0, 0, 1, 1])
+    yield np.array([1.3]), np.array([0])
+    yield np.array([2.0, 1.0]), np.array([0, 1])
+    yield np.array([1.0, 2.0]), np.array([0, 1])
+    yield np.array([1.0, 1.0]), np.array([1, 0])
+
+
+@pytest.mark.parametrize("grid", [baselines.lp_lambda_grid(),
+                                  [0.2, 0.0, 0.05, 0.2, 0.01, 5.0, 0.05],
+                                  [0.0]])
+def test_lp_grid_equals_one_solve_per_weight(grid):
+    """Each weight's optimum, read from the segment path of the grid's
+    largest weight, equals solving at that weight alone, in grid order."""
+    mixtures = 0
+    for r_hat, groups in lp_grid_instances():
+        got = baselines.solve_fair_lp_grid(r_hat, groups, grid)
+        assert len(got) == len(grid)
+        for result, lam in zip(got, grid):
+            assert_same_lp_result(result, baselines.solve_fair_lp(r_hat, groups, lam))
+            mixtures += len(result.orders) == 2
+    assert (mixtures > 0) == (max(grid) > 0.0)
+
+
 def test_lp_values_are_those_of_its_optimal_mixtures():
     """The LP baseline's per-query values, each query's optimum valued by
     ``trainer.value_split`` with all penalty weights as one block: NDCG is
@@ -325,3 +394,32 @@ def test_top1_baseline_equals_the_reference_loop(lam):
     assert got.weights.tolist() == want.weights.tolist()
     assert got.bias.tolist() == want.bias.tolist()
     assert (clipped > 0) == (lam == 10 ** 4)
+
+
+def top1_block_dataset(features):
+    """Queries of 6 and 9 documents, one of them of a single group, with
+    ``features`` features."""
+    rng = np.random.default_rng(features)
+    queries = []
+    for qi in range(12):
+        n = 6 if qi % 2 else 9
+        groups = np.zeros(n, dtype=int) if qi == 3 else (rng.random(n) < 0.3).astype(int)
+        queries.append(data.Query(str(qi), rng.normal(size=(n, features)),
+                                  rng.uniform(0.0, 3.0, n), groups))
+    return data.Dataset(queries, features)
+
+
+@pytest.mark.parametrize("features", [2, 5])
+def test_top1_block_members_equal_the_reference_loop(features):
+    """Each member of one unsorted grid block, with λ = 0, a mid weight and a
+    clipping one, equals the reference loop at its weight alone."""
+    ds = top1_block_dataset(features)
+    assert any(baselines._group_picker(q.groups) is None for q in ds)
+    grid = [10.0, 10 ** 4, 0.0, 10.0]
+    block = baselines.train_top1_grid(ds, grid, epochs=4, seed=2)
+    assert block.params.shape == (len(grid), features + 1)
+    for member, lam in enumerate(grid):
+        want, clipped = _top1_reference(ds, lam, epochs=4, seed=2)
+        assert block.weights[member].tobytes() == want.weights.tobytes()
+        assert block.bias[member].tobytes() == want.bias.tobytes()
+        assert (clipped > 0) == (lam == 10 ** 4)

@@ -448,6 +448,43 @@ def test_top1_summary_equals_its_per_query_reference(tmp_path, two_size_dir):
     assert json.loads((out / "record.json").read_text())["per_lambda"] == detail
 
 
+def test_baselines_do_their_per_query_and_per_epoch_work_once_per_grid(
+        tmp_path, two_size_dir, monkeypatch):
+    """The LP builds each query's group row once for the whole grid, and
+    the top-1 grid draws one permutation per epoch for all its weights.
+    Counts work through monkeypatched functions; times nothing."""
+    train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
+    rows_built = []
+    group_rows = baselines.group_rows
+    monkeypatch.setattr(baselines, "group_rows",
+                        lambda *args: rows_built.append(1) or group_rows(*args))
+    assert run(["baseline", "--method", "lp", "--train", train, "--test", test,
+                "--lambdas", "0,0.05,0.2,1", "--out", tmp_path / "lp"]) == 0
+    queries = sum(len(cli.load_dataset_auto(str(path))) for path in (train, test))
+    assert len(rows_built) == queries == 24
+
+    permutations = []
+
+    class CountingGenerator:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def __getattr__(self, name):
+            return getattr(self.generator, name)
+
+        def permutation(self, *args):
+            permutations.append(1)
+            return self.generator.permutation(*args)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(baselines.np.random, "default_rng",
+                        lambda *args: CountingGenerator(default_rng(*args)))
+    assert run(["baseline", "--method", "top1", "--train", train, "--test", test,
+                "--lambdas", "0,10,100,1000", "--epochs", 3,
+                "--out", tmp_path / "t1"]) == 0
+    assert len(permutations) == 3
+
+
 def test_sweep_train_rows_hold_delta_lambda_and_test_rows_each_checkpoint(
         tmp_path, two_size_dir):
     """A train row's disparity is its run's delta_lambda, bit for bit, and a

@@ -693,3 +693,17 @@ def test_train_refuses_splits_of_different_feature_widths_before_epoch_1(monkeyp
     monkeypatch.setattr(trainer, "_train_step", no_step)
     with pytest.raises(ValueError, match="val split has 3 features, train split has 2"):
         trainer.train(train_set, wide, trainer.TrainConfig(epochs=1))
+
+
+def test_evaluate_refuses_a_model_of_another_feature_width_before_any_work(monkeypatch):
+    ds = data.generate_simulated(num_queries=3, docs_per_query=4, seed=0)
+
+    def no_pass(*args):
+        raise AssertionError("an evaluation pass ran")
+
+    monkeypatch.setattr(trainer, "_evaluate", no_pass)
+    for model in (policy.init_model("linear", 3, np.random.default_rng(0)),
+                  policy.MLP1Model.init(1, np.random.default_rng(0), 4)):
+        with pytest.raises(ValueError, match=f"^model has {model.feature_dim} features, "
+                                             "evaluation split has 2$"):
+            trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"))
