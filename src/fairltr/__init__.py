@@ -16,22 +16,15 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .fairness import (
-    DisparityConfig,
-    MeritFunction,
-    exposure_of_policy,
-    exposure_of_ranking,
-    group_disparity,
-    individual_disparity,
-)
-from .metrics import UtilityMetric, dcg, err, expected_utility, ndcg, position_bias
+from .fairness import DisparityConfig, MeritFunction, exposure_of_policy
+from .metrics import UtilityMetric
 from .policy import (
     LinearModel,
     MLP1Model,
     argmax_ranking,
     init_model,
     load_model,
-    ranking_logprob,
+    ranking_logprobs,
     sample_rankings,
     save_model,
 )
@@ -50,11 +43,9 @@ __all__ = [
     "Dataset", "Query", "convert_binary_table",
     "generate_simulated", "load_dataset", "parse_letor", "save_dataset",
     "split_dataset",
-    "DisparityConfig", "MeritFunction", "exposure_of_policy",
-    "exposure_of_ranking", "group_disparity", "individual_disparity",
-    "UtilityMetric", "dcg", "err", "expected_utility", "ndcg", "position_bias",
+    "DisparityConfig", "MeritFunction", "exposure_of_policy", "UtilityMetric",
     "LinearModel", "MLP1Model", "argmax_ranking", "init_model", "load_model",
-    "ranking_logprob", "sample_rankings", "save_model",
+    "ranking_logprobs", "sample_rankings", "save_model",
     "EvalSummary", "RunRecord", "TrainConfig", "evaluate", "train",
     "fit_linear_regression", "solve_fair_lp", "solve_fair_lp_grid",
     "train_top1_baseline", "train_top1_grid",

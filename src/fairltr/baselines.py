@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, require_seed
 from .fairness import MeritFunction, group_rows, ranking_exposures
-from .metrics import gains, ideal_dcg, position_bias_vector
+from .metrics import _best_dcg, gains, position_bias_vector
 from .policy import LinearModel
 
 
@@ -127,8 +127,9 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
         raise ValueError("estimated relevances must be finite")
     n = r_hat.shape[0]
     v = position_bias_vector(n)
-    scale = ideal_dcg(r_hat)
-    w = gains(r_hat) / (scale if scale > 0.0 else 1.0)
+    g = gains(r_hat)
+    scale = _best_dcg(g, n)
+    w = g / (scale if scale > 0.0 else 1.0)
     a = _lp_constraint_row(r_hat, groups, merit or MeritFunction(), v)
     top = max(lambdas)
     solved = {}

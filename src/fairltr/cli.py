@@ -834,17 +834,18 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
 
-    err_metric = err_metric_for(dataset)
-    summary = trainer.evaluate(model, dataset, metric, disparity,
-                               opts["eval_samples"], seed=opts["seed"],
-                               extra_metrics=[err_metric])
-    mean_err = summary.extra_means[0]
-    rows = []
-    for i, query in enumerate(dataset):
-        rows.append([query.qid, summary.metric_values[i],
-                     summary.extra_values[0][i],
-                     summary.disparity_values[i] if disparity else None])
-    write_csv(out / "report.csv", ["qid", str(metric), "err", "disparity"], rows)
+    # An ERR run's metric is the err column itself, written once.
+    is_err = metric.kind == "err"
+    summary = trainer.evaluate(
+        model, dataset, metric, disparity, opts["eval_samples"], seed=opts["seed"],
+        extra_metrics=[] if is_err else [err_metric_for(dataset)])
+    mean_err = summary.mean_metric if is_err else summary.extra_means[0]
+    columns = [summary.metric_values, *summary.extra_values]
+    rows = [[query.qid, *(values[i] for values in columns),
+             summary.disparity_values[i] if disparity else None]
+            for i, query in enumerate(dataset)]
+    header = ["qid", "err"] if is_err else ["qid", str(metric), "err"]
+    write_csv(out / "report.csv", header + ["disparity"], rows)
     payload = {
         "checkpoint": opts["checkpoint"], "data": opts["data"],
         "metric": str(metric), "num_queries": len(dataset),
@@ -858,8 +859,8 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
     write_json(out / "report.json", payload)
     disp = ("" if summary.mean_disparity is None
             else f", mean disparity {summary.mean_disparity:.5f}")
-    print(f"mean {metric} {summary.mean_metric:.5f}, "
-          f"mean err {mean_err:.5f}{disp}; report in {out}")
+    means = "" if is_err else f"mean {metric} {summary.mean_metric:.5f}, "
+    print(f"{means}mean err {mean_err:.5f}{disp}; report in {out}")
     return 0
 
 

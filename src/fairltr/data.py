@@ -10,9 +10,10 @@ token per document in dataset order.  Floats are written with 17
 significant digits so that parse -> write -> parse is bit exact.
 
 A query holds its documents as arrays: a feature matrix, a relevance
-vector and, when labelled, a group vector.  The parser fills them directly,
-and a group file attaches its labels to them; ``load_dataset`` reads both
-files before it builds each query once, with its labels.  The constructor
+vector and, when labelled, a group vector.  ``parse_letor`` is the one
+parser of the text format: it reads the LETOR text and, when given, the
+group text next to it, and builds each query once, with its labels;
+``load_dataset`` opens both files and calls it.  The constructor
 refuses what the parsers refuse, a non-finite value or a group label other
 than 0/1, naming the query rather than a line.  Datasets are immutable
 after construction: a query's arrays are read-only, so what is derived
@@ -140,17 +141,29 @@ def _iter_lines(source) -> Iterator[str]:
             yield line.rstrip("\n")
 
 
-def parse_letor(source, feature_dim: int | None = None) -> Dataset:
-    """Parse LETOR-style text into a dataset.
+def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
+    """Parse LETOR-style text, and with ``groups`` its group text, into a
+    dataset.
 
-    ``source`` may be a string, a file object, or an iterable of lines.
-    Documents sharing a qid belong to the same query regardless of
-    adjacency; query order follows first appearance.  Features are
-    densified to ``max(feature_dim or 0, largest feature id seen)`` with
-    missing ids as 0: every value lands in one matrix of all documents by
-    one scatter, and each query takes its rows.
+    ``source`` and ``groups`` may each be a string, a file object, or an
+    iterable of lines.  Documents sharing a qid belong to the same query
+    regardless of adjacency; query order follows first appearance, and the
+    group labels are read one per document in that dataset order.
+    Features are densified to ``max(feature_dim or 0, largest feature id
+    seen)`` with missing ids as 0: every value lands in one matrix of all
+    documents by one scatter, and each query takes its rows and its slice
+    of the labels.
     """
-    return _build_dataset(*_read_letor(source, feature_dim))
+    docs_of, features, relevances, dim = _read_letor(source, feature_dim)
+    labels = None if groups is None else _group_labels(groups, len(relevances))
+    queries = []
+    start = 0
+    for qid, docs in docs_of.items():
+        stop = start + len(docs)
+        queries.append(Query(qid, features[docs], relevances[docs],
+                             None if labels is None else labels[start:stop]))
+        start = stop
+    return Dataset(queries, feature_dim=dim)
 
 
 def _read_letor(source, feature_dim: int | None
@@ -214,21 +227,6 @@ def _read_letor(source, feature_dim: int | None
     return docs_of, features, np.array(relevances), max_fid
 
 
-def _build_dataset(docs_of: dict[str, list[int]], features: np.ndarray,
-                   relevances: np.ndarray, feature_dim: int,
-                   labels: np.ndarray | None = None) -> Dataset:
-    """Each query built once from its rows, and its slice of ``labels``
-    (in dataset order) when given."""
-    queries = []
-    start = 0
-    for qid, docs in docs_of.items():
-        stop = start + len(docs)
-        queries.append(Query(qid, features[docs], relevances[docs],
-                             None if labels is None else labels[start:stop]))
-        start = stop
-    return Dataset(queries, feature_dim=feature_dim)
-
-
 def _f17(x: float) -> str:
     return f"{x:.17g}"
 
@@ -265,21 +263,6 @@ def _group_labels(source, num_docs: int) -> np.ndarray:
     return np.array([tok == "1" for tok in tokens], dtype=np.intp)
 
 
-def parse_group_file(source, dataset: Dataset) -> Dataset:
-    """Attach binary group labels to a dataset, one 0/1 token per document
-    in dataset order; returns a new dataset with ``has_groups`` true whose
-    queries take their slice of the labels next to their own arrays."""
-    labels = _group_labels(source, dataset.num_docs)
-    queries = []
-    start = 0
-    for q in dataset:
-        stop = start + q.num_docs
-        queries.append(Query(q.qid, q.feature_matrix, q.relevances,
-                             labels[start:stop]))
-        start = stop
-    return Dataset(queries, feature_dim=dataset.feature_dim)
-
-
 def save_dataset(dataset: Dataset, letor_path, groups_path=None) -> None:
     with open(letor_path, "w", encoding="ascii") as fh:
         fh.write(format_letor(dataset))
@@ -289,35 +272,13 @@ def save_dataset(dataset: Dataset, letor_path, groups_path=None) -> None:
 
 
 def load_dataset(letor_path, groups_path=None, feature_dim: int | None = None) -> Dataset:
-    """``parse_letor`` of a file and, with ``groups_path``,
-    ``parse_group_file`` of its group file, read after it; each query is
-    built once, with its labels."""
-    with open(letor_path, "r", encoding="ascii") as fh:
-        parsed = _read_letor(fh, feature_dim)
-    labels = None
-    if groups_path is not None:
-        with open(groups_path, "r", encoding="ascii") as fh:
-            labels = _group_labels(fh, len(parsed[2]))
-    return _build_dataset(*parsed, labels)
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Bitwise equality of two datasets (used by round-trip checks)."""
-    if (len(a) != len(b) or a.feature_dim != b.feature_dim
-            or a.has_groups != b.has_groups):
-        return False
-    for qa, qb in zip(a, b):
-        if qa.qid != qb.qid or qa.num_docs != qb.num_docs:
-            return False
-        if not np.array_equal(qa.feature_matrix, qb.feature_matrix):
-            return False
-        if not np.array_equal(qa.relevances, qb.relevances):
-            return False
-        if (qa.groups is None) != (qb.groups is None):
-            return False
-        if qa.groups is not None and not np.array_equal(qa.groups, qb.groups):
-            return False
-    return True
+    """``parse_letor`` of a LETOR file and, with ``groups_path``, of its
+    group file."""
+    with open(letor_path, "r", encoding="ascii") as letor:
+        if groups_path is None:
+            return parse_letor(letor, None, feature_dim)
+        with open(groups_path, "r", encoding="ascii") as groups:
+            return parse_letor(letor, groups, feature_dim)
 
 
 def require_seed(seed: int) -> None:

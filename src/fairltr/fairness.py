@@ -6,16 +6,18 @@ curve as the ranking metrics.  Fairness asks exposure to be proportional to
 merit, a non-negative monotone transform of relevance.
 
 The exposure of rankings is defined once, over an ``(S, n)`` block or a
-``(Q, S, n)`` block of Q such batches, by ``ranking_exposures``;
-``exposure_of_ranking`` validates one ranking and returns its block of one,
-and the Monte-Carlo estimate ``mc_exposure`` is the mean row of each
-``(S, n)`` batch.
+``(Q, S, n)`` block of Q such batches, by ``ranking_exposures``, and the
+Monte-Carlo estimate ``mc_exposure`` is the mean row of each ``(S, n)``
+batch.
 
 Each disparity is defined once, as hinge rows: linear functions of the
 expected exposure vector whose positive parts are the violations.  The
 disparity is ``hinge_mean(rows, exposures)``, the mean of the positive
 parts of ``hinge_gaps(rows, exposures)``, and zero when there are no rows;
-``hinge_weights`` gives its gradient wrt the exposures.
+``hinge_weights`` gives its gradient wrt the exposures.  So the individual
+disparity of an exposure vector ``e`` is
+``hinge_mean(individual_rows(merits), e)`` and the group disparity
+``hinge_mean(group_rows(merits, groups), e)``.
 
 * individual (``individual_rows``): one row per ordered pair where the
   first document has at least the merit of the second and the second has
@@ -43,7 +45,7 @@ import numpy as np
 
 from .data import Query
 from .metrics import position_bias_vector
-from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
+from .ranking import ENUMERATION_LIMIT
 from . import policy
 
 
@@ -89,12 +91,6 @@ def ranking_exposures(orders: np.ndarray) -> np.ndarray:
     values = np.empty(flat.shape)
     values[np.arange(len(flat))[:, None], flat] = position_bias_vector(flat.shape[1])
     return values.reshape(orders.shape)
-
-
-def exposure_of_ranking(order: Ranking) -> np.ndarray:
-    """Attention each document receives from one fixed ranking."""
-    order = as_ranking(order, np.asarray(order).shape[0])
-    return ranking_exposures(order[None])[0]
 
 
 @dataclass
@@ -143,8 +139,7 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
     shape = (*members.shape[1:-1], num_samples, n)
     noise = policy.gumbel_noise(rng, shape)
     values = np.array([
-        mc_exposure(policy.sample_rankings(member, num_samples, None, noise=noise)
-                    .reshape(shape), n)
+        mc_exposure(policy.sample_rankings(member, noise).reshape(shape), n)
         for member in members])
     return ExposureVector(values=values if s.ndim == 3 else values[0], mode="mc")
 
@@ -273,17 +268,6 @@ def hinge_mean(rows: HingeRows, exposures: np.ndarray) -> float | np.ndarray:
         return 0.0 if e.ndim == 1 else np.zeros(e.shape[:-1])
     means = np.maximum(hinge_gaps(rows, e), 0.0).mean(axis=-1)
     return float(means) if e.ndim == 1 else means
-
-
-def individual_disparity(exposures: np.ndarray, merits: np.ndarray) -> float:
-    """Mean hinge violation of per-merit exposure over the merit pairs."""
-    return hinge_mean(individual_rows(merits), exposures)
-
-
-def group_disparity(exposures: np.ndarray, merits: np.ndarray,
-                    groups: np.ndarray) -> float:
-    """Hinge violation of per-merit exposure between groups 0 and 1."""
-    return hinge_mean(group_rows(merits, groups), exposures)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ the discount matches the DCG convention with exponential gains
 
 Each metric is defined once, over an ``(S, n)`` block of rankings or a
 ``(K, S, n)`` block of K members' batches, by
-``UtilityMetric.batch_values``.  A call on one ranking (``value`` and the
-``dcg``, ``ndcg``, ``err`` and ``avg_rank`` functions) validates the
-ranking and returns its block of one.
+``UtilityMetric.batch_values``.  ``UtilityMetric.value``, the call on one
+ranking, validates the ranking and returns its block of one.
 
 Every metric takes the relevances as an array or as a ``data.Query``, and
 ``batch_values`` also a run of Q queries of equal size, with one batch of
@@ -30,24 +29,16 @@ from typing import Sequence
 import numpy as np
 
 from .data import Query
-from .ranking import ENUMERATION_LIMIT, Ranking, as_ranking
-from . import policy
+from .ranking import Ranking, as_ranking
 
 Relevances = np.ndarray | Query
 
 
-def position_bias(j: int) -> float:
-    """Attention fraction at 1-based position ``j``; strictly decreasing,
-    equal to 1 at the top position."""
-    if j < 1:
-        raise ValueError(f"position must be >= 1, got {j}")
-    return float(1.0 / np.log2(1.0 + j))
-
-
 @functools.lru_cache(maxsize=None)
 def position_bias_vector(num_positions: int) -> np.ndarray:
-    """``position_bias(j)`` for j = 1..num_positions, built once per length
-    and shared by every caller, so the array is read-only."""
+    """The attention ``1 / log2(1 + j)`` of each 1-based position j =
+    1..num_positions, built once per length and shared by every caller, so
+    the array is read-only."""
     bias = 1.0 / np.log2(1.0 + np.arange(1, num_positions + 1, dtype=float))
     bias.flags.writeable = False
     return bias
@@ -97,38 +88,28 @@ def gains(relevances: Relevances) -> np.ndarray:
     return _per_query(relevances, "gains", lambda rels: np.exp2(rels) - 1.0)
 
 
-def dcg(order: Ranking, relevances: Relevances, cutoff: int | None = None) -> float:
-    """Discounted cumulative gain of a ranking, optionally truncated."""
-    return UtilityMetric("dcg", cutoff).value(order, relevances)
-
-
 def ideal_dcg(relevances: Relevances | Sequence[Query],
               cutoff: int | None = None) -> float | np.ndarray:
     """DCG of the best ranking at ``cutoff``, kept with a query per cutoff;
     a run of queries gives each query's, ``(Q,)``."""
     k = _effective_cutoff(cutoff, _num_docs(relevances))
+    return _per_query(relevances, ("ideal_dcg", k),
+                      lambda rels: _best_dcg(gains(rels), k))
 
-    def build(rels: np.ndarray) -> float:
-        # Contiguous copy so the dot product gives the same bits as the
-        # one-row product of batch_values(); an ideally ordered ranking then
-        # scores exactly 1.0 under ndcg.
-        top = np.ascontiguousarray(np.sort(gains(rels))[::-1][:k])
-        return float(top @ position_bias_vector(k))
 
-    return _per_query(relevances, ("ideal_dcg", k), build)
+def _best_dcg(gain_values: np.ndarray, cutoff: int) -> float:
+    """DCG at ``cutoff`` of ``gain_values`` sorted best first: the ideal DCG
+    of the relevances with these gains, for a caller that has the gains."""
+    # Contiguous copy so the dot product gives the same bits as the one-row
+    # product of batch_values(); an ideally ordered ranking then scores
+    # exactly 1.0 under ndcg.
+    top = np.ascontiguousarray(np.sort(gain_values)[::-1][:cutoff])
+    return float(top @ position_bias_vector(cutoff))
 
 
 def _effective_cutoff(cutoff: int | None, num_docs: int) -> int:
     """Positions a metric counts; ``UtilityMetric`` has checked ``cutoff >= 1``."""
     return num_docs if cutoff is None else min(cutoff, num_docs)
-
-
-def ndcg(order: Ranking, relevances: Relevances, cutoff: int | None = None) -> float:
-    """DCG normalized by the best achievable DCG at the same cutoff.
-
-    Defined as 0 when every relevance is zero (the ideal DCG vanishes).
-    """
-    return UtilityMetric("ndcg", cutoff).value(order, relevances)
 
 
 def _stop_probabilities(relevances: Relevances, max_grade: float) -> np.ndarray:
@@ -145,34 +126,25 @@ def _stop_probabilities(relevances: Relevances, max_grade: float) -> np.ndarray:
     return _per_query(relevances, ("err_stop", max_grade), build)
 
 
-def err(order: Ranking, relevances: Relevances, max_grade: float = 4.0) -> float:
-    """Expected reciprocal rank under the cascade user model.
-
-    Per-document stop probability ``R_d = (2**rel_d - 1) / 2**max_grade``.
-
-    Raises:
-        ValueError: negative relevance, or ``max_grade`` below the maximum
-            relevance present.
-    """
-    return UtilityMetric("err", err_max_grade=max_grade).value(order, relevances)
-
-
-def avg_rank(order: Ranking, relevances: Relevances) -> float:
-    """Relevance-weighted mean position, ``sum_d rel_d pos(d) / sum_d rel_d``.
-
-    Lower is better.  Raises ``ValueError`` when all relevances are zero.
-    """
-    return UtilityMetric("avgrank").value(order, relevances)
-
-
 @dataclass(frozen=True)
 class UtilityMetric:
     """A named ranking metric with an optional rank cutoff.
 
-    ``kind`` is one of ``dcg``, ``ndcg``, ``err``, ``avgrank``.  The cutoff
-    applies to dcg/ndcg only.  ``err_max_grade`` feeds the cascade stop
-    probabilities.  ``sign`` is -1 for avgrank and +1 otherwise, so that
-    ``sign * value`` is always bigger-is-better for a learner.
+    ``kind`` is one of:
+
+    * ``dcg``: discounted cumulative gain, optionally truncated;
+    * ``ndcg``: DCG over the ideal DCG at the same cutoff, 0 when every
+      relevance is zero;
+    * ``err``: expected reciprocal rank under the cascade model, with stop
+      probability ``R_d = (2**rel_d - 1) / 2**err_max_grade``; a negative
+      relevance, or one above ``err_max_grade``, raises ``ValueError``;
+    * ``avgrank``: relevance-weighted mean position,
+      ``sum_d rel_d pos(d) / sum_d rel_d``, lower is better, and a
+      ``ValueError`` when every relevance is zero.
+
+    The cutoff applies to dcg/ndcg only.  ``sign`` is -1 for avgrank and +1
+    otherwise, so that ``sign * value`` is always bigger-is-better for a
+    learner.
     """
 
     kind: str = "ndcg"
@@ -253,45 +225,3 @@ class UtilityMetric:
     def batch_rewards(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
         values = self.batch_values(orders, relevances)
         return values if self.sign > 0.0 else -values
-
-
-def expected_utility(scores: np.ndarray, relevances: np.ndarray,
-                     metric: UtilityMetric) -> float:
-    """Exact expected metric value of the Plackett-Luce policy at ``scores``.
-
-    It draws no random numbers.  It comes from the DP over placed subsets
-    (``policy.placement_flows``) in O(2^n n): dcg and ndcg as
-    ``gains @ M @ discounts`` and avgrank as
-    ``rels @ M @ positions / rels.sum()`` over the position marginals ``M``,
-    and ERR from the flows themselves.  It is refused above
-    ``ENUMERATION_LIMIT`` candidates.
-    """
-    rels = np.asarray(relevances, dtype=float)
-    n = rels.shape[0]
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"exact expectation limited to {ENUMERATION_LIMIT} docs, got {n}")
-    if metric.kind == "err":
-        return _expected_err(scores, rels, metric.err_max_grade)
-    marginals = policy.position_marginals(scores)
-    if metric.kind == "avgrank":
-        total = rels.sum()
-        if total == 0.0:
-            raise ValueError("avg_rank is undefined for all-zero relevances")
-        return float(rels @ marginals @ np.arange(1.0, n + 1) / total)
-    k = _effective_cutoff(metric.cutoff, n)
-    value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
-    if metric.kind == "ndcg":
-        ideal = ideal_dcg(rels, metric.cutoff)
-        return value / ideal if ideal > 0.0 else 0.0
-    return value
-
-
-def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> float:
-    """Exact ERR of the policy: the cascade reaches slot ``|S| + 1`` with
-    probability ``prod_{d in S} (1 - R_d)``, whatever the order of ``S``."""
-    stop = _stop_probabilities(rels, max_grade)
-    placed, flows = policy.placement_flows(scores)
-    reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
-    slot = placed.sum(axis=1) + 1.0
-    return float(np.sum(reach * (flows @ stop) / slot))

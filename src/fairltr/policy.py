@@ -10,22 +10,24 @@ the product of those stage probabilities,
 Rankings are sampled by Gumbel-top-k: sorting ``s + G``, with ``G`` i.i.d.
 standard Gumbel noise, in descending order draws ``r`` with exactly this
 probability (Yellott 1977; Kool et al., ICML 2019, arXiv 1903.06059).
+A draw is two steps: ``gumbel_noise`` takes the noise from a generator,
+and ``sample_rankings`` ranks scores by it.
 
-Everything here works in score space.  Log-probabilities and their
-gradients are computed in probability space, from the weights
-``exp(s - max s)`` and the stage denominators summed over the documents not
-yet placed (``_stage_weights``).  The scoring models at the bottom of the
-module map features to scores and backpropagate score-space gradients to
-their parameters, which is all a policy-gradient trainer needs.  Each model
-class states its parameter layout once, as a table of parts (attribute,
-checkpoint key, shape) computed from its header: ``feature_dim`` and
-``bias`` for the linear model, ``feature_dim`` and ``hidden`` for the MLP.
-The model keeps its parameters in one contiguous vector, ``params``, of
-which the named arrays are views, and ``backprop`` returns one gradient
-vector in the same layout, so an optimizer step is a few operations on one
-vector.  Copies (``with_params``), equality and the checkpoint text format,
-written and read by ``save_model`` and ``load_model``, follow from the same
-table.
+Everything here works in score space.  Log-probabilities
+(``ranking_logprobs``) and their gradients are computed in probability
+space, from the weights ``exp(s - max s)`` and the stage denominators summed
+over the documents not yet placed (``_stage_weights``).  The scoring
+models at the bottom of the module map features to scores and
+backpropagate score-space gradients to their parameters, which is all a
+policy-gradient trainer needs.  Each model class states its parameter
+layout once, as a table of parts (attribute, checkpoint key, shape)
+computed from its header: ``feature_dim`` and ``bias`` for the linear
+model, ``feature_dim`` and ``hidden`` for the MLP.  The model keeps its
+parameters in one contiguous vector, ``params``, of which the named arrays
+are views, and ``backprop`` returns one gradient vector in the same
+layout, so an optimizer step is a few operations on one vector.  Copies
+(``with_params``) and the checkpoint text format, written and read by
+``save_model`` and ``load_model``, follow from the same table.
 
 Scores, models and samples may carry a leading member axis: a ``(K, n)``
 block of score vectors, one per member of a grid of runs trained in
@@ -48,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ranking import Ranking, as_ranking
+from .ranking import Ranking
 
 SCORE_CLAMP = 50.0
 
@@ -107,15 +109,9 @@ def _row_offsets(groups: int, size: int, n: int) -> np.ndarray:
     return offsets
 
 
-def ranking_logprob(scores: np.ndarray, order: Ranking) -> float:
-    """Log-probability of drawing ``order`` from the policy at ``scores``."""
-    order = as_ranking(order, np.asarray(scores).shape[0])
-    return float(ranking_logprobs(scores, order[None])[0])
-
-
 def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Log-probability of each ranking in a batch of shape ``(size, n)``;
-    rows are not validated."""
+    """Log-probability of each ranking in a batch of shape ``(size, n)``, or
+    of one ranking ``(n,)``; rows are not validated."""
     w, remaining, _ = _stage_weights(scores, orders)
     return np.log(w / remaining).sum(axis=0).reshape(np.shape(orders)[:-1])
 
@@ -132,37 +128,27 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
     return noise
 
 
-def sample_rankings(scores: np.ndarray, size: int, rng: np.random.Generator | None,
-                    noise: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``size`` rankings by Gumbel-top-k, shape ``(size, n)``.
+def sample_rankings(scores: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Rank by Gumbel-top-k with ``noise``, a ``gumbel_noise`` draw of shape
+    ``(size, n)``: ``size`` rankings, shape ``(size, n)``.  The noise is not
+    changed.
 
     ``scores`` may also be a ``(Q, n)`` block of Q score vectors: the result
-    is then ``(Q * size, n)``, the ``size`` rankings of each row in turn.
-    Each row takes its own draws from ``rng``, and the block equals Q calls
-    on the rows one after another, drawn in the same order.
-
-    ``noise``, a ``gumbel_noise`` draw made before, stands in for the draws
-    from ``rng``, which is then not touched; the noise is not changed.  A
-    ``(size, n)`` draw is shared by every row: row q's rankings equal those
-    of a call on row q alone with ``rng`` in the state the draw was made
-    from, which is how the members of a grid sample in lockstep.  A
-    ``(Q, size, n)`` draw gives each row of a ``(Q, n)`` block its own, so
-    the members of a grid can each rank a block of queries by one draw.
+    is then ``(Q * size, n)``, the ``size`` rankings of each row in turn.  A
+    ``(size, n)`` draw is shared by every row, which is how the members of
+    a grid sample in lockstep; a ``(Q, size, n)`` draw gives each row its
+    own, so that each member of a grid can rank a block of queries by one
+    draw.  Ranking a ``(Q, n)`` block by ``gumbel_noise(rng, (Q, size,
+    n))`` equals Q calls on the rows one after another, each by its own
+    ``gumbel_noise(rng, (size, n))``.
 
     For uniform ``u`` the ascending sort key ``log(-log u) - s`` is
     ``-(s + G)`` with ``G`` standard Gumbel.  A draw of exactly 0 gives the
     key +inf and puts that document last, which is right to within 2**-53.
     """
     s = clip_scores(scores)
-    if size < 1:
-        raise ValueError("size must be >= 1")
     n = s.shape[-1]
-    blocks = s.reshape(-1, 1, n)
-    if noise is None:
-        keys = gumbel_noise(rng, (len(blocks), size, n))
-        keys -= blocks
-    else:
-        keys = noise - blocks
+    keys = noise - s.reshape(-1, 1, n)
     return np.argsort(keys.reshape(-1, n), axis=1)
 
 
@@ -178,7 +164,7 @@ def argmax_ranking(scores: np.ndarray) -> Ranking:
 
 
 def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Gradient of ``ranking_logprob`` wrt scores for a batch of rankings.
+    """Gradient of ``ranking_logprobs`` wrt scores for a batch of rankings.
 
     ``orders`` has shape ``(size, n)``, or ``(K, size, n)`` for a ``(K, n)``
     member block of scores; the result matches it, and rows are not
@@ -242,8 +228,7 @@ def draw_policy_sample(scores: np.ndarray, size: int, rng: np.random.Generator) 
     """
     s = np.asarray(scores)
     noise = gumbel_noise(rng, (size, s.shape[-1]))
-    orders = sample_rankings(s, size, None, noise=noise).reshape(
-        *s.shape[:-1], size, s.shape[-1])
+    orders = sample_rankings(s, noise).reshape(*s.shape[:-1], size, s.shape[-1])
     grads = logprob_grads_scores(s, orders)
     return PolicySample(rankings=orders, logprob_grads=grads)
 
@@ -552,11 +537,6 @@ def init_model(kind: str, feature_dim: int, rng: np.random.Generator,
     if kind == "mlp1":
         return MLP1Model.init(feature_dim, rng, hidden_units=hidden_units)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def models_equal(a: ScoringModel, b: ScoringModel) -> bool:
-    return (a.kind == b.kind and a.header == b.header
-            and np.array_equal(a.params, b.params))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 Ranking = np.ndarray
 
 # Largest candidate count for exact policy expectations: exposure is exact
-# up to it and Monte-Carlo above it, and exact expected utility is refused
-# above it, since the subset DP takes O(2^n n) memory.
+# up to it and Monte-Carlo above it, since the subset DP takes O(2^n n)
+# memory.
 ENUMERATION_LIMIT = 7
 
 

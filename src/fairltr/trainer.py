@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -494,9 +493,6 @@ class RunRecord:
         if self.delta_lambda is not None:
             out["delta_lambda"] = self.delta_lambda
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def train(train_set: Dataset, val_set: Dataset,

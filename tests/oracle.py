@@ -1,4 +1,4 @@
-"""Exact enumeration oracle for the tests.
+"""Exact references and equality checks for the tests.
 
 ``enumerate_policy_expectations`` sums over every one of the n! rankings
 to give the expected utility, exposures, disparities and their exact
@@ -8,7 +8,11 @@ The library computes exact expectations with the DP over placed subsets
 that DP, and the Monte-Carlo estimators, against.  Both disparities come
 from the hinge rows of ``fairness.individual_rows`` and
 ``fairness.group_rows``, with the hinge indicators taken from the exact
-exposures.
+exposures.  ``expected_utility`` is the exact expected metric from the same
+DP, in O(2^n n), which the tests check against both.
+
+``datasets_equal`` and ``models_equal`` compare datasets and models bit
+for bit, for the round-trip and determinism tests.
 """
 from __future__ import annotations
 
@@ -18,10 +22,13 @@ from typing import Iterator
 
 import numpy as np
 
+from fairltr.data import Dataset
 from fairltr.fairness import HingeRows, group_rows, hinge_gaps, hinge_mean, \
     hinge_weights, individual_rows, ranking_exposures
-from fairltr.metrics import UtilityMetric
-from fairltr.policy import logprob_grads_scores, ranking_logprobs
+from fairltr.metrics import UtilityMetric, _stop_probabilities, gains, ideal_dcg, \
+    position_bias_vector
+from fairltr.policy import ScoringModel, logprob_grads_scores, placement_flows, \
+    position_marginals, ranking_logprobs
 from fairltr.ranking import ENUMERATION_LIMIT, Ranking
 
 
@@ -109,3 +116,70 @@ def _exact_hinge(rows: HingeRows, exposures: np.ndarray,
         weights = hinge_weights(rows, hinge_gaps(rows, exposures) > 0.0)
         grad = (probs * (per_ranking @ weights)) @ glogs
     return hinge_mean(rows, exposures), grad
+
+
+def expected_utility(scores: np.ndarray, relevances: np.ndarray,
+                     metric: UtilityMetric) -> float:
+    """Exact expected metric value of the Plackett-Luce policy at ``scores``.
+
+    It draws no random numbers.  It comes from the DP over placed subsets
+    (``policy.placement_flows``) in O(2^n n): dcg and ndcg as
+    ``gains @ M @ discounts`` and avgrank as
+    ``rels @ M @ positions / rels.sum()`` over the position marginals ``M``,
+    and ERR from the flows themselves.  It is refused above
+    ``ENUMERATION_LIMIT`` candidates.
+    """
+    rels = np.asarray(relevances, dtype=float)
+    n = rels.shape[0]
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"exact expectation limited to {ENUMERATION_LIMIT} docs, got {n}")
+    if metric.kind == "err":
+        return _expected_err(scores, rels, metric.err_max_grade)
+    marginals = position_marginals(scores)
+    if metric.kind == "avgrank":
+        total = rels.sum()
+        if total == 0.0:
+            raise ValueError("avg_rank is undefined for all-zero relevances")
+        return float(rels @ marginals @ np.arange(1.0, n + 1) / total)
+    k = n if metric.cutoff is None else min(metric.cutoff, n)
+    value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
+    if metric.kind == "ndcg":
+        ideal = ideal_dcg(rels, metric.cutoff)
+        return value / ideal if ideal > 0.0 else 0.0
+    return value
+
+
+def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> float:
+    """Exact ERR of the policy: the cascade reaches slot ``|S| + 1`` with
+    probability ``prod_{d in S} (1 - R_d)``, whatever the order of ``S``."""
+    stop = _stop_probabilities(rels, max_grade)
+    placed, flows = placement_flows(scores)
+    reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
+    slot = placed.sum(axis=1) + 1.0
+    return float(np.sum(reach * (flows @ stop) / slot))
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Bitwise equality of two datasets: qids, arrays and group labels."""
+    if (len(a) != len(b) or a.feature_dim != b.feature_dim
+            or a.has_groups != b.has_groups):
+        return False
+    for qa, qb in zip(a, b):
+        if qa.qid != qb.qid or qa.num_docs != qb.num_docs:
+            return False
+        if not np.array_equal(qa.feature_matrix, qb.feature_matrix):
+            return False
+        if not np.array_equal(qa.relevances, qb.relevances):
+            return False
+        if (qa.groups is None) != (qb.groups is None):
+            return False
+        if qa.groups is not None and not np.array_equal(qa.groups, qb.groups):
+            return False
+    return True
+
+
+def models_equal(a: ScoringModel, b: ScoringModel) -> bool:
+    """Same kind, header and parameter bits."""
+    return (a.kind == b.kind and a.header == b.header
+            and np.array_equal(a.params, b.params))

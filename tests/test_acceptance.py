@@ -103,9 +103,8 @@ def test_gradient_matches_finite_differences(capsys):
             if abs(m0 - m1) < 0.05:
                 continue
             scores = X @ w
-            term = fairness.group_disparity(
-                fairness.exposure_of_policy(scores).values,
-                merits, groups)
+            term = fairness.hinge_mean(fairness.group_rows(merits, groups),
+                                       fairness.exposure_of_policy(scores).values)
             hinge_gap = term if term > 0 else _signed_group_gap(
                 scores, merits, groups)
             if abs(hinge_gap) < 1e-3:       # too close to the hinge kink
@@ -227,7 +226,8 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
 
     scores = np.array([0.8, -0.4, 0.3])
     size = 50000
-    sample = policy.sample_rankings(scores, size, np.random.default_rng(34))
+    sample = policy.sample_rankings(
+        scores, policy.gumbel_noise(np.random.default_rng(34), (size, 3)))
     keys = sample @ np.array([9, 3, 1])
     orders = np.stack(list(oracle.all_rankings(3)))
     probs = np.exp(policy.ranking_logprobs(scores, orders))
@@ -249,19 +249,21 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
 
 
 def test_metric_oracle_values(capsys):
+    ndcg = metrics.UtilityMetric("ndcg")
     rng = np.random.default_rng(44)
     sorted_exact = True
     for _ in range(50):
         n = int(rng.integers(2, 9))
         rels = rng.choice(np.arange(0, 8, dtype=float), size=n, replace=False)
         ideal = np.argsort(-rels, kind="stable")
-        sorted_exact &= metrics.ndcg(ideal, rels) == 1.0
+        sorted_exact &= ndcg.value(ideal, rels) == 1.0
 
     equal = np.full(4, 2.0)
-    invariant = all(metrics.ndcg(order, equal) == 1.0
+    invariant = all(ndcg.value(order, equal) == 1.0
                     for order in oracle.all_rankings(4))
 
-    hand = metrics.dcg(np.array([0, 1, 2]), np.array([3.0, 1.0, 0.0]))
+    hand = metrics.UtilityMetric("dcg").value(np.array([0, 1, 2]),
+                                              np.array([3.0, 1.0, 0.0]))
     hand_ok = abs(hand - 7.63093) < 1e-5
     ok = sorted_exact and invariant and hand_ok
     report(capsys, ok, f"metric oracle: sorted ndcg exact {sorted_exact}, "
@@ -288,8 +290,9 @@ def test_proportional_exposure_zero_disparity(capsys):
         groups = rng.integers(0, 2, size=n)
         if len(np.unique(groups)) < 2:
             groups[0], groups[-1] = 0, 1
-        worst = max(worst, fairness.individual_disparity(exposures, merits))
-        worst = max(worst, fairness.group_disparity(exposures, merits, groups))
+        for rows in (fairness.individual_rows(merits),
+                     fairness.group_rows(merits, groups)):
+            worst = max(worst, fairness.hinge_mean(rows, exposures))
     ok = worst <= 1e-10
     report(capsys, ok, f"proportional exposure: max disparity {worst:.1e} "
                        f"(<= 1e-10)")

@@ -418,7 +418,7 @@ def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
                 ndcg_vals.append(ndcg_metric.value(order, query))
                 err_vals.append(err_metrics[split_name].value(order, query))
                 disp_vals.append(fairness.hinge_mean(
-                    group.query_rows(query), fairness.exposure_of_ranking(order)))
+                    group.query_rows(query), fairness.ranking_exposures(order)))
             rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
                          float(np.mean(err_vals)), float(np.mean(disp_vals)),
                          None])
@@ -527,6 +527,29 @@ def test_eval_reports(tmp_path, dataset_dir):
     rows = read_rows(out / "report.csv")
     assert rows[0] == ["qid", "ndcg@10", "err", "disparity"]
     assert len(rows) == 15
+
+
+def test_an_err_eval_writes_its_err_column_once(tmp_path, dataset_dir, capsys):
+    """With ``--metric err`` the run's metric is the err column: report.csv
+    holds it once, with each query's ERR, report.json keeps both means, and
+    stdout names it once."""
+    letor = dataset_dir / "data.letor"
+    run_dir = tmp_path / "run"
+    assert run(["train", "--train", letor, "--out", run_dir, "--gamma", 0,
+                "--epochs", 2, "--samples", 5]) == 0
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", run_dir / "checkpoint.txt", "--data", letor,
+                "--out", out, "--metric", "err", "--disparity", "group"]) == 0
+    assert capsys.readouterr().out.count("mean err") == 1
+    rows = read_rows(out / "report.csv")
+    assert rows[0] == ["qid", "err", "disparity"]
+    dataset = data.load_dataset(letor, dataset_dir / "data.groups")
+    summary = trainer.evaluate(policy.load_model(run_dir / "checkpoint.txt"),
+                               dataset, cli.err_metric_for(dataset))
+    assert [float(row[1]) for row in rows[1:]] == summary.metric_values
+    report = json.loads((out / "report.json").read_text())
+    assert report["mean_metric"] == report["mean_err"] == summary.mean_metric
 
 
 def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir):
@@ -793,3 +816,72 @@ def test_importing_the_package_and_cli_loads_no_scipy():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# Degenerate inputs
+# ---------------------------------------------------------------------------
+
+
+def finite_cells(directory):
+    """Every number in the CSV and JSON files under ``directory`` is finite;
+    the number of files checked."""
+    def check(value):
+        if isinstance(value, dict):
+            return all(check(v) for v in value.values())
+        if isinstance(value, list):
+            return all(check(v) for v in value)
+        return not isinstance(value, float) or np.isfinite(value)
+
+    files = 0
+    for path in sorted(directory.rglob("*")):
+        if path.suffix == ".csv":
+            for row in read_rows(path)[1:]:
+                for cell in row:
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(number), (path, row)
+        elif path.suffix == ".json":
+            assert check(json.loads(path.read_text())), path
+        else:
+            continue
+        files += 1
+    return files
+
+
+def test_every_command_runs_on_degenerate_queries(tmp_path):
+    """Queries of 1, 3, 4, 5, 8 and 10 documents, so exposure is exact for
+    some and Monte-Carlo for others, one whose relevances are all zero and
+    one with a single group: train, sweep, both baselines and eval exit 0
+    and write only finite numbers."""
+    rng = np.random.default_rng(8)
+    queries = []
+    for qid, n in enumerate((1, 3, 4, 5, 8, 10), start=1):
+        relevances = rng.integers(0, 4, size=n).astype(float)
+        groups = np.arange(n) % 2
+        if n == 4:
+            relevances[:] = 0.0
+        if n == 5:
+            groups[:] = 0
+        queries.append(data.Query(str(qid), rng.uniform(0.0, 3.0, size=(n, 2)),
+                                  relevances, groups))
+    letor = tmp_path / "data.letor"
+    data.save_dataset(data.Dataset(queries, 2), letor, tmp_path / "data.groups")
+    common = ["--train", letor, "--val", letor, "--disparity", "group",
+              "--epochs", 2, "--samples", 4, "--patience", 0]
+    out = tmp_path / "out"
+    commands = [
+        ["train", *common, "--lambda", 1, "--out", out / "train"],
+        ["sweep", *common, "--test", letor, "--lambdas", "0,1", "--out", out / "sweep"],
+        ["baseline", "--method", "lp", "--train", letor, "--test", letor,
+         "--lambdas", "0,0.1", "--out", out / "lp"],
+        ["baseline", "--method", "top1", "--train", letor, "--test", letor,
+         "--lambdas", "0,10", "--epochs", 2, "--out", out / "top1"],
+        ["eval", "--checkpoint", out / "train" / "checkpoint.txt", "--data", letor,
+         "--disparity", "group", "--out", out / "eval"],
+    ]
+    for argv in commands:
+        assert run(argv) == 0, argv[0]
+        assert finite_cells(argv[-1]) > 0, argv[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fairltr import data
+import oracle
 
 
 SAMPLE = """\
@@ -81,7 +82,7 @@ def test_letor_round_trip_is_bit_exact():
     ds = data.Dataset(queries, 3)
     text = data.format_letor(ds)
     again = data.parse_letor(text)
-    assert data.datasets_equal(ds, again)
+    assert oracle.datasets_equal(ds, again)
     assert data.format_letor(again) == text
 
 
@@ -91,20 +92,24 @@ def test_group_file_round_trip(tmp_path):
     data.save_dataset(ds, letor, groups)
     again = data.load_dataset(letor, groups)
     assert again.has_groups
-    assert data.datasets_equal(ds, again)
+    assert oracle.datasets_equal(ds, again)
     bare = data.load_dataset(letor, None)
     assert not bare.has_groups
 
 
 def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
-    """Loading with a group file builds each query once, with its labels,
-    into the dataset that attaching the labels afterwards gives, and a bad
-    label still fails with the group file's message."""
+    """Loading with a group file builds each query once, with its labels in
+    dataset order, into the dataset that parsing the two texts gives, and a
+    bad label fails with the group file's message."""
     letor, groups = tmp_path / "d.letor", tmp_path / "d.groups"
     # Query a's documents are not adjacent: labels follow dataset order.
     letor.write_text("2 qid:a 1:1\n0 qid:b 1:2\n1 qid:a 1:3\n3 qid:c 1:4\n")
     groups.write_text("1\n0\n0\n1\n")
-    want = data.parse_group_file(groups.read_text(), data.parse_letor(letor.read_text()))
+    want = data.Dataset([data.Query("a", [[1.0], [3.0]], [2.0, 1.0], [1, 0]),
+                         data.Query("b", [[2.0]], [0.0], [0]),
+                         data.Query("c", [[4.0]], [3.0], [1])], 1)
+    assert oracle.datasets_equal(
+        data.parse_letor(letor.read_text(), groups.read_text()), want)
     built = []
     init = data.Query.__init__
 
@@ -115,7 +120,7 @@ def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
     monkeypatch.setattr(data.Query, "__init__", counted)
     got = data.load_dataset(letor, groups)
     assert built == ["a", "b", "c"] and len(got) == 3
-    assert data.datasets_equal(got, want)
+    assert oracle.datasets_equal(got, want)
     assert got.queries[0].groups.tolist() == [1, 0]
     groups.write_text("1\n0\n2\n1\n")
     with pytest.raises(data.ParseError, match="must be 0 or 1, got '2'"):
@@ -126,9 +131,8 @@ def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
 
 
 def test_group_file_must_match_shape():
-    ds = data.parse_letor("1 qid:1 1:1\n0 qid:1 1:2\n")
-    with pytest.raises(data.DataError):
-        data.parse_group_file("0\n", ds)          # one token, two docs
+    with pytest.raises(data.DataError):            # one token, two docs
+        data.parse_letor("1 qid:1 1:1\n0 qid:1 1:2\n", "0\n")
 
 
 def test_dataset_rejects_mixed_group_presence():
@@ -192,8 +196,8 @@ def test_generate_simulated_shape_and_determinism():
     c = data.generate_simulated(num_queries=6, docs_per_query=7, seed=4)
     assert len(a) == 6 and a.num_docs == 42 and a.feature_dim == 2
     assert a.has_groups
-    assert data.datasets_equal(a, b)
-    assert not data.datasets_equal(a, c)
+    assert oracle.datasets_equal(a, b)
+    assert not oracle.datasets_equal(a, c)
     assert [q.qid for q in a.queries] == [str(i) for i in range(1, 7)]
 
 
@@ -227,7 +231,7 @@ def test_convert_binary_table_counts_and_labels():
         assert set(np.unique(q.relevances)) <= {0.0, 1.0}
     again = data.convert_binary_table(records, num_queries=8, candidate_size=10,
                                       relevant_fraction=0.2, seed=1)
-    assert data.datasets_equal(ds, again)
+    assert oracle.datasets_equal(ds, again)
 
 
 def test_convert_binary_table_needs_both_classes():
@@ -258,8 +262,8 @@ def test_split_dataset_partitions_queries():
     ids = sorted(q.qid for q in train) + sorted(q.qid for q in val)
     assert sorted(ids) == sorted(q.qid for q in ds)
     train2, val2 = data.split_dataset(ds, 0.8, seed=0)
-    assert data.datasets_equal(train, train2)
-    assert data.datasets_equal(val, val2)
+    assert oracle.datasets_equal(train, train2)
+    assert oracle.datasets_equal(val, val2)
 
 
 def test_split_dataset_clamps_to_leave_both_sides_nonempty():

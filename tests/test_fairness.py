@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fairltr import data, fairness, metrics, policy, trainer
+from fairltr.fairness import group_rows, hinge_mean, individual_rows
 from fairltr.ranking import ENUMERATION_LIMIT
 import oracle
 
@@ -24,7 +25,7 @@ def test_merit_function_forms():
 
 def test_exposure_of_ranking_is_position_bias_at_doc_positions():
     order = np.array([2, 0, 1])
-    np.testing.assert_allclose(fairness.exposure_of_ranking(order),
+    np.testing.assert_allclose(fairness.ranking_exposures(order),
                                [V2, 0.5, 1.0])
 
 
@@ -38,7 +39,7 @@ def test_exposure_of_policy_exact_uniform():
 def test_exposure_total_is_conserved():
     """Any policy hands out the same total exposure budget."""
     rng = np.random.default_rng(0)
-    budget = 1.0 + V2 + 0.5 + metrics.position_bias(4)
+    budget = metrics.position_bias_vector(4).sum()
     for _ in range(5):
         scores = rng.normal(scale=2.0, size=4)
         expo = fairness.exposure_of_policy(scores)
@@ -49,7 +50,8 @@ def test_exposure_mc_converges_to_exact():
     rng = np.random.default_rng(1)
     scores = np.array([0.5, -0.5, 1.0, 0.0])
     exact = fairness.exposure_of_policy(scores).values
-    mc = fairness.mc_exposure(policy.sample_rankings(scores, 40000, rng), 4)
+    mc = fairness.mc_exposure(
+        policy.sample_rankings(scores, policy.gumbel_noise(rng, (40000, 4))), 4)
     np.testing.assert_allclose(mc, exact, atol=0.02)
 
 
@@ -63,47 +65,45 @@ def test_exposure_auto_switches_on_query_size():
 
 def test_individual_disparity_hand_values():
     exposures = np.array([1.0, V2])
-    assert fairness.individual_disparity(exposures, np.array([1.0, 1.0])) == \
+    assert hinge_mean(individual_rows(np.array([1.0, 1.0])), exposures) == \
         pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     # the better document is allowed more exposure per merit than it gets
-    assert fairness.individual_disparity(exposures, np.array([2.0, 1.0])) == 0.0
+    assert hinge_mean(individual_rows(np.array([2.0, 1.0])), exposures) == 0.0
 
 
 def test_individual_disparity_ignores_zero_merit_partners():
     exposures = np.array([1.0, V2, 0.5])
     merits = np.array([2.0, 0.0, 1.0])
     # only the (0, 2) pair qualifies: max(0, 1/2 - 0.5/1) / 1
-    assert fairness.individual_disparity(exposures, merits) == \
+    assert hinge_mean(individual_rows(merits), exposures) == \
         pytest.approx(0.0, abs=1e-12)
     merits = np.array([1.0, 0.0, 2.0])
     # only (2, 0): max(0, 0.5/2 - 1/1) -> 0; no qualifying positive pair
-    assert fairness.individual_disparity(exposures, merits) == 0.0
+    assert hinge_mean(individual_rows(merits), exposures) == 0.0
 
 
 def test_individual_disparity_no_pairs_is_zero():
-    assert fairness.individual_disparity(np.array([1.0]), np.array([2.0])) == 0.0
-    assert fairness.individual_disparity(np.array([1.0, V2]), np.zeros(2)) == 0.0
+    assert hinge_mean(individual_rows(np.array([2.0])), np.array([1.0])) == 0.0
+    assert hinge_mean(individual_rows(np.zeros(2)), np.array([1.0, V2])) == 0.0
 
 
 def test_group_disparity_hand_value():
     exposures = np.array([1.0, V2])
     merits = np.array([1.1, 1.0])
     groups = np.array([0, 1])
-    got = fairness.group_disparity(exposures, merits, groups)
+    got = hinge_mean(group_rows(merits, groups), exposures)
     assert got == pytest.approx(1.0 / 1.1 - V2, abs=1e-12)
     # swap the direction: the higher-merit group is now under-exposed
-    assert fairness.group_disparity(exposures[::-1].copy(), merits, groups) == 0.0
+    assert hinge_mean(group_rows(merits, groups), exposures[::-1].copy()) == 0.0
 
 
 def test_group_disparity_degenerate_cases_are_zero():
     exposures = np.array([1.0, V2])
-    assert fairness.group_disparity(exposures, np.array([2.0, 1.0]),
-                                    np.array([0, 0])) == 0.0
-    assert fairness.group_disparity(exposures, np.array([0.0, 0.0]),
-                                    np.array([0, 1])) == 0.0
-    # equal mean merit: tie, no preferred direction
-    assert fairness.group_disparity(exposures, np.array([1.0, 1.0]),
-                                    np.array([0, 1])) == 0.0
+    for merits, groups in (([2.0, 1.0], [0, 0]), ([0.0, 0.0], [0, 1]),
+                           # equal mean merit: tie, no preferred direction
+                           ([1.0, 1.0], [0, 1])):
+        rows = group_rows(np.array(merits), np.array(groups))
+        assert hinge_mean(rows, exposures) == 0.0
 
 
 def test_merit_proportional_exposure_has_zero_disparity():
@@ -111,9 +111,9 @@ def test_merit_proportional_exposure_has_zero_disparity():
     merits = np.array([3.0, 2.0, 1.0])
     exposures = merits * 0.4
     groups = np.array([0, 1, 0])
-    assert fairness.individual_disparity(exposures, merits) == \
+    assert hinge_mean(individual_rows(merits), exposures) == \
         pytest.approx(0.0, abs=1e-10)
-    assert fairness.group_disparity(exposures, merits, groups) == \
+    assert hinge_mean(group_rows(merits, groups), exposures) == \
         pytest.approx(0.0, abs=1e-10)
 
 
@@ -123,15 +123,16 @@ def test_disparity_hinges_after_averaging_not_per_ranking():
     scores = np.zeros(3)
     merits = np.ones(3)
     expo = fairness.exposure_of_policy(scores)
-    assert fairness.individual_disparity(expo.values, merits) == \
+    assert hinge_mean(individual_rows(merits), expo.values) == \
         pytest.approx(0.0, abs=1e-12)
-    per_ranking = [fairness.individual_disparity(
-        fairness.exposure_of_ranking(order), merits) for order in oracle.all_rankings(3)]
+    orders = np.stack(list(oracle.all_rankings(3)))
+    per_ranking = hinge_mean(individual_rows(merits),
+                             fairness.ranking_exposures(orders))
     assert np.mean(per_ranking) > 0.05
 
 
 def test_ranking_pair_term_hand_value():
-    ranked = fairness.exposure_of_ranking(np.array([0, 1]))
+    ranked = fairness.ranking_exposures(np.array([0, 1]))
     pair = fairness.individual_rows(np.array([2.0, 1.0]))
     assert (pair.first.tolist(), pair.second.tolist()) == ([0], [1])
     np.testing.assert_array_equal(pair.inv_merit, [0.5, 1.0])
@@ -171,7 +172,7 @@ def test_pair_form_matches_dense_rows():
         dense = _dense_individual_rows(rows)
         assert dense.shape == (len(rows), len(merits))
         want = float(np.maximum(dense @ exposures, 0.0).mean()) if len(rows) else 0.0
-        assert fairness.individual_disparity(exposures, merits) == pytest.approx(
+        assert hinge_mean(rows, exposures) == pytest.approx(
             want, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(fairness.hinge_gaps(rows, exposures),
                                    dense @ exposures, rtol=1e-12, atol=1e-15)
@@ -215,7 +216,7 @@ def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
 
 
 def test_ranking_group_term_signs_and_errors():
-    ranked = fairness.exposure_of_ranking(np.array([0, 1]))
+    ranked = fairness.ranking_exposures(np.array([0, 1]))
     merits = np.array([2.0, 1.0])
     # group 0 has the higher mean merit, so its over-exposure is charged
     grp = fairness.group_rows(merits, np.array([0, 1]))
@@ -285,9 +286,9 @@ def test_disparities_match_literal_definitions():
         (np.array([1.0, V2]), np.array([1.0, 1.0]), np.array([0, 1])),   # equal merits
     ]
     for exposures, merits, groups in cases:
-        assert fairness.individual_disparity(exposures, merits) == pytest.approx(
+        assert hinge_mean(individual_rows(merits), exposures) == pytest.approx(
             _literal_individual(exposures, merits), abs=1e-12)
-        assert fairness.group_disparity(exposures, merits, groups) == pytest.approx(
+        assert hinge_mean(group_rows(merits, groups), exposures) == pytest.approx(
             _literal_group(exposures, merits, groups), abs=1e-12)
     # equal positive merits give the pair in both orders; degenerate shapes
     assert len(fairness.individual_rows(np.array([1.0, 1.0]))) == 2
@@ -400,10 +401,11 @@ def test_mc_exposure_counts_positions():
 def test_policy_exposure_matches_sampled_ranking_average():
     rng = np.random.default_rng(3)
     scores = np.array([1.0, 0.0, -1.0])
-    draws = policy.sample_rankings(scores, 20000, np.random.default_rng(7))
+    draws = policy.sample_rankings(
+        scores, policy.gumbel_noise(np.random.default_rng(7), (20000, 3)))
     by_hand = np.zeros(3)
     for row in draws:
-        by_hand += fairness.exposure_of_ranking(row)
+        by_hand += fairness.ranking_exposures(row)
     by_hand /= len(draws)
     exact = fairness.exposure_of_policy(scores).values
     np.testing.assert_allclose(by_hand, exact, atol=0.02)

@@ -1,0 +1,83 @@
+"""The package holds no code that only the tests call.
+
+A module-level function of ``src/fairltr`` must be referenced by the
+package itself, exported in ``fairltr.__all__``, or patched by the
+benchmark tracer (``bench/tracer.py``).  A function with none of these
+callers serves only the tests, and belongs with them in ``tests/``, as the
+exact references of ``tests/oracle.py`` do.
+"""
+import ast
+from pathlib import Path
+
+import fairltr
+from test_tracer_patch_points import load_tracer_module
+
+PACKAGE = Path(fairltr.__file__).resolve().parent
+
+
+def module_functions():
+    """``{(module, name): definition}`` of every module-level function."""
+    return {(path.stem, node.name): node
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def package_references():
+    """``(module, name)`` of each function some package code refers to: by
+    name in its own module, outside its own definition; as ``module.name``;
+    or by a ``from`` import in a module other than ``__init__``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own_bodies = {id(node): node.name for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        stack = [(tree, None)]
+        while stack:
+            node, inside = stack.pop()
+            inside = own_bodies.get(id(node), inside)
+            if isinstance(node, ast.Name) and node.id != inside:
+                found.add((path.stem, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and path.stem != "__init__":
+                module = (node.module or "").rpartition(".")[2]
+                found.update((module, alias.name) for alias in node.names)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def exported():
+    return {(obj.__module__.rpartition(".")[2], name)
+            for name in fairltr.__all__
+            if callable(obj := getattr(fairltr, name))}
+
+
+def patched_by_the_tracer():
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        originals = [original for _, _, original in tracer._undo]
+    finally:
+        tracer.remove()
+    return {(fn.__module__.rpartition(".")[2], fn.__qualname__) for fn in originals}
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    functions = module_functions()
+    assert ("metrics", "ideal_dcg") in functions
+    used = package_references() | exported() | patched_by_the_tracer()
+    unused = sorted(f"{module}.{name}" for module, name in functions
+                    if (module, name) not in used)
+    assert unused == []
+
+
+def test_the_scan_sees_each_kind_of_caller():
+    """Each kind of reference the scan counts is found where the package
+    makes it."""
+    found = package_references()
+    assert ("metrics", "_best_dcg") in found            # from .metrics import
+    assert ("data", "_read_letor") in found              # same module, by name
+    assert ("policy", "gumbel_noise") in found           # policy.gumbel_noise
+    assert ("policy", "ranking_logprobs") in exported()
+    assert ("baselines", "solve_fair_lp") in patched_by_the_tracer()

@@ -19,9 +19,9 @@ def exact_distribution(scores):
 
 def test_ranking_logprob_hand_value():
     scores = np.array([math.log(2.0), 0.0])
-    assert policy.ranking_logprob(scores, np.array([0, 1])) == \
+    assert policy.ranking_logprobs(scores, np.array([0, 1])) == \
         pytest.approx(math.log(2.0 / 3.0), abs=1e-14)
-    assert policy.ranking_logprob(scores, np.array([1, 0])) == \
+    assert policy.ranking_logprobs(scores, np.array([1, 0])) == \
         pytest.approx(math.log(1.0 / 3.0), abs=1e-14)
 
 
@@ -37,9 +37,9 @@ def test_logprob_invariant_to_score_shift():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=5)
     order = rng.permutation(5)
-    base = policy.ranking_logprob(scores, order)
+    base = policy.ranking_logprobs(scores, order)
     for shift in (-7.0, 3.5, 20.0):
-        assert policy.ranking_logprob(scores + shift, order) == \
+        assert policy.ranking_logprobs(scores + shift, order) == \
             pytest.approx(base, abs=1e-10)
 
 
@@ -52,8 +52,8 @@ def test_extreme_scores_stay_finite_and_coherent():
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     for order in orders:
-        assert policy.ranking_logprob(scores, order) == \
-            pytest.approx(policy.ranking_logprob(clamped, order), abs=1e-12)
+        assert policy.ranking_logprobs(scores, order) == \
+            pytest.approx(policy.ranking_logprobs(clamped, order), abs=1e-12)
 
 
 def test_ranking_logprobs_matches_scalar():
@@ -61,14 +61,14 @@ def test_ranking_logprobs_matches_scalar():
     scores = rng.normal(size=5)
     orders = np.stack([rng.permutation(5) for _ in range(10)])
     batch = policy.ranking_logprobs(scores, orders)
-    singles = [policy.ranking_logprob(scores, o) for o in orders]
+    singles = [policy.ranking_logprobs(scores, o) for o in orders]
     np.testing.assert_allclose(batch, singles, atol=1e-13)
 
 
 def test_sample_rankings_are_valid_permutations():
     rng = np.random.default_rng(3)
     scores = np.array([0.5, -1.0, 2.0, 0.0])
-    draws = policy.sample_rankings(scores, 200, rng)
+    draws = policy.sample_rankings(scores, policy.gumbel_noise(rng, (200, 4)))
     assert draws.shape == (200, 4)
     for row in draws:
         assert sorted(row) == [0, 1, 2, 3]
@@ -89,7 +89,8 @@ def test_sampler_edge_draws_yield_permutations(draw):
     scores = np.array([60.0, -60.0, 0.0, 60.0, -60.0, 1.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = policy.sample_rankings(scores, 3, ConstantDraws(draw))
+        draws = policy.sample_rankings(
+            scores, policy.gumbel_noise(ConstantDraws(draw), (3, 6)))
     assert draws.shape == (3, 6)
     for row in draws:
         assert sorted(row) == list(range(6))
@@ -100,7 +101,7 @@ def test_sampler_frequencies_match_exact_probabilities():
     scores = np.array([0.9, -0.3, 0.4])
     orders, probs = exact_distribution(scores)
     size = 50000
-    draws = policy.sample_rankings(scores, size, rng)
+    draws = policy.sample_rankings(scores, policy.gumbel_noise(rng, (size, 3)))
     keys = draws @ np.array([9, 3, 1])
     expected_keys = orders @ np.array([9, 3, 1])
     for key, p in zip(expected_keys, probs):
@@ -119,7 +120,7 @@ def test_sampled_position_marginals_match_subset_dp(n, kind):
         "clamped": np.array([60.0, -60.0, 0.0, 60.0, -60.0, 1.5])[:n],
     }[kind]
     size = 200_000
-    draws = policy.sample_rankings(scores, size, rng)
+    draws = policy.sample_rankings(scores, policy.gumbel_noise(rng, (size, n)))
     sampled = np.zeros((n, n))
     np.add.at(sampled, (draws, np.broadcast_to(np.arange(n), draws.shape)), 1.0)
     sampled /= size
@@ -154,15 +155,15 @@ def test_logprob_grad_matches_finite_differences():
         for d in range(5):
             e = np.zeros(5)
             e[d] = step
-            fd = (policy.ranking_logprob(scores + e, order)
-                  - policy.ranking_logprob(scores - e, order)) / (2 * step)
+            fd = (policy.ranking_logprobs(scores + e, order)
+                  - policy.ranking_logprobs(scores - e, order)) / (2 * step)
             assert grad[d] == pytest.approx(fd, abs=1e-7)
 
 
 def test_logprob_grads_sum_to_zero_rowwise():
     rng = np.random.default_rng(7)
     scores = rng.normal(size=6)
-    orders = policy.sample_rankings(scores, 50, rng)
+    orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (50, 6)))
     grads = policy.logprob_grads_scores(scores, orders)
     assert grads.shape == (50, 6)
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-10)
@@ -195,7 +196,7 @@ def test_logprob_grads_match_a_long_double_stagewise_reference(n, kind):
         scores = rng.integers(0, 2, size=n).astype(float)
     else:
         scores = rng.choice([-60.0, 60.0, 0.0], size=n)
-    orders = policy.sample_rankings(scores, 20, rng)
+    orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (20, n)))
     grads = policy.logprob_grads_scores(scores, orders)
     for order, got in zip(orders, grads):
         want = stagewise_logprob_grad(scores, order)
@@ -273,9 +274,9 @@ def test_mlp_backprop_matches_finite_differences():
 def test_init_model_is_deterministic_per_seed():
     a = policy.init_model("mlp1", 4, np.random.default_rng(11), hidden_units=8)
     b = policy.init_model("mlp1", 4, np.random.default_rng(11), hidden_units=8)
-    assert policy.models_equal(a, b)
+    assert oracle.models_equal(a, b)
     c = policy.init_model("mlp1", 4, np.random.default_rng(12), hidden_units=8)
-    assert not policy.models_equal(a, c)
+    assert not oracle.models_equal(a, c)
 
 
 MODEL_KINDS = [("linear", False), ("linear", True), ("mlp1", False)]
@@ -304,13 +305,13 @@ def test_model_copy_is_independent():
         model = policy.init_model(kind, 2, np.random.default_rng(0),
                                   hidden_units=3, use_bias=bias)
         clone = model.copy()
-        assert policy.models_equal(model, clone)
+        assert oracle.models_equal(model, clone)
         assert not np.shares_memory(clone.params, model.params)
         clone.param_arrays()[0][0] += 1.0
-        assert not policy.models_equal(model, clone)
+        assert not oracle.models_equal(model, clone)
         clone = model.copy()
         model.params *= 2.0
-        assert not policy.models_equal(model, clone)
+        assert not oracle.models_equal(model, clone)
 
 
 @pytest.mark.parametrize("kind,bias", [("linear", False), ("linear", True),
@@ -323,7 +324,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, kind, bias):
     path = tmp_path / "model.txt"
     policy.save_model(model, path)
     again = policy.load_model(path)
-    assert policy.models_equal(model, again)
+    assert oracle.models_equal(model, again)
     X = rng.normal(size=(4, 3))
     np.testing.assert_array_equal(model.scores(X), again.scores(X))
     policy.save_model(again, tmp_path / "second.txt")
@@ -345,7 +346,7 @@ def test_save_model_writes_the_checkpoint_format(tmp_path, model, text):
     path = tmp_path / "model.txt"
     policy.save_model(model, path)
     assert path.read_text(encoding="ascii") == "fairltr-model 1\n" + text
-    assert policy.models_equal(policy.load_model(path), model)
+    assert oracle.models_equal(policy.load_model(path), model)
 
 
 LINEAR_HEAD = "fairltr-model 1\nkind linear\nfeature_dim 2\n"
@@ -402,12 +403,14 @@ def test_init_model_rejects_unknown_kind():
 
 
 def test_sampling_a_score_block_equals_one_call_per_row():
-    """A ``(Q, n)`` block draws the rankings of its rows in turn, exactly as
-    Q calls would, and leaves the generator in the same state."""
+    """A ``(Q, n)`` block ranked by one ``(Q, size, n)`` draw equals Q calls
+    ranked by ``(size, n)`` draws made one after another, and leaves the
+    generator in the same state."""
     scores = np.random.default_rng(5).normal(scale=2.0, size=(4, 7))
     block_rng, row_rng = np.random.default_rng(6), np.random.default_rng(6)
-    block = policy.sample_rankings(scores, 9, block_rng)
-    rows = np.concatenate([policy.sample_rankings(s, 9, row_rng) for s in scores])
+    block = policy.sample_rankings(scores, policy.gumbel_noise(block_rng, (4, 9, 7)))
+    rows = np.concatenate([policy.sample_rankings(s, policy.gumbel_noise(row_rng, (9, 7)))
+                           for s in scores])
     assert block.shape == (36, 7)
     np.testing.assert_array_equal(block, rows)
     assert block_rng.random() == row_rng.random()
@@ -481,7 +484,7 @@ def test_members_share_one_draw_and_get_their_own_log_prob_gradients():
         assert sample.logprob_grads[k].tobytes() == alone.logprob_grads.tobytes()
     assert block_rng.random() == rng.random()
     noise = policy.gumbel_noise(np.random.default_rng(23), (11, 9))
-    shared = policy.sample_rankings(scores, 11, None, noise=noise)
+    shared = policy.sample_rankings(scores, noise)
     np.testing.assert_array_equal(shared, sample.rankings.reshape(-1, 9))
 
 
