@@ -142,7 +142,12 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
         i, j = _pair_indices(n)
         cross = a[i] != a[j]
         knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
-        inside = np.unique(knots[(knots > 0.0) & (knots < top)])
+        # The distinct knots inside (0, top), sorted: np.unique's values,
+        # without the numpy.ma import that np.unique makes.
+        inside = np.sort(knots[(knots > 0.0) & (knots < top)])
+        distinct = np.ones(len(inside), dtype=bool)
+        distinct[1:] = inside[1:] != inside[:-1]
+        inside = inside[distinct]
         bounds = np.concatenate(([0.0], inside, [top]))
         mids = (bounds[:-1] + bounds[1:]) / 2.0
         orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")

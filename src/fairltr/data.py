@@ -13,16 +13,23 @@ A query holds its documents as arrays: a feature matrix, a relevance
 vector and, when labelled, a group vector.  ``parse_letor`` is the one
 parser of the text format: it reads the LETOR text and, when given, the
 group text next to it, and builds each query once, with its labels;
-``load_dataset`` opens both files and calls it.  The constructor
-refuses what the parsers refuse, a non-finite value or a group label other
-than 0/1, naming the query rather than a line.  Datasets are immutable
-after construction: a query's arrays are read-only, so what is derived
-from them can be kept with the query (``Query.derived``), and every
-transformation returns a new dataset.
+``load_dataset`` reads both files, which must be ASCII, and calls it.
+The LETOR text is tokenized in passes of a few hundred lines, and the
+numbers of a pass are parsed by one ``float``/``int`` pass over its
+tokens; every rule is checked on all documents of a pass at once, and
+only a refused pass is read again line by line to name its first bad
+line.  The constructor refuses what the parsers refuse, a non-finite
+value or a group label other than 0/1, naming the query rather than a
+line.  Datasets are immutable after construction: a query's arrays are
+read-only, so what is derived from them can be kept with the query
+(``Query.derived``, or ``Query.derived_of_run`` for a run of queries
+built together), and every transformation returns a new dataset.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -93,6 +100,18 @@ class Query:
     def num_docs(self) -> int:
         return len(self.relevances)
 
+    @staticmethod
+    def derived_of_run(queries: Sequence["Query"], key: Hashable,
+                       build: Callable[[list["Query"]], Sequence[T]]) -> list[T]:
+        """Each query's ``derived`` value under ``key``.  The queries that
+        have none yet get theirs from one ``build(missing)`` call, which
+        gives one value per query of ``missing``, in order."""
+        missing = [query for query in queries if key not in query._derived]
+        if missing:
+            for query, value in zip(missing, build(missing)):
+                query.derived(key, lambda: value)
+        return [query._derived[key] for query in queries]
+
     def __len__(self) -> int:
         return len(self.relevances)
 
@@ -133,12 +152,16 @@ class Dataset:
                 f"feature_dim={self.feature_dim}, has_groups={self.has_groups})")
 
 
-def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        for line in source:
-            yield line.rstrip("\n")
+# Lines one parsing pass tokenizes at once.  The parser holds the token
+# strings of one pass only, however long the text.
+_PASS_LINES = 256
+
+
+def _comment_free(lines: list[str]) -> list[str]:
+    """``lines`` with their ``#`` comments cut off."""
+    if any(map(operator.contains, lines, itertools.repeat("#"))):
+        return [line.partition("#")[0] for line in lines]
+    return lines
 
 
 def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
@@ -154,77 +177,148 @@ def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
     documents by one scatter, and each query takes its rows and its slice
     of the labels.
     """
-    docs_of, features, relevances, dim = _read_letor(source, feature_dim)
+    qids, sizes, features, relevances, dim = _read_letor(source, feature_dim)
     labels = None if groups is None else _group_labels(groups, len(relevances))
     queries = []
     start = 0
-    for qid, docs in docs_of.items():
-        stop = start + len(docs)
-        queries.append(Query(qid, features[docs], relevances[docs],
+    for qid, size in zip(qids, sizes.tolist()):
+        stop = start + size
+        queries.append(Query(qid, features[start:stop], relevances[start:stop],
                              None if labels is None else labels[start:stop]))
         start = stop
     return Dataset(queries, feature_dim=dim)
 
 
 def _read_letor(source, feature_dim: int | None
-                ) -> tuple[dict[str, list[int]], np.ndarray, np.ndarray, int]:
-    """The documents of each qid in first-appearance order, the feature
-    matrix and relevances of all documents in line order, and the feature
-    dimension, of LETOR text."""
-    docs_of: dict[str, list[int]] = {}
-    relevances: list[float] = []
-    owners: list[int] = []
-    columns: list[int] = []
-    values: list[float] = []
-    max_fid = feature_dim or 0
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError(f"line {lineno}: expected relevance and qid")
-        try:
-            rel = float(tokens[0])
-        except ValueError:
-            rel = math.nan
-        if not math.isfinite(rel):
-            raise ParseError(f"line {lineno}: bad relevance {tokens[0]!r}")
-        if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
-            raise ParseError(f"line {lineno}: expected qid:<id>, got {tokens[1]!r}")
-        if len(tokens) < 3:
-            raise ParseError(f"line {lineno}: document has no features")
-        doc = len(relevances)
-        seen: set[int] = set()
-        for tok in tokens[2:]:
-            fid_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: expected fid:value, got {tok!r}")
-            try:
-                fid = int(fid_s)
-                val = float(val_s)
-            except ValueError:
-                val = math.nan
-            if not math.isfinite(val):
-                raise ParseError(f"line {lineno}: bad feature {tok!r}")
-            if fid < 1:
-                raise ParseError(f"line {lineno}: feature ids are 1-based, got {fid}")
-            if fid in seen:
-                raise ParseError(f"line {lineno}: feature id {fid} repeated")
-            seen.add(fid)
-            owners.append(doc)
-            columns.append(fid - 1)
-            values.append(val)
-        max_fid = max(max_fid, *seen)
-        relevances.append(rel)
-        docs_of.setdefault(tokens[1][4:], []).append(doc)
+                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, int]:
+    """The qids of LETOR text in first-appearance order, the number of
+    documents of each, the feature matrix and relevances of all documents
+    in dataset order, and the feature dimension.
 
-    if not relevances:
+    The lines are read in passes of ``_PASS_LINES``.  Each pass is
+    tokenized once and each rule is checked on all its documents at once;
+    the relevances, feature ids and values are parsed by one ``float`` or
+    ``int`` pass each.  Only when a check fails are the pass's lines read
+    one by one (``_line_error``), to name the first bad line.
+    """
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    code: dict[str, int] = {}
+    passes = []
+    first_line = 1
+    while chunk := _comment_free(list(itertools.islice(lines, _PASS_LINES))):
+        counts = np.fromiter(map(len, map(str.split, chunk)), np.intp, len(chunk))
+        per_doc = counts[counts > 0]
+        if len(per_doc):
+            parsed = _parse_documents("\n".join(chunk), per_doc, code)
+            if parsed is None:
+                for lineno, line in enumerate(chunk, start=first_line):
+                    message = _line_error(line)
+                    if message:
+                        raise ParseError(f"line {lineno}: {message}")
+            passes.append(parsed)
+        first_line += len(chunk)
+    if not passes:
         raise ParseError("no document lines found")
+    codes, relevances, per_doc, fids, values = map(np.concatenate, zip(*passes))
+    dim = max(feature_dim or 0, int(fids.max()))
+    matrix = np.zeros((len(relevances), dim))
+    matrix[np.repeat(np.arange(len(relevances)), per_doc - 2), fids - 1] = values
+    # Documents grouped by qid, the qids in first-appearance order.
+    order = np.argsort(codes, kind="stable")
+    return list(code), np.bincount(codes), matrix[order], relevances[order], dim
 
-    features = np.zeros((len(relevances), max_fid))
-    features[owners, columns] = values
-    return docs_of, features, np.array(relevances), max_fid
+
+def _parse_documents(text: str, per_doc: np.ndarray, code: dict[str, int]):
+    """The qid codes, relevances, token counts, feature ids and values of
+    the documents of comment-free text, which hold ``per_doc`` tokens each,
+    or None if a rule fails.  ``code`` numbers each qid in order of first
+    appearance and gains the new ones.  The token list is dropped before
+    the feature tokens are split, so the two do not coexist."""
+    if (per_doc < 3).any():
+        return None
+    tokens = text.split()
+    heads = np.cumsum(per_doc) - per_doc
+    try:
+        relevances = np.fromiter(map(float, map(tokens.__getitem__, heads.tolist())),
+                                 float, len(heads))
+    except ValueError:
+        return None
+    # Each qid token starts with "qid:" and has an id: split at " qid:", the
+    # joined tokens give one empty piece, then one non-empty id per token.
+    qids = (" " + " ".join(map(tokens.__getitem__, (heads + 1).tolist()))
+            ).split(" qid:")
+    if len(qids) != len(heads) + 1 or qids.pop(0) or not all(qids):
+        return None
+    is_feature = np.ones(len(tokens), dtype=bool)
+    is_feature[heads] = is_feature[heads + 1] = False
+    features = list(itertools.compress(tokens, is_feature.tolist()))
+    del tokens
+    num_features = len(features)
+    joined = " ".join(features)
+    # Each feature token holds exactly one colon: each holds one, and the
+    # tokens hold as many colons as there are tokens.
+    if joined.count(":") != num_features or \
+            not all(map(operator.contains, features, itertools.repeat(":"))):
+        return None
+    del features
+    pieces = joined.replace(" ", ":").split(":")
+    del joined
+    try:
+        ids = {fid: int(fid) for fid in set(pieces[::2])}
+        values = np.fromiter(map(float, pieces[1::2]), float, num_features)
+    except ValueError:
+        return None
+    fids = np.fromiter(map(ids.__getitem__, pieces[::2]), np.intp, num_features)
+    if not (np.isfinite(relevances).all() and np.isfinite(values).all()) \
+            or (fids < 1).any():
+        return None
+    seen = np.zeros((len(heads), fids.max()), dtype=bool)
+    seen[np.repeat(np.arange(len(heads)), per_doc - 2), fids - 1] = True
+    if np.count_nonzero(seen) != num_features:  # an id repeated in a document
+        return None
+    for qid in dict.fromkeys(qids):
+        code.setdefault(qid, len(code))
+    codes = np.fromiter(map(code.__getitem__, qids), np.intp, len(qids))
+    return codes, relevances, per_doc, fids, values
+
+
+def _line_error(line: str) -> str | None:
+    """What is wrong with one comment-free LETOR line, by the first rule it
+    breaks, or None; the rules apply to the relevance, then the qid, then
+    each feature token in turn."""
+    tokens = line.split()
+    if not tokens:
+        return None
+    if len(tokens) < 2:
+        return "expected relevance and qid"
+    try:
+        rel = float(tokens[0])
+    except ValueError:
+        rel = math.nan
+    if not math.isfinite(rel):
+        return f"bad relevance {tokens[0]!r}"
+    if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
+        return f"expected qid:<id>, got {tokens[1]!r}"
+    if len(tokens) < 3:
+        return "document has no features"
+    seen: set[int] = set()
+    for tok in tokens[2:]:
+        fid_s, sep, val_s = tok.partition(":")
+        if not sep:
+            return f"expected fid:value, got {tok!r}"
+        try:
+            fid = int(fid_s)
+            val = float(val_s)
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val):
+            return f"bad feature {tok!r}"
+        if fid < 1:
+            return f"feature ids are 1-based, got {fid}"
+        if fid in seen:
+            return f"feature id {fid} repeated"
+        seen.add(fid)
+    return None
 
 
 def _f17(x: float) -> str:
@@ -251,16 +345,15 @@ def format_group_file(dataset: Dataset) -> str:
 
 def _group_labels(source, num_docs: int) -> np.ndarray:
     """The 0/1 tokens of group-file text, one per document."""
-    tokens: list[str] = []
-    for line in _iter_lines(source):
-        tokens.extend(line.split("#", 1)[0].split())
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    tokens = "\n".join(_comment_free(lines)).split()
     if len(tokens) != num_docs:
         raise ParseError(
             f"group file has {len(tokens)} labels for {num_docs} documents")
-    for tok in tokens:
-        if tok not in ("0", "1"):
-            raise ParseError(f"group labels must be 0 or 1, got {tok!r}")
-    return np.array([tok == "1" for tok in tokens], dtype=np.intp)
+    if not set(tokens) <= {"0", "1"}:
+        bad = next(tok for tok in tokens if tok not in ("0", "1"))
+        raise ParseError(f"group labels must be 0 or 1, got {bad!r}")
+    return np.fromiter(map("1".__eq__, tokens), np.intp, num_docs)
 
 
 def save_dataset(dataset: Dataset, letor_path, groups_path=None) -> None:
@@ -273,12 +366,33 @@ def save_dataset(dataset: Dataset, letor_path, groups_path=None) -> None:
 
 def load_dataset(letor_path, groups_path=None, feature_dim: int | None = None) -> Dataset:
     """``parse_letor`` of a LETOR file and, with ``groups_path``, of its
-    group file."""
-    with open(letor_path, "r", encoding="ascii") as letor:
-        if groups_path is None:
-            return parse_letor(letor, None, feature_dim)
-        with open(groups_path, "r", encoding="ascii") as groups:
-            return parse_letor(letor, groups, feature_dim)
+    group file.  Both are ASCII text; a byte outside ASCII is a
+    ``ParseError`` that names its line."""
+    try:
+        with open(letor_path, "r", encoding="ascii") as letor:
+            if groups_path is None:
+                return parse_letor(letor, None, feature_dim)
+            with open(groups_path, "r", encoding="ascii") as groups:
+                return parse_letor(letor, groups, feature_dim)
+    except UnicodeDecodeError:
+        _refuse_non_ascii(letor_path, "line")
+        _refuse_non_ascii(groups_path, "group file line")
+        raise
+
+
+def _refuse_non_ascii(path, where: str) -> None:
+    """Raise a ``ParseError`` naming ``where`` and the line of the first
+    byte outside ASCII in the file at ``path``, if it has one; its lines
+    end as text mode reads them, at LF, CRLF or a lone CR."""
+    if path is None:
+        return
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    bad = next((i for i, byte in enumerate(raw) if byte > 0x7F), None)
+    if bad is not None:
+        before = raw[:bad].decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+        raise ParseError(f"{where} {before.count(chr(10)) + 1}: non-ASCII byte "
+                         f"{raw[bad]:#04x}") from None
 
 
 def require_seed(seed: int) -> None:

@@ -32,14 +32,17 @@ disparity of an exposure vector ``e`` is
 The trainer's Monte-Carlo gradient, the tests' exact enumeration oracle
 and the LP baseline's constraint all derive from the same rows.
 ``DisparityConfig`` builds a dataset query's rows of either kind once and
-keeps them with the query, read-only.  The hinge applies after the
-expectation over rankings, so a stochastic policy can be exactly fair even
-though every single ranking is unfair.
+keeps them with the query, read-only; a run of equal-size queries builds
+them in one pass over its stacked merits (``run_rows``), and
+``from_exposures`` values a block of queries' exposures in one call.  The
+hinge applies after the expectation over rankings, so a stochastic policy
+can be exactly fair even though every single ranking is unfair.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -153,15 +156,17 @@ def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
     return ranking_exposures(orders).sum(axis=-2) / orders.shape[-2]
 
 
-def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ordered pairs (i, j), i != j, with merit_i >= merit_j > 0.
 
     Equal positive merits appear in both orders.  Zero-merit documents are
-    excluded entirely.
+    excluded entirely.  A ``(Q, n)`` block of merit vectors gives the
+    triples (q, i, j), each query's pairs in the order of its own call.
     """
     m = np.asarray(merits, dtype=float)
-    mask = (m[:, None] >= m[None, :]) & (m[None, :] > 0.0)
-    np.fill_diagonal(mask, False)
+    mask = (m[..., :, None] >= m[..., None, :]) & (m[..., None, :] > 0.0)
+    diagonal = np.arange(m.shape[-1])
+    mask[..., diagonal, diagonal] = False
     return np.nonzero(mask)
 
 
@@ -172,7 +177,9 @@ class PairRows:
     Row k belongs to the pair ``(first[k], second[k])``; its gap at an
     exposure vector ``e`` is ``x[first[k]] - x[second[k]]`` with
     ``x = e * inv_merit``.  ``inv_merit`` is ``1/m``, and 0 for a zero merit,
-    which is in no pair.  The arrays are read-only.
+    which is in no pair.  The arrays are read-only.  A stack of R queries'
+    rows with P pairs each holds ``(R, P)`` indices and ``(R, n)`` inverse
+    merits, and its gaps at ``(..., R, n)`` exposures are ``(..., R, P)``.
     """
 
     first: np.ndarray
@@ -190,49 +197,96 @@ class PairRows:
 HingeRows = np.ndarray | PairRows
 
 
-def individual_rows(merits: np.ndarray) -> PairRows:
+def individual_rows(merits: np.ndarray) -> PairRows | list[PairRows]:
     """Hinge rows of individual disparity, one per ``merit_pairs`` pair.
 
     Row (i, j) is the per-merit exposure gap ``e_i/m_i - e_j/m_j`` of the
-    pair, in pair form; no rows when no pair qualifies.
+    pair, in pair form; no rows when no pair qualifies.  A ``(Q, n)`` block
+    of merit vectors gives the list of each one's rows, built in one pass.
     """
     m = np.asarray(merits, dtype=float)
-    first, second = merit_pairs(m)
-    inv_merit = np.divide(1.0, m, out=np.zeros(m.shape), where=m > 0.0)
-    return PairRows(first, second, inv_merit)
+    stack = m.reshape(-1, m.shape[-1])
+    owner, first, second = merit_pairs(stack)
+    # The pair indices are rows of one (3, pairs) array from nonzero; kept
+    # as copies, the owner row is freed.
+    first, second = first.copy(), second.copy()
+    inv_merit = np.divide(1.0, stack, out=np.zeros(stack.shape), where=stack > 0.0)
+    cuts = np.cumsum(np.bincount(owner, minlength=len(stack)))[:-1]
+    rows = [PairRows(*each) for each in zip(np.split(first, cuts),
+                                            np.split(second, cuts), inv_merit)]
+    return rows if m.ndim == 2 else rows[0]
 
 
-def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
+def group_rows(merits: np.ndarray, groups: np.ndarray) -> np.ndarray | list[np.ndarray]:
     """Hinge row of group disparity between groups 0 and 1.
 
     The row is ``1/m0`` on group 0 and ``-1/m1`` on group 1 (``m_g`` the
     group's total merit), oriented by the sign of the mean-merit gap so
     that only over-exposure of the higher-merit group is charged.  Shape
     (0, n), no rows, when a group is absent, a group's total merit is not
-    positive, or the mean merits tie.
+    positive, or the mean merits tie.  A ``(Q, n)`` block of merit and group
+    vectors gives the list of each one's rows, built in one pass: ``(1,
+    n)`` or ``(0, n)`` views of one matrix.
     """
     m = np.asarray(merits, dtype=float)
-    g = np.asarray(groups)
+    stack = m.reshape(-1, m.shape[-1])
+    g = np.asarray(groups).reshape(stack.shape)
     in0, in1 = g == 0, g == 1
-    n0, n1 = int(in0.sum()), int(in1.sum())
-    m0, m1 = float(m[in0].sum()), float(m[in1].sum())
-    if n0 == 0 or n1 == 0 or m0 <= 0.0 or m1 <= 0.0:
-        return np.zeros((0, m.shape[0]))
-    direction = float(np.sign(m0 / n0 - m1 / n1))
-    if direction == 0.0:
-        return np.zeros((0, m.shape[0]))
-    return direction * (in0 / m0 - in1 / m1)[None, :]
+    (sizes0, totals0), (sizes1, totals1) = \
+        _selected_sums(stack, in0), _selected_sums(stack, in1)
+    # The mean-merit gap of each query; 0, so no row, where a group is
+    # absent or has no merit.
+    gaps = [m0 / n0 - m1 / n1 if n0 and n1 and m0 > 0.0 and m1 > 0.0 else 0.0
+            for n0, m0, n1, m1 in zip(sizes0, totals0.tolist(),
+                                      sizes1, totals1.tolist())]
+    direction = np.sign(gaps)
+    live = direction != 0.0
+    # A query without a row divides by 1 instead of its total.
+    totals0[~live] = totals1[~live] = 1.0
+    dense = direction[:, None] * (in0 / totals0[:, None] - in1 / totals1[:, None])
+    rows = [dense[q:q + 1] if alive else dense[q:q]
+            for q, alive in enumerate(live.tolist())]
+    return rows if m.ndim == 2 else rows[0]
+
+
+def _selected_sums(values: np.ndarray, mask: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """How many entries each row q of ``(Q, n)`` arrays selects, and
+    ``values[q][mask[q]].sum()``, with those bits.  The rows that select
+    equally many entries are summed as one contiguous ``(R, c)`` block,
+    whose row sums are the one-row sums; a masked sum over whole rows would
+    add in another order."""
+    counts = mask.sum(axis=-1)
+    sizes = counts.tolist()
+    distinct = set(sizes)
+    if len(distinct) == 1:
+        return sizes, values[mask].reshape(len(values), sizes[0]).sum(axis=-1)
+    sums = np.zeros(len(values))
+    for count in distinct - {0}:
+        rows = counts == count
+        sums[rows] = values[rows][mask[rows]].reshape(-1, count).sum(axis=-1)
+    return sizes, sums
 
 
 def hinge_gaps(rows: HingeRows, exposures: np.ndarray) -> np.ndarray:
     """Each row's gap at an exposure vector: ``rows @ exposures`` for a dense
     row matrix, ``x_i - x_j`` with ``x = exposures * inv_merit`` for
     ``PairRows``.  A ``(K, n)`` block of exposure vectors gives ``(K, rows)``
-    gaps, each vector's with the bits of its own call."""
+    gaps, each vector's with the bits of its own call.  A stack of R
+    queries' rows, ``(R, rows, n)`` dense or stacked ``PairRows``, at
+    ``(K, R, n)`` exposures gives ``(K, R, rows)`` gaps, each query's with
+    the bits of its own call."""
     e = np.asarray(exposures, dtype=float)
     if isinstance(rows, PairRows):
         x = e * rows.inv_merit
-        return x.take(rows.first, axis=-1) - x.take(rows.second, axis=-1)
+        if rows.first.ndim == 1:
+            return x.take(rows.first, axis=-1) - x.take(rows.second, axis=-1)
+        # Each query's pairs index its own vector of the flattened block;
+        # take keeps the gaps C-ordered, so each query's mean adds its gaps
+        # as its own call does.
+        offsets = x.shape[-1] * np.arange(len(rows.first))[:, None]
+        flat = x.reshape(*x.shape[:-2], -1)
+        return flat.take(rows.first + offsets, axis=-1) \
+            - flat.take(rows.second + offsets, axis=-1)
     return (rows @ e[..., None])[..., 0]
 
 
@@ -285,14 +339,17 @@ class DisparityConfig:
     def parse(cls, kind: str, merit: str = "identity") -> "DisparityConfig":
         return cls(kind=kind.strip().lower(), merit=MeritFunction.parse(merit))
 
-    def rows(self, relevances: np.ndarray, groups: np.ndarray | None) -> HingeRows:
+    def rows(self, relevances: np.ndarray,
+             groups: np.ndarray | None) -> HingeRows | list[HingeRows]:
         """Hinge rows of this disparity for one query; a query without group
-        labels has no group rows."""
+        labels has no group rows.  ``(Q, n)`` relevances and groups give the
+        list of each query's rows, built in one pass."""
         merits = self.merit(relevances)
         if self.kind == "individual":
             return individual_rows(merits)
         if groups is None:
-            return np.zeros((0, merits.shape[0]))
+            none = np.zeros((0, merits.shape[-1]))
+            return none if merits.ndim == 1 else [none] * len(merits)
         return group_rows(merits, groups)
 
     def query_rows(self, query: Query) -> HingeRows:
@@ -301,8 +358,42 @@ class DisparityConfig:
         return query.derived(("rows", self),
                              lambda: self.rows(query.relevances, query.groups))
 
+    def run_rows(self, queries: Sequence[Query]) -> list[HingeRows]:
+        """``query_rows`` of each query of a run of equal-size queries; the
+        queries without theirs get them from one pass over the run."""
+        def build(missing):
+            groups = None if missing[0].groups is None else \
+                np.array([q.groups for q in missing])
+            return self.rows(np.array([q.relevances for q in missing]), groups)
+
+        return Query.derived_of_run(queries, ("rows", self), build)
+
     def from_exposures(self, exposures: np.ndarray,
-                       query: Query) -> float | np.ndarray:
-        """Disparity of an exposure vector for one query, or ``(K,)``
-        disparities of a ``(K, n)`` block of K members' vectors."""
-        return hinge_mean(self.query_rows(query), exposures)
+                       queries: Sequence[Query]) -> np.ndarray:
+        """Disparities ``(K, Q)`` of K members' ``(K, Q, n)`` exposure vectors
+        for a block of Q queries of n documents each, each with the bits of
+        ``hinge_mean`` of its query's rows and vector alone.
+
+        The queries with equally many rows are valued as one stack: the
+        group rows by one ``(R, 1, n) @ (K, R, n, 1)`` product, the pair
+        rows by one ``(K, R, P)`` gap block.  A query without rows has
+        disparity 0.
+        """
+        rows = self.run_rows(queries)
+        e = np.asarray(exposures, dtype=float)
+        disparities = np.zeros(e.shape[:-1])
+        sizes = np.array([len(each) for each in rows])
+        for size in set(sizes.tolist()) - {0}:
+            at = np.flatnonzero(sizes == size)
+            disparities[:, at] = hinge_mean(_stack([rows[q] for q in at]),
+                                            e.take(at, axis=1))
+        return disparities
+
+
+def _stack(rows: list[HingeRows]) -> HingeRows:
+    """The rows of R queries with equally many rows, stacked: ``(R, rows,
+    n)`` dense, or ``PairRows`` of ``(R, P)`` indices."""
+    if isinstance(rows[0], PairRows):
+        return PairRows(*(np.array([getattr(each, name) for each in rows])
+                          for name in ("first", "second", "inv_merit")))
+    return np.array(rows)

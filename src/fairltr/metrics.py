@@ -16,7 +16,9 @@ rankings per query.  A query's constants, its gains, its ideal DCG at each
 cutoff and its ERR stop probabilities at each grade ceiling, are built on
 first use and kept with the query (``Query.derived``), so training steps
 and evaluations reuse them; an array's are built per call, and a run's are
-its queries' stacked.  All give the same bits.
+its queries' stacked, those it lacks built by one call on its stacked
+relevances (``UtilityMetric.prepare`` builds them ahead).  All give the
+same bits.
 ``position_bias_vector`` builds the vector of each length once and returns
 it read-only, so every ranking of that length shares it.
 """
@@ -65,12 +67,14 @@ def _num_docs(source: Relevances) -> int:
 def _per_query(source: Relevances, key, build):
     """``build(relevances)``: built once and kept with a query, built
     afresh for a relevance array, and for a run of queries each query's,
-    stacked."""
+    stacked.  The queries of a run that lack theirs get them from one
+    ``build`` of their stacked ``(M, n)`` relevances, whose rows have the
+    bits of each query's own build."""
     if isinstance(source, Query):
         return source.derived(key, lambda: build(source.relevances))
     if _is_run(source):
-        return np.array([q.derived(key, lambda q=q: build(q.relevances))
-                         for q in source])
+        return np.array(Query.derived_of_run(
+            source, key, lambda missing: build(_relevances(missing))))
     return build(_relevances(source))
 
 
@@ -97,14 +101,17 @@ def ideal_dcg(relevances: Relevances | Sequence[Query],
                       lambda rels: _best_dcg(gains(rels), k))
 
 
-def _best_dcg(gain_values: np.ndarray, cutoff: int) -> float:
+def _best_dcg(gain_values: np.ndarray, cutoff: int) -> float | np.ndarray:
     """DCG at ``cutoff`` of ``gain_values`` sorted best first: the ideal DCG
-    of the relevances with these gains, for a caller that has the gains."""
-    # Contiguous copy so the dot product gives the same bits as the one-row
-    # product of batch_values(); an ideally ordered ranking then scores
-    # exactly 1.0 under ndcg.
-    top = np.ascontiguousarray(np.sort(gain_values)[::-1][:cutoff])
-    return float(top @ position_bias_vector(cutoff))
+    of the relevances with these gains, for a caller that has the gains; a
+    ``(Q, n)`` block gives each row's, ``(Q,)``."""
+    # A contiguous copy and a stacked (..., 1, k) @ (k,) product, so each
+    # row's dot product has the bits of the one-row product of
+    # batch_values(); an ideally ordered ranking then scores exactly 1.0
+    # under ndcg.  A (Q, k) @ (k,) product would round some rows otherwise.
+    top = np.ascontiguousarray(np.sort(gain_values)[..., ::-1][..., :cutoff])
+    best = (top[..., None, :] @ position_bias_vector(cutoff))[..., 0]
+    return float(best) if best.ndim == 0 else best
 
 
 def _effective_cutoff(cutoff: int | None, num_docs: int) -> int:
@@ -116,11 +123,14 @@ def _stop_probabilities(relevances: Relevances, max_grade: float) -> np.ndarray:
     """Cascade stop probability of each document, kept with a query per
     grade ceiling."""
     def build(rels: np.ndarray) -> np.ndarray:
-        if np.any(rels < 0):
-            raise ValueError("err requires non-negative relevances")
-        if rels.size and max_grade < rels.max():
-            raise ValueError(
-                f"max_grade {max_grade} is below the largest relevance {rels.max()}")
+        if np.any(rels < 0) or (rels.size and max_grade < rels.max()):
+            # The first query at fault, with its own largest relevance.
+            for row in np.atleast_2d(rels):
+                if np.any(row < 0):
+                    raise ValueError("err requires non-negative relevances")
+                if row.size and max_grade < row.max():
+                    raise ValueError(f"max_grade {max_grade} is below the "
+                                     f"largest relevance {row.max()}")
         return (np.exp2(rels) - 1.0) / (2.0 ** max_grade)
 
     return _per_query(relevances, ("err_stop", max_grade), build)
@@ -142,9 +152,9 @@ class UtilityMetric:
       ``sum_d rel_d pos(d) / sum_d rel_d``, lower is better, and a
       ``ValueError`` when every relevance is zero.
 
-    The cutoff applies to dcg/ndcg only.  ``sign`` is -1 for avgrank and +1
-    otherwise, so that ``sign * value`` is always bigger-is-better for a
-    learner.
+    A cutoff applies to dcg/ndcg only, and is refused for err and avgrank.
+    ``sign`` is -1 for avgrank and +1 otherwise, so that ``sign * value``
+    is always bigger-is-better for a learner.
     """
 
     kind: str = "ndcg"
@@ -156,6 +166,10 @@ class UtilityMetric:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.cutoff is not None and self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        if self.cutoff is not None and self.kind in ("err", "avgrank"):
+            raise ValueError(f"{self.kind} takes no cutoff, got "
+                             f"{self.kind}@{self.cutoff}; a cutoff applies "
+                             "to dcg and ndcg")
 
     @classmethod
     def parse(cls, text: str) -> "UtilityMetric":
@@ -225,3 +239,14 @@ class UtilityMetric:
     def batch_rewards(self, orders: np.ndarray, relevances: Relevances) -> np.ndarray:
         values = self.batch_values(orders, relevances)
         return values if self.sign > 0.0 else -values
+
+    def prepare(self, run: Sequence[Query]) -> None:
+        """Build the constants ``batch_values`` reads of each query of a run
+        of equal-size queries that lacks them, one call per constant for the
+        whole run, and keep them with the queries."""
+        if self.kind == "err":
+            _stop_probabilities(run, self.err_max_grade)
+        elif self.kind != "avgrank":
+            gains(run)
+            if self.kind == "ndcg":
+                ideal_dcg(run, self.cutoff)

@@ -52,7 +52,9 @@ order, so every member gets the bits of its own pass.  The position bias
 vector of each length is built once and shared read-only, and each query
 keeps its metric constants (gains, ideal DCG, ERR stop probabilities) and
 its hinge rows, so training steps and evaluations pass the query itself to
-the metric and the disparity.
+the metric and the disparity.  Each run of equal-size queries builds them
+in one pass: the training split's before the first step, an evaluation
+split's as its blocks are valued.
 """
 from __future__ import annotations
 
@@ -293,7 +295,7 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     A member's value of a query is the weighted sum of its rankings'
     values, each metric valuing a block in one ``batch_values`` call; an
     argmax ranking, M = 1 with weight 1, keeps the bits of its value.  Its
-    disparity is ``from_exposures`` of its exposures, one call per query
+    disparities are ``from_exposures`` of its exposures, one call per block
     for all members.  Each run of consecutive equal-size queries is cut
     into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at
     least one), ``rows(n) * n`` per query of n documents, and ``rank`` is
@@ -309,14 +311,13 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
             values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
                            for each in scored])
             if disparity is not None:
-                disparities.extend(disparity.from_exposures(exposures[:, index], query)
-                                   for index, query in enumerate(block))
+                disparities.append(disparity.from_exposures(exposures, block))
     columns = np.concatenate(values, axis=-1)
     # Each row's mean has the bits of np.mean on that row alone, a
     # contiguous row's pairwise sum.
     means = columns.mean(axis=-1).T.tolist()
     if disparity is not None:
-        disparities = np.ascontiguousarray(np.transpose(disparities))
+        disparities = np.concatenate(disparities, axis=-1)
         mean_disparities = disparities.mean(axis=-1).tolist()
     return [EvalSummary(
         metric_values=columns[0, k].tolist(),
@@ -571,6 +572,13 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
                    members)
     train_rng = np.random.default_rng(ss_train)
     eval_seeds = ss_eval.spawn(first.epochs)
+    # Each run of equal-size training queries builds the constants its steps
+    # read, metric constants and hinge rows, in one pass before the first.
+    for _, run in itertools.groupby(train_set.queries, key=len):
+        run = tuple(run)
+        first.metric.prepare(run)
+        if first.disparity is not None:
+            first.disparity.run_rows(run)
 
     for epoch in range(1, first.epochs + 1):
         for qi in train_rng.permutation(len(train_set)):

@@ -284,6 +284,32 @@ def test_non_finite_input_is_a_clean_error(tmp_path, dataset_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad", ["letor", "groups"])
+def test_a_non_ascii_byte_is_a_clean_error_naming_its_line(
+        tmp_path, dataset_dir, capsys, command, bad):
+    """A byte outside ASCII in a LETOR or group file is one ``error:`` line
+    that names the file's line, not a decoding traceback."""
+    letor, groups = tmp_path / "bad.letor", tmp_path / "bad.groups"
+    lines = (dataset_dir / "data.letor").read_bytes().split(b"\n")
+    labels = (dataset_dir / "data.groups").read_bytes().split(b"\n")
+    if bad == "letor":
+        lines[3] = lines[3].split()[0] + b" qid:1 1:0.5 2:0.\xc3\xa9"
+    else:
+        labels[4] = b"\xc3\xa9"
+    letor.write_bytes(b"\n".join(lines))
+    groups.write_bytes(b"\n".join(labels))
+    args = (["--train", letor] if command == "train" else
+            ["--checkpoint", tmp_path / "model.txt", "--data", letor])
+    policy.save_model(policy.LinearModel(np.array([0.1, 0.2])), tmp_path / "model.txt")
+    out = tmp_path / "out"
+    assert run([command, *args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    where = "line 4" if bad == "letor" else "group file line 5"
+    assert err == f"error: {letor}: {where}: non-ASCII byte 0xc3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "kind linear\nfeature_dim 2\nbias 1\nw 0.1 0.2\n",
     "kind linear\nfeature_dim 2\nbias 0\nw 0.1 zz\n",
@@ -670,6 +696,19 @@ def test_unknown_metric_is_a_clean_error(tmp_path, dataset_dir, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+def test_a_cutoff_on_err_is_a_clean_error(tmp_path, dataset_dir, capsys, command):
+    checkpoint = tmp_path / "model.txt"
+    policy.save_model(policy.LinearModel(np.array([0.1, 0.2])), checkpoint)
+    data_args = (["--checkpoint", checkpoint, "--data", dataset_dir / "data.letor"]
+                 if command == "eval" else ["--train", dataset_dir / "data.letor"])
+    out = tmp_path / "x"
+    assert run([command, *data_args, "--out", out, "--metric", "err@2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: err takes no cutoff, got err@2")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_group_disparity_refuses_an_unlabeled_split_before_any_run(
         tmp_path, dataset_dir, capsys):
     letor = dataset_dir / "data.letor"
@@ -805,6 +844,28 @@ def test_sweep_reports_a_failing_member_and_keeps_the_others(tmp_path, wide_dir,
     assert same_run_files(tmp_path / "sw" / "run-lam0-seed0", tmp_path / "train")
     assert not (tmp_path / "sw" / "run-lam1e+308-seed0").exists()
     assert [r[0] for r in read_rows(tmp_path / "sw" / "summary.csv")[1:]] == ["0.0"]
+
+
+def test_an_lp_baseline_and_eval_load_no_numpy_ma(tmp_path, dataset_dir):
+    """``numpy.ma`` adds about 1 MB to a process; the commands that reach
+    the LP's knot sort and the parsers' checks load none of it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    checkpoint = tmp_path / "model.txt"
+    policy.save_model(policy.LinearModel(np.array([0.3, -0.2])), checkpoint)
+    probe = (
+        "import sys; from fairltr import cli; "
+        f"args = ['baseline', '--train', {str(dataset_dir / 'data.letor')!r}, "
+        f"'--method', 'lp', '--out', {str(tmp_path / 'lp')!r}]; "
+        "assert cli.main(args) == 0; "
+        f"args = ['eval', '--checkpoint', {str(checkpoint)!r}, "
+        f"'--data', {str(dataset_dir / 'data.letor')!r}, "
+        f"'--disparity', 'group', '--out', {str(tmp_path / 'eval')!r}]; "
+        "assert cli.main(args) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

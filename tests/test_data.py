@@ -69,6 +69,106 @@ def test_parse_error_reports_line_number():
         data.parse_letor("1 qid:1 1:1.0\nbroken\n")
 
 
+# A comment-only line, a blank line, a document with a comment and a line of
+# blanks: the line after them is line 5.
+PREFIX = "# header\n\n1 qid:0 1:0.5 # note\n \t \n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("broken", "line 5: expected relevance and qid"),
+    ("1 qid:1", "line 5: document has no features"),
+    ("1 qid:1 0:2.0", "line 5: feature ids are 1-based, got 0"),
+    ("1 qid:1 1:1.0 1:2.0", "line 5: feature id 1 repeated"),
+    ("x qid:1 1:1.0", "line 5: bad relevance 'x'"),
+    ("1 1:1.0", "line 5: expected qid:<id>, got '1:1.0'"),
+    ("nan qid:1 1:1.0", "line 5: bad relevance 'nan'"),
+    ("-inf qid:1 1:1.0", "line 5: bad relevance '-inf'"),
+    ("1 qid:1 1:inf", "line 5: bad feature '1:inf'"),
+    ("1 qid:1 1:1.0 2:NaN", "line 5: bad feature '2:NaN'"),
+    ("1 qid:1 1:2:3", "line 5: bad feature '1:2:3'"),
+    ("1 qid: 1:1.0", "line 5: expected qid:<id>, got 'qid:'"),
+    ("1 qid:1 5", "line 5: expected fid:value, got '5'"),
+    ("1 qid:1 5 1:2:3", "line 5: expected fid:value, got '5'"),
+    ("1 qid:1 1:2:3 5", "line 5: bad feature '1:2:3'"),
+    ("1 qid:1 a:1.0", "line 5: bad feature 'a:1.0'"),
+    ("1 qid:1 :1.0", "line 5: bad feature ':1.0'"),
+    ("1 qid:1 1:", "line 5: bad feature '1:'"),
+    # The rules of a line apply in order: relevance, qid, then each feature
+    # token in turn.
+    ("x qid: 0:1", "line 5: bad relevance 'x'"),
+    ("1 qid: 0:1", "line 5: expected qid:<id>, got 'qid:'"),
+    ("1 qid:1 0:1 1:x", "line 5: feature ids are 1-based, got 0"),
+    ("1 qid:1 1:x 0:1", "line 5: bad feature '1:x'"),
+    ("1 qid:1 2:1 1:1 2:2 3:x", "line 5: feature id 2 repeated"),
+    # The first bad line is named, after a document whose ids go beyond
+    # feature_dim and widen the matrix.
+    ("1 qid:1 9:1.0\n0 qid:1 1:x\nx qid:1 1:1", "line 6: bad feature '1:x'"),
+    # Tabs separate tokens; CRLF and a lone CR end lines.
+    ("1\tqid:1\t1:1.0\r\n0 qid:1 1:x\r\n", "line 6: bad feature '1:x'"),
+    ("1 qid:1 1:1.0\r0 qid:1 2:1 2:2\r", "line 6: feature id 2 repeated"),
+    ("1 qid:1 1:1.0 # 1:x\r\n\r\n0\tqid:2\t#", "line 7: document has no features"),
+])
+def test_every_parse_error_names_its_line(tmp_path, bad, message):
+    """Each refusal of LETOR text has one message, naming the first bad line
+    and the first rule it breaks, the same for text and for a file."""
+    text = PREFIX + bad
+    with pytest.raises(data.ParseError) as caught:
+        data.parse_letor(text, feature_dim=2)
+    assert str(caught.value) == message
+    path = tmp_path / "d.letor"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(data.ParseError) as caught:
+        data.load_dataset(path, None, 2)
+    assert str(caught.value) == message
+
+
+def test_ids_beyond_feature_dim_widen_the_matrix_and_crlf_parses():
+    with pytest.raises(data.ParseError) as caught:
+        data.parse_letor("# header\r\n\n \t\n# 1 qid:1 1:1\n")
+    assert str(caught.value) == "no document lines found"
+    ds = data.parse_letor("1\tqid:a\t3:2.5\r\n0 qid:a 1:1 # c\r\n\r\n", feature_dim=2)
+    assert ds.feature_dim == 3
+    np.testing.assert_array_equal(ds.queries[0].feature_matrix,
+                                  [[0.0, 0.0, 2.5], [1.0, 0.0, 0.0]])
+
+
+def test_a_text_read_in_several_passes_parses_as_in_one(monkeypatch):
+    """Lines are tokenized in passes of ``_PASS_LINES``: a qid that comes
+    back in a later pass joins its query, and an error names its line
+    counted over all passes."""
+    text = ("# c\n1 qid:b 1:1 2:2\n\n0 qid:a 2:3 # x\n2 qid:b 1:4\n"
+            "3 qid:c 2:5 1:6\n1 qid:a 1:7\n")
+    whole = data.parse_letor(text, "1 0 1 0 1\n")
+    monkeypatch.setattr(data, "_PASS_LINES", 2)
+    for source in (text, io.StringIO(text), text.splitlines(True)):
+        assert oracle.datasets_equal(data.parse_letor(source, "1 0 1 0 1\n"), whole)
+    assert [q.qid for q in whole] == ["b", "a", "c"]
+    assert whole.queries[0].feature_matrix.tolist() == [[1.0, 2.0], [4.0, 0.0]]
+    with pytest.raises(data.ParseError) as caught:
+        data.parse_letor(text + "\n1 qid:d 1:1 1:2\n")
+    assert str(caught.value) == "line 9: feature id 1 repeated"
+
+
+@pytest.mark.parametrize("groups, message", [
+    ("0\n1\n2 # c\n", "group labels must be 0 or 1, got '2'"),
+    ("0 1\n# 1\nx\n", "group labels must be 0 or 1, got 'x'"),
+    ("0\n1\n", "group file has 2 labels for 3 documents"),
+    ("0\n1 1 0\n", "group file has 4 labels for 3 documents"),
+    # The count is checked before the labels.
+    ("0\n2\n", "group file has 2 labels for 3 documents"),
+])
+def test_every_group_file_error_is_named(tmp_path, groups, message):
+    letor = "1 qid:1 1:1\n0 qid:2 1:2\n1 qid:1 1:3\n"
+    with pytest.raises(data.ParseError) as caught:
+        data.parse_letor(letor, groups)
+    assert str(caught.value) == message
+    (tmp_path / "d.letor").write_text(letor)
+    (tmp_path / "d.groups").write_bytes(groups.replace("\n", "\r\n").encode())
+    with pytest.raises(data.ParseError) as caught:
+        data.load_dataset(tmp_path / "d.letor", tmp_path / "d.groups")
+    assert str(caught.value) == message
+
+
 def test_letor_round_trip_is_bit_exact():
     rng = np.random.default_rng(5)
     queries = []

@@ -315,10 +315,11 @@ def test_disparity_config_parse_and_dispatch():
     expo = np.array([1.0, V2])
     rels = np.array([1.0, 1.0])
     query = data.Query("q", np.zeros((2, 1)), rels)
-    val = cfg.from_exposures(expo, query)
-    assert val == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
+    val = cfg.from_exposures(expo[None, None], [query])
+    assert val.shape == (1, 1)
+    assert val[0, 0] == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     grp = fairness.DisparityConfig.parse("group")
-    assert grp.from_exposures(expo, query) == 0.0    # no labels
+    assert grp.from_exposures(expo[None, None], [query]).tolist() == [[0.0]]  # no labels
     assert grp.rows(rels, None).shape == (0, 2)
     np.testing.assert_array_equal(
         _dense_individual_rows(cfg.rows(rels, None)),

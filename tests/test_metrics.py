@@ -116,6 +116,16 @@ def test_utility_metric_parse_and_str():
         metrics.UtilityMetric.parse("ndcg@0")
 
 
+@pytest.mark.parametrize("text", ["err@2", "avgrank@3", "ERR@1"])
+def test_a_cutoff_on_err_or_avgrank_is_refused(text):
+    """``batch_values`` ignores a cutoff on err and avgrank, so one would
+    label plain values with a cutoff; it is refused when the metric is made."""
+    with pytest.raises(ValueError, match="takes no cutoff"):
+        metrics.UtilityMetric.parse(text)
+    with pytest.raises(ValueError, match="takes no cutoff"):
+        metrics.UtilityMetric(text.lower().partition("@")[0], 5)
+
+
 def test_utility_metric_reward_negates_avg_rank():
     m = metrics.UtilityMetric("avgrank")
     order = np.array([0, 1])

@@ -61,8 +61,8 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
     members share, and one sampler call of ``Q * S`` rankings per member;
     at the limit the whole ``(K, Q, n)`` block is one exact call, and
     nothing is sampled.  Each metric values the block in one call, so
-    ``metrics.value`` is not called, and each query's disparities of all
-    members are one ``from_exposures`` call."""
+    ``metrics.value`` is not called, and the disparities of all its queries
+    and members are one ``from_exposures`` call."""
     queries, samples = 6, 12
     for members, docs in itertools.product((1, 3), (ENUMERATION_LIMIT + 3,
                                                     ENUMERATION_LIMIT)):
@@ -82,7 +82,8 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
             tracer.remove()
         counts = tracer.snapshot()
         assert counts["trainer.evaluate.calls"] == 1
-        assert counts["fairness.from_exposures.calls"] == queries
+        # One block: its queries fit EVAL_BLOCK_DRAWS, checked below.
+        assert counts["fairness.from_exposures.calls"] == 1
         assert "metrics.value.calls" not in counts
         if docs > ENUMERATION_LIMIT:
             assert queries * samples * docs <= trainer.EVAL_BLOCK_DRAWS
@@ -168,6 +169,7 @@ def test_tracer_counts_one_optimizer_step_per_member_step_of_a_grid(model):
     # each member samples its exposures on its own from the shared draws.
     assert counts["trainer.evaluate.calls"] == 2 * configs[0].epochs + 1
     assert counts["fairness.exposure_mc.calls"] == 2 * configs[0].epochs + 1
+    assert counts["fairness.from_exposures.calls"] == 2 * configs[0].epochs + 1
     evaluation_samples = counts["policy.sample_rankings.calls"] - steps
     assert evaluation_samples == len(configs) * (2 * configs[0].epochs + 1)
 

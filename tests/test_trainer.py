@@ -267,7 +267,8 @@ def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
                                           query.relevances))
         exposures = fairness.exposure_of_policy(scores, num_samples=eval_samples,
                                                 rng=rng)
-        disparity_values.append(disparity.from_exposures(exposures.values, query))
+        disparity_values.append(fairness.hinge_mean(disparity.query_rows(query),
+                                                    exposures.values))
     return metric_values, disparity_values
 
 
