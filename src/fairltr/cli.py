@@ -167,10 +167,13 @@ def resolve_options(args: argparse.Namespace, options: Sequence[Option]) -> dict
 
 def prepare_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
+    if out.is_dir() and any(out.iterdir()) and not force:
         raise CliError(f"output directory {out} is not empty; "
                        f"pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make output directory {out}: {exc}") from None
     return out
 
 
@@ -192,7 +195,7 @@ def load_dataset_auto(letor_path: str, like: tuple[str, object] | None = None
     gp = groups_path_for(letor_path)
     try:
         dataset = data.load_dataset(p, gp if gp.exists() else None)
-    except data.DataError as exc:
+    except (data.DataError, OSError) as exc:
         raise CliError(f"{p}: {exc}") from None
     if like and dataset.feature_dim != like[1].feature_dim:
         raise CliError(f"{p} has {dataset.feature_dim} features but {like[0]} "
@@ -366,6 +369,10 @@ def _read_table(path: str, label_col: str, group_col: str,
     if len(rows) < 2:
         raise CliError(f"{path}: need a header row and at least one data row")
     header, body = rows[0], rows[1:]
+    for rowno, row in enumerate(body, start=2):
+        if len(row) < len(header):
+            raise CliError(f"{path} row {rowno}: {len(row)} cells for "
+                           f"{len(header)} columns")
 
     def col_index(name: str) -> int:
         if name in header:
@@ -425,7 +432,8 @@ _TRAINING = (
     Option("lr", float, None, "learning rate (default " + ", ".join(
         f"{lr:g} for {model}" for model, lr in _MODEL_DEFAULT_LR.items()) + ")"),
     Option("epochs", int, 20, "training epochs"),
-    Option("optimizer", str, "adam", "optimizer", choices=("adam", "sgd")),
+    Option("optimizer", str, "adam", "optimizer",
+           choices=tuple(trainer.OPTIMIZERS)),
     _METRIC,
     _DISPARITY,
     _MERIT,
@@ -449,16 +457,21 @@ _TRAIN = (
 
 
 def _build_train_config(opts: dict, train_set: data.Dataset,
-                        val_set: data.Dataset) -> trainer.TrainConfig:
-    """The run's config, checked against both splits."""
-    splits = [("train", train_set), ("val", val_set)]
+                        val_set: data.Dataset,
+                        summaries: Sequence[tuple[str, data.Dataset]] = ()
+                        ) -> trainer.TrainConfig:
+    """The run's config, checked against every split the command values:
+    train and val with the run's metric, each split of ``summaries`` with
+    the err column, and all of them with the disparity."""
     disparity = parse_disparity(opts["disparity"], opts["merit"])
     lr = opts["lr"] if opts["lr"] is not None else _MODEL_DEFAULT_LR[opts["model"]]
     try:
-        trainer.require_group_labels(disparity, splits)
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
-        trainer.require_defined_metric(metric, splits)
+        trainer.require_defined(
+            [("train", train_set, [metric]), ("val", val_set, [metric]),
+             *((name, dataset, [err_metric_for(dataset)])
+               for name, dataset in summaries)], disparity)
         return trainer.TrainConfig(
             lam=opts["lam"], gamma=opts["gamma"], sample_size=opts["samples"],
             learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
@@ -616,8 +629,6 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
         raise CliError("sweep requires --train DATA.letor")
     lambdas = _parse_number_list(opts["lambdas"], float, "lambda")
     seeds = _parse_number_list(opts["seeds"], int, "seed")
-    if min(seeds) < 0:
-        raise CliError(f"seeds must be >= 0, got {opts['seeds']}")
     names = [_run_dir_name(lam, seed) for lam in lambdas for seed in seeds]
     for name in names:
         if names.count(name) > 1:
@@ -628,11 +639,10 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
     train_set, val_set = _train_val_split(opts)
     splits = _splits(opts, train_set)
     base = _build_train_config({**opts, "lam": lambdas[0], "seed": seeds[0]},
-                               train_set, val_set)
+                               train_set, val_set, splits)
     try:
         configs = {(li, si): dataclasses.replace(base, lam=lam, seed=seed)
                    for li, lam in enumerate(lambdas) for si, seed in enumerate(seeds)}
-        trainer.require_group_labels(base.disparity, splits)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)
@@ -718,31 +728,26 @@ def cmd_baseline(args: argparse.Namespace, opts: dict) -> int:
     if not opts["train"]:
         raise CliError("baseline requires --train DATA.letor")
     lp = opts["method"] == "lp"
-    try:
-        merit = fairness.MeritFunction.parse(opts["merit"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     grid = baselines.lp_lambda_grid if lp else baselines.top1_lambda_grid
     lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
                if opts["lambdas"] else grid())
     top1 = {key: opts[key] for key in ("lr", "epochs", "seed") if key in opts}
+    train_set = load_dataset_auto(opts["train"])
+    splits = _splits(opts, train_set)
     try:
+        merit = fairness.MeritFunction.parse(opts["merit"])
         baselines.require_lambda_grid(lambdas)
         if not lp:
             baselines.require_top1_settings(top1["lr"], top1["epochs"])
+        group = fairness.DisparityConfig("group", merit)
+        trainer.require_defined([(name, dataset, [err_metric_for(dataset)])
+                                 for name, dataset in splits], group)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    train_set = load_dataset_auto(opts["train"])
-    splits = _splits(opts, train_set)
-    for name, dataset in splits:
-        if not dataset.has_groups:
-            raise CliError(f"baselines need group labels, and the {name} "
-                           "split has none")
     out = prepare_out_dir(args.out, args.force)
 
     rank, per_lambda = (_lp_ranker(train_set, splits, lambdas, merit) if lp
                         else _top1_ranker(train_set, lambdas, **top1))
-    group = fairness.DisparityConfig("group", merit)
     per_split = [(name, trainer.value_split(
         dataset, rank, metrics.UtilityMetric("ndcg"), group, [err_metric_for(dataset)]))
         for name, dataset in splits]
@@ -826,10 +831,10 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
     dataset = load_dataset_auto(opts["data"], (opts["checkpoint"], model))
     disparity = parse_disparity(opts["disparity"], opts["merit"])
     try:
-        trainer.require_group_labels(disparity, [("evaluation", dataset)])
         metric = fit_metric_to_dataset(
             metrics.UtilityMetric.parse(opts["metric"]), dataset)
-        trainer.require_defined_metric(metric, [("evaluation", dataset)])
+        trainer.require_defined(
+            [("evaluation", dataset, [metric, err_metric_for(dataset)])], disparity)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = prepare_out_dir(args.out, args.force)

@@ -4,7 +4,8 @@ The on-disk format is LETOR-style text: one document per line,
 
     <relevance> qid:<qid> <fid>:<value> ... [# comment]
 
-with 1-based feature ids; relevances and feature values must be finite.
+with 1-based feature ids that fit the index type (``numpy.intp``);
+relevances and feature values must be finite.
 Group membership (binary, 0 or 1) lives in a sidecar file holding one 0/1
 token per document in dataset order.  Floats are written with 17
 significant digits so that parse -> write -> parse is bit exact.
@@ -14,19 +15,21 @@ vector and, when labelled, a group vector.  ``parse_letor`` is the one
 parser of the text format: it reads the LETOR text and, when given, the
 group text next to it, and builds each query once, with its labels;
 ``load_dataset`` reads both files, which must be ASCII, and calls it.
-The LETOR text is tokenized in passes of a few hundred lines, and the
+The LETOR text is read in passes of a few hundred lines, and the
 numbers of a pass are parsed by one ``float``/``int`` pass over its
-tokens; every rule is checked on all documents of a pass at once, and
-only a refused pass is read again line by line to name its first bad
-line.  The constructor refuses what the parsers refuse, a non-finite
-value or a group label other than 0/1, naming the query rather than a
-line.  Datasets are immutable after construction: a query's arrays are
-read-only, so what is derived from them can be kept with the query
-(``Query.derived``, or ``Query.derived_of_run`` for a run of queries
-built together), and every transformation returns a new dataset.
+tokens.  Each rule of a line is stated once, as a mask over the documents
+or the feature tokens of a pass, and the first line that breaks one is
+refused, with the first rule it breaks.  The constructor refuses what the
+parsers refuse, a non-finite value or a group label other than 0/1,
+naming the query rather than a line.  Datasets are immutable after
+construction: a query's arrays are read-only, so what is derived from
+them can be kept with the query (``Query.derived``, or
+``Query.derived_of_run`` for a run of queries built together), and every
+transformation returns a new dataset.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -195,27 +198,20 @@ def _read_letor(source, feature_dim: int | None
     documents of each, the feature matrix and relevances of all documents
     in dataset order, and the feature dimension.
 
-    The lines are read in passes of ``_PASS_LINES``.  Each pass is
-    tokenized once and each rule is checked on all its documents at once;
-    the relevances, feature ids and values are parsed by one ``float`` or
-    ``int`` pass each.  Only when a check fails are the pass's lines read
-    one by one (``_line_error``), to name the first bad line.
+    The lines are read in passes of ``_PASS_LINES``, each parsed and
+    checked at once by ``_parse_documents``, which refuses the first bad
+    line of the pass.
     """
     lines = iter(source.splitlines() if isinstance(source, str) else source)
     code: dict[str, int] = {}
     passes = []
     first_line = 1
     while chunk := _comment_free(list(itertools.islice(lines, _PASS_LINES))):
-        counts = np.fromiter(map(len, map(str.split, chunk)), np.intp, len(chunk))
-        per_doc = counts[counts > 0]
-        if len(per_doc):
-            parsed = _parse_documents("\n".join(chunk), per_doc, code)
-            if parsed is None:
-                for lineno, line in enumerate(chunk, start=first_line):
-                    message = _line_error(line)
-                    if message:
-                        raise ParseError(f"line {lineno}: {message}")
-            passes.append(parsed)
+        split = list(map(str.split, chunk))
+        counts = np.fromiter(map(len, split), np.intp, len(split))
+        if counts.any():
+            passes.append(_parse_documents(
+                list(itertools.chain.from_iterable(split)), counts, first_line, code))
         first_line += len(chunk)
     if not passes:
         raise ParseError("no document lines found")
@@ -225,100 +221,127 @@ def _read_letor(source, feature_dim: int | None
     matrix[np.repeat(np.arange(len(relevances)), per_doc - 2), fids - 1] = values
     # Documents grouped by qid, the qids in first-appearance order.
     order = np.argsort(codes, kind="stable")
-    return list(code), np.bincount(codes), matrix[order], relevances[order], dim
+    return ([qid[4:] for qid in code], np.bincount(codes), matrix[order],
+            relevances[order], dim)
 
 
-def _parse_documents(text: str, per_doc: np.ndarray, code: dict[str, int]):
+# The rules of a LETOR line, in the order they apply: those of the document
+# as a whole, then, for each feature token in turn, those of the token.
+# Each message is formatted with the line's tokens, or with a feature token
+# and its id; ``_parse_documents`` states each rule as a mask, in this order.
+_DOCUMENT_RULES = ("expected relevance and qid", "bad relevance {0!r}",
+                   "expected qid:<id>, got {1!r}", "document has no features")
+_FEATURE_RULES = ("expected fid:value, got {0!r}", "bad feature {0!r}",
+                  "feature ids are 1-based, got {1}", "feature id {1} repeated")
+# A feature id must fit the index type: |id| <= _MAX_ID.  One that does not
+# parse or fit is read as _BAD_ID.
+_MAX_ID = int(np.iinfo(np.intp).max)
+_BAD_ID = -_MAX_ID - 1
+
+
+def _parse_documents(tokens: list[str], counts: np.ndarray, first_line: int,
+                     code: dict[str, int]):
     """The qid codes, relevances, token counts, feature ids and values of
-    the documents of comment-free text, which hold ``per_doc`` tokens each,
-    or None if a rule fails.  ``code`` numbers each qid in order of first
-    appearance and gains the new ones.  The token list is dropped before
-    the feature tokens are split, so the two do not coexist."""
-    if (per_doc < 3).any():
-        return None
-    tokens = text.split()
+    the documents of ``tokens``, the tokens of comment-free lines that hold
+    ``counts`` tokens each, the first being line ``first_line``.  ``code``
+    numbers each qid token in order of first appearance and gains the new
+    ones.
+
+    Each rule of ``_DOCUMENT_RULES`` and ``_FEATURE_RULES`` is one mask of
+    the documents or feature tokens that keep it.  A ``ParseError`` names
+    the first line that breaks a rule, and the first rule it breaks.
+    """
+    per_doc = counts[counts > 0]
     heads = np.cumsum(per_doc) - per_doc
-    try:
-        relevances = np.fromiter(map(float, map(tokens.__getitem__, heads.tolist())),
-                                 float, len(heads))
-    except ValueError:
-        return None
-    # Each qid token starts with "qid:" and has an id: split at " qid:", the
-    # joined tokens give one empty piece, then one non-empty id per token.
-    qids = (" " + " ".join(map(tokens.__getitem__, (heads + 1).tolist()))
-            ).split(" qid:")
-    if len(qids) != len(heads) + 1 or qids.pop(0) or not all(qids):
-        return None
+    # A document of one token has no qid: its "qid" is the next head, or its
+    # own at the end, and its first rule fires before the qid rule.
+    second = np.minimum(heads + 1, len(tokens) - 1)
+    relevances = _floats(list(map(tokens.__getitem__, heads.tolist())))
+    qids = list(map(tokens.__getitem__, second.tolist()))
     is_feature = np.ones(len(tokens), dtype=bool)
-    is_feature[heads] = is_feature[heads + 1] = False
+    is_feature[heads] = is_feature[second] = False
     features = list(itertools.compress(tokens, is_feature.tolist()))
-    del tokens
     num_features = len(features)
+    colon = np.fromiter(map(operator.contains, features, itertools.repeat(":")),
+                        bool, num_features)
     joined = " ".join(features)
-    # Each feature token holds exactly one colon: each holds one, and the
-    # tokens hold as many colons as there are tokens.
-    if joined.count(":") != num_features or \
-            not all(map(operator.contains, features, itertools.repeat(":"))):
-        return None
-    del features
-    pieces = joined.replace(" ", ":").split(":")
-    del joined
-    try:
-        ids = {fid: int(fid) for fid in set(pieces[::2])}
-        values = np.fromiter(map(float, pieces[1::2]), float, num_features)
-    except ValueError:
-        return None
-    fids = np.fromiter(map(ids.__getitem__, pieces[::2]), np.intp, num_features)
-    if not (np.isfinite(relevances).all() and np.isfinite(values).all()) \
-            or (fids < 1).any():
-        return None
-    seen = np.zeros((len(heads), fids.max()), dtype=bool)
-    seen[np.repeat(np.arange(len(heads)), per_doc - 2), fids - 1] = True
-    if np.count_nonzero(seen) != num_features:  # an id repeated in a document
-        return None
+    if colon.all() and joined.count(":") == num_features:
+        # Each token holds one colon: one split gives id, value, id, ...
+        pieces = joined.replace(" ", ":").split(":")
+        id_texts, value_texts = pieces[::2], pieces[1::2]
+    else:
+        id_texts, _, value_texts = map(list, zip(
+            *map(operator.methodcaller("partition", ":"), features)))
+    ids = {fid: _feature_id(fid) for fid in set(id_texts)}
+    fids = np.fromiter(map(ids.__getitem__, id_texts), np.intp, num_features)
+    values = _floats(value_texts)
+    doc_of = np.repeat(np.arange(len(heads)), np.maximum(per_doc - 2, 0))
+    document_rules = (
+        per_doc >= 2, np.isfinite(relevances),
+        # "qid:<id>": the tokens between "qid:" and "qid;", as ":" < ";".
+        _between("qid:", qids, "qid;"),
+        per_doc >= 3)
+    feature_rules = (colon, np.isfinite(values) & (fids != _BAD_ID), fids >= 1,
+                     _first_of_id(doc_of, fids))
+    ok = functools.reduce(operator.and_, document_rules)
+    ok[doc_of[~functools.reduce(operator.and_, feature_rules)]] = False
+    if not ok.all():
+        doc = int(np.argmin(ok))
+        line = tokens[heads[doc]:heads[doc] + per_doc[doc]]
+        broken = itertools.chain(
+            (message.format(*line) for kept, message
+             in zip(document_rules, _DOCUMENT_RULES) if not kept[doc]),
+            (message.format(token, int(fids[i]))
+             for token, i in zip(line[2:], np.flatnonzero(doc_of == doc).tolist())
+             for kept, message in zip(feature_rules, _FEATURE_RULES) if not kept[i]))
+        raise ParseError(f"line {first_line + np.flatnonzero(counts)[doc]}: "
+                         f"{next(broken)}")
     for qid in dict.fromkeys(qids):
         code.setdefault(qid, len(code))
     codes = np.fromiter(map(code.__getitem__, qids), np.intp, len(qids))
     return codes, relevances, per_doc, fids, values
 
 
-def _line_error(line: str) -> str | None:
-    """What is wrong with one comment-free LETOR line, by the first rule it
-    breaks, or None; the rules apply to the relevance, then the qid, then
-    each feature token in turn."""
-    tokens = line.split()
-    if not tokens:
-        return None
-    if len(tokens) < 2:
-        return "expected relevance and qid"
+def _between(low: str, texts: list[str], high: str) -> np.ndarray:
+    """Which of ``texts`` lie strictly between ``low`` and ``high``."""
+    if low < min(texts) and max(texts) < high:
+        return np.ones(len(texts), dtype=bool)
+    return np.array([low < text < high for text in texts])
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """The float of each text, nan for one that does not parse."""
     try:
-        rel = float(tokens[0])
+        return np.fromiter(map(float, texts), float, len(texts))
     except ValueError:
-        rel = math.nan
-    if not math.isfinite(rel):
-        return f"bad relevance {tokens[0]!r}"
-    if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
-        return f"expected qid:<id>, got {tokens[1]!r}"
-    if len(tokens) < 3:
-        return "document has no features"
-    seen: set[int] = set()
-    for tok in tokens[2:]:
-        fid_s, sep, val_s = tok.partition(":")
-        if not sep:
-            return f"expected fid:value, got {tok!r}"
-        try:
-            fid = int(fid_s)
-            val = float(val_s)
-        except ValueError:
-            val = math.nan
-        if not math.isfinite(val):
-            return f"bad feature {tok!r}"
-        if fid < 1:
-            return f"feature ids are 1-based, got {fid}"
-        if fid in seen:
-            return f"feature id {fid} repeated"
-        seen.add(fid)
-    return None
+        return np.array([_parsed(float, text, math.nan) for text in texts])
+
+
+def _feature_id(text: str) -> int:
+    """The feature id ``text`` gives, or ``_BAD_ID`` if it gives none or
+    one that does not fit the index type."""
+    fid = _parsed(int, text, _BAD_ID)
+    return fid if abs(fid) <= _MAX_ID else _BAD_ID
+
+
+def _parsed(kind: type, text: str, default):
+    """``kind(text)``, or ``default`` if ``text`` does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        return default
+
+
+def _first_of_id(doc_of: np.ndarray, fids: np.ndarray) -> np.ndarray:
+    """Which feature tokens hold an id that no earlier token of their
+    document ``doc_of`` holds."""
+    # A stable sort by document, then id: doc_of is sorted already, and the
+    # tokens of one id keep their order.
+    order = np.lexsort((fids, doc_of))
+    ids = fids[order]
+    kept = np.ones(len(fids), dtype=bool)
+    kept[order[1:][(ids[1:] == ids[:-1]) & (doc_of[1:] == doc_of[:-1])]] = False
+    return kept
 
 
 def _f17(x: float) -> str:

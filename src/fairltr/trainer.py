@@ -116,7 +116,7 @@ class TrainConfig:
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         require_seed(self.seed)
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lam != 0.0 and self.disparity is None:
             raise ValueError("lam != 0 requires a disparity, individual or group")
@@ -190,12 +190,13 @@ class Adam:
         params += self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def make_optimizer(name: str, learning_rate: float):
-    if name == "adam":
-        return Adam(learning_rate)
-    if name == "sgd":
-        return SGD(learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}")
+# The optimizers by name, the names in the order the CLI lists them.
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
+def make_optimizer(name: str, learning_rate: float) -> SGD | Adam:
+    """A fresh optimizer of ``OPTIMIZERS``; ``TrainConfig`` checks the name."""
+    return OPTIMIZERS[name](learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +384,40 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
 EVAL_BLOCK_DRAWS = 1 << 17
 
 
-def require_defined_metric(metric: UtilityMetric,
-                           splits: Sequence[tuple[str, Dataset]]) -> None:
-    """Refuse up front a split on which ``metric`` is undefined, which
-    ``metrics`` would otherwise reject mid-run: for ERR, a relevance above
-    ``metric.err_max_grade``; for avgrank, a query whose relevances are all
+def require_defined(splits: Sequence[tuple[str, Dataset, Sequence[UtilityMetric]]],
+                    disparity: DisparityConfig | None = None) -> None:
+    """Refuse up front a split on which a value is undefined, which would
+    otherwise fail mid-run or, for group disparity, silently count as zero.
+    ``splits`` pairs each named split with the metrics valued on it, and
+    ``disparity``, if any, is valued on every split.  Refused are: a split
+    without group labels under group disparity; for ERR, a relevance above
+    ``metric.err_max_grade``; for ERR or a disparity, whose merit needs it,
+    a negative relevance; for avgrank, a query whose relevances are all
     zero."""
-    for name, dataset in splits:
-        if metric.kind == "err":
-            top = max(float(q.relevances.max()) for q in dataset)
-            if top > metric.err_max_grade:
-                raise ValueError(
-                    f"{name} split has relevance {top:g}, above err_max_grade "
-                    f"{metric.err_max_grade:g}; raise err_max_grade to at least "
-                    f"{top:g}")
-        elif metric.kind == "avgrank":
-            for q in dataset:
-                if q.relevances.sum() == 0.0:
-                    raise ValueError(
-                        f"{name} split query {q.qid!r} has only zero "
-                        "relevances, for which avgrank is undefined")
-
-
-def require_group_labels(disparity: DisparityConfig | None,
-                         splits: Sequence[tuple[str, Dataset]]) -> None:
-    """Refuse group disparity on a split without group labels, whose
-    disparity would otherwise silently count as zero."""
-    if disparity is None or disparity.kind != "group":
-        return
-    for name, dataset in splits:
-        if not dataset.has_groups:
+    for name, dataset, valued in splits:
+        if disparity is not None and disparity.kind == "group" \
+                and not dataset.has_groups:
             raise ValueError(f"{name} split has no group labels, which group "
                              "disparity requires")
+        kinds = {metric.kind for metric in valued}
+        for metric in valued:
+            if metric.kind == "err":
+                top = max(float(q.relevances.max()) for q in dataset)
+                if top > metric.err_max_grade:
+                    raise ValueError(
+                        f"{name} split has relevance {top:g}, above "
+                        f"err_max_grade {metric.err_max_grade:g}; raise "
+                        f"err_max_grade to at least {top:g}")
+        needs = "err" if "err" in kinds else None if disparity is None else "merit"
+        for q in dataset:
+            if needs and q.relevances.min() < 0.0:
+                raise ValueError(f"{name} split query {q.qid!r} has negative "
+                                 f"relevance {q.relevances.min():g}, for which "
+                                 f"{needs} is undefined")
+            if "avgrank" in kinds and q.relevances.sum() == 0.0:
+                raise ValueError(
+                    f"{name} split query {q.qid!r} has only zero "
+                    "relevances, for which avgrank is undefined")
 
 
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
@@ -431,9 +434,8 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     of K summaries, member k's equal to evaluating it alone: the members
     share every draw.  Raises ``ValueError`` before any work if the model's
     feature width is not the dataset's, if ``eval_samples`` is below 1, if
-    ``seed`` is negative, if a metric is undefined on the dataset
-    (``require_defined_metric``), or if group disparity is asked of a
-    dataset without group labels.
+    ``seed`` is negative, or if a metric or the disparity is undefined on
+    the dataset (``require_defined``).
     """
     if model.feature_dim != dataset.feature_dim:
         raise ValueError(f"model has {model.feature_dim} features, evaluation "
@@ -441,9 +443,7 @@ def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
     require_seed(seed)
-    for each in (metric, *extra_metrics):
-        require_defined_metric(each, [("evaluation", dataset)])
-    require_group_labels(disparity, [("evaluation", dataset)])
+    require_defined([("evaluation", dataset, (metric, *extra_metrics))], disparity)
     summaries = _evaluate(model, dataset, metric, disparity, eval_samples,
                           np.random.default_rng(seed), extra_metrics)
     return summaries if model.params.ndim == 2 else summaries[0]
@@ -504,9 +504,9 @@ def train(train_set: Dataset, val_set: Dataset,
     Deterministic: identical datasets, config, and seed reproduce the run
     bit for bit.  Raises ``TrainingError`` if a gradient is non-finite or
     above the optimizer's ``max_gradient``, naming the offending query, and
-    ``ValueError`` before epoch 1 if the splits differ in feature width, if
-    the metric is undefined on either split (``require_defined_metric``), or
-    if group disparity is configured and either split lacks group labels.
+    ``ValueError`` before epoch 1 if the splits differ in feature width, or
+    if the metric or the disparity is undefined on either split
+    (``require_defined``).
 
     ``config`` may also be a grid: a sequence of configs that differ only
     in ``lam``, trained in lockstep as one block.  The result is then a
@@ -557,9 +557,8 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
     if val_set.feature_dim != train_set.feature_dim:
         raise ValueError(f"val split has {val_set.feature_dim} features, train "
                          f"split has {train_set.feature_dim}")
-    splits = [("train", train_set), ("val", val_set)]
-    require_defined_metric(first.metric, splits)
-    require_group_labels(first.disparity, splits)
+    require_defined([("train", train_set, [first.metric]),
+                     ("val", val_set, [first.metric])], first.disparity)
     root = np.random.SeedSequence(first.seed)
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
     model = init_model(first.model, train_set.feature_dim,

@@ -13,16 +13,21 @@ DP, in O(2^n n), which the tests check against both.
 
 ``datasets_equal`` and ``models_equal`` compare datasets and models bit
 for bit, for the round-trip and determinism tests.
+
+``parse_letor_lines`` is the reference LETOR parser: it reads one line at a
+time and checks each rule with plain Python (``letor_line_error``), which
+the tests check the package's vectorized parser against.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from fairltr.data import Dataset
+from fairltr.data import Dataset, ParseError, Query
 from fairltr.fairness import HingeRows, group_rows, hinge_gaps, hinge_mean, \
     hinge_weights, individual_rows, ranking_exposures
 from fairltr.metrics import UtilityMetric, _stop_probabilities, gains, ideal_dcg, \
@@ -177,6 +182,80 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         if qa.groups is not None and not np.array_equal(qa.groups, qb.groups):
             return False
     return True
+
+
+# Feature ids must fit the index type: |id| <= the largest intp.
+_MAX_FEATURE_ID = int(np.iinfo(np.intp).max)
+
+
+def letor_line_error(line: str) -> str | None:
+    """What is wrong with one comment-free LETOR line, by the first rule it
+    breaks, or None; the rules apply to the relevance, then the qid, then
+    each feature token in turn."""
+    tokens = line.split()
+    if not tokens:
+        return None
+    if len(tokens) < 2:
+        return "expected relevance and qid"
+    try:
+        rel = float(tokens[0])
+    except ValueError:
+        rel = math.nan
+    if not math.isfinite(rel):
+        return f"bad relevance {tokens[0]!r}"
+    if not tokens[1].startswith("qid:") or len(tokens[1]) <= 4:
+        return f"expected qid:<id>, got {tokens[1]!r}"
+    if len(tokens) < 3:
+        return "document has no features"
+    seen: set[int] = set()
+    for tok in tokens[2:]:
+        fid_s, sep, val_s = tok.partition(":")
+        if not sep:
+            return f"expected fid:value, got {tok!r}"
+        try:
+            fid = int(fid_s)
+            val = float(val_s)
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val) or abs(fid) > _MAX_FEATURE_ID:
+            return f"bad feature {tok!r}"
+        if fid < 1:
+            return f"feature ids are 1-based, got {fid}"
+        if fid in seen:
+            return f"feature id {fid} repeated"
+        seen.add(fid)
+    return None
+
+
+def parse_letor_lines(text: str, feature_dim: int | None = None) -> Dataset:
+    """The dataset of LETOR text, read one line at a time: the first line
+    that breaks a rule raises its ``ParseError``.  Queries follow the first
+    appearance of their qids, and features are densified to
+    ``max(feature_dim or 0, largest id)``."""
+    documents: dict[str, list[tuple[float, dict[int, float]]]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0]
+        message = letor_line_error(line)
+        if message:
+            raise ParseError(f"line {lineno}: {message}")
+        tokens = line.split()
+        if tokens:
+            features = {int(fid): float(value) for fid, _, value in
+                        (tok.partition(":") for tok in tokens[2:])}
+            documents.setdefault(tokens[1][4:], []).append(
+                (float(tokens[0]), features))
+    if not documents:
+        raise ParseError("no document lines found")
+    dim = max([feature_dim or 0] + [fid for docs in documents.values()
+                                    for _, features in docs for fid in features])
+    queries = []
+    for qid, docs in documents.items():
+        matrix = np.zeros((len(docs), dim))
+        for row, (_, features) in enumerate(docs):
+            for fid, value in features.items():
+                matrix[row, fid - 1] = value
+        queries.append(Query(qid, matrix, [rel for rel, _ in docs]))
+    return Dataset(queries, dim)
 
 
 def models_equal(a: ScoringModel, b: ScoringModel) -> bool:

@@ -155,6 +155,9 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["baseline", "--method", "top1", "--lambdas", ","],
     ["train", "--optimizer", "rmsprop"],
     ["train", "--epochs", "many"],
+    ["train", "--val", "DIRECTORY"],
+    ["sweep", "--test", "SIDECAR"],
+    ["train", "--out", "FILE"],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
 def test_bad_configuration_is_a_clean_error_before_any_work(
         tmp_path, dataset_dir, capsys, argv):
@@ -172,6 +175,17 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     unknown = {"TYPO": "line 2: unknown key 'lamda'",
                "LAMBDA": "line 1: unknown key 'lambda'",
                "LAM": "line 1: unknown key 'lam'"}
+    # Paths by placeholder: a directory as a dataset, a dataset whose
+    # .groups sidecar is a directory, and a file as the output directory.
+    # Each refusal names the path.
+    paths = {"DIRECTORY": tmp_path / "a-directory",
+             "SIDECAR": tmp_path / "sidecar.letor", "FILE": tmp_path / "a-file"}
+    paths["DIRECTORY"].mkdir()
+    paths["SIDECAR"].write_bytes(letor.read_bytes())
+    (tmp_path / "sidecar.groups").mkdir()
+    paths["FILE"].write_text("kept\n")
+    named = next((paths[a] for a in argv if a in paths), None)
+    argv = [paths.get(a, a) for a in argv]
     checkpoint = tmp_path / "model.txt"
     checkpoint.write_text("fairltr-model 1\nkind linear\nfeature_dim 2\n"
                           "bias 0\nw 0.1 0.2\n")
@@ -184,7 +198,7 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
         inputs = ["--input", table] if argv[1] == "from-table" else []
     else:
         inputs = ["--train", letor]
-    out = tmp_path / "out"
+    out = argv[argv.index("--out") + 1] if "--out" in argv else tmp_path / "out"
     placeholder = next((a for a in argv if a in configs), None)
     if placeholder is not None:
         config = tmp_path / f"{placeholder.lower()}.cfg"
@@ -195,7 +209,12 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     assert err.startswith("error:") and "Traceback" not in err
     if placeholder in unknown:
         assert f"{config} {unknown[placeholder]}" in err
-    assert not out.exists()
+    if named is not None:
+        assert str(named) in err
+    if out == paths["FILE"]:
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -626,6 +645,46 @@ def test_avgrank_refuses_an_all_zero_query_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, split, needs", [
+    (["train", "--train", "NEG", "--val", "NEG", "--disparity", "group"],
+     "train", "merit"),
+    (["train", "--train", "NEG", "--val", "NEG", "--metric", "err"], "train", "err"),
+    (["sweep", "--train", "DATA", "--test", "NEG", "--lambdas", "0,1"], "test", "err"),
+    (["baseline", "--method", "lp", "--train", "DATA", "--test", "NEG"],
+     "test", "err"),
+    (["eval", "--checkpoint", "MODEL", "--data", "NEG", "--disparity", "group"],
+     "evaluation", "err"),
+], ids=lambda arg: "-".join(str(a).lstrip("-") for a in arg)
+   if isinstance(arg, list) else arg)
+def test_a_negative_relevance_is_refused_where_err_or_a_merit_is_valued(
+        tmp_path, dataset_dir, capsys, argv, split, needs):
+    """ERR and every merit need relevances >= 0: a split with a negative one
+    is refused before any output, naming the split and the query."""
+    full = data.load_dataset(dataset_dir / "data.letor",
+                             dataset_dir / "data.groups")
+    queries = list(full)
+    q = queries[3]
+    queries[3] = data.Query(q.qid, q.feature_matrix,
+                            np.concatenate(([-1.0], q.relevances[1:])), q.groups)
+    neg = tmp_path / "neg.letor"
+    data.save_dataset(data.Dataset(queries, full.feature_dim), neg,
+                      tmp_path / "neg.groups")
+    model = tmp_path / "model.txt"
+    policy.save_model(policy.LinearModel(np.zeros(full.feature_dim)), model)
+    paths = {"NEG": neg, "DATA": dataset_dir / "data.letor", "MODEL": model}
+    out = tmp_path / "out"
+    common = ["--epochs", 1, "--samples", 2] if argv[0] in ("train", "sweep") else []
+    assert run([*(paths.get(a, a) for a in argv), *common, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {split} split query {q.qid!r} has negative relevance -1, "
+        f"for which {needs} is undefined\n")
+    assert not out.exists()
+    # DCG is defined for a negative relevance: training on ndcg alone runs.
+    if argv[0] == "train" and needs == "merit":
+        assert run(["train", "--train", neg, "--val", neg, *common,
+                    "--out", out]) == 0
+
+
 def test_eval_rejects_dimension_mismatch(tmp_path, dataset_dir, capsys):
     letor = dataset_dir / "data.letor"
     run_dir = tmp_path / "run"
@@ -688,6 +747,15 @@ def test_generate_from_table_requires_numeric_without_preprocess(tmp_path, capsy
     assert "--preprocess" in capsys.readouterr().err
 
 
+def test_a_table_row_shorter_than_the_header_is_refused(tmp_path, capsys):
+    table = tmp_path / "rows.csv"
+    table.write_text("f,label,grp\n1,0,1\n2,1\n3,1,0\n")
+    out = tmp_path / "x"
+    assert run(["generate", "from-table", "--input", table, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {table} row 3: 2 cells for 3 columns\n"
+    assert not out.exists()
+
+
 def test_unknown_metric_is_a_clean_error(tmp_path, dataset_dir, capsys):
     code = run(["train", "--train", dataset_dir / "data.letor",
                 "--out", tmp_path / "x", "--metric", "map"])
@@ -720,17 +788,13 @@ def test_group_disparity_refuses_an_unlabeled_split_before_any_run(
         ("val", ["train", "--train", letor, "--val", bare, "--lambda", 5, *common]),
         ("val", ["sweep", "--train", letor, "--val", bare, *common]),
         ("test", ["sweep", "--train", letor, "--test", bare, *common]),
+        ("test", ["baseline", "--method", "lp", "--train", letor, "--test", bare]),
     ]
     for split, argv in cases:
         out = tmp_path / f"out-{split}-{argv[0]}"
         assert run([*argv, "--out", out]) == 1
         assert f"{split} split has no group labels" in capsys.readouterr().err
         assert not out.exists()
-    out = tmp_path / "out-baseline"
-    assert run(["baseline", "--method", "lp", "--train", letor, "--test", bare,
-                "--out", out]) == 1
-    assert "the test split has none" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_sweep_parses_each_input_file_once(tmp_path, dataset_dir, monkeypatch):

@@ -1,5 +1,6 @@
 """Dataset parsing, formatting, generation, and splitting."""
 import io
+import random
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ PREFIX = "# header\n\n1 qid:0 1:0.5 # note\n \t \n"
     ("1\tqid:1\t1:1.0\r\n0 qid:1 1:x\r\n", "line 6: bad feature '1:x'"),
     ("1 qid:1 1:1.0\r0 qid:1 2:1 2:2\r", "line 6: feature id 2 repeated"),
     ("1 qid:1 1:1.0 # 1:x\r\n\r\n0\tqid:2\t#", "line 7: document has no features"),
+    # A feature id must fit the index type, and the first line naming one
+    # that does not is refused, not a later bad line.
+    ("1 qid:1 99999999999999999999:1",
+     "line 5: bad feature '99999999999999999999:1'"),
+    ("1 qid:1 99999999999999999999:1\n0 qid:1 1:x",
+     "line 5: bad feature '99999999999999999999:1'"),
 ])
 def test_every_parse_error_names_its_line(tmp_path, bad, message):
     """Each refusal of LETOR text has one message, naming the first bad line
@@ -147,6 +154,62 @@ def test_a_text_read_in_several_passes_parses_as_in_one(monkeypatch):
     with pytest.raises(data.ParseError) as caught:
         data.parse_letor(text + "\n1 qid:d 1:1 1:2\n")
     assert str(caught.value) == "line 9: feature id 1 repeated"
+
+
+# Tokens of random LETOR text: in each pool the first three are valid, the
+# rest each break a rule or parse in an unusual way.
+RELEVANCES = ("1", "0", "2.5", "-1", "1_0", "+2", "x", "nan", "inf")
+QIDS = ("qid:1", "qid:2", "qid:a", "qid:", "1", "qid:1:2", "Qid:1")
+FEATURES = ("1:2", "2:0.5", "3:-0.0", "1_0:2", "+2:1", "1:1e-300", "1:2:3",
+            "0:1", "-1:1", "a:1", "1:", ":1", "5", "2:inf",
+            "99999999999999999999:1", "-99999999999999999999:1",
+            "9223372036854775808:1")
+
+
+def random_letor(rng: random.Random) -> str:
+    """A few lines of LETOR text with tabs, CR and CRLF line ends, blank and
+    comment lines and comments after documents.  A line is valid, or has
+    one token drawn from its whole pool, or too few tokens."""
+    lines = []
+    for _ in range(rng.randint(1, 5)):
+        tokens = [RELEVANCES[rng.randrange(3)], QIDS[rng.randrange(3)],
+                  *rng.sample(FEATURES[:3], rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            at = rng.randrange(len(tokens))
+            tokens[at] = rng.choice(at == 0 and RELEVANCES or at == 1 and QIDS
+                                    or FEATURES)
+        if rng.random() < 0.05:
+            tokens = tokens[:rng.randint(0, 2)]
+        if rng.random() < 0.15:
+            tokens.append("# c 1:x")
+        lines.append(rng.choice(" \t").join(tokens)
+                     + rng.choice(["\n", "\n", "\r\n", "\r"]))
+    return "".join(lines)
+
+
+def test_the_parser_agrees_with_the_line_by_line_reference(monkeypatch):
+    """On random texts, in passes of 256 lines and of 2, the parser gives
+    the dataset of ``oracle.parse_letor_lines`` or its exact error."""
+    rng = random.Random(21)
+    outcomes = []
+    for pass_lines in (256, 2):
+        monkeypatch.setattr(data, "_PASS_LINES", pass_lines)
+        for _ in range(1250):
+            text = random_letor(rng)
+            feature_dim = rng.choice([None, 2])
+            try:
+                want = oracle.parse_letor_lines(text, feature_dim)
+            except data.ParseError as exc:
+                with pytest.raises(data.ParseError) as caught:
+                    data.parse_letor(text, feature_dim=feature_dim)
+                assert str(caught.value) == str(exc), text
+                outcomes.append(False)
+            else:
+                assert oracle.datasets_equal(
+                    data.parse_letor(text, feature_dim=feature_dim), want), text
+                outcomes.append(True)
+    # Both outcomes are common, so both paths are compared.
+    assert 0.2 < np.mean(outcomes) < 0.8
 
 
 @pytest.mark.parametrize("groups, message", [

@@ -500,6 +500,34 @@ def test_group_disparity_without_labels_fails_before_epoch_one(monkeypatch):
     assert trainer.evaluate(model, bare, cfg.metric, individual).mean_disparity >= 0.0
 
 
+def test_a_negative_relevance_fails_before_epoch_one_under_err_or_a_merit(
+        monkeypatch):
+    ds = small_dataset(seed=0, queries=10, docs=5)
+    queries = list(ds)
+    q = queries[2]
+    queries[2] = data.Query(q.qid, q.feature_matrix,
+                            np.concatenate(([-1.0], q.relevances[1:])), q.groups)
+    neg = data.Dataset(queries, ds.feature_dim)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    message = f"train split query {q.qid!r} has negative relevance -1, for which "
+    individual = fairness.DisparityConfig.parse("individual")
+    with pytest.raises(ValueError, match=message + "merit"):
+        trainer.train(neg, neg, base_config(lam=5.0, disparity=individual))
+    err = metrics.UtilityMetric("err", err_max_grade=5.0)
+    with pytest.raises(ValueError, match=message + "err"):
+        trainer.train(neg, neg, base_config(metric=err))
+    model = policy.init_model("linear", neg.feature_dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="evaluation split query"):
+        trainer.evaluate(model, neg, metrics.UtilityMetric("ndcg"), individual)
+    # DCG is defined for a negative relevance.
+    assert np.isfinite(trainer.evaluate(model, neg, metrics.UtilityMetric("ndcg"))
+                       .mean_metric)
+
+
 def with_zero_relevance_query(dataset, index):
     """The dataset with query ``index``'s relevances all set to zero."""
     queries = list(dataset)
