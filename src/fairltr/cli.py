@@ -20,6 +20,12 @@ non-empty output directories are refused unless ``--force`` is given.
 Every refusal, a usage error of the parser included, is one ``error:``
 line on standard error and exit code 1; ``--help`` exits 0.
 
+Each command first reads and checks every input, and returns its work as
+a function of the output directory; ``main`` makes that directory only
+once the checks pass, so a refused command writes nothing.  A
+``ValueError`` or ``OSError`` of the checks is a refusal.  One raised by
+the work, after the directory exists, is a bug and propagates.
+
 Every method's summary rows come from one evaluation,
 ``trainer.value_split``, and one row builder, ``_summary_row``: the policy
 sweep values argmax rankings with policy exposures, the top-1 baseline
@@ -42,7 +48,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +57,11 @@ from . import baselines, data, fairness, metrics, policy, trainer
 
 class CliError(Exception):
     """User-facing failure; printed to stderr with exit code 1."""
+
+
+# A command's work once its inputs are checked: it writes into the output
+# directory it is given and returns the exit code.
+Work = Callable[[Path], int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,10 +278,7 @@ def parse_disparity(kind: str, merit: str) -> fairness.DisparityConfig | None:
     kind = kind.strip().lower()
     if kind in ("none", ""):
         return None
-    try:
-        return fairness.DisparityConfig.parse(kind, merit)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return fairness.DisparityConfig.parse(kind, merit)
 
 
 def err_metric_for(dataset: data.Dataset) -> metrics.UtilityMetric:
@@ -317,46 +325,44 @@ _GENERATE_FROM_TABLE = (
 )
 
 
-def cmd_generate_simulated(args: argparse.Namespace, opts: dict) -> int:
-    try:
-        dataset = data.generate_simulated(
-            num_queries=opts["queries"], docs_per_query=opts["docs"],
-            minority_prob=opts["minority_prob"], seed=opts["seed"])
-    except data.DataError as exc:
-        raise CliError(str(exc)) from None
-    out = prepare_out_dir(args.out, args.force)
-    data.save_dataset(dataset, out / "data.letor", out / "data.groups")
-    write_kv(out / "manifest.txt", {"command": "generate simulated", **opts})
-    print(f"wrote {len(dataset)} queries ({dataset.num_docs} documents) "
-          f"to {out / 'data.letor'}")
-    return 0
+def cmd_generate_simulated(opts: dict) -> Work:
+    dataset = data.generate_simulated(
+        num_queries=opts["queries"], docs_per_query=opts["docs"],
+        minority_prob=opts["minority_prob"], seed=opts["seed"])
+
+    def work(out: Path) -> int:
+        data.save_dataset(dataset, out / "data.letor", out / "data.groups")
+        write_kv(out / "manifest.txt", {"command": "generate simulated", **opts})
+        print(f"wrote {len(dataset)} queries ({dataset.num_docs} documents) "
+              f"to {out / 'data.letor'}")
+        return 0
+    return work
 
 
-def cmd_generate_from_table(args: argparse.Namespace, opts: dict) -> int:
+def cmd_generate_from_table(opts: dict) -> Work:
     if not opts["input"]:
         raise CliError("generate from-table requires --input")
     records = _read_table(opts["input"], opts["label_col"], opts["group_col"],
                           opts["preprocess"])
-    total = opts["train_queries"] + opts["test_queries"]
-    try:
-        dataset = data.convert_binary_table(
-            records, num_queries=total, candidate_size=opts["candidate_size"],
-            relevant_fraction=opts["relevant_fraction"], seed=opts["seed"])
-    except data.DataError as exc:
-        raise CliError(str(exc)) from None
-    out = prepare_out_dir(args.out, args.force)
-    train = data.Dataset(dataset.queries[:opts["train_queries"]],
-                         dataset.feature_dim)
-    data.save_dataset(train, out / "train.letor", out / "train.groups")
-    written = [f"{out / 'train.letor'} ({len(train)} queries)"]
-    if opts["test_queries"] > 0:
-        test = data.Dataset(dataset.queries[opts["train_queries"]:],
-                            dataset.feature_dim)
-        data.save_dataset(test, out / "test.letor", out / "test.groups")
-        written.append(f"{out / 'test.letor'} ({len(test)} queries)")
-    write_kv(out / "manifest.txt", {"command": "generate from-table", **opts})
-    print("wrote " + " and ".join(written))
-    return 0
+    dataset = data.convert_binary_table(
+        records, num_queries=opts["train_queries"] + opts["test_queries"],
+        candidate_size=opts["candidate_size"],
+        relevant_fraction=opts["relevant_fraction"], seed=opts["seed"])
+
+    def work(out: Path) -> int:
+        train = data.Dataset(dataset.queries[:opts["train_queries"]],
+                             dataset.feature_dim)
+        data.save_dataset(train, out / "train.letor", out / "train.groups")
+        written = [f"{out / 'train.letor'} ({len(train)} queries)"]
+        if opts["test_queries"] > 0:
+            test = data.Dataset(dataset.queries[opts["train_queries"]:],
+                                dataset.feature_dim)
+            data.save_dataset(test, out / "test.letor", out / "test.groups")
+            written.append(f"{out / 'test.letor'} ({len(test)} queries)")
+        write_kv(out / "manifest.txt", {"command": "generate from-table", **opts})
+        print("wrote " + " and ".join(written))
+        return 0
+    return work
 
 
 def _read_table(path: str, label_col: str, group_col: str,
@@ -465,22 +471,19 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
     the err column, and all of them with the disparity."""
     disparity = parse_disparity(opts["disparity"], opts["merit"])
     lr = opts["lr"] if opts["lr"] is not None else _MODEL_DEFAULT_LR[opts["model"]]
-    try:
-        metric = fit_metric_to_dataset(
-            metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
-        trainer.require_defined(
-            [("train", train_set, [metric]), ("val", val_set, [metric]),
-             *((name, dataset, [err_metric_for(dataset)])
-               for name, dataset in summaries)], disparity)
-        return trainer.TrainConfig(
-            lam=opts["lam"], gamma=opts["gamma"], sample_size=opts["samples"],
-            learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
-            metric=metric, disparity=disparity, model=opts["model"],
-            hidden_units=opts["hidden"], use_bias=opts["bias"],
-            use_baseline=not opts["no_baseline"], seed=opts["seed"],
-            patience=opts["patience"], eval_samples=opts["eval_samples"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    metric = fit_metric_to_dataset(
+        metrics.UtilityMetric.parse(opts["metric"]), train_set, val_set)
+    trainer.require_defined(
+        [("train", train_set, [metric]), ("val", val_set, [metric]),
+         *((name, dataset, [err_metric_for(dataset)])
+           for name, dataset in summaries)], disparity)
+    return trainer.TrainConfig(
+        lam=opts["lam"], gamma=opts["gamma"], sample_size=opts["samples"],
+        learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
+        metric=metric, disparity=disparity, model=opts["model"],
+        hidden_units=opts["hidden"], use_bias=opts["bias"],
+        use_baseline=not opts["no_baseline"], seed=opts["seed"],
+        patience=opts["patience"], eval_samples=opts["eval_samples"])
 
 
 def _train_val_split(opts: dict) -> tuple[data.Dataset, data.Dataset]:
@@ -511,23 +514,25 @@ def _write_run_outputs(out: Path, record: trainer.RunRecord,
     write_kv(out / "config.txt", config_echo)
 
 
-def cmd_train(args: argparse.Namespace, opts: dict) -> int:
+def cmd_train(opts: dict) -> Work:
     if not opts["train"]:
         raise CliError("train requires --train DATA.letor")
     train_set, val_set = _train_val_split(opts)
     config = _build_train_config(opts, train_set, val_set)
-    out = prepare_out_dir(args.out, args.force)
-    try:
-        record = trainer.train(train_set, val_set, config)
-    except trainer.TrainingError as exc:
-        raise CliError(f"training failed: {exc}") from None
-    _write_run_outputs(out, record, _run_echo(config, opts))
-    disp = ("" if record.delta_lambda is None
-            else f", delta_lambda {record.delta_lambda:.5f}")
-    print(f"best epoch {record.best_epoch}/{record.epochs_run}, "
-          f"val {config.metric} {record.curves['val_metric'][record.best_epoch - 1]:.5f}"
-          f"{disp}; outputs in {out}")
-    return 0
+
+    def work(out: Path) -> int:
+        try:
+            record = trainer.train(train_set, val_set, config)
+        except trainer.TrainingError as exc:
+            raise CliError(f"training failed: {exc}") from None
+        _write_run_outputs(out, record, _run_echo(config, opts))
+        disp = ("" if record.delta_lambda is None
+                else f", delta_lambda {record.delta_lambda:.5f}")
+        print(f"best epoch {record.best_epoch}/{record.epochs_run}, "
+              f"val {config.metric} {record.curves['val_metric'][record.best_epoch - 1]:.5f}"
+              f"{disp}; outputs in {out}")
+        return 0
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +544,8 @@ _SWEEP = (
     _TEST_PATH,
     Option("lambdas", str, "0,1,5,25", "comma-separated lambda values"),
     Option("seeds", str, "0", "comma-separated seeds"),
-    Option("jobs", int, 1, "parallel worker processes, each training one "
-                           "seed's lambdas in lockstep (or a contiguous chunk "
-                           "of them)", minimum=1),
+    Option("jobs", int, 1, "parallel worker processes over seeds, each "
+                           "training one seed's lambdas in lockstep", minimum=1),
 )
 
 
@@ -556,74 +560,55 @@ def _parse_number_list(text: str, kind, what: str) -> list:
     return values
 
 
-def _summary_rows(records: list[trainer.RunRecord],
-                  configs: list[trainer.TrainConfig],
-                  splits: list[tuple[str, data.Dataset]]) -> list[list[list]]:
-    """Each run's summary rows, for runs of one seed that differ only in
-    lambda: their selected models are evaluated together, one pass per
-    split.  The train pass values no disparity: a train row's is the run's
-    ``delta_lambda``."""
+def _train_seed(configs: list[trainer.TrainConfig], opts: dict, out: Path,
+                train_set: data.Dataset, val_set: data.Dataset,
+                splits: list[tuple[str, data.Dataset]]
+                ) -> list[list[list] | trainer.TrainingError]:
+    """Train one seed's lambda grid as one lockstep block, write each
+    finished run's outputs, and evaluate the finished runs together, one
+    pass per split.  The train pass values no disparity: a train row's is
+    the run's ``delta_lambda``.  Per run in order: its summary rows, or
+    the ``TrainingError`` it failed with."""
+    outcomes = trainer.train(train_set, val_set, configs)
+    done = [k for k, outcome in enumerate(outcomes)
+            if not isinstance(outcome, trainer.TrainingError)]
+    for k in done:
+        run_dir = out / _run_dir_name(configs[k].lam, configs[k].seed)
+        run_dir.mkdir(exist_ok=True)
+        _write_run_outputs(run_dir, outcomes[k], _run_echo(configs[k], opts))
+    if not done:
+        return outcomes
     config = configs[0]
-    models = records[0].model.with_params(np.stack([r.model.params for r in records]))
+    models = outcomes[done[0]].model.with_params(
+        np.stack([outcomes[k].model.params for k in done]))
     # The ndcg column is the run's metric when that is NDCG (at its cutoff).
     ndcg = config.metric if config.metric.kind == "ndcg" else metrics.UtilityMetric("ndcg")
-    rows = [[] for _ in records]
+    rows = {k: [] for k in done}
     for split_name, dataset in splits:
         train = split_name == "train"
         summaries = trainer.evaluate(
             models, dataset, ndcg, None if train else config.disparity,
-            config.eval_samples,
-            seed=config.seed, extra_metrics=[err_metric_for(dataset)])
-        for run_rows, record, run_config, summary in zip(rows, records, configs,
-                                                         summaries):
-            run_rows.append(_summary_row(
-                run_config.lam, run_config.seed, split_name, summary,
-                record.delta_lambda if train else None))
-    return rows
-
-
-def _sweep_worker(payload: dict) -> list[dict]:
-    """Train one seed's chunk of the lambda grid as one lockstep block,
-    write each run's outputs and evaluate the finished runs together; one
-    result per run, in order."""
-    outcomes = trainer.train(payload["train_set"], payload["val_set"],
-                             payload["configs"])
-    done = [k for k, outcome in enumerate(outcomes)
-            if not isinstance(outcome, trainer.TrainingError)]
-    for k in done:
-        run_dir = Path(payload["run_dirs"][k])
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_run_outputs(run_dir, outcomes[k], payload["echos"][k])
-    rows = dict(zip(done, _summary_rows([outcomes[k] for k in done],
-                                        [payload["configs"][k] for k in done],
-                                        payload["splits"]))) if done else {}
-    return [{"ok": True, "rows": rows[k]} if k in rows
-            else {"ok": False, "error": str(outcome)}
-            for k, outcome in enumerate(outcomes)]
+            config.eval_samples, seed=config.seed,
+            extra_metrics=[err_metric_for(dataset)])
+        for k, summary in zip(done, summaries):
+            rows[k].append(_summary_row(
+                configs[k].lam, configs[k].seed, split_name, summary,
+                outcomes[k].delta_lambda if train else None))
+    return [rows.get(k, outcome) for k, outcome in enumerate(outcomes)]
 
 
 def _run_dir_name(lam: float, seed: int) -> str:
     return f"run-lam{lam:g}-seed{seed}"
 
 
-def _lambda_chunks(num_lambdas: int, num_seeds: int, jobs: int) -> list[range]:
-    """Contiguous pieces of a seed's lambda indices: the whole grid, or, when
-    ``jobs`` exceeds the seed count, enough pieces for every job to have
-    one."""
-    pieces = min(num_lambdas, -(-jobs // num_seeds)) if jobs > num_seeds else 1
-    bounds = [num_lambdas * i // pieces for i in range(pieces + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
+def cmd_sweep(opts: dict) -> Work:
     """Train every lambda x seed run on input files parsed once up front.
 
     One config is built and checked, and each run's is a copy with its
     lambda and seed.  Each seed's lambdas train in lockstep as one
-    ``trainer.train`` grid, or as a few contiguous chunks of it when
-    ``--jobs`` exceeds the seed count; the blocks run in parallel worker
-    processes.  Every run's files and both summaries are the same whatever
-    ``--jobs`` is.
+    ``trainer.train`` grid; with ``--jobs`` above 1 and several seeds, the
+    seeds run in that many worker processes at most.  Every run's files
+    and both summaries are the same whatever ``--jobs`` is.
     """
     if not opts["train"]:
         raise CliError("sweep requires --train DATA.letor")
@@ -640,47 +625,38 @@ def cmd_sweep(args: argparse.Namespace, opts: dict) -> int:
     splits = _splits(opts, train_set)
     base = _build_train_config({**opts, "lam": lambdas[0], "seed": seeds[0]},
                                train_set, val_set, splits)
-    try:
-        configs = {(li, si): dataclasses.replace(base, lam=lam, seed=seed)
-                   for li, lam in enumerate(lambdas) for si, seed in enumerate(seeds)}
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = prepare_out_dir(args.out, args.force)
-    units = [[(li, si) for li in chunk] for si in range(len(seeds))
-             for chunk in _lambda_chunks(len(lambdas), len(seeds), opts["jobs"])]
-    payloads = [{"configs": [configs[key] for key in unit],
-                 "echos": [_run_echo(configs[key], opts) for key in unit],
-                 "run_dirs": [str(out / _run_dir_name(configs[key].lam, configs[key].seed))
-                              for key in unit],
-                 "train_set": train_set, "val_set": val_set, "splits": splits}
-                for unit in units]
+    grids = [[dataclasses.replace(base, lam=lam, seed=seed) for lam in lambdas]
+             for seed in seeds]
 
-    workers = min(opts["jobs"], len(payloads))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            unit_results = list(pool.map(_sweep_worker, payloads))
-    else:
-        unit_results = [_sweep_worker(p) for p in payloads]
-    results = {key: result for unit, batch in zip(units, unit_results)
-               for key, result in zip(unit, batch)}
-
-    rows = []
-    failures = []
-    for key, config in configs.items():
-        if results[key]["ok"]:
-            rows.extend(results[key]["rows"])
+    def work(out: Path) -> int:
+        train_seed = functools.partial(_train_seed, opts=opts, out=out,
+                                       train_set=train_set, val_set=val_set,
+                                       splits=splits)
+        workers = min(opts["jobs"], len(seeds))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(train_seed, grids))
         else:
-            failures.append((config, results[key]["error"]))
-    write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
-    _write_sweep_stats(out / "summary_stats.csv", rows)
-    write_kv(out / "config.txt",
-             {k: v for k, v in opts.items() if k != "lr" or v is not None})
-    for config, message in failures:
-        print(f"run lambda={config.lam:g} seed={config.seed} failed: {message}",
-              file=sys.stderr)
-    print(f"{len(rows)} summary rows ({len(configs) - len(failures)}/"
-          f"{len(configs)} runs) in {out / 'summary.csv'}")
-    return 1 if failures else 0
+            outcomes = list(map(train_seed, grids))
+        rows, failures = [], []
+        for k in range(len(lambdas)):
+            for configs, seed_outcomes in zip(grids, outcomes):
+                if isinstance(seed_outcomes[k], trainer.TrainingError):
+                    failures.append(f"run lambda={configs[k].lam:g} "
+                                    f"seed={configs[k].seed} failed: {seed_outcomes[k]}")
+                else:
+                    rows.extend(seed_outcomes[k])
+        write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
+        _write_sweep_stats(out / "summary_stats.csv", rows)
+        write_kv(out / "config.txt",
+                 {k: v for k, v in opts.items() if k != "lr" or v is not None})
+        for message in failures:
+            print(message, file=sys.stderr)
+        runs = len(lambdas) * len(seeds)
+        print(f"{len(rows)} summary rows ({runs - len(failures)}/{runs} runs) "
+              f"in {out / 'summary.csv'}")
+        return 1 if failures else 0
+    return work
 
 
 def _write_sweep_stats(path: Path, rows: list[list]) -> None:
@@ -724,7 +700,7 @@ _BASELINE = (
 )
 
 
-def cmd_baseline(args: argparse.Namespace, opts: dict) -> int:
+def cmd_baseline(opts: dict) -> Work:
     if not opts["train"]:
         raise CliError("baseline requires --train DATA.letor")
     lp = opts["method"] == "lp"
@@ -734,40 +710,38 @@ def cmd_baseline(args: argparse.Namespace, opts: dict) -> int:
     top1 = {key: opts[key] for key in ("lr", "epochs", "seed") if key in opts}
     train_set = load_dataset_auto(opts["train"])
     splits = _splits(opts, train_set)
-    try:
-        merit = fairness.MeritFunction.parse(opts["merit"])
-        baselines.require_lambda_grid(lambdas)
-        if not lp:
-            baselines.require_top1_settings(top1["lr"], top1["epochs"])
-        group = fairness.DisparityConfig("group", merit)
-        trainer.require_defined([(name, dataset, [err_metric_for(dataset)])
-                                 for name, dataset in splits], group)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = prepare_out_dir(args.out, args.force)
+    merit = fairness.MeritFunction.parse(opts["merit"])
+    baselines.require_lambda_grid(lambdas)
+    if not lp:
+        baselines.require_top1_settings(top1["lr"], top1["epochs"])
+    group = fairness.DisparityConfig("group", merit)
+    trainer.require_defined([(name, dataset, [err_metric_for(dataset)])
+                             for name, dataset in splits], group)
 
-    rank, per_lambda = (_lp_ranker(train_set, splits, lambdas, merit) if lp
-                        else _top1_ranker(train_set, lambdas, **top1))
-    per_split = [(name, trainer.value_split(
-        dataset, rank, metrics.UtilityMetric("ndcg"), group, [err_metric_for(dataset)]))
-        for name, dataset in splits]
-    rows = []
-    for k, (lam, stats) in enumerate(zip(lambdas, per_lambda)):
-        stats["lambda"] = lam
-        for name, summaries in per_split:
-            rows.append(_summary_row(lam, top1.get("seed"), name, summaries[k]))
-            stats[name] = {"ndcg": summaries[k].mean_metric,
-                           "disparity": summaries[k].mean_disparity}
+    def work(out: Path) -> int:
+        rank, per_lambda = (_lp_ranker(train_set, splits, lambdas, merit) if lp
+                            else _top1_ranker(train_set, lambdas, **top1))
+        per_split = [(name, trainer.value_split(
+            dataset, rank, metrics.UtilityMetric("ndcg"), group,
+            [err_metric_for(dataset)])) for name, dataset in splits]
+        rows = []
+        for k, (lam, stats) in enumerate(zip(lambdas, per_lambda)):
+            stats["lambda"] = lam
+            for name, summaries in per_split:
+                rows.append(_summary_row(lam, top1.get("seed"), name, summaries[k]))
+                stats[name] = {"ndcg": summaries[k].mean_metric,
+                               "disparity": summaries[k].mean_disparity}
 
-    write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
-    write_json(out / "record.json", {
-        "method": "lp-postprocess" if lp else "top1",
-        "config": {"merit": str(merit), "lambdas": lambdas, **top1},
-        "per_lambda": per_lambda,
-    })
-    write_kv(out / "config.txt", opts)
-    print(f"{len(rows)} summary rows in {out / 'summary.csv'}")
-    return 0
+        write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
+        write_json(out / "record.json", {
+            "method": "lp-postprocess" if lp else "top1",
+            "config": {"merit": str(merit), "lambdas": lambdas, **top1},
+            "per_lambda": per_lambda,
+        })
+        write_kv(out / "config.txt", opts)
+        print(f"{len(rows)} summary rows in {out / 'summary.csv'}")
+        return 0
+    return work
 
 
 def _lp_ranker(train_set, splits, lambdas, merit):
@@ -821,52 +795,47 @@ _EVAL = (
 )
 
 
-def cmd_eval(args: argparse.Namespace, opts: dict) -> int:
+def cmd_eval(opts: dict) -> Work:
     if not opts["checkpoint"] or not opts["data"]:
         raise CliError("eval requires --checkpoint and --data")
-    try:
-        model = policy.load_model(opts["checkpoint"])
-    except (OSError, policy.CheckpointError) as exc:
-        raise CliError(str(exc)) from None
+    model = policy.load_model(opts["checkpoint"])
     dataset = load_dataset_auto(opts["data"], (opts["checkpoint"], model))
     disparity = parse_disparity(opts["disparity"], opts["merit"])
-    try:
-        metric = fit_metric_to_dataset(
-            metrics.UtilityMetric.parse(opts["metric"]), dataset)
-        trainer.require_defined(
-            [("evaluation", dataset, [metric, err_metric_for(dataset)])], disparity)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = prepare_out_dir(args.out, args.force)
+    metric = fit_metric_to_dataset(
+        metrics.UtilityMetric.parse(opts["metric"]), dataset)
+    trainer.require_defined(
+        [("evaluation", dataset, [metric, err_metric_for(dataset)])], disparity)
 
-    # An ERR run's metric is the err column itself, written once.
-    is_err = metric.kind == "err"
-    summary = trainer.evaluate(
-        model, dataset, metric, disparity, opts["eval_samples"], seed=opts["seed"],
-        extra_metrics=[] if is_err else [err_metric_for(dataset)])
-    mean_err = summary.mean_metric if is_err else summary.extra_means[0]
-    columns = [summary.metric_values, *summary.extra_values]
-    rows = [[query.qid, *(values[i] for values in columns),
-             summary.disparity_values[i] if disparity else None]
-            for i, query in enumerate(dataset)]
-    header = ["qid", "err"] if is_err else ["qid", str(metric), "err"]
-    write_csv(out / "report.csv", header + ["disparity"], rows)
-    payload = {
-        "checkpoint": opts["checkpoint"], "data": opts["data"],
-        "metric": str(metric), "num_queries": len(dataset),
-        "mean_metric": summary.mean_metric,
-        "mean_err": mean_err,
-    }
-    if disparity is not None:
-        payload["disparity"] = disparity.kind
-        payload["merit"] = str(disparity.merit)
-        payload["mean_disparity"] = summary.mean_disparity
-    write_json(out / "report.json", payload)
-    disp = ("" if summary.mean_disparity is None
-            else f", mean disparity {summary.mean_disparity:.5f}")
-    means = "" if is_err else f"mean {metric} {summary.mean_metric:.5f}, "
-    print(f"{means}mean err {mean_err:.5f}{disp}; report in {out}")
-    return 0
+    def work(out: Path) -> int:
+        # An ERR run's metric is the err column itself, written once.
+        is_err = metric.kind == "err"
+        summary = trainer.evaluate(
+            model, dataset, metric, disparity, opts["eval_samples"], seed=opts["seed"],
+            extra_metrics=[] if is_err else [err_metric_for(dataset)])
+        mean_err = summary.mean_metric if is_err else summary.extra_means[0]
+        columns = [summary.metric_values, *summary.extra_values]
+        rows = [[query.qid, *(values[i] for values in columns),
+                 summary.disparity_values[i] if disparity else None]
+                for i, query in enumerate(dataset)]
+        header = ["qid", "err"] if is_err else ["qid", str(metric), "err"]
+        write_csv(out / "report.csv", header + ["disparity"], rows)
+        payload = {
+            "checkpoint": opts["checkpoint"], "data": opts["data"],
+            "metric": str(metric), "num_queries": len(dataset),
+            "mean_metric": summary.mean_metric,
+            "mean_err": mean_err,
+        }
+        if disparity is not None:
+            payload["disparity"] = disparity.kind
+            payload["merit"] = str(disparity.merit)
+            payload["mean_disparity"] = summary.mean_disparity
+        write_json(out / "report.json", payload)
+        disp = ("" if summary.mean_disparity is None
+                else f", mean disparity {summary.mean_disparity:.5f}")
+        means = "" if is_err else f"mean {metric} {summary.mean_metric:.5f}, "
+        print(f"{means}mean err {mean_err:.5f}{disp}; report in {out}")
+        return 0
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +884,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Check the command's inputs, then make the output directory and run
+    the command's work in it; a refusal is one ``error:`` line."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, resolve_options(args, args.options))
+        try:
+            work = args.func(resolve_options(args, args.options))
+        except (ValueError, OSError) as exc:
+            raise CliError(str(exc)) from None
+        return work(prepare_out_dir(args.out, args.force))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

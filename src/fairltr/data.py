@@ -30,6 +30,7 @@ transformation returns a new dataset.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import operator
@@ -167,6 +168,14 @@ def _comment_free(lines: list[str]) -> list[str]:
     return lines
 
 
+def _lines(source) -> Iterator[str]:
+    """The lines of a string, a file object or an iterable of lines.  A
+    string ends its lines where a file read in text mode does: at LF, CRLF
+    or a lone CR."""
+    return iter(io.StringIO(source, newline=None) if isinstance(source, str)
+                else source)
+
+
 def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
     """Parse LETOR-style text, and with ``groups`` its group text, into a
     dataset.
@@ -200,9 +209,10 @@ def _read_letor(source, feature_dim: int | None
 
     The lines are read in passes of ``_PASS_LINES``, each parsed and
     checked at once by ``_parse_documents``, which refuses the first bad
-    line of the pass.
+    line of the pass.  A feature id too large for numpy to hold the
+    matrix is refused with the first line that holds the largest id.
     """
-    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    lines = _lines(source)
     code: dict[str, int] = {}
     passes = []
     first_line = 1
@@ -215,10 +225,18 @@ def _read_letor(source, feature_dim: int | None
         first_line += len(chunk)
     if not passes:
         raise ParseError("no document lines found")
-    codes, relevances, per_doc, fids, values = map(np.concatenate, zip(*passes))
+    codes, relevances, per_doc, fids, values, doc_lines = map(np.concatenate, zip(*passes))
     dim = max(feature_dim or 0, int(fids.max()))
-    matrix = np.zeros((len(relevances), dim))
-    matrix[np.repeat(np.arange(len(relevances)), per_doc - 2), fids - 1] = values
+    doc_of = np.repeat(np.arange(len(relevances)), per_doc - 2)
+    try:
+        matrix = np.zeros((len(relevances), dim))
+    except ValueError:  # its byte size overflows numpy's index type
+        if dim > fids.max():
+            raise
+        top = int(np.argmax(fids))
+        raise ParseError(f"line {doc_lines[doc_of[top]]}: feature id {fids[top]} "
+                         f"is too large") from None
+    matrix[doc_of, fids - 1] = values
     # Documents grouped by qid, the qids in first-appearance order.
     order = np.argsort(codes, kind="stable")
     return ([qid[4:] for qid in code], np.bincount(codes), matrix[order],
@@ -241,17 +259,18 @@ _BAD_ID = -_MAX_ID - 1
 
 def _parse_documents(tokens: list[str], counts: np.ndarray, first_line: int,
                      code: dict[str, int]):
-    """The qid codes, relevances, token counts, feature ids and values of
-    the documents of ``tokens``, the tokens of comment-free lines that hold
-    ``counts`` tokens each, the first being line ``first_line``.  ``code``
-    numbers each qid token in order of first appearance and gains the new
-    ones.
+    """The qid codes, relevances, token counts, feature ids, values and
+    line numbers of the documents of ``tokens``, the tokens of
+    comment-free lines that hold ``counts`` tokens each, the first being
+    line ``first_line``.  ``code`` numbers each qid token in order of first
+    appearance and gains the new ones.
 
     Each rule of ``_DOCUMENT_RULES`` and ``_FEATURE_RULES`` is one mask of
     the documents or feature tokens that keep it.  A ``ParseError`` names
     the first line that breaks a rule, and the first rule it breaks.
     """
     per_doc = counts[counts > 0]
+    doc_lines = first_line + np.flatnonzero(counts)
     heads = np.cumsum(per_doc) - per_doc
     # A document of one token has no qid: its "qid" is the next head, or its
     # own at the end, and its first rule fires before the qid rule.
@@ -294,12 +313,11 @@ def _parse_documents(tokens: list[str], counts: np.ndarray, first_line: int,
             (message.format(token, int(fids[i]))
              for token, i in zip(line[2:], np.flatnonzero(doc_of == doc).tolist())
              for kept, message in zip(feature_rules, _FEATURE_RULES) if not kept[i]))
-        raise ParseError(f"line {first_line + np.flatnonzero(counts)[doc]}: "
-                         f"{next(broken)}")
+        raise ParseError(f"line {doc_lines[doc]}: {next(broken)}")
     for qid in dict.fromkeys(qids):
         code.setdefault(qid, len(code))
     codes = np.fromiter(map(code.__getitem__, qids), np.intp, len(qids))
-    return codes, relevances, per_doc, fids, values
+    return codes, relevances, per_doc, fids, values, doc_lines
 
 
 def _between(low: str, texts: list[str], high: str) -> np.ndarray:
@@ -368,8 +386,7 @@ def format_group_file(dataset: Dataset) -> str:
 
 def _group_labels(source, num_docs: int) -> np.ndarray:
     """The 0/1 tokens of group-file text, one per document."""
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    tokens = "\n".join(_comment_free(lines)).split()
+    tokens = "\n".join(_comment_free(list(_lines(source)))).split()
     if len(tokens) != num_docs:
         raise ParseError(
             f"group file has {len(tokens)} labels for {num_docs} documents")

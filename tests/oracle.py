@@ -20,6 +20,7 @@ the tests check the package's vectorized parser against.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -231,9 +232,10 @@ def parse_letor_lines(text: str, feature_dim: int | None = None) -> Dataset:
     """The dataset of LETOR text, read one line at a time: the first line
     that breaks a rule raises its ``ParseError``.  Queries follow the first
     appearance of their qids, and features are densified to
-    ``max(feature_dim or 0, largest id)``."""
+    ``max(feature_dim or 0, largest id)``.  Lines end at LF, CRLF or a lone
+    CR, as a file read in text mode ends them."""
     documents: dict[str, list[tuple[float, dict[int, float]]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.partition("#")[0]
         message = letor_line_error(line)
         if message:

@@ -1,4 +1,6 @@
 """End-to-end command-line behavior, byte determinism, failure modes."""
+import ast
+import concurrent.futures
 import csv
 import json
 import os
@@ -860,6 +862,32 @@ def test_sweep_refuses_fewer_than_one_job_before_any_work(tmp_path, capsys, jobs
     assert not out.exists()
 
 
+def test_a_value_error_of_a_commands_work_is_a_bug_not_a_refusal(
+        tmp_path, dataset_dir, monkeypatch, capsys):
+    """Only the checks before the output directory exists refuse a
+    command; a ``ValueError`` raised by the work propagates."""
+    def broken(*args, **kwargs):
+        raise ValueError("raised by the work")
+    monkeypatch.setattr(trainer, "train", broken)
+    out = tmp_path / "tr"
+    with pytest.raises(ValueError, match="raised by the work"):
+        cli.main(["train", "--train", str(dataset_dir / "data.letor"),
+                  "--epochs", "1", "--out", str(out)])
+    assert out.is_dir()
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_only_main_makes_the_output_directory():
+    """Each command checks its inputs and returns its work; ``main`` alone
+    calls ``prepare_out_dir``, after the checks pass."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = {function.name for function in tree.body
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Name) and node.id == "prepare_out_dir"}
+    assert callers == {"main"}
+
+
 @pytest.mark.parametrize("model", ["linear", "mlp1"])
 def test_sweep_member_bytes_do_not_depend_on_the_other_members(tmp_path, wide_dir,
                                                                 model):
@@ -875,15 +903,18 @@ def test_sweep_member_bytes_do_not_depend_on_the_other_members(tmp_path, wide_di
     assert same_run_files(member, tmp_path / "train")
 
 
-def test_sweep_splits_one_seeds_grid_across_jobs_with_the_same_bytes(tmp_path, wide_dir):
-    assert cli._lambda_chunks(3, 1, 3) == [range(0, 1), range(1, 2), range(2, 3)]
-    assert cli._lambda_chunks(5, 2, 3) == [range(0, 2), range(2, 5)]
-    assert cli._lambda_chunks(2, 1, 8) == [range(0, 1), range(1, 2)]
-    assert cli._lambda_chunks(4, 3, 3) == [range(0, 4)]
+def test_sweep_runs_one_seed_in_process_with_the_same_bytes_at_any_jobs(
+        tmp_path, wide_dir, monkeypatch):
+    """A worker trains a whole seed, so a one-seed sweep starts no process
+    pool whatever ``--jobs`` is."""
     common = ["sweep", "--train", wide_dir / "data.letor", "--test",
               wide_dir / "data.letor", "--lambdas", "0,5,25", "--epochs", 2,
               "--samples", 5]
     assert run([*common, "--jobs", 1, "--out", tmp_path / "one"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-seed sweep started a process pool")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run([*common, "--jobs", 3, "--out", tmp_path / "three"]) == 0
     for name in ("summary.csv", "summary_stats.csv"):
         assert (tmp_path / "one" / name).read_bytes() == \

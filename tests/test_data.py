@@ -139,6 +139,56 @@ def test_ids_beyond_feature_dim_widen_the_matrix_and_crlf_parses():
                                   [[0.0, 0.0, 2.5], [1.0, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028"])
+def test_a_string_splits_into_lines_as_a_file_does(tmp_path, separator):
+    """Only LF, CRLF and a lone CR end a line, in a string as in a file:
+    the other line breaks of ``str.splitlines`` are whitespace inside one,
+    so a token after them is on the same line, and so is a group label
+    after a comment."""
+    letor = f"1 qid:1 1:1{separator}2 qid:1 1:x\n0 qid:1 1:2\n"
+    groups = f"0 # c{separator}1\n"
+    cases = [(letor, None, "line 1: expected fid:value, got '2'"),
+             ("1 qid:1 1:1\n0 qid:1 1:2\n", groups,
+              "group file has 1 labels for 2 documents")]
+    for text, group_text, message in cases:
+        letor_path, groups_path = tmp_path / "d.letor", tmp_path / "d.groups"
+        letor_path.write_text(text, encoding="utf-8")
+        groups_path.write_text(group_text or "", encoding="utf-8")
+        with open(letor_path, encoding="utf-8") as letor_file, \
+                open(groups_path, encoding="utf-8") as groups_file:
+            sources = [(text, group_text),
+                       (letor_file, groups_file if group_text else None)]
+            for source, group_source in sources:
+                with pytest.raises(data.ParseError) as caught:
+                    data.parse_letor(source, group_source)
+                assert str(caught.value) == message
+    with pytest.raises(data.ParseError) as caught:
+        oracle.parse_letor_lines(letor)
+    assert str(caught.value) == cases[0][2]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 qid:1 4611686018427387904:1\n",
+     "line 1: feature id 4611686018427387904 is too large"),
+    ("# c\n1 qid:1 1:1\n\n0 qid:2 9223372036854775807:1 2:1\n"
+     "0 qid:1 3:1 9223372036854775807:2\n",
+     "line 4: feature id 9223372036854775807 is too large"),
+])
+def test_a_feature_id_no_matrix_can_hold_is_refused_with_its_line(tmp_path, text,
+                                                                  message):
+    """numpy refuses the dense matrix of such an id outright; the first line
+    holding the largest id is named instead."""
+    with pytest.raises(data.ParseError) as caught:
+        data.parse_letor(text)
+    assert str(caught.value) == message
+    path = tmp_path / "d.letor"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(data.ParseError) as caught:
+        data.load_dataset(path)
+    assert str(caught.value) == message
+
+
 def test_a_text_read_in_several_passes_parses_as_in_one(monkeypatch):
     """Lines are tokenized in passes of ``_PASS_LINES``: a qid that comes
     back in a later pass joins its query, and an error names its line
