@@ -12,6 +12,7 @@ from .data import (
     convert_binary_table,
     generate_simulated,
     load_dataset,
+    load_table,
     parse_letor,
     save_dataset,
     split_dataset,
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "Query", "convert_binary_table",
-    "generate_simulated", "load_dataset", "parse_letor", "save_dataset",
+    "generate_simulated", "load_dataset", "load_table", "parse_letor", "save_dataset",
     "split_dataset",
     "DisparityConfig", "MeritFunction", "exposure_of_policy", "UtilityMetric",
     "LinearModel", "MLP1Model", "argmax_ranking", "init_model", "load_model",

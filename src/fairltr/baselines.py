@@ -37,24 +37,23 @@ from .policy import LinearModel
 # ---------------------------------------------------------------------------
 
 
-def fit_linear_regression(dataset: Dataset, ridge: float = 1e-6,
-                          use_bias: bool = True) -> LinearModel:
-    """Pooled least-squares fit of relevance on features.
+# The weight of the ridge term on the regression's weights (never its bias).
+_RIDGE = 1e-6
+
+
+def fit_linear_regression(dataset: Dataset) -> LinearModel:
+    """Pooled least-squares fit of relevance on features, with a bias.
 
     A fixed tiny ridge term on the weights (never the bias) keeps the
     normal equations solvable for collinear features.
     """
     X = np.vstack([q.feature_matrix for q in dataset])
     y = np.concatenate([q.relevances for q in dataset])
-    if use_bias:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
-    reg = np.full(X.shape[1], ridge)
-    if use_bias:
-        reg[-1] = 0.0
+    X = np.hstack([X, np.ones((X.shape[0], 1))])
+    reg = np.full(X.shape[1], _RIDGE)
+    reg[-1] = 0.0
     coef = np.linalg.solve(X.T @ X + np.diag(reg), X.T @ y)
-    if use_bias:
-        return LinearModel(coef[:-1], coef[-1:])
-    return LinearModel(coef)
+    return LinearModel(coef[:-1], coef[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +224,21 @@ def require_lambda_grid(lambdas: Sequence[float]) -> list[float]:
 
 def train_top1_baseline(dataset: Dataset, lam: float,
                         learning_rate: float = 0.01, epochs: int = 50,
-                        seed: int = 0, max_grad_norm: float = 10.0) -> LinearModel:
+                        seed: int = 0) -> LinearModel:
     """Linear scorer trained so Softmax(scores) matches normalized relevance:
     ``train_top1_grid`` at the one penalty weight ``lam``."""
-    block = train_top1_grid(dataset, [lam], learning_rate, epochs, seed,
-                            max_grad_norm)
+    block = train_top1_grid(dataset, [lam], learning_rate, epochs, seed)
     return block.with_params(block.params[0])
+
+
+# The largest norm of a top-1 step's gradient; a larger one is scaled down
+# to it.
+_TOP1_MAX_GRAD_NORM = 10.0
 
 
 def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
                     learning_rate: float = 0.01, epochs: int = 50,
-                    seed: int = 0, max_grad_norm: float = 10.0) -> LinearModel:
+                    seed: int = 0) -> LinearModel:
     """A ``(K, d + 1)`` block of linear scorers with a bias, member k
     trained with the penalty weight ``lambdas[k]``.
 
@@ -303,9 +306,9 @@ def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
             norm = np.add.reduce(squares[:, :d], axis=1)
             norm += squares[:, d]
             np.sqrt(norm, out=norm)
-            if np.maximum.reduce(norm) > max_grad_norm:
-                clipped = norm > max_grad_norm
-                grad[clipped] *= (max_grad_norm / norm[clipped])[:, None]
+            if np.maximum.reduce(norm) > _TOP1_MAX_GRAD_NORM:
+                clipped = norm > _TOP1_MAX_GRAD_NORM
+                grad[clipped] *= (_TOP1_MAX_GRAD_NORM / norm[clipped])[:, None]
             grad *= learning_rate
             params -= grad
     return LinearModel(params[:, :d], bias)
@@ -344,7 +347,12 @@ def top1_lambda_grid() -> list[float]:
     return [0.0] + [10.0 ** k for k in range(7)]
 
 
-def lp_lambda_grid(points: int = 11, upper: float = 0.2) -> list[float]:
-    """``points`` evenly spaced penalty weights from 0 to ``upper``: the LP's
-    slack weights, in units of normalized DCG per unit of slack."""
-    return [upper * k / (points - 1) for k in range(points)]
+_LP_GRID_POINTS, _LP_GRID_UPPER = 11, 0.2
+
+
+def lp_lambda_grid() -> list[float]:
+    """``_LP_GRID_POINTS`` evenly spaced penalty weights from 0 to
+    ``_LP_GRID_UPPER``: the LP's slack weights, in units of normalized DCG
+    per unit of slack."""
+    return [_LP_GRID_UPPER * k / (_LP_GRID_POINTS - 1)
+            for k in range(_LP_GRID_POINTS)]

@@ -197,15 +197,17 @@ def groups_path_for(letor_path: str) -> Path:
 def load_dataset_auto(letor_path: str, like: tuple[str, object] | None = None
                       ) -> data.Dataset:
     """The dataset of ``letor_path`` and its sidecar group file.  With
-    ``like``, a path and the dataset or model read from it, a dataset of
-    another feature width is refused: models fitted to one width cannot
-    score the other."""
+    ``like``, a path and the dataset or model read from it, the dataset is
+    read at least as wide as ``like``: a feature id its lines leave out is
+    0, as in sparse LETOR.  A wider one is refused: models fitted to one
+    width cannot score the other."""
     p = Path(letor_path)
     if not p.exists():
         raise CliError(f"dataset file {p} does not exist")
     gp = groups_path_for(letor_path)
     try:
-        dataset = data.load_dataset(p, gp if gp.exists() else None)
+        dataset = data.load_dataset(p, gp if gp.exists() else None,
+                                    like[1].feature_dim if like else None)
     except (data.DataError, OSError) as exc:
         raise CliError(f"{p}: {exc}") from None
     if like and dataset.feature_dim != like[1].feature_dim:
@@ -342,10 +344,10 @@ def cmd_generate_simulated(opts: dict) -> Work:
 def cmd_generate_from_table(opts: dict) -> Work:
     if not opts["input"]:
         raise CliError("generate from-table requires --input")
-    records = _read_table(opts["input"], opts["label_col"], opts["group_col"],
-                          opts["preprocess"])
     dataset = data.convert_binary_table(
-        records, num_queries=opts["train_queries"] + opts["test_queries"],
+        *data.load_table(opts["input"], opts["label_col"], opts["group_col"],
+                         opts["preprocess"]),
+        num_queries=opts["train_queries"] + opts["test_queries"],
         candidate_size=opts["candidate_size"],
         relevant_fraction=opts["relevant_fraction"], seed=opts["seed"])
 
@@ -363,62 +365,6 @@ def cmd_generate_from_table(opts: dict) -> Work:
         print("wrote " + " and ".join(written))
         return 0
     return work
-
-
-def _read_table(path: str, label_col: str, group_col: str,
-                preprocess: bool) -> list[tuple]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CliError(f"cannot read table {path}: {exc}") from None
-    if len(rows) < 2:
-        raise CliError(f"{path}: need a header row and at least one data row")
-    header, body = rows[0], rows[1:]
-    for rowno, row in enumerate(body, start=2):
-        if len(row) < len(header):
-            raise CliError(f"{path} row {rowno}: {len(row)} cells for "
-                           f"{len(header)} columns")
-
-    def col_index(name: str) -> int:
-        if name in header:
-            return header.index(name)
-        try:
-            idx = int(name)
-        except ValueError:
-            raise CliError(f"{path}: no column named {name!r}") from None
-        if not 0 <= idx < len(header):
-            raise CliError(f"{path}: column index {idx} out of range")
-        return idx
-
-    label_idx = col_index(label_col)
-    group_idx = col_index(group_col) if group_col else None
-    feature_idx = [i for i in range(len(header))
-                   if i != label_idx and i != group_idx]
-
-    def parse_binary(value: str, what: str, rowno: int) -> int:
-        v = value.strip()
-        if v not in ("0", "1"):
-            raise CliError(f"{path} row {rowno}: {what} must be 0 or 1, got {v!r}")
-        return int(v)
-
-    labels = [parse_binary(r[label_idx], "label", i + 2)
-              for i, r in enumerate(body)]
-    groups = [parse_binary(r[group_idx], "group", i + 2)
-              for i, r in enumerate(body)] if group_idx is not None \
-        else [None] * len(body)
-
-    raw_features = [[r[i] for i in feature_idx] for r in body]
-    if preprocess:
-        matrix = data.encode_table(raw_features)
-    else:
-        try:
-            matrix = np.array([[float(v) for v in row] for row in raw_features])
-        except ValueError:
-            raise CliError(
-                f"{path}: non-numeric feature values; rerun with --preprocess"
-            ) from None
-    return [(matrix[i], labels[i], groups[i]) for i in range(len(body))]
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +527,12 @@ def _train_seed(configs: list[trainer.TrainConfig], opts: dict, out: Path,
     config = configs[0]
     models = outcomes[done[0]].model.with_params(
         np.stack([outcomes[k].model.params for k in done]))
-    # The ndcg column is the run's metric when that is NDCG (at its cutoff).
-    ndcg = config.metric if config.metric.kind == "ndcg" else metrics.UtilityMetric("ndcg")
     rows = {k: [] for k in done}
     for split_name, dataset in splits:
         train = split_name == "train"
         summaries = trainer.evaluate(
-            models, dataset, ndcg, None if train else config.disparity,
+            models, dataset, metrics.UtilityMetric("ndcg"),
+            None if train else config.disparity,
             config.eval_samples, seed=config.seed,
             extra_metrics=[err_metric_for(dataset)])
         for k, summary in zip(done, summaries):

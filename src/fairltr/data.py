@@ -26,9 +26,14 @@ construction: a query's arrays are read-only, so what is derived from
 them can be kept with the query (``Query.derived``, or
 ``Query.derived_of_run`` for a run of queries built together), and every
 transformation returns a new dataset.
+
+A binary-labeled CSV table is read by ``load_table`` alone, into arrays
+of features, labels and groups that ``convert_binary_table`` samples
+queries from; a bad cell is refused with its file and CSV row.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import io
 import itertools
@@ -472,14 +477,15 @@ def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
     return Dataset(queries, feature_dim=2)
 
 
-def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
+def convert_binary_table(features, labels, groups=None, num_queries: int = 100,
                          candidate_size: int = 10,
                          relevant_fraction: float = 0.2,
                          seed: int = 0) -> Dataset:
-    """Build ranking queries from binary-labeled rows.
+    """Build ranking queries from the rows of a binary-labeled table.
 
-    ``records`` holds ``(features, label, group)`` tuples with label 0 or 1
-    and group 0/1 or None (uniformly).  Each query draws
+    ``features`` is ``(N, d)`` and finite, ``labels`` ``(N,)`` 0/1 and
+    ``groups`` ``(N,)`` 0/1 or None, as ``load_table`` returns them; a bad
+    value is refused naming its 0-based row.  Each query draws
     ``round(candidate_size * (1 - relevant_fraction))`` label-0 rows and the
     remaining label-1 rows, without replacement within the query and with
     replacement across queries, then shuffles the candidate order.
@@ -491,55 +497,40 @@ def convert_binary_table(records: Sequence[tuple], num_queries: int = 100,
         raise DataError("relevant_fraction must be in [0, 1]")
     if num_queries < 1:
         raise DataError("num_queries must be >= 1")
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise DataError(f"features must be an (N, d) matrix, got shape {features.shape}")
+    labels = np.asarray(labels)
+    groups = None if groups is None else np.asarray(groups)
+    for name, values in (("label", labels), ("group", groups)):
+        if values is None:
+            continue
+        if values.shape != features.shape[:1]:
+            raise DataError(f"{values.size} {name}s for {len(features)} feature rows")
+        ok = (values == 0) | (values == 1)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise DataError(f"row {row}: {name} must be 0 or 1, got {values[row]}")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"row {int(np.argmin(finite))}: feature values must be finite")
 
-    feats = []
-    labels = []
-    groups = []
-    for idx, rec in enumerate(records):
-        f, label, group = rec
-        if label not in (0, 1):
-            raise DataError(f"record {idx}: label must be 0 or 1, got {label!r}")
-        if group not in (0, 1, None):
-            raise DataError(f"record {idx}: group must be 0, 1, or None")
-        feats.append(np.asarray(f, dtype=float))
-        if not np.isfinite(feats[-1]).all():
-            raise DataError(f"record {idx}: feature values must be finite")
-        labels.append(int(label))
-        groups.append(group)
-    if not feats:
-        raise DataError("no records provided")
-    grouped = [g is not None for g in groups]
-    if any(grouped) and not all(grouped):
-        raise DataError("records mix grouped and ungrouped rows")
-    dims = {f.shape for f in feats}
-    if len(dims) != 1:
-        raise DataError("records have inconsistent feature dimensions")
-
-    labels_arr = np.array(labels)
-    neg_pool = np.nonzero(labels_arr == 0)[0]
-    pos_pool = np.nonzero(labels_arr == 1)[0]
     num_neg = int(round(candidate_size * (1.0 - relevant_fraction)))
-    num_pos = candidate_size - num_neg
-    if len(neg_pool) < num_neg:
-        raise DataError(
-            f"need {num_neg} label-0 records per query, have {len(neg_pool)}")
-    if len(pos_pool) < num_pos:
-        raise DataError(
-            f"need {num_pos} label-1 records per query, have {len(pos_pool)}")
+    pools = [(np.flatnonzero(labels == label), size, label)
+             for label, size in ((0, num_neg), (1, candidate_size - num_neg))]
+    for pool, size, label in pools:
+        if len(pool) < size:
+            raise DataError(f"need {size} label-{label} rows per query, have {len(pool)}")
 
     rng = np.random.default_rng(seed)
     queries = []
     for qi in range(num_queries):
-        chosen = []
-        if num_neg:
-            chosen.extend(rng.choice(neg_pool, size=num_neg, replace=False))
-        if num_pos:
-            chosen.extend(rng.choice(pos_pool, size=num_pos, replace=False))
-        chosen = [chosen[k] for k in rng.permutation(len(chosen))]
-        queries.append(Query(
-            str(qi + 1), [feats[i] for i in chosen], [labels[i] for i in chosen],
-            [groups[i] for i in chosen] if grouped[0] else None))
-    return Dataset(queries, feature_dim=feats[0].shape[0])
+        chosen = np.concatenate([rng.choice(pool, size=size, replace=False)
+                                 for pool, size, _ in pools])
+        chosen = chosen[rng.permutation(len(chosen))]
+        queries.append(Query(str(qi + 1), features[chosen], labels[chosen],
+                             None if groups is None else groups[chosen]))
+    return Dataset(queries, feature_dim=features.shape[1])
 
 
 def split_dataset(dataset: Dataset, train_fraction: float, seed: int = 0
@@ -561,36 +552,95 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed: int = 0
     return train, test
 
 
-def encode_table(rows: Sequence[Sequence], standardize: bool = True) -> np.ndarray:
-    """Turn mixed-type rows into a dense numeric matrix.
+def load_table(path, label_col: str, group_col: str, preprocess: bool
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The ``(N, d)`` features, ``(N,)`` 0/1 labels and, with ``group_col``,
+    ``(N,)`` 0/1 groups (else None) of a UTF-8 CSV table with a header row.
 
-    Columns whose entries all parse as floats stay single columns; other
-    columns are one-hot encoded over their sorted distinct values.  With
-    ``standardize`` every output column is shifted/scaled to mean 0 and
-    variance 1 (constant columns become 0).
+    ``label_col`` and ``group_col`` name a column or give its 0-based
+    index; every other column is a feature.  A row may have more cells than
+    the header, which are ignored, but not fewer.  Without ``preprocess``
+    every feature cell must be a number; with it, ``encode_table`` encodes
+    the feature columns.  A bad cell is refused as ``{path} row {n}: ...``,
+    the header being row 1, before any encoding.
     """
-    if not rows:
-        raise DataError("no rows to encode")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DataError("rows have inconsistent lengths")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read table {path}: {exc}") from None
+    if len(rows) < 2:
+        raise DataError(f"{path}: need a header row and at least one data row")
+    header, width = rows[0], len(rows[0])
+    for rowno, row in enumerate(rows[1:], start=2):
+        if len(row) < width:
+            raise DataError(f"{path} row {rowno}: {len(row)} cells for {width} columns")
+    # Python strings: a fixed-width numpy string array would hold every cell
+    # at the length of the longest.
+    cells = np.array([row[:width] for row in rows[1:]], dtype=object)
 
-    columns: list[np.ndarray] = []
-    for c in range(width):
-        raw = [r[c] for r in rows]
-        try:
-            col = np.array([float(v) for v in raw])[:, None]
-        except (TypeError, ValueError):
-            values = sorted({str(v) for v in raw})
-            lookup = {v: i for i, v in enumerate(values)}
-            col = np.zeros((len(raw), len(values)))
-            for ri, v in enumerate(raw):
-                col[ri, lookup[str(v)]] = 1.0
-        columns.append(col)
-    matrix = np.hstack(columns)
-    if standardize:
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std[std == 0.0] = 1.0
-        matrix = (matrix - mean) / std
-    return matrix
+    def index_of(name: str) -> int:
+        if name in header:
+            return header.index(name)
+        index = _parsed(int, name, None)
+        if index is None:
+            raise DataError(f"{path}: no column named {name!r}")
+        if not 0 <= index < width:
+            raise DataError(f"{path}: column index {index} out of range")
+        return index
+
+    def binary(index: int, what: str) -> np.ndarray:
+        text = [cell.strip() for cell in cells[:, index].tolist()]
+        ok = np.fromiter(map({"0", "1"}.__contains__, text), bool, len(text))
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise DataError(f"{path} row {row + 2}: {what} must be 0 or 1, "
+                            f"got {text[row]!r}")
+        return np.fromiter(map("1".__eq__, text), np.intp, len(text))
+
+    named = [index_of(label_col)] + ([index_of(group_col)] if group_col else [])
+    labels = binary(named[0], "label")
+    groups = binary(named[1], "group") if group_col else None
+    features = np.delete(cells, named, axis=1)
+    if features.shape[1] == 0:
+        raise DataError(f"{path}: no feature columns")
+    numbers = [_numbers(column) for column in features.T]
+    if not preprocess and any(column is None for column in numbers):
+        raise DataError(f"{path}: non-numeric feature values; rerun with --preprocess")
+    values = np.column_stack([np.zeros(len(cells)) if column is None else column
+                              for column in numbers])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path} row {int(np.argmin(finite)) + 2}: "
+                        "feature values must be finite")
+    return encode_table(features) if preprocess else values, labels, groups
+
+
+def _numbers(cells: np.ndarray) -> np.ndarray | None:
+    """The float of each text cell, or None if one does not parse."""
+    try:
+        return np.fromiter(map(float, cells.tolist()), float, len(cells))
+    except ValueError:
+        return None
+
+
+def encode_table(cells) -> np.ndarray:
+    """A standardized numeric matrix of an ``(N, c)`` matrix of text cells.
+
+    A column whose cells all parse as floats stays one column; any other
+    is one-hot encoded over its sorted distinct cells.  Every output column
+    is then shifted and scaled to mean 0 and variance 1 (a constant column
+    becomes 0).
+    """
+    columns = []
+    for column in np.asarray(cells, dtype=object).T:
+        numbers = _numbers(column)
+        if numbers is None:
+            values, codes = np.unique(column, return_inverse=True)
+            columns.append(codes[:, None] == np.arange(len(values)))
+        else:
+            columns.append(numbers[:, None])
+    matrix = np.hstack(columns, dtype=float)
+    std = matrix.std(axis=0)
+    std[std == 0.0] = 1.0
+    return (matrix - matrix.mean(axis=0)) / std

@@ -392,9 +392,6 @@ class _Model:
     def feature_dim(self) -> int:
         return self.header[0]
 
-    def param_arrays(self) -> list[np.ndarray]:
-        return [getattr(self, attr) for attr, *_ in self.layout]
-
     def with_params(self, params: np.ndarray):
         """A model of this layout holding a copy of ``params``: a ``(P,)``
         vector gives one model, a ``(K, P)`` block a block of K."""

@@ -161,16 +161,18 @@ class SGD:
         params += self.learning_rate * grad
 
 
+# Adam's moment decay rates and the term that keeps its step finite.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     # The largest gradient entry a step takes: the square of a larger one
     # can overflow the second-moment estimate, after which every step
     # would be 0.  The trainer refuses such a gradient before the step.
     max_gradient = 1e154
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -180,14 +182,14 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _ADAM_BETA1 ** self.t
+        bc2 = 1.0 - _ADAM_BETA2 ** self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        params += self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * grad
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * grad * grad
+        params += self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 # The optimizers by name, the names in the order the CLI lists them.

@@ -12,7 +12,8 @@ exposures.  ``expected_utility`` is the exact expected metric from the same
 DP, in O(2^n n), which the tests check against both.
 
 ``datasets_equal`` and ``models_equal`` compare datasets and models bit
-for bit, for the round-trip and determinism tests.
+for bit, for the round-trip and determinism tests; ``param_arrays`` gives
+a model's named parameter arrays, the views of its one vector.
 
 ``parse_letor_lines`` is the reference LETOR parser: it reads one line at a
 time and checks each rule with plain Python (``letor_line_error``), which
@@ -264,3 +265,9 @@ def models_equal(a: ScoringModel, b: ScoringModel) -> bool:
     """Same kind, header and parameter bits."""
     return (a.kind == b.kind and a.header == b.header
             and np.array_equal(a.params, b.params))
+
+
+def param_arrays(model: ScoringModel) -> list[np.ndarray]:
+    """The named parameter arrays of ``model`` in layout order: views of
+    ``model.params``."""
+    return [getattr(model, attr) for attr, *_ in model.layout]

@@ -78,7 +78,7 @@ def test_linear_regression_recovers_exact_relationship():
         rows = slice(qi * 5, qi * 5 + 5)
         queries.append(data.Query(str(qi), X[rows], y[rows]))
     ds = data.Dataset(queries, 2)
-    model = baselines.fit_linear_regression(ds, ridge=1e-10)
+    model = baselines.fit_linear_regression(ds)
     np.testing.assert_allclose(model.weights, [2.0, -0.5], atol=1e-6)
     np.testing.assert_allclose(model.bias, [0.0], atol=1e-6)
 

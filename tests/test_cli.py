@@ -713,6 +713,40 @@ def test_a_split_of_another_feature_width_is_refused_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--train", "DATA", "--epochs", 2, "--samples", 4], "--val"),
+    (["sweep", "--train", "DATA", "--epochs", 2, "--samples", 4], "--test"),
+    (["baseline", "--method", "top1", "--train", "DATA", "--epochs", 2], "--test"),
+    (["eval", "--checkpoint", "MODEL"], "--data"),
+], ids=lambda arg: arg if isinstance(arg, str) else arg[0])
+def test_a_narrower_split_is_padded_with_zero_features(tmp_path, dataset_dir,
+                                                       argv, flag):
+    """A sparse LETOR line that leaves out a feature id holds 0 there: a
+    file that never names the last feature reads as one that names it 0."""
+    letor = dataset_dir / "data.letor"
+    full = data.load_dataset(letor, dataset_dir / "data.groups")
+    lines = [line.split() for line in letor.read_text().splitlines()]
+    for name, last in (("narrow", []), ("zeros", ["2:0"])):
+        (tmp_path / f"{name}.letor").write_text(
+            "".join(" ".join(line[:3] + last) + "\n" for line in lines))
+        (tmp_path / f"{name}.groups").write_bytes(
+            (dataset_dir / "data.groups").read_bytes())
+    narrow = data.load_dataset(tmp_path / "narrow.letor")
+    assert narrow.feature_dim == 1 and full.feature_dim == 2
+    model = tmp_path / "model.txt"
+    policy.save_model(policy.LinearModel(np.array([0.3, -0.2])), model)
+    paths = {"DATA": letor, "MODEL": model}
+    outputs = []
+    for name in ("narrow", "zeros"):
+        out = tmp_path / f"out-{name}"
+        assert run([*(paths.get(a, a) for a in argv), flag,
+                    tmp_path / f"{name}.letor", "--out", out]) == 0
+        outputs.append({path.relative_to(out): path.read_bytes()
+                        for path in sorted(out.rglob("*"))
+                        if path.suffix in (".csv", ".txt") and path.name != "config.txt"})
+    assert outputs[0] == outputs[1] and len(outputs[0]) >= 1
+
+
 def test_generate_from_table_roundtrip(tmp_path):
     table = tmp_path / "rows.csv"
     rng = np.random.default_rng(0)
@@ -756,6 +790,47 @@ def test_a_table_row_shorter_than_the_header_is_refused(tmp_path, capsys):
     assert run(["generate", "from-table", "--input", table, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {table} row 3: 2 cells for 3 columns\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preprocess,cell,row", [(True, "nan", 4), (False, "inf", 3)])
+def test_a_non_finite_table_cell_is_refused_naming_its_file_and_row(
+        tmp_path, capsys, preprocess, cell, row):
+    """Before any encoding: standardizing would spread a NaN down its whole
+    column."""
+    table = tmp_path / "rows.csv"
+    cells = [f"{i}.5,{int(i < 10)},{i % 2}" for i in range(30)]
+    cells[row - 2] = f"{cell},0,1"
+    table.write_text("f,label,grp\n" + "\n".join(cells) + "\n")
+    out = tmp_path / "x"
+    argv = ["generate", "from-table", "--input", table, "--group-col", "grp",
+            "--out", out]
+    assert run(argv + ["--preprocess"] * preprocess) == 1
+    assert capsys.readouterr().err == (
+        f"error: {table} row {row}: feature values must be finite\n")
+    assert not out.exists()
+
+
+def test_a_table_that_is_not_utf8_is_refused_naming_its_file(tmp_path, capsys):
+    table = tmp_path / "rows.csv"
+    table.write_bytes(b"f,label\n1,0\n\xe9,1\n")
+    assert run(["generate", "from-table", "--input", table, "--out", tmp_path / "x"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read table {table}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("text,options,refusal", [
+    ("f,label\n1,0\n", ["--label-col", "missing"], "TABLE: no column named 'missing'"),
+    ("f,label\n1,0\n", ["--group-col", "7"], "TABLE: column index 7 out of range"),
+    ("f,label\n1,0\n 2 , 1 \n", ["--group-col", "0"],
+     "TABLE row 3: group must be 0 or 1, got '2'"),
+    ("g,label\n1,0\n0,1\n", ["--group-col", "g"], "TABLE: no feature columns"),
+])
+def test_a_table_column_is_named_or_indexed(tmp_path, capsys, text, options, refusal):
+    table = tmp_path / "rows.csv"
+    table.write_text(text)
+    assert run(["generate", "from-table", "--input", table, *options,
+                "--out", tmp_path / "x"]) == 1
+    assert capsys.readouterr().err == f"error: {refusal.replace('TABLE', str(table))}\n"
 
 
 def test_unknown_metric_is_a_clean_error(tmp_path, dataset_dir, capsys):
@@ -836,6 +911,30 @@ RUN_FILES = ("checkpoint.txt", "config.txt", "curves.csv", "record.json")
 def same_run_files(a, b):
     return all((a / name).read_bytes() == (b / name).read_bytes()
                for name in RUN_FILES)
+
+
+def test_the_ndcg_column_is_untruncated_ndcg_whatever_the_runs_metric(tmp_path):
+    """An ``ndcg@3`` sweep still writes each run's untruncated NDCG, the
+    quantity every method's rows hold."""
+    data_dir = tmp_path / "ten"
+    assert run(["generate", "simulated", "--out", data_dir, "--queries", 6,
+                "--docs", 10, "--seed", 2]) == 0
+    letor = data_dir / "data.letor"
+    assert run(["sweep", "--train", letor, "--val", letor, "--test", letor,
+                "--lambdas", "0,5", "--metric", "ndcg@3", "--epochs", 2,
+                "--samples", 4, "--out", tmp_path / "sw"]) == 0
+    dataset = data.load_dataset(letor, data_dir / "data.groups")
+    rows = read_rows(tmp_path / "sw" / "summary.csv")
+    assert rows[0][3] == "ndcg" and len(rows) == 1 + 2 * 2
+    truncated = []
+    for lam, _, _, ndcg, *_ in rows[1:]:
+        model = policy.load_model(tmp_path / "sw" / f"run-lam{float(lam):g}-seed0"
+                                  / "checkpoint.txt")
+        value = trainer.evaluate(model, dataset, metrics.UtilityMetric("ndcg"))
+        assert float(ndcg) == value.mean_metric
+        truncated.append(trainer.evaluate(
+            model, dataset, metrics.UtilityMetric.parse("ndcg@3")).mean_metric)
+    assert [float(row[3]) for row in rows[1:]] != truncated
 
 
 @pytest.mark.parametrize("lambdas,seeds,name", [

@@ -431,41 +431,62 @@ def test_generate_simulated_minority_feature_is_withheld():
     assert saw_minority
 
 
+def binary_table(rows, labels, groups, dim=2):
+    """A table of ``rows`` zero feature rows with the given 0/1 columns."""
+    return (np.zeros((rows, dim)), np.resize(labels, rows),
+            None if groups is None else np.resize(groups, rows))
+
+
 def test_convert_binary_table_counts_and_labels():
     rng = np.random.default_rng(0)
-    records = [(rng.normal(size=3), int(i < 40), i % 2)
-               for i in range(100)]
-    ds = data.convert_binary_table(records, num_queries=8, candidate_size=10,
-                                   relevant_fraction=0.2, seed=1)
+    features = rng.normal(size=(100, 3))
+    labels, groups = (np.arange(100) < 40).astype(int), np.arange(100) % 2
+    ds = data.convert_binary_table(features, labels, groups, num_queries=8,
+                                   candidate_size=10, relevant_fraction=0.2,
+                                   seed=1)
     assert len(ds) == 8 and ds.has_groups
     for q in ds:
         assert len(q) == 10
         assert int((q.relevances > 0).sum()) == 2      # 10 - round(10 * 0.8)
         assert set(np.unique(q.relevances)) <= {0.0, 1.0}
-    again = data.convert_binary_table(records, num_queries=8, candidate_size=10,
-                                      relevant_fraction=0.2, seed=1)
+    again = data.convert_binary_table(features, labels, groups, num_queries=8,
+                                      candidate_size=10, relevant_fraction=0.2,
+                                      seed=1)
     assert oracle.datasets_equal(ds, again)
 
 
 def test_convert_binary_table_needs_both_classes():
-    records = [(np.zeros(2), 1, 0) for _ in range(30)]
-    with pytest.raises(data.DataError):
-        data.convert_binary_table(records, num_queries=2, candidate_size=5,
-                                  relevant_fraction=0.2)
+    with pytest.raises(data.DataError, match="need 4 label-0 rows per query, have 0"):
+        data.convert_binary_table(*binary_table(30, 1, 0), num_queries=2,
+                                  candidate_size=5, relevant_fraction=0.2)
 
 
 def test_convert_binary_table_rejects_bad_labels():
-    records = [(np.zeros(2), 2, 0)] + [(np.zeros(2), 0, 0)] * 20
-    with pytest.raises(data.DataError):
-        data.convert_binary_table(records, num_queries=1, candidate_size=4)
+    for labels, groups, message in (
+            ([0, 1, 2, 0], 0, "row 2: label must be 0 or 1, got 2"),
+            ([0, 1], [0, 1, 1, 0, -1], "row 4: group must be 0 or 1, got -1")):
+        with pytest.raises(data.DataError, match=f"^{message}$"):
+            data.convert_binary_table(*binary_table(21, labels, groups),
+                                      num_queries=1, candidate_size=4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_convert_binary_table_rejects_non_finite_features(bad):
-    records = [(np.zeros(2), 1, 0)] * 5 + [(np.zeros(2), 0, 1)] * 20
-    records[3] = (np.array([1.0, bad]), 1, 0)
-    with pytest.raises(data.DataError, match="record 3"):
-        data.convert_binary_table(records, num_queries=1, candidate_size=4)
+    features, labels, groups = binary_table(25, [1, 0, 0, 0, 0], 0)
+    features[3, 1] = bad
+    with pytest.raises(data.DataError, match="^row 3: feature values must be finite$"):
+        data.convert_binary_table(features, labels, groups, num_queries=1,
+                                  candidate_size=4)
+
+
+def test_convert_binary_table_refuses_columns_of_other_lengths():
+    features, labels, _ = binary_table(6, [0, 1], None)
+    with pytest.raises(data.DataError, match="^5 labels for 6 feature rows$"):
+        data.convert_binary_table(features, labels[:5], candidate_size=2)
+    with pytest.raises(data.DataError, match="^7 groups for 6 feature rows$"):
+        data.convert_binary_table(features, labels, np.zeros(7), candidate_size=2)
+    with pytest.raises(data.DataError, match=r"an \(N, d\) matrix"):
+        data.convert_binary_table(features[:, 0], labels, candidate_size=2)
 
 
 def test_split_dataset_partitions_queries():
@@ -494,8 +515,8 @@ def test_split_dataset_needs_two_queries():
 
 
 def test_encode_table_mixes_numeric_and_categorical():
-    rows = [["1.0", "red"], ["3.0", "blue"], ["5.0", "red"]]
-    out = data.encode_table(rows)
+    cells = np.array([["1.0", "red"], ["3.0", "blue"], ["5.0", "red"]])
+    out = data.encode_table(cells)
     assert out.shape == (3, 3)                 # numeric + two categories
     np.testing.assert_allclose(out[:, 0].mean(), 0.0, atol=1e-12)
     np.testing.assert_allclose(out[:, 0].std(), 1.0)
@@ -506,15 +527,15 @@ def test_encode_table_mixes_numeric_and_categorical():
 
 
 def test_encode_table_zeroes_constant_columns():
-    out = data.encode_table([["2", "a"], ["2", "a"]])
+    out = data.encode_table(np.array([["2", "a"], ["2", "a"]]))
     np.testing.assert_allclose(out, 0.0)
 
 
 def test_a_negative_seed_is_refused_up_front_naming_the_seed():
-    records = [(np.zeros(2), i % 2, None) for i in range(20)]
+    table = binary_table(20, [0, 1], None)
     ds = data.generate_simulated(num_queries=4, docs_per_query=3, seed=0)
     for make in (lambda: data.generate_simulated(num_queries=4, seed=-1),
-                 lambda: data.convert_binary_table(records, seed=-1),
+                 lambda: data.convert_binary_table(*table, seed=-1),
                  lambda: data.split_dataset(ds, 0.5, seed=-1)):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             make()
