@@ -95,9 +95,16 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
 
 def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                        lambdas: Sequence[float],
-                       merit: MeritFunction | None = None) -> list[FairLPResult]:
+                       merit: MeritFunction | None = None
+                       ) -> list[FairLPResult] | list[list[FairLPResult]]:
     """The fair LP of one query at each penalty weight of ``lambdas``, in
     their order; the weights may be unsorted or repeated.
+
+    ``estimated_relevances`` may also be a ``(Q, n)`` block of Q queries'
+    estimates, with ``(Q, n)`` groups: the result is then the list of each
+    query's list, each with the bits of a call on that query alone.  A
+    block builds its group rows in one ``group_rows`` call, one query being
+    the block of one.
 
     The LP is solved exactly, without an LP solver.  With ``w`` the
     normalized gains and ``a`` the ``group_rows`` row scaled to shares, it
@@ -124,12 +131,22 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
     r_hat = np.asarray(estimated_relevances, dtype=float)
     if not np.isfinite(r_hat).all():
         raise ValueError("estimated relevances must be finite")
+    block = r_hat.reshape(-1, r_hat.shape[-1])
+    rows = _lp_constraint_rows(block, None if groups is None else
+                               np.asarray(groups).reshape(block.shape),
+                               merit or MeritFunction())
+    solved = [_solve_query(estimates, a, lambdas) for estimates, a in zip(block, rows)]
+    return solved if r_hat.ndim == 2 else solved[0]
+
+
+def _solve_query(r_hat: np.ndarray, a: np.ndarray | None,
+                 lambdas: list[float]) -> list[FairLPResult]:
+    """``solve_fair_lp_grid`` of one query's estimates and scaled group row
+    ``a``, None without a usable one."""
     n = r_hat.shape[0]
-    v = position_bias_vector(n)
     g = gains(r_hat)
     scale = _best_dcg(g, n)
     w = g / (scale if scale > 0.0 else 1.0)
-    a = _lp_constraint_row(r_hat, groups, merit or MeritFunction(), v)
     top = max(lambdas)
     solved = {}
     if 0.0 in lambdas or a is None:
@@ -157,21 +174,22 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
     return [solved[lam if a is not None else 0.0] for lam in lambdas]
 
 
-def _lp_constraint_row(r_hat: np.ndarray, groups: np.ndarray | None,
-                       merit: MeritFunction, v: np.ndarray) -> np.ndarray | None:
-    """The LP's group row scaled to shares, or None without a usable one."""
+def _lp_constraint_rows(r_hat: np.ndarray, groups: np.ndarray | None,
+                        merit: MeritFunction) -> list[np.ndarray | None]:
+    """The LP's group row of each query of a ``(Q, n)`` block scaled to
+    shares, or None for a query without a usable one; the rows come from
+    one ``group_rows`` call."""
     if groups is None:
-        return None
-    g = np.asarray(groups)
+        return [None] * len(r_hat)
     merits = merit(np.maximum(r_hat, 0.0))
-    rows = group_rows(merits, g)
-    if not len(rows):
-        return None
-    # Dimensionless form: each group's share of the total exposure budget
-    # divided by its share of total merit.
-    share = (float(merits[g == 0].sum())
-             + float(merits[g == 1].sum())) / float(v.sum())
-    return share * rows[0]
+    budget = float(position_bias_vector(r_hat.shape[1]).sum())
+    scaled = []
+    for m, g, rows in zip(merits, groups, group_rows(merits, groups)):
+        # Dimensionless form: each group's share of the total exposure
+        # budget divided by its share of total merit.
+        scaled.append((float(m[g == 0].sum()) + float(m[g == 1].sum())) / budget
+                      * rows[0] if len(rows) else None)
+    return scaled
 
 
 @functools.lru_cache(maxsize=None)

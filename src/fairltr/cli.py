@@ -695,11 +695,15 @@ def _lp_ranker(train_set, splits, lambdas, merit):
     train split.  Every query of the splits is solved once up front, on
     estimates scored once.  An optimum is played as-is: its rankings, a
     lone one padded with a weight-0 copy, its weights and its expected
-    exposures."""
+    exposures.  Each run of equal-size queries is solved as one block."""
     regression = baselines.fit_linear_regression(train_set)
-    solved = {query: baselines.solve_fair_lp_grid(
-                  regression.scores(query.feature_matrix), query.groups, lambdas, merit)
-              for _, dataset in splits for query in dataset}
+    solved = {}
+    for _, dataset in splits:
+        for run in dataset.runs:
+            groups = None if run[0].groups is None else np.array([q.groups for q in run])
+            solved.update(zip(run, baselines.solve_fair_lp_grid(
+                np.array([regression.scores(q.feature_matrix) for q in run]),
+                groups, lambdas, merit)))
 
     def rank(block):
         table = list(zip(*(solved[query] for query in block)))

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Query
+from .data import Query, QueryBlock
 from .metrics import position_bias_vector
 from .ranking import ENUMERATION_LIMIT
 from . import policy
@@ -151,9 +151,20 @@ def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
     """Mean per-document exposure over an ``(S, num_docs)`` batch of sampled
     rankings, or over each ``(S, num_docs)`` batch of a ``(Q, S, num_docs)``
     block, giving ``(Q, num_docs)``; a block's rows are the means of its
-    batches taken one at a time, bit for bit."""
-    orders = np.asarray(orders)
-    return ranking_exposures(orders).sum(axis=-2) / orders.shape[-2]
+    batches taken one at a time, bit for bit.
+
+    It is the mean of the batch's ``ranking_exposures``, summed by one
+    weighted ``bincount`` of the position bias over the whole block, each
+    batch's documents offset by ``num_docs``: every document adds its
+    attention in ranking order, as a sum over the batch's rows would.
+    """
+    orders = np.asarray(orders, dtype=np.intp)
+    batches = orders.reshape(-1, *orders.shape[-2:])
+    index = batches + num_docs * np.arange(len(batches))[:, None, None]
+    attention = np.broadcast_to(position_bias_vector(num_docs), batches.shape)
+    sums = np.bincount(index.reshape(-1), attention.reshape(-1),
+                       minlength=len(batches) * num_docs)
+    return sums.reshape(*orders.shape[:-2], num_docs) / orders.shape[-2]
 
 
 def merit_pairs(merits: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -379,15 +390,29 @@ class DisparityConfig:
         rows by one ``(K, R, P)`` gap block.  A query without rows has
         disparity 0.
         """
-        rows = self.run_rows(queries)
         e = np.asarray(exposures, dtype=float)
         disparities = np.zeros(e.shape[:-1])
-        sizes = np.array([len(each) for each in rows])
-        for size in set(sizes.tolist()) - {0}:
-            at = np.flatnonzero(sizes == size)
-            disparities[:, at] = hinge_mean(_stack([rows[q] for q in at]),
-                                            e.take(at, axis=1))
+        for at, rows in self._stacked_rows(queries):
+            disparities[:, at] = hinge_mean(rows, e.take(at, axis=1))
         return disparities
+
+    def _stacked_rows(self, queries: Sequence[Query]
+                      ) -> list[tuple[np.ndarray, HingeRows]]:
+        """The ``run_rows`` of a block of equal-size queries, stacked by how
+        many rows a query has: the positions of the queries with each
+        positive count and their rows, ``(R, rows, n)`` dense or ``PairRows``
+        of ``(R, P)`` indices.  Kept with a ``QueryBlock``, so a block that
+        is valued again restacks nothing."""
+        def build():
+            rows = self.run_rows(queries)
+            sizes = np.array([len(each) for each in rows])
+            stacks = []
+            for size in sorted(set(sizes.tolist()) - {0}):
+                at = np.flatnonzero(sizes == size)
+                stacks.append((at, _stack([rows[q] for q in at])))
+            return stacks
+
+        return QueryBlock.kept(queries, ("stacked rows", self), build)
 
 
 def _stack(rows: list[HingeRows]) -> HingeRows:
@@ -396,4 +421,6 @@ def _stack(rows: list[HingeRows]) -> HingeRows:
     if isinstance(rows[0], PairRows):
         return PairRows(*(np.array([getattr(each, name) for each in rows])
                           for name in ("first", "second", "inv_merit")))
-    return np.array(rows)
+    stack = np.array(rows)
+    stack.flags.writeable = False
+    return stack

@@ -31,11 +31,17 @@ A run hands on a ``RunRecord``: the selected model and one ``curves``
 dict of per-epoch means keyed by the names of ``CURVES``, the one table
 that ``record.json`` and ``curves.csv`` are both written from.
 
-Both disparities reach the trainer as the hinge rows of
-``DisparityConfig.rows``, and one estimator, ``hinge_score_grad``, serves
-them: the hinge indicator of each row is estimated from the same
-Monte-Carlo sample as the expectation (its bias vanishes as the sample
-grows), and only the smooth inner expectation contributes gradient.
+Each term of a step's gradient is a weighted mean of the sampled rankings'
+log-probability gradients, so a step sums the terms' per-ranking weights
+first, the centred rewards (``utility_weights``) less each member's
+``lam`` times the hinge's (``hinge_sample_weights``), and makes one
+weighted gradient of the sum (``PolicySample.score_grad``), one scatter to
+the documents for all members.  Both disparities reach the trainer as the
+hinge rows of ``DisparityConfig.rows``, and one estimator,
+``hinge_sample_weights``, serves them: the hinge indicator of each row is
+estimated from the same Monte-Carlo sample as the expectation (its bias
+vanishes as the sample grows), and only the smooth inner expectation
+contributes gradient.
 
 Every evaluation, of a policy or of a baseline, is one ``value_split`` pass
 per split over a member block: a ranker gives each block of consecutive
@@ -51,24 +57,26 @@ Each member evaluated alone would draw the same numbers in the same
 order, so every member gets the bits of its own pass.  The position bias
 vector of each length is built once and shared read-only, and each query
 keeps its metric constants (gains, ideal DCG, ERR stop probabilities) and
-its hinge rows, so training steps and evaluations pass the query itself to
-the metric and the disparity.  Each run of equal-size queries builds them
-in one pass: the training split's before the first step, an evaluation
-split's as its blocks are valued.
+its hinge rows, so training steps pass the query itself to the metric and
+the disparity.  Each run of equal-size queries builds them in one pass:
+the training split's before the first step, an evaluation split's as its
+blocks are first valued.  A split cuts its blocks once (``Dataset.blocks``)
+and each block keeps what its passes stack, its features, its queries'
+metric constants and its hinge rows, so the per-epoch passes over a split
+restack nothing.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import policy
-from .data import Dataset, Query, require_seed
-from .fairness import DisparityConfig, HingeRows, exposure_of_policy, hinge_gaps, \
-    hinge_weights, mc_exposure
+from .data import Dataset, Query, QueryBlock, require_seed
+from .fairness import DisparityConfig, HingeRows, PairRows, exposure_of_policy, \
+    hinge_gaps, hinge_weights, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
 from .policy import PolicySample, ScoringModel, draw_policy_sample, init_model, \
     softmax_entropy
@@ -206,56 +214,63 @@ def make_optimizer(name: str, learning_rate: float) -> SGD | Adam:
 # ---------------------------------------------------------------------------
 
 
-def utility_score_grad(sample: PolicySample, rewards: np.ndarray,
-                       use_baseline: bool = True) -> np.ndarray:
-    """REINFORCE estimate of the utility gradient wrt scores.
+def utility_weights(rewards: np.ndarray, use_baseline: bool = True) -> np.ndarray:
+    """REINFORCE weights of the utility gradient: each sampled ranking's
+    reward less the baseline, ``(S,)``, or ``(K, S)`` for a member block.
 
     The baseline is the mean reward over the sample, a control variate that
     leaves the expectation unchanged (log-probability gradients have zero
-    mean) while cutting variance.  A member block's ``(K, S)`` rewards give
-    ``(K, n)`` gradients, one stacked product.
+    mean) while cutting variance.  ``sample.score_grad`` of the weights is
+    the utility's score gradient.
     """
     rewards = np.asarray(rewards, dtype=float)
     # The bits of rewards.mean(), without its Python-level wrapper.
     baseline = (rewards.sum(axis=-1, keepdims=True) / rewards.shape[-1]
                 if use_baseline else 0.0)
-    centered = (rewards - baseline)[..., None, :]
-    return (centered @ sample.logprob_grads)[..., 0, :] / sample.size
+    return rewards - baseline
 
 
-def hinge_score_grad(sample: PolicySample, rows: HingeRows) -> np.ndarray:
-    """Estimate of the gradient wrt scores of ``hinge_mean(rows, exposure)``.
+def hinge_sample_weights(rankings: np.ndarray, rows: HingeRows) -> np.ndarray:
+    """Weights of the score-function estimate of the gradient of
+    ``hinge_mean(rows, exposure)``: ``(S,)`` for ``(S, n)`` rankings, or
+    ``(K, S)`` for a member block's ``(K, S, n)``, each member's with the
+    bits of its own call.  ``sample.score_grad`` of the weights is the
+    estimate.
 
-    Exposures estimated from the sample pick the active (positively
-    violated) rows, and ``hinge_weights`` turns them into exposure weights;
-    each sampled ranking's exposure under those weights weights its
-    log-probability gradient.  A query without rows, or without an active
-    one, contributes exactly zero.  A member block's sample gives ``(K, n)``
-    gradients, each member's with the bits of its own call.
+    The sample's exposures pick the active (positively violated) rows, and
+    a ranking's weight is the sum of the active rows' values at its
+    exposure, over the number of rows.  A dense row's value at each ranking
+    is one gather, ``rows[:, rankings] @ v``, and its gap the mean of those
+    values, so no exposure is estimated apart.  Pair rows estimate the
+    exposures (``mc_exposure``), turn the active pairs into exposure weights
+    (``hinge_weights``) and value each ranking under them.  Without rows,
+    or without an active one, every weight is exactly zero.
     """
-    *lead, size, n = sample.rankings.shape
+    *lead, size, n = rankings.shape
     if len(rows) == 0:
-        return np.zeros((*lead, n))
-    rankings = sample.rankings.reshape(-1, size, n)
-    active = hinge_gaps(rows, mc_exposure(rankings, n)) > 0.0
-    engaged = active.any(axis=-1)
-    num_engaged = np.count_nonzero(engaged)
-    if num_engaged == 0:
-        return np.zeros((*lead, n))
-    weights = hinge_weights(rows, active)
-    offsets = n * np.arange(len(weights))[:, None, None]
-    per_sample = weights.ravel()[rankings + offsets] @ position_bias_vector(n)
-    grads = (per_sample[:, None, :]
-             @ sample.logprob_grads.reshape(-1, size, n))[:, 0, :] / size
-    if num_engaged < len(engaged):
-        # A member without an active row gets exact zeros, +0.0.
-        grads = np.where(engaged[:, None], grads, 0.0)
-    return grads.reshape(*lead, n)
+        return np.zeros((*lead, size))
+    bias = position_bias_vector(n)
+    if isinstance(rows, PairRows):
+        flat = rankings.reshape(-1, size, n)
+        active = hinge_gaps(rows, mc_exposure(flat, n)) > 0.0
+        if not active.any():
+            return np.zeros((*lead, size))
+        weights = hinge_weights(rows, active)
+        offsets = n * np.arange(len(weights))[:, None, None]
+        return (weights.ravel()[flat + offsets] @ bias).reshape(*lead, size)
+    # A row's gap is the mean of its values, positive where their sum is.
+    values = rows.take(rankings, axis=1) @ bias
+    active = values.sum(axis=-1, keepdims=True) > 0.0
+    return np.where(active, values, 0.0).sum(axis=0) / len(rows)
 
 
 def disparity_score_grad(sample: PolicySample, query: Query,
                          disparity: DisparityConfig) -> np.ndarray:
-    return hinge_score_grad(sample, disparity.query_rows(query))
+    """The ``hinge_sample_weights`` of the disparity's rows of ``query``:
+    per-ranking weights ``(K, S)``, whose ``sample.score_grad`` is the
+    disparity's score gradient.  (The name is kept for the benchmark's
+    per-layer trace; it no longer returns the gradient itself.)"""
+    return hinge_sample_weights(sample.rankings, disparity.query_rows(query))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +299,7 @@ class EvalSummary:
 # A ranker gives, for a block of Q consecutive queries of n documents each,
 # K members' (K, Q, M, n) rankings, their (K, Q, M) weights and their
 # (K, Q, n) exposures, or None for exposures when no disparity is asked.
-Ranker = Callable[[tuple[Query, ...]], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+Ranker = Callable[[QueryBlock], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
@@ -302,19 +317,18 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     for all members.  Each run of consecutive equal-size queries is cut
     into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at
     least one), ``rows(n) * n`` per query of n documents, and ``rank`` is
-    called once per block, in split order.
+    called once per block, in split order.  The blocks are the split's
+    ``QueryBlock`` objects of that cut, built on the first pass and kept
+    with their stacked constants for every later one.
     """
     scored = (metric, *extra_metrics)
     values, disparities = [], []
-    for n, run in itertools.groupby(dataset.queries, key=len):
-        run = tuple(run)
-        per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
-        for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
-            orders, weights, exposures = rank(block)
-            values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
-                           for each in scored])
-            if disparity is not None:
-                disparities.append(disparity.from_exposures(exposures, block))
+    for block in dataset.blocks(lambda n: max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))):
+        orders, weights, exposures = rank(block)
+        values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
+                       for each in scored])
+        if disparity is not None:
+            disparities.append(disparity.from_exposures(exposures, block))
     columns = np.concatenate(values, axis=-1)
     # Each row's mean has the bits of np.mean on that row alone, a
     # contiguous row's pairwise sum.
@@ -337,14 +351,13 @@ def argmax_ranker(model: ScoringModel,
                   ) -> Ranker:
     """A ``Ranker`` of the argmax ranking of each member of a model or a
     ``(K, P)`` member block, with weight 1, and ``exposures(scores,
-    orders)`` of the members' ``(K, Q, n)`` scores and rankings.  A block's
-    features are stacked once and scored by each member, and all members'
-    rankings come from one stable ``argsort``."""
+    orders)`` of the members' ``(K, Q, n)`` scores and rankings.  Each
+    member scores the block's stacked features, and all members' rankings
+    come from one stable ``argsort``."""
     members = [model.with_params(params) for params in np.atleast_2d(model.params)]
 
     def rank(block):
-        features = np.array([q.feature_matrix for q in block])
-        scores = np.array([member.scores(features) for member in members])
+        scores = np.array([member.scores(block.features) for member in members])
         orders = policy.argmax_ranking(scores)
         return (orders[..., None, :], np.ones((*orders.shape[:-1], 1)),
                 exposures(scores, orders))
@@ -575,8 +588,7 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
     eval_seeds = ss_eval.spawn(first.epochs)
     # Each run of equal-size training queries builds the constants its steps
     # read, metric constants and hinge rows, in one pass before the first.
-    for _, run in itertools.groupby(train_set.queries, key=len):
-        run = tuple(run)
+    for run in train_set.runs:
         first.metric.prepare(run)
         if first.disparity is not None:
             first.disparity.run_rows(run)
@@ -676,10 +688,11 @@ def _train_step(block: _Block, query: Query, config: TrainConfig,
     scores = model.scores(query.feature_matrix)
     sample = draw_policy_sample(scores, config.sample_size, rng)
     rewards = config.metric.batch_rewards(sample.rankings, query)
-    score_grad = utility_score_grad(sample, rewards, config.use_baseline)
+    weights = utility_weights(rewards, config.use_baseline)
     if len(block.penalties):
-        score_grad[block.penalized] -= block.penalties * disparity_score_grad(
+        weights[block.penalized] -= block.penalties * disparity_score_grad(
             sample.select(block.penalized), query, config.disparity)
+    score_grad = sample.score_grad(weights)
     if config.gamma != 0.0:
         _, entropy_grad = softmax_entropy(scores)
         score_grad = score_grad + config.gamma * entropy_grad

@@ -11,6 +11,10 @@ from the hinge rows of ``fairness.individual_rows`` and
 exposures.  ``expected_utility`` is the exact expected metric from the same
 DP, in O(2^n n), which the tests check against both.
 
+``logprob_grad_rows`` is the stage-by-stage score gradient of each
+ranking's log-probability, the per-ranking reference of the library's
+weighted sum of those gradients.
+
 ``datasets_equal`` and ``models_equal`` compare datasets and models bit
 for bit, for the round-trip and determinism tests; ``param_arrays`` gives
 a model's named parameter arrays, the views of its one vector.
@@ -34,7 +38,7 @@ from fairltr.fairness import HingeRows, group_rows, hinge_gaps, hinge_mean, \
     hinge_weights, individual_rows, ranking_exposures
 from fairltr.metrics import UtilityMetric, _stop_probabilities, gains, ideal_dcg, \
     position_bias_vector
-from fairltr.policy import ScoringModel, logprob_grads_scores, placement_flows, \
+from fairltr.policy import SCORE_CLAMP, ScoringModel, placement_flows, \
     position_marginals, ranking_logprobs
 from fairltr.ranking import ENUMERATION_LIMIT, Ranking
 
@@ -90,7 +94,7 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
 
     orders = np.stack(list(all_rankings(n)))
     probs = np.exp(ranking_logprobs(s, orders))
-    glogs = logprob_grads_scores(s, orders)
+    glogs = logprob_grad_rows(s, orders)
     per_ranking = ranking_exposures(orders)
 
     deltas = metric.batch_values(orders, rels)
@@ -123,6 +127,26 @@ def _exact_hinge(rows: HingeRows, exposures: np.ndarray,
         weights = hinge_weights(rows, hinge_gaps(rows, exposures) > 0.0)
         grad = (probs * (per_ranking @ weights)) @ glogs
     return hinge_mean(rows, exposures), grad
+
+
+def logprob_grad_rows(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The score gradient of each ranking's log-probability at one score
+    vector, one row per ranking of a ``(..., n)`` batch, written stage by
+    stage: stage i adds 1 at the document it places and subtracts the
+    softmax over the documents not yet placed.  The per-ranking reference
+    that the library's weighted sum (``policy.logprob_grads_scores``) is
+    checked against; it shares no code with it."""
+    s = np.clip(np.asarray(scores, dtype=float), -SCORE_CLAMP, SCORE_CLAMP)
+    orders = np.asarray(orders, dtype=np.intp)
+    flat = orders.reshape(-1, orders.shape[-1])
+    rows = np.zeros(flat.shape)
+    every = np.arange(len(flat))
+    for i in range(flat.shape[1]):
+        rest = flat[:, i:]
+        weights = np.exp(s[rest] - s[rest].max(axis=1, keepdims=True))
+        rows[every, flat[:, i]] += 1.0
+        rows[every[:, None], rest] -= weights / weights.sum(axis=1, keepdims=True)
+    return rows.reshape(orders.shape)
 
 
 def expected_utility(scores: np.ndarray, relevances: np.ndarray,

@@ -56,11 +56,12 @@ def sweep_outcome(sim_split):
                 scores = model.scores(X)
                 sample = policy.draw_policy_sample(scores, 50, train_rng)
                 rewards = metric.batch_rewards(sample.rankings, query.relevances)
-                grads = model.backprop(X, trainer.utility_score_grad(sample, rewards))
+                grads = model.backprop(X, sample.score_grad(
+                    trainer.utility_weights(rewards)))
                 if lam:
                     sample = policy.draw_policy_sample(scores, 50, train_rng)
-                    pen = model.backprop(X, trainer.disparity_score_grad(
-                        sample, query, grp))
+                    pen = model.backprop(X, sample.score_grad(
+                        trainer.disparity_score_grad(sample, query, grp)))
                     grads = grads - lam * pen
                 optimizer.step(model.params, grads)
         summary = trainer.evaluate(model, train_set, metric, grp,
@@ -111,35 +112,53 @@ def test_gradient_matches_finite_differences(capsys):
                 continue
             return X, w, rels, groups
 
-    def objective(X, w, rels, groups):
+    def individual_instance():
+        """An instance whose every pair gap is clear of the kink, one of
+        them positive."""
+        while True:
+            X = rng.normal(size=(4, 3))
+            w = rng.normal(scale=0.5, size=3)
+            rels = rng.integers(0, 5, size=4).astype(float)
+            rows = fairness.individual_rows(merit(rels))
+            if not len(rows):
+                continue
+            gaps = fairness.hinge_gaps(rows, fairness.exposure_of_policy(X @ w).values)
+            if np.abs(gaps).min() < 1e-3 or gaps.max() <= 0.0:
+                continue
+            return X, w, rels, None
+
+    def terms(X, w, rels, groups):
+        """The exact objective and its score gradient, with the group
+        disparity when there are groups and the individual one otherwise."""
         scores = X @ w
         ex = oracle.enumerate_policy_expectations(
             scores, rels, merits=merit(rels), groups=groups, metric=metric)
-        entropy, _ = policy.softmax_entropy(scores)
-        return ex.utility - lam * ex.group_disparity + gamma * entropy
+        entropy, ent_grad = policy.softmax_entropy(scores)
+        disparity, disparity_grad = (
+            (ex.individual_disparity, ex.individual_grad) if groups is None
+            else (ex.group_disparity, ex.group_grad))
+        return (ex.utility - lam * disparity + gamma * entropy,
+                ex.utility_grad - lam * disparity_grad + gamma * ent_grad)
 
     started = time.monotonic()
     worst = 0.0
-    for _ in range(20):
-        X, w, rels, groups = instance()
-        scores = X @ w
-        ex = oracle.enumerate_policy_expectations(
-            scores, rels, merits=merit(rels), groups=groups, metric=metric)
-        _, ent_grad = policy.softmax_entropy(scores)
-        score_grad = ex.utility_grad - lam * ex.group_grad + gamma * ent_grad
-        analytic = X.T @ score_grad
-        fd = np.zeros(3)
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = step
-            fd[d] = (objective(X, w + e, rels, groups)
-                     - objective(X, w - e, rels, groups)) / (2 * step)
-        rel_err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
-        worst = max(worst, rel_err)
+    for make in (instance, individual_instance):
+        for _ in range(20):
+            X, w, rels, groups = make()
+            analytic = X.T @ terms(X, w, rels, groups)[1]
+            fd = np.zeros(3)
+            for d in range(3):
+                e = np.zeros(3)
+                e[d] = step
+                fd[d] = (terms(X, w + e, rels, groups)[0]
+                         - terms(X, w - e, rels, groups)[0]) / (2 * step)
+            rel_err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
+            worst = max(worst, rel_err)
     elapsed = time.monotonic() - started
     ok = worst < 1e-4 and elapsed < 10.0
-    report(capsys, ok, f"analytic vs finite-difference gradient: worst relative "
-                       f"error {worst:.2e} (< 1e-4) in {elapsed:.1f}s (< 10s)")
+    report(capsys, ok, f"analytic vs finite-difference gradient, group and "
+                       f"individual: worst relative error {worst:.2e} (< 1e-4) "
+                       f"in {elapsed:.1f}s (< 10s)")
     assert worst < 1e-4
     assert elapsed < 10.0
 
@@ -160,12 +179,16 @@ def _signed_group_gap(scores, merits, groups):
 
 
 def test_estimators_unbiased_within_three_standard_errors(capsys):
+    """The utility and group-hinge estimates on every instance, and the
+    individual-hinge estimate on those whose every pair gap is clear of the
+    kink (|gap| > 0.01 at the exact exposures, one positive), lie within
+    three standard errors of the exact gradients."""
     merit = fairness.MeritFunction.parse("identity")
     metric = metrics.UtilityMetric("ndcg")
     rng = np.random.default_rng(22)
     draws = 20000
     started = time.monotonic()
-    worst_z = 0.0
+    worst_z, individual_checked = 0.0, 0
     for _ in range(10):
         while True:
             scores = rng.normal(size=3)
@@ -180,14 +203,15 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
                 break
         sample = policy.draw_policy_sample(scores, draws, rng)
         rewards = metric.batch_rewards(sample.rankings, rels)
-        centered = (rewards - rewards.mean())[:, None] * sample.logprob_grads
-        est_u = trainer.utility_score_grad(sample, rewards, use_baseline=True)
+        rows = oracle.logprob_grad_rows(scores, sample.rankings)
+        centered = (rewards - rewards.mean())[:, None] * rows
+        est_u = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
         se_u = centered.std(axis=0) / np.sqrt(draws)
         z_u = np.abs(est_u - exact.utility_grad) / np.maximum(se_u, 1e-12)
         worst_z = max(worst_z, z_u.max())
 
-        est_g = trainer.hinge_score_grad(
-            sample, fairness.group_rows(merit(rels), groups))
+        est_g = sample.score_grad(trainer.hinge_sample_weights(
+            sample.rankings, fairness.group_rows(merit(rels), groups)))
         merits = merit(rels)
         direction = np.sign(merits[groups == 0].mean()
                             - merits[groups == 1].mean())
@@ -196,15 +220,28 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
                                  -1.0 / merits[groups == 1].sum())
         bias = metrics.position_bias_vector(3)
         terms = (w[sample.rankings] * bias).sum(axis=1)
-        contrib = terms[:, None] * sample.logprob_grads
+        contrib = terms[:, None] * rows
         np.testing.assert_allclose(est_g, contrib.mean(axis=0), atol=1e-12)
         se_g = contrib.std(axis=0) / np.sqrt(draws)
         z_g = np.abs(est_g - exact.group_grad) / np.maximum(se_g, 1e-12)
         worst_z = max(worst_z, z_g.max())
+
+        pairs = fairness.individual_rows(merits)
+        gaps = fairness.hinge_gaps(pairs, exact.exposures)
+        if len(pairs) and np.abs(gaps).min() > 0.01 and gaps.max() > 0.0:
+            weights = trainer.hinge_sample_weights(sample.rankings, pairs)
+            est_i = sample.score_grad(weights)
+            contrib = weights[:, None] * rows
+            se_i = contrib.std(axis=0) / np.sqrt(draws)
+            z_i = np.abs(est_i - exact.individual_grad) / np.maximum(se_i, 1e-12)
+            worst_z = max(worst_z, z_i.max())
+            individual_checked += 1
     elapsed = time.monotonic() - started
-    ok = worst_z <= 3.0 and elapsed < 60.0
+    ok = worst_z <= 3.0 and elapsed < 60.0 and individual_checked
     report(capsys, ok, f"estimator bias: worst |z| {worst_z:.2f} standard "
-                       f"errors (<= 3) in {elapsed:.1f}s (< 60s)")
+                       f"errors (<= 3) in {elapsed:.1f}s (< 60s), "
+                       f"individual hinge on {individual_checked} instances")
+    assert individual_checked
     assert worst_z <= 3.0
     assert elapsed < 60.0
 

@@ -262,6 +262,29 @@ def test_lp_grid_equals_one_solve_per_weight(grid):
     assert (mixtures > 0) == (max(grid) > 0.0)
 
 
+@pytest.mark.parametrize("grid", [baselines.lp_lambda_grid(), [0.0]])
+def test_lp_block_equals_each_query_alone(grid):
+    """A ``(Q, n)`` block of estimates and groups gives each query's results
+    with the bits of solving it alone, its degenerate queries among them;
+    a block without groups too, and a block of one."""
+    instances = list(lp_grid_instances())
+    blocks = {}
+    for r_hat, groups in instances:
+        blocks.setdefault((len(r_hat), groups is None), []).append((r_hat, groups))
+    blocks[(5, True)].append((np.random.default_rng(12).uniform(0.0, 3.0, 5), None))
+    assert max(len(block) for block in blocks.values()) > 8
+    for (n, ungrouped), block in blocks.items():
+        estimates = np.array([r_hat for r_hat, _ in block])
+        groups = None if ungrouped else np.array([g for _, g in block])
+        got = baselines.solve_fair_lp_grid(estimates, groups, grid)
+        assert len(got) == len(block)
+        for results, (r_hat, g) in zip(got, block):
+            alone = baselines.solve_fair_lp_grid(r_hat, g, grid)
+            assert len(results) == len(alone) == len(grid)
+            for result, want in zip(results, alone):
+                assert_same_lp_result(result, want)
+
+
 def test_lp_values_are_those_of_its_optimal_mixtures():
     """The LP baseline's per-query values, each query's optimum valued by
     ``trainer.value_split`` with all penalty weights as one block: NDCG is

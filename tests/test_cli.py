@@ -497,18 +497,20 @@ def test_top1_summary_equals_its_per_query_reference(tmp_path, two_size_dir):
 
 def test_baselines_do_their_per_query_and_per_epoch_work_once_per_grid(
         tmp_path, two_size_dir, monkeypatch):
-    """The LP builds each query's group row once for the whole grid, and
-    the top-1 grid draws one permutation per epoch for all its weights.
-    Counts work through monkeypatched functions; times nothing."""
+    """The LP builds each query's group row once for the whole grid, in one
+    call per run of equal-size queries, and the top-1 grid draws one
+    permutation per epoch for all its weights.  Counts work through
+    monkeypatched functions; times nothing."""
     train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
     rows_built = []
     group_rows = baselines.group_rows
-    monkeypatch.setattr(baselines, "group_rows",
-                        lambda *args: rows_built.append(1) or group_rows(*args))
+    monkeypatch.setattr(baselines, "group_rows", lambda merits, groups: rows_built.append(
+        len(merits)) or group_rows(merits, groups))
     assert run(["baseline", "--method", "lp", "--train", train, "--test", test,
                 "--lambdas", "0,0.05,0.2,1", "--out", tmp_path / "lp"]) == 0
-    queries = sum(len(cli.load_dataset_auto(str(path))) for path in (train, test))
-    assert len(rows_built) == queries == 24
+    splits = [cli.load_dataset_auto(str(path)) for path in (train, test)]
+    assert sum(rows_built) == sum(len(split) for split in splits) == 24
+    assert len(rows_built) == sum(len(split.runs) for split in splits) < 24
 
     permutations = []
 
@@ -831,6 +833,21 @@ def test_a_table_column_is_named_or_indexed(tmp_path, capsys, text, options, ref
     assert run(["generate", "from-table", "--input", table, *options,
                 "--out", tmp_path / "x"]) == 1
     assert capsys.readouterr().err == f"error: {refusal.replace('TABLE', str(table))}\n"
+
+
+@pytest.mark.parametrize("options", [["--group-col", "label"], ["--group-col", "1"],
+                                     ["--label-col", "1", "--group-col", "label"]])
+def test_a_group_column_that_is_the_label_column_is_refused(tmp_path, capsys, options):
+    """Named or indexed, a group column that is the label column would make
+    every group the label; it is refused before any output."""
+    table = tmp_path / "rows.csv"
+    table.write_text("f,label,g\n0.5,0,1\n1.5,1,0\n2.5,1,1\n")
+    out = tmp_path / "x"
+    assert run(["generate", "from-table", "--input", table, *options, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}: group column {options[-1]!r} is the label column 'label'; "
+        "every group would be the label\n")
+    assert not out.exists()
 
 
 def test_unknown_metric_is_a_clean_error(tmp_path, dataset_dir, capsys):

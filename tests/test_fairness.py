@@ -203,8 +203,7 @@ def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
     # every other pair is satisfied, so no row is active
     scores = np.array([0.3, -0.2, 0.1])
     rankings = np.array([[0, 1, 2], [1, 0, 2]])
-    sample = policy.PolicySample(rankings,
-                                 policy.logprob_grads_scores(scores, rankings))
+    sample = policy.PolicySample(scores, rankings)
     rows = fairness.individual_rows(np.array([3.0, 3.0, 1.0]))
     exposures = fairness.mc_exposure(rankings, 3)
     assert exposures[0] == exposures[1]
@@ -212,7 +211,9 @@ def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
     assert fairness.hinge_gaps(rows, exposures)[tied].tolist() == [0.0, 0.0]
     assert fairness.hinge_mean(rows, exposures) == 0.0
     assert not (fairness.hinge_gaps(rows, exposures) > 0.0).any()
-    assert not trainer.hinge_score_grad(sample, rows).any()
+    weights = trainer.hinge_sample_weights(sample.rankings, rows)
+    assert weights.shape == (2,) and not weights.any()
+    assert not sample.score_grad(weights).any()
 
 
 def test_ranking_group_term_signs_and_errors():
@@ -397,6 +398,22 @@ def test_mc_exposure_counts_positions():
     orders = np.array([[0, 1], [1, 0], [0, 1], [0, 1]])
     got = fairness.mc_exposure(orders, 2)
     np.testing.assert_allclose(got, [(3 * 1.0 + V2) / 4, (3 * V2 + 1.0) / 4])
+
+
+def test_mc_exposure_is_the_mean_of_the_ranking_exposures_bit_for_bit():
+    """One scatter over a whole block adds each document's attention in
+    ranking order, as the sum of its batch's ``ranking_exposures`` rows
+    does; a block's rows are its batches' own."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 10, 30):
+        for size in (1, 3, 32):
+            orders = np.argsort(rng.random((4, size, n)), axis=-1)
+            got = fairness.mc_exposure(orders, n)
+            assert got.shape == (4, n)
+            for batch, row in zip(orders, got):
+                want = fairness.ranking_exposures(batch).sum(axis=0) / size
+                assert row.tobytes() == want.tobytes()
+                assert fairness.mc_exposure(batch, n).tobytes() == want.tobytes()
 
 
 def test_policy_exposure_matches_sampled_ranking_average():

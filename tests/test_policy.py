@@ -140,8 +140,16 @@ def test_argmax_ranking_is_modal_and_stable():
                                   [1, 0, 2])
 
 
+def one_hot(size, s):
+    """Weights that pick ranking ``s`` of a batch of ``size``: the weighted
+    gradient is then that ranking's own."""
+    weights = np.zeros(size)
+    weights[s] = 1.0
+    return weights
+
+
 def test_logprob_grad_hand_value():
-    got = policy.logprob_grads_scores(np.zeros(2), np.array([[0, 1]]))[0]
+    got = policy.logprob_grads_scores(np.zeros(2), np.array([[0, 1]]), np.ones(1))
     np.testing.assert_allclose(got, [0.5, -0.5], atol=1e-14)
 
 
@@ -151,7 +159,7 @@ def test_logprob_grad_matches_finite_differences():
     for _ in range(10):
         scores = rng.normal(size=5)
         order = rng.permutation(5)
-        grad = policy.logprob_grads_scores(scores, order[None])[0]
+        grad = policy.logprob_grads_scores(scores, order[None], np.ones(1))
         for d in range(5):
             e = np.zeros(5)
             e[d] = step
@@ -161,14 +169,20 @@ def test_logprob_grad_matches_finite_differences():
 
 
 def test_logprob_grads_sum_to_zero_rowwise():
+    """Each ranking's gradient sums to zero, so any weighted sum of them
+    does; a one-hot weight picks one ranking's, as a batch of one gives."""
     rng = np.random.default_rng(7)
     scores = rng.normal(size=6)
     orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (50, 6)))
-    grads = policy.logprob_grads_scores(scores, orders)
-    assert grads.shape == (50, 6)
-    np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-10)
-    single = policy.logprob_grads_scores(scores, orders[17:18])[0]
-    np.testing.assert_allclose(grads[17], single, atol=1e-12)
+    weighted = policy.logprob_grads_scores(scores, orders, rng.normal(size=50))
+    assert weighted.shape == (6,)
+    np.testing.assert_allclose(weighted.sum(), 0.0, atol=1e-10)
+    for s in range(50):
+        row = policy.logprob_grads_scores(scores, orders, one_hot(50, s))
+        np.testing.assert_allclose(row.sum(), 0.0, atol=1e-10)
+    single = policy.logprob_grads_scores(scores, orders[17:18], np.ones(1))
+    np.testing.assert_allclose(policy.logprob_grads_scores(scores, orders, one_hot(50, 17)),
+                               single, atol=1e-12)
 
 
 def stagewise_logprob_grad(scores, order):
@@ -197,16 +211,74 @@ def test_logprob_grads_match_a_long_double_stagewise_reference(n, kind):
     else:
         scores = rng.choice([-60.0, 60.0, 0.0], size=n)
     orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (20, n)))
-    grads = policy.logprob_grads_scores(scores, orders)
-    for order, got in zip(orders, grads):
-        want = stagewise_logprob_grad(scores, order)
+    rows = [stagewise_logprob_grad(scores, order) for order in orders]
+    for s, want in enumerate(rows):
+        got = policy.logprob_grads_scores(scores, orders, one_hot(20, s))
         np.testing.assert_allclose(got, want.astype(float), rtol=0, atol=1e-13)
+    # A weighted sum errs by at most the weighted rows' own tolerances.
+    weights = rng.uniform(-1.0, 1.0, 20)
+    want = sum(np.longdouble(c) * row for c, row in zip(weights, rows))
+    np.testing.assert_allclose(policy.logprob_grads_scores(scores, orders, weights),
+                               want.astype(float), rtol=0,
+                               atol=1e-13 * np.abs(weights).sum())
 
 
 def test_logprob_grad_of_one_document_is_exactly_zero():
+    weights = np.random.default_rng(41).normal(size=(3, 9))
     for score in (0.0, 3.7, -60.0, 60.0):
-        grads = policy.logprob_grads_scores(np.array([score]), np.zeros((4, 1), int))
-        assert grads.tolist() == [[0.0]] * 4
+        grads = policy.logprob_grads_scores(np.array([score]), np.zeros((9, 1), int),
+                                            weights[0])
+        assert grads.tolist() == [0.0]
+        block = policy.logprob_grads_scores(np.full((3, 1), score),
+                                            np.zeros((3, 9, 1), int), weights)
+        assert block.tolist() == [[0.0]] * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 30, 150])
+@pytest.mark.parametrize("kind", ["random", "clamped"])
+def test_weighted_logprob_gradient_matches_the_per_ranking_reference(n, kind):
+    """For random weights, the one-scatter weighted gradient equals the
+    weighted sum of the reference's per-ranking gradients, on both sides of
+    ``PREFIX_PRODUCT_MAX_LEN`` and at scores of +-SCORE_CLAMP, to 1e-12 of
+    the weights' total ``sum |c_s|``, and at random scores to 1e-12 of its
+    largest entry too.  (At clamped scores a ranking can have probability 1
+    to rounding, so every reference row and the exact sum are 0, while the
+    sum of weights less the scattered stage sums leaves about eps times the
+    weights' total.)  Member k of a block has the bits of its own call, with
+    one sampled ranking or many."""
+    assert 30 <= policy.PREFIX_PRODUCT_MAX_LEN < 150
+    rng = np.random.default_rng(50 + n)
+    if kind == "random":
+        scores = rng.normal(scale=3.0, size=(3, n))
+    else:
+        scores = rng.choice([-policy.SCORE_CLAMP, policy.SCORE_CLAMP, 0.0], size=(3, n))
+    for size in (1, 40):
+        orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (size, n)))
+        orders = orders.reshape(3, size, n)
+        weights = rng.normal(size=(3, size))
+        block = policy.logprob_grads_scores(scores, orders, weights)
+        assert block.shape == (3, n)
+        for k in range(3):
+            want = weights[k] @ oracle.logprob_grad_rows(scores[k], orders[k])
+            error = np.abs(block[k] - want).max()
+            assert error <= 1e-12 * np.abs(weights[k]).sum()
+            if kind == "random":
+                assert error <= 1e-12 * np.abs(want).max()
+            alone = policy.logprob_grads_scores(scores[k], orders[k], weights[k])
+            assert alone.tobytes() == block[k].tobytes()
+
+
+def test_prefix_sums_agree_on_both_sides_of_the_product_rule():
+    """The product and ``np.cumsum`` give the same running sums to
+    rounding, from the front and from the back."""
+    rng = np.random.default_rng(51)
+    for n in (1, 5, policy.PREFIX_PRODUCT_MAX_LEN, policy.PREFIX_PRODUCT_MAX_LEN + 1):
+        x = rng.uniform(0.0, 1.0, (2, 7, n))
+        np.testing.assert_allclose(policy._prefix_sums(x), np.cumsum(x, axis=-1),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(policy._prefix_sums(x, from_back=True),
+                                   np.cumsum(x[..., ::-1], axis=-1)[..., ::-1],
+                                   rtol=1e-14)
 
 
 def test_softmax_entropy_value_and_gradient():
@@ -227,13 +299,20 @@ def test_softmax_entropy_value_and_gradient():
 
 
 def test_draw_policy_sample_bundles_grads():
+    """A sample keeps its scores, and its score gradient of per-ranking
+    weights is their weighted mean of the rankings' gradients."""
     rng = np.random.default_rng(9)
     scores = np.array([0.2, -0.1, 0.7])
     sample = policy.draw_policy_sample(scores, 25, rng)
     assert sample.size == 25
+    assert sample.scores.tobytes() == scores.tobytes()
+    weights = rng.normal(size=25)
+    got = sample.score_grad(weights)
+    assert got.tobytes() == (policy.logprob_grads_scores(
+        scores, sample.rankings, weights) / 25).tobytes()
     np.testing.assert_allclose(
-        sample.logprob_grads,
-        policy.logprob_grads_scores(scores, sample.rankings), atol=1e-13)
+        got, weights @ oracle.logprob_grad_rows(scores, sample.rankings) / 25,
+        atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +554,16 @@ def test_members_share_one_draw_and_get_their_own_log_prob_gradients():
     scores[2, :3] = 60.0     # clamped scores
     block_rng = np.random.default_rng(23)
     sample = policy.draw_policy_sample(scores, 11, block_rng)
-    assert sample.rankings.shape == sample.logprob_grads.shape == (4, 11, 9)
+    assert sample.rankings.shape == (4, 11, 9)
     assert sample.size == 11
+    weights = np.random.default_rng(25).normal(size=(4, 11))
+    grads = sample.score_grad(weights)
+    assert grads.shape == (4, 9)
     for k, s in enumerate(scores):
         rng = np.random.default_rng(23)
         alone = policy.draw_policy_sample(s, 11, rng)
         np.testing.assert_array_equal(sample.rankings[k], alone.rankings)
-        assert sample.logprob_grads[k].tobytes() == alone.logprob_grads.tobytes()
+        assert grads[k].tobytes() == alone.score_grad(weights[k]).tobytes()
     assert block_rng.random() == rng.random()
     noise = policy.gumbel_noise(np.random.default_rng(23), (11, 9))
     shared = policy.sample_rankings(scores, noise)

@@ -172,6 +172,9 @@ def test_tracer_counts_one_optimizer_step_per_member_step_of_a_grid(model):
     assert counts["fairness.from_exposures.calls"] == 2 * configs[0].epochs + 1
     evaluation_samples = counts["policy.sample_rankings.calls"] - steps
     assert evaluation_samples == len(configs) * (2 * configs[0].epochs + 1)
+    # A group row values each sampled ranking by one gather, so the steps
+    # estimate no exposures: every mc_exposure call is an evaluation's.
+    assert counts["fairness.mc_exposure.calls"] == evaluation_samples
 
 
 def test_tracer_names_an_exact_member_block_and_counts_it():

@@ -73,8 +73,9 @@ def test_utility_gradient_is_unbiased_against_enumeration():
         draws = 40000
         sample = policy.draw_policy_sample(scores, draws, rng)
         rewards = metric.batch_rewards(sample.rankings, rels)
-        est = trainer.utility_score_grad(sample, rewards, use_baseline=True)
-        centered = (rewards - rewards.mean())[:, None] * sample.logprob_grads
+        est = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
+        rows = oracle.logprob_grad_rows(scores, sample.rankings)
+        centered = (rewards - rewards.mean())[:, None] * rows
         se = centered.std(axis=0) / np.sqrt(draws)
         assert np.all(np.abs(est - exact.utility_grad) <= 4.0 * se + 1e-12)
 
@@ -88,9 +89,10 @@ def test_baseline_subtraction_preserves_expectation():
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
     rewards = metric.batch_rewards(sample.rankings, rels)
-    with_b = trainer.utility_score_grad(sample, rewards, use_baseline=True)
-    without = trainer.utility_score_grad(sample, rewards, use_baseline=False)
-    spread = rewards.std() * np.abs(sample.logprob_grads).max() / np.sqrt(draws)
+    with_b = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
+    without = sample.score_grad(trainer.utility_weights(rewards, use_baseline=False))
+    rows = oracle.logprob_grad_rows(scores, sample.rankings)
+    spread = rewards.std() * np.abs(rows).max() / np.sqrt(draws)
     tol = max(6.0 * spread, 1e-3)
     assert np.all(np.abs(with_b - exact.utility_grad) <= tol)
     assert np.all(np.abs(without - exact.utility_grad) <= tol)
@@ -107,7 +109,8 @@ def test_group_disparity_gradient_is_unbiased():
     rng = np.random.default_rng(2)
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
-    est = trainer.hinge_score_grad(sample, fairness.group_rows(merit(rels), groups))
+    est = sample.score_grad(trainer.hinge_sample_weights(
+        sample.rankings, fairness.group_rows(merit(rels), groups)))
     assert np.all(np.abs(est - exact.group_grad) <= 0.02)
 
 
@@ -119,7 +122,8 @@ def test_individual_disparity_gradient_is_unbiased():
     assert exact.individual_disparity > 0.0
     rng = np.random.default_rng(3)
     sample = policy.draw_policy_sample(scores, 50000, rng)
-    est = trainer.hinge_score_grad(sample, fairness.individual_rows(merit(rels)))
+    est = sample.score_grad(trainer.hinge_sample_weights(
+        sample.rankings, fairness.individual_rows(merit(rels))))
     assert np.all(np.abs(est - exact.individual_grad) <= 0.02)
 
 
@@ -691,8 +695,9 @@ def test_a_gradient_adam_cannot_square_fails_before_the_parameters_move():
 
 
 def test_hinge_gradient_of_a_member_block_equals_each_member():
-    """Members with an active row get their own bits, and one without gets
-    exact zeros, as a call on its sample alone would."""
+    """Members with an active row get their own bits of the per-ranking
+    weights and of the gradient, and one without gets exact zeros, as a call
+    on its sample alone would."""
     rng = np.random.default_rng(9)
     for kind in ("group", "individual"):
         disparity = fairness.DisparityConfig.parse(kind)
@@ -701,13 +706,14 @@ def test_hinge_gradient_of_a_member_block_equals_each_member():
             rows = disparity.query_rows(query)
             scores = rng.normal(scale=2.0, size=(5, n))
             sample = policy.draw_policy_sample(scores, 7, rng)
-            block = trainer.hinge_score_grad(sample, rows)
-            assert block.shape == (5, n)
+            block = trainer.hinge_sample_weights(sample.rankings, rows)
+            assert block.shape == (5, 7)
+            grads = sample.score_grad(block)
             for k in range(5):
-                alone = trainer.hinge_score_grad(
-                    policy.PolicySample(sample.rankings[k], sample.logprob_grads[k]),
-                    rows)
+                alone = trainer.hinge_sample_weights(sample.rankings[k], rows)
                 assert block[k].tobytes() == alone.tobytes()
+                member = policy.PolicySample(scores[k], sample.rankings[k])
+                assert grads[k].tobytes() == member.score_grad(alone).tobytes()
 
 
 def test_train_refuses_splits_of_different_feature_widths_before_epoch_1(monkeypatch):
@@ -736,3 +742,52 @@ def test_evaluate_refuses_a_model_of_another_feature_width_before_any_work(monke
         with pytest.raises(ValueError, match=f"^model has {model.feature_dim} features, "
                                              "evaluation split has 2$"):
             trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"))
+
+
+@pytest.mark.parametrize("kind", ["group", "individual"])
+def test_a_splits_evaluation_constants_are_built_once(kind, monkeypatch):
+    """A split is cut into the same blocks on every pass, and each block
+    keeps its stacked features, metric constants and hinge rows: a second
+    pass looks nothing up query by query, restacks no features and values
+    the split with the bits of the first."""
+    dataset = small_dataset(seed=5, queries=9, docs=9)
+    model = policy.init_model("linear", dataset.feature_dim, np.random.default_rng(2))
+    model = model.with_params(np.random.default_rng(3).normal(size=(2, model.params.size)))
+    metric, disparity = metrics.UtilityMetric.parse("ndcg@5"), fairness.DisparityConfig(kind)
+    first = trainer.evaluate(model, dataset, metric, disparity, eval_samples=8, seed=1)
+    size = lambda n: 4
+    assert dataset.blocks(size) is dataset.blocks(size)
+    looked_up, built = [], []
+    derived_of_run = data.Query.derived_of_run
+    monkeypatch.setattr(data.Query, "derived_of_run", staticmethod(
+        lambda *args: looked_up.append(1) or derived_of_run(*args)))
+
+    class CountedBlock(data.QueryBlock):
+        def __new__(cls, queries):
+            built.append(1)
+            return super().__new__(cls, queries)
+
+    monkeypatch.setattr(data, "QueryBlock", CountedBlock)
+    second = trainer.evaluate(model, dataset, metric, disparity, eval_samples=8, seed=1)
+    assert looked_up == [] and built == []
+    assert second == first
+    (block,) = dataset.blocks(lambda n: 9)
+    assert built == [1] and block.features is block.features
+    assert block.features.shape == (9, 9, dataset.feature_dim)
+
+
+def test_hinge_sample_weights_of_dense_rows_match_the_exposure_weights():
+    """A dense row values a ranking by one gather; with several rows, each
+    ranking's weight is its exposure under ``hinge_weights`` of the rows
+    whose sampled gap is positive, as the pair-row path computes it."""
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 9):
+        rows = rng.normal(size=(3, n))
+        rankings = np.argsort(rng.random((4, 25, n)), axis=-1)
+        got = trainer.hinge_sample_weights(rankings, rows)
+        assert got.shape == (4, 25)
+        for k in range(4):
+            active = fairness.hinge_gaps(rows, fairness.mc_exposure(rankings[k], n)) > 0.0
+            want = fairness.ranking_exposures(rankings[k]) @ fairness.hinge_weights(rows, active)
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-15)
+            assert got[k].tobytes() == trainer.hinge_sample_weights(rankings[k], rows).tobytes()
