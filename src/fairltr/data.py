@@ -24,10 +24,8 @@ parsers refuse, a non-finite value or a group label other than 0/1,
 naming the query rather than a line.  Datasets are immutable after
 construction: a query's arrays are read-only, so what is derived from
 them can be kept with the query (``Query.derived``, or
-``Query.derived_of_run`` for a run of queries built together), what is
-stacked from a block of queries valued together with the block
-(``QueryBlock``, cut by ``Dataset.blocks``), and every transformation
-returns a new dataset.
+``Query.derived_of_run`` for a run of queries built together), and every
+transformation returns a new dataset.
 
 A binary-labeled CSV table is read by ``load_table`` alone, into arrays
 of features, labels and groups that ``convert_binary_table`` samples
@@ -130,38 +128,10 @@ class Query:
         return f"Query(qid={self.qid!r}, num_docs={self.num_docs})"
 
 
-class QueryBlock(tuple):
-    """Consecutive queries of one size that are valued together: a tuple of
-    the queries, their stacked ``(Q, n, d)`` ``features``, built on first
-    use and read-only, and ``derived``, which keeps what is built from the
-    block as a whole (such as the queries' stacked metric constants) as
-    ``Query.derived`` keeps a query's."""
-
-    def __new__(cls, queries: Sequence[Query]) -> "QueryBlock":
-        block = super().__new__(cls, queries)
-        block._derived = {}
-        return block
-
-    derived = Query.derived
-
-    @classmethod
-    def kept(cls, queries: Sequence[Query], key: Hashable, build: Callable[[], T]) -> T:
-        """``build()``, kept with ``queries`` under ``key`` when they are a
-        ``QueryBlock``, and built afresh for any other run of queries."""
-        return queries.derived(key, build) if isinstance(queries, cls) else build()
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.derived("features",
-                            lambda: np.array([q.feature_matrix for q in self]))
-
-
 class Dataset:
     """An ordered collection of queries with a common feature dimension.
 
-    ``runs`` holds each run of consecutive equal-size queries as a tuple,
-    and ``blocks`` cuts the runs into ``QueryBlock`` objects, built once per
-    cut.
+    ``runs`` holds each run of consecutive equal-size queries as a tuple.
     """
 
     def __init__(self, queries: Sequence[Query], feature_dim: int):
@@ -180,22 +150,6 @@ class Dataset:
                     f"dataset declares {self.feature_dim}")
         self.runs = tuple(tuple(run) for _, run in
                           itertools.groupby(self.queries, key=len))
-        self._blocks: dict[tuple[int, ...], list[QueryBlock]] = {}
-
-    def blocks(self, size: Callable[[int], int]) -> list[QueryBlock]:
-        """The queries in split order as blocks of consecutive equal-size
-        queries: each run of queries of n documents cut into blocks of
-        ``size(n)`` queries, the last one shorter.  The blocks of a cut are
-        built on its first call and returned by every later one, so what
-        they keep is built once."""
-        sizes = tuple(size(len(run[0])) for run in self.runs)
-        blocks = self._blocks.get(sizes)
-        if blocks is None:
-            blocks = self._blocks[sizes] = [
-                QueryBlock(run[i:i + per_block])
-                for run, per_block in zip(self.runs, sizes)
-                for i in range(0, len(run), per_block)]
-        return blocks
 
     def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)
@@ -612,8 +566,9 @@ def load_table(path, label_col: str, group_col: str, preprocess: bool
     index, and must be different columns; every other column is a
     feature.  A row may have more cells than the header, which are
     ignored, but not fewer.  Without ``preprocess`` every feature cell must
-    be a number; with it, ``encode_table`` encodes the feature columns.  A bad cell is refused as ``{path} row {n}: ...``,
-    the header being row 1, before any encoding.
+    be a number; with it, ``encode_table`` encodes the feature columns.  A
+    bad cell is refused as ``{path} row {n}: ...``, the header being row 1,
+    before any encoding.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -14,9 +14,9 @@ Each disparity is defined once, as hinge rows: linear functions of the
 expected exposure vector whose positive parts are the violations.  The
 disparity is ``hinge_mean(rows, exposures)``, the mean of the positive
 parts of ``hinge_gaps(rows, exposures)``, and zero when there are no rows;
-``hinge_weights`` gives its gradient wrt the exposures.  So the individual
-disparity of an exposure vector ``e`` is
-``hinge_mean(individual_rows(merits), e)`` and the group disparity
+``hinge_weights`` gives the gradient of pair rows wrt the exposures (a
+dense row is its own).  So the individual disparity of an exposure vector
+``e`` is ``hinge_mean(individual_rows(merits), e)`` and the group disparity
 ``hinge_mean(group_rows(merits, groups), e)``.
 
 * individual (``individual_rows``): one row per ordered pair where the
@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Query, QueryBlock
+from .data import Query
 from .metrics import position_bias_vector
 from .ranking import ENUMERATION_LIMIT
 from . import policy
@@ -301,26 +301,26 @@ def hinge_gaps(rows: HingeRows, exposures: np.ndarray) -> np.ndarray:
     return (rows @ e[..., None])[..., 0]
 
 
-def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
-    """Gradient of ``hinge_mean`` wrt the exposures where the rows marked in
-    ``active`` are the violated ones (a positive ``hinge_gaps`` entry): the
-    sum of the active rows over the number of rows.  A ``(K, rows)`` block
-    of masks gives ``(K, n)`` weights, each with the bits of its own call.
+def hinge_weights(rows: PairRows, active: np.ndarray) -> np.ndarray:
+    """Gradient of ``hinge_mean`` of pair rows wrt the exposures where the
+    rows marked in ``active`` are the violated ones (a positive
+    ``hinge_gaps`` entry): the sum of the active rows over the number of
+    rows.  A ``(K, rows)`` block of masks gives ``(K, n)`` weights, each
+    with the bits of its own call.
 
-    Pair rows count each document's active pairs by one ``bincount`` over
-    all masks, each mask's documents offset by ``n``.  Dense rows are
-    summed in row order, an inactive row as zeros.
+    Each document's active pairs are counted by one ``bincount`` over all
+    masks, each mask's documents offset by ``n``.  (A dense row is its own
+    gradient row; the trainer values dense rows at each sampled ranking
+    directly, ``trainer.hinge_sample_weights``.)
     """
     active = np.asarray(active, dtype=bool)
     lead = active.shape[:-1]
-    if isinstance(rows, PairRows):
-        n, masks = len(rows.inv_merit), math.prod(lead)
-        mask, row = np.nonzero(active.reshape(masks, len(rows)))
-        offset = n * mask
-        counts = np.bincount(rows.first[row] + offset, minlength=n * masks)
-        counts -= np.bincount(rows.second[row] + offset, minlength=n * masks)
-        return rows.inv_merit * counts.reshape(*lead, n) / len(rows)
-    return np.where(active[..., None], rows, 0.0).sum(axis=-2) / len(rows)
+    n, masks = len(rows.inv_merit), math.prod(lead)
+    mask, row = np.nonzero(active.reshape(masks, len(rows)))
+    offset = n * mask
+    counts = np.bincount(rows.first[row] + offset, minlength=n * masks)
+    counts -= np.bincount(rows.second[row] + offset, minlength=n * masks)
+    return rows.inv_merit * counts.reshape(*lead, n) / len(rows)
 
 
 def hinge_mean(rows: HingeRows, exposures: np.ndarray) -> float | np.ndarray:
@@ -390,29 +390,15 @@ class DisparityConfig:
         rows by one ``(K, R, P)`` gap block.  A query without rows has
         disparity 0.
         """
+        rows = self.run_rows(queries)
         e = np.asarray(exposures, dtype=float)
         disparities = np.zeros(e.shape[:-1])
-        for at, rows in self._stacked_rows(queries):
-            disparities[:, at] = hinge_mean(rows, e.take(at, axis=1))
+        sizes = np.array([len(each) for each in rows])
+        for size in set(sizes.tolist()) - {0}:
+            at = np.flatnonzero(sizes == size)
+            disparities[:, at] = hinge_mean(_stack([rows[q] for q in at]),
+                                            e.take(at, axis=1))
         return disparities
-
-    def _stacked_rows(self, queries: Sequence[Query]
-                      ) -> list[tuple[np.ndarray, HingeRows]]:
-        """The ``run_rows`` of a block of equal-size queries, stacked by how
-        many rows a query has: the positions of the queries with each
-        positive count and their rows, ``(R, rows, n)`` dense or ``PairRows``
-        of ``(R, P)`` indices.  Kept with a ``QueryBlock``, so a block that
-        is valued again restacks nothing."""
-        def build():
-            rows = self.run_rows(queries)
-            sizes = np.array([len(each) for each in rows])
-            stacks = []
-            for size in sorted(set(sizes.tolist()) - {0}):
-                at = np.flatnonzero(sizes == size)
-                stacks.append((at, _stack([rows[q] for q in at])))
-            return stacks
-
-        return QueryBlock.kept(queries, ("stacked rows", self), build)
 
 
 def _stack(rows: list[HingeRows]) -> HingeRows:
@@ -421,6 +407,4 @@ def _stack(rows: list[HingeRows]) -> HingeRows:
     if isinstance(rows[0], PairRows):
         return PairRows(*(np.array([getattr(each, name) for each in rows])
                           for name in ("first", "second", "inv_merit")))
-    stack = np.array(rows)
-    stack.flags.writeable = False
-    return stack
+    return np.array(rows)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Query, QueryBlock
+from .data import Query
 from .ranking import Ranking, as_ranking
 
 Relevances = np.ndarray | Query
@@ -67,14 +67,14 @@ def _num_docs(source: Relevances) -> int:
 def _per_query(source: Relevances, key, build):
     """``build(relevances)``: built once and kept with a query, built
     afresh for a relevance array, and for a run of queries each query's,
-    stacked, the stack kept with a ``QueryBlock``.  The queries of a run
-    that lack theirs get them from one ``build`` of their stacked ``(M, n)``
-    relevances, whose rows have the bits of each query's own build."""
+    stacked.  The queries of a run that lack theirs get them from one
+    ``build`` of their stacked ``(M, n)`` relevances, whose rows have the
+    bits of each query's own build."""
     if isinstance(source, Query):
         return source.derived(key, lambda: build(source.relevances))
     if _is_run(source):
-        return QueryBlock.kept(source, key, lambda: np.array(Query.derived_of_run(
-            source, key, lambda missing: build(_relevances(missing)))))
+        return np.array(Query.derived_of_run(
+            source, key, lambda missing: build(_relevances(missing))))
     return build(_relevances(source))
 
 

@@ -19,11 +19,9 @@ space, from the weights ``exp(s - max s)`` and the stage denominators summed
 over the documents not yet placed (``_stage_weights``).  A policy-gradient
 step needs only a weighted sum of the rankings' log-probability gradients,
 so ``logprob_grads_scores`` returns that sum, scattered to documents once,
-and never builds a gradient row per ranking.  Short rows take their
-running sums as one product with a triangle of ones (``_prefix_sums``,
-up to ``PREFIX_PRODUCT_MAX_LEN`` positions).  The scoring
-models at the bottom of the module map features to scores and
-backpropagate score-space gradients to their parameters, which is all a
+and never builds a gradient row per ranking.  The scoring models at the
+bottom of the module map features to scores and backpropagate
+score-space gradients to their parameters, which is all a
 policy-gradient trainer needs.  Each model class states its parameter
 layout once, as a table of parts (attribute, checkpoint key, shape)
 computed from its header: ``feature_dim`` and ``bias`` for the linear
@@ -75,42 +73,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-# The longest row whose prefix sums are taken as one product with a
-# triangular matrix of ones; a longer row takes np.cumsum.  Timed in process
-# on a 2-vCPU x86 VM, the product wins at 10 positions (2.9 against 8.5 us
-# for 150 rows), 30 (5.4 against 11 us for 64 rows) and 64 (12 against
-# 18 us), and loses at 100 (34 against 25 us) and 150 (55 against 36 us).
-PREFIX_PRODUCT_MAX_LEN = 64
-
-
-@functools.lru_cache(maxsize=2 * PREFIX_PRODUCT_MAX_LEN)
-def _ones_triangle(n: int, upper: bool) -> np.ndarray:
-    """The ``(n, n)`` triangle of ones, diagonal included, built once per
-    length and shared read-only."""
-    ones = np.ones((n, n))
-    triangle = np.triu(ones) if upper else np.tril(ones)
-    triangle.flags.writeable = False
-    return triangle
-
-
-def _prefix_sums(x: np.ndarray, from_back: bool = False) -> np.ndarray:
-    """Running sums along the last axis of ``(..., n)`` rows, from the first
-    entry, or from the last with ``from_back``.
-
-    Up to ``PREFIX_PRODUCT_MAX_LEN`` entries they are one stacked product
-    with a cached triangle of ones, ``(..., S, n) @ (n, n)``; longer rows
-    take ``np.cumsum``.  The two ways add in different orders, so they agree
-    to rounding, not bit for bit.  Either way the sums of each ``(S, n)``
-    block of a stack have the bits of a call on that block alone.
-    """
-    n = x.shape[-1]
-    if n <= PREFIX_PRODUCT_MAX_LEN:
-        return x @ _ones_triangle(n, upper=not from_back)
-    if from_back:
-        return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-    return np.cumsum(x, axis=-1)
-
-
 def _stage_weights(scores: np.ndarray, orders: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(e, w, remaining, index)`` for rankings ``orders`` at ``scores``.
@@ -133,7 +95,7 @@ def _stage_weights(scores: np.ndarray, orders: np.ndarray
     if s.ndim > 1:
         index = index + _member_offsets(len(s), s.shape[-1])
     w = e.reshape(-1)[index]
-    return e, w, _prefix_sums(w, from_back=True), index
+    return e, w, np.cumsum(w[..., ::-1], axis=-1)[..., ::-1], index
 
 
 @functools.lru_cache(maxsize=64)
@@ -227,7 +189,7 @@ def logprob_grads_scores(scores: np.ndarray, orders: np.ndarray,
     if e.shape[-1] == 1:
         return np.zeros(e.shape)
     c = np.asarray(weights, dtype=float)
-    stages = _prefix_sums(1.0 / remaining)
+    stages = np.cumsum(1.0 / remaining, axis=-1)
     acc = np.bincount(index.reshape(-1), (stages * c[..., None]).reshape(-1),
                       minlength=e.size)
     return c.sum(axis=-1, keepdims=True) - e * acc.reshape(e.shape)

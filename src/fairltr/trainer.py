@@ -57,13 +57,10 @@ Each member evaluated alone would draw the same numbers in the same
 order, so every member gets the bits of its own pass.  The position bias
 vector of each length is built once and shared read-only, and each query
 keeps its metric constants (gains, ideal DCG, ERR stop probabilities) and
-its hinge rows, so training steps pass the query itself to the metric and
-the disparity.  Each run of equal-size queries builds them in one pass:
-the training split's before the first step, an evaluation split's as its
-blocks are first valued.  A split cuts its blocks once (``Dataset.blocks``)
-and each block keeps what its passes stack, its features, its queries'
-metric constants and its hinge rows, so the per-epoch passes over a split
-restack nothing.
+its hinge rows, so training steps and evaluations pass the query itself to
+the metric and the disparity.  Each run of equal-size queries builds them
+in one pass: the training split's before the first step, an evaluation
+split's as its blocks are valued.
 """
 from __future__ import annotations
 
@@ -74,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import policy
-from .data import Dataset, Query, QueryBlock, require_seed
+from .data import Dataset, Query, require_seed
 from .fairness import DisparityConfig, HingeRows, PairRows, exposure_of_policy, \
     hinge_gaps, hinge_weights, mc_exposure
 from .metrics import UtilityMetric, position_bias_vector
@@ -299,7 +296,7 @@ class EvalSummary:
 # A ranker gives, for a block of Q consecutive queries of n documents each,
 # K members' (K, Q, M, n) rankings, their (K, Q, M) weights and their
 # (K, Q, n) exposures, or None for exposures when no disparity is asked.
-Ranker = Callable[[QueryBlock], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+Ranker = Callable[[tuple[Query, ...]], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
@@ -317,18 +314,19 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     for all members.  Each run of consecutive equal-size queries is cut
     into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at
     least one), ``rows(n) * n`` per query of n documents, and ``rank`` is
-    called once per block, in split order.  The blocks are the split's
-    ``QueryBlock`` objects of that cut, built on the first pass and kept
-    with their stacked constants for every later one.
+    called once per block, in split order.
     """
     scored = (metric, *extra_metrics)
     values, disparities = [], []
-    for block in dataset.blocks(lambda n: max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))):
-        orders, weights, exposures = rank(block)
-        values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
-                       for each in scored])
-        if disparity is not None:
-            disparities.append(disparity.from_exposures(exposures, block))
+    for run in dataset.runs:
+        n = len(run[0])
+        per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
+        for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
+            orders, weights, exposures = rank(block)
+            values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
+                           for each in scored])
+            if disparity is not None:
+                disparities.append(disparity.from_exposures(exposures, block))
     columns = np.concatenate(values, axis=-1)
     # Each row's mean has the bits of np.mean on that row alone, a
     # contiguous row's pairwise sum.
@@ -351,13 +349,14 @@ def argmax_ranker(model: ScoringModel,
                   ) -> Ranker:
     """A ``Ranker`` of the argmax ranking of each member of a model or a
     ``(K, P)`` member block, with weight 1, and ``exposures(scores,
-    orders)`` of the members' ``(K, Q, n)`` scores and rankings.  Each
-    member scores the block's stacked features, and all members' rankings
-    come from one stable ``argsort``."""
+    orders)`` of the members' ``(K, Q, n)`` scores and rankings.  A block's
+    features are stacked once and scored by each member, and all members'
+    rankings come from one stable ``argsort``."""
     members = [model.with_params(params) for params in np.atleast_2d(model.params)]
 
     def rank(block):
-        scores = np.array([member.scores(block.features) for member in members])
+        features = np.array([q.feature_matrix for q in block])
+        scores = np.array([member.scores(features) for member in members])
         orders = policy.argmax_ranking(scores)
         return (orders[..., None, :], np.ones((*orders.shape[:-1], 1)),
                 exposures(scores, orders))

@@ -15,6 +15,11 @@ DP, in O(2^n n), which the tests check against both.
 ranking's log-probability, the per-ranking reference of the library's
 weighted sum of those gradients.
 
+``hinge_weights`` is the exposure gradient of either kind of hinge rows:
+the package's for pair rows, and for dense rows the sum of the active rows
+over the number of rows, which the package never forms (its trainer
+values dense rows at each sampled ranking directly).
+
 ``datasets_equal`` and ``models_equal`` compare datasets and models bit
 for bit, for the round-trip and determinism tests; ``param_arrays`` gives
 a model's named parameter arrays, the views of its one vector.
@@ -34,8 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from fairltr.data import Dataset, ParseError, Query
-from fairltr.fairness import HingeRows, group_rows, hinge_gaps, hinge_mean, \
-    hinge_weights, individual_rows, ranking_exposures
+from fairltr import fairness
+from fairltr.fairness import HingeRows, PairRows, group_rows, hinge_gaps, \
+    hinge_mean, individual_rows, ranking_exposures
 from fairltr.metrics import UtilityMetric, _stop_probabilities, gains, ideal_dcg, \
     position_bias_vector
 from fairltr.policy import SCORE_CLAMP, ScoringModel, placement_flows, \
@@ -114,6 +120,18 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
         stats.group_disparity, stats.group_grad = _exact_hinge(
             group_rows(merits, groups), *hinge)
     return stats
+
+
+def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
+    """The gradient of ``hinge_mean(rows, exposures)`` wrt the exposures
+    where the rows marked in ``active`` are the violated ones: for pair rows
+    ``fairness.hinge_weights``, and for dense rows the active rows summed in
+    row order, an inactive row as zeros, over the number of rows.  A ``(K,
+    rows)`` block of masks gives ``(K, n)`` weights."""
+    if isinstance(rows, PairRows):
+        return fairness.hinge_weights(rows, active)
+    active = np.asarray(active, dtype=bool)
+    return np.where(active[..., None], rows, 0.0).sum(axis=-2) / len(rows)
 
 
 def _exact_hinge(rows: HingeRows, exposures: np.ndarray,

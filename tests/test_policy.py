@@ -238,15 +238,14 @@ def test_logprob_grad_of_one_document_is_exactly_zero():
 @pytest.mark.parametrize("kind", ["random", "clamped"])
 def test_weighted_logprob_gradient_matches_the_per_ranking_reference(n, kind):
     """For random weights, the one-scatter weighted gradient equals the
-    weighted sum of the reference's per-ranking gradients, on both sides of
-    ``PREFIX_PRODUCT_MAX_LEN`` and at scores of +-SCORE_CLAMP, to 1e-12 of
+    weighted sum of the reference's per-ranking gradients, at short and long
+    rows and at scores of +-SCORE_CLAMP, to 1e-12 of
     the weights' total ``sum |c_s|``, and at random scores to 1e-12 of its
     largest entry too.  (At clamped scores a ranking can have probability 1
     to rounding, so every reference row and the exact sum are 0, while the
     sum of weights less the scattered stage sums leaves about eps times the
     weights' total.)  Member k of a block has the bits of its own call, with
     one sampled ranking or many."""
-    assert 30 <= policy.PREFIX_PRODUCT_MAX_LEN < 150
     rng = np.random.default_rng(50 + n)
     if kind == "random":
         scores = rng.normal(scale=3.0, size=(3, n))
@@ -266,19 +265,6 @@ def test_weighted_logprob_gradient_matches_the_per_ranking_reference(n, kind):
                 assert error <= 1e-12 * np.abs(want).max()
             alone = policy.logprob_grads_scores(scores[k], orders[k], weights[k])
             assert alone.tobytes() == block[k].tobytes()
-
-
-def test_prefix_sums_agree_on_both_sides_of_the_product_rule():
-    """The product and ``np.cumsum`` give the same running sums to
-    rounding, from the front and from the back."""
-    rng = np.random.default_rng(51)
-    for n in (1, 5, policy.PREFIX_PRODUCT_MAX_LEN, policy.PREFIX_PRODUCT_MAX_LEN + 1):
-        x = rng.uniform(0.0, 1.0, (2, 7, n))
-        np.testing.assert_allclose(policy._prefix_sums(x), np.cumsum(x, axis=-1),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(policy._prefix_sums(x, from_back=True),
-                                   np.cumsum(x[..., ::-1], axis=-1)[..., ::-1],
-                                   rtol=1e-14)
 
 
 def test_softmax_entropy_value_and_gradient():

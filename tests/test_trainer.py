@@ -744,42 +744,10 @@ def test_evaluate_refuses_a_model_of_another_feature_width_before_any_work(monke
             trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"))
 
 
-@pytest.mark.parametrize("kind", ["group", "individual"])
-def test_a_splits_evaluation_constants_are_built_once(kind, monkeypatch):
-    """A split is cut into the same blocks on every pass, and each block
-    keeps its stacked features, metric constants and hinge rows: a second
-    pass looks nothing up query by query, restacks no features and values
-    the split with the bits of the first."""
-    dataset = small_dataset(seed=5, queries=9, docs=9)
-    model = policy.init_model("linear", dataset.feature_dim, np.random.default_rng(2))
-    model = model.with_params(np.random.default_rng(3).normal(size=(2, model.params.size)))
-    metric, disparity = metrics.UtilityMetric.parse("ndcg@5"), fairness.DisparityConfig(kind)
-    first = trainer.evaluate(model, dataset, metric, disparity, eval_samples=8, seed=1)
-    size = lambda n: 4
-    assert dataset.blocks(size) is dataset.blocks(size)
-    looked_up, built = [], []
-    derived_of_run = data.Query.derived_of_run
-    monkeypatch.setattr(data.Query, "derived_of_run", staticmethod(
-        lambda *args: looked_up.append(1) or derived_of_run(*args)))
-
-    class CountedBlock(data.QueryBlock):
-        def __new__(cls, queries):
-            built.append(1)
-            return super().__new__(cls, queries)
-
-    monkeypatch.setattr(data, "QueryBlock", CountedBlock)
-    second = trainer.evaluate(model, dataset, metric, disparity, eval_samples=8, seed=1)
-    assert looked_up == [] and built == []
-    assert second == first
-    (block,) = dataset.blocks(lambda n: 9)
-    assert built == [1] and block.features is block.features
-    assert block.features.shape == (9, 9, dataset.feature_dim)
-
-
 def test_hinge_sample_weights_of_dense_rows_match_the_exposure_weights():
     """A dense row values a ranking by one gather; with several rows, each
-    ranking's weight is its exposure under ``hinge_weights`` of the rows
-    whose sampled gap is positive, as the pair-row path computes it."""
+    ranking's weight is its exposure under the oracle's ``hinge_weights``
+    of the rows whose sampled gap is positive."""
     rng = np.random.default_rng(12)
     for n in (2, 5, 9):
         rows = rng.normal(size=(3, n))
@@ -788,6 +756,6 @@ def test_hinge_sample_weights_of_dense_rows_match_the_exposure_weights():
         assert got.shape == (4, 25)
         for k in range(4):
             active = fairness.hinge_gaps(rows, fairness.mc_exposure(rankings[k], n)) > 0.0
-            want = fairness.ranking_exposures(rankings[k]) @ fairness.hinge_weights(rows, active)
+            want = fairness.ranking_exposures(rankings[k]) @ oracle.hinge_weights(rows, active)
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-15)
             assert got[k].tobytes() == trainer.hinge_sample_weights(rankings[k], rows).tobytes()
