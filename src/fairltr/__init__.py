@@ -25,7 +25,6 @@ from .policy import (
     argmax_ranking,
     init_model,
     load_model,
-    ranking_logprobs,
     sample_rankings,
     save_model,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "split_dataset",
     "DisparityConfig", "MeritFunction", "exposure_of_policy", "UtilityMetric",
     "LinearModel", "MLP1Model", "argmax_ranking", "init_model", "load_model",
-    "ranking_logprobs", "sample_rankings", "save_model",
+    "sample_rankings", "save_model",
     "EvalSummary", "RunRecord", "TrainConfig", "evaluate", "train",
     "fit_linear_regression", "solve_fair_lp", "solve_fair_lp_grid",
     "train_top1_baseline", "train_top1_grid",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, require_seed
 from .fairness import MeritFunction, group_rows, ranking_exposures
-from .metrics import _best_dcg, gains, position_bias_vector
+from .metrics import gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel
 
 
@@ -47,9 +47,8 @@ def fit_linear_regression(dataset: Dataset) -> LinearModel:
     A fixed tiny ridge term on the weights (never the bias) keeps the
     normal equations solvable for collinear features.
     """
-    X = np.vstack([q.feature_matrix for q in dataset])
-    y = np.concatenate([q.relevances for q in dataset])
-    X = np.hstack([X, np.ones((X.shape[0], 1))])
+    X = np.hstack([dataset.features, np.ones((dataset.num_docs, 1))])
+    y = dataset.relevances
     reg = np.full(X.shape[1], _RIDGE)
     reg[-1] = 0.0
     coef = np.linalg.solve(X.T @ X + np.diag(reg), X.T @ y)
@@ -102,9 +101,8 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
 
     ``estimated_relevances`` may also be a ``(Q, n)`` block of Q queries'
     estimates, with ``(Q, n)`` groups: the result is then the list of each
-    query's list, each with the bits of a call on that query alone.  A
-    block builds its group rows in one ``group_rows`` call, one query being
-    the block of one.
+    query's list.  A block builds its group rows in one ``group_rows``
+    call, one query being the block of one.
 
     The LP is solved exactly, without an LP solver.  With ``w`` the
     normalized gains and ``a`` the ``group_rows`` row scaled to shares, it
@@ -117,14 +115,14 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
     ordering when it meets the constraint, the last segment's with a
     positive slack when none does, and otherwise the mixture of the two
     orderings next to the sign change of the constraint that meets it
-    exactly.
+    exactly.  A query without a usable group row has a zero row, whose one
+    segment is the sort by ``w`` at every weight.
 
     The segments of a weight are the first ones of the largest weight's,
     so the knots, orderings and ranking exposures are found once, for the
     largest weight, and each ``lam > 0`` reads the first ``k`` of them,
-    ``k - 1`` being the number of knots below ``lam``.  ``lam = 0``, and
-    every weight of a query without a usable group row, take the sort by
-    ``w`` alone.  Raises ``ValueError`` before any solve for a weight that
+    ``k - 1`` being the number of knots below ``lam``.  ``lam = 0`` takes
+    the sort by ``w`` alone.  Raises ``ValueError`` before any solve for a weight that
     is negative or not finite, an empty grid, or non-finite estimates.
     """
     lambdas = require_lambda_grid(lambdas)
@@ -139,22 +137,22 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
     return solved if r_hat.ndim == 2 else solved[0]
 
 
-def _solve_query(r_hat: np.ndarray, a: np.ndarray | None,
+def _solve_query(r_hat: np.ndarray, a: np.ndarray,
                  lambdas: list[float]) -> list[FairLPResult]:
     """``solve_fair_lp_grid`` of one query's estimates and scaled group row
-    ``a``, None without a usable one."""
+    ``a``."""
     n = r_hat.shape[0]
     g = gains(r_hat)
-    scale = _best_dcg(g, n)
+    scale = ideal_dcg(r_hat)
     w = g / (scale if scale > 0.0 else 1.0)
     top = max(lambdas)
     solved = {}
-    if 0.0 in lambdas or a is None:
+    if 0.0 in lambdas:
         # The sort by w is the one segment of a zero constraint row.
         orders = np.argsort(0.0 - w, kind="stable")[None]
         solved[0.0] = _lp_optimum(orders, ranking_exposures(orders), w,
                                   np.zeros(n), 0.0)
-    if a is not None and top > 0.0:
+    if top > 0.0:
         i, j = _pair_indices(n)
         cross = a[i] != a[j]
         knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
@@ -171,25 +169,21 @@ def _solve_query(r_hat: np.ndarray, a: np.ndarray | None,
         for lam in set(lambdas) - {0.0}:
             k = int(np.searchsorted(inside, lam)) + 1
             solved[lam] = _lp_optimum(orders[:k], per_order[:k], w, a, lam)
-    return [solved[lam if a is not None else 0.0] for lam in lambdas]
+    return [solved[lam] for lam in lambdas]
 
 
 def _lp_constraint_rows(r_hat: np.ndarray, groups: np.ndarray | None,
-                        merit: MeritFunction) -> list[np.ndarray | None]:
+                        merit: MeritFunction) -> np.ndarray:
     """The LP's group row of each query of a ``(Q, n)`` block scaled to
-    shares, or None for a query without a usable one; the rows come from
-    one ``group_rows`` call."""
+    shares, a zero row for a query without a usable one, from one
+    ``group_rows`` call."""
     if groups is None:
-        return [None] * len(r_hat)
+        return np.zeros(r_hat.shape)
     merits = merit(np.maximum(r_hat, 0.0))
     budget = float(position_bias_vector(r_hat.shape[1]).sum())
-    scaled = []
-    for m, g, rows in zip(merits, groups, group_rows(merits, groups)):
-        # Dimensionless form: each group's share of the total exposure
-        # budget divided by its share of total merit.
-        scaled.append((float(m[g == 0].sum()) + float(m[g == 1].sum())) / budget
-                      * rows[0] if len(rows) else None)
-    return scaled
+    # Dimensionless form: each group's share of the total exposure budget
+    # divided by its share of total merit.
+    return merits.sum(axis=-1, keepdims=True) / budget * group_rows(merits, groups)
 
 
 @functools.lru_cache(maxsize=None)

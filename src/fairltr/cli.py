@@ -270,7 +270,7 @@ def fit_metric_to_dataset(metric: metrics.UtilityMetric,
     """Raise the ERR grade ceiling to cover every dataset when needed."""
     if metric.kind != "err":
         return metric
-    top = max(float(q.relevances.max()) for ds in datasets for q in ds)
+    top = max(float(ds.relevances.max()) for ds in datasets)
     if top > metric.err_max_grade:
         return metrics.UtilityMetric("err", metric.cutoff, max(4.0, top))
     return metric
@@ -352,13 +352,11 @@ def cmd_generate_from_table(opts: dict) -> Work:
         relevant_fraction=opts["relevant_fraction"], seed=opts["seed"])
 
     def work(out: Path) -> int:
-        train = data.Dataset(dataset.queries[:opts["train_queries"]],
-                             dataset.feature_dim)
+        train = dataset.subset(range(opts["train_queries"]))
         data.save_dataset(train, out / "train.letor", out / "train.groups")
         written = [f"{out / 'train.letor'} ({len(train)} queries)"]
         if opts["test_queries"] > 0:
-            test = data.Dataset(dataset.queries[opts["train_queries"]:],
-                                dataset.feature_dim)
+            test = dataset.subset(range(opts["train_queries"], len(dataset)))
             data.save_dataset(test, out / "test.letor", out / "test.groups")
             written.append(f"{out / 'test.letor'} ({len(test)} queries)")
         write_kv(out / "manifest.txt", {"command": "generate from-table", **opts})
@@ -664,11 +662,11 @@ def cmd_baseline(opts: dict) -> Work:
                              for name, dataset in splits], group)
 
     def work(out: Path) -> int:
-        rank, per_lambda = (_lp_ranker(train_set, splits, lambdas, merit) if lp
-                            else _top1_ranker(train_set, lambdas, **top1))
+        rankers, per_lambda = (_lp_rankers(train_set, splits, lambdas, merit) if lp
+                               else _top1_rankers(train_set, splits, lambdas, **top1))
         per_split = [(name, trainer.value_split(
             dataset, rank, metrics.UtilityMetric("ndcg"), group,
-            [err_metric_for(dataset)])) for name, dataset in splits]
+            [err_metric_for(dataset)])) for (name, dataset), rank in zip(splits, rankers)]
         rows = []
         for k, (lam, stats) in enumerate(zip(lambdas, per_lambda)):
             stats["lambda"] = lam
@@ -689,44 +687,43 @@ def cmd_baseline(opts: dict) -> Work:
     return work
 
 
-def _lp_ranker(train_set, splits, lambdas, merit):
-    """A ranker of each query's LP optimum at each penalty weight, one
-    member per weight, and each weight's mean and largest slack over the
-    train split.  Every query of the splits is solved once up front, on
-    estimates scored once.  An optimum is played as-is: its rankings, a
-    lone one padded with a weight-0 copy, its weights and its expected
-    exposures.  Each run of equal-size queries is solved as one block."""
+def _lp_rankers(train_set, splits, lambdas, merit):
+    """For each split, a ranker of each query's LP optimum at each penalty
+    weight, one member per weight; and each weight's mean and largest slack
+    over the train split.  Every query of the splits is solved once up
+    front, on estimates scored once, each run of equal-size queries as one
+    block.  An optimum is played as-is: its rankings, a lone one padded
+    with a weight-0 copy, its weights and its expected exposures."""
     regression = baselines.fit_linear_regression(train_set)
-    solved = {}
-    for _, dataset in splits:
-        for run in dataset.runs:
-            groups = None if run[0].groups is None else np.array([q.groups for q in run])
-            solved.update(zip(run, baselines.solve_fair_lp_grid(
-                np.array([regression.scores(q.feature_matrix) for q in run]),
-                groups, lambdas, merit)))
 
-    def rank(block):
-        table = list(zip(*(solved[query] for query in block)))
-        return (np.array([[np.resize(r.orders, (2, r.orders.shape[1])) for r in row]
-                          for row in table]),
-                np.array([[np.append(r.weights, 0.0)[:2] for r in row]
-                          for row in table]),
-                np.array([[r.exposures for r in row] for row in table]))
+    def ranker(solved):
+        def rank(first, features):
+            table = list(zip(*solved[first:first + len(features)]))
+            return (np.array([[np.resize(r.orders, (2, r.orders.shape[1])) for r in row]
+                              for row in table]),
+                    np.array([[np.append(r.weights, 0.0)[:2] for r in row]
+                              for row in table]),
+                    np.array([[r.exposures for r in row] for row in table]))
+        return rank
 
-    slack = zip(*([r.xi for r in solved[query]] for query in train_set))
-    return rank, [{"mean_xi": float(np.mean(xis)), "max_xi": float(np.max(xis))}
-                  for xis in slack]
+    solved = [[per_query for run in dataset.runs
+               for per_query in baselines.solve_fair_lp_grid(
+                   regression.scores(run.features), run.groups, lambdas, merit)]
+              for _, dataset in splits]
+    slack = zip(*([r.xi for r in per_query] for per_query in solved[0]))
+    return [ranker(each) for each in solved], [
+        {"mean_xi": float(np.mean(xis)), "max_xi": float(np.max(xis))} for xis in slack]
 
 
-def _top1_ranker(train_set, lambdas, lr, epochs, seed):
-    """A ranker of the argmax rankings of the top-1 models, one member per
-    penalty weight, with those fixed rankings' own exposures, and an empty
-    stats dict per weight."""
+def _top1_rankers(train_set, splits, lambdas, lr, epochs, seed):
+    """For each split, the ranker of the argmax rankings of the top-1
+    models, one member per penalty weight, with those fixed rankings' own
+    exposures; and an empty stats dict per weight."""
     block = baselines.train_top1_grid(train_set, lambdas, learning_rate=lr,
                                       epochs=epochs, seed=seed)
-    return (trainer.argmax_ranker(
-        block, lambda scores, orders: fairness.ranking_exposures(orders)),
-        [{} for _ in lambdas])
+    rank = trainer.argmax_ranker(
+        block, lambda scores, orders: fairness.ranking_exposures(orders))
+    return [rank] * len(splits), [{} for _ in lambdas]
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +760,9 @@ def cmd_eval(opts: dict) -> Work:
             extra_metrics=[] if is_err else [err_metric_for(dataset)])
         mean_err = summary.mean_metric if is_err else summary.extra_means[0]
         columns = [summary.metric_values, *summary.extra_values]
-        rows = [[query.qid, *(values[i] for values in columns),
+        rows = [[qid, *(values[i] for values in columns),
                  summary.disparity_values[i] if disparity else None]
-                for i, query in enumerate(dataset)]
+                for i, qid in enumerate(dataset.qids)]
         header = ["qid", "err"] if is_err else ["qid", str(metric), "err"]
         write_csv(out / "report.csv", header + ["disparity"], rows)
         payload = {

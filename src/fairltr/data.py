@@ -10,22 +10,27 @@ Group membership (binary, 0 or 1) lives in a sidecar file holding one 0/1
 token per document in dataset order.  Floats are written with 17
 significant digits so that parse -> write -> parse is bit exact.
 
-A query holds its documents as arrays: a feature matrix, a relevance
-vector and, when labelled, a group vector.  ``parse_letor`` is the one
-parser of the text format: it reads the LETOR text and, when given, the
-group text next to it, and builds each query once, with its labels;
+A dataset holds its documents once, as flat arrays in dataset order: an
+``(N, d)`` feature matrix, ``(N,)`` relevances and, when labelled,
+``(N,)`` groups, with the qid and the number of documents of each query.
+``Dataset`` is its one constructor, and it refuses what the parsers
+refuse, a non-finite value or a group label other than 0/1, naming the
+query rather than a line.  Each run of consecutive queries of equal size n
+is a ``Run``: reshaped views of its slice of the flat arrays, ``(Q, n,
+d)`` features and ``(Q, n)`` relevances and groups, which is the layout
+the metrics, the disparities, the trainer and the baselines read.  A
+``Query`` is a read-only view of one query's rows, made on demand by
+indexing or iterating the dataset; neither holds anything else.  The
+arrays are read-only, and every transformation returns a new dataset.
+
+``parse_letor`` is the one parser of the text format: it reads the LETOR
+text and, when given, the group text next to it, into the flat arrays;
 ``load_dataset`` reads both files, which must be ASCII, and calls it.
 The LETOR text is read in passes of a few hundred lines, and the
 numbers of a pass are parsed by one ``float``/``int`` pass over its
 tokens.  Each rule of a line is stated once, as a mask over the documents
 or the feature tokens of a pass, and the first line that breaks one is
-refused, with the first rule it breaks.  The constructor refuses what the
-parsers refuse, a non-finite value or a group label other than 0/1,
-naming the query rather than a line.  Datasets are immutable after
-construction: a query's arrays are read-only, so what is derived from
-them can be kept with the query (``Query.derived``, or
-``Query.derived_of_run`` for a run of queries built together), and every
-transformation returns a new dataset.
+refused, with the first rule it breaks.
 
 A binary-labeled CSV table is read by ``load_table`` alone, into arrays
 of features, labels and groups that ``convert_binary_table`` samples
@@ -39,11 +44,10 @@ import io
 import itertools
 import math
 import operator
-from typing import Callable, Hashable, Iterator, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 class DataError(ValueError):
@@ -54,116 +58,157 @@ class ParseError(DataError):
     """Raised for malformed input text; message carries the line number."""
 
 
+@dataclass(frozen=True, eq=False)
 class Query:
-    """One query: its candidate documents as arrays.
+    """One query of a dataset: its qid and read-only views of its rows of
+    the dataset's arrays, the ``(n, d)`` feature matrix, the ``(n,)``
+    relevances and the ``(n,)`` 0/1 groups or None."""
 
-    ``feature_matrix`` is ``(n, d)`` and ``relevances`` ``(n,)``, all
-    finite; ``groups`` is ``(n,)`` 0/1 labels or None.  The query keeps
-    read-only copies of them.  Because
-    the arrays cannot change, anything derived from them, such as a
-    metric's ideal DCG or a disparity's hinge rows, is built once and kept
-    with the query by ``derived``.
-    """
-
-    def __init__(self, qid: str, feature_matrix, relevances, groups=None):
-        self.qid = str(qid)
-        self.relevances = np.array(relevances, dtype=float)
-        n = self.relevances.shape[0] if self.relevances.ndim == 1 else -1
-        if n == 0:
-            raise DataError(f"query {qid!r} has no documents")
-        self.feature_matrix = np.array(feature_matrix, dtype=float)
-        if n < 0 or self.feature_matrix.ndim != 2 or len(self.feature_matrix) != n:
-            raise DataError(f"query {qid!r} has inconsistent feature shapes")
-        for name, values in (("relevance", self.relevances),
-                             ("feature", self.feature_matrix)):
-            if not np.isfinite(values).all():
-                raise DataError(f"query {qid!r} has a non-finite {name} value")
-        self.groups = None
-        if groups is not None:
-            labels = np.asarray(groups)
-            if labels.shape != (n,):
-                raise DataError(f"query {qid!r} has {labels.size} group "
-                                f"labels for {n} documents")
-            if not ((labels == 0) | (labels == 1)).all():
-                raise DataError(f"query {qid!r} has group labels other than "
-                                "0 and 1")
-            self.groups = labels.astype(np.intp)
-            self.groups.flags.writeable = False
-        self.feature_matrix.flags.writeable = False
-        self.relevances.flags.writeable = False
-        self._derived: dict[Hashable, object] = {}
-
-    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
-        """The value ``build()`` made on the first call with ``key``, kept
-        with this query and returned on every later call.  An array value is
-        made read-only; any other value must not change."""
-        value = self._derived.get(key)
-        if value is None:
-            value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._derived[key] = value
-        return value
-
-    @property
-    def num_docs(self) -> int:
-        return len(self.relevances)
-
-    @staticmethod
-    def derived_of_run(queries: Sequence["Query"], key: Hashable,
-                       build: Callable[[list["Query"]], Sequence[T]]) -> list[T]:
-        """Each query's ``derived`` value under ``key``.  The queries that
-        have none yet get theirs from one ``build(missing)`` call, which
-        gives one value per query of ``missing``, in order."""
-        missing = [query for query in queries if key not in query._derived]
-        if missing:
-            for query, value in zip(missing, build(missing)):
-                query.derived(key, lambda: value)
-        return [query._derived[key] for query in queries]
+    qid: str
+    feature_matrix: np.ndarray
+    relevances: np.ndarray
+    groups: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.relevances)
 
-    def __repr__(self) -> str:
-        return f"Query(qid={self.qid!r}, num_docs={self.num_docs})"
+
+@dataclass(frozen=True, eq=False)
+class Run:
+    """Consecutive queries of a dataset with n documents each, the first
+    being query ``start``: views of their rows of the dataset's arrays,
+    ``(Q, n, d)`` features, ``(Q, n)`` relevances and ``(Q, n)`` groups or
+    None, row q belonging to query ``start + q``."""
+
+    start: int
+    features: np.ndarray
+    relevances: np.ndarray
+    groups: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.relevances)
+
+
+# The rules of a query's documents, in the order they apply; each message
+# follows "query <qid> " and is formatted with the query's number of group
+# labels and of documents.
+_QUERY_RULES = ("has no documents", "has inconsistent feature shapes",
+                "has a non-finite relevance value", "has a non-finite feature value",
+                "has {0} group labels for {1} documents",
+                "has group labels other than 0 and 1")
 
 
 class Dataset:
-    """An ordered collection of queries with a common feature dimension.
+    """Queries with a common feature dimension, their documents held once.
 
-    ``runs`` holds each run of consecutive equal-size queries as a tuple.
+    ``qids`` names the queries in order, and ``sizes`` gives each one's
+    number of documents, its rows of the ``(N, d)`` ``features``, ``(N,)``
+    ``relevances`` and ``(N,)`` ``groups`` (or None) following those of
+    the queries before it.  The dataset keeps read-only copies of them.
+    ``runs`` holds each run of consecutive equal-size queries as a ``Run``
+    of views; ``dataset[i]``, and iteration, give ``Query`` views.
     """
 
-    def __init__(self, queries: Sequence[Query], feature_dim: int):
-        if len(queries) == 0:
+    def __init__(self, qids: Sequence[str], sizes: Sequence[int], features,
+                 relevances, groups=None):
+        self.qids = tuple(str(qid) for qid in qids)
+        if not self.qids:
             raise DataError("dataset has no queries")
-        self.queries = tuple(queries)
-        self.feature_dim = int(feature_dim)
-        grouped = [q.groups is not None for q in self.queries]
-        if any(grouped) and not all(grouped):
-            raise DataError("dataset mixes grouped and ungrouped queries")
-        self.has_groups = all(grouped)
-        for q in self.queries:
-            if q.feature_matrix.shape[1] != self.feature_dim:
-                raise DataError(
-                    f"query {q.qid!r} has {q.feature_matrix.shape[1]} features, "
-                    f"dataset declares {self.feature_dim}")
-        self.runs = tuple(tuple(run) for _, run in
-                          itertools.groupby(self.queries, key=len))
+        self.sizes = np.array(sizes, dtype=np.intp).reshape(-1)
+        if len(self.sizes) != len(self.qids):
+            raise DataError(f"{len(self.qids)} qids for {len(self.sizes)} query sizes")
+        self.features = np.array(features, dtype=float)
+        self.relevances = np.array(relevances, dtype=float)
+        self.groups = None if groups is None else np.asarray(groups)
+        _refuse_bad_query(self)
+        if self.groups is not None:
+            self.groups = self.groups.astype(np.intp)
+        self.feature_dim = self.features.shape[1]
+        self.has_groups = self.groups is not None
+        for values in (self.sizes, self.features, self.relevances, self.groups):
+            if values is not None:
+                values.flags.writeable = False
+        self._offsets = [0, *itertools.accumulate(self.sizes.tolist())]
+        runs, start = [], 0
+        for n, sizes in itertools.groupby(self.sizes.tolist()):
+            count = len(list(sizes))
+            docs = slice(self._offsets[start], self._offsets[start + count])
+            runs.append(Run(start, *(
+                None if values is None else values[docs].reshape(count, n, *values.shape[1:])
+                for values in (self.features, self.relevances, self.groups))))
+            start += count
+        self.runs = tuple(runs)
+
+    def __getitem__(self, index: int) -> Query:
+        index = range(len(self))[index]
+        docs = slice(self._offsets[index], self._offsets[index + 1])
+        return Query(self.qids[index], self.features[docs], self.relevances[docs],
+                     None if self.groups is None else self.groups[docs])
 
     def __iter__(self) -> Iterator[Query]:
-        return iter(self.queries)
+        return map(self.__getitem__, range(len(self)))
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.qids)
 
     @property
     def num_docs(self) -> int:
-        return sum(q.num_docs for q in self.queries)
+        return len(self.relevances)
+
+    def subset(self, indices: Sequence[int]) -> "Dataset":
+        """The dataset of the queries at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        sizes = self.sizes[indices]
+        # Document k of the subset is the j-th of its query, at the query's
+        # start plus j, that is at k plus the start less the documents before.
+        shift = np.asarray(self._offsets)[indices] - (np.cumsum(sizes) - sizes)
+        docs = np.arange(sizes.sum()) + np.repeat(shift, sizes)
+        return Dataset([self.qids[i] for i in indices.tolist()], sizes,
+                       self.features[docs], self.relevances[docs],
+                       None if self.groups is None else self.groups[docs])
 
     def __repr__(self) -> str:
         return (f"Dataset(queries={len(self)}, docs={self.num_docs}, "
                 f"feature_dim={self.feature_dim}, has_groups={self.has_groups})")
+
+
+def _refuse_bad_query(dataset: Dataset) -> None:
+    """Raise the ``DataError`` of the first query that breaks a rule of
+    ``_QUERY_RULES``, naming the first rule it breaks.  Each rule is one
+    mask, of the queries or of the documents that keep it; a document's
+    query is found only for a dataset that breaks one.  A query's
+    documents are those of its rows that both the relevances, a vector,
+    and the features, a matrix, hold; the last query also holds any rows
+    past the others'."""
+    sizes, rels, features = dataset.sizes, dataset.relevances, dataset.features
+    count, docs = len(sizes), np.maximum(sizes, 0)
+    stops = np.cumsum(docs)
+    starts = stops - docs
+    shaped = rels.ndim == 1 and features.ndim == 2
+    held = min(len(rels), len(features)) if shaped else 0
+    consistent = (stops <= held) & shaped
+    consistent[-1] &= shaped and len(rels) == len(features) == stops[-1]
+    if not shaped:
+        rels, features = np.zeros(0), np.zeros((0, 0))
+    # (mask, whether it is over the documents rather than the queries)
+    rules = [(sizes >= 1, False), (consistent, False),
+             (np.isfinite(rels[:held]), True),
+             (np.isfinite(features[:held]).all(axis=1), True)]
+    labels = None if dataset.groups is None else dataset.groups.reshape(-1)
+    if labels is not None:
+        given = np.clip(len(labels) - starts, 0, docs)
+        given[-1] = max(len(labels) - starts[-1], 0)
+        rules += [((given == sizes) & (dataset.groups.ndim == 1), False),
+                  (((labels == 0) | (labels == 1))[:held], True)]
+    if all(kept.all() for kept, _ in rules):
+        return
+    owner = np.repeat(np.arange(count), docs)
+    rules = [np.bincount(owner[:len(kept)][~kept], minlength=count) == 0 if of_docs
+             else kept for kept, of_docs in rules]
+    q = int(np.argmin(functools.reduce(operator.and_, rules)))
+    message = next(message for kept, message in zip(rules, _QUERY_RULES) if not kept[q])
+    raise DataError(f"query {dataset.qids[q]!r} "
+                    + message.format(given[q] if labels is not None else 0, sizes[q]))
 
 
 # Lines one parsing pass tokenizes at once.  The parser holds the token
@@ -196,26 +241,18 @@ def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
     group labels are read one per document in that dataset order.
     Features are densified to ``max(feature_dim or 0, largest feature id
     seen)`` with missing ids as 0: every value lands in one matrix of all
-    documents by one scatter, and each query takes its rows and its slice
-    of the labels.
+    documents by one scatter.
     """
-    qids, sizes, features, relevances, dim = _read_letor(source, feature_dim)
+    qids, sizes, features, relevances = _read_letor(source, feature_dim)
     labels = None if groups is None else _group_labels(groups, len(relevances))
-    queries = []
-    start = 0
-    for qid, size in zip(qids, sizes.tolist()):
-        stop = start + size
-        queries.append(Query(qid, features[start:stop], relevances[start:stop],
-                             None if labels is None else labels[start:stop]))
-        start = stop
-    return Dataset(queries, feature_dim=dim)
+    return Dataset(qids, sizes, features, relevances, labels)
 
 
 def _read_letor(source, feature_dim: int | None
-                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, int]:
+                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """The qids of LETOR text in first-appearance order, the number of
-    documents of each, the feature matrix and relevances of all documents
-    in dataset order, and the feature dimension.
+    documents of each, and the feature matrix and relevances of all
+    documents in dataset order.
 
     The lines are read in passes of ``_PASS_LINES``, each parsed and
     checked at once by ``_parse_documents``, which refuses the first bad
@@ -250,7 +287,7 @@ def _read_letor(source, feature_dim: int | None
     # Documents grouped by qid, the qids in first-appearance order.
     order = np.argsort(codes, kind="stable")
     return ([qid[4:] for qid in code], np.bincount(codes), matrix[order],
-            relevances[order], dim)
+            relevances[order])
 
 
 # The rules of a LETOR line, in the order they apply: those of the document
@@ -380,17 +417,19 @@ def format_letor(dataset: Dataset) -> str:
     """Serialize a dataset as LETOR text (dense features, 17 significant
     digits)."""
     lines = []
-    for q in dataset:
-        for rel, row in zip(q.relevances.tolist(), q.feature_matrix.tolist()):
-            feats = " ".join(f"{fid}:{_f17(v)}" for fid, v in enumerate(row, start=1))
-            lines.append(f"{_f17(rel)} qid:{q.qid} {feats}".rstrip())
+    qids = itertools.chain.from_iterable(map(itertools.repeat, dataset.qids,
+                                             dataset.sizes.tolist()))
+    for qid, rel, row in zip(qids, dataset.relevances.tolist(),
+                             dataset.features.tolist()):
+        feats = " ".join(f"{fid}:{_f17(v)}" for fid, v in enumerate(row, start=1))
+        lines.append(f"{_f17(rel)} qid:{qid} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def format_group_file(dataset: Dataset) -> str:
     if not dataset.has_groups:
         raise DataError("dataset has no group labels to serialize")
-    tokens = [str(g) for q in dataset for g in q.groups.tolist()]
+    tokens = [str(g) for g in dataset.groups.tolist()]
     return "\n".join(tokens) + "\n"
 
 
@@ -468,18 +507,16 @@ def generate_simulated(num_queries: int = 100, docs_per_query: int = 10,
     if not 0.0 <= minority_prob <= 1.0:
         raise DataError("minority_prob must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    queries = []
-    for qi in range(num_queries):
-        features, relevances, groups = [], [], []
-        for _ in range(docs_per_query):
-            group = 1 if rng.random() < minority_prob else 0
-            x1 = rng.uniform(0.0, 3.0)
-            x2 = rng.uniform(0.0, 3.0)
-            relevances.append(float(np.clip(x1 + x2, 0.0, 5.0)))
-            features.append((x1, 0.0 if group == 1 else x2))
-            groups.append(group)
-        queries.append(Query(str(qi + 1), features, relevances, groups))
-    return Dataset(queries, feature_dim=2)
+    features, relevances, groups = [], [], []
+    for _ in range(num_queries * docs_per_query):
+        group = 1 if rng.random() < minority_prob else 0
+        x1 = rng.uniform(0.0, 3.0)
+        x2 = rng.uniform(0.0, 3.0)
+        relevances.append(float(np.clip(x1 + x2, 0.0, 5.0)))
+        features.append((x1, 0.0 if group == 1 else x2))
+        groups.append(group)
+    return Dataset([str(qi + 1) for qi in range(num_queries)],
+                   [docs_per_query] * num_queries, features, relevances, groups)
 
 
 def convert_binary_table(features, labels, groups=None, num_queries: int = 100,
@@ -528,14 +565,15 @@ def convert_binary_table(features, labels, groups=None, num_queries: int = 100,
             raise DataError(f"need {size} label-{label} rows per query, have {len(pool)}")
 
     rng = np.random.default_rng(seed)
-    queries = []
-    for qi in range(num_queries):
+    rows = []
+    for _ in range(num_queries):
         chosen = np.concatenate([rng.choice(pool, size=size, replace=False)
                                  for pool, size, _ in pools])
-        chosen = chosen[rng.permutation(len(chosen))]
-        queries.append(Query(str(qi + 1), features[chosen], labels[chosen],
-                             None if groups is None else groups[chosen]))
-    return Dataset(queries, feature_dim=features.shape[1])
+        rows.append(chosen[rng.permutation(len(chosen))])
+    rows = np.concatenate(rows)
+    return Dataset([str(qi + 1) for qi in range(num_queries)],
+                   [candidate_size] * num_queries, features[rows], labels[rows],
+                   None if groups is None else groups[rows])
 
 
 def split_dataset(dataset: Dataset, train_fraction: float, seed: int = 0
@@ -552,9 +590,7 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed: int = 0
     perm = np.random.default_rng(seed).permutation(n)
     train_idx = np.sort(perm[:k])
     test_idx = np.sort(perm[k:])
-    train = Dataset([dataset.queries[i] for i in train_idx], dataset.feature_dim)
-    test = Dataset([dataset.queries[i] for i in test_idx], dataset.feature_dim)
-    return train, test
+    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
 def load_table(path, label_col: str, group_col: str, preprocess: bool

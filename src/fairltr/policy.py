@@ -13,13 +13,13 @@ probability (Yellott 1977; Kool et al., ICML 2019, arXiv 1903.06059).
 A draw is two steps: ``gumbel_noise`` takes the noise from a generator,
 and ``sample_rankings`` ranks scores by it.
 
-Everything here works in score space.  Log-probabilities
-(``ranking_logprobs``) and their gradients are computed in probability
-space, from the weights ``exp(s - max s)`` and the stage denominators summed
-over the documents not yet placed (``_stage_weights``).  A policy-gradient
-step needs only a weighted sum of the rankings' log-probability gradients,
-so ``logprob_grads_scores`` returns that sum, scattered to documents once,
-and never builds a gradient row per ranking.  The scoring models at the
+Everything here works in score space.  Log-probability gradients are
+computed in probability space, from the weights ``exp(s - max s)`` and the
+stage denominators summed over the documents not yet placed
+(``_stage_weights``).  A policy-gradient step needs only a weighted sum of
+the rankings' log-probability gradients, so ``logprob_grads_scores``
+returns that sum, scattered to documents once, and never builds a
+gradient row per ranking.  The scoring models at the
 bottom of the module map features to scores and backpropagate
 score-space gradients to their parameters, which is all a
 policy-gradient trainer needs.  Each model class states its parameter
@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ranking import Ranking
+from .ranking import Ranking, row_offsets
 
 SCORE_CLAMP = 50.0
 
@@ -91,29 +91,9 @@ def _stage_weights(scores: np.ndarray, orders: np.ndarray
     """
     s = clip_scores(scores)
     e = np.exp(s - s.max(axis=-1, keepdims=True))
-    index = np.asarray(orders, dtype=np.intp)
-    if s.ndim > 1:
-        index = index + _member_offsets(len(s), s.shape[-1])
+    index = np.asarray(orders, dtype=np.intp) + row_offsets(s.shape[:-1], s.shape[-1])
     w = e.reshape(-1)[index]
     return e, w, np.cumsum(w[..., ::-1], axis=-1)[..., ::-1], index
-
-
-@functools.lru_cache(maxsize=64)
-def _member_offsets(members: int, n: int) -> np.ndarray:
-    """``n * k`` for each member k, ``(members, 1, 1)``: where member k's
-    entries start in a flat array of ``n`` per member; read-only, built once
-    per shape."""
-    offsets = n * np.arange(members).reshape(-1, 1, 1)
-    offsets.flags.writeable = False
-    return offsets
-
-
-def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Log-probability of each ranking in a batch of shape ``(size, n)``, or
-    of one ranking ``(n,)``; rows are not validated."""
-    orders = np.asarray(orders)
-    _, w, remaining, _ = _stage_weights(scores, orders.reshape(-1, orders.shape[-1]))
-    return np.log(w / remaining).sum(axis=-1).reshape(orders.shape[:-1])
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,10 +204,6 @@ class PolicySample:
     @property
     def size(self) -> int:
         return self.rankings.shape[-2]
-
-    def select(self, members: np.ndarray) -> "PolicySample":
-        """The sample of the members at ``members`` of a member block."""
-        return PolicySample(self.scores[members], self.rankings[members])
 
     def score_grad(self, weights: np.ndarray) -> np.ndarray:
         """The score-function estimate ``mean_s weights[s] * grad log

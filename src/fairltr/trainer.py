@@ -34,14 +34,21 @@ that ``record.json`` and ``curves.csv`` are both written from.
 Each term of a step's gradient is a weighted mean of the sampled rankings'
 log-probability gradients, so a step sums the terms' per-ranking weights
 first, the centred rewards (``utility_weights``) less each member's
-``lam`` times the hinge's (``hinge_sample_weights``), and makes one
+``lam`` times the hinge's (``disparity_score_grad``), and makes one
 weighted gradient of the sum (``PolicySample.score_grad``), one scatter to
 the documents for all members.  Both disparities reach the trainer as the
 hinge rows of ``DisparityConfig.rows``, and one estimator,
-``hinge_sample_weights``, serves them: the hinge indicator of each row is
+``disparity_score_grad``, serves them: the hinge indicator of each row is
 estimated from the same Monte-Carlo sample as the expectation (its bias
 vanishes as the sample grows), and only the smooth inner expectation
 contributes gradient.
+
+Training and evaluation read the dataset's runs of consecutive equal-size
+queries (``Dataset.runs``), views of its flat arrays.  Before the first
+step, each run of the training split builds the constants its steps read,
+the metric's (``UtilityMetric.constants``) and the disparity's hinge rows,
+in one vectorized pass, and each step reads its query's row views of them
+and of the run's features.
 
 Every evaluation, of a policy or of a baseline, is one ``value_split`` pass
 per split over a member block: a ranker gives each block of consecutive
@@ -54,30 +61,25 @@ queries, one subset DP over the whole block; for larger ones, Monte
 Carlo, with one draw that every member ranks by
 (``policy.sample_rankings``) and reduces (``mc_exposure``) on its own.
 Each member evaluated alone would draw the same numbers in the same
-order, so every member gets the bits of its own pass.  The position bias
-vector of each length is built once and shared read-only, and each query
-keeps its metric constants (gains, ideal DCG, ERR stop probabilities) and
-its hinge rows, so training steps and evaluations pass the query itself to
-the metric and the disparity.  Each run of equal-size queries builds them
-in one pass: the training split's before the first step, an evaluation
-split's as its blocks are valued.
+order, so every member gets the bits of its own pass.  An evaluation pass
+builds each run's metric constants and hinge rows once, and each block
+reads its slice of them and of the run's features.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import policy
-from .data import Dataset, Query, require_seed
-from .fairness import DisparityConfig, HingeRows, PairRows, exposure_of_policy, \
-    hinge_gaps, hinge_weights, mc_exposure
-from .metrics import UtilityMetric, position_bias_vector
-from .policy import PolicySample, ScoringModel, draw_policy_sample, init_model, \
-    softmax_entropy
-from .ranking import ENUMERATION_LIMIT
+from .data import Dataset, require_seed
+from .fairness import DisparityConfig, Rows, exposure_of_policy, hinge_weights, \
+    mc_exposure
+from .metrics import Constants, UtilityMetric, position_bias_vector
+from .policy import ScoringModel, draw_policy_sample, init_model, softmax_entropy
+from .ranking import ENUMERATION_LIMIT, at_rankings
 
 
 class TrainingError(RuntimeError):
@@ -227,47 +229,35 @@ def utility_weights(rewards: np.ndarray, use_baseline: bool = True) -> np.ndarra
     return rewards - baseline
 
 
-def hinge_sample_weights(rankings: np.ndarray, rows: HingeRows) -> np.ndarray:
+def disparity_score_grad(rankings: np.ndarray, rows: Rows,
+                         disparity: DisparityConfig) -> np.ndarray:
     """Weights of the score-function estimate of the gradient of
-    ``hinge_mean(rows, exposure)``: ``(S,)`` for ``(S, n)`` rankings, or
-    ``(K, S)`` for a member block's ``(K, S, n)``, each member's with the
-    bits of its own call.  ``sample.score_grad`` of the weights is the
-    estimate.
+    ``disparity`` of one query, whose hinge rows are ``rows`` (its row of
+    ``DisparityConfig.rows``): ``(S,)`` for ``(S, n)`` rankings, or ``(K,
+    S)`` for a member block's ``(K, S, n)``, each member's with the bits of
+    its own call.  ``sample.score_grad`` of the weights is the estimate.
 
     The sample's exposures pick the active (positively violated) rows, and
-    a ranking's weight is the sum of the active rows' values at its
-    exposure, over the number of rows.  A dense row's value at each ranking
-    is one gather, ``rows[:, rankings] @ v``, and its gap the mean of those
-    values, so no exposure is estimated apart.  Pair rows estimate the
-    exposures (``mc_exposure``), turn the active pairs into exposure weights
-    (``hinge_weights``) and value each ranking under them.  Without rows,
-    or without an active one, every weight is exactly zero.
+    a ranking's weight is its exposure valued under the gradient of the
+    active rows.  The group row's value at each ranking is one gather, and
+    its gap the mean of those values, so no exposure is estimated apart.
+    Pair rows estimate the exposures (``mc_exposure``), take the gradient
+    of their active pairs (``hinge_weights``) and value each ranking under
+    it.  Without an active row every weight is exactly zero.
     """
-    *lead, size, n = rankings.shape
-    if len(rows) == 0:
-        return np.zeros((*lead, size))
-    bias = position_bias_vector(n)
-    if isinstance(rows, PairRows):
-        flat = rankings.reshape(-1, size, n)
-        active = hinge_gaps(rows, mc_exposure(flat, n)) > 0.0
-        if not active.any():
-            return np.zeros((*lead, size))
-        weights = hinge_weights(rows, active)
-        offsets = n * np.arange(len(weights))[:, None, None]
-        return (weights.ravel()[flat + offsets] @ bias).reshape(*lead, size)
-    # A row's gap is the mean of its values, positive where their sum is.
-    values = rows.take(rankings, axis=1) @ bias
-    active = values.sum(axis=-1, keepdims=True) > 0.0
-    return np.where(active, values, 0.0).sum(axis=0) / len(rows)
+    bias = position_bias_vector(rankings.shape[-1])
+    if disparity.kind == "group":
+        values = at_rankings(rows[0], rankings) @ bias
+        # The row's gap is the mean of its values, positive where their sum is.
+        return np.where(values.sum(axis=-1, keepdims=True) > 0.0, values, 0.0)
+    weights = hinge_weights(rows, mc_exposure(rankings, rankings.shape[-1]))
+    return at_rankings(weights, rankings) @ bias
 
 
-def disparity_score_grad(sample: PolicySample, query: Query,
-                         disparity: DisparityConfig) -> np.ndarray:
-    """The ``hinge_sample_weights`` of the disparity's rows of ``query``:
-    per-ranking weights ``(K, S)``, whose ``sample.score_grad`` is the
-    disparity's score gradient.  (The name is kept for the benchmark's
-    per-layer trace; it no longer returns the gradient itself.)"""
-    return hinge_sample_weights(sample.rankings, disparity.query_rows(query))
+def _row_views(arrays: tuple[np.ndarray, ...], index) -> tuple[np.ndarray, ...]:
+    """The views of ``arrays`` at ``index`` of their leading axis: one
+    query's, or a block's, constants or hinge rows of a run."""
+    return tuple(array[index] for array in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +284,11 @@ class EvalSummary:
 
 
 # A ranker gives, for a block of Q consecutive queries of n documents each,
+# the first being query `first` of the split, and their (Q, n, d) features,
 # K members' (K, Q, M, n) rankings, their (K, Q, M) weights and their
 # (K, Q, n) exposures, or None for exposures when no disparity is asked.
-Ranker = Callable[[tuple[Query, ...]], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+Ranker = Callable[[int, np.ndarray],
+                  tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
@@ -311,22 +303,28 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     values, each metric valuing a block in one ``batch_values`` call; an
     argmax ranking, M = 1 with weight 1, keeps the bits of its value.  Its
     disparities are ``from_exposures`` of its exposures, one call per block
-    for all members.  Each run of consecutive equal-size queries is cut
-    into blocks of as many queries as ``EVAL_BLOCK_DRAWS`` entries hold (at
-    least one), ``rows(n) * n`` per query of n documents, and ``rank`` is
-    called once per block, in split order.
+    for all members.  Each run of consecutive equal-size queries builds its
+    metric constants and hinge rows once, and is cut into blocks of as many
+    queries as ``EVAL_BLOCK_DRAWS`` entries hold (at least one), ``rows(n) *
+    n`` per query of n documents; ``rank`` is called once per block, in
+    split order, and each block reads its slice of the run's arrays.
     """
     scored = (metric, *extra_metrics)
     values, disparities = [], []
     for run in dataset.runs:
-        n = len(run[0])
+        n = run.relevances.shape[1]
+        constants = [each.constants(run.relevances) for each in scored]
+        hinges = None if disparity is None else disparity.rows(run.relevances, run.groups)
         per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
-        for block in (run[i:i + per_block] for i in range(0, len(run), per_block)):
-            orders, weights, exposures = rank(block)
-            values.append([(each.batch_values(orders, block) * weights).sum(axis=-1)
-                           for each in scored])
+        for start in range(0, len(run), per_block):
+            block = slice(start, start + per_block)
+            orders, weights, exposures = rank(run.start + start, run.features[block])
+            values.append([(each.batch_values(orders, _row_views(built, block))
+                            * weights).sum(axis=-1)
+                           for each, built in zip(scored, constants)])
             if disparity is not None:
-                disparities.append(disparity.from_exposures(exposures, block))
+                disparities.append(disparity.from_exposures(
+                    exposures, _row_views(hinges, block)))
     columns = np.concatenate(values, axis=-1)
     # Each row's mean has the bits of np.mean on that row alone, a
     # contiguous row's pairwise sum.
@@ -350,12 +348,11 @@ def argmax_ranker(model: ScoringModel,
     """A ``Ranker`` of the argmax ranking of each member of a model or a
     ``(K, P)`` member block, with weight 1, and ``exposures(scores,
     orders)`` of the members' ``(K, Q, n)`` scores and rankings.  A block's
-    features are stacked once and scored by each member, and all members'
-    rankings come from one stable ``argsort``."""
+    features are scored by each member, and all members' rankings come from
+    one stable ``argsort``."""
     members = [model.with_params(params) for params in np.atleast_2d(model.params)]
 
-    def rank(block):
-        features = np.array([q.feature_matrix for q in block])
+    def rank(first, features):
         scores = np.array([member.scores(features) for member in members])
         orders = policy.argmax_ranking(scores)
         return (orders[..., None, :], np.ones((*orders.shape[:-1], 1)),
@@ -416,22 +413,28 @@ def require_defined(splits: Sequence[tuple[str, Dataset, Sequence[UtilityMetric]
         kinds = {metric.kind for metric in valued}
         for metric in valued:
             if metric.kind == "err":
-                top = max(float(q.relevances.max()) for q in dataset)
+                top = float(dataset.relevances.max())
                 if top > metric.err_max_grade:
                     raise ValueError(
                         f"{name} split has relevance {top:g}, above "
                         f"err_max_grade {metric.err_max_grade:g}; raise "
                         f"err_max_grade to at least {top:g}")
         needs = "err" if "err" in kinds else None if disparity is None else "merit"
-        for q in dataset:
-            if needs and q.relevances.min() < 0.0:
-                raise ValueError(f"{name} split query {q.qid!r} has negative "
-                                 f"relevance {q.relevances.min():g}, for which "
+        for run in dataset.runs:
+            lowest, totals = run.relevances.min(axis=-1), run.relevances.sum(axis=-1)
+            negative = lowest < 0.0 if needs else np.zeros(len(run), dtype=bool)
+            zero = totals == 0.0 if "avgrank" in kinds else np.zeros(len(run), dtype=bool)
+            if not (negative | zero).any():
+                continue
+            # The first query at fault, with the first rule it breaks.
+            q = int(np.argmax(negative | zero))
+            qid = dataset.qids[run.start + q]
+            if negative[q]:
+                raise ValueError(f"{name} split query {qid!r} has negative "
+                                 f"relevance {lowest[q]:g}, for which "
                                  f"{needs} is undefined")
-            if "avgrank" in kinds and q.relevances.sum() == 0.0:
-                raise ValueError(
-                    f"{name} split query {q.qid!r} has only zero "
-                    "relevances, for which avgrank is undefined")
+            raise ValueError(f"{name} split query {qid!r} has only zero "
+                             "relevances, for which avgrank is undefined")
 
 
 def evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
@@ -585,16 +588,11 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
                    members)
     train_rng = np.random.default_rng(ss_train)
     eval_seeds = ss_eval.spawn(first.epochs)
-    # Each run of equal-size training queries builds the constants its steps
-    # read, metric constants and hinge rows, in one pass before the first.
-    for run in train_set.runs:
-        first.metric.prepare(run)
-        if first.disparity is not None:
-            first.disparity.run_rows(run)
+    steps = _step_queries(train_set, first)
 
     for epoch in range(1, first.epochs + 1):
         for qi in train_rng.permutation(len(train_set)):
-            failed = _train_step(block, train_set.queries[qi], first, train_rng)
+            failed = _train_step(block, steps[qi], first, train_rng)
             if failed:
                 for row, error in failed.items():
                     block.members[row].error = error
@@ -676,7 +674,33 @@ def _end_epoch(member: _Member, model: ScoringModel, epoch: int,
     return config.patience > 0 and epoch - member.best_epoch >= config.patience
 
 
-def _train_step(block: _Block, query: Query, config: TrainConfig,
+class _StepQuery(NamedTuple):
+    """What a training step reads of one query: its qid and its row views
+    of its run's features, metric constants and hinge rows (None without a
+    disparity)."""
+
+    qid: str
+    features: np.ndarray
+    constants: Constants
+    rows: Rows | None
+
+
+def _step_queries(dataset: Dataset, config: TrainConfig) -> list[_StepQuery]:
+    """Each query's ``_StepQuery``, in dataset order.  Each run builds its
+    metric constants and hinge rows in one pass."""
+    steps = []
+    for run in dataset.runs:
+        constants = config.metric.constants(run.relevances)
+        rows = None if config.disparity is None else \
+            config.disparity.rows(run.relevances, run.groups)
+        steps += [_StepQuery(dataset.qids[run.start + q], run.features[q],
+                             _row_views(constants, q),
+                             None if rows is None else _row_views(rows, q))
+                  for q in range(len(run))]
+    return steps
+
+
+def _train_step(block: _Block, query: _StepQuery, config: TrainConfig,
                 rng: np.random.Generator) -> dict[int, TrainingError]:
     """One step of every member of ``block`` on ``query``, each with its own
     trade-off weight and optimizer; ``config`` holds what they share.
@@ -684,18 +708,18 @@ def _train_step(block: _Block, query: Query, config: TrainConfig,
     finite or is above their optimizer's ``max_gradient``; their parameters
     do not move."""
     model = block.model
-    scores = model.scores(query.feature_matrix)
+    scores = model.scores(query.features)
     sample = draw_policy_sample(scores, config.sample_size, rng)
-    rewards = config.metric.batch_rewards(sample.rankings, query)
+    rewards = config.metric.batch_rewards(sample.rankings, query.constants)
     weights = utility_weights(rewards, config.use_baseline)
     if len(block.penalties):
         weights[block.penalized] -= block.penalties * disparity_score_grad(
-            sample.select(block.penalized), query, config.disparity)
+            sample.rankings[block.penalized], query.rows, config.disparity)
     score_grad = sample.score_grad(weights)
     if config.gamma != 0.0:
         _, entropy_grad = softmax_entropy(scores)
         score_grad = score_grad + config.gamma * entropy_grad
-    param_grad = model.backprop(query.feature_matrix, score_grad)
+    param_grad = model.backprop(query.features, score_grad)
     # NaN propagates through max, so a non-finite entry fails the test too.
     peaks = np.abs(param_grad).max(axis=-1)
     failed = {}

@@ -11,18 +11,26 @@ from the hinge rows of ``fairness.individual_rows`` and
 exposures.  ``expected_utility`` is the exact expected metric from the same
 DP, in O(2^n n), which the tests check against both.
 
+``ranking_logprobs`` gives each ranking's log-probability, and
 ``logprob_grad_rows`` is the stage-by-stage score gradient of each
 ranking's log-probability, the per-ranking reference of the library's
 weighted sum of those gradients.
 
-``hinge_weights`` is the exposure gradient of either kind of hinge rows:
-the package's for pair rows, and for dense rows the sum of the active rows
-over the number of rows, which the package never forms (its trainer
-values dense rows at each sampled ranking directly).
+The package builds the metric constants and the hinge rows of a run of
+equal-size queries in one vectorized pass.  ``query_gains``,
+``query_ideal_dcg``, ``query_group_row``, ``query_pairs`` and
+``query_disparity`` are the one-query references they are checked
+against, written as plain loops or per-query formulas.
+``hinge_weights`` is the exposure gradient of one query's hinge rows of
+either kind, written pair by pair for pair rows; the package forms it for
+pair rows only (its trainer values a group row at each sampled ranking
+directly).  ``_exact_hinge`` sums it over the enumerated rankings.
 
-``datasets_equal`` and ``models_equal`` compare datasets and models bit
-for bit, for the round-trip and determinism tests; ``param_arrays`` gives
-a model's named parameter arrays, the views of its one vector.
+``dataset_of`` builds a dataset from per-query arrays through the
+package's one constructor.  ``datasets_equal`` and ``models_equal``
+compare datasets and models bit for bit, for the round-trip and
+determinism tests; ``param_arrays`` gives a model's named parameter
+arrays, the views of its one vector.
 
 ``parse_letor_lines`` is the reference LETOR parser: it reads one line at a
 time and checks each rule with plain Python (``letor_line_error``), which
@@ -39,13 +47,11 @@ from typing import Iterator
 import numpy as np
 
 from fairltr.data import Dataset, ParseError, Query
-from fairltr import fairness
-from fairltr.fairness import HingeRows, PairRows, group_rows, hinge_gaps, \
-    hinge_mean, individual_rows, ranking_exposures
-from fairltr.metrics import UtilityMetric, _stop_probabilities, gains, ideal_dcg, \
-    position_bias_vector
-from fairltr.policy import SCORE_CLAMP, ScoringModel, placement_flows, \
-    position_marginals, ranking_logprobs
+from fairltr.fairness import DisparityConfig, group_rows, individual_rows, \
+    ranking_exposures
+from fairltr.metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
+from fairltr.policy import SCORE_CLAMP, ScoringModel, _stage_weights, \
+    placement_flows, position_marginals
 from fairltr.ranking import ENUMERATION_LIMIT, Ranking
 
 
@@ -103,7 +109,7 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
     glogs = logprob_grad_rows(s, orders)
     per_ranking = ranking_exposures(orders)
 
-    deltas = metric.batch_values(orders, rels)
+    deltas = metric.batch_values(orders, metric.constants(rels))
     stats = ExactPolicyStats(
         utility=float(probs @ deltas),
         utility_grad=(probs * deltas) @ glogs,
@@ -113,38 +119,94 @@ def enumerate_policy_expectations(scores: np.ndarray, relevances: np.ndarray,
     hinge = (stats.exposures, per_ranking, probs, glogs)
     if merits is not None:
         stats.individual_disparity, stats.individual_grad = _exact_hinge(
-            individual_rows(merits), *hinge)
+            "individual", individual_rows(merits), *hinge)
     if groups is not None:
         if merits is None:
             raise ValueError("group disparity needs merits")
         stats.group_disparity, stats.group_grad = _exact_hinge(
-            group_rows(merits, groups), *hinge)
+            "group", (group_rows(merits, groups),), *hinge)
     return stats
 
 
-def hinge_weights(rows: HingeRows, active: np.ndarray) -> np.ndarray:
-    """The gradient of ``hinge_mean(rows, exposures)`` wrt the exposures
-    where the rows marked in ``active`` are the violated ones: for pair rows
-    ``fairness.hinge_weights``, and for dense rows the active rows summed in
-    row order, an inactive row as zeros, over the number of rows.  A ``(K,
-    rows)`` block of masks gives ``(K, n)`` weights."""
-    if isinstance(rows, PairRows):
-        return fairness.hinge_weights(rows, active)
-    active = np.asarray(active, dtype=bool)
-    return np.where(active[..., None], rows, 0.0).sum(axis=-2) / len(rows)
+def query_gains(rels: np.ndarray) -> np.ndarray:
+    """The gains ``2**rel - 1`` of one query."""
+    return np.array([2.0 ** rel - 1.0 for rel in rels])
 
 
-def _exact_hinge(rows: HingeRows, exposures: np.ndarray,
+def query_ideal_dcg(rels: np.ndarray, k: int) -> float:
+    """DCG at ``k`` of one query's gains sorted best first."""
+    top = sorted(query_gains(rels), reverse=True)[:k]
+    return float(sum(gain / math.log2(2.0 + j) for j, gain in enumerate(top)))
+
+
+def query_group_row(merits: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """One query's group hinge row from its group totals: zero when a group
+    is absent, has no merit, or the mean merits tie."""
+    in0, in1 = groups == 0, groups == 1
+    n0, n1 = int(in0.sum()), int(in1.sum())
+    m0, m1 = float(merits[in0].sum()), float(merits[in1].sum())
+    if n0 == 0 or n1 == 0 or m0 <= 0.0 or m1 <= 0.0 or m0 / n0 == m1 / n1:
+        return np.zeros(len(merits))
+    return float(np.sign(m0 / n0 - m1 / n1)) * (in0 / m0 - in1 / m1)
+
+
+def query_pairs(merits: np.ndarray) -> list[tuple[int, int]]:
+    """One query's ordered pairs (i, j), i != j, with m_i >= m_j > 0."""
+    return [(i, j) for i in range(len(merits)) for j in range(len(merits))
+            if i != j and merits[i] >= merits[j] > 0.0]
+
+
+def query_disparity(kind: str, merits: np.ndarray, groups: np.ndarray | None,
+                    exposures: np.ndarray) -> float:
+    """The disparity of one query at one exposure vector, from its group
+    row or its pairs: the mean of the positive parts of the gaps, 0
+    without rows."""
+    if kind == "group":
+        if groups is None:
+            return 0.0
+        return max(0.0, float(query_group_row(merits, groups) @ exposures))
+    gaps = [exposures[i] / merits[i] - exposures[j] / merits[j]
+            for i, j in query_pairs(merits)]
+    return float(np.mean(np.maximum(gaps, 0.0))) if gaps else 0.0
+
+
+def hinge_weights(kind: str, rows: tuple[np.ndarray, ...],
+                  exposures: np.ndarray) -> np.ndarray:
+    """The gradient of one query's disparity of ``kind`` wrt the exposures,
+    with each hinge indicator taken at the ``(n,)`` ``exposures``: the
+    active rows summed, over the number of rows.  ``rows`` is the query's
+    row of ``DisparityConfig.rows``; pair rows are summed pair by pair."""
+    e = np.asarray(exposures, dtype=float)
+    if kind == "group":
+        (row,) = rows
+        return row if row @ e > 0.0 else np.zeros(len(e))
+    mask, inv_merit = rows
+    grad = np.zeros(len(e))
+    pairs = list(zip(*np.nonzero(mask)))
+    for i, j in pairs:
+        if e[i] * inv_merit[i] - e[j] * inv_merit[j] > 0.0:
+            grad[i] += inv_merit[i]
+            grad[j] -= inv_merit[j]
+    return grad / max(len(pairs), 1)
+
+
+def _exact_hinge(kind: str, rows: tuple[np.ndarray, ...], exposures: np.ndarray,
                  per_ranking: np.ndarray, probs: np.ndarray,
                  glogs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact ``hinge_mean(rows, exposures)`` and its score gradient, summed
-    over the enumerated rankings with hinge indicators from the exact
-    exposures."""
-    grad = np.zeros(exposures.shape[0])
-    if len(rows):
-        weights = hinge_weights(rows, hinge_gaps(rows, exposures) > 0.0)
-        grad = (probs * (per_ranking @ weights)) @ glogs
-    return hinge_mean(rows, exposures), grad
+    """Exact disparity of ``kind`` under one query's ``rows`` and its score
+    gradient, summed over the enumerated rankings with hinge indicators
+    from the exact exposures."""
+    weights = hinge_weights(kind, rows, exposures)
+    return (float(DisparityConfig(kind).from_exposures(exposures, rows)),
+            (probs * (per_ranking @ weights)) @ glogs)
+
+
+def ranking_logprobs(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Log-probability of each ranking in a batch of shape ``(size, n)``, or
+    of one ranking ``(n,)``; rows are not validated."""
+    orders = np.asarray(orders)
+    _, w, remaining, _ = _stage_weights(scores, orders.reshape(-1, orders.shape[-1]))
+    return np.log(w / remaining).sum(axis=-1).reshape(orders.shape[:-1])
 
 
 def logprob_grad_rows(scores: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -194,7 +256,7 @@ def expected_utility(scores: np.ndarray, relevances: np.ndarray,
     k = n if metric.cutoff is None else min(metric.cutoff, n)
     value = float(gains(rels) @ marginals[:, :k] @ position_bias_vector(k))
     if metric.kind == "ndcg":
-        ideal = ideal_dcg(rels, metric.cutoff)
+        ideal = float(ideal_dcg(rels, metric.cutoff))
         return value / ideal if ideal > 0.0 else 0.0
     return value
 
@@ -202,30 +264,42 @@ def expected_utility(scores: np.ndarray, relevances: np.ndarray,
 def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> float:
     """Exact ERR of the policy: the cascade reaches slot ``|S| + 1`` with
     probability ``prod_{d in S} (1 - R_d)``, whatever the order of ``S``."""
-    stop = _stop_probabilities(rels, max_grade)
+    stop, _ = UtilityMetric("err", err_max_grade=max_grade).constants(rels)
     placed, flows = placement_flows(scores)
     reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
     slot = placed.sum(axis=1) + 1.0
     return float(np.sum(reach * (flows @ stop) / slot))
 
 
+def dataset_of(queries) -> Dataset:
+    """The dataset of ``queries``, each ``(qid, features, relevances)``,
+    ``(qid, features, relevances, groups)`` or a ``Query`` view of another
+    dataset, built by the one constructor
+    from their concatenated arrays; a query's number of documents is its
+    number of relevances.  Groups are kept when the first query has them.
+    """
+    queries = [(query.qid, query.feature_matrix, query.relevances, query.groups)
+               if isinstance(query, Query) else tuple(query) + (None,) * (4 - len(query))
+               for query in queries]
+    if not queries:
+        return Dataset([], [], np.zeros((0, 0)), [])
+    qids, features, relevances, labels = zip(*queries)
+    return Dataset(qids, [len(np.atleast_1d(rels)) for rels in relevances],
+                   np.concatenate([np.asarray(f, dtype=float) for f in features]),
+                   np.concatenate([np.atleast_1d(np.asarray(r, dtype=float))
+                                   for r in relevances]),
+                   None if labels[0] is None else np.concatenate(labels))
+
+
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Bitwise equality of two datasets: qids, arrays and group labels."""
-    if (len(a) != len(b) or a.feature_dim != b.feature_dim
-            or a.has_groups != b.has_groups):
-        return False
-    for qa, qb in zip(a, b):
-        if qa.qid != qb.qid or qa.num_docs != qb.num_docs:
-            return False
-        if not np.array_equal(qa.feature_matrix, qb.feature_matrix):
-            return False
-        if not np.array_equal(qa.relevances, qb.relevances):
-            return False
-        if (qa.groups is None) != (qb.groups is None):
-            return False
-        if qa.groups is not None and not np.array_equal(qa.groups, qb.groups):
-            return False
-    return True
+    """Bitwise equality of two datasets: qids, sizes, arrays and group
+    labels."""
+    return (a.qids == b.qids and np.array_equal(a.sizes, b.sizes)
+            and a.features.shape == b.features.shape
+            and np.array_equal(a.features, b.features)
+            and np.array_equal(a.relevances, b.relevances)
+            and (a.groups is None) == (b.groups is None)
+            and (a.groups is None or np.array_equal(a.groups, b.groups)))
 
 
 # Feature ids must fit the index type: |id| <= the largest intp.
@@ -299,8 +373,8 @@ def parse_letor_lines(text: str, feature_dim: int | None = None) -> Dataset:
         for row, (_, features) in enumerate(docs):
             for fid, value in features.items():
                 matrix[row, fid - 1] = value
-        queries.append(Query(qid, matrix, [rel for rel, _ in docs]))
-    return Dataset(queries, dim)
+        queries.append((qid, matrix, [rel for rel, _ in docs]))
+    return dataset_of(queries)
 
 
 def models_equal(a: ScoringModel, b: ScoringModel) -> bool:

@@ -51,17 +51,20 @@ def sweep_outcome(sim_split):
         optimizer = trainer.make_optimizer("adam", 0.01)
         for _ in range(60):
             for qi in train_rng.permutation(len(train_set)):
-                query = train_set.queries[qi]
+                query = train_set[qi]
                 X = query.feature_matrix
                 scores = model.scores(X)
                 sample = policy.draw_policy_sample(scores, 50, train_rng)
-                rewards = metric.batch_rewards(sample.rankings, query.relevances)
+                rewards = metric.batch_rewards(sample.rankings,
+                                               metric.constants(query.relevances))
                 grads = model.backprop(X, sample.score_grad(
                     trainer.utility_weights(rewards)))
                 if lam:
                     sample = policy.draw_policy_sample(scores, 50, train_rng)
                     pen = model.backprop(X, sample.score_grad(
-                        trainer.disparity_score_grad(sample, query, grp)))
+                        trainer.disparity_score_grad(
+                            sample.rankings, grp.rows(query.relevances, query.groups),
+                            grp)))
                     grads = grads - lam * pen
                 optimizer.step(model.params, grads)
         summary = trainer.evaluate(model, train_set, metric, grp,
@@ -104,8 +107,9 @@ def test_gradient_matches_finite_differences(capsys):
             if abs(m0 - m1) < 0.05:
                 continue
             scores = X @ w
-            term = fairness.hinge_mean(fairness.group_rows(merits, groups),
-                                       fairness.exposure_of_policy(scores).values)
+            term = fairness.DisparityConfig("group").from_exposures(
+                fairness.exposure_of_policy(scores).values,
+                (fairness.group_rows(merits, groups),))
             hinge_gap = term if term > 0 else _signed_group_gap(
                 scores, merits, groups)
             if abs(hinge_gap) < 1e-3:       # too close to the hinge kink
@@ -120,9 +124,10 @@ def test_gradient_matches_finite_differences(capsys):
             w = rng.normal(scale=0.5, size=3)
             rels = rng.integers(0, 5, size=4).astype(float)
             rows = fairness.individual_rows(merit(rels))
-            if not len(rows):
+            if not rows[0].any():
                 continue
-            gaps = fairness.hinge_gaps(rows, fairness.exposure_of_policy(X @ w).values)
+            gaps = fairness.pair_gaps(
+                rows, fairness.exposure_of_policy(X @ w).values)[rows[0]]
             if np.abs(gaps).min() < 1e-3 or gaps.max() <= 0.0:
                 continue
             return X, w, rels, None
@@ -202,7 +207,7 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
             if exact.group_disparity > 0.01:    # indicator clearly active
                 break
         sample = policy.draw_policy_sample(scores, draws, rng)
-        rewards = metric.batch_rewards(sample.rankings, rels)
+        rewards = metric.batch_rewards(sample.rankings, metric.constants(rels))
         rows = oracle.logprob_grad_rows(scores, sample.rankings)
         centered = (rewards - rewards.mean())[:, None] * rows
         est_u = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
@@ -210,8 +215,9 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
         z_u = np.abs(est_u - exact.utility_grad) / np.maximum(se_u, 1e-12)
         worst_z = max(worst_z, z_u.max())
 
-        est_g = sample.score_grad(trainer.hinge_sample_weights(
-            sample.rankings, fairness.group_rows(merit(rels), groups)))
+        est_g = sample.score_grad(trainer.disparity_score_grad(
+            sample.rankings, (fairness.group_rows(merit(rels), groups),),
+            fairness.DisparityConfig("group")))
         merits = merit(rels)
         direction = np.sign(merits[groups == 0].mean()
                             - merits[groups == 1].mean())
@@ -227,9 +233,10 @@ def test_estimators_unbiased_within_three_standard_errors(capsys):
         worst_z = max(worst_z, z_g.max())
 
         pairs = fairness.individual_rows(merits)
-        gaps = fairness.hinge_gaps(pairs, exact.exposures)
-        if len(pairs) and np.abs(gaps).min() > 0.01 and gaps.max() > 0.0:
-            weights = trainer.hinge_sample_weights(sample.rankings, pairs)
+        gaps = fairness.pair_gaps(pairs, exact.exposures)[pairs[0]]
+        if len(gaps) and np.abs(gaps).min() > 0.01 and gaps.max() > 0.0:
+            weights = trainer.disparity_score_grad(
+                sample.rankings, pairs, fairness.DisparityConfig("individual"))
             est_i = sample.score_grad(weights)
             contrib = weights[:, None] * rows
             se_i = contrib.std(axis=0) / np.sqrt(draws)
@@ -258,7 +265,7 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
         for _ in range(10):
             scores = rng.normal(scale=1.5, size=n)
             orders = np.stack(list(oracle.all_rankings(n)))
-            total = np.exp(policy.ranking_logprobs(scores, orders)).sum()
+            total = np.exp(oracle.ranking_logprobs(scores, orders)).sum()
             worst_gap = max(worst_gap, abs(total - 1.0))
 
     scores = np.array([0.8, -0.4, 0.3])
@@ -267,7 +274,7 @@ def test_sampler_distribution_is_normalized_and_matched(capsys):
         scores, policy.gumbel_noise(np.random.default_rng(34), (size, 3)))
     keys = sample @ np.array([9, 3, 1])
     orders = np.stack(list(oracle.all_rankings(3)))
-    probs = np.exp(policy.ranking_logprobs(scores, orders))
+    probs = np.exp(oracle.ranking_logprobs(scores, orders))
     worst_z = 0.0
     for key, p in zip(orders @ np.array([9, 3, 1]), probs):
         freq = float(np.mean(keys == key))
@@ -327,9 +334,10 @@ def test_proportional_exposure_zero_disparity(capsys):
         groups = rng.integers(0, 2, size=n)
         if len(np.unique(groups)) < 2:
             groups[0], groups[-1] = 0, 1
-        for rows in (fairness.individual_rows(merits),
-                     fairness.group_rows(merits, groups)):
-            worst = max(worst, fairness.hinge_mean(rows, exposures))
+        for kind, rows in (("individual", fairness.individual_rows(merits)),
+                           ("group", (fairness.group_rows(merits, groups),))):
+            worst = max(worst, fairness.DisparityConfig(kind).from_exposures(
+                exposures, rows))
     ok = worst <= 1e-10
     report(capsys, ok, f"proportional exposure: max disparity {worst:.1e} "
                        f"(<= 1e-10)")
@@ -374,8 +382,8 @@ def test_learns_separable_dataset_to_perfect_ndcg(capsys):
         features = np.array([rng.integers(0, 4, size=2) for _ in range(8)],
                             dtype=float)
         relevances = np.clip(features[:, 0] + features[:, 1], 0.0, 5.0)
-        queries.append(data.Query(str(qi + 1), features, relevances))
-    ds = data.Dataset(queries, 2)
+        queries.append((str(qi + 1), features, relevances))
+    ds = oracle.dataset_of(queries)
     metric = metrics.UtilityMetric.parse("ndcg@10")
 
     init_seed = np.random.SeedSequence(0).spawn(4)[0]
@@ -424,8 +432,8 @@ def test_lp_baseline_slack_and_disparity_floor(capsys, sim_split, sweep_outcome)
         for query in train_set:
             estimates = regression.scores(query.feature_matrix)
             result = baselines.solve_fair_lp(estimates, query.groups, lam, merit)
-            per_query.append(fairness.hinge_mean(group.query_rows(query),
-                                                 result.exposures))
+            per_query.append(group.from_exposures(
+                result.exposures, group.rows(query.relevances, query.groups)))
         grid_disparity.append(float(np.mean(per_query)))
     lp_floor = min(grid_disparity)
     sweep_best = min(sweep_outcome[l]["disparity"]

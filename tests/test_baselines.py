@@ -31,7 +31,8 @@ def test_enumeration_exposures_match_policy_module():
     expo = fairness.exposure_of_policy(scores).values
     np.testing.assert_allclose(ex.exposures, expo, atol=1e-12)
     assert ex.individual_disparity == pytest.approx(
-        fairness.hinge_mean(fairness.individual_rows(rels), expo), abs=1e-12)
+        fairness.DisparityConfig("individual").from_exposures(
+            expo, fairness.individual_rows(rels)), abs=1e-12)
 
 
 def test_enumeration_gradients_match_finite_differences():
@@ -76,15 +77,15 @@ def test_linear_regression_recovers_exact_relationship():
     queries = []
     for qi in range(6):
         rows = slice(qi * 5, qi * 5 + 5)
-        queries.append(data.Query(str(qi), X[rows], y[rows]))
-    ds = data.Dataset(queries, 2)
+        queries.append((str(qi), X[rows], y[rows]))
+    ds = oracle.dataset_of(queries)
     model = baselines.fit_linear_regression(ds)
     np.testing.assert_allclose(model.weights, [2.0, -0.5], atol=1e-6)
     np.testing.assert_allclose(model.bias, [0.0], atol=1e-6)
 
 
 def test_linear_regression_fits_constant_via_bias():
-    ds = data.Dataset([data.Query("1", np.zeros((8, 1)), np.full(8, 3.0))], 1)
+    ds = oracle.dataset_of([("1", np.zeros((8, 1)), np.full(8, 3.0))])
     model = baselines.fit_linear_regression(ds)
     np.testing.assert_allclose(model.bias, [3.0], atol=1e-8)
 
@@ -290,14 +291,14 @@ def test_lp_values_are_those_of_its_optimal_mixtures():
     ``trainer.value_split`` with all penalty weights as one block: NDCG is
     the expected exposure's gain over the ideal DCG (up to the rounding of
     a weighted sum of two NDCGs), ERR the weighted ERR of the rankings, and
-    the disparity that of the expected exposures, bit for bit."""
+    the disparity that of the expected exposures under the query's own
+    rows, bit for bit, and its one-query reference's to 1e-12."""
     small = data.generate_simulated(num_queries=8, docs_per_query=6, seed=3)
     large = data.generate_simulated(num_queries=8, docs_per_query=9, seed=4)
-    dataset = data.Dataset([q for pair in zip(small, large) for q in pair],
-                           small.feature_dim)
+    dataset = oracle.dataset_of([q for pair in zip(small, large) for q in pair])
     merit = fairness.MeritFunction()
     lambdas = baselines.lp_lambda_grid()
-    rank, _ = cli._lp_ranker(dataset, [("train", dataset)], lambdas, merit)
+    (rank,), _ = cli._lp_rankers(dataset, [("train", dataset)], lambdas, merit)
     ndcg, err = metrics.UtilityMetric("ndcg"), cli.err_metric_for(dataset)
     group = fairness.DisparityConfig("group", merit)
     summaries = trainer.value_split(dataset, rank, ndcg, group, [err])
@@ -308,14 +309,19 @@ def test_lp_values_are_those_of_its_optimal_mixtures():
             result = baselines.solve_fair_lp(regression.scores(query.feature_matrix),
                                              query.groups, lam, merit)
             mixtures += len(result.orders) == 2
-            ideal = metrics.ideal_dcg(query)
-            expected = metrics.gains(query) @ result.exposures / ideal if ideal else 0.0
+            ideal = metrics.ideal_dcg(query.relevances)
+            expected = (metrics.gains(query.relevances) @ result.exposures / ideal
+                        if ideal else 0.0)
             assert abs(summary.metric_values[q] - expected) <= 1e-12
-            errs = np.array([err.value(order, query) for order in result.orders])
+            errs = np.array([err.value(order, query.relevances)
+                             for order in result.orders])
             # Products, then their sum: a BLAS dot may fuse them.
             assert summary.extra_values[0][q] == (result.weights * errs).sum()
-            assert summary.disparity_values[q] == fairness.hinge_mean(
-                group.query_rows(query), result.exposures)
+            want = oracle.query_disparity("group", merit(query.relevances),
+                                          query.groups, result.exposures)
+            assert abs(summary.disparity_values[q] - want) <= 1e-12
+            assert summary.disparity_values[q] == group.from_exposures(
+                result.exposures, group.rows(query.relevances, query.groups))
     assert mixtures > 0
 
 
@@ -391,7 +397,7 @@ def _top1_reference(dataset, lam, learning_rate=0.01, epochs=50, seed=0,
     clipped = 0
     for _ in range(epochs):
         for qi in rng.permutation(len(dataset)):
-            X = dataset.queries[qi].feature_matrix
+            X = dataset[qi].feature_matrix
             scores = model.scores(X)
             z = np.exp(scores - scores.max())
             p = z / z.sum()
@@ -428,9 +434,9 @@ def top1_block_dataset(features):
     for qi in range(12):
         n = 6 if qi % 2 else 9
         groups = np.zeros(n, dtype=int) if qi == 3 else (rng.random(n) < 0.3).astype(int)
-        queries.append(data.Query(str(qi), rng.normal(size=(n, features)),
+        queries.append((str(qi), rng.normal(size=(n, features)),
                                   rng.uniform(0.0, 3.0, n), groups))
-    return data.Dataset(queries, features)
+    return oracle.dataset_of(queries)
 
 
 @pytest.mark.parametrize("features", [2, 5])

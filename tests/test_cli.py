@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fairltr import baselines, cli, data, fairness, metrics, policy, trainer
+import oracle
 
 
 def run(argv):
@@ -434,13 +435,13 @@ def two_size_dir(tmp_path_factory):
         small = data.generate_simulated(num_queries=6, docs_per_query=6, seed=seed)
         large = data.generate_simulated(num_queries=6, docs_per_query=9,
                                         seed=seed + 100)
-        queries = [data.Query(f"{size}{q.qid}", q.feature_matrix, q.relevances,
+        queries = [(f"{size}{q.qid}", q.feature_matrix, q.relevances,
                               q.groups)
                    for i in range(0, 6, 2)
                    for size, part in (("s", small), ("l", large))
-                   for q in part.queries[i:i + 2]]
+                   for q in list(part)[i:i + 2]]
         out.mkdir(parents=True, exist_ok=True)
-        data.save_dataset(data.Dataset(queries, small.feature_dim),
+        data.save_dataset(oracle.dataset_of(queries),
                           out / f"{name}.letor", out / f"{name}.groups")
     return out
 
@@ -462,10 +463,11 @@ def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
             ndcg_vals, err_vals, disp_vals = [], [], []
             for query in dataset:
                 order = policy.argmax_ranking(model.scores(query.feature_matrix))
-                ndcg_vals.append(ndcg_metric.value(order, query))
-                err_vals.append(err_metrics[split_name].value(order, query))
-                disp_vals.append(fairness.hinge_mean(
-                    group.query_rows(query), fairness.ranking_exposures(order)))
+                ndcg_vals.append(ndcg_metric.value(order, query.relevances))
+                err_vals.append(err_metrics[split_name].value(order, query.relevances))
+                disp_vals.append(float(group.from_exposures(
+                    fairness.ranking_exposures(order),
+                    group.rows(query.relevances, query.groups))))
             rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
                          float(np.mean(err_vals)), float(np.mean(disp_vals)),
                          None])
@@ -603,10 +605,8 @@ def test_an_err_eval_writes_its_err_column_once(tmp_path, dataset_dir, capsys):
 
 def test_err_grade_covers_a_val_file_above_the_train_file(tmp_path, dataset_dir):
     full = data.load_dataset(dataset_dir / "data.letor")
-    capped = data.Dataset(
-        [data.Query(q.qid, q.feature_matrix,
-                                np.minimum(q.relevances, 4.0)) for q in full],
-        full.feature_dim)
+    capped = oracle.dataset_of([(q.qid, q.feature_matrix,
+                                np.minimum(q.relevances, 4.0)) for q in full])
     train_file = tmp_path / "capped.letor"
     data.save_dataset(capped, train_file)
     val_dir = tmp_path / "val"
@@ -627,10 +627,10 @@ def test_avgrank_refuses_an_all_zero_query_before_any_work(
     full = data.load_dataset(dataset_dir / "data.letor")
     queries = list(full)
     q = queries[3]
-    queries[3] = data.Query(q.qid, q.feature_matrix,
+    queries[3] = (q.qid, q.feature_matrix,
                                         np.zeros(len(q)), q.groups)
     letor = tmp_path / "zero.letor"
-    data.save_dataset(data.Dataset(queries, full.feature_dim), letor)
+    data.save_dataset(oracle.dataset_of(queries), letor)
     checkpoint = tmp_path / "model.txt"
     policy.save_model(policy.LinearModel(np.zeros(full.feature_dim)), checkpoint)
     out = tmp_path / "out"
@@ -668,10 +668,10 @@ def test_a_negative_relevance_is_refused_where_err_or_a_merit_is_valued(
                              dataset_dir / "data.groups")
     queries = list(full)
     q = queries[3]
-    queries[3] = data.Query(q.qid, q.feature_matrix,
+    queries[3] = (q.qid, q.feature_matrix,
                             np.concatenate(([-1.0], q.relevances[1:])), q.groups)
     neg = tmp_path / "neg.letor"
-    data.save_dataset(data.Dataset(queries, full.feature_dim), neg,
+    data.save_dataset(oracle.dataset_of(queries), neg,
                       tmp_path / "neg.groups")
     model = tmp_path / "model.txt"
     policy.save_model(policy.LinearModel(np.zeros(full.feature_dim)), model)
@@ -1137,10 +1137,10 @@ def test_every_command_runs_on_degenerate_queries(tmp_path):
             relevances[:] = 0.0
         if n == 5:
             groups[:] = 0
-        queries.append(data.Query(str(qid), rng.uniform(0.0, 3.0, size=(n, 2)),
+        queries.append((str(qid), rng.uniform(0.0, 3.0, size=(n, 2)),
                                   relevances, groups))
     letor = tmp_path / "data.letor"
-    data.save_dataset(data.Dataset(queries, 2), letor, tmp_path / "data.groups")
+    data.save_dataset(oracle.dataset_of(queries), letor, tmp_path / "data.groups")
     common = ["--train", letor, "--val", letor, "--disparity", "group",
               "--epochs", 2, "--samples", 4, "--patience", 0]
     out = tmp_path / "out"

@@ -21,7 +21,7 @@ def test_parse_letor_basic():
     assert len(ds) == 2
     assert ds.feature_dim == 2
     assert not ds.has_groups
-    q7, q9 = ds.queries
+    q7, q9 = ds
     assert q7.qid == "7" and q9.qid == "9"
     assert len(q7) == 2 and len(q9) == 1
     np.testing.assert_allclose(q7.feature_matrix,
@@ -32,13 +32,13 @@ def test_parse_letor_basic():
 def test_parse_letor_groups_queries_by_first_appearance():
     text = "1 qid:b 1:1\n0 qid:a 1:2\n2 qid:b 1:3\n"
     ds = data.parse_letor(text)
-    assert [q.qid for q in ds.queries] == ["b", "a"]
-    assert len(ds.queries[0]) == 2
+    assert [q.qid for q in ds] == ["b", "a"]
+    assert len(ds[0]) == 2
 
 
 def test_parse_letor_pads_missing_features():
     ds = data.parse_letor("1 qid:1 3:2.5\n", feature_dim=4)
-    np.testing.assert_allclose(ds.queries[0].feature_matrix,
+    np.testing.assert_allclose(ds[0].feature_matrix,
                                [[0.0, 0.0, 2.5, 0.0]])
     assert ds.feature_dim == 4
 
@@ -135,7 +135,7 @@ def test_ids_beyond_feature_dim_widen_the_matrix_and_crlf_parses():
     assert str(caught.value) == "no document lines found"
     ds = data.parse_letor("1\tqid:a\t3:2.5\r\n0 qid:a 1:1 # c\r\n\r\n", feature_dim=2)
     assert ds.feature_dim == 3
-    np.testing.assert_array_equal(ds.queries[0].feature_matrix,
+    np.testing.assert_array_equal(ds[0].feature_matrix,
                                   [[0.0, 0.0, 2.5], [1.0, 0.0, 0.0]])
 
 
@@ -200,7 +200,7 @@ def test_a_text_read_in_several_passes_parses_as_in_one(monkeypatch):
     for source in (text, io.StringIO(text), text.splitlines(True)):
         assert oracle.datasets_equal(data.parse_letor(source, "1 0 1 0 1\n"), whole)
     assert [q.qid for q in whole] == ["b", "a", "c"]
-    assert whole.queries[0].feature_matrix.tolist() == [[1.0, 2.0], [4.0, 0.0]]
+    assert whole[0].feature_matrix.tolist() == [[1.0, 2.0], [4.0, 0.0]]
     with pytest.raises(data.ParseError) as caught:
         data.parse_letor(text + "\n1 qid:d 1:1 1:2\n")
     assert str(caught.value) == "line 9: feature id 1 repeated"
@@ -291,8 +291,8 @@ def test_letor_round_trip_is_bit_exact():
             scale = 10.0 ** float(rng.integers(-8, 8))
             features.append(rng.normal(size=3) * scale)
             relevances.append(float(rng.integers(0, 5)))
-        queries.append(data.Query(qid, features, relevances))
-    ds = data.Dataset(queries, 3)
+        queries.append((qid, np.array(features), relevances))
+    ds = oracle.dataset_of(queries)
     text = data.format_letor(ds)
     again = data.parse_letor(text)
     assert oracle.datasets_equal(ds, again)
@@ -311,30 +311,30 @@ def test_group_file_round_trip(tmp_path):
 
 
 def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
-    """Loading with a group file builds each query once, with its labels in
-    dataset order, into the dataset that parsing the two texts gives, and a
-    bad label fails with the group file's message."""
+    """Loading with a group file builds the dataset once, each query with
+    its labels in dataset order, into the dataset that parsing the two
+    texts gives, and a bad label fails with the group file's message."""
     letor, groups = tmp_path / "d.letor", tmp_path / "d.groups"
     # Query a's documents are not adjacent: labels follow dataset order.
     letor.write_text("2 qid:a 1:1\n0 qid:b 1:2\n1 qid:a 1:3\n3 qid:c 1:4\n")
     groups.write_text("1\n0\n0\n1\n")
-    want = data.Dataset([data.Query("a", [[1.0], [3.0]], [2.0, 1.0], [1, 0]),
-                         data.Query("b", [[2.0]], [0.0], [0]),
-                         data.Query("c", [[4.0]], [3.0], [1])], 1)
+    want = oracle.dataset_of([("a", [[1.0], [3.0]], [2.0, 1.0], [1, 0]),
+                              ("b", [[2.0]], [0.0], [0]),
+                              ("c", [[4.0]], [3.0], [1])])
     assert oracle.datasets_equal(
         data.parse_letor(letor.read_text(), groups.read_text()), want)
     built = []
-    init = data.Query.__init__
+    init = data.Dataset.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(args[0])
+        built.append(tuple(args[0]))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(data.Query, "__init__", counted)
+    monkeypatch.setattr(data.Dataset, "__init__", counted)
     got = data.load_dataset(letor, groups)
-    assert built == ["a", "b", "c"] and len(got) == 3
+    assert built == [("a", "b", "c")] and len(got) == 3
     assert oracle.datasets_equal(got, want)
-    assert got.queries[0].groups.tolist() == [1, 0]
+    assert got[0].groups.tolist() == [1, 0]
     groups.write_text("1\n0\n2\n1\n")
     with pytest.raises(data.ParseError, match="must be 0 or 1, got '2'"):
         data.load_dataset(letor, groups)
@@ -349,17 +349,22 @@ def test_group_file_must_match_shape():
 
 
 def test_dataset_rejects_mixed_group_presence():
-    with_g = data.Query("1", np.zeros((1, 1)), [1.0], [0])
-    without = data.Query("2", np.zeros((1, 1)), [1.0])
-    with pytest.raises(data.DataError):
-        data.Dataset([with_g, without], 1)
+    """Group labels for only some of the queries: the first query without
+    its labels is refused."""
+    with pytest.raises(data.DataError,
+                       match="query '2' has 0 group labels for 1 documents"):
+        data.Dataset(["1", "2"], [1, 1], np.zeros((2, 1)), [1.0, 1.0], [0])
 
 
 def test_query_arrays_are_read_only_copies():
+    """A dataset keeps read-only copies of its arrays; its runs and its
+    queries are views of them."""
     feats = np.arange(6.0).reshape(2, 3)
     rels, groups = np.array([1.0, 0.0]), np.array([0, 1])
-    query = data.Query("q", feats, rels, groups)
-    for values in (query.feature_matrix, query.relevances, query.groups):
+    dataset = data.Dataset(["q"], [2], feats, rels, groups)
+    query, (run,) = dataset[0], dataset.runs
+    for values in (query.feature_matrix, query.relevances, query.groups,
+                   run.features, run.relevances, run.groups, dataset.features):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 7
@@ -371,29 +376,29 @@ def test_query_arrays_are_read_only_copies():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: data.Query("q", [], []), "no documents"),
-    (lambda: data.Query("q", np.zeros((0, 2)), []), "no documents"),
-    (lambda: data.Query("q", np.zeros((3, 2)), [1.0, 0.0]),
+    (lambda: oracle.dataset_of([("q", [], [])]), "no documents"),
+    (lambda: oracle.dataset_of([("q", np.zeros((0, 2)), [])]), "no documents"),
+    (lambda: oracle.dataset_of([("q", np.zeros((3, 2)), [1.0, 0.0])]),
      "inconsistent feature shapes"),
-    (lambda: data.Query("q", np.zeros(2), [1.0, 0.0]),
+    (lambda: oracle.dataset_of([("q", np.zeros(2), [1.0, 0.0])]),
      "inconsistent feature shapes"),
-    (lambda: data.Query("q", np.zeros((2, 1)), [[1.0, 0.0]]),
+    (lambda: oracle.dataset_of([("q", np.zeros((2, 1)), [[1.0, 0.0]])]),
      "inconsistent feature shapes"),
-    (lambda: data.Query("q", np.zeros((2, 1)), [1.0, 0.0], [0]),
+    (lambda: oracle.dataset_of([("q", np.zeros((2, 1)), [1.0, 0.0], [0])]),
      "1 group labels for 2 documents"),
     # What the LETOR and group-file parsers refuse by line, the constructor
     # refuses by query.
-    (lambda: data.Query("q", np.zeros((3, 1)), [3, 1, 2], [0, 7, 1]),
+    (lambda: oracle.dataset_of([("q", np.zeros((3, 1)), [3, 1, 2], [0, 7, 1])]),
      "query 'q' has group labels other than 0 and 1"),
-    (lambda: data.Query("q", np.zeros((2, 1)), [1.0, 0.0], [0.5, 1]),
+    (lambda: oracle.dataset_of([("q", np.zeros((2, 1)), [1.0, 0.0], [0.5, 1])]),
      "query 'q' has group labels other than 0 and 1"),
-    (lambda: data.Query("q", [[np.nan], [1.0]], [np.inf, 1.0]),
+    (lambda: oracle.dataset_of([("q", [[np.nan], [1.0]], [np.inf, 1.0])]),
      "query 'q' has a non-finite relevance value"),
-    (lambda: data.Query("q", np.zeros((2, 1)), [-np.inf, 0.0]),
+    (lambda: oracle.dataset_of([("q", np.zeros((2, 1)), [-np.inf, 0.0])]),
      "query 'q' has a non-finite relevance value"),
-    (lambda: data.Query("q", [[np.nan], [1.0]], [1.0, 0.0]),
+    (lambda: oracle.dataset_of([("q", [[np.nan], [1.0]], [1.0, 0.0])]),
      "query 'q' has a non-finite feature value"),
-    (lambda: data.Query("q", [[0.0, 1.0], [2.0, np.inf]], [1.0, 0.0], [0, 1]),
+    (lambda: oracle.dataset_of([("q", [[0.0, 1.0], [2.0, np.inf]], [1.0, 0.0], [0, 1])]),
      "query 'q' has a non-finite feature value"),
 ])
 def test_query_from_arrays_is_checked_like_documents(build, message):
@@ -411,7 +416,7 @@ def test_generate_simulated_shape_and_determinism():
     assert a.has_groups
     assert oracle.datasets_equal(a, b)
     assert not oracle.datasets_equal(a, c)
-    assert [q.qid for q in a.queries] == [str(i) for i in range(1, 7)]
+    assert [q.qid for q in a] == [str(i) for i in range(1, 7)]
 
 
 def test_generate_simulated_minority_feature_is_withheld():

@@ -27,7 +27,7 @@ def enumerated_marginals(scores):
     marginals = np.zeros((n, n))
     for order in oracle.all_rankings(n):
         marginals[order, np.arange(n)] += np.exp(
-            policy.ranking_logprobs(scores, order))
+            oracle.ranking_logprobs(scores, order))
     return marginals
 
 
@@ -77,9 +77,9 @@ def test_exact_paths_never_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an exact path enumerated or sampled rankings")
 
-    for name in ("all_rankings", "enumerate_policy_expectations"):
+    for name in ("all_rankings", "enumerate_policy_expectations", "ranking_logprobs"):
         monkeypatch.setattr(oracle, name, refuse)
-    for name in ("ranking_logprobs", "gumbel_noise", "sample_rankings"):
+    for name in ("gumbel_noise", "sample_rankings"):
         monkeypatch.setattr(policy, name, refuse)
     scores = np.linspace(-1.0, 1.0, 7)
     rels = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 1.0, 0.0])

@@ -26,9 +26,8 @@ def lp_data(r_hat, groups, lam, merit=fairness.MeritFunction()):
     if groups is not None and lam > 0.0:
         g = np.asarray(groups)
         merits = merit(np.maximum(r_hat, 0.0))
-        rows = fairness.group_rows(merits, g)
-        if len(rows):
-            a = rows[0] * (merits[g == 0].sum() + merits[g == 1].sum()) / v.sum()
+        a = fairness.group_rows(merits, g) \
+            * (merits[g == 0].sum() + merits[g == 1].sum()) / v.sum()
     return w, a, v
 
 

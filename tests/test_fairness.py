@@ -2,12 +2,24 @@
 import numpy as np
 import pytest
 
-from fairltr import data, fairness, metrics, policy, trainer
-from fairltr.fairness import group_rows, hinge_mean, individual_rows
+from fairltr import fairness, metrics, policy, trainer
+from fairltr.fairness import group_rows, individual_rows
 from fairltr.ranking import ENUMERATION_LIMIT
 import oracle
 
 V2 = 0.6309297535714574    # position bias at rank 2
+INDIVIDUAL = fairness.DisparityConfig("individual")
+GROUP = fairness.DisparityConfig("group")
+
+
+def individual(merits, exposures):
+    """Individual disparity of exposures under the pair rows of merits."""
+    return INDIVIDUAL.from_exposures(exposures, individual_rows(np.asarray(merits)))
+
+
+def group(merits, groups, exposures):
+    """Group disparity of exposures under the group row of merits and groups."""
+    return GROUP.from_exposures(exposures, (group_rows(merits, groups),))
 
 
 def test_merit_function_forms():
@@ -65,36 +77,36 @@ def test_exposure_auto_switches_on_query_size():
 
 def test_individual_disparity_hand_values():
     exposures = np.array([1.0, V2])
-    assert hinge_mean(individual_rows(np.array([1.0, 1.0])), exposures) == \
+    assert individual(np.array([1.0, 1.0]), exposures) == \
         pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     # the better document is allowed more exposure per merit than it gets
-    assert hinge_mean(individual_rows(np.array([2.0, 1.0])), exposures) == 0.0
+    assert individual(np.array([2.0, 1.0]), exposures) == 0.0
 
 
 def test_individual_disparity_ignores_zero_merit_partners():
     exposures = np.array([1.0, V2, 0.5])
     merits = np.array([2.0, 0.0, 1.0])
     # only the (0, 2) pair qualifies: max(0, 1/2 - 0.5/1) / 1
-    assert hinge_mean(individual_rows(merits), exposures) == \
+    assert individual(merits, exposures) == \
         pytest.approx(0.0, abs=1e-12)
     merits = np.array([1.0, 0.0, 2.0])
     # only (2, 0): max(0, 0.5/2 - 1/1) -> 0; no qualifying positive pair
-    assert hinge_mean(individual_rows(merits), exposures) == 0.0
+    assert individual(merits, exposures) == 0.0
 
 
 def test_individual_disparity_no_pairs_is_zero():
-    assert hinge_mean(individual_rows(np.array([2.0])), np.array([1.0])) == 0.0
-    assert hinge_mean(individual_rows(np.zeros(2)), np.array([1.0, V2])) == 0.0
+    assert individual(np.array([2.0]), np.array([1.0])) == 0.0
+    assert individual(np.zeros(2), np.array([1.0, V2])) == 0.0
 
 
 def test_group_disparity_hand_value():
     exposures = np.array([1.0, V2])
     merits = np.array([1.1, 1.0])
     groups = np.array([0, 1])
-    got = hinge_mean(group_rows(merits, groups), exposures)
+    got = group(merits, groups, exposures)
     assert got == pytest.approx(1.0 / 1.1 - V2, abs=1e-12)
     # swap the direction: the higher-merit group is now under-exposed
-    assert hinge_mean(group_rows(merits, groups), exposures[::-1].copy()) == 0.0
+    assert group(merits, groups, exposures[::-1].copy()) == 0.0
 
 
 def test_group_disparity_degenerate_cases_are_zero():
@@ -102,8 +114,8 @@ def test_group_disparity_degenerate_cases_are_zero():
     for merits, groups in (([2.0, 1.0], [0, 0]), ([0.0, 0.0], [0, 1]),
                            # equal mean merit: tie, no preferred direction
                            ([1.0, 1.0], [0, 1])):
-        rows = group_rows(np.array(merits), np.array(groups))
-        assert hinge_mean(rows, exposures) == 0.0
+        assert not group_rows(np.array(merits), np.array(groups)).any()
+        assert group(np.array(merits), np.array(groups), exposures) == 0.0
 
 
 def test_merit_proportional_exposure_has_zero_disparity():
@@ -111,9 +123,9 @@ def test_merit_proportional_exposure_has_zero_disparity():
     merits = np.array([3.0, 2.0, 1.0])
     exposures = merits * 0.4
     groups = np.array([0, 1, 0])
-    assert hinge_mean(individual_rows(merits), exposures) == \
+    assert individual(merits, exposures) == \
         pytest.approx(0.0, abs=1e-10)
-    assert hinge_mean(group_rows(merits, groups), exposures) == \
+    assert group(merits, groups, exposures) == \
         pytest.approx(0.0, abs=1e-10)
 
 
@@ -123,33 +135,35 @@ def test_disparity_hinges_after_averaging_not_per_ranking():
     scores = np.zeros(3)
     merits = np.ones(3)
     expo = fairness.exposure_of_policy(scores)
-    assert hinge_mean(individual_rows(merits), expo.values) == \
+    assert individual(merits, expo.values) == \
         pytest.approx(0.0, abs=1e-12)
     orders = np.stack(list(oracle.all_rankings(3)))
-    per_ranking = hinge_mean(individual_rows(merits),
-                             fairness.ranking_exposures(orders))
+    per_ranking = individual(merits, fairness.ranking_exposures(orders))
     assert np.mean(per_ranking) > 0.05
 
 
 def test_ranking_pair_term_hand_value():
     ranked = fairness.ranking_exposures(np.array([0, 1]))
     pair = fairness.individual_rows(np.array([2.0, 1.0]))
-    assert (pair.first.tolist(), pair.second.tolist()) == ([0], [1])
-    np.testing.assert_array_equal(pair.inv_merit, [0.5, 1.0])
+    assert pair[0].tolist() == [[False, True], [False, False]]
+    np.testing.assert_array_equal(pair[1], [0.5, 1.0])
     np.testing.assert_array_equal(_dense_individual_rows(pair), [[0.5, -1.0]])
-    assert fairness.hinge_gaps(pair, ranked)[0] == pytest.approx(0.5 - V2, abs=1e-12)
+    assert fairness.pair_gaps(pair, ranked)[0, 1] == pytest.approx(0.5 - V2, abs=1e-12)
     # a zero-merit partner forms no pair, so there is no row to hinge
-    assert len(fairness.individual_rows(np.array([2.0, 0.0]))) == 0
-    assert fairness.hinge_mean(np.zeros((0, 2)), ranked) == 0.0
+    assert not fairness.individual_rows(np.array([2.0, 0.0]))[0].any()
+    assert individual(np.array([2.0, 0.0]), ranked) == 0.0
 
 
 def _dense_individual_rows(rows):
-    """Pair-form rows as the dense (pairs x n) matrix they stand for: row
-    (i, j) holds ``1/m_i`` at i and ``-1/m_j`` at j."""
-    dense = np.zeros((len(rows), len(rows.inv_merit)))
-    pair = np.arange(len(rows))
-    dense[pair, rows.first] = rows.inv_merit[rows.first]
-    dense[pair, rows.second] = -rows.inv_merit[rows.second]
+    """Pair rows as the dense (pairs x n) matrix they stand for: row (i, j),
+    in the row-major order of the mask, holds ``1/m_i`` at i and ``-1/m_j``
+    at j."""
+    mask, inv_merit = rows
+    first, second = np.nonzero(mask)
+    dense = np.zeros((len(first), len(inv_merit)))
+    pair = np.arange(len(first))
+    dense[pair, first] = inv_merit[first]
+    dense[pair, second] = -inv_merit[second]
     return dense
 
 
@@ -170,21 +184,20 @@ def test_pair_form_matches_dense_rows():
     for exposures, merits in cases:
         rows = fairness.individual_rows(merits)
         dense = _dense_individual_rows(rows)
-        assert dense.shape == (len(rows), len(merits))
-        want = float(np.maximum(dense @ exposures, 0.0).mean()) if len(rows) else 0.0
-        assert hinge_mean(rows, exposures) == pytest.approx(
+        pairs = len(dense)
+        assert dense.shape == (rows[0].sum(), len(merits))
+        want = float(np.maximum(dense @ exposures, 0.0).mean()) if pairs else 0.0
+        assert individual(merits, exposures) == pytest.approx(
             want, rel=1e-12, abs=1e-15)
-        np.testing.assert_allclose(fairness.hinge_gaps(rows, exposures),
-                                   dense @ exposures, rtol=1e-12, atol=1e-15)
-        if len(rows):
-            active = dense @ exposures > 0.0
-            np.testing.assert_array_equal(fairness.hinge_gaps(rows, exposures) > 0.0,
-                                          active)
-            np.testing.assert_allclose(fairness.hinge_weights(rows, active),
-                                       dense[active].sum(axis=0) / len(rows),
-                                       rtol=1e-12, atol=1e-15)
-        assert np.isfinite(rows.inv_merit).all()
-        np.testing.assert_array_equal(rows.inv_merit[merits == 0.0], 0.0)
+        gaps = fairness.pair_gaps(rows, exposures)[rows[0]]
+        np.testing.assert_allclose(gaps, dense @ exposures, rtol=1e-12, atol=1e-15)
+        active = dense @ exposures > 0.0
+        np.testing.assert_array_equal(gaps > 0.0, active)
+        np.testing.assert_allclose(fairness.hinge_weights(rows, exposures),
+                                   dense[active].sum(axis=0) / max(pairs, 1),
+                                   rtol=1e-12, atol=1e-15)
+        assert np.isfinite(rows[1]).all()
+        np.testing.assert_array_equal(rows[1][merits == 0.0], 0.0)
 
 
 def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
@@ -196,22 +209,24 @@ def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
         merits = rng.choice([0.0, 1.0, 3.0, 7.0], size=n)
         exposures = rng.choice([1.0, V2, 0.5, 0.1], size=n) / 3.0
         rows = fairness.individual_rows(merits)
-        tied = ((merits[rows.first] == merits[rows.second])
-                & (exposures[rows.first] == exposures[rows.second]))
-        assert np.all(fairness.hinge_gaps(rows, exposures)[tied] == 0.0)
+        first, second = np.nonzero(rows[0])
+        tied = ((merits[first] == merits[second])
+                & (exposures[first] == exposures[second]))
+        assert np.all(fairness.pair_gaps(rows, exposures)[first, second][tied] == 0.0)
     # documents 0 and 1 share merit 3 and, over these two rankings, exposure;
     # every other pair is satisfied, so no row is active
     scores = np.array([0.3, -0.2, 0.1])
     rankings = np.array([[0, 1, 2], [1, 0, 2]])
     sample = policy.PolicySample(scores, rankings)
-    rows = fairness.individual_rows(np.array([3.0, 3.0, 1.0]))
+    merits = np.array([3.0, 3.0, 1.0])
+    rows = fairness.individual_rows(merits)
     exposures = fairness.mc_exposure(rankings, 3)
     assert exposures[0] == exposures[1]
-    tied = (rows.first < 2) & (rows.second < 2)
-    assert fairness.hinge_gaps(rows, exposures)[tied].tolist() == [0.0, 0.0]
-    assert fairness.hinge_mean(rows, exposures) == 0.0
-    assert not (fairness.hinge_gaps(rows, exposures) > 0.0).any()
-    weights = trainer.hinge_sample_weights(sample.rankings, rows)
+    gaps = fairness.pair_gaps(rows, exposures)
+    assert gaps[[0, 1], [1, 0]].tolist() == [0.0, 0.0]
+    assert individual(merits, exposures) == 0.0
+    assert not (gaps[rows[0]] > 0.0).any()
+    weights = trainer.disparity_score_grad(sample.rankings, rows, INDIVIDUAL)
     assert weights.shape == (2,) and not weights.any()
     assert not sample.score_grad(weights).any()
 
@@ -221,19 +236,18 @@ def test_ranking_group_term_signs_and_errors():
     merits = np.array([2.0, 1.0])
     # group 0 has the higher mean merit, so its over-exposure is charged
     grp = fairness.group_rows(merits, np.array([0, 1]))
-    np.testing.assert_array_equal(grp, [[0.5, -1.0]])
-    assert (grp @ ranked)[0] == pytest.approx(1.0 / 2.0 - V2 / 1.0, abs=1e-12)
+    np.testing.assert_array_equal(grp, [0.5, -1.0])
+    assert grp @ ranked == pytest.approx(1.0 / 2.0 - V2 / 1.0, abs=1e-12)
     # orientation follows merit, not the label: swapping labels keeps the row
     np.testing.assert_array_equal(
-        fairness.group_rows(merits, np.array([1, 0])), [[0.5, -1.0]])
-    assert fairness.hinge_mean(grp, ranked) == 0.0
-    assert fairness.hinge_mean(grp, np.array([2.0, 0.0])) == 1.0
-    # the mean runs over every row, inactive ones included
-    both = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert fairness.hinge_mean(both, np.array([2.0, 1.0])) == 0.5
-    # a single group or a zero-merit group gives no row
-    assert fairness.group_rows(merits, np.array([0, 0])).shape == (0, 2)
-    assert fairness.group_rows(np.array([0.0, 1.0]), np.array([0, 1])).shape == (0, 2)
+        fairness.group_rows(merits, np.array([1, 0])), [0.5, -1.0])
+    assert GROUP.from_exposures(ranked, (grp,)) == 0.0
+    assert GROUP.from_exposures(np.array([2.0, 0.0]), (grp,)) == 1.0
+    # a single group or a zero-merit group gives a zero row
+    np.testing.assert_array_equal(fairness.group_rows(merits, np.array([0, 0])),
+                                  [0.0, 0.0])
+    np.testing.assert_array_equal(
+        fairness.group_rows(np.array([0.0, 1.0]), np.array([0, 1])), [0.0, 0.0])
 
 
 def _literal_individual(exposures, merits):
@@ -287,25 +301,26 @@ def test_disparities_match_literal_definitions():
         (np.array([1.0, V2]), np.array([1.0, 1.0]), np.array([0, 1])),   # equal merits
     ]
     for exposures, merits, groups in cases:
-        assert hinge_mean(individual_rows(merits), exposures) == pytest.approx(
+        assert individual(merits, exposures) == pytest.approx(
             _literal_individual(exposures, merits), abs=1e-12)
-        assert hinge_mean(group_rows(merits, groups), exposures) == pytest.approx(
+        assert group(merits, groups, exposures) == pytest.approx(
             _literal_group(exposures, merits, groups), abs=1e-12)
     # equal positive merits give the pair in both orders; degenerate shapes
-    assert len(fairness.individual_rows(np.array([1.0, 1.0]))) == 2
-    assert len(fairness.individual_rows(np.array([2.0]))) == 0
-    assert len(fairness.individual_rows(np.zeros(3))) == 0
+    assert fairness.individual_rows(np.array([1.0, 1.0]))[0].sum() == 2
+    assert fairness.individual_rows(np.array([2.0]))[0].sum() == 0
+    assert fairness.individual_rows(np.zeros(3))[0].sum() == 0
     for merits, groups in [(np.array([2.0]), np.array([0])),
                            (np.zeros(3), np.array([0, 1, 0])),
                            (np.array([3.0, 1.0, 2.0]), np.array([1, 1, 1])),
                            (np.array([3.0, 0.0, 0.0]), np.array([0, 1, 1])),
                            (np.array([2.0, 1.0, 1.5, 1.5]), np.array([0, 0, 1, 1]))]:
-        assert fairness.group_rows(merits, groups).shape == (0, len(merits))
-    assert fairness.group_rows(np.array([2.0, 1.0]), np.array([0, 1])).shape == (1, 2)
+        assert not fairness.group_rows(merits, groups).any()
+    assert fairness.group_rows(np.array([2.0, 1.0]), np.array([0, 1])).all()
 
 
 def test_merit_pairs_mask():
-    ii, jj = fairness.merit_pairs(np.array([2.0, 1.0, 1.0, 0.0]))
+    mask, _ = fairness.individual_rows(np.array([2.0, 1.0, 1.0, 0.0]))
+    ii, jj = np.nonzero(mask)
     got = set(zip(ii.tolist(), jj.tolist()))
     assert got == {(0, 1), (0, 2), (1, 2), (2, 1)}
 
@@ -315,13 +330,13 @@ def test_disparity_config_parse_and_dispatch():
     assert cfg.kind == "individual" and cfg.merit.kind == "sqrt"
     expo = np.array([1.0, V2])
     rels = np.array([1.0, 1.0])
-    query = data.Query("q", np.zeros((2, 1)), rels)
-    val = cfg.from_exposures(expo[None, None], [query])
+    val = cfg.from_exposures(expo[None, None], cfg.rows(rels[None], None))
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx((1.0 - V2) / 2.0, abs=1e-12)
     grp = fairness.DisparityConfig.parse("group")
-    assert grp.from_exposures(expo[None, None], [query]).tolist() == [[0.0]]  # no labels
-    assert grp.rows(rels, None).shape == (0, 2)
+    no_labels = grp.rows(rels[None], None)        # no labels: a zero row
+    assert grp.from_exposures(expo[None, None], no_labels).tolist() == [[0.0]]
+    assert len(no_labels) == 1 and no_labels[0].tolist() == [[0.0, 0.0]]
     np.testing.assert_array_equal(
         _dense_individual_rows(cfg.rows(rels, None)),
         _dense_individual_rows(fairness.individual_rows(np.ones(2))))
@@ -329,32 +344,20 @@ def test_disparity_config_parse_and_dispatch():
         fairness.DisparityConfig.parse("pairwise")
 
 
-def test_group_rows_are_kept_with_each_query_and_read_only():
+def test_disparity_config_rows_are_the_merit_rows_of_either_kind():
+    """A config's rows are those of its merits: the group row of
+    ``group_rows``, oriented by merit rather than label, and the pair rows
+    of ``individual_rows``; a negative relevance has no merit."""
     rels, groups = np.array([3.0, 1.0, 2.0]), np.array([0, 1, 1])
-
-    def make_query():
-        return data.Query("q", np.zeros((3, 1)), rels, groups)
-
-    query = make_query()
     for merit in ("identity", "square"):
         cfg = fairness.DisparityConfig.parse("group", merit)
-        rows = cfg.query_rows(query)
-        np.testing.assert_array_equal(rows, cfg.rows(rels, groups))
-        np.testing.assert_array_equal(
-            rows, fairness.group_rows(cfg.merit(rels), groups))
-        assert cfg.query_rows(query) is rows
-        assert not rows.flags.writeable
-    twin = make_query()
-    assert cfg.query_rows(twin) is not cfg.query_rows(query)
-    individual = fairness.DisparityConfig.parse("individual")
-    pairs = individual.query_rows(query)
-    assert individual.query_rows(query) is pairs
-    assert (pairs.first.tolist(), pairs.second.tolist()) == ([0, 0, 2], [1, 2, 1])
-    for values in (pairs.first, pairs.second, pairs.inv_merit):
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 0
-    swapped = fairness.DisparityConfig.parse("group").rows(rels, 1 - groups)
+        (rows,) = cfg.rows(rels, groups)
+        np.testing.assert_array_equal(rows, fairness.group_rows(cfg.merit(rels), groups))
+    mask, inv_merit = fairness.DisparityConfig.parse("individual").rows(rels, None)
+    assert np.nonzero(mask)[0].tolist() == [0, 0, 2]
+    assert np.nonzero(mask)[1].tolist() == [1, 2, 1]
+    np.testing.assert_array_equal(inv_merit, 1.0 / rels)
+    (swapped,) = fairness.DisparityConfig.parse("group").rows(rels, 1 - groups)
     np.testing.assert_array_equal(swapped, fairness.group_rows(rels, 1 - groups))
     with pytest.raises(ValueError, match="non-negative"):
         fairness.DisparityConfig.parse("group").rows(-rels, groups)
@@ -431,55 +434,44 @@ def test_policy_exposure_matches_sampled_ranking_average():
 
 @pytest.mark.parametrize("kind", ["individual", "group"])
 def test_hinge_rows_on_a_block_of_exposures_equal_each_row(kind):
-    """A ``(K, n)`` block of exposure vectors gives each vector's gaps and
-    weights with the bits of its own call (the weights of dense rows are
-    the oracle's, which the package does not form)."""
+    """A ``(K, n)`` block of exposure vectors gives each vector's disparity
+    of its own call, and of the oracle's one-query reference, to 1e-12."""
     rng = np.random.default_rng(8)
+    config = fairness.DisparityConfig(kind)
     for n in (2, 5, 12):
         merits = rng.choice([0.0, 1.0, 2.5], size=n)
         groups = np.arange(n) % 2
-        rows = fairness.DisparityConfig(kind).rows(merits, groups)
-        if not len(rows):
-            continue
+        rows = config.rows(merits, groups)
         exposures = rng.uniform(0.0, 1.0, size=(4, n))
-        gaps = fairness.hinge_gaps(rows, exposures)
-        active = gaps > 0.0
-        weights = oracle.hinge_weights(rows, active)
-        assert gaps.shape == (4, len(rows)) and weights.shape == (4, n)
+        got = config.from_exposures(exposures, rows)
+        assert got.shape == (4,)
         for k in range(4):
-            assert gaps[k].tobytes() == fairness.hinge_gaps(rows, exposures[k]).tobytes()
-            assert weights[k].tobytes() == \
-                oracle.hinge_weights(rows, active[k]).tobytes()
+            np.testing.assert_allclose(
+                [got[k], config.from_exposures(exposures[k], rows)],
+                oracle.query_disparity(kind, merits, groups, exposures[k]),
+                rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["individual", "group"])
 def test_hinge_weights_of_a_mask_block_equal_per_mask_calls(kind):
-    """Weights of a ``(K, rows)`` mask block, taken without a loop over the
-    masks, equal one call per mask, and each call equals the sum of its
-    active rows over the number of rows; so do a block's disparities.  (The
-    weights of dense group rows are the oracle's, which the package does
-    not form.)"""
+    """The exposure gradient of a ``(K, n)`` block of exposure vectors, the
+    package's for pair rows, equals each vector's own call and the oracle's
+    sum of the active rows over the number of rows, to 1e-12.  (The
+    gradient of a group row is the oracle's, which the package does not
+    form.)"""
     rng = np.random.default_rng(31)
     for n in (2, 6, 13):
         merits = rng.choice([0.0, 1.0, 2.5, 4.0], size=n)
         rows = fairness.DisparityConfig(kind).rows(merits, np.arange(n) % 2)
-        if not len(rows):
-            continue
-        active = rng.random((5, len(rows))) < 0.5
-        active[0], active[1] = False, True
-        weights = oracle.hinge_weights(rows, active)
-        assert weights.shape == (5, n)
-        dense = _dense_individual_rows(rows) if kind == "individual" else rows
-        for k, mask in enumerate(active):
-            alone = oracle.hinge_weights(rows, mask)
-            assert np.array_equal(weights[k], alone)
-            if kind == "individual":
-                counts = (np.bincount(rows.first[mask], minlength=n)
-                          - np.bincount(rows.second[mask], minlength=n))
-                assert np.array_equal(alone, rows.inv_merit * counts / len(rows))
-            else:
-                assert np.array_equal(alone, dense[mask].sum(axis=0) / len(rows))
         exposures = rng.uniform(0.0, 1.0, size=(5, n))
-        means = fairness.hinge_mean(rows, exposures)
-        assert means.shape == (5,)
-        assert means.tolist() == [fairness.hinge_mean(rows, e) for e in exposures]
+        dense = _dense_individual_rows(rows) if kind == "individual" else rows[0][None]
+        for k, e in enumerate(exposures):
+            active = dense @ e > 0.0
+            want = dense[active].sum(axis=0) / max(len(dense), 1)
+            np.testing.assert_allclose(oracle.hinge_weights(kind, rows, e), want,
+                                       rtol=1e-12, atol=1e-15)
+            if kind == "individual":
+                weights = fairness.hinge_weights(rows, exposures)
+                assert weights.shape == (5, n)
+                np.testing.assert_allclose(weights[k], want, rtol=1e-12, atol=1e-15)
+                assert weights[k].tobytes() == fairness.hinge_weights(rows, e).tobytes()

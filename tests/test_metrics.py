@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fairltr import data, metrics, policy
+from fairltr import metrics, policy
 from fairltr.ranking import InvalidRankingError
 import oracle
 
@@ -130,7 +130,8 @@ def test_utility_metric_reward_negates_avg_rank():
     m = metrics.UtilityMetric("avgrank")
     order = np.array([0, 1])
     rels = np.array([1.0, 0.0])
-    assert m.batch_rewards(order[None], rels)[0] == -m.value(order, rels) == -1.0
+    assert m.batch_rewards(order[None], m.constants(rels))[0] \
+        == -m.value(order, rels) == -1.0
 
 
 def literal_value(kind, order, rels, cutoff=None, max_grade=4.0):
@@ -175,9 +176,9 @@ def test_batch_values_match_literal_definitions():
             m = metrics.UtilityMetric(kind, cutoff)
             if kind == "avgrank" and not rels.any():
                 with pytest.raises(ValueError):
-                    m.batch_values(orders, rels)
+                    m.batch_values(orders, m.constants(rels))
                 continue
-            batch = m.batch_values(orders, rels)
+            batch = m.batch_values(orders, m.constants(rels))
             loop = np.array([literal_value(kind, o, rels, cutoff) for o in orders])
             assert batch.shape == (20,)
             if kind == "err":
@@ -190,7 +191,7 @@ def test_batch_values_match_literal_definitions():
     rels = np.array([0.5, 4.5, 2.0])
     m = metrics.UtilityMetric("err", err_max_grade=5.0)
     orders = np.stack(list(oracle.all_rankings(3)))
-    assert np.array_equal(m.batch_values(orders, rels), np.array(
+    assert np.array_equal(m.batch_values(orders, m.constants(rels)), np.array(
         [literal_value("err", o, rels, max_grade=5.0) for o in orders]))
 
 
@@ -207,39 +208,45 @@ def test_scalar_entry_points_refuse_an_invalid_ranking(bad):
 
 @pytest.mark.parametrize("text", ["dcg", "dcg@3", "ndcg", "ndcg@3", "err", "avgrank"])
 def test_query_constants_give_the_bits_of_an_array_call(text):
-    """On a query, value and batch_rewards read the gains, ideal DCG and
-    stop probabilities kept with it, and equal the array call bit for bit,
-    on the first call and on later ones."""
+    """A query's row of its run's constants values its rankings with the
+    bits of the constants of its relevances alone, as ``value`` does; a
+    run's ``(K, Q, S, n)`` rankings are valued in one call, each query's
+    batch with the bits of its own."""
     metric = metrics.UtilityMetric.parse(text)
     rng = np.random.default_rng(21)
-    for rels in (rng.integers(0, 5, size=7) + rng.uniform(0.0, 0.9, size=7),
-                 np.array([2.0, 2.0, 1.0, 1.0, 0.0, 2.0]),            # ties
-                 np.zeros(5),                                          # all zero
-                 np.array([3.0])):                                     # n=1
-        n = len(rels)
-        query = data.Query("q", np.zeros((n, 1)), rels)
-        orders = np.stack([rng.permutation(n) for _ in range(16)])
+    for rels in (rng.integers(0, 4, size=(3, 7)) + rng.uniform(0.0, 0.9, size=(3, 7)),
+                 np.array([[2.0, 2.0, 1.0, 1.0, 0.0, 2.0]] * 2),      # ties
+                 np.zeros((2, 5)),                                    # all zero
+                 np.array([[3.0]])):                                  # n=1
+        n = rels.shape[1]
+        orders = np.argsort(rng.random((2, len(rels), 16, n)), axis=-1)
         if metric.kind == "avgrank" and not rels.any():
-            for source in (query, rels):
-                with pytest.raises(ValueError, match="all-zero"):
-                    metric.batch_rewards(orders, source)
+            with pytest.raises(ValueError, match="all-zero"):
+                metric.constants(rels)
             continue
-        for _ in range(2):
-            for order in orders[:4]:
-                assert metric.value(order, query) == metric.value(order, rels)
-            np.testing.assert_array_equal(metric.batch_rewards(orders, query),
-                                          metric.batch_rewards(orders, rels))
-    gains = metrics.gains(query)
-    assert metrics.gains(query) is gains and not gains.flags.writeable
-    assert metrics.ideal_dcg(query, 3) == metrics.ideal_dcg(rels, 3)
+        run = metric.constants(rels)
+        block = metric.batch_rewards(orders, run)
+        assert block.shape == (2, len(rels), 16)
+        for q, row in enumerate(rels):
+            own = metric.constants(row)
+            for built, alone in zip((c[q] for c in run), own):
+                assert np.asarray(built).tobytes() == alone.tobytes()
+            for k in range(2):
+                assert block[k, q].tobytes() == \
+                    metric.batch_rewards(orders[k, q], own).tobytes()
+            for order in orders[0, q, :4]:
+                assert metric.value(order, row) == \
+                    metric.batch_values(order[None], own)[0]
+    assert metrics.ideal_dcg(rels, 3).shape == (1,)
 
 
 def test_err_on_a_query_refuses_a_grade_below_its_top_relevance():
-    query = data.Query("q", np.zeros((2, 1)), [5.0, 1.0])
+    query = oracle.dataset_of([("q", np.zeros((2, 1)), [5.0, 1.0])])[0]
     for _ in range(2):
         with pytest.raises(ValueError, match="max_grade"):
-            metrics.UtilityMetric("err").value(np.arange(2), query)
-    assert metrics.UtilityMetric("err", err_max_grade=5.0).value(np.arange(2), query) \
+            metrics.UtilityMetric("err").value(np.arange(2), query.relevances)
+    assert metrics.UtilityMetric("err", err_max_grade=5.0).value(
+        np.arange(2), query.relevances) \
         == metrics.UtilityMetric("err", err_max_grade=5.0).value(
         np.arange(2), np.array([5.0, 1.0]))
 
@@ -258,7 +265,7 @@ def test_expected_utility_monte_carlo_converges_to_exact():
     m = metrics.UtilityMetric("ndcg")
     exact = oracle.expected_utility(scores, rels, m)
     orders = policy.sample_rankings(scores, policy.gumbel_noise(rng, (40000, 4)))
-    mc = float(m.batch_values(orders, rels).mean())
+    mc = float(m.batch_values(orders, m.constants(rels)).mean())
     assert mc == pytest.approx(exact, abs=0.005)
 
 
@@ -275,10 +282,10 @@ def test_a_member_block_of_rankings_gets_each_members_bits(text):
     rng = np.random.default_rng(12)
     metric = metrics.UtilityMetric.parse(text)
     for n in (1, 4, 10, 30):
-        query = data.Query("q", rng.normal(size=(n, 2)),
-                           rng.integers(0, 4, size=n).astype(float) + 1.0)
+        constants = metric.constants(rng.integers(0, 4, size=n).astype(float) + 1.0)
         orders = np.argsort(rng.random((3, 17, n)), axis=-1)
-        block = metric.batch_rewards(orders, query)
+        block = metric.batch_rewards(orders, constants)
         assert block.shape == (3, 17)
         for k in range(3):
-            assert block[k].tobytes() == metric.batch_rewards(orders[k], query).tobytes()
+            assert block[k].tobytes() == \
+                metric.batch_rewards(orders[k], constants).tobytes()

@@ -100,7 +100,7 @@ def patched_by_the_tracer():
 def test_every_package_function_has_a_caller_outside_the_tests():
     functions = module_functions()
     assert ("metrics", "ideal_dcg") in functions
-    assert ("data", "Query.num_docs") in functions      # a property
+    assert ("data", "Dataset.num_docs") in functions    # a property
     used = package_references() | exported() | patched_by_the_tracer()
     unused = sorted(
         f"{module}.{name}" for module, name in functions
@@ -114,11 +114,11 @@ def test_the_scan_sees_each_kind_of_caller():
     """Each kind of reference the scan counts is found where the package
     makes it."""
     found = package_references()
-    assert ("metrics", "_best_dcg") in found            # from .metrics import
+    assert ("metrics", "position_bias_vector") in found  # from .metrics import
     assert ("data", "_read_letor") in found              # same module, by name
     assert ("policy", "gumbel_noise") in found           # policy.gumbel_noise
     assert (None, "with_params") in found                # model.with_params
     assert overrides_outside_the_package("cli", "_Parser.parse_known_args")
     assert not overrides_outside_the_package("policy", "LinearModel.backprop")
-    assert ("policy", "ranking_logprobs") in exported()
+    assert ("policy", "sample_rankings") in exported()
     assert ("baselines", "solve_fair_lp") in patched_by_the_tracer()

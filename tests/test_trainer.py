@@ -72,7 +72,7 @@ def test_utility_gradient_is_unbiased_against_enumeration():
         exact = oracle.enumerate_policy_expectations(scores, rels, metric=metric)
         draws = 40000
         sample = policy.draw_policy_sample(scores, draws, rng)
-        rewards = metric.batch_rewards(sample.rankings, rels)
+        rewards = metric.batch_rewards(sample.rankings, metric.constants(rels))
         est = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
         rows = oracle.logprob_grad_rows(scores, sample.rankings)
         centered = (rewards - rewards.mean())[:, None] * rows
@@ -88,7 +88,7 @@ def test_baseline_subtraction_preserves_expectation():
     exact = oracle.enumerate_policy_expectations(scores, rels, metric=metric)
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
-    rewards = metric.batch_rewards(sample.rankings, rels)
+    rewards = metric.batch_rewards(sample.rankings, metric.constants(rels))
     with_b = sample.score_grad(trainer.utility_weights(rewards, use_baseline=True))
     without = sample.score_grad(trainer.utility_weights(rewards, use_baseline=False))
     rows = oracle.logprob_grad_rows(scores, sample.rankings)
@@ -109,8 +109,9 @@ def test_group_disparity_gradient_is_unbiased():
     rng = np.random.default_rng(2)
     draws = 50000
     sample = policy.draw_policy_sample(scores, draws, rng)
-    est = sample.score_grad(trainer.hinge_sample_weights(
-        sample.rankings, fairness.group_rows(merit(rels), groups)))
+    est = sample.score_grad(trainer.disparity_score_grad(
+        sample.rankings, (fairness.group_rows(merit(rels), groups),),
+        fairness.DisparityConfig("group")))
     assert np.all(np.abs(est - exact.group_grad) <= 0.02)
 
 
@@ -122,8 +123,9 @@ def test_individual_disparity_gradient_is_unbiased():
     assert exact.individual_disparity > 0.0
     rng = np.random.default_rng(3)
     sample = policy.draw_policy_sample(scores, 50000, rng)
-    est = sample.score_grad(trainer.hinge_sample_weights(
-        sample.rankings, fairness.individual_rows(merit(rels))))
+    est = sample.score_grad(trainer.disparity_score_grad(
+        sample.rankings, fairness.individual_rows(merit(rels)),
+        fairness.DisparityConfig("individual")))
     assert np.all(np.abs(est - exact.individual_grad) <= 0.02)
 
 
@@ -143,8 +145,8 @@ def test_train_is_deterministic_per_seed():
 
 
 def without_groups(ds):
-    return data.Dataset([data.Query(q.qid, q.feature_matrix, q.relevances)
-                         for q in ds], ds.feature_dim)
+    return oracle.dataset_of([(q.qid, q.feature_matrix, q.relevances)
+                         for q in ds])
 
 
 def test_unpenalized_training_ignores_group_labels():
@@ -178,7 +180,7 @@ def test_entropy_bonus_pulls_scores_together():
     objective shrinks the score gap; a pure-utility one widens it."""
     text = "3 qid:1 1:1\n0 qid:1 1:-1\n"
     ds = data.parse_letor(text)
-    q = ds.queries[0]
+    q = ds[0]
 
     def gap_after(gamma, lam_metric):
         cfg = base_config(gamma=gamma, epochs=8, learning_rate=0.05,
@@ -214,11 +216,11 @@ def test_penalty_reduces_disparity_on_training_split():
 
 
 def test_training_error_on_nonfinite_scores():
-    query = data.Query("broken", [[1.0], [0.0]], [1.0, 0.0])
+    bad = oracle.dataset_of([("broken", [[1.0], [0.0]], [1.0, 0.0])])
     # The constructor refuses a NaN feature; one set afterwards stands for
     # features whose scores overflow.
-    query.feature_matrix = np.array([[np.nan], [0.0]])
-    bad = data.Dataset([query], 1)
+    bad.features.flags.writeable = True
+    bad.features[0, 0] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(trainer.TrainingError, match="broken"):
             trainer.train(bad, bad, base_config(epochs=1))
@@ -257,8 +259,8 @@ def ragged_split(sizes=(1, 5, 10, 10, 3, 12, 10, 8), seed=21):
         # Scores that favour group 0 and relevance make the policy unfair.
         features = [np.array([g == 0, rel, 0.0]) + rng.normal(size=3)
                     for rel, g in zip(rels, groups)]
-        queries.append(data.Query(f"q{qi}", features, rels, groups))
-    return data.Dataset(queries, feature_dim=3)
+        queries.append((f"q{qi}", features, rels, groups))
+    return oracle.dataset_of(queries)
 
 
 def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
@@ -271,8 +273,8 @@ def per_query_evaluation(model, dataset, metric, disparity, eval_samples, rng):
                                           query.relevances))
         exposures = fairness.exposure_of_policy(scores, num_samples=eval_samples,
                                                 rng=rng)
-        disparity_values.append(fairness.hinge_mean(disparity.query_rows(query),
-                                                    exposures.values))
+        disparity_values.append(float(disparity.from_exposures(
+            exposures.values, disparity.rows(query.relevances, query.groups))))
     return metric_values, disparity_values
 
 
@@ -379,7 +381,8 @@ def test_block_evaluation_of_a_grid_equals_each_member_per_query(model, kind):
     disparity = fairness.DisparityConfig.parse(kind)
     ndcg5, err = metrics.UtilityMetric.parse("ndcg@5"), metrics.UtilityMetric("err")
     assert min(map(len, ds)) <= ENUMERATION_LIMIT < max(map(len, ds))
-    assert not len(disparity.query_rows(ds.queries[1 if kind == "group" else 5]))
+    degenerate = ds[1 if kind == "group" else 5]
+    assert not disparity.rows(degenerate.relevances, degenerate.groups)[0].any()
     block_rng = np.random.default_rng(3)
     got = trainer._evaluate(block, ds, ndcg5, disparity, 16, block_rng,
                             extra_metrics=[err])
@@ -509,9 +512,9 @@ def test_a_negative_relevance_fails_before_epoch_one_under_err_or_a_merit(
     ds = small_dataset(seed=0, queries=10, docs=5)
     queries = list(ds)
     q = queries[2]
-    queries[2] = data.Query(q.qid, q.feature_matrix,
+    queries[2] = (q.qid, q.feature_matrix,
                             np.concatenate(([-1.0], q.relevances[1:])), q.groups)
-    neg = data.Dataset(queries, ds.feature_dim)
+    neg = oracle.dataset_of(queries)
 
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
@@ -536,16 +539,16 @@ def with_zero_relevance_query(dataset, index):
     """The dataset with query ``index``'s relevances all set to zero."""
     queries = list(dataset)
     q = queries[index]
-    queries[index] = data.Query(q.qid, q.feature_matrix,
+    queries[index] = (q.qid, q.feature_matrix,
                                             np.zeros(len(q)), q.groups)
-    return data.Dataset(queries, dataset.feature_dim)
+    return oracle.dataset_of(queries)
 
 
 def test_avgrank_on_an_all_zero_query_fails_before_epoch_one(monkeypatch):
     ds = small_dataset(seed=0, queries=10, docs=5)
     train_set, val_set = data.split_dataset(ds, 0.8, seed=0)
     bad_val = with_zero_relevance_query(val_set, 1)
-    qid = bad_val.queries[1].qid
+    qid = bad_val[1].qid
 
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
@@ -682,7 +685,8 @@ def test_a_gradient_adam_cannot_square_fails_before_the_parameters_move():
     members = [trainer._Member(c, trainer.Adam(0.01), model) for c in configs]
     block = trainer._Block(model.with_params(np.tile(model.params, (2, 1))), members)
     rng = np.random.default_rng(1)
-    for query in ds.queries:    # until the hinge is active and the step huge
+    for query in trainer._step_queries(ds, configs[0]):
+        # until the hinge is active and the step huge
         before = block.model.params.copy()
         failed = trainer._train_step(block, query, configs[0], rng)
         if failed:
@@ -702,15 +706,15 @@ def test_hinge_gradient_of_a_member_block_equals_each_member():
     for kind in ("group", "individual"):
         disparity = fairness.DisparityConfig.parse(kind)
         for n in (3, 9):
-            query = small_dataset(seed=n, queries=1, docs=n).queries[0]
-            rows = disparity.query_rows(query)
+            query = small_dataset(seed=n, queries=1, docs=n)[0]
+            rows = disparity.rows(query.relevances, query.groups)
             scores = rng.normal(scale=2.0, size=(5, n))
             sample = policy.draw_policy_sample(scores, 7, rng)
-            block = trainer.hinge_sample_weights(sample.rankings, rows)
+            block = trainer.disparity_score_grad(sample.rankings, rows, disparity)
             assert block.shape == (5, 7)
             grads = sample.score_grad(block)
             for k in range(5):
-                alone = trainer.hinge_sample_weights(sample.rankings[k], rows)
+                alone = trainer.disparity_score_grad(sample.rankings[k], rows, disparity)
                 assert block[k].tobytes() == alone.tobytes()
                 member = policy.PolicySample(scores[k], sample.rankings[k])
                 assert grads[k].tobytes() == member.score_grad(alone).tobytes()
@@ -718,9 +722,8 @@ def test_hinge_gradient_of_a_member_block_equals_each_member():
 
 def test_train_refuses_splits_of_different_feature_widths_before_epoch_1(monkeypatch):
     train_set = data.generate_simulated(num_queries=4, docs_per_query=4, seed=1)
-    wide = data.Dataset([data.Query(q.qid, np.hstack([q.feature_matrix, np.ones((len(q), 1))]),
-                                    q.relevances, q.groups) for q in train_set],
-                        train_set.feature_dim + 1)
+    wide = oracle.dataset_of([(q.qid, np.hstack([q.feature_matrix, np.ones((len(q), 1))]),
+                                    q.relevances, q.groups) for q in train_set])
 
     def no_step(*args):
         raise AssertionError("a training step ran")
@@ -744,18 +747,60 @@ def test_evaluate_refuses_a_model_of_another_feature_width_before_any_work(monke
             trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"))
 
 
-def test_hinge_sample_weights_of_dense_rows_match_the_exposure_weights():
-    """A dense row values a ranking by one gather; with several rows, each
-    ranking's weight is its exposure under the oracle's ``hinge_weights``
-    of the rows whose sampled gap is positive."""
+@pytest.mark.parametrize("kind", ["group", "individual"])
+def test_step_weights_are_the_rankings_exposures_under_the_hinge_gradient(kind):
+    """Each sampled ranking's hinge weight is its exposure under the
+    oracle's ``hinge_weights`` of the query's rows, the indicators taken at
+    the sample's exposures: a group row values a ranking by one gather, and
+    pair rows by the package's exposure gradient."""
     rng = np.random.default_rng(12)
+    disparity = fairness.DisparityConfig(kind)
     for n in (2, 5, 9):
-        rows = rng.normal(size=(3, n))
+        rows = (rng.normal(size=n),) if kind == "group" else \
+            fairness.individual_rows(rng.choice([0.0, 1.0, 2.0, 3.5], size=n))
         rankings = np.argsort(rng.random((4, 25, n)), axis=-1)
-        got = trainer.hinge_sample_weights(rankings, rows)
+        got = trainer.disparity_score_grad(rankings, rows, disparity)
         assert got.shape == (4, 25)
         for k in range(4):
-            active = fairness.hinge_gaps(rows, fairness.mc_exposure(rankings[k], n)) > 0.0
-            want = fairness.ranking_exposures(rankings[k]) @ oracle.hinge_weights(rows, active)
+            weights = oracle.hinge_weights(kind, rows,
+                                           fairness.mc_exposure(rankings[k], n))
+            want = fairness.ranking_exposures(rankings[k]) @ weights
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-15)
-            assert got[k].tobytes() == trainer.hinge_sample_weights(rankings[k], rows).tobytes()
+            assert got[k].tobytes() == \
+                trainer.disparity_score_grad(rankings[k], rows, disparity).tobytes()
+
+
+def test_a_dataset_holds_one_copy_of_its_documents(monkeypatch):
+    """Each run's arrays, each query's, and the feature rows that training
+    steps and evaluations score are views of the dataset's flat arrays, not
+    a second stacked copy."""
+    whole = oracle.dataset_of([*data.generate_simulated(num_queries=6, docs_per_query=4,
+                                                        seed=1),
+                               *data.generate_simulated(num_queries=6, docs_per_query=7,
+                                                        seed=2)])
+    train_set, val_set = data.split_dataset(whole, 0.75, seed=0)
+    for dataset in (whole, train_set, val_set):
+        assert len(dataset.runs) == 2
+        for run in dataset.runs:
+            for values, flat in ((run.features, dataset.features),
+                                 (run.relevances, dataset.relevances),
+                                 (run.groups, dataset.groups)):
+                assert np.shares_memory(values, flat)
+        for query in dataset:
+            assert np.shares_memory(query.feature_matrix, dataset.features)
+            assert np.shares_memory(query.relevances, dataset.relevances)
+    scored = []
+    scores = policy.LinearModel.scores
+    monkeypatch.setattr(policy.LinearModel, "scores",
+                        lambda self, features: scored.append(features)
+                        or scores(self, features))
+    config = base_config(lam=1.0, disparity=fairness.DisparityConfig.parse("group"),
+                         epochs=2)
+    trainer.train(train_set, val_set, config)
+    steps = [features for features in scored if features.ndim == 2]
+    assert len(steps) == config.epochs * len(train_set)
+    for features in steps:
+        assert np.shares_memory(features, train_set.features)
+    for features in scored:
+        assert any(np.shares_memory(features, split.features)
+                   for split in (train_set, val_set))
