@@ -11,12 +11,13 @@ instead of a matrix.  The top-1 baseline trains a linear scorer whose
 softmax matches the normalized relevance profile, with a squared penalty on
 the between-group mean top-1 probability gap.
 
-Both take a penalty-weight grid as their unit of work.
-``solve_fair_lp_grid`` solves a query at every weight from the segments of
-the largest one, and ``train_top1_grid`` trains a block of one model per
-weight in lockstep.  ``solve_fair_lp`` and ``train_top1_baseline`` are
-their calls at one weight, and each weight's result has the bits of that
-call.
+Both take a penalty-weight grid as their unit of work, and neither
+dispatches per query.  ``solve_fair_lp_grid`` solves a ``(Q, n)`` block of
+equal-size queries at every weight in one array pass over the segments of
+the largest weight, and ``train_top1_grid`` trains a block of one model per
+weight in lockstep, from targets and group weights built once per run.
+``solve_fair_lp`` and ``train_top1_baseline`` are their calls on one query
+or at one weight, and each weight's result has the bits of that call.
 """
 from __future__ import annotations
 
@@ -62,24 +63,29 @@ def fit_linear_regression(dataset: Dataset) -> LinearModel:
 
 @dataclass
 class FairLPResult:
-    """Optimum of the fair LP as a mixture of at most two rankings.
+    """Optima of the fair LP, each a mixture of two rankings.
 
-    ``orders[k]`` is played with probability ``weights[k]``;
-    ``exposures`` is the mixture's expected exposure per document.
+    Every field has leading ``(L, Q)`` axes, one penalty weight by one
+    query of a ``solve_fair_lp_grid`` block, and none for
+    ``solve_fair_lp``.  ``orders[..., k, :]`` is played with probability
+    ``weights[..., k]``, a lone ranking padded with a weight-0 copy of
+    itself; ``xi`` is the slack, ``objective`` the LP value and
+    ``exposures`` the mixture's expected exposure per document.
     """
 
     orders: np.ndarray
     weights: np.ndarray
-    xi: float
-    objective: float
+    xi: np.ndarray
+    objective: np.ndarray
     exposures: np.ndarray
 
 
 def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                   lam: float,
                   merit: MeritFunction | None = None) -> FairLPResult:
-    """Best doubly stochastic ranking under a group-exposure slack penalty:
-    ``solve_fair_lp_grid`` at the one penalty weight ``lam``.
+    """Best doubly stochastic ranking of one query under a group-exposure
+    slack penalty: ``solve_fair_lp_grid`` of the block of one query at the
+    one penalty weight ``lam``.
 
     Maximizes expected DCG of the estimated relevances (normalized by the
     ideal DCG) minus ``lam`` times a slack ``xi >= 0`` bounding how far the
@@ -89,20 +95,23 @@ def solve_fair_lp(estimated_relevances: np.ndarray, groups: np.ndarray | None,
     usable groups the optimum is the permutation sorting by estimated
     relevance.
     """
-    return solve_fair_lp_grid(estimated_relevances, groups, [lam], merit)[0]
+    block = solve_fair_lp_grid(np.asarray(estimated_relevances, dtype=float)[None],
+                               groups if groups is None else np.asarray(groups)[None], [lam], merit)
+    return FairLPResult(*(value[0, 0] for value in vars(block).values()))
+
+
+# The most entries of one ``(Q, segments, n)`` array of a block's solve; a
+# larger block is solved in parts of whole queries.
+_LP_PART_ENTRIES = 1 << 20
 
 
 def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | None,
                        lambdas: Sequence[float],
-                       merit: MeritFunction | None = None
-                       ) -> list[FairLPResult] | list[list[FairLPResult]]:
-    """The fair LP of one query at each penalty weight of ``lambdas``, in
-    their order; the weights may be unsorted or repeated.
-
-    ``estimated_relevances`` may also be a ``(Q, n)`` block of Q queries'
-    estimates, with ``(Q, n)`` groups: the result is then the list of each
-    query's list.  A block builds its group rows in one ``group_rows``
-    call, one query being the block of one.
+                       merit: MeritFunction | None = None) -> FairLPResult:
+    """The fair LP of each query of a ``(Q, n)`` block of estimates, with
+    ``(Q, n)`` groups or None, at each penalty weight of ``lambdas``: one
+    result whose fields have leading ``(L, Q)`` axes, the weights in their
+    order; they may be unsorted or repeated.
 
     The LP is solved exactly, without an LP solver.  With ``w`` the
     normalized gains and ``a`` the ``group_rows`` row scaled to shares, it
@@ -119,57 +128,67 @@ def solve_fair_lp_grid(estimated_relevances: np.ndarray, groups: np.ndarray | No
     segment is the sort by ``w`` at every weight.
 
     The segments of a weight are the first ones of the largest weight's,
-    so the knots, orderings and ranking exposures are found once, for the
-    largest weight, and each ``lam > 0`` reads the first ``k`` of them,
-    ``k - 1`` being the number of knots below ``lam``.  ``lam = 0`` takes
-    the sort by ``w`` alone.  Raises ``ValueError`` before any solve for a weight that
-    is negative or not finite, an empty grid, or non-finite estimates.
+    so the block is one array pass: every pair's knot, the distinct ones
+    inside ``(0, top)`` sorted first and the rest ``+inf``; each query's
+    bounds padded with ``top`` to ``n (n - 1) / 2 + 1`` segments; one
+    stable sort of the keys at the midpoints, the sort by ``w`` (``lam =
+    0``) in front, and one ``ranking_exposures`` call.  A weight ``lam >
+    0`` reads the first ``k`` segments of each query, ``k - 1`` being its
+    number of knots below ``lam``.  A block whose arrays would hold more
+    than ``_LP_PART_ENTRIES`` entries is solved in parts of whole queries,
+    with the same bits.  Raises ``ValueError`` before any solve for a
+    weight that is negative or not finite, an empty grid, or non-finite
+    estimates.
     """
     lambdas = require_lambda_grid(lambdas)
     r_hat = np.asarray(estimated_relevances, dtype=float)
     if not np.isfinite(r_hat).all():
         raise ValueError("estimated relevances must be finite")
-    block = r_hat.reshape(-1, r_hat.shape[-1])
-    rows = _lp_constraint_rows(block, None if groups is None else
-                               np.asarray(groups).reshape(block.shape),
-                               merit or MeritFunction())
-    solved = [_solve_query(estimates, a, lambdas) for estimates, a in zip(block, rows)]
-    return solved if r_hat.ndim == 2 else solved[0]
-
-
-def _solve_query(r_hat: np.ndarray, a: np.ndarray,
-                 lambdas: list[float]) -> list[FairLPResult]:
-    """``solve_fair_lp_grid`` of one query's estimates and scaled group row
-    ``a``."""
-    n = r_hat.shape[0]
-    g = gains(r_hat)
+    (Q, n), groups = r_hat.shape, None if groups is None else np.asarray(groups)
+    per_part = max(1, _LP_PART_ENTRIES // ((n * (n - 1) // 2 + 2) * n))
+    if Q > per_part:
+        parts = [vars(solve_fair_lp_grid(r_hat[s:s + per_part], groups if groups is None
+                                         else groups[s:s + per_part], lambdas, merit))
+                 for s in range(0, Q, per_part)]
+        return FairLPResult(**{key: np.concatenate([part[key] for part in parts], axis=1)
+                               for key in parts[0]})
+    a = _lp_constraint_rows(r_hat, groups, merit or MeritFunction())
     scale = ideal_dcg(r_hat)
-    w = g / (scale if scale > 0.0 else 1.0)
+    w = gains(r_hat) / np.where(scale > 0.0, scale, 1.0)[:, None]
     top = max(lambdas)
-    solved = {}
-    if 0.0 in lambdas:
-        # The sort by w is the one segment of a zero constraint row.
-        orders = np.argsort(0.0 - w, kind="stable")[None]
-        solved[0.0] = _lp_optimum(orders, ranking_exposures(orders), w,
-                                  np.zeros(n), 0.0)
-    if top > 0.0:
-        i, j = _pair_indices(n)
-        cross = a[i] != a[j]
-        knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
-        # The distinct knots inside (0, top), sorted: np.unique's values,
-        # without the numpy.ma import that np.unique makes.
-        inside = np.sort(knots[(knots > 0.0) & (knots < top)])
-        distinct = np.ones(len(inside), dtype=bool)
-        distinct[1:] = inside[1:] != inside[:-1]
-        inside = inside[distinct]
-        bounds = np.concatenate(([0.0], inside, [top]))
-        mids = (bounds[:-1] + bounds[1:]) / 2.0
-        orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")
-        per_order = ranking_exposures(orders)
-        for lam in set(lambdas) - {0.0}:
-            k = int(np.searchsorted(inside, lam)) + 1
-            solved[lam] = _lp_optimum(orders[:k], per_order[:k], w, a, lam)
-    return [solved[lam] for lam in lambdas]
+    i, j = _pair_indices(n)
+    cross = a[:, i] != a[:, j]
+    knots = (w[:, i] - w[:, j]) / np.where(cross, a[:, i] - a[:, j], 1.0)
+    knots = np.sort(np.where(cross & (knots > 0.0) & (knots < top), knots, np.inf))
+    knots[:, 1:][knots[:, 1:] == knots[:, :-1]] = np.inf
+    knots.sort()
+    zero = np.zeros((Q, 1))
+    bounds = np.hstack((zero, zero, np.minimum(knots, top), zero + top))
+    mids = (bounds[:, :-1] + bounds[:, 1:]) / 2.0
+    orders = np.argsort(mids[..., None] * a[:, None] - w[:, None], kind="stable")
+    per_order = ranking_exposures(orders)
+    gap = np.matmul(per_order, a[..., None])[..., 0]
+    # Row 0, the sort by w, is lam = 0's one segment, under a zero row; a
+    # weight lam > 0 has the segments from row 1 to row last.
+    gap[:, 0] = 0.0
+    lams = np.array(lambdas)[:, None]
+    low = (lams > 0.0).astype(np.intp)
+    last = (knots < lams[..., None]).sum(axis=-1) + low
+    rows = np.arange(gap.shape[1])
+    fair = (rows >= low[..., None]) & (rows <= last[..., None]) & (gap <= 0.0)
+    found = fair.any(axis=-1)
+    first = np.where(found, fair.argmax(axis=-1), last)
+    query = np.arange(Q)
+    at, before = gap[query, first], gap[query, first - 1]
+    mixed = found & (first > low) & (at != 0.0)
+    theta = np.divide(at, at - before, out=np.ones_like(at), where=mixed)
+    pick = (query[:, None], np.stack((first - mixed, first), axis=-1))
+    weights = np.stack((theta, 1.0 - theta), axis=-1)
+    xi = np.where(found, 0.0, at)
+    exposures = np.matmul(weights[..., None, :], per_order[pick])[..., 0, :]
+    objective = np.matmul(exposures[..., None, :], w[..., None])[..., 0, 0] - lams * xi
+    return FairLPResult(orders=orders[pick], weights=weights, xi=xi,
+                        objective=objective, exposures=exposures)
 
 
 def _lp_constraint_rows(r_hat: np.ndarray, groups: np.ndarray | None,
@@ -193,28 +212,6 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     for index in pairs:
         index.flags.writeable = False
     return pairs
-
-
-def _lp_optimum(orders: np.ndarray, per_order: np.ndarray, w: np.ndarray,
-                a: np.ndarray, lam: float) -> FairLPResult:
-    """The optimum from the orderings of the segments of ``[0, lam]`` and
-    their ranking exposures: the first fair ordering, the last one with a
-    slack when none is fair, or the mixture meeting the constraint."""
-    utility = per_order @ w
-    gap = per_order @ a
-    fair = np.flatnonzero(gap <= 0.0)
-    if len(fair) == 0:
-        pick, weights, xi = [-1], [1.0], float(gap[-1])
-    elif fair[0] == 0 or gap[fair[0]] == 0.0:
-        pick, weights, xi = [fair[0]], [1.0], 0.0
-    else:
-        k = fair[0]
-        theta = gap[k] / (gap[k] - gap[k - 1])
-        pick, weights, xi = [k - 1, k], [theta, 1.0 - theta], 0.0
-    weights = np.array(weights)
-    return FairLPResult(orders=orders[pick], weights=weights, xi=xi,
-                        objective=float(weights @ utility[pick]) - lam * xi,
-                        exposures=weights @ per_order[pick])
 
 
 def require_lambda_grid(lambdas: Sequence[float]) -> list[float]:
@@ -264,12 +261,14 @@ def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
     The members step together: the per-epoch permutation, the generator's
     only draw, is shared, and each step is one set of stacked products on
     the block.  Each stacked product is the one-member product of each
-    member (a ``(K, 1, n) @ (n, 1)`` gap is the dot of each row, a
+    member (a ``(K, 1, n) @ (n,)`` gap is the dot of each row, a
     ``(n, d) @ (K, d, 1)`` score the matrix-vector product of each), so
-    member k's bits are those of training it alone.  Each query's
-    features, target profile and group weights are found once.  Raises
-    ``ValueError`` before any step for a bad grid (``require_lambda_grid``)
-    or bad settings.
+    member k's bits are those of training it alone.  Each run's target
+    profiles and group weights are built once as ``(Q, n)`` arrays, and a
+    step reads its query's rows of them and of the run's features; the
+    clip is the factor ``max_norm / max(norm, max_norm)`` of each member,
+    exactly 1.0 for one that is not clipped.  Raises ``ValueError`` before
+    any step for a bad grid (``require_lambda_grid``) or bad settings.
     """
     two_lams = 2.0 * np.array(require_lambda_grid(lambdas))[:, None]
     require_top1_settings(learning_rate, epochs)
@@ -277,27 +276,32 @@ def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
     K, d = len(two_lams), dataset.feature_dim
     params = np.zeros((K, d + 1))
     weights, bias = params[:, :d, None], params[:, d:]
-    grad, squares = np.empty_like(params), np.empty_like(params)
-    grad_weights, grad_bias = grad[:, :d, None], grad[:, d]
-    # Probabilities and score gradients of the block, one pair of buffers
-    # per query size, each with the views its products write through.
-    buffers = {}
-    for n in {len(query) for query in dataset}:
-        probs, score_grad = np.empty((K, n)), np.empty((K, n))
-        buffers[n] = (probs, probs[..., None], probs[:, None, :],
-                      score_grad, score_grad[..., None])
-    steps = []
-    for query in dataset:
-        picker = _group_picker(query.groups)
-        steps.append((query.feature_matrix, query.feature_matrix.T,
-                      _top1_target(query.relevances), picker,
-                      None if picker is None else picker[:, None],
-                      buffers[len(query)]))
+    grad, squares, norm = np.empty_like(params), np.empty_like(params), np.empty(K)
+    grad_weights, grad_bias, factor = grad[:, :d, None], grad[:, d], norm[:, None]
+    squares_weights, squares_bias = squares[:, :d], squares[:, d]
+    # The constants as arrays of their operands' shapes: numpy takes its
+    # fast path for operands of one shape, not for scalars or broadcasts.
+    max_norm, rate = np.full(K, _TOP1_MAX_GRAD_NORM), np.full_like(params, learning_rate)
+    # The block's buffers for each query size, with the views its products
+    # write through: probabilities, score gradients and the penalty's terms.
+    buffers, steps = {}, []
+    for run in dataset.runs:
+        n = run.relevances.shape[1]
+        if n not in buffers:
+            probs, score_grad = np.empty((K, n)), np.empty((K, n))
+            buffers[n] = (probs, probs[..., None], probs[:, None, :], score_grad,
+                          score_grad[..., None], np.empty((K, 1)), np.empty((K, 1)),
+                          np.empty((K, n)), np.empty((K, n)))
+        targets, pickers = _top1_target(run.relevances), _group_picker(run.groups)
+        for q, X in enumerate(run.features):
+            picker = None if pickers is None or not pickers[q].any() else pickers[q]
+            steps.append((X, X.T, np.tile(targets[q], (K, 1)), picker, buffers[n]))
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        for qi in rng.permutation(len(dataset)):
-            X, XT, target, picker, picker_column, views = steps[qi]
-            p, p_column, p_row, score_grad, score_grad_column = views
+        for qi in rng.permutation(len(steps)):
+            X, XT, target, picker, views = steps[qi]
+            p, p_column, p_row, score_grad, score_grad_column, gap, scaled, penalty, \
+                spread = views
             np.matmul(X, weights, out=p_column)
             p += bias
             p -= np.maximum.reduce(p, axis=1, keepdims=True)
@@ -305,23 +309,27 @@ def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
             p /= np.add.reduce(p, axis=1, keepdims=True)
             np.subtract(p, target, out=score_grad)
             if picker is not None:
-                gap = np.matmul(p_row, picker_column)[:, 0]
+                np.matmul(p_row, picker, out=gap)
                 # A zero weight adds zeros: p - target is never -0.0.
-                penalty = two_lams * gap * p
-                penalty *= picker - gap
+                np.multiply(two_lams, gap, out=scaled)
+                np.multiply(scaled, p, out=penalty)
+                np.subtract(picker, gap, out=spread)
+                penalty *= spread
                 score_grad += penalty
             np.matmul(XT, score_grad_column, out=grad_weights)
             np.add.reduce(score_grad, axis=1, out=grad_bias)
             # Two sums, the weights' squares then the bias's: one sum over
             # the whole vector rounds differently and moves clipped steps.
             np.square(grad, out=squares)
-            norm = np.add.reduce(squares[:, :d], axis=1)
-            norm += squares[:, d]
+            np.add.reduce(squares_weights, axis=1, out=norm)
+            norm += squares_bias
             np.sqrt(norm, out=norm)
-            if np.maximum.reduce(norm) > _TOP1_MAX_GRAD_NORM:
-                clipped = norm > _TOP1_MAX_GRAD_NORM
-                grad[clipped] *= (_TOP1_MAX_GRAD_NORM / norm[clipped])[:, None]
-            grad *= learning_rate
+            # The clip factor is exactly 1.0 for a member at or below the
+            # largest norm, a zero gradient's included.
+            np.maximum(norm, max_norm, out=norm)
+            np.divide(max_norm, norm, out=norm)
+            grad *= factor
+            grad *= rate
             params -= grad
     return LinearModel(params[:, :d], bias)
 
@@ -337,21 +345,25 @@ def require_top1_settings(learning_rate: float, epochs: int) -> None:
 
 
 def _top1_target(relevances: np.ndarray) -> np.ndarray:
-    """Normalized relevance profile, uniform when every relevance is zero."""
-    total = relevances.sum()
-    if total > 0.0:
-        return relevances / total
-    return np.full(relevances.shape[0], 1.0 / relevances.shape[0])
+    """Normalized relevance profile of each ``(..., n)`` relevance vector,
+    uniform when every relevance is zero."""
+    total = relevances.sum(axis=-1, keepdims=True)
+    return np.divide(relevances, total, where=total > 0.0,
+                     out=np.full(relevances.shape, 1.0 / relevances.shape[-1]))
 
 
 def _group_picker(groups: np.ndarray | None) -> np.ndarray | None:
     """Weights whose product with top-1 probabilities is the mean
-    probability of group 0 minus that of group 1; None unless both groups
-    are present."""
-    if groups is None or not ((groups == 0).any() and (groups == 1).any()):
+    probability of group 0 minus that of group 1, of each ``(..., n)``
+    group vector: zero for a vector without both groups, and None when no
+    vector has both."""
+    if groups is None:
         return None
-    return np.where(groups == 0, 1.0 / (groups == 0).sum(),
-                    -1.0 / (groups == 1).sum())
+    in0 = groups == 0
+    n0, n1 = in0.sum(axis=-1, keepdims=True), (~in0).sum(axis=-1, keepdims=True)
+    both = (n0 > 0) & (n1 > 0)
+    picker = np.where(in0, 1.0 / np.maximum(n0, 1), -1.0 / np.maximum(n1, 1))
+    return np.where(both, picker, 0.0) if both.any() else None
 
 
 def top1_lambda_grid() -> list[float]:

@@ -41,6 +41,7 @@ automatically when present.
 from __future__ import annotations
 
 import argparse
+import bisect
 import concurrent.futures
 import csv
 import dataclasses
@@ -692,27 +693,26 @@ def _lp_rankers(train_set, splits, lambdas, merit):
     weight, one member per weight; and each weight's mean and largest slack
     over the train split.  Every query of the splits is solved once up
     front, on estimates scored once, each run of equal-size queries as one
-    block.  An optimum is played as-is: its rankings, a lone one padded
-    with a weight-0 copy, its weights and its expected exposures."""
+    block, and a ranker hands each block of queries its slice of the run's
+    rankings, weights and expected exposures."""
     regression = baselines.fit_linear_regression(train_set)
 
-    def ranker(solved):
-        def rank(first, features):
-            table = list(zip(*solved[first:first + len(features)]))
-            return (np.array([[np.resize(r.orders, (2, r.orders.shape[1])) for r in row]
-                              for row in table]),
-                    np.array([[np.append(r.weights, 0.0)[:2] for r in row]
-                              for row in table]),
-                    np.array([[r.exposures for r in row] for row in table]))
-        return rank
+    def ranker(dataset):
+        starts = [run.start for run in dataset.runs]
+        solved = [baselines.solve_fair_lp_grid(regression.scores(run.features), run.groups,
+                                               lambdas, merit) for run in dataset.runs]
 
-    solved = [[per_query for run in dataset.runs
-               for per_query in baselines.solve_fair_lp_grid(
-                   regression.scores(run.features), run.groups, lambdas, merit)]
-              for _, dataset in splits]
-    slack = zip(*([r.xi for r in per_query] for per_query in solved[0]))
-    return [ranker(each) for each in solved], [
-        {"mean_xi": float(np.mean(xis)), "max_xi": float(np.max(xis))} for xis in slack]
+        def rank(first, features):
+            run = bisect.bisect_right(starts, first) - 1
+            block = slice(first - starts[run], first - starts[run] + len(features))
+            return tuple(values[:, block] for values in
+                         (solved[run].orders, solved[run].weights, solved[run].exposures))
+        return rank, solved
+
+    rankers, solved = zip(*(ranker(dataset) for _, dataset in splits))
+    slack = np.concatenate([result.xi for result in solved[0]], axis=1)
+    return list(rankers), [{"mean_xi": float(np.mean(xis)), "max_xi": float(np.max(xis))}
+                           for xis in slack]
 
 
 def _top1_rankers(train_set, splits, lambdas, lr, epochs, seed):

@@ -32,6 +32,11 @@ compare datasets and models bit for bit, for the round-trip and
 determinism tests; ``param_arrays`` gives a model's named parameter
 arrays, the views of its one vector.
 
+``solve_fair_lp_query`` is the per-query reference of the package's block
+solve of the fair LP (``baselines.solve_fair_lp_grid``): one query's
+segments found by sorting its distinct knots, and each weight's optimum
+picked from its first segments with plain control flow.
+
 ``parse_letor_lines`` is the reference LETOR parser: it reads one line at a
 time and checks each rule with plain Python (``letor_line_error``), which
 the tests check the package's vectorized parser against.
@@ -269,6 +274,71 @@ def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> flo
     reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
     slot = placed.sum(axis=1) + 1.0
     return float(np.sum(reach * (flows @ stop) / slot))
+
+
+@dataclass
+class QueryLPOptimum:
+    """One query's fair-LP optimum: one ranking or a mixture of two."""
+
+    orders: np.ndarray
+    weights: np.ndarray
+    xi: float
+    objective: float
+    exposures: np.ndarray
+
+
+def solve_fair_lp_query(r_hat: np.ndarray, a: np.ndarray,
+                        lambdas: list[float]) -> list[QueryLPOptimum]:
+    """The fair LP of one query's estimates and scaled group row ``a`` at
+    each weight of ``lambdas``: the segments of the largest weight, each a
+    sort at its midpoint, found once, and each ``lam > 0`` reading the
+    first ``k`` of them, ``k - 1`` being its number of knots below
+    ``lam``; ``lam = 0`` takes the sort by the normalized gains."""
+    n = r_hat.shape[0]
+    g = gains(r_hat)
+    scale = ideal_dcg(r_hat)
+    w = g / (scale if scale > 0.0 else 1.0)
+    top = max(lambdas)
+    solved = {}
+    if 0.0 in lambdas:
+        orders = np.argsort(0.0 - w, kind="stable")[None]
+        solved[0.0] = _lp_optimum(orders, ranking_exposures(orders), w,
+                                  np.zeros(n), 0.0)
+    if top > 0.0:
+        i, j = np.triu_indices(n, 1)
+        cross = a[i] != a[j]
+        knots = (w[i] - w[j])[cross] / (a[i] - a[j])[cross]
+        inside = np.unique(knots[(knots > 0.0) & (knots < top)])
+        bounds = np.concatenate(([0.0], inside, [top]))
+        mids = (bounds[:-1] + bounds[1:]) / 2.0
+        orders = np.argsort(mids[:, None] * a - w, axis=1, kind="stable")
+        per_order = ranking_exposures(orders)
+        for lam in set(lambdas) - {0.0}:
+            k = int(np.searchsorted(inside, lam)) + 1
+            solved[lam] = _lp_optimum(orders[:k], per_order[:k], w, a, lam)
+    return [solved[lam] for lam in lambdas]
+
+
+def _lp_optimum(orders: np.ndarray, per_order: np.ndarray, w: np.ndarray,
+                a: np.ndarray, lam: float) -> QueryLPOptimum:
+    """The optimum from the orderings of the segments of ``[0, lam]`` and
+    their ranking exposures: the first fair ordering, the last one with a
+    slack when none is fair, or the mixture meeting the constraint."""
+    utility = per_order @ w
+    gap = per_order @ a
+    fair = np.flatnonzero(gap <= 0.0)
+    if len(fair) == 0:
+        pick, weights, xi = [-1], [1.0], float(gap[-1])
+    elif fair[0] == 0 or gap[fair[0]] == 0.0:
+        pick, weights, xi = [fair[0]], [1.0], 0.0
+    else:
+        k = fair[0]
+        theta = gap[k] / (gap[k] - gap[k - 1])
+        pick, weights, xi = [k - 1, k], [theta, 1.0 - theta], 0.0
+    weights = np.array(weights)
+    return QueryLPOptimum(orders=orders[pick], weights=weights, xi=xi,
+                          objective=float(weights @ utility[pick]) - lam * xi,
+                          exposures=weights @ per_order[pick])
 
 
 def dataset_of(queries) -> Dataset:

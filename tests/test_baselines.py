@@ -91,8 +91,9 @@ def test_linear_regression_fits_constant_via_bias():
 
 
 def assert_sorting_permutation(res, r_hat):
-    assert res.orders.tolist() == [np.argsort(-r_hat, kind="stable").tolist()]
-    assert res.weights.tolist() == [1.0]
+    """The sort by the estimates alone, padded with its weight-0 copy."""
+    assert res.orders.tolist() == [np.argsort(-r_hat, kind="stable").tolist()] * 2
+    assert res.weights.tolist() == [1.0, 0.0]
     np.testing.assert_array_equal(res.exposures,
                                   fairness.ranking_exposures(res.orders)[0])
 
@@ -223,10 +224,15 @@ def test_grids_refuse_a_bad_weight_anywhere_before_any_work(bad, monkeypatch):
 
 def assert_same_lp_result(got, want):
     """Every field of two ``FairLPResult`` equal, bit for bit."""
-    for field in ("orders", "weights", "exposures"):
-        a, b = getattr(got, field), getattr(want, field)
+    for field in ("orders", "weights", "xi", "objective", "exposures"):
+        a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    assert (got.xi, got.objective) == (want.xi, want.objective)
+
+
+def result_at(block, lam_index, query):
+    """The ``FairLPResult`` of one weight and query of a block's result."""
+    return baselines.FairLPResult(*(value[lam_index, query]
+                                    for value in vars(block).values()))
 
 
 def lp_grid_instances():
@@ -255,12 +261,28 @@ def test_lp_grid_equals_one_solve_per_weight(grid):
     largest weight, equals solving at that weight alone, in grid order."""
     mixtures = 0
     for r_hat, groups in lp_grid_instances():
-        got = baselines.solve_fair_lp_grid(r_hat, groups, grid)
-        assert len(got) == len(grid)
-        for result, lam in zip(got, grid):
+        got = baselines.solve_fair_lp_grid(r_hat[None], None if groups is None
+                                           else groups[None], grid)
+        assert got.orders.shape == (len(grid), 1, 2, len(r_hat))
+        for l, lam in enumerate(grid):
+            result = result_at(got, l, 0)
             assert_same_lp_result(result, baselines.solve_fair_lp(r_hat, groups, lam))
-            mixtures += len(result.orders) == 2
+            mixtures += result.weights[1] > 0.0
     assert (mixtures > 0) == (max(grid) > 0.0)
+
+
+def lp_blocks():
+    """``lp_grid_instances`` as blocks of equal-size queries, with and
+    without groups; one block of one."""
+    blocks = {}
+    for r_hat, groups in lp_grid_instances():
+        blocks.setdefault((len(r_hat), groups is None), []).append((r_hat, groups))
+    blocks[(5, True)].append((np.random.default_rng(12).uniform(0.0, 3.0, 5), None))
+    assert max(len(block) for block in blocks.values()) > 8
+    assert min(len(block) for block in blocks.values()) == 1
+    for (_, ungrouped), block in blocks.items():
+        yield (np.array([r_hat for r_hat, _ in block]),
+               None if ungrouped else np.array([g for _, g in block]))
 
 
 @pytest.mark.parametrize("grid", [baselines.lp_lambda_grid(), [0.0]])
@@ -268,22 +290,98 @@ def test_lp_block_equals_each_query_alone(grid):
     """A ``(Q, n)`` block of estimates and groups gives each query's results
     with the bits of solving it alone, its degenerate queries among them;
     a block without groups too, and a block of one."""
-    instances = list(lp_grid_instances())
-    blocks = {}
-    for r_hat, groups in instances:
-        blocks.setdefault((len(r_hat), groups is None), []).append((r_hat, groups))
-    blocks[(5, True)].append((np.random.default_rng(12).uniform(0.0, 3.0, 5), None))
-    assert max(len(block) for block in blocks.values()) > 8
-    for (n, ungrouped), block in blocks.items():
-        estimates = np.array([r_hat for r_hat, _ in block])
-        groups = None if ungrouped else np.array([g for _, g in block])
+    for estimates, groups in lp_blocks():
         got = baselines.solve_fair_lp_grid(estimates, groups, grid)
-        assert len(got) == len(block)
-        for results, (r_hat, g) in zip(got, block):
-            alone = baselines.solve_fair_lp_grid(r_hat, g, grid)
-            assert len(results) == len(alone) == len(grid)
-            for result, want in zip(results, alone):
-                assert_same_lp_result(result, want)
+        assert got.orders.shape == (len(grid), len(estimates), 2, estimates.shape[1])
+        for q, r_hat in enumerate(estimates):
+            alone = baselines.solve_fair_lp_grid(
+                r_hat[None], None if groups is None else groups[q:q + 1], grid)
+            for l in range(len(grid)):
+                assert_same_lp_result(result_at(got, l, q), result_at(alone, l, 0))
+
+
+def test_lp_block_in_parts_equals_the_whole_block(monkeypatch):
+    """A block larger than ``_LP_PART_ENTRIES`` allows is solved in parts
+    of whole queries, with the bits of the whole block."""
+    grid = baselines.lp_lambda_grid()
+    split = 0
+    for estimates, groups in lp_blocks():
+        whole = baselines.solve_fair_lp_grid(estimates, groups, grid)
+        n = estimates.shape[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_LP_PART_ENTRIES", 3 * (n * (n - 1) // 2 + 2) * n)
+            parts = baselines.solve_fair_lp_grid(estimates, groups, grid)
+        split += len(estimates) > 3
+        assert_same_lp_result(parts, whole)
+    assert split >= 3
+
+
+def lp_reference_runs():
+    """Runs of estimates and groups for the per-query reference: random
+    and tied estimates (repeated knots), no groups (a zero row), one group,
+    a zero-merit group, one and two documents, and a split of 6- and
+    9-document queries."""
+    rng = np.random.default_rng(13)
+    yield rng.uniform(0.0, 3.0, (6, 8)), rng.integers(0, 2, (6, 8))
+    yield rng.integers(0, 3, (6, 8)).astype(float), rng.integers(0, 2, (6, 8))
+    yield np.array([[2.0, 2.0, 1.0, 1.0, 0.0, 2.0], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+                    [2.0, 0.0, 1.0, 0.0, 2.0, 2.0]]), \
+        np.array([[0, 1, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 0, 0]])
+    # Repeated knots where the weights 0.2 and 1 take their segment.
+    yield np.array([[0.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]]), np.array([[0, 1, 0, 0, 0, 1, 1, 1]])
+    yield rng.uniform(0.0, 3.0, (3, 5)), None
+    yield rng.uniform(0.0, 3.0, (3, 5)), np.zeros((3, 5), dtype=int)
+    yield np.array([[0.0, -0.5, 1.5, 2.0], [1.0, 0.0, 2.0, 0.5]]), \
+        np.array([[0, 0, 1, 1], [1, 0, 1, 1]])
+    yield np.array([[1.3], [0.0]]), np.array([[0], [1]])
+    yield np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]]), np.array([[0, 1], [0, 1], [1, 0]])
+    split = oracle.dataset_of(
+        [q for pair in zip(data.generate_simulated(num_queries=6, docs_per_query=6, seed=5),
+                           data.generate_simulated(num_queries=6, docs_per_query=9, seed=6))
+         for q in pair])
+    scores = baselines.fit_linear_regression(split)
+    for run in split.runs:
+        yield scores.scores(run.features), run.groups
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0], baselines.lp_lambda_grid(),
+                                  [0.2, 0.0, 0.05, 0.2, 0.01, 5.0, 0.05]])
+def test_lp_block_equals_the_per_query_reference(grid):
+    """The block solve against ``oracle.solve_fair_lp_query``, the
+    per-query solver: the same rankings and the same choice of one ranking
+    or a mixture, everywhere; a lone ranking's weights and exposures, and a
+    zero slack, bit for bit.  A segment's constraint value is a product
+    whose BLAS kernel depends on its row's place in the product, so a
+    positive slack, a mixture's weights and its exposures may move by
+    rounding: the slack by at most 1e-15 of the row's total size, the
+    exposures by 1e-15 relative and the weights by the slack's rounding
+    over the gap between their two rankings' constraint values.  The
+    objective is the exposures' gain less the penalty, which the reference
+    sums in another order."""
+    merit = fairness.MeritFunction()
+    for estimates, groups in lp_reference_runs():
+        got = baselines.solve_fair_lp_grid(estimates, groups, grid)
+        rows = baselines._lp_constraint_rows(estimates, groups, merit)
+        for q, (r_hat, a) in enumerate(zip(estimates, rows)):
+            size = np.abs(a).sum()
+            for l, want in enumerate(oracle.solve_fair_lp_query(r_hat, a, grid)):
+                result = result_at(got, l, q)
+                lone = len(want.orders) == 1
+                assert result.orders.tolist() == np.resize(want.orders, (2, len(a))).tolist()
+                assert (result.weights[1] == 0.0) == lone
+                assert (result.xi == 0.0) == (want.xi == 0.0)
+                assert abs(result.xi - want.xi) <= 1e-15 * size
+                if lone:
+                    assert result.weights.tolist() == [1.0, 0.0]
+                    assert result.exposures.tobytes() == want.exposures.tobytes()
+                else:
+                    spread = abs(float(np.diff(
+                        fairness.ranking_exposures(want.orders) @ a)[0]))
+                    assert np.abs(result.weights - want.weights).max() \
+                        <= 1e-15 * (size / spread + 1.0)
+                    np.testing.assert_allclose(result.exposures, want.exposures,
+                                               rtol=1e-15, atol=0.0)
+                assert result.objective == pytest.approx(want.objective, rel=1e-14)
 
 
 def test_lp_values_are_those_of_its_optimal_mixtures():
@@ -308,7 +406,7 @@ def test_lp_values_are_those_of_its_optimal_mixtures():
         for q, query in enumerate(dataset):
             result = baselines.solve_fair_lp(regression.scores(query.feature_matrix),
                                              query.groups, lam, merit)
-            mixtures += len(result.orders) == 2
+            mixtures += result.weights[1] > 0.0
             ideal = metrics.ideal_dcg(query.relevances)
             expected = (metrics.gains(query.relevances) @ result.exposures / ideal
                         if ideal else 0.0)
@@ -428,7 +526,9 @@ def test_top1_baseline_equals_the_reference_loop(lam):
 
 def top1_block_dataset(features):
     """Queries of 6 and 9 documents, one of them of a single group, with
-    ``features`` features."""
+    ``features`` features; and last a 6-document query whose top-1
+    gradient is exactly zero at every step (all-zero relevances, identical
+    feature rows, one group), so the clip meets a zero norm."""
     rng = np.random.default_rng(features)
     queries = []
     for qi in range(12):
@@ -436,6 +536,8 @@ def top1_block_dataset(features):
         groups = np.zeros(n, dtype=int) if qi == 3 else (rng.random(n) < 0.3).astype(int)
         queries.append((str(qi), rng.normal(size=(n, features)),
                                   rng.uniform(0.0, 3.0, n), groups))
+    queries.append(("flat", np.tile(rng.normal(size=features), (6, 1)), np.zeros(6),
+                    np.ones(6, dtype=int)))
     return oracle.dataset_of(queries)
 
 

@@ -499,20 +499,30 @@ def test_top1_summary_equals_its_per_query_reference(tmp_path, two_size_dir):
 
 def test_baselines_do_their_per_query_and_per_epoch_work_once_per_grid(
         tmp_path, two_size_dir, monkeypatch):
-    """The LP builds each query's group row once for the whole grid, in one
-    call per run of equal-size queries, and the top-1 grid draws one
-    permutation per epoch for all its weights.  Counts work through
-    monkeypatched functions; times nothing."""
+    """The LP builds each query's group row once for the whole grid, and
+    the exposures of the rankings of all its segments, in one call each per
+    run of equal-size queries; the top-1 grid draws one permutation per
+    epoch for all its weights and makes no ``Query`` view.  Counts work
+    through monkeypatched functions; times nothing."""
     train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
-    rows_built = []
+    rows_built, exposures_built = [], []
     group_rows = baselines.group_rows
     monkeypatch.setattr(baselines, "group_rows", lambda merits, groups: rows_built.append(
         len(merits)) or group_rows(merits, groups))
+    ranking_exposures = baselines.ranking_exposures
+    monkeypatch.setattr(baselines, "ranking_exposures", lambda orders: exposures_built.append(
+        len(orders)) or ranking_exposures(orders))
     assert run(["baseline", "--method", "lp", "--train", train, "--test", test,
                 "--lambdas", "0,0.05,0.2,1", "--out", tmp_path / "lp"]) == 0
     splits = [cli.load_dataset_auto(str(path)) for path in (train, test)]
     assert sum(rows_built) == sum(len(split) for split in splits) == 24
     assert len(rows_built) == sum(len(split.runs) for split in splits) < 24
+    assert exposures_built == rows_built
+
+    def no_view(self, index):
+        raise AssertionError("a Query view was made")
+
+    monkeypatch.setattr(data.Dataset, "__getitem__", no_view)
 
     permutations = []
 

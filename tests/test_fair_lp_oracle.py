@@ -49,10 +49,13 @@ def highs_objective(r_hat, groups, lam):
 
 
 def check_solution(res, r_hat, groups, lam):
-    """Feasibility, and that the reported objective is the solution's."""
+    """Feasibility, and that the reported objective is the solution's; a
+    lone ranking is padded with a weight-0 copy of itself."""
     w, a, _ = lp_data(r_hat, groups, lam)
     n = len(r_hat)
-    assert res.orders.shape[1] == n and 1 <= len(res.orders) <= 2
+    assert res.orders.shape == (2, n) and res.weights.shape == (2,)
+    if res.weights[1] == 0.0:
+        assert res.weights[0] == 1.0 and (res.orders[0] == res.orders[1]).all()
     for order in res.orders:
         assert sorted(order.tolist()) == list(range(n))
     assert (res.weights >= 0.0).all()
@@ -106,9 +109,34 @@ def test_closed_form_is_never_below_highs(kind):
             assert res.objective >= highs_objective(r_hat, groups, lam) - 1e-9
             if lam == 0.0:
                 assert res.orders.tolist() == [
-                    np.argsort(-r_hat, kind="stable").tolist()]
+                    np.argsort(-r_hat, kind="stable").tolist()] * 2
             solved += 1
     assert solved >= 60
+
+
+def test_a_block_of_queries_is_never_below_highs():
+    """Each size's random and tied instances solved as one ``(Q, n)``
+    block at every weight, its queries with different numbers of knots:
+    every query's optimum is feasible, reports its own objective and is
+    never below HiGHS."""
+    by_size = {}
+    for name, r_hat, groups, _ in instances():
+        if name != "knot":
+            by_size.setdefault(len(r_hat), []).append((r_hat, groups))
+    multi = 0
+    for n, block in by_size.items():
+        estimates = np.array([r_hat for r_hat, _ in block])
+        groups = np.array([g for _, g in block])
+        counts = {len(knots(r_hat, g)) for r_hat, g in block}
+        multi += len(counts) > 1
+        res = baselines.solve_fair_lp_grid(estimates, groups, LAMBDAS)
+        assert res.orders.shape == (len(LAMBDAS), len(block), 2, n)
+        for l, lam in enumerate(LAMBDAS):
+            for q, (r_hat, g) in enumerate(block):
+                one = baselines.FairLPResult(*(value[l, q] for value in vars(res).values()))
+                check_solution(one, r_hat, g, lam)
+                assert one.objective >= highs_objective(r_hat, g, lam) - 1e-9
+    assert multi >= 3
 
 
 @pytest.mark.parametrize("case", [
@@ -128,7 +156,8 @@ def test_degenerate_instances_sort_by_estimate(case):
     for lam in LAMBDAS:
         res = baselines.solve_fair_lp(r_hat, groups, lam)
         check_solution(res, r_hat, groups, lam)
-        assert res.orders.tolist() == [np.argsort(-r_hat, kind="stable").tolist()]
+        assert res.orders.tolist() == [np.argsort(-r_hat, kind="stable").tolist()] * 2
+        assert res.weights.tolist() == [1.0, 0.0]
         assert res.xi == 0.0
         assert res.objective == pytest.approx(
             highs_objective(r_hat, groups, lam), abs=1e-9)
@@ -144,7 +173,7 @@ def test_slack_then_mixture_along_lambda():
     for lam in np.linspace(0.01, 5.0, 60):
         res = baselines.solve_fair_lp(r_hat, groups, lam)
         _, a, _ = lp_data(r_hat, groups, lam)
-        if len(res.orders) == 1:
+        if res.weights[1] == 0.0:
             assert res.xi > 0.0
             assert res.xi == pytest.approx(a @ res.exposures, abs=1e-15)
             cases.add("slack")
