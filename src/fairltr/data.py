@@ -13,12 +13,16 @@ significant digits so that parse -> write -> parse is bit exact.
 A dataset holds its documents once, as flat arrays in dataset order: an
 ``(N, d)`` feature matrix, ``(N,)`` relevances and, when labelled,
 ``(N,)`` groups, with the qid and the number of documents of each query.
-``Dataset`` is its one constructor, and it refuses what the parsers
-refuse, a non-finite value or a group label other than 0/1, naming the
-query rather than a line.  Each run of consecutive queries of equal size n
-is a ``Run``: reshaped views of its slice of the flat arrays, ``(Q, n,
-d)`` features and ``(Q, n)`` relevances and groups, which is the layout
-the metrics, the disparities, the trainer and the baselines read.  A
+``Dataset`` is its one public constructor, and it refuses what the
+parsers refuse, a non-finite value or a group label other than 0/1,
+naming the query rather than a line.  Data that is checked already is
+not checked or copied again: the parser's arrays, which it checked line
+by line, and the rows that ``Dataset.subset`` and ``split_dataset`` take
+from a dataset are held as they are.  Each run of consecutive queries of
+equal size n is a ``Run``: reshaped views of its slice of the flat
+arrays, ``(Q, n, d)`` features and ``(Q, n)`` relevances and groups,
+which is the layout the metrics, the disparities, the trainer and the
+baselines read.  A
 ``Query`` is a read-only view of one query's rows, made on demand by
 indexing or iterating the dataset; neither holds anything else.  The
 arrays are read-only, and every transformation returns a new dataset.
@@ -104,7 +108,9 @@ class Dataset:
     ``qids`` names the queries in order, and ``sizes`` gives each one's
     number of documents, its rows of the ``(N, d)`` ``features``, ``(N,)``
     ``relevances`` and ``(N,)`` ``groups`` (or None) following those of
-    the queries before it.  The dataset keeps read-only copies of them.
+    the queries before it.  The dataset keeps read-only copies of them;
+    the arrays of the parser and of ``subset``, which keep every rule and
+    which nothing else holds, are kept read-only without a copy.
     ``runs`` holds each run of consecutive equal-size queries as a ``Run``
     of views; ``dataset[i]``, and iteration, give ``Query`` views.
     """
@@ -123,20 +129,37 @@ class Dataset:
         _refuse_bad_query(self)
         if self.groups is not None:
             self.groups = self.groups.astype(np.intp)
+        self._hold()
+
+    @classmethod
+    def _of_checked(cls, qids: tuple[str, ...], sizes: np.ndarray, features: np.ndarray,
+                    relevances: np.ndarray, groups: np.ndarray | None) -> "Dataset":
+        """The dataset of arrays that keep every rule of ``_QUERY_RULES``
+        already and that nothing else holds, the parser's or rows taken
+        from a dataset, held as they are: no check and no copy."""
+        dataset = cls.__new__(cls)
+        dataset.qids, dataset.sizes = qids, sizes
+        dataset.features, dataset.relevances, dataset.groups = features, relevances, groups
+        dataset._hold()
+        return dataset
+
+    def _hold(self) -> None:
+        """Make the dataset's arrays read-only and its runs views of them."""
         self.feature_dim = self.features.shape[1]
         self.has_groups = self.groups is not None
         for values in (self.sizes, self.features, self.relevances, self.groups):
             if values is not None:
                 values.flags.writeable = False
-        self._offsets = [0, *itertools.accumulate(self.sizes.tolist())]
-        runs, start = [], 0
+        # Where each query's documents start, and past the last, the end.
+        self._offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        runs, start, first = [], 0, 0
         for n, sizes in itertools.groupby(self.sizes.tolist()):
             count = len(list(sizes))
-            docs = slice(self._offsets[start], self._offsets[start + count])
+            docs = slice(first, first + count * n)
             runs.append(Run(start, *(
                 None if values is None else values[docs].reshape(count, n, *values.shape[1:])
                 for values in (self.features, self.relevances, self.groups))))
-            start += count
+            start, first = start + count, docs.stop
         self.runs = tuple(runs)
 
     def __getitem__(self, index: int) -> Query:
@@ -156,16 +179,19 @@ class Dataset:
         return len(self.relevances)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        """The dataset of the queries at ``indices``, in that order."""
+        """The dataset of the queries at ``indices``, in that order: their
+        rows, taken once, are held without a second check or copy."""
         indices = np.asarray(indices, dtype=np.intp)
+        if not len(indices):
+            raise DataError("dataset has no queries")
         sizes = self.sizes[indices]
         # Document k of the subset is the j-th of its query, at the query's
         # start plus j, that is at k plus the start less the documents before.
-        shift = np.asarray(self._offsets)[indices] - (np.cumsum(sizes) - sizes)
-        docs = np.arange(sizes.sum()) + np.repeat(shift, sizes)
-        return Dataset([self.qids[i] for i in indices.tolist()], sizes,
-                       self.features[docs], self.relevances[docs],
-                       None if self.groups is None else self.groups[docs])
+        docs = np.repeat(self._offsets[indices] - (np.cumsum(sizes) - sizes), sizes)
+        docs += np.arange(len(docs))
+        return Dataset._of_checked(
+            tuple(self.qids[i] for i in indices.tolist()), sizes, self.features[docs],
+            self.relevances[docs], None if self.groups is None else self.groups[docs])
 
     def __repr__(self) -> str:
         return (f"Dataset(queries={len(self)}, docs={self.num_docs}, "
@@ -245,11 +271,11 @@ def parse_letor(source, groups=None, feature_dim: int | None = None) -> Dataset:
     """
     qids, sizes, features, relevances = _read_letor(source, feature_dim)
     labels = None if groups is None else _group_labels(groups, len(relevances))
-    return Dataset(qids, sizes, features, relevances, labels)
+    return Dataset._of_checked(qids, sizes, features, relevances, labels)
 
 
 def _read_letor(source, feature_dim: int | None
-                ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """The qids of LETOR text in first-appearance order, the number of
     documents of each, and the feature matrix and relevances of all
     documents in dataset order.
@@ -286,7 +312,7 @@ def _read_letor(source, feature_dim: int | None
     matrix[doc_of, fids - 1] = values
     # Documents grouped by qid, the qids in first-appearance order.
     order = np.argsort(codes, kind="stable")
-    return ([qid[4:] for qid in code], np.bincount(codes), matrix[order],
+    return (tuple(qid[4:] for qid in code), np.bincount(codes), matrix[order],
             relevances[order])
 
 

@@ -45,10 +45,12 @@ contributes gradient.
 
 Training and evaluation read the dataset's runs of consecutive equal-size
 queries (``Dataset.runs``), views of its flat arrays.  Before the first
-step, each run of the training split builds the constants its steps read,
-the metric's (``UtilityMetric.constants``) and the disparity's hinge rows,
-in one vectorized pass, and each step reads its query's row views of them
-and of the run's features.
+step, each run of each split builds its constants once for the whole
+training run (``split_constants``), the metric's
+(``UtilityMetric.constants``) and the disparity's hinge rows, in one
+vectorized pass; each step reads its query's row views of the training
+split's and of the run's features, and every evaluation pass of the run
+reads the split's.
 
 Every evaluation, of a policy or of a baseline, is one ``value_split`` pass
 per split over a member block: a ranker gives each block of consecutive
@@ -61,9 +63,9 @@ queries, one subset DP over the whole block; for larger ones, Monte
 Carlo, with one draw that every member ranks by
 (``policy.sample_rankings``) and reduces (``mc_exposure``) on its own.
 Each member evaluated alone would draw the same numbers in the same
-order, so every member gets the bits of its own pass.  An evaluation pass
-builds each run's metric constants and hinge rows once, and each block
-reads its slice of them and of the run's features.
+order, so every member gets the bits of its own pass.  A pass given no
+constants builds each run's metric constants and hinge rows once, and
+each block reads its slice of them and of the run's features.
 """
 from __future__ import annotations
 
@@ -260,6 +262,21 @@ def _row_views(arrays: tuple[np.ndarray, ...], index) -> tuple[np.ndarray, ...]:
     return tuple(array[index] for array in arrays)
 
 
+# What a split's metrics and disparity read: for each run of consecutive
+# equal-size queries, each metric's constants, in order, and the
+# disparity's hinge rows, None without a disparity.
+SplitConstants = list[tuple[list[Constants], Rows | None]]
+
+
+def split_constants(dataset: Dataset, metrics: Sequence[UtilityMetric],
+                    disparity: DisparityConfig | None) -> SplitConstants:
+    """Each run's constants of ``metrics`` and hinge rows of ``disparity``,
+    one vectorized build per run."""
+    return [([metric.constants(run.relevances) for metric in metrics],
+             None if disparity is None else disparity.rows(run.relevances, run.groups))
+            for run in dataset.runs]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -294,7 +311,8 @@ Ranker = Callable[[int, np.ndarray],
 def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
                 disparity: DisparityConfig | None,
                 extra_metrics: Sequence[UtilityMetric] = (),
-                rows: Callable[[int], int] = lambda n: 1) -> list[EvalSummary]:
+                rows: Callable[[int], int] = lambda n: 1,
+                constants: SplitConstants | None = None) -> list[EvalSummary]:
     """The one evaluation of a split: each member's metric values and
     disparities of the rankings and exposures that ``rank`` gives, one
     summary per member.
@@ -303,25 +321,27 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     values, each metric valuing a block in one ``batch_values`` call; an
     argmax ranking, M = 1 with weight 1, keeps the bits of its value.  Its
     disparities are ``from_exposures`` of its exposures, one call per block
-    for all members.  Each run of consecutive equal-size queries builds its
-    metric constants and hinge rows once, and is cut into blocks of as many
-    queries as ``EVAL_BLOCK_DRAWS`` entries hold (at least one), ``rows(n) *
-    n`` per query of n documents; ``rank`` is called once per block, in
-    split order, and each block reads its slice of the run's arrays.
+    for all members.  Each metric and the disparity read the split's
+    ``constants`` (``split_constants`` of ``metric``, ``extra_metrics`` and
+    ``disparity``), built here when not given.  Each run of consecutive
+    equal-size queries is cut into blocks of as many queries as
+    ``EVAL_BLOCK_DRAWS`` entries hold (at least one), ``rows(n) * n`` per
+    query of n documents; ``rank`` is called once per block, in split
+    order, and each block reads its slice of the run's arrays.
     """
     scored = (metric, *extra_metrics)
+    if constants is None:
+        constants = split_constants(dataset, scored, disparity)
     values, disparities = [], []
-    for run in dataset.runs:
+    for run, (built, hinges) in zip(dataset.runs, constants, strict=True):
         n = run.relevances.shape[1]
-        constants = [each.constants(run.relevances) for each in scored]
-        hinges = None if disparity is None else disparity.rows(run.relevances, run.groups)
         per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
         for start in range(0, len(run), per_block):
             block = slice(start, start + per_block)
             orders, weights, exposures = rank(run.start + start, run.features[block])
-            values.append([(each.batch_values(orders, _row_views(built, block))
+            values.append([(each.batch_values(orders, _row_views(of_each, block))
                             * weights).sum(axis=-1)
-                           for each, built in zip(scored, constants)])
+                           for each, of_each in zip(scored, built)])
             if disparity is not None:
                 disparities.append(disparity.from_exposures(
                     exposures, _row_views(hinges, block)))
@@ -364,10 +384,13 @@ def argmax_ranker(model: ScoringModel,
 def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
               disparity: DisparityConfig | None, eval_samples: int,
               rng: np.random.Generator,
-              extra_metrics: Sequence[UtilityMetric] = ()) -> list[EvalSummary]:
+              extra_metrics: Sequence[UtilityMetric] = (),
+              constants: SplitConstants | None = None) -> list[EvalSummary]:
     """One pass over a split for a model, or for each member of a ``(K, P)``
     member block; one summary per member, a single model being a block of
-    one.
+    one.  ``constants``, when given, are the split's ``split_constants``
+    of the metrics and the disparity, which the pass reads instead of
+    building them.
 
     ``value_split`` values the members' argmax rankings and, with a
     disparity, their policy exposures: one ``exposure_of_policy`` call per
@@ -385,7 +408,8 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     return value_split(
         dataset, argmax_ranker(model, policy_exposures), metric, disparity,
         extra_metrics,
-        rows=lambda n: 1 << n if n <= ENUMERATION_LIMIT else eval_samples)
+        rows=lambda n: 1 << n if n <= ENUMERATION_LIMIT else eval_samples,
+        constants=constants)
 
 
 # Most entries one evaluation block takes at once: a Monte-Carlo block's
@@ -588,7 +612,12 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
                    members)
     train_rng = np.random.default_rng(ss_train)
     eval_seeds = ss_eval.spawn(first.epochs)
-    steps = _step_queries(train_set, first)
+    # Each split's metric constants and hinge rows, built once for every
+    # step and every evaluation pass of the run.
+    train_constants, val_constants = (
+        split_constants(split, [first.metric], first.disparity)
+        for split in (train_set, val_set))
+    steps = _step_queries(train_set, train_constants)
 
     for epoch in range(1, first.epochs + 1):
         for qi in train_rng.permutation(len(train_set)):
@@ -604,9 +633,9 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
         # Both splits draw from the epoch's one generator, train first.
         eval_rng = np.random.default_rng(eval_seeds[epoch - 1])
         on_train = _evaluate(block.model, train_set, first.metric, first.disparity,
-                             first.eval_samples, eval_rng)
+                             first.eval_samples, eval_rng, constants=train_constants)
         on_val = _evaluate(block.model, val_set, first.metric, first.disparity,
-                           first.eval_samples, eval_rng)
+                           first.eval_samples, eval_rng, constants=val_constants)
         stopped = [row for row, member in enumerate(block.members)
                    if _end_epoch(member, block.member_model(row), epoch,
                                  on_train[row], on_val[row])]
@@ -620,7 +649,8 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
         best = model.with_params(np.stack([m.best_model.params for m in finished]))
         for member, summary in zip(finished, _evaluate(
                 best, train_set, first.metric, first.disparity,
-                first.eval_samples, np.random.default_rng(ss_delta))):
+                first.eval_samples, np.random.default_rng(ss_delta),
+                constants=train_constants)):
             member.delta_lambda = summary.mean_disparity
     return [member.error if member.error is not None else member.record()
             for member in members]
@@ -685,16 +715,13 @@ class _StepQuery(NamedTuple):
     rows: Rows | None
 
 
-def _step_queries(dataset: Dataset, config: TrainConfig) -> list[_StepQuery]:
-    """Each query's ``_StepQuery``, in dataset order.  Each run builds its
-    metric constants and hinge rows in one pass."""
+def _step_queries(dataset: Dataset, constants: SplitConstants) -> list[_StepQuery]:
+    """Each query's ``_StepQuery``, in dataset order, from the split's
+    ``split_constants`` of the training metric and the disparity."""
     steps = []
-    for run in dataset.runs:
-        constants = config.metric.constants(run.relevances)
-        rows = None if config.disparity is None else \
-            config.disparity.rows(run.relevances, run.groups)
+    for run, ((of_metric,), rows) in zip(dataset.runs, constants, strict=True):
         steps += [_StepQuery(dataset.qids[run.start + q], run.features[q],
-                             _row_views(constants, q),
+                             _row_views(of_metric, q),
                              None if rows is None else _row_views(rows, q))
                   for q in range(len(run))]
     return steps

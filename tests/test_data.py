@@ -1,6 +1,7 @@
 """Dataset parsing, formatting, generation, and splitting."""
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,14 +324,15 @@ def test_a_grouped_load_builds_each_query_once(tmp_path, monkeypatch):
                               ("c", [[4.0]], [3.0], [1])])
     assert oracle.datasets_equal(
         data.parse_letor(letor.read_text(), groups.read_text()), want)
+    # Every dataset, checked or taken as it is, is built by ``_hold``.
     built = []
-    init = data.Dataset.__init__
+    hold = data.Dataset._hold
 
-    def counted(self, *args, **kwargs):
-        built.append(tuple(args[0]))
-        init(self, *args, **kwargs)
+    def counted(self):
+        built.append(self.qids)
+        hold(self)
 
-    monkeypatch.setattr(data.Dataset, "__init__", counted)
+    monkeypatch.setattr(data.Dataset, "_hold", counted)
     got = data.load_dataset(letor, groups)
     assert built == [("a", "b", "c")] and len(got) == 3
     assert oracle.datasets_equal(got, want)
@@ -511,6 +513,44 @@ def test_split_dataset_clamps_to_leave_both_sides_nonempty():
     assert len(train) == 2 and len(val) == 1
     train, val = data.split_dataset(ds, 0.001, seed=0)
     assert len(train) == 1 and len(val) == 2
+
+
+def test_a_split_takes_each_side_rows_once_as_the_constructor_would_hold_them():
+    """Each side of a split holds the rows it takes from the checked
+    dataset as they are, with no second check or copy: splitting 2000
+    queries of 10 documents with 10 features peaks below 1.3 times the
+    source's feature bytes, of which the sides' own features are 1.0 and
+    their relevances and groups 0.2.  On a ragged set, labelled or not,
+    each side equals the public constructor's dataset of its queries."""
+    rng = np.random.default_rng(4)
+    count, n, width = 2000, 10, 10
+    big = data.Dataset([str(q) for q in range(count)], [n] * count,
+                       rng.normal(size=(count * n, width)),
+                       rng.integers(0, 5, count * n), rng.integers(0, 2, count * n))
+    tracemalloc.start()
+    try:
+        data.split_dataset(big, 0.8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * big.features.nbytes
+    sizes = rng.integers(1, 9, size=30)
+    ragged = oracle.dataset_of([(f"q{q}", rng.normal(size=(size, 3)),
+                                 rng.integers(0, 5, size).astype(float),
+                                 rng.integers(0, 2, size))
+                                for q, size in enumerate(sizes)])
+    for dataset in (ragged, oracle.dataset_of([(q.qid, q.feature_matrix, q.relevances)
+                                               for q in ragged])):
+        for side in data.split_dataset(dataset, 0.7, seed=5):
+            want = oracle.dataset_of([dataset[dataset.qids.index(qid)]
+                                      for qid in side.qids])
+            assert oracle.datasets_equal(side, want)
+            assert [(run.start, run.relevances.shape) for run in side.runs] \
+                == [(run.start, run.relevances.shape) for run in want.runs]
+            for values in (side.sizes, side.features, side.relevances, side.groups):
+                assert values is None or not values.flags.writeable
+            assert side.sizes.dtype == want.sizes.dtype
+            assert side.groups is None or side.groups.dtype == want.groups.dtype
 
 
 def test_split_dataset_needs_two_queries():

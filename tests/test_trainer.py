@@ -649,6 +649,43 @@ def test_grid_members_equal_runs_alone(model, kind):
     assert len({r.epochs_run for r in outcomes}) > 1
 
 
+@pytest.mark.parametrize("kind", ["group", "individual"])
+def test_each_split_builds_its_constants_once_per_training_run(kind, monkeypatch):
+    """A grid of three members trained for three epochs builds each run's
+    metric constants and hinge rows of each split once, though every epoch
+    evaluates both splits and the selected models are valued on the
+    training split once more; on a split with a one-group query and an
+    all-zero query, a pass that reads the constants built up front equals
+    one that builds its own, values and generator state alike."""
+    train_set, val_set = ragged_split(), ragged_split(seed=22)
+    built = {"constants": [], "rows": []}
+    constants, rows = metrics.UtilityMetric.constants, fairness.DisparityConfig.rows
+    monkeypatch.setattr(metrics.UtilityMetric, "constants", lambda self, relevances:
+                        built["constants"].append(relevances)
+                        or constants(self, relevances))
+    monkeypatch.setattr(fairness.DisparityConfig, "rows", lambda self, relevances, groups:
+                        built["rows"].append(relevances)
+                        or rows(self, relevances, groups))
+    disparity = fairness.DisparityConfig.parse(kind)
+    configs = grid_configs((0.0, 1.0, 5.0), disparity=disparity, epochs=3)
+    records = trainer.train(train_set, val_set, configs)
+    assert [record.epochs_run for record in records] == [3, 3, 3]
+    runs = [run.relevances for split in (train_set, val_set) for run in split.runs]
+    for calls in built.values():
+        assert len(calls) == len(runs)
+        assert all(called is run for called, run in zip(calls, runs))
+    monkeypatch.undo()
+    block = records[0].model.with_params(np.stack([r.model.params for r in records]))
+    metric = configs[0].metric
+    prebuilt = trainer.split_constants(train_set, [metric], disparity)
+    given_rng, own_rng = np.random.default_rng(3), np.random.default_rng(3)
+    given = trainer._evaluate(block, train_set, metric, disparity, 16, given_rng,
+                              constants=prebuilt)
+    own = trainer._evaluate(block, train_set, metric, disparity, 16, own_rng)
+    assert given == own
+    assert given_rng.bit_generator.state == own_rng.bit_generator.state
+
+
 def test_grid_refuses_configs_that_differ_beyond_lambda():
     ds = small_dataset()
     tr, va = data.split_dataset(ds, 0.8, seed=0)
@@ -685,7 +722,8 @@ def test_a_gradient_adam_cannot_square_fails_before_the_parameters_move():
     members = [trainer._Member(c, trainer.Adam(0.01), model) for c in configs]
     block = trainer._Block(model.with_params(np.tile(model.params, (2, 1))), members)
     rng = np.random.default_rng(1)
-    for query in trainer._step_queries(ds, configs[0]):
+    constants = trainer.split_constants(ds, [configs[0].metric], configs[0].disparity)
+    for query in trainer._step_queries(ds, constants):
         # until the hinge is active and the step huge
         before = block.model.params.copy()
         failed = trainer._train_step(block, query, configs[0], rng)
