@@ -7,15 +7,17 @@ gap, whose constraint is the ``group_rows`` row scaled to shares.  Its
 objective has rank one and it has a single side constraint, so it is solved
 in closed form by sorting: the optimum is one ranking or a mixture of two,
 and ``FairLPResult`` holds them with their weights and expected exposures
-instead of a matrix.  The top-1 baseline trains a linear scorer whose
-softmax matches the normalized relevance profile, with a squared penalty on
-the between-group mean top-1 probability gap.
+instead of a matrix.  The top-1 baseline, in the manner of DELTR, trains
+a linear scorer whose softmax matches the normalized relevance profile,
+with a squared penalty on the between-group mean top-1 probability gap, by
+full-batch gradient descent with a backtracking step.
 
 Both take a penalty-weight grid as their unit of work, and neither
 dispatches per query.  ``solve_fair_lp_grid`` solves a ``(Q, n)`` block of
 equal-size queries at every weight in one array pass over the segments of
 the largest weight, and ``train_top1_grid`` trains a block of one model per
-weight in lockstep, from targets and group weights built once per run.
+weight, each epoch one step on the loss summed over all queries, valued by
+one stacked pass per run of equal-size queries.
 ``solve_fair_lp`` and ``train_top1_baseline`` are their calls on one query
 or at one weight, and each weight's result has the bits of that call.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, require_seed
+from .data import Dataset
 from .fairness import MeritFunction, group_rows, ranking_exposures
 from .metrics import gains, ideal_dcg, position_bias_vector
 from .policy import LinearModel
@@ -232,106 +234,94 @@ def require_lambda_grid(lambdas: Sequence[float]) -> list[float]:
 
 
 def train_top1_baseline(dataset: Dataset, lam: float,
-                        learning_rate: float = 0.01, epochs: int = 50,
-                        seed: int = 0) -> LinearModel:
+                        learning_rate: float = 0.01, epochs: int = 50) -> LinearModel:
     """Linear scorer trained so Softmax(scores) matches normalized relevance:
     ``train_top1_grid`` at the one penalty weight ``lam``."""
-    block = train_top1_grid(dataset, [lam], learning_rate, epochs, seed)
+    block = train_top1_grid(dataset, [lam], learning_rate, epochs)
     return block.with_params(block.params[0])
 
 
-# The largest norm of a top-1 step's gradient; a larger one is scaled down
-# to it.
-_TOP1_MAX_GRAD_NORM = 10.0
-
-
 def train_top1_grid(dataset: Dataset, lambdas: Sequence[float],
-                    learning_rate: float = 0.01, epochs: int = 50,
-                    seed: int = 0) -> LinearModel:
-    """A ``(K, d + 1)`` block of linear scorers with a bias, member k
+                    learning_rate: float = 0.01, epochs: int = 50) -> LinearModel:
+    """A ``(K, d)`` block of linear scorers without a bias, member k
     trained with the penalty weight ``lambdas[k]``.
 
-    Minimizes, per query, cross-entropy between the normalized relevance
-    profile (uniform when all relevances are zero) and the softmax of the
-    scores, plus ``lam`` times the squared between-group gap in mean
-    softmax probability.  Plain SGD, one step per query, shuffled passes.
-    Per-step gradients are norm-clipped so the largest penalty weights
-    (up to 10**6 on the sweep grid) descend stably instead of oscillating.
+    Minimizes ``top1_objective`` by gradient descent from the zero model,
+    one step per epoch on the loss summed over all queries.  Each step
+    starts at ``learning_rate`` and is halved until the Armijo condition
+    ``loss(w - t g) <= loss(w) - t |g|^2 / 2`` holds; a step too small to
+    move the weights is taken as it is, so every epoch ends.  The softmax
+    is shift-invariant, so a bias would have a zero gradient.
 
-    The members step together: the per-epoch permutation, the generator's
-    only draw, is shared, and each step is one set of stacked products on
-    the block.  Each stacked product is the one-member product of each
-    member (a ``(K, 1, n) @ (n,)`` gap is the dot of each row, a
-    ``(n, d) @ (K, d, 1)`` score the matrix-vector product of each), so
-    member k's bits are those of training it alone.  Each run's target
-    profiles and group weights are built once as ``(Q, n)`` arrays, and a
-    step reads its query's rows of them and of the run's features; the
-    clip is the factor ``max_norm / max(norm, max_norm)`` of each member,
-    exactly 1.0 for one that is not clipped.  Raises ``ValueError`` before
-    any step for a bad grid (``require_lambda_grid``) or bad settings.
+    Each member backtracks on its own step, and every product and sum of a
+    pass is one member's own, so member k has the bits of training it
+    alone.  Raises ``ValueError`` before any step for a bad grid
+    (``require_lambda_grid``) or bad settings.
     """
-    two_lams = 2.0 * np.array(require_lambda_grid(lambdas))[:, None]
+    lams = np.array(require_lambda_grid(lambdas))
     require_top1_settings(learning_rate, epochs)
-    require_seed(seed)
-    K, d = len(two_lams), dataset.feature_dim
-    params = np.zeros((K, d + 1))
-    weights, bias = params[:, :d, None], params[:, d:]
-    grad, squares, norm = np.empty_like(params), np.empty_like(params), np.empty(K)
-    grad_weights, grad_bias, factor = grad[:, :d, None], grad[:, d], norm[:, None]
-    squares_weights, squares_bias = squares[:, :d], squares[:, d]
-    # The constants as arrays of their operands' shapes: numpy takes its
-    # fast path for operands of one shape, not for scalars or broadcasts.
-    max_norm, rate = np.full(K, _TOP1_MAX_GRAD_NORM), np.full_like(params, learning_rate)
-    # The block's buffers for each query size, with the views its products
-    # write through: probabilities, score gradients and the penalty's terms.
-    buffers, steps = {}, []
-    for run in dataset.runs:
-        n = run.relevances.shape[1]
-        if n not in buffers:
-            probs, score_grad = np.empty((K, n)), np.empty((K, n))
-            buffers[n] = (probs, probs[..., None], probs[:, None, :], score_grad,
-                          score_grad[..., None], np.empty((K, 1)), np.empty((K, 1)),
-                          np.empty((K, n)), np.empty((K, n)))
-        targets, pickers = _top1_target(run.relevances), _group_picker(run.groups)
-        for q, X in enumerate(run.features):
-            picker = None if pickers is None or not pickers[q].any() else pickers[q]
-            steps.append((X, X.T, np.tile(targets[q], (K, 1)), picker, buffers[n]))
-    rng = np.random.default_rng(seed)
+    terms = _top1_terms(dataset)
+    weights = np.zeros((len(lams), dataset.feature_dim))
+    loss, grad = _top1_loss_grad(terms, weights, lams)
     for _ in range(epochs):
-        for qi in rng.permutation(len(steps)):
-            X, XT, target, picker, views = steps[qi]
-            p, p_column, p_row, score_grad, score_grad_column, gap, scaled, penalty, \
-                spread = views
-            np.matmul(X, weights, out=p_column)
-            p += bias
-            p -= np.maximum.reduce(p, axis=1, keepdims=True)
-            np.exp(p, out=p)
-            p /= np.add.reduce(p, axis=1, keepdims=True)
-            np.subtract(p, target, out=score_grad)
-            if picker is not None:
-                np.matmul(p_row, picker, out=gap)
-                # A zero weight adds zeros: p - target is never -0.0.
-                np.multiply(two_lams, gap, out=scaled)
-                np.multiply(scaled, p, out=penalty)
-                np.subtract(picker, gap, out=spread)
-                penalty *= spread
-                score_grad += penalty
-            np.matmul(XT, score_grad_column, out=grad_weights)
-            np.add.reduce(score_grad, axis=1, out=grad_bias)
-            # Two sums, the weights' squares then the bias's: one sum over
-            # the whole vector rounds differently and moves clipped steps.
-            np.square(grad, out=squares)
-            np.add.reduce(squares_weights, axis=1, out=norm)
-            norm += squares_bias
-            np.sqrt(norm, out=norm)
-            # The clip factor is exactly 1.0 for a member at or below the
-            # largest norm, a zero gradient's included.
-            np.maximum(norm, max_norm, out=norm)
-            np.divide(max_norm, norm, out=norm)
-            grad *= factor
-            grad *= rate
-            params -= grad
-    return LinearModel(params[:, :d], bias)
+        step, squares = np.full(len(lams), learning_rate), np.square(grad).sum(axis=1)
+        todo = np.arange(len(lams))
+        while todo.size:
+            trial = weights[todo] - step[todo, None] * grad[todo]
+            trial_loss, trial_grad = _top1_loss_grad(terms, trial, lams[todo])
+            done = ((trial_loss <= loss[todo] - 0.5 * step[todo] * squares[todo])
+                    | (trial == weights[todo]).all(axis=1))
+            taken = todo[done]
+            weights[taken], loss[taken] = trial[done], trial_loss[done]
+            grad[taken] = trial_grad[done]
+            todo = todo[~done]
+            step[todo] /= 2.0
+    return LinearModel(weights)
+
+
+def top1_objective(dataset: Dataset, weights: np.ndarray,
+                   lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The top-1 loss of each ``(K, d)`` member at ``lambdas[k]``, summed
+    over the queries, and its ``(K, d)`` gradient.
+
+    A query's loss is the cross-entropy between its normalized relevance
+    profile (uniform when all relevances are zero) and the softmax of its
+    scores, plus ``lam`` times the squared gap between the groups' mean
+    softmax probability (zero for a query without both groups)."""
+    return _top1_loss_grad(_top1_terms(dataset), np.asarray(weights, dtype=float),
+                           np.array(require_lambda_grid(lambdas)))
+
+
+def _top1_terms(dataset: Dataset) -> list:
+    """Per run, the ``(Q n, d)`` features, ``(Q, n)`` target profiles and
+    group weights (``_group_picker``)."""
+    return [(run.features.reshape(-1, dataset.feature_dim), _top1_target(run.relevances),
+             _group_picker(run.groups)) for run in dataset.runs]
+
+
+def _top1_loss_grad(terms: list, weights: np.ndarray,
+                    lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``top1_objective`` from ``_top1_terms``: one stacked pass per run,
+    ``(Q n, d) @ (K, d, 1)`` scores and ``(d, Q n) @ (K, Q n, 1)``
+    gradients, with each reduction along one member's own row."""
+    K = len(weights)
+    loss, grad = np.zeros(K), np.zeros_like(weights)
+    for X, target, picker in terms:
+        scores = np.matmul(X, weights[..., None]).reshape(K, *target.shape)
+        scores -= scores.max(axis=-1, keepdims=True)
+        p = np.exp(scores)
+        total = p.sum(axis=-1, keepdims=True)
+        log_p = scores - np.log(total)
+        p /= total
+        score_grad = p - target
+        run_loss = -(target * log_p).reshape(K, -1).sum(axis=-1)
+        if picker is not None:
+            gap = (p * picker).sum(axis=-1, keepdims=True)
+            run_loss += lams * np.square(gap).reshape(K, -1).sum(axis=-1)
+            score_grad += 2.0 * lams[:, None, None] * gap * p * (picker - gap)
+        loss += run_loss
+        grad += np.matmul(X.T, score_grad.reshape(K, -1, 1))[..., 0]
+    return loss, grad
 
 
 def require_top1_settings(learning_rate: float, epochs: int) -> None:

@@ -638,9 +638,9 @@ _BASELINE = (
     _MERIT,
     Option("lambdas", str, "", "comma-separated penalty weights (default: "
                                "the method's own grid)"),
-    Option("lr", float, 0.01, "top-1 learning rate", only=_TOP1),
-    Option("epochs", int, 50, "top-1 training epochs", only=_TOP1),
-    _SEED._replace(help="top-1 initialization seed", only=_TOP1),
+    Option("lr", float, 0.01, "top-1 first step size of each epoch, halved "
+                              "until the summed loss falls enough", only=_TOP1),
+    Option("epochs", int, 50, "top-1 full-batch descent steps", only=_TOP1),
 )
 
 
@@ -651,7 +651,7 @@ def cmd_baseline(opts: dict) -> Work:
     grid = baselines.lp_lambda_grid if lp else baselines.top1_lambda_grid
     lambdas = (_parse_number_list(opts["lambdas"], float, "lambda")
                if opts["lambdas"] else grid())
-    top1 = {key: opts[key] for key in ("lr", "epochs", "seed") if key in opts}
+    top1 = {key: opts[key] for key in ("lr", "epochs") if key in opts}
     train_set = load_dataset_auto(opts["train"])
     splits = _splits(opts, train_set)
     merit = fairness.MeritFunction.parse(opts["merit"])
@@ -672,7 +672,7 @@ def cmd_baseline(opts: dict) -> Work:
         for k, (lam, stats) in enumerate(zip(lambdas, per_lambda)):
             stats["lambda"] = lam
             for name, summaries in per_split:
-                rows.append(_summary_row(lam, top1.get("seed"), name, summaries[k]))
+                rows.append(_summary_row(lam, None, name, summaries[k]))
                 stats[name] = {"ndcg": summaries[k].mean_metric,
                                "disparity": summaries[k].mean_disparity}
 
@@ -715,15 +715,17 @@ def _lp_rankers(train_set, splits, lambdas, merit):
                            for xis in slack]
 
 
-def _top1_rankers(train_set, splits, lambdas, lr, epochs, seed):
+def _top1_rankers(train_set, splits, lambdas, lr, epochs):
     """For each split, the ranker of the argmax rankings of the top-1
     models, one member per penalty weight, with those fixed rankings' own
-    exposures; and an empty stats dict per weight."""
-    block = baselines.train_top1_grid(train_set, lambdas, learning_rate=lr,
-                                      epochs=epochs, seed=seed)
+    exposures; and each weight's final summed training loss and the norm
+    of its gradient."""
+    block = baselines.train_top1_grid(train_set, lambdas, learning_rate=lr, epochs=epochs)
     rank = trainer.argmax_ranker(
         block, lambda scores, orders: fairness.ranking_exposures(orders))
-    return [rank] * len(splits), [{} for _ in lambdas]
+    losses, grads = baselines.top1_objective(train_set, block.weights, lambdas)
+    return [rank] * len(splits), [{"loss": float(loss), "grad_norm": float(np.linalg.norm(grad))}
+                                  for loss, grad in zip(losses, grads)]
 
 
 # ---------------------------------------------------------------------------

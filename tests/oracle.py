@@ -37,6 +37,12 @@ solve of the fair LP (``baselines.solve_fair_lp_grid``): one query's
 segments found by sorting its distinct knots, and each weight's optimum
 picked from its first segments with plain control flow.
 
+``top1_query_objective`` and ``train_top1_query`` are the per-query
+references of the top-1 baseline (``baselines.top1_objective`` and
+``baselines.train_top1_grid``): the summed loss and its gradient written
+one query at a time from its relevances and group labels, and the same
+backtracking descent with plain control flow.
+
 ``parse_letor_lines`` is the reference LETOR parser: it reads one line at a
 time and checks each rule with plain Python (``letor_line_error``), which
 the tests check the package's vectorized parser against.
@@ -339,6 +345,57 @@ def _lp_optimum(orders: np.ndarray, per_order: np.ndarray, w: np.ndarray,
     return QueryLPOptimum(orders=orders[pick], weights=weights, xi=xi,
                           objective=float(weights @ utility[pick]) - lam * xi,
                           exposures=weights @ per_order[pick])
+
+
+def top1_query_objective(dataset: Dataset, w: np.ndarray,
+                         lam: float) -> tuple[float, np.ndarray]:
+    """The top-1 loss of the weights ``w`` summed over the queries, one
+    query at a time, and its gradient.  A query's loss is the cross-entropy
+    of the softmax of its scores against its relevances over their total
+    (uniform when all are zero), plus ``lam`` times the squared gap between
+    its groups' mean probability when it has both groups."""
+    loss, grad = 0.0, np.zeros(dataset.feature_dim)
+    for query in dataset:
+        X, rels, n = query.feature_matrix, query.relevances, len(query)
+        shifted = X @ w - np.max(X @ w)
+        z = np.exp(shifted)
+        p = z / z.sum()
+        target = rels / rels.sum() if rels.sum() > 0.0 else np.full(n, 1.0 / n)
+        loss -= float(np.dot(target, shifted - np.log(z.sum())))
+        score_grad = p - target
+        if query.groups is not None and 0 < query.groups.sum() < n:
+            in1 = query.groups == 1
+            gap = float(p[~in1].mean() - p[in1].mean())
+            # d gap / d s_j = p_j (c_j - gap), c_j the sign of j's group over its size.
+            c = np.where(in1, -1.0 / in1.sum(), 1.0 / (~in1).sum())
+            loss += lam * gap * gap
+            score_grad = score_grad + 2.0 * lam * gap * p * (c - gap)
+        grad += X.T @ score_grad
+    return loss, grad
+
+
+def train_top1_query(dataset: Dataset, lam: float, learning_rate: float = 0.01,
+                     epochs: int = 50) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """Gradient descent on ``top1_query_objective`` from zero weights, one
+    step per epoch, each step halved from ``learning_rate`` until the loss
+    falls by at least half the step times the squared gradient norm, or
+    until it no longer moves the weights.  Returns the weights, their loss
+    and gradient, and the number of halvings."""
+    w = np.zeros(dataset.feature_dim)
+    loss, grad = top1_query_objective(dataset, w, lam)
+    halvings = 0
+    for _ in range(epochs):
+        step = learning_rate
+        while True:
+            trial = w - step * grad
+            trial_loss, trial_grad = top1_query_objective(dataset, trial, lam)
+            if (trial_loss <= loss - 0.5 * step * float(grad @ grad)
+                    or np.array_equal(trial, w)):
+                break
+            step /= 2.0
+            halvings += 1
+        w, loss, grad = trial, trial_loss, trial_grad
+    return w, loss, grad, halvings
 
 
 def dataset_of(queries) -> Dataset:

@@ -477,58 +477,39 @@ def test_top1_penalty_narrows_group_probability_gap():
 
 def test_top1_baseline_is_deterministic():
     ds = data.generate_simulated(num_queries=10, docs_per_query=5, seed=2)
-    a = baselines.train_top1_baseline(ds, lam=1.0, epochs=5, seed=3)
-    b = baselines.train_top1_baseline(ds, lam=1.0, epochs=5, seed=3)
+    a = baselines.train_top1_baseline(ds, lam=1.0, epochs=5)
+    b = baselines.train_top1_baseline(ds, lam=1.0, epochs=5)
     assert oracle.models_equal(a, b)
 
 
-def _top1_reference(dataset, lam, learning_rate=0.01, epochs=50, seed=0,
-                    max_grad_norm=10.0):
-    """The top-1 baseline's loop with its clip norm written as a generator
-    of numpy reductions, the reference of ``train_top1_baseline``; returns
-    the model and the number of clipped steps."""
-    targets = [baselines._top1_target(q.relevances) for q in dataset]
-    pickers = [baselines._group_picker(q.groups) if lam > 0.0 else None
-               for q in dataset]
-    rng = np.random.default_rng(seed)
-    model = policy.LinearModel(np.zeros(dataset.feature_dim), np.zeros(1))
-    clipped = 0
-    for _ in range(epochs):
-        for qi in rng.permutation(len(dataset)):
-            X = dataset[qi].feature_matrix
-            scores = model.scores(X)
-            z = np.exp(scores - scores.max())
-            p = z / z.sum()
-            score_grad = p - targets[qi]
-            picker = pickers[qi]
-            if picker is not None:
-                gap = float(picker @ p)
-                score_grad = score_grad + 2.0 * lam * gap * p * (picker - gap)
-            grads = [X.T @ score_grad, np.array([score_grad.sum()])]
-            norm = np.sqrt(sum(float(np.sum(np.square(a))) for a in grads))
-            if norm > max_grad_norm:
-                clipped += 1
-                grads = [a * (max_grad_norm / norm) for a in grads]
-            model.weights -= learning_rate * grads[0]
-            model.bias -= learning_rate * grads[1]
-    return model, clipped
+def assert_close_to_the_per_query_reference(model, dataset, lam, learning_rate=0.01,
+                                            epochs=50):
+    """The weights, summed loss and gradient of ``model`` agree with
+    ``oracle.train_top1_query``'s to rounding; returns its halvings."""
+    want, loss, grad, halvings = oracle.train_top1_query(dataset, lam, learning_rate, epochs)
+    np.testing.assert_allclose(model.weights, want, rtol=1e-9, atol=1e-12)
+    got_loss, got_grad = baselines.top1_objective(dataset, model.weights[None], [lam])
+    assert got_loss[0] == pytest.approx(loss, rel=1e-12)
+    np.testing.assert_allclose(got_grad[0], grad, rtol=1e-6, atol=1e-9)
+    return halvings
 
 
 @pytest.mark.parametrize("lam", [0.0, 10.0, 10 ** 4])
 def test_top1_baseline_equals_the_reference_loop(lam):
+    """The descent agrees with the per-query reference, and only the
+    largest weight needs its step halved."""
     ds = data.generate_simulated(num_queries=20, docs_per_query=10, seed=6)
-    got = baselines.train_top1_baseline(ds, lam, epochs=5, seed=2)
-    want, clipped = _top1_reference(ds, lam, epochs=5, seed=2)
-    assert got.weights.tolist() == want.weights.tolist()
-    assert got.bias.tolist() == want.bias.tolist()
-    assert (clipped > 0) == (lam == 10 ** 4)
+    got = baselines.train_top1_baseline(ds, lam, epochs=5)
+    assert got.bias is None and got.weights.shape == (ds.feature_dim,)
+    halvings = assert_close_to_the_per_query_reference(got, ds, lam, epochs=5)
+    assert (halvings > 0) == (lam == 10 ** 4)
 
 
 def top1_block_dataset(features):
     """Queries of 6 and 9 documents, one of them of a single group, with
     ``features`` features; and last a 6-document query whose top-1
     gradient is exactly zero at every step (all-zero relevances, identical
-    feature rows, one group), so the clip meets a zero norm."""
+    feature rows, one group)."""
     rng = np.random.default_rng(features)
     queries = []
     for qi in range(12):
@@ -544,14 +525,71 @@ def top1_block_dataset(features):
 @pytest.mark.parametrize("features", [2, 5])
 def test_top1_block_members_equal_the_reference_loop(features):
     """Each member of one unsorted grid block, with λ = 0, a mid weight and a
-    clipping one, equals the reference loop at its weight alone."""
+    backtracking one, has the bits of training it alone, and agrees with
+    the per-query reference."""
     ds = top1_block_dataset(features)
     assert any(baselines._group_picker(q.groups) is None for q in ds)
     grid = [10.0, 10 ** 4, 0.0, 10.0]
-    block = baselines.train_top1_grid(ds, grid, epochs=4, seed=2)
-    assert block.params.shape == (len(grid), features + 1)
+    block = baselines.train_top1_grid(ds, grid, epochs=4)
+    assert block.params.shape == (len(grid), features) and block.bias is None
     for member, lam in enumerate(grid):
-        want, clipped = _top1_reference(ds, lam, epochs=4, seed=2)
-        assert block.weights[member].tobytes() == want.weights.tobytes()
-        assert block.bias[member].tobytes() == want.bias.tobytes()
-        assert (clipped > 0) == (lam == 10 ** 4)
+        alone = baselines.train_top1_baseline(ds, lam, epochs=4)
+        assert block.weights[member].tobytes() == alone.weights.tobytes()
+        halvings = assert_close_to_the_per_query_reference(alone, ds, lam, epochs=4)
+        assert (halvings > 0) == (lam == 10 ** 4)
+
+
+def test_top1_descent_is_stable_and_converges_on_the_simulated_study():
+    """On the simulated study's 100 x 10 training data with lr 0.01 and 20
+    epochs, the weights at λ = 0 and λ = 10^4 move less than 1e-6 when the
+    learning rate moves by one rounding step or the epochs by one, and the
+    gradient norm falls to 1e-3 of its norm at the zero model."""
+    ds = data.generate_simulated(100, 10, seed=1001)
+    grid = [0.0, 10.0 ** 4]
+    weights = baselines.train_top1_grid(ds, grid, 0.01, 20).weights
+    for lr, epochs in ((0.01 * (1 + 2 ** -52), 20), (0.01 * (1 - 2 ** -52), 20),
+                       (0.01, 19), (0.01, 21)):
+        moved = baselines.train_top1_grid(ds, grid, lr, epochs).weights
+        assert np.abs(moved - weights).max() < 1e-6
+    for w, lam in zip(weights, grid):
+        start = np.linalg.norm(oracle.top1_query_objective(ds, np.zeros(2), lam)[1])
+        end = np.linalg.norm(oracle.top1_query_objective(ds, w, lam)[1])
+        assert end <= 1e-3 * start
+
+
+def degenerate_top1_query(case):
+    """One query of a kind whose top-1 loss has a zero gradient at the zero
+    model: a single document; all-zero relevances with both groups evenly
+    split, whose target is uniform; identical feature rows with all-zero
+    relevances and one group, whose gradient is zero everywhere."""
+    rng = np.random.default_rng(3)
+    return {"one-document": (rng.normal(size=(1, 2)), np.array([2.0]), np.array([1])),
+            "zero-relevance": (rng.normal(size=(4, 2)), np.zeros(4), np.array([0, 1, 0, 1])),
+            "flat": (np.tile(rng.normal(size=2), (6, 1)), np.zeros(6),
+                     np.ones(6, dtype=int))}[case]
+
+
+@pytest.mark.parametrize("case", ["one-document", "zero-relevance", "flat"])
+def test_top1_a_query_without_a_gradient_leaves_the_zero_model(case):
+    ds = oracle.dataset_of([("q", *degenerate_top1_query(case))])
+    grid = [0.0, 10.0 ** 4]
+    loss, grad = baselines.top1_objective(ds, np.zeros((2, 2)), grid)
+    assert np.isfinite(loss).all() and not grad.any()
+    assert not baselines.train_top1_grid(ds, grid, epochs=3).weights.any()
+
+
+def test_top1_single_group_queries_take_no_penalty():
+    """Without a query of both groups every weight trains the λ = 0 model."""
+    rng = np.random.default_rng(4)
+    ds = oracle.dataset_of([(str(qi), rng.normal(size=(5, 2)), rng.uniform(0.0, 2.0, 5),
+                             np.full(5, qi % 2)) for qi in range(6)])
+    block = baselines.train_top1_grid(ds, [0.0, 10.0, 10.0 ** 4], epochs=5)
+    assert block.weights.any()
+    assert block.weights[1:].tobytes() == np.tile(block.weights[0], (2, 1)).tobytes()
+
+
+def test_top1_zero_learning_rate_keeps_the_zero_model():
+    ds = data.generate_simulated(num_queries=10, docs_per_query=5, seed=2)
+    assert baselines.top1_objective(ds, np.zeros((1, 2)), [1.0])[1].any()
+    block = baselines.train_top1_grid(ds, [0.0, 10.0 ** 4], learning_rate=0.0, epochs=3)
+    assert block.weights.tobytes() == np.zeros((2, 2)).tobytes()

@@ -169,7 +169,7 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     # record's "lambda" in place of the option name "lam", train's "lam"
     # given to a sweep, and a top-1 option given to the LP baseline.  A key
     # the command does not take is named with its file and line.
-    first = "seeds = 1" if argv[0] == "sweep" else "seed = 1"
+    first = {"sweep": "seeds = 1", "baseline": "lambdas = 0"}.get(argv[0], "seed = 1")
     configs = {"RMSPROP": "optimizer = rmsprop\n",
                "TYPO": f"{first}\nlamda = 5\nsampels = 3\n",
                "LAMBDA": "lambda = 5\n",
@@ -223,6 +223,7 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
 @pytest.mark.parametrize("argv", [
     ["sweep", "--lambda", 5],
     ["sweep", "--seed", 3],
+    ["baseline", "--seed", 4],
     ["generate", "simulated", "--candidate-size", 5],
     ["generate", "from-table", "--queries", 5],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
@@ -277,7 +278,7 @@ def test_config_txt_records_only_the_options_the_command_reads(tmp_path,
     assert run([*baseline, "--method", "top1", "--epochs", 2,
                 "--out", tmp_path / "top1"]) == 0
     assert keys("top1") == ["epochs", "lambdas", "lr", "merit", "method",
-                            "seed", "test", "train"]
+                            "test", "train"]
     assert run(["sweep", "--train", letor, "--lambdas", "0", "--epochs", 1,
                 "--samples", 4, "--out", tmp_path / "sweep"]) == 0
     assert "lam" not in keys("sweep") and "seed" not in keys("sweep")
@@ -420,10 +421,12 @@ def test_baseline_top1_summary(tmp_path, dataset_dir):
     rows = read_rows(out / "summary.csv")
     assert len(rows) == 3
     for row in rows[1:]:
+        assert row[1] == "" and row[6] == ""
         assert row[4] != ""      # top-1 rows do carry err
-        assert row[6] == ""
     record = json.loads((out / "record.json").read_text())
     assert record["method"] == "top1"
+    assert [sorted(stats) for stats in record["per_lambda"]] == [
+        ["grad_norm", "lambda", "loss", "train"]] * 2
 
 
 @pytest.fixture(scope="module")
@@ -446,10 +449,11 @@ def two_size_dir(tmp_path_factory):
     return out
 
 
-def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
+def top1_reference(train_set, splits, lambdas, merit, lr, epochs):
     """The top-1 baseline's summary rows and ``per_lambda`` stats valued one
     model and one query at a time, as before the baseline valued its
-    models as one block."""
+    models as one block; each weight's loss and gradient norm are those of
+    the per-query reference descent."""
     ndcg_metric = metrics.UtilityMetric("ndcg")
     err_metrics = {name: cli.fit_metric_to_dataset(metrics.UtilityMetric("err"), dataset)
                    for name, dataset in splits}
@@ -457,8 +461,10 @@ def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
     rows, detail = [], []
     for lam in lambdas:
         model = baselines.train_top1_baseline(train_set, lam, learning_rate=lr,
-                                              epochs=epochs, seed=seed)
-        stats = {}
+                                              epochs=epochs)
+        _, loss, grad, _ = oracle.train_top1_query(train_set, lam, lr, epochs)
+        stats = {"loss": pytest.approx(loss, rel=1e-12),
+                 "grad_norm": pytest.approx(float(np.linalg.norm(grad)), rel=1e-6)}
         for split_name, dataset in splits:
             ndcg_vals, err_vals, disp_vals = [], [], []
             for query in dataset:
@@ -468,7 +474,7 @@ def top1_reference(train_set, splits, lambdas, merit, lr, epochs, seed):
                 disp_vals.append(float(group.from_exposures(
                     fairness.ranking_exposures(order),
                     group.rows(query.relevances, query.groups))))
-            rows.append([lam, seed, split_name, float(np.mean(ndcg_vals)),
+            rows.append([lam, None, split_name, float(np.mean(ndcg_vals)),
                          float(np.mean(err_vals)), float(np.mean(disp_vals)),
                          None])
             stats[split_name] = {"ndcg": float(np.mean(ndcg_vals)),
@@ -481,17 +487,16 @@ def test_top1_summary_equals_its_per_query_reference(tmp_path, two_size_dir):
     train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
     out = tmp_path / "t1"
     assert run(["baseline", "--method", "top1", "--train", train, "--test", test,
-                "--lambdas", "0,100", "--epochs", 3, "--lr", 0.05, "--seed", 2,
-                "--out", out]) == 0
+                "--lambdas", "0,100", "--epochs", 3, "--lr", 0.05, "--out", out]) == 0
     splits = [("train", cli.load_dataset_auto(str(train))),
               ("test", cli.load_dataset_auto(str(test)))]
     assert {len(q) for _, dataset in splits for q in dataset} == {6, 9}
     rows, detail = top1_reference(splits[0][1], splits, [0.0, 100.0],
-                                  fairness.MeritFunction(), 0.05, 3, 2)
+                                  fairness.MeritFunction(), 0.05, 3)
     got = read_rows(out / "summary.csv")[1:]
     assert len(got) == len(rows) == 4
     for cells, row in zip(got, rows):
-        assert cells[:3] == [repr(row[0]), str(row[1]), row[2]]
+        assert cells[:3] == [repr(row[0]), "", row[2]]
         assert [float(cell) for cell in cells[3:6]] == row[3:6]
         assert cells[6] == ""
     assert json.loads((out / "record.json").read_text())["per_lambda"] == detail
@@ -501,9 +506,9 @@ def test_baselines_do_their_per_query_and_per_epoch_work_once_per_grid(
         tmp_path, two_size_dir, monkeypatch):
     """The LP builds each query's group row once for the whole grid, and
     the exposures of the rankings of all its segments, in one call each per
-    run of equal-size queries; the top-1 grid draws one permutation per
-    epoch for all its weights and makes no ``Query`` view.  Counts work
-    through monkeypatched functions; times nothing."""
+    run of equal-size queries; the top-1 grid draws no random numbers and
+    makes no ``Query`` view.  Counts work through monkeypatched functions;
+    times nothing."""
     train, test = two_size_dir / "train.letor", two_size_dir / "test.letor"
     rows_built, exposures_built = [], []
     group_rows = baselines.group_rows
@@ -524,26 +529,15 @@ def test_baselines_do_their_per_query_and_per_epoch_work_once_per_grid(
 
     monkeypatch.setattr(data.Dataset, "__getitem__", no_view)
 
-    permutations = []
+    def no_generator(*args):
+        raise AssertionError("a random generator was made")
 
-    class CountingGenerator:
-        def __init__(self, generator):
-            self.generator = generator
-
-        def __getattr__(self, name):
-            return getattr(self.generator, name)
-
-        def permutation(self, *args):
-            permutations.append(1)
-            return self.generator.permutation(*args)
-
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(baselines.np.random, "default_rng",
-                        lambda *args: CountingGenerator(default_rng(*args)))
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    legacy = np.random.get_state()[1].tobytes()
     assert run(["baseline", "--method", "top1", "--train", train, "--test", test,
                 "--lambdas", "0,10,100,1000", "--epochs", 3,
                 "--out", tmp_path / "t1"]) == 0
-    assert len(permutations) == 3
+    assert np.random.get_state()[1].tobytes() == legacy
 
 
 def test_sweep_train_rows_hold_delta_lambda_and_test_rows_each_checkpoint(

@@ -43,8 +43,7 @@ def test_a_negative_seed_is_refused_before_any_work():
     model = policy.LinearModel(np.zeros(ds.feature_dim))
     for start in (lambda: trainer.TrainConfig(seed=-1),
                   lambda: trainer.evaluate(model, ds, metrics.UtilityMetric("ndcg"),
-                                           seed=-1),
-                  lambda: baselines.train_top1_baseline(ds, 0.0, seed=-1)):
+                                           seed=-1)):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             start()
 
