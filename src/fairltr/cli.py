@@ -41,7 +41,6 @@ automatically when present.
 from __future__ import annotations
 
 import argparse
-import bisect
 import concurrent.futures
 import csv
 import dataclasses
@@ -391,7 +390,6 @@ _TRAINING = (
     Option("model", str, "linear", "scoring model",
            choices=tuple(_MODEL_DEFAULT_LR)),
     Option("hidden", int, 32, "hidden units for mlp1"),
-    Option("bias", bool, False, "add a bias to the linear model"),
     Option("no_baseline", bool, False, "disable the reward baseline"),
     Option("patience", int, 5, "early-stop patience in epochs; 0 disables"),
     _EVAL_SAMPLES,
@@ -426,9 +424,8 @@ def _build_train_config(opts: dict, train_set: data.Dataset,
         lam=opts["lam"], gamma=opts["gamma"], sample_size=opts["samples"],
         learning_rate=lr, optimizer=opts["optimizer"], epochs=opts["epochs"],
         metric=metric, disparity=disparity, model=opts["model"],
-        hidden_units=opts["hidden"], use_bias=opts["bias"],
-        use_baseline=not opts["no_baseline"], seed=opts["seed"],
-        patience=opts["patience"], eval_samples=opts["eval_samples"])
+        hidden_units=opts["hidden"], use_baseline=not opts["no_baseline"],
+        seed=opts["seed"], patience=opts["patience"], eval_samples=opts["eval_samples"])
 
 
 def _train_val_split(opts: dict) -> tuple[data.Dataset, data.Dataset]:
@@ -698,13 +695,10 @@ def _lp_rankers(train_set, splits, lambdas, merit):
     regression = baselines.fit_linear_regression(train_set)
 
     def ranker(dataset):
-        starts = [run.start for run in dataset.runs]
         solved = [baselines.solve_fair_lp_grid(regression.scores(run.features), run.groups,
                                                lambdas, merit) for run in dataset.runs]
 
-        def rank(first, features):
-            run = bisect.bisect_right(starts, first) - 1
-            block = slice(first - starts[run], first - starts[run] + len(features))
+        def rank(run, block, features):
             return tuple(values[:, block] for values in
                          (solved[run].orders, solved[run].weights, solved[run].exposures))
         return rank, solved

@@ -8,7 +8,12 @@ merit, a non-negative monotone transform of relevance.
 The exposure of rankings is defined once, over an ``(S, n)`` block or a
 ``(Q, S, n)`` block of Q such batches, by ``ranking_exposures``, and the
 Monte-Carlo estimate ``mc_exposure`` is the mean row of each ``(S, n)``
-batch.
+batch.  A policy's expected exposure (``exposure_of_policy``) is exact for
+a query of at most ``SUBSET_DP_MAX_DOCS`` documents, from the position
+marginals of the DP over placed subsets (``policy.position_marginals``),
+and that Monte-Carlo estimate above; ``exposure_is_exact`` states the
+rule once, for this module and for the blocks of the trainer's
+evaluation passes.
 
 Each disparity is defined once, by hinge rows: linear functions of the
 expected exposure vector whose positive parts are the violations, the
@@ -41,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import position_bias_vector
-from .ranking import ENUMERATION_LIMIT
 from . import policy
 
 # The hinge rows of Q queries, arrays whose row q is query q's: a pair mask
@@ -93,6 +97,20 @@ def ranking_exposures(orders: np.ndarray) -> np.ndarray:
     return values.reshape(orders.shape)
 
 
+# Largest query whose policy exposure is exact: the subset DP of
+# ``policy.placement_flows`` holds 2**n flows per document, so larger
+# queries take the Monte-Carlo estimate.
+SUBSET_DP_MAX_DOCS = 7
+
+
+def exposure_is_exact(num_docs: int) -> bool:
+    """Whether the policy exposure of a query of ``num_docs`` documents is
+    exact, from the subset DP, or Monte-Carlo: the one statement of the
+    rule, which ``exposure_of_policy`` and the blocks of an evaluation pass
+    (``trainer._evaluate``) both read."""
+    return num_docs <= SUBSET_DP_MAX_DOCS
+
+
 @dataclass
 class ExposureVector:
     """Per-document expected exposure plus how it was estimated.
@@ -114,11 +132,11 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
     or a ``(K, Q, n)`` block of K members' score blocks, and ``values`` has
     the same shape.
 
-    Up to ``ENUMERATION_LIMIT`` documents it is exact: ``M @
-    position_bias_vector(n)`` from the position marginals ``M`` of
-    ``policy.position_marginals``, one DP over placed subsets in O(2^n n)
-    for the whole block, which draws no random numbers.  Every vector's
-    values have the bits of a call on that vector alone.
+    Up to ``SUBSET_DP_MAX_DOCS`` documents (``exposure_is_exact``) it is
+    exact: ``M @ position_bias_vector(n)`` from the position marginals
+    ``M`` of ``policy.position_marginals``, one DP over placed subsets in
+    O(2^n n) for the whole block, which draws no random numbers.  Every
+    vector's values have the bits of a call on that vector alone.
 
     Above it, it is the mean over ``num_samples`` sampled rankings.  A
     ``(Q, n)`` block equals Q calls on the rows one after another with the
@@ -130,7 +148,7 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
     """
     s = np.asarray(scores, dtype=float)
     n = s.shape[-1]
-    if n <= ENUMERATION_LIMIT:
+    if exposure_is_exact(n):
         values = policy.position_marginals(s) @ position_bias_vector(n)
         return ExposureVector(values=values, mode="exact")
     if rng is None:
@@ -139,29 +157,30 @@ def exposure_of_policy(scores: np.ndarray, num_samples: int = 32,
     shape = (*members.shape[1:-1], num_samples, n)
     noise = policy.gumbel_noise(rng, shape)
     values = np.array([
-        mc_exposure(policy.sample_rankings(member, noise).reshape(shape), n)
+        mc_exposure(policy.sample_rankings(member, noise).reshape(shape))
         for member in members])
     return ExposureVector(values=values if s.ndim == 3 else values[0], mode="mc")
 
 
-def mc_exposure(orders: np.ndarray, num_docs: int) -> np.ndarray:
-    """Mean per-document exposure over an ``(S, num_docs)`` batch of sampled
-    rankings, or over each ``(S, num_docs)`` batch of a ``(Q, S, num_docs)``
-    block, giving ``(Q, num_docs)``; a block's rows are the means of its
-    batches taken one at a time, bit for bit.
+def mc_exposure(orders: np.ndarray) -> np.ndarray:
+    """Mean per-document exposure over an ``(S, n)`` batch of sampled
+    rankings, or over each ``(S, n)`` batch of a ``(Q, S, n)`` block,
+    giving ``(Q, n)``; a block's rows are the means of its batches taken
+    one at a time, bit for bit.
 
     It is the mean of the batch's ``ranking_exposures``, summed by one
     weighted ``bincount`` of the position bias over the whole block, each
-    batch's documents offset by ``num_docs``: every document adds its
-    attention in ranking order, as a sum over the batch's rows would.
+    batch's documents offset by ``n``: every document adds its attention in
+    ranking order, as a sum over the batch's rows would.
     """
     orders = np.asarray(orders, dtype=np.intp)
+    n = orders.shape[-1]
     batches = orders.reshape(-1, *orders.shape[-2:])
-    index = batches + num_docs * np.arange(len(batches))[:, None, None]
-    attention = np.broadcast_to(position_bias_vector(num_docs), batches.shape)
+    index = batches + n * np.arange(len(batches))[:, None, None]
+    attention = np.broadcast_to(position_bias_vector(n), batches.shape)
     sums = np.bincount(index.reshape(-1), attention.reshape(-1),
-                       minlength=len(batches) * num_docs)
-    return sums.reshape(*orders.shape[:-2], num_docs) / orders.shape[-2]
+                       minlength=len(batches) * n)
+    return sums.reshape(*orders.shape[:-2], n) / orders.shape[-2]
 
 
 def individual_rows(merits: np.ndarray) -> Rows:

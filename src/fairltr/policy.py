@@ -40,6 +40,12 @@ stacked one, ``(K, a, b) @ (K, b, c)``, which gives each member the bits
 of the same product taken on that member alone; a flat product over all
 members would not.
 
+Exact expectations come from ``placement_flows``, a DP over the sets of
+placed documents in O(2^n n).  It returns its flows in the layout it builds
+them in, document-major, ``(..., n, 2**n)``, with the subsets in order of
+size, so ``position_marginals`` is one product of the flows with the
+one-hot of each column's subset size.
+
 Scores are clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]`` before any softmax or
 sampling so that exp() stays comfortably inside float64 range; at trained
 scales the clamp is inactive.
@@ -235,25 +241,22 @@ class _SubsetLayout(NamedTuple):
 
     Subset ``S`` is the integer whose bit ``d`` is set iff document ``d``
     is in ``S``.  The DP works on ``(..., n, 2**n)`` arrays, document-major
-    so that every sum over documents adds whole rows, with the subsets in
-    order of size, so that each size is one slice of columns.
+    so that every sum over documents adds whole rows, with one column per
+    subset, in order of size and, within a size, of ``S``, so that each
+    size is one slice of columns.
 
-    ``placed[S, d]``: whether ``d`` is in ``S``, ``(2**n, n)``, by ``S``.
     ``unplaced[d, c]``: 1.0 iff ``d`` is not in the subset of column ``c``.
     ``layers[k - 1]``: the slice of columns of the subsets of size ``k``.
     ``parents[k - 1][d, i]``: for the i-th subset ``S`` of size ``k``, the
     flat index in a document-major ``(n, 2**n)`` array of the flow of
     ``S - {d}`` to ``d`` (for ``d`` outside ``S``, of ``S + {d}``, whose flow
     to ``d`` is zero).
-    ``columns[S]``: the column of subset ``S``.
-    ``onehot[S, j]``: 1.0 iff ``|S| == j``.
+    ``onehot[c, j]``: 1.0 iff the subset of column ``c`` has ``j`` documents.
     """
 
-    placed: np.ndarray
     unplaced: np.ndarray
     layers: tuple[slice, ...]
     parents: tuple[np.ndarray, ...]
-    columns: np.ndarray
     onehot: np.ndarray
 
 
@@ -271,33 +274,34 @@ def _subset_layout(n: int) -> _SubsetLayout:
     layers = tuple(slice(starts[k], starts[k + 1]) for k in range(1, n + 1))
     offsets = (np.arange(n) << n)[:, None]
     parents = tuple(offsets + columns[by_size[layer] ^ bits[:, None]] for layer in layers)
-    layout = _SubsetLayout(placed, (~placed[by_size].T).astype(float), layers,
-                           parents, columns, (sizes[:, None] == np.arange(n)) * 1.0)
-    for array in (placed, layout.unplaced, *parents, columns, layout.onehot):
+    layout = _SubsetLayout((~placed[by_size].T).astype(float), layers, parents,
+                           (sizes[by_size, None] == np.arange(n)) * 1.0)
+    for array in (layout.unplaced, *parents, layout.onehot):
         array.flags.writeable = False
     return layout
 
 
-def placement_flows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def placement_flows(scores: np.ndarray) -> np.ndarray:
     """Plackett-Luce probability flow through the sets of placed documents.
 
-    Returns ``(placed, flows)``, indexed by subset ``S`` (bit ``d`` of the
-    row index set iff document ``d`` is in ``S``).  ``placed``, ``(2**n,
-    n)``, tells whether ``d`` is in ``S``; it is shared read-only.
-    ``flows[..., S, d]`` is the probability that the first ``|S|`` positions
-    hold exactly the documents of ``S``, in any order, and that ``d`` takes
-    position ``|S| + 1``.  Sampling forgets the order of the placed
-    documents, so a DP over subsets of increasing size gives every flow in
-    O(2^n n) time and memory, where enumerating rankings costs O(n! n).
+    ``flows[..., d, c]`` is the probability that the first ``|S|``
+    positions hold exactly the documents of the subset ``S`` of column
+    ``c``, in any order, and that ``d`` takes position ``|S| + 1``.  The
+    columns are the subsets in order of size and, within a size, of the
+    integer ``S`` whose bit ``d`` is set iff document ``d`` is in ``S``;
+    ``d`` is in the subset of column ``c`` iff ``_subset_layout(n).unplaced[d,
+    c]`` is 0.  Sampling forgets the order of the placed documents, so a DP
+    over subsets of increasing size gives every flow in O(2^n n) time and
+    memory, where enumerating rankings costs O(n! n).
 
     ``scores`` is ``(..., n)``: one score vector, or a block such as the
     ``(K, Q, n)`` scores of K members on Q queries, whose flows are
-    ``(..., 2**n, n)``, one DP for the whole block.  Every vector's flows
-    have the bits of a call on that vector alone.
+    ``(..., n, 2**n)``, one DP for the whole block, returned in the layout
+    the DP builds them in.  Every vector's flows have the bits of a call on
+    that vector alone.
     """
     s = clip_scores(scores)
-    n = s.shape[-1]
-    layout = _subset_layout(n)
+    layout = _subset_layout(s.shape[-1])
     pick = layout.unplaced * np.exp(s - s.max(axis=-1, keepdims=True))[..., None]
     # Sum over the unplaced documents, not total minus placed: at scores of
     # +-SCORE_CLAMP that difference cancels to zero.
@@ -312,7 +316,7 @@ def placement_flows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Flow into S comes from S - {d} placing d.
         reach = flat.take(parents, axis=-1).sum(axis=-2)
         np.multiply(reach[..., None, :], pick[..., layer], out=flows[..., layer])
-    return layout.placed, flows.swapaxes(-1, -2).take(layout.columns, axis=-2)
+    return flows
 
 
 def position_marginals(scores: np.ndarray) -> np.ndarray:
@@ -320,12 +324,13 @@ def position_marginals(scores: np.ndarray) -> np.ndarray:
     position ``j`` under the policy at ``scores``; every row and column sums
     to 1.
 
-    Exact, from ``placement_flows`` in O(2^n n).  A ``(..., n)`` block of
-    score vectors gives ``(..., n, n)``, reduced by one stacked product,
-    each vector's marginals with the bits of its own call.
+    Exact, from ``placement_flows`` in O(2^n n): the flows times the one-hot
+    of their columns' subset sizes.  A ``(..., n)`` block of score vectors
+    gives ``(..., n, n)``, reduced by one stacked product, each vector's
+    marginals with the bits of its own call.
     """
-    _, flows = placement_flows(scores)
-    return flows.swapaxes(-1, -2) @ _subset_layout(flows.shape[-1]).onehot
+    flows = placement_flows(scores)
+    return flows @ _subset_layout(flows.shape[-2]).onehot
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,8 @@ class _Model:
 
 class LinearModel(_Model):
     """Linear scoring function ``s = X w (+ b)``; the bias is optional and
-    off by default.
+    off by default.  ``baselines.fit_linear_regression`` fits one; a policy
+    has none (``init``), since shifting every score moves no policy.
 
     ``params = [w, b]``, of which ``weights`` and ``bias`` are views, and
     ``backprop`` returns its gradient in the same layout.
@@ -428,11 +434,10 @@ class LinearModel(_Model):
         self._lay_out((weights.shape[-1], len(arrays) - 1), arrays)
 
     @classmethod
-    def init(cls, feature_dim: int, rng: np.random.Generator,
-             use_bias: bool = False, scale: float = 0.001) -> "LinearModel":
-        w = rng.uniform(-scale, scale, size=feature_dim)
-        b = rng.uniform(-scale, scale, size=1) if use_bias else None
-        return cls(w, b)
+    def init(cls, feature_dim: int, rng: np.random.Generator) -> "LinearModel":
+        """Small uniform weights and no bias: a Plackett-Luce policy does
+        not change when every score shifts by the same constant."""
+        return cls(rng.uniform(-0.001, 0.001, size=feature_dim))
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Scores of the rows of ``features``: ``(n,)``, or ``(K, n)`` for a
@@ -520,9 +525,9 @@ _MODELS = {cls.kind: cls for cls in (LinearModel, MLP1Model)}
 
 
 def init_model(kind: str, feature_dim: int, rng: np.random.Generator,
-               hidden_units: int = 32, use_bias: bool = False) -> ScoringModel:
+               hidden_units: int = 32) -> ScoringModel:
     if kind == "linear":
-        return LinearModel.init(feature_dim, rng, use_bias=use_bias)
+        return LinearModel.init(feature_dim, rng)
     if kind == "mlp1":
         return MLP1Model.init(feature_dim, rng, hidden_units=hidden_units)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -17,35 +17,25 @@ import numpy as np
 
 Ranking = np.ndarray
 
-# Largest candidate count for exact policy expectations: exposure is exact
-# up to it and Monte-Carlo above it, since the subset DP takes O(2^n n)
-# memory.
-ENUMERATION_LIMIT = 7
-
 
 class InvalidRankingError(ValueError):
     """Raised when an index array is not a permutation of the candidates."""
 
 
 def as_ranking(order: Iterable[int], num_docs: int) -> Ranking:
-    """Validate ``order`` as a permutation of ``0..num_docs-1`` and return it.
+    """Validate ``order`` as a permutation of ``0..num_docs-1`` and return it
+    as an ``intp`` array.
 
     Raises:
-        InvalidRankingError: wrong length, repeated index, or out-of-range
-            index.
+        InvalidRankingError: a shape other than ``(num_docs,)``, or sorted
+            values other than ``0..num_docs-1`` (a repeated or out-of-range
+            index).
     """
     arr = np.asarray(list(order) if not isinstance(order, np.ndarray) else order,
                      dtype=np.intp)
-    if arr.ndim != 1 or arr.shape[0] != num_docs:
-        raise InvalidRankingError(
-            f"ranking has length {arr.shape}, expected ({num_docs},)")
-    seen = set()
-    for idx in arr.tolist():  # Python ints compare faster than numpy scalars
-        if idx < 0 or idx >= num_docs:
-            raise InvalidRankingError(f"index {idx} out of range for {num_docs} docs")
-        if idx in seen:
-            raise InvalidRankingError(f"index {idx} repeated in ranking")
-        seen.add(idx)
+    if arr.shape != (num_docs,) or not np.array_equal(np.sort(arr), np.arange(num_docs)):
+        raise InvalidRankingError(f"{arr.tolist()} is not a permutation of "
+                                  f"0..{num_docs - 1}")
     return arr
 
 

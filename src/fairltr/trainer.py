@@ -62,6 +62,8 @@ ranks by argmax and takes the policy exposures of one
 queries, one subset DP over the whole block; for larger ones, Monte
 Carlo, with one draw that every member ranks by
 (``policy.sample_rankings``) and reduces (``mc_exposure``) on its own.
+Which one a query size takes, and so how its blocks are cut, is read from
+the one rule, ``fairness.exposure_is_exact``.
 Each member evaluated alone would draw the same numbers in the same
 order, so every member gets the bits of its own pass.  A pass given no
 constants builds each run's metric constants and hinge rows once, and
@@ -77,11 +79,11 @@ import numpy as np
 
 from . import policy
 from .data import Dataset, require_seed
-from .fairness import DisparityConfig, Rows, exposure_of_policy, hinge_weights, \
-    mc_exposure
+from .fairness import DisparityConfig, Rows, exposure_is_exact, exposure_of_policy, \
+    hinge_weights, mc_exposure
 from .metrics import Constants, UtilityMetric, position_bias_vector
 from .policy import ScoringModel, draw_policy_sample, init_model, softmax_entropy
-from .ranking import ENUMERATION_LIMIT, at_rankings
+from .ranking import at_rankings
 
 
 class TrainingError(RuntimeError):
@@ -109,7 +111,6 @@ class TrainConfig:
     disparity: DisparityConfig | None = None
     model: str = "linear"
     hidden_units: int = 32
-    use_bias: bool = False
     use_baseline: bool = True
     seed: int = 0
     patience: int = 5
@@ -144,7 +145,6 @@ class TrainConfig:
             "merit": "none" if self.disparity is None else str(self.disparity.merit),
             "model": self.model,
             "hidden_units": self.hidden_units,
-            "use_bias": self.use_bias,
             "use_baseline": self.use_baseline,
             "seed": self.seed,
             "patience": self.patience,
@@ -252,7 +252,7 @@ def disparity_score_grad(rankings: np.ndarray, rows: Rows,
         values = at_rankings(rows[0], rankings) @ bias
         # The row's gap is the mean of its values, positive where their sum is.
         return np.where(values.sum(axis=-1, keepdims=True) > 0.0, values, 0.0)
-    weights = hinge_weights(rows, mc_exposure(rankings, rankings.shape[-1]))
+    weights = hinge_weights(rows, mc_exposure(rankings))
     return at_rankings(weights, rankings) @ bias
 
 
@@ -301,10 +301,11 @@ class EvalSummary:
 
 
 # A ranker gives, for a block of Q consecutive queries of n documents each,
-# the first being query `first` of the split, and their (Q, n, d) features,
-# K members' (K, Q, M, n) rankings, their (K, Q, M) weights and their
-# (K, Q, n) exposures, or None for exposures when no disparity is asked.
-Ranker = Callable[[int, np.ndarray],
+# the `block` slice of the split's run `run` (an index into its `runs`), and
+# their (Q, n, d) features, K members' (K, Q, M, n) rankings, their
+# (K, Q, M) weights and their (K, Q, n) exposures, or None for exposures
+# when no disparity is asked.
+Ranker = Callable[[int, slice, np.ndarray],
                   tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
@@ -327,18 +328,19 @@ def value_split(dataset: Dataset, rank: Ranker, metric: UtilityMetric,
     equal-size queries is cut into blocks of as many queries as
     ``EVAL_BLOCK_DRAWS`` entries hold (at least one), ``rows(n) * n`` per
     query of n documents; ``rank`` is called once per block, in split
-    order, and each block reads its slice of the run's arrays.
+    order, with the block's run and slice of it, and each block reads its
+    slice of the run's arrays.
     """
     scored = (metric, *extra_metrics)
     if constants is None:
         constants = split_constants(dataset, scored, disparity)
     values, disparities = [], []
-    for run, (built, hinges) in zip(dataset.runs, constants, strict=True):
+    for r, (run, (built, hinges)) in enumerate(zip(dataset.runs, constants, strict=True)):
         n = run.relevances.shape[1]
         per_block = max(1, EVAL_BLOCK_DRAWS // (rows(n) * n))
         for start in range(0, len(run), per_block):
             block = slice(start, start + per_block)
-            orders, weights, exposures = rank(run.start + start, run.features[block])
+            orders, weights, exposures = rank(r, block, run.features[block])
             values.append([(each.batch_values(orders, _row_views(of_each, block))
                             * weights).sum(axis=-1)
                            for each, of_each in zip(scored, built)])
@@ -372,7 +374,7 @@ def argmax_ranker(model: ScoringModel,
     one stable ``argsort``."""
     members = [model.with_params(params) for params in np.atleast_2d(model.params)]
 
-    def rank(first, features):
+    def rank(run, block, features):
         scores = np.array([member.scores(features) for member in members])
         orders = policy.argmax_ranking(scores)
         return (orders[..., None, :], np.ones((*orders.shape[:-1], 1)),
@@ -396,7 +398,8 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     disparity, their policy exposures: one ``exposure_of_policy`` call per
     block for all members.  A block holds as many queries as
     ``EVAL_BLOCK_DRAWS`` entries do: the ``eval_samples * n`` uniform draws
-    of a Monte-Carlo query, or the ``2**n * n`` flows of an exact one.
+    of a Monte-Carlo query, or the ``2**n * n`` flows of an exact one, as
+    ``fairness.exposure_is_exact`` tells.
     Every member's values have the bits of its own pass; an exact block
     draws nothing, so where it is cut changes no bits.
     """
@@ -408,7 +411,7 @@ def _evaluate(model: ScoringModel, dataset: Dataset, metric: UtilityMetric,
     return value_split(
         dataset, argmax_ranker(model, policy_exposures), metric, disparity,
         extra_metrics,
-        rows=lambda n: 1 << n if n <= ENUMERATION_LIMIT else eval_samples,
+        rows=lambda n: 1 << n if exposure_is_exact(n) else eval_samples,
         constants=constants)
 
 
@@ -604,8 +607,7 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
     ss_init, ss_train, ss_eval, ss_delta = root.spawn(4)
     model = init_model(first.model, train_set.feature_dim,
                        np.random.default_rng(ss_init),
-                       hidden_units=first.hidden_units,
-                       use_bias=first.use_bias)
+                       hidden_units=first.hidden_units)
     members = [_Member(config, make_optimizer(config.optimizer, config.learning_rate),
                        model.copy()) for config in configs]
     block = _Block(model.with_params(np.tile(model.params, (len(members), 1))),

@@ -30,7 +30,8 @@ directly).  ``_exact_hinge`` sums it over the enumerated rankings.
 package's one constructor.  ``datasets_equal`` and ``models_equal``
 compare datasets and models bit for bit, for the round-trip and
 determinism tests; ``param_arrays`` gives a model's named parameter
-arrays, the views of its one vector.
+arrays, the views of its one vector.  ``model_of`` makes a model of each
+parameter layout, a linear model with a bias among them.
 
 ``solve_fair_lp_query`` is the per-query reference of the package's block
 solve of the fair LP (``baselines.solve_fair_lp_grid``): one query's
@@ -61,9 +62,13 @@ from fairltr.data import Dataset, ParseError, Query
 from fairltr.fairness import DisparityConfig, group_rows, individual_rows, \
     ranking_exposures
 from fairltr.metrics import UtilityMetric, gains, ideal_dcg, position_bias_vector
-from fairltr.policy import SCORE_CLAMP, ScoringModel, _stage_weights, \
-    placement_flows, position_marginals
-from fairltr.ranking import ENUMERATION_LIMIT, Ranking
+from fairltr.policy import SCORE_CLAMP, LinearModel, ScoringModel, _stage_weights, \
+    _subset_layout, init_model, placement_flows, position_marginals
+from fairltr.ranking import Ranking
+
+# Largest candidate count that the oracle enumerates n! rankings of, and
+# that its exact expectations take.
+ENUMERATION_LIMIT = 7
 
 
 def all_rankings(num_docs: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Ranking]:
@@ -276,10 +281,10 @@ def _expected_err(scores: np.ndarray, rels: np.ndarray, max_grade: float) -> flo
     """Exact ERR of the policy: the cascade reaches slot ``|S| + 1`` with
     probability ``prod_{d in S} (1 - R_d)``, whatever the order of ``S``."""
     stop, _ = UtilityMetric("err", err_max_grade=max_grade).constants(rels)
-    placed, flows = placement_flows(scores)
-    reach = np.prod(np.where(placed, 1.0 - stop, 1.0), axis=1)
-    slot = placed.sum(axis=1) + 1.0
-    return float(np.sum(reach * (flows @ stop) / slot))
+    placed = 1.0 - _subset_layout(len(rels)).unplaced
+    reach = np.prod(np.where(placed == 1.0, 1.0 - stop[:, None], 1.0), axis=0)
+    slot = placed.sum(axis=0) + 1.0
+    return float(np.sum(reach * (stop @ placement_flows(scores)) / slot))
 
 
 @dataclass
@@ -514,3 +519,14 @@ def param_arrays(model: ScoringModel) -> list[np.ndarray]:
     """The named parameter arrays of ``model`` in layout order: views of
     ``model.params``."""
     return [getattr(model, attr) for attr, *_ in model.layout]
+
+
+def model_of(kind: str, feature_dim: int, rng: np.random.Generator,
+             hidden_units: int = 32, bias: bool = False) -> ScoringModel:
+    """``policy.init_model``, and with ``bias`` a linear model of the same
+    weights and a small uniform bias: the layout of
+    ``baselines.fit_linear_regression``, which training never makes."""
+    model = init_model(kind, feature_dim, rng, hidden_units=hidden_units)
+    if not bias:
+        return model
+    return LinearModel(model.weights, bias=rng.uniform(-0.001, 0.001, size=1))

@@ -105,9 +105,9 @@ def test_a_score_block_takes_one_dp_with_the_bits_of_each_vector(n):
     calls one at a time, byte for byte."""
     block = score_block(n, np.random.default_rng(200 + n))
     rows = block.reshape(-1, n)
-    _, flows = policy.placement_flows(block)
-    assert flows.shape == (*block.shape[:-1], 2 ** n, n)
-    want_flows = np.array([policy.placement_flows(s)[1] for s in rows])
+    flows = policy.placement_flows(block)
+    assert flows.shape == (*block.shape, 2 ** n)
+    want_flows = np.array([policy.placement_flows(s) for s in rows])
     assert flows.tobytes() == want_flows.tobytes()
     marginals = policy.position_marginals(block)
     assert marginals.shape == (*block.shape, n)
@@ -121,14 +121,33 @@ def test_a_score_block_takes_one_dp_with_the_bits_of_each_vector(n):
 
 
 def test_the_cached_subset_layout_is_read_only():
-    placed, _ = policy.placement_flows(np.zeros(4))
-    assert placed is policy.placement_flows(np.ones((2, 4)))[0]
-    with pytest.raises(ValueError):
-        placed[0, 0] = True
+    """The layout is built once per n and shared read-only; the flows are a
+    fresh array of its columns, the subsets by size, the empty set first."""
     layout = policy._subset_layout(4)
     assert layout is policy._subset_layout(4)
-    for array in (layout.unplaced, *layout.parents, layout.columns, layout.onehot):
+    for array in (layout.unplaced, *layout.parents, layout.onehot):
         with pytest.raises(ValueError):
             array[0] = 0
-    assert not placed[0].any()
+    sizes = 4 - layout.unplaced.sum(axis=0)
+    assert sizes[0] == 0 and sizes[-1] == 4 and (np.diff(sizes) >= 0).all()
+    np.testing.assert_array_equal(layout.onehot.argmax(axis=1)[:-1], sizes[:-1])
+    flows = policy.placement_flows(np.zeros(4))
+    assert flows.flags.writeable and not np.shares_memory(flows, layout.unplaced)
+    np.testing.assert_array_equal(flows[:, 0], 0.25)
     np.testing.assert_array_equal(policy.position_marginals(np.zeros(4)), 0.25)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_exact_marginals_ignore_a_shift_of_every_score(n):
+    """A Plackett-Luce policy, and so its position marginals and its
+    entropy, is the same at ``s`` and at ``s + c``: a bias shared by every
+    score moves nothing."""
+    rng = np.random.default_rng(300 + n)
+    scores = rng.normal(scale=2.0, size=(4, n))
+    marginals = policy.position_marginals(scores)
+    entropy, _ = policy.softmax_entropy(scores)
+    for shift in (-7.25, 1e-3, 3.0, 12.5):
+        np.testing.assert_allclose(policy.position_marginals(scores + shift), marginals,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(policy.softmax_entropy(scores + shift)[0], entropy,
+                                   rtol=1e-13, atol=0)

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from fairltr import fairness, metrics, policy, trainer
-from fairltr.fairness import group_rows, individual_rows
-from fairltr.ranking import ENUMERATION_LIMIT
+from fairltr.fairness import SUBSET_DP_MAX_DOCS, group_rows, individual_rows
 import oracle
 
 V2 = 0.6309297535714574    # position bias at rank 2
@@ -63,15 +62,15 @@ def test_exposure_mc_converges_to_exact():
     scores = np.array([0.5, -0.5, 1.0, 0.0])
     exact = fairness.exposure_of_policy(scores).values
     mc = fairness.mc_exposure(
-        policy.sample_rankings(scores, policy.gumbel_noise(rng, (40000, 4))), 4)
+        policy.sample_rankings(scores, policy.gumbel_noise(rng, (40000, 4))))
     np.testing.assert_allclose(mc, exact, atol=0.02)
 
 
 def test_exposure_auto_switches_on_query_size():
-    """Exact up to ``ENUMERATION_LIMIT`` documents, Monte-Carlo above."""
+    """Exact up to ``SUBSET_DP_MAX_DOCS`` documents, Monte-Carlo above."""
     rng = np.random.default_rng(2)
-    small = fairness.exposure_of_policy(np.zeros(ENUMERATION_LIMIT), rng=rng)
-    large = fairness.exposure_of_policy(np.zeros(ENUMERATION_LIMIT + 1), rng=rng)
+    small = fairness.exposure_of_policy(np.zeros(SUBSET_DP_MAX_DOCS), rng=rng)
+    large = fairness.exposure_of_policy(np.zeros(SUBSET_DP_MAX_DOCS + 1), rng=rng)
     assert small.mode == "exact" and large.mode == "mc"
 
 
@@ -220,7 +219,7 @@ def test_tied_pairs_have_a_zero_gap_and_no_gradient_weight():
     sample = policy.PolicySample(scores, rankings)
     merits = np.array([3.0, 3.0, 1.0])
     rows = fairness.individual_rows(merits)
-    exposures = fairness.mc_exposure(rankings, 3)
+    exposures = fairness.mc_exposure(rankings)
     assert exposures[0] == exposures[1]
     gaps = fairness.pair_gaps(rows, exposures)
     assert gaps[[0, 1], [1, 0]].tolist() == [0.0, 0.0]
@@ -399,7 +398,7 @@ def test_exposure_of_a_score_block_equals_one_call_per_row():
 
 def test_mc_exposure_counts_positions():
     orders = np.array([[0, 1], [1, 0], [0, 1], [0, 1]])
-    got = fairness.mc_exposure(orders, 2)
+    got = fairness.mc_exposure(orders)
     np.testing.assert_allclose(got, [(3 * 1.0 + V2) / 4, (3 * V2 + 1.0) / 4])
 
 
@@ -411,12 +410,12 @@ def test_mc_exposure_is_the_mean_of_the_ranking_exposures_bit_for_bit():
     for n in (1, 2, 7, 10, 30):
         for size in (1, 3, 32):
             orders = np.argsort(rng.random((4, size, n)), axis=-1)
-            got = fairness.mc_exposure(orders, n)
+            got = fairness.mc_exposure(orders)
             assert got.shape == (4, n)
             for batch, row in zip(orders, got):
                 want = fairness.ranking_exposures(batch).sum(axis=0) / size
                 assert row.tobytes() == want.tobytes()
-                assert fairness.mc_exposure(batch, n).tobytes() == want.tobytes()
+                assert fairness.mc_exposure(batch).tobytes() == want.tobytes()
 
 
 def test_policy_exposure_matches_sampled_ranking_average():

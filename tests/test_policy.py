@@ -349,8 +349,8 @@ MODEL_KINDS = [("linear", False), ("linear", True), ("mlp1", False)]
 
 @pytest.mark.parametrize("kind,bias", MODEL_KINDS)
 def test_named_arrays_are_views_of_the_parameter_vector(kind, bias):
-    model = policy.init_model(kind, 3, np.random.default_rng(14),
-                              hidden_units=4, use_bias=bias)
+    model = oracle.model_of(kind, 3, np.random.default_rng(14),
+                            hidden_units=4, bias=bias)
     arrays = oracle.param_arrays(model)
     assert model.params.ndim == 1 and model.params.flags.c_contiguous
     assert model.params.size == sum(a.size for a in arrays)
@@ -367,8 +367,8 @@ def test_model_copy_is_independent():
     """A copy owns its vector: ``train`` keeps its best model as a copy,
     which must not track the live model."""
     for kind, bias in MODEL_KINDS:
-        model = policy.init_model(kind, 2, np.random.default_rng(0),
-                                  hidden_units=3, use_bias=bias)
+        model = oracle.model_of(kind, 2, np.random.default_rng(0),
+                                hidden_units=3, bias=bias)
         clone = model.copy()
         assert oracle.models_equal(model, clone)
         assert not np.shares_memory(clone.params, model.params)
@@ -383,7 +383,7 @@ def test_model_copy_is_independent():
                                        ("mlp1", False)])
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, kind, bias):
     rng = np.random.default_rng(13)
-    model = policy.init_model(kind, 3, rng, hidden_units=5, use_bias=bias)
+    model = oracle.model_of(kind, 3, rng, hidden_units=5, bias=bias)
     for p in oracle.param_arrays(model):
         p += rng.normal(scale=1e6, size=p.shape) * 1e-12    # awkward floats
     path = tmp_path / "model.txt"
@@ -489,7 +489,7 @@ def test_sampling_a_score_block_equals_one_call_per_row():
 def member_block(kind, bias, members=3, seed=20):
     """A block of ``members`` different models and the models alone."""
     rng = np.random.default_rng(seed)
-    model = policy.init_model(kind, 4, rng, hidden_units=5, use_bias=bias)
+    model = oracle.model_of(kind, 4, rng, hidden_units=5, bias=bias)
     block = model.with_params(model.params + rng.normal(size=(members, model.params.size)))
     return block, [block.with_params(block.params[k]) for k in range(members)]
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fairltr import data, fairness, metrics, policy, trainer
-from fairltr.ranking import ENUMERATION_LIMIT
+from fairltr.fairness import SUBSET_DP_MAX_DOCS
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -56,7 +56,7 @@ def test_tracer_install_and_remove_restore_every_patch_point():
 
 def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
     """One evaluation of a model, or of a block of K members, is one
-    ``trainer.evaluate`` call.  Above ``ENUMERATION_LIMIT`` documents its
+    ``trainer.evaluate`` call.  Above ``SUBSET_DP_MAX_DOCS`` documents its
     Monte-Carlo block is one ``exposure_of_policy`` call whose one draw the
     members share, and one sampler call of ``Q * S`` rankings per member;
     at the limit the whole ``(K, Q, n)`` block is one exact call, and
@@ -64,8 +64,8 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
     ``metrics.value`` is not called, and the disparities of all its queries
     and members are one ``from_exposures`` call."""
     queries, samples = 6, 12
-    for members, docs in itertools.product((1, 3), (ENUMERATION_LIMIT + 3,
-                                                    ENUMERATION_LIMIT)):
+    for members, docs in itertools.product(
+            (1, 3), (SUBSET_DP_MAX_DOCS + 3, SUBSET_DP_MAX_DOCS)):
         dataset = data.generate_simulated(num_queries=queries, docs_per_query=docs,
                                           seed=2)
         model = policy.init_model("linear", dataset.feature_dim,
@@ -85,7 +85,7 @@ def test_tracer_counts_one_block_pass_and_every_sampled_ranking():
         # One block: its queries fit EVAL_BLOCK_DRAWS, checked below.
         assert counts["fairness.from_exposures.calls"] == 1
         assert "metrics.value.calls" not in counts
-        if docs > ENUMERATION_LIMIT:
+        if docs > SUBSET_DP_MAX_DOCS:
             assert queries * samples * docs <= trainer.EVAL_BLOCK_DRAWS
             assert "fairness.exposure_exact.calls" not in counts
             assert counts["fairness.exposure_mc.calls"] == 1
@@ -183,7 +183,7 @@ def test_tracer_names_an_exact_member_block_and_counts_it():
     evaluation passes whole, is named ``fairness.exposure_exact`` and counted
     without error, directly and through the installed wrapper."""
     tracer_module = load_tracer_module()
-    scores = np.random.default_rng(6).normal(size=(3, 4, ENUMERATION_LIMIT))
+    scores = np.random.default_rng(6).normal(size=(3, 4, SUBSET_DP_MAX_DOCS))
     result = fairness.exposure_of_policy(scores)
     assert result.values.shape == scores.shape
     assert tracer_module._exposure_layer(result) == "fairness.exposure_exact"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairltr import baselines, data, fairness, metrics, policy, trainer
-from fairltr.ranking import ENUMERATION_LIMIT
+from fairltr.fairness import SUBSET_DP_MAX_DOCS
 import oracle
 
 
@@ -369,7 +369,7 @@ def test_exact_runs_are_cut_by_their_subset_rows(monkeypatch):
 def test_block_evaluation_of_a_grid_equals_each_member_per_query(model, kind):
     """A ``(K, P)`` block of K = 3 members is one pass: every member's values
     equal its own per-query loop with ``==``, on a split with queries of at
-    most ``ENUMERATION_LIMIT`` documents (exact, one vector per call), a
+    most ``SUBSET_DP_MAX_DOCS`` documents (exact, one vector per call), a
     query without a group row and an all-zero-relevance query (NDCG 0), and
     the generator ends where each member's loop ends."""
     ds = ragged_split()
@@ -379,7 +379,7 @@ def test_block_evaluation_of_a_grid_equals_each_member_per_query(model, kind):
                                + rng.normal(size=(3, single.params.size)))
     disparity = fairness.DisparityConfig.parse(kind)
     ndcg5, err = metrics.UtilityMetric.parse("ndcg@5"), metrics.UtilityMetric("err")
-    assert min(map(len, ds)) <= ENUMERATION_LIMIT < max(map(len, ds))
+    assert min(map(len, ds)) <= SUBSET_DP_MAX_DOCS < max(map(len, ds))
     degenerate = ds[1 if kind == "group" else 5]
     assert not disparity.rows(degenerate.relevances, degenerate.groups)[0].any()
     block_rng = np.random.default_rng(3)
@@ -406,6 +406,41 @@ def test_block_evaluation_of_a_grid_equals_each_member_per_query(model, kind):
                                  disparity, 16, np.random.default_rng(3),
                                  extra_metrics=[err])
     assert alone == got[1]
+
+
+def test_the_exact_or_sampled_rule_has_one_owner(monkeypatch):
+    """``fairness.SUBSET_DP_MAX_DOCS`` alone decides where policy exposure
+    is exact and how an evaluation pass cuts its blocks: lowered to 5, the
+    exposure of 6 documents turns Monte-Carlo, and ``_evaluate`` cuts a run
+    of 6-document queries by ``eval_samples`` rows per query, not 2**6."""
+    ds = small_dataset(seed=9, queries=7, docs=6)
+    model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
+    samples = 4
+    # Room for three queries of eval_samples rows each, and for no query of
+    # 2**6 flows, which then takes a block of its own.
+    monkeypatch.setattr(trainer, "EVAL_BLOCK_DRAWS", 3 * samples * 6)
+    blocks = []
+
+    def counted(scores, *args, **kwargs):
+        result = fairness.exposure_of_policy(scores, *args, **kwargs)
+        blocks.append((np.shape(scores)[-2], result.mode))
+        return result
+
+    monkeypatch.setattr(trainer, "exposure_of_policy", counted)
+
+    def evaluation_blocks():
+        blocks.clear()
+        trainer._evaluate(model, ds, metrics.UtilityMetric("ndcg"),
+                          fairness.DisparityConfig("group"), samples,
+                          np.random.default_rng(0))
+        return list(blocks)
+
+    assert fairness.exposure_of_policy(np.zeros(6)).mode == "exact"
+    assert evaluation_blocks() == [(1, "exact")] * 7
+    monkeypatch.setattr(fairness, "SUBSET_DP_MAX_DOCS", 5)
+    assert fairness.exposure_of_policy(np.zeros(6)).mode == "mc"
+    assert fairness.exposure_of_policy(np.zeros(5)).mode == "exact"
+    assert evaluation_blocks() == [(3, "mc"), (3, "mc"), (1, "mc")]
 
 
 def test_extra_metrics_equal_separate_evaluations():
@@ -599,7 +634,7 @@ def split_like(flat, arrays):
                                        ("mlp1", False)])
 def test_flat_optimizer_steps_equal_the_per_array_reference(kind, bias):
     rng = np.random.default_rng(31)
-    model = policy.init_model(kind, 4, rng, hidden_units=5, use_bias=bias)
+    model = oracle.model_of(kind, 4, rng, hidden_units=5, bias=bias)
     X = rng.normal(size=(6, 4))
     grad_steps = [model.backprop(X, rng.normal(size=6)) for _ in range(3)]
 
@@ -800,7 +835,7 @@ def test_step_weights_are_the_rankings_exposures_under_the_hinge_gradient(kind):
         assert got.shape == (4, 25)
         for k in range(4):
             weights = oracle.hinge_weights(kind, rows,
-                                           fairness.mc_exposure(rankings[k], n))
+                                           fairness.mc_exposure(rankings[k]))
             want = fairness.ranking_exposures(rankings[k]) @ weights
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-15)
             assert got[k].tobytes() == \
