@@ -8,7 +8,10 @@ checkpoint).
 Each command declares its options once, as ``Option``s that give the flag,
 the config-file key, the type, the default, the choices and the help text.
 Every command also takes ``--config FILE`` with flat ``key = value`` lines
-whose keys are its option names; explicit flags override the file.  An
+whose keys are its option names.  Each line is read as its option's flag,
+placed ahead of the command line's, so the parser checks every value,
+from the file or the command line, and explicit flags override the file;
+only a boolean's true or false word is read here.  An
 option a command does not take is refused, as a flag or as a key, and so
 are the top-1 options of ``baseline --method lp``.  ``sweep`` and
 ``baseline`` record in ``config.txt`` the options they read: a sweep's has
@@ -87,10 +90,11 @@ class _Parser(argparse.ArgumentParser):
 
 class Option(NamedTuple):
     """One option of a command: the flag ``--dest`` with ``-`` for ``_``
-    (or ``flag``) and the config-file key ``dest``.  A flag beats the config file, which beats
-    ``default``.  ``only = (key, value)`` marks an option read only when
-    option ``key`` is ``value``: it is refused when set otherwise.  A value
-    below ``minimum`` is refused."""
+    (or ``flag``) and the config-file key ``dest``, whose line is read as
+    that flag.  A flag beats the config file, which beats ``default``.
+    ``only = (key, value)`` marks an option read only when option ``key``
+    is ``value``: it is refused when set otherwise.  A value below
+    ``minimum`` is refused."""
     dest: str
     kind: type
     default: object
@@ -105,15 +109,26 @@ class Option(NamedTuple):
         return self.flag or "--" + self.dest.replace("_", "-")
 
 
-def load_config_file(path: str, keys) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments ignored.  A key
-    outside ``keys``, the command's option names, is refused with its line,
-    since it would otherwise be silently ignored."""
-    values: dict[str, str] = {}
+# The words a config-file line may give a boolean option, and their truth.
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+def load_config_file(path: str, options: Sequence[Option]) -> list[str]:
+    """The flags of a config file's flat ``key = value`` lines; blank lines
+    and # comments ignored.  The keys are the dests of the command's
+    ``options``, and a line becomes the flag ``--name=value``, or for a
+    boolean option its bare flag after a true word and nothing after a
+    false word; of a key given twice, the later line counts.  The values
+    are left to the parser.  A key the command does not take, which would
+    otherwise be silently ignored, and a boolean value that is neither
+    word are refused with the file and line."""
+    by_key = {o.dest: o for o in options}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
+    flags: dict[str, str | None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,44 +136,29 @@ def load_config_file(path: str, keys) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"{path} line {lineno}: expected key = value")
-        key = key.strip().replace("-", "_")
-        if key not in keys:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        option = by_key.get(key)
+        if option is None:
             raise CliError(f"{path} line {lineno}: unknown key {key!r}; "
-                           f"the keys are {', '.join(sorted(keys))}")
-        values[key] = value.strip()
-    return values
-
-
-def _coerce(value: str, option: Option):
-    if option.kind is bool:
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise CliError(f"{option.dest}: cannot parse boolean {value!r}")
-    try:
-        parsed = option.kind(value)
-    except ValueError:
-        raise CliError(f"{option.dest}: cannot parse {value!r} as "
-                       f"{option.kind.__name__}") from None
-    if option.choices and parsed not in option.choices:
-        raise CliError(f"{option.dest} must be one of "
-                       f"{', '.join(option.choices)}, got {value!r}")
-    return parsed
+                           f"the keys are {', '.join(sorted(by_key))}")
+        if option.kind is not bool:
+            flags[key] = f"{option.name}={value}"
+        elif value.lower() in _BOOLEAN_WORDS:
+            flags[key] = option.name if _BOOLEAN_WORDS[value.lower()] else None
+        else:
+            raise CliError(f"{path} line {lineno}: {key} takes "
+                           f"{', '.join(_BOOLEAN_WORDS)}, got {value!r}")
+    return [flag for flag in flags.values() if flag is not None]
 
 
 def resolve_options(args: argparse.Namespace, options: Sequence[Option]) -> dict:
-    """Each option's value by flag, else config file, else default; an
-    ``only`` option whose condition fails is refused if set and left out
-    otherwise."""
-    file_values = (load_config_file(args.config, {o.dest for o in options})
-                   if args.config else {})
+    """Each option's parsed value, or its default when neither the command
+    line nor the config file sets it; an ``only`` option whose condition
+    fails is refused if set and left out otherwise, and a value below an
+    option's ``minimum`` is refused."""
     out = {}
     for o in options:
         value = getattr(args, o.dest)
-        if value is None and o.dest in file_values:
-            value = _coerce(file_values[o.dest], o)
         if o.only and out[o.only[0]] != o.only[1]:
             if value is not None:
                 raise CliError(f"{o.dest} is an option of {o.only[0]} "
@@ -825,11 +825,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed command line.  With ``--config``, the file's lines are
+    read as flags (``load_config_file``) and parsed again, placed right
+    after the command words: the parser checks a value's type and choices
+    alike from either source, and since the last flag wins, the command
+    line's flags beat the file's.  A file value the parser refuses is
+    refused with the file's name."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    flags = load_config_file(args.config, args.options)
+    words = 2 if args.command == "generate" else 1
+    try:
+        return parser.parse_args([*argv[:words], *flags, *argv[words:]])
+    except CliError as exc:
+        raise CliError(f"{args.config}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Check the command's inputs, then make the output directory and run
     the command's work in it; a refusal is one ``error:`` line."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         try:
             work = args.func(resolve_options(args, args.options))
         except (ValueError, OSError) as exc:

@@ -132,24 +132,20 @@ class TrainConfig:
             raise ValueError("lam != 0 requires a disparity, individual or group")
 
     def echo(self) -> dict:
-        """Flat, JSON-ready record of every hyperparameter."""
-        return {
-            "lambda": self.lam,
-            "gamma": self.gamma,
-            "samples": self.sample_size,
-            "lr": self.learning_rate,
-            "optimizer": self.optimizer,
-            "epochs": self.epochs,
-            "metric": str(self.metric),
-            "disparity": "none" if self.disparity is None else self.disparity.kind,
-            "merit": "none" if self.disparity is None else str(self.disparity.merit),
-            "model": self.model,
-            "hidden_units": self.hidden_units,
-            "use_baseline": self.use_baseline,
-            "seed": self.seed,
-            "patience": self.patience,
-            "eval_samples": self.eval_samples,
-        }
+        """Flat, JSON-ready record of every hyperparameter: one key per
+        field, renamed by ``_ECHO_NAMES``, with the metric, the disparity
+        and its merit as text ("none" without a disparity)."""
+        echo = {_ECHO_NAMES.get(f.name, f.name): getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+        disparity = self.disparity
+        echo.update(metric=str(self.metric),
+                    disparity="none" if disparity is None else disparity.kind,
+                    merit="none" if disparity is None else str(disparity.merit))
+        return echo
+
+
+# The fields the echo records under another name: their flags' names.
+_ECHO_NAMES = {"lam": "lambda", "sample_size": "samples", "learning_rate": "lr"}
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +503,8 @@ CURVES = ("train_metric", "train_disparity", "val_metric", "val_disparity",
 
 @dataclass
 class RunRecord:
-    """Everything one training run produced, ready for export.
+    """Everything one training run produced, ready for export; a run fills
+    its record in as it trains, epoch by epoch.
 
     ``curves`` maps each name of ``CURVES`` the run has to its per-epoch
     values; ``best_epoch`` is where the validation objective (reward minus
@@ -569,22 +566,16 @@ def train(train_set: Dataset, val_set: Dataset,
 
 @dataclass
 class _Member:
-    """One run of a grid: its config, optimizer and what it has produced."""
+    """One run of a grid: its config, its optimizer, the ``RunRecord`` it
+    fills in as it trains (its best model, epochs and curves, then its
+    ``delta_lambda``), the validation objective of its best epoch, and the
+    ``TrainingError`` it failed with, if any."""
 
     config: TrainConfig
     optimizer: SGD | Adam
-    best_model: ScoringModel
-    curves: dict[str, list[float]] = field(default_factory=dict)
+    record: RunRecord
     best_objective: float = -np.inf
-    best_epoch: int = 0
-    epochs_run: int = 0
-    delta_lambda: float | None = None
     error: TrainingError | None = None
-
-    def record(self) -> RunRecord:
-        return RunRecord(config=self.config.echo(), model=self.best_model,
-                         epochs_run=self.epochs_run, best_epoch=self.best_epoch,
-                         curves=self.curves, delta_lambda=self.delta_lambda)
 
 
 def _train_grid(train_set: Dataset, val_set: Dataset,
@@ -609,7 +600,9 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
                        np.random.default_rng(ss_init),
                        hidden_units=first.hidden_units)
     members = [_Member(config, make_optimizer(config.optimizer, config.learning_rate),
-                       model.copy()) for config in configs]
+                       RunRecord(config.echo(), model.copy(), epochs_run=0, best_epoch=0,
+                                 curves={}, delta_lambda=None))
+               for config in configs]
     block = _Block(model.with_params(np.tile(model.params, (len(members), 1))),
                    members)
     train_rng = np.random.default_rng(ss_train)
@@ -648,13 +641,13 @@ def _train_grid(train_set: Dataset, val_set: Dataset,
 
     finished = [member for member in members if member.error is None]
     if finished and first.disparity is not None:
-        best = model.with_params(np.stack([m.best_model.params for m in finished]))
+        best = model.with_params(np.stack([m.record.model.params for m in finished]))
         for member, summary in zip(finished, _evaluate(
                 best, train_set, first.metric, first.disparity,
                 first.eval_samples, np.random.default_rng(ss_delta),
                 constants=train_constants)):
-            member.delta_lambda = summary.mean_disparity
-    return [member.error if member.error is not None else member.record()
+            member.record.delta_lambda = summary.mean_disparity
+    return [member.error if member.error is not None else member.record
             for member in members]
 
 
@@ -688,22 +681,22 @@ def _end_epoch(member: _Member, model: ScoringModel, epoch: int,
                on_train: EvalSummary, on_val: EvalSummary) -> bool:
     """Record a member's evaluations after an epoch, keep its best model,
     and tell whether its early stopping ends its run."""
-    config = member.config
-    member.epochs_run = epoch
+    config, record = member.config, member.record
+    record.epochs_run = epoch
     val_disp = on_val.mean_disparity if config.disparity is not None else 0.0
     objective = config.metric.sign * on_val.mean_metric - config.lam * val_disp
     values = (on_train.mean_metric, on_train.mean_disparity, on_val.mean_metric,
               on_val.mean_disparity, objective)
     for name, value in zip(CURVES, values):
         if value is not None:
-            member.curves.setdefault(name, []).append(value)
+            record.curves.setdefault(name, []).append(value)
 
     if objective > member.best_objective:
         member.best_objective = objective
-        member.best_epoch = epoch
-        member.best_model = model
+        record.best_epoch = epoch
+        record.model = model
         return False
-    return config.patience > 0 and epoch - member.best_epoch >= config.patience
+    return config.patience > 0 and epoch - record.best_epoch >= config.patience
 
 
 class _StepQuery(NamedTuple):

@@ -161,23 +161,34 @@ def test_train_rejects_lambda_without_disparity(tmp_path, dataset_dir, capsys):
     ["train", "--val", "DIRECTORY"],
     ["sweep", "--test", "SIDECAR"],
     ["train", "--out", "FILE"],
+    ["train", "--config", "LATIN1"],
+    ["generate", "from-table", "--config", "MAYBE"],
 ], ids=lambda argv: "-".join(str(a).lstrip("-") for a in argv))
 def test_bad_configuration_is_a_clean_error_before_any_work(
         tmp_path, dataset_dir, capsys, argv):
     letor = dataset_dir / "data.letor"
     # Config files by placeholder: a bad value, misspelt keys, the
     # record's "lambda" in place of the option name "lam", train's "lam"
-    # given to a sweep, and a top-1 option given to the LP baseline.  A key
-    # the command does not take is named with its file and line.
+    # given to a sweep, a top-1 option given to the LP baseline, a file
+    # that is not UTF-8 and a boolean that is neither word.  A value the
+    # parser refuses is named with its file; a key the command does not
+    # take and a boolean neither true nor false with its file and line.
     first = {"sweep": "seeds = 1", "baseline": "lambdas = 0"}.get(argv[0], "seed = 1")
     configs = {"RMSPROP": "optimizer = rmsprop\n",
                "TYPO": f"{first}\nlamda = 5\nsampels = 3\n",
                "LAMBDA": "lambda = 5\n",
                "LAM": "lam = 5\n",
-               "TOP1": "method = lp\nlr = 7\n"}
-    unknown = {"TYPO": "line 2: unknown key 'lamda'",
-               "LAMBDA": "line 1: unknown key 'lambda'",
-               "LAM": "line 1: unknown key 'lam'"}
+               "TOP1": "method = lp\nlr = 7\n",
+               "LATIN1": "seed = \xff\n",
+               "MAYBE": "seed = 1\npreprocess = maybe\n"}
+    refusals = {"RMSPROP": "{config}: fairltr {argv[0]}: argument --optimizer: "
+                           "invalid choice: 'rmsprop'",
+                "TYPO": "{config} line 2: unknown key 'lamda'",
+                "LAMBDA": "{config} line 1: unknown key 'lambda'",
+                "LAM": "{config} line 1: unknown key 'lam'",
+                "LATIN1": "cannot read config file {config}: 'utf-8' codec",
+                "MAYBE": "{config} line 2: preprocess takes 1, true, yes, on, "
+                         "0, false, no, off, got 'maybe'"}
     # Paths by placeholder: a directory as a dataset, a dataset whose
     # .groups sidecar is a directory, and a file as the output directory.
     # Each refusal names the path.
@@ -205,13 +216,13 @@ def test_bad_configuration_is_a_clean_error_before_any_work(
     placeholder = next((a for a in argv if a in configs), None)
     if placeholder is not None:
         config = tmp_path / f"{placeholder.lower()}.cfg"
-        config.write_text(configs[placeholder])
+        config.write_text(configs[placeholder], encoding="latin-1")
         argv = [config if a == placeholder else a for a in argv]
     assert run([*argv, *inputs, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if placeholder in unknown:
-        assert f"{config} {unknown[placeholder]}" in err
+    if placeholder in refusals:
+        assert refusals[placeholder].format(config=config, argv=argv) in err
     if named is not None:
         assert str(named) in err
     if out == paths["FILE"]:
@@ -250,18 +261,70 @@ def test_usage_errors_exit_1_with_an_error_line_and_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: fairltr train")
 
 
-@pytest.mark.parametrize("command", [
-    ["generate", "simulated"], ["generate", "from-table"], ["train"], ["sweep"],
-    ["baseline"], ["eval"],
-], ids=" ".join)
-def test_config_file_keys_are_the_parser_option_dests(monkeypatch, command):
-    keys = []
-    monkeypatch.setattr(cli, "load_config_file",
-                        lambda path, accepted: keys.append(set(accepted)) or {})
-    args = cli.build_parser().parse_args([*command, "--config", "c", "--out", "o"])
-    cli.resolve_options(args, args.options)
+COMMANDS = [["generate", "simulated"], ["generate", "from-table"], ["train"],
+            ["sweep"], ["baseline"], ["eval"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_config_file_keys_are_the_parser_option_dests(tmp_path, command):
+    """A config file takes exactly the dests of the command's options as
+    keys, and refuses every other attribute of its parsed namespace."""
+    args = cli.parse_args([*command, "--out", "o"])
     common = {"command", "source", "func", "options", "config", "out", "force"}
-    assert keys == [set(vars(args)) - common]
+    dests = set(vars(args)) - common
+    assert {o.dest for o in args.options} == dests
+    config = tmp_path / "c.cfg"
+    for key in sorted(dests | common):
+        config.write_text(f"{key} = 1\n")
+        if key in dests:
+            assert len(cli.load_config_file(config, args.options)) == 1
+        else:
+            with pytest.raises(cli.CliError, match=f"line 1: unknown key '{key}'"):
+                cli.load_config_file(config, args.options)
+
+
+def _two_values(option):
+    """Two values the parser takes for ``option``, the first not its
+    default."""
+    if option.kind is bool:
+        return True, False
+    if option.choices:
+        return next(c for c in option.choices if c != option.default), option.default
+    if option.kind is str:
+        return "one", "two"
+    return option.kind((option.default or 0) + 1), option.kind((option.default or 0) + 2)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_config_line_resolves_as_its_flag(tmp_path, command):
+    """Every option set away from its default as a ``key = value`` line
+    resolves to the same value as its flag, and a flag given before or
+    after ``--config`` beats the file's line for the same option; a
+    boolean set false in the file and given as a flag is True."""
+    options = cli.parse_args([*command, "--out", "o"]).options
+
+    def resolve(*argv):
+        args = cli.parse_args([*command, *map(str, argv), "--out", "o"])
+        return cli.resolve_options(args, args.options)
+
+    def config(name, which):
+        path = tmp_path / name
+        path.write_text("".join(f"{o.dest} = {_two_values(o)[which]}\n"
+                                for o in options))
+        return path
+
+    flags = [o.name if o.kind is bool else f"{o.name}={_two_values(o)[0]}"
+             for o in options]
+    expected = resolve(*flags)
+    assert set(expected) == {o.dest for o in options}
+    assert all(expected[o.dest] != o.default for o in options)
+    assert resolve("--config", config("same.cfg", 0)) == expected
+    other = config("other.cfg", 1)
+    assert resolve("--config", other, *flags) == expected
+    assert resolve(*flags, "--config", other) == expected
+    unset = tmp_path / "unset.cfg"
+    unset.write_text("".join(f"{o.dest} = off\n" for o in options if o.kind is bool))
+    assert cli.load_config_file(unset, options) == []
 
 
 def test_config_txt_records_only_the_options_the_command_reads(tmp_path,

@@ -1,5 +1,7 @@
 """Policy-gradient training loop: estimators, determinism, behaviors."""
 import copy
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -49,13 +51,26 @@ def test_a_negative_seed_is_refused_before_any_work():
 
 
 def test_config_echo_round_trips_core_fields():
-    cfg = base_config(lam=2.0, disparity=fairness.DisparityConfig.parse("group", "sqrt"))
+    """The echo of a config with every field away from its default: one
+    key per field under its record name, the merit beside the disparity,
+    the metric, disparity and merit as text, and a JSON round trip."""
+    cfg = trainer.TrainConfig(
+        lam=2.5, gamma=0.5, sample_size=7, learning_rate=0.02, optimizer="sgd",
+        epochs=3, metric=metrics.UtilityMetric.parse("dcg@5"),
+        disparity=fairness.DisparityConfig.parse("group", "sqrt"), model="mlp1",
+        hidden_units=8, use_baseline=False, seed=9, patience=0, eval_samples=11)
+    default = trainer.TrainConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(cfg))
     echo = cfg.echo()
-    assert echo["lambda"] == 2.0
-    assert echo["metric"] == "ndcg@10"
-    assert echo["disparity"] == "group"
-    assert echo["merit"] == "sqrt"
-    assert echo["optimizer"] == "adam"
+    assert echo == {
+        "lambda": 2.5, "gamma": 0.5, "samples": 7, "lr": 0.02, "optimizer": "sgd",
+        "epochs": 3, "metric": "dcg@5", "disparity": "group", "merit": "sqrt",
+        "model": "mlp1", "hidden_units": 8, "use_baseline": False, "seed": 9,
+        "patience": 0, "eval_samples": 11}
+    assert json.loads(json.dumps(echo)) == echo
+    unfair = default.echo()
+    assert (unfair["disparity"], unfair["merit"]) == ("none", "none")
 
 
 def test_utility_gradient_is_unbiased_against_enumeration():
@@ -753,7 +768,8 @@ def test_a_gradient_adam_cannot_square_fails_before_the_parameters_move():
     configs = grid_configs((0.0, 1e300),
                            disparity=fairness.DisparityConfig.parse("group"))
     model = policy.init_model("linear", ds.feature_dim, np.random.default_rng(0))
-    members = [trainer._Member(c, trainer.Adam(0.01), model) for c in configs]
+    # A step reads a member's config and optimizer, not its record.
+    members = [trainer._Member(c, trainer.Adam(0.01), None) for c in configs]
     block = trainer._Block(model.with_params(np.tile(model.params, (2, 1))), members)
     rng = np.random.default_rng(1)
     constants = trainer.split_constants(ds, [configs[0].metric], configs[0].disparity)
